@@ -193,12 +193,12 @@ def cmd_nonlinear_run(args, raw) -> int:
     out = _out_dir(args, typed)
     try:
         traj = sv.run(cfg)
-    except BlowUpError as exc:
+    except (BlowUpError, DiagnosticIntegrityError) as exc:
+        # keep the history sampled before the failure; main() maps the exit code
         if exc.trajectory is not None and exc.trajectory.records:
             _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"),
                                    exc.trajectory.records)
-        print(f"blow-up: {exc} (last valid t = {exc.last_valid_time})", file=sys.stderr)
-        return EXIT_BLOWUP
+        raise
 
     _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
     save_state(traj.states[0], os.path.join(out, "initial.bin"))
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
+        print(f"blow-up: {exc} (last valid t = {exc.last_valid_time})", file=sys.stderr)
         return EXIT_BLOWUP
 
 

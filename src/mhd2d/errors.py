@@ -37,7 +37,12 @@ class SnapshotFormatError(ValueError):
 
 
 class DiagnosticIntegrityError(RuntimeError):
-    """A hard diagnostic invariant failed on a sampled state."""
+    """A hard diagnostic invariant failed; inside a run it carries the
+    trajectory sampled before the failure, as ``BlowUpError`` does."""
+
+    def __init__(self, message, *, trajectory=None):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 class IncompleteHistoryError(ValueError):

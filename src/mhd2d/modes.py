@@ -3,17 +3,19 @@
 Per wavenumber the linearized system decouples into two identical 2x2 blocks
 acting on (v_j, B_j); the 4x4 symbol J has the double characteristic
 polynomial (lam^2 - lam + xi1^2)^2. This module owns the eigenvalues,
-eigen/reconstruction vectors, the stable divided difference of the two
-exponentials, the resonant/damped splitting of the semigroup acting on the
-second row pair, and the region-wise decay-bound audit built on it.
+eigen/reconstruction vectors, the one confluent-safe divided difference of
+phi_k over the eigenvalue pair (k = 0 is the exponential), the
+resonant/damped splitting of the semigroup acting on the second row pair,
+and the region-wise decay-bound audit built on it.
 
 All formulas here live in the analysis orientation of the transform
 (kernel exp(+i xi . x)); grid-facing code mirrors the sign of xi1, see
-``propagator.apply_semigroup``.
+``propagator.grid_phi_entries``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,11 @@ from .errors import SingularBasisError
 E2 = "e2"
 E4 = "e4"
 
-SERIES_SWITCH = 1e-4
+_PHI_SERIES_RADIUS = 2.5
+_PHI_SERIES_TERMS = 48
+# balances the confluent expansion's truncation, (h s)^4 / 1920 ~ 5e-16 at
+# the switch, against the direct quotient's cancellation, eps |h lam| / |h s|
+_CONFLUENT_SWITCH = 1e-3
 
 
 def sqrt_discriminant(xi1, a=1.0):
@@ -33,6 +39,16 @@ def sqrt_discriminant(xi1, a=1.0):
     return np.sqrt(np.asarray(a, dtype=complex) ** 2 - 4.0 * xi1**2 + 0j)
 
 
+def _pair(xi1, a):
+    """(s, lam_minus, lam_plus) as arrays; see ``eigenvalues``."""
+    xi1 = np.asarray(xi1, dtype=float)
+    s = sqrt_discriminant(xi1, a)
+    den = a + s
+    safe = np.where(np.abs(den) == 0.0, 1.0, den)
+    lam_minus = np.where(np.abs(den) == 0.0, 0.0 + 0j, 2.0 * xi1**2 / safe)
+    return s, lam_minus, den / 2.0
+
+
 def eigenvalues(xi1, a=1.0):
     """Eigenvalue pair (lam_minus, lam_plus) of the 2x2 block.
 
@@ -40,37 +56,68 @@ def eigenvalues(xi1, a=1.0):
     as 2 xi1^2 / (a + s), which is exact by Vieta and avoids cancellation
     for small xi1.
     """
-    xi1 = np.asarray(xi1, dtype=float)
-    s = sqrt_discriminant(xi1, a)
-    lam_plus = (a + s) / 2.0
-    den = a + s
-    safe = np.where(np.abs(den) == 0.0, 1.0, den)
-    lam_minus = np.where(np.abs(den) == 0.0, 0.0 + 0j, 2.0 * xi1**2 / safe)
+    _, lam_minus, lam_plus = _pair(xi1, a)
     if np.ndim(lam_minus) == 0:
         return complex(lam_minus), complex(lam_plus)
     return lam_minus, lam_plus
 
 
-def divided_difference(xi1, t, a=1.0):
-    """(exp(-lam_minus t) - exp(-lam_plus t)) / (lam_plus - lam_minus).
+def _phi(k: int, z) -> np.ndarray:
+    """phi_k(z) = sum_n z^n / (n + k)!, vectorized; phi_0 is exp. For k > 0,
+    the power series on |z| < 2.5 and the upward recurrence from exp
+    elsewhere (safe there because the division by z shrinks the error)."""
+    z = np.asarray(z, dtype=complex)
+    if k == 0:
+        return np.exp(z)
+    out = np.empty(z.shape, dtype=complex)
+    small = np.abs(z) < _PHI_SERIES_RADIUS
+    zs = z[small]
+    term = np.full(zs.shape, 1.0 / math.factorial(k), dtype=complex)
+    acc = term.copy()
+    for n in range(_PHI_SERIES_TERMS):
+        term = term * zs / (n + 1 + k)
+        acc += term
+    out[small] = acc
+    zb = z[~small]
+    rec = np.exp(zb)
+    for i in range(k):
+        rec = (rec - 1.0 / math.factorial(i)) / zb
+    out[~small] = rec
+    return out
 
-    Near the degenerate pair (|s t / 2| < 1e-4) the quotient cancels
-    catastrophically, so a five-term sinhc series of
-    t exp(-a t / 2) sinhc(s t / 2) is used there; elsewhere the quotient is
-    evaluated directly (the exponentials have nonpositive real part, so
-    neither branch can overflow).
+
+def phi_split(k: int, xi1, h, a=1.0):
+    """(lam_minus, lam_plus, f_plus, dd) with phi_k(-h K) = f_plus I + dd (lam_plus I - K).
+
+    f_plus = phi_k(-h lam_plus) and dd = (phi_k(-h lam_minus) - f_plus) /
+    (lam_plus - lam_minus), the one confluent-safe divided difference; k = 0
+    is the exponential. Where |h s| < 1e-3 the quotient cancels as the pair
+    collides at |xi1| = a/2, so there dd is the symmetric expansion about
+    z0 = -h a / 2: h (D1 + (h s)^2 / 24 * D3), with D1 and D3 the first and
+    third derivatives of phi_k at z0 (phi_k' = phi_k - k phi_{k+1}). Each
+    branch runs only on the entries that need it.
     """
-    xi1 = np.asarray(xi1, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lam_m, lam_p = eigenvalues(xi1, a)
-    s = sqrt_discriminant(xi1, a)
-    z = 0.5 * s * t
-    series = np.abs(z) < SERIES_SWITCH
-    z2 = z * z
-    sinhc = 1.0 + z2 / 6.0 + z2**2 / 120.0 + z2**3 / 5040.0 + z2**4 / 362880.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.exp(-lam_m * t) - np.exp(-lam_p * t)) / np.where(series, 1.0, s)
-    out = np.where(series, t * np.exp(-0.5 * np.asarray(a) * t) * sinhc, direct)
+    xi1, h, a = np.broadcast_arrays(np.asarray(xi1, dtype=float), np.asarray(h, dtype=float),
+                                    np.asarray(a, dtype=float))
+    s, lam_m, lam_p = _pair(xi1, a)
+    f_plus = _phi(k, -h * lam_p)
+    dd = np.empty(f_plus.shape, dtype=complex)
+    near = np.abs(h * s) < _CONFLUENT_SWITCH
+    far = ~near
+    dd[far] = (_phi(k, -h[far] * lam_m[far]) - f_plus[far]) / s[far]
+    if near.any():
+        hn, zn = h[near], h[near] * s[near]
+        p = [_phi(k + i, -0.5 * hn * a[near]) for i in range(4)]
+        d1 = p[0] - k * p[1]
+        d3 = p[0] - 3 * k * p[1] + 3 * k * (k + 1) * p[2] - k * (k + 1) * (k + 2) * p[3]
+        dd[near] = hn * (d1 + (zn * zn / 24.0) * d3)
+    return lam_m, lam_p, f_plus, dd
+
+
+def divided_difference(xi1, t, a=1.0):
+    """(exp(-lam_minus t) - exp(-lam_plus t)) / (lam_plus - lam_minus), the
+    k = 0 case of ``phi_split``; finite through the degenerate pair."""
+    out = phi_split(0, xi1, t, a)[3]
     if np.ndim(out) == 0:
         return complex(out)
     return out
@@ -150,8 +197,8 @@ class ModeSystem:
 
 
 def mode_system(xi1: float) -> ModeSystem:
-    lam_m, lam_p = eigenvalues(xi1)
-    return ModeSystem(float(xi1), complex(sqrt_discriminant(xi1)), lam_m, lam_p)
+    s, lam_m, lam_p = _pair(xi1, 1.0)
+    return ModeSystem(float(xi1), complex(s), complex(lam_m), complex(lam_p))
 
 
 def anisotropic_decompose(f, xi1, t, row: str):
@@ -172,16 +219,14 @@ def anisotropic_decompose(f, xi1, t, row: str):
     if f.shape != (4,):
         raise ValueError(f"f must be a 4-vector, got shape {f.shape}")
     xi1 = np.asarray(xi1, dtype=float)
-    lam_m, lam_p = eigenvalues(xi1)
-    s = sqrt_discriminant(xi1)
-    dd = divided_difference(xi1, t)
+    _, lam_p, e_plus, dd = phi_split(0, xi1, t)
     coef_minus = 1j * xi1 * f[1] - lam_p * f[3]
     if row == E2:
-        resonant = dd * (2j * xi1 / (1.0 + s)) * coef_minus
-        damped = np.exp(-lam_p * t) * f[1]
+        resonant = dd * (1j * xi1 / lam_p) * coef_minus
+        damped = e_plus * f[1]
     else:
         resonant = -dd * coef_minus
-        damped = np.exp(-lam_p * t) * f[3]
+        damped = e_plus * f[3]
     return resonant, damped
 
 

@@ -8,8 +8,9 @@ split
     f(K) = f(lam_plus) I + df * (lam_plus I - K),
     df = (f(lam_minus) - f(lam_plus)) / (lam_plus - lam_minus),
 
-so the exponential block, the phi1/phi2 Duhamel blocks, and their grid-wide
-vectorized forms all share the same stable divided-difference machinery.
+evaluated for f = phi_k(-h .) by ``modes.phi_split``: the exponential block
+(k = 0), the phi1/phi2 Duhamel blocks and their grid-wide forms all share
+its one confluent-safe divided difference.
 
 This module also owns the compactly supported spectral profiles and the
 continuous-wavenumber decay curves evaluated by adaptive panel quadrature;
@@ -27,82 +28,24 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .modes import divided_difference, eigenvalues, sqrt_discriminant
+from .modes import eigenvalues, phi_split
 from .quadrature import refine_integral
 from .spectral import SpectralState
 
-_PHI_SERIES_RADIUS = 2.5
-_PHI_SERIES_TERMS = 48
-_DD_SWITCH = 1e-4
 
-
-def _phi(j: int, z: np.ndarray) -> np.ndarray:
-    """phi_j(z) = sum_n z^n / (n + j)!, vectorized and stable.
-
-    Power series inside |z| < 2.5; upward recurrence from exp elsewhere
-    (safe there because the division by z shrinks the error).
-    """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _PHI_SERIES_RADIUS
-    # series branch
-    term = np.full(z.shape, 1.0 / math.factorial(j), dtype=complex)
-    acc = term.copy()
-    zs = np.where(small, z, 0.0)
-    for n in range(_PHI_SERIES_TERMS):
-        term = term * zs / (n + 1 + j)
-        acc += term
-    # recurrence branch
-    zb = np.where(small, 1.0, z)
-    rec = np.exp(np.where(small, 0.0, z))
-    for i in range(j):
-        rec = (rec - 1.0 / math.factorial(i)) / zb
-    return np.where(small, acc, rec)
-
-
-def _phi_div_diff(k: int, lam_m, lam_p, s, a, h: float) -> np.ndarray:
-    """Divided difference of phi_k(-h lam) over the eigenvalue pair.
-
-    Direct quotient away from the degeneracy; near it (|h s| < 1e-4) a
-    symmetric expansion around the trace midpoint, using
-    phi_k' = phi_k - k phi_{k+1} and the third-derivative correction.
-    """
-    s = np.asarray(s, dtype=complex)
-    z = h * s
-    small = np.abs(z) < _DD_SWITCH
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (_phi(k, -h * np.asarray(lam_m)) - _phi(k, -h * np.asarray(lam_p))) / np.where(
-            small, 1.0, s
-        )
-    z0 = -0.5 * h * np.asarray(a, dtype=complex)
-    z0 = np.broadcast_to(z0, np.broadcast_shapes(z0.shape, z.shape))
-    p = [_phi(k + i, z0) for i in range(4)]
-    dp1 = p[0] - k * p[1]
-    dp3 = p[0] - 3 * k * p[1] + 3 * k * (k + 1) * p[2] - k * (k + 1) * (k + 2) * p[3]
-    series = h * (dp1 + (h * h * s * s / 24.0) * dp3)
-    return np.where(small, series, direct)
-
-
-def _entries(fplus, dd, lam_m, lam_p, xi1, coupling_sign: int):
-    """Entries (p11, p12, p22) of f(K) for K = [[a, c],[c, 0]], c = sign*i*xi1."""
-    p11 = fplus - lam_m * dd
+def phi_block_entries(k: int, xi1, h, a=1.0, coupling_sign: int = 1):
+    """Vectorized entries (p11, p12, p22) of phi_k(-h K), K = [[a, c], [c, 0]]
+    with c = coupling_sign * i * xi1; k = 0 gives exp(-h K)."""
+    lam_m, lam_p, f_plus, dd = phi_split(k, xi1, h, a)
+    p11 = f_plus - lam_m * dd
     p12 = -coupling_sign * 1j * np.asarray(xi1) * dd
-    p22 = fplus + lam_p * dd
+    p22 = f_plus + lam_p * dd
     return p11, p12, p22
 
 
 def exp_block_entries(xi1, t, a=1.0, coupling_sign: int = 1):
-    """Vectorized entries of exp(-t K)."""
-    lam_m, lam_p = eigenvalues(xi1, a)
-    dd = divided_difference(xi1, t, a)
-    return _entries(np.exp(-np.asarray(lam_p) * t), dd, lam_m, lam_p, xi1, coupling_sign)
-
-
-def phi_block_entries(k: int, xi1, h, a=1.0, coupling_sign: int = 1):
-    """Vectorized entries of phi_k(-h K)."""
-    lam_m, lam_p = eigenvalues(xi1, a)
-    s = sqrt_discriminant(xi1, a)
-    dd = _phi_div_diff(k, lam_m, lam_p, s, a, h)
-    return _entries(_phi(k, -h * np.asarray(lam_p)), dd, lam_m, lam_p, xi1, coupling_sign)
+    """Vectorized entries of exp(-t K): ``phi_block_entries`` with k = 0."""
+    return phi_block_entries(0, xi1, t, a, coupling_sign)
 
 
 def propagator_block(xi1: float, t: float) -> np.ndarray:
@@ -123,8 +66,8 @@ def phi1_block(xi1: float, dt: float) -> np.ndarray:
     return np.array([[p11, p12], [p12, p22]], dtype=complex)
 
 
-def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=True):
-    """exp(-t K) entries over a grid, in the grid's transform orientation.
+def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=True):
+    """phi_k(-h K) entries over a grid, in the grid's transform orientation.
 
     The grid transform uses the exp(-i xi . x) kernel while the analysis
     blocks are written for exp(+i xi . x); the two are mirror images in
@@ -135,16 +78,13 @@ def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=Tru
     """
     a = kappa * grid.xi_sq**alpha if alpha != 0.0 else np.full(grid.shape, kappa)
     xi1 = np.broadcast_to(grid.xi1, grid.shape) if coupling else np.zeros(grid.shape)
-    p11, p12, p22 = exp_block_entries(xi1, t, a, coupling_sign=-1)
-    return np.real(p11), 1j * np.imag(p12), np.real(p22)
-
-
-def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=True):
-    """phi_k(-h K) entries over a grid, grid orientation, realified."""
-    a = kappa * grid.xi_sq**alpha if alpha != 0.0 else np.full(grid.shape, kappa)
-    xi1 = np.broadcast_to(grid.xi1, grid.shape) if coupling else np.zeros(grid.shape)
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
     return np.real(p11), 1j * np.imag(p12), np.real(p22)
+
+
+def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=True):
+    """exp(-t K) entries over a grid: ``grid_phi_entries`` with k = 0."""
+    return grid_phi_entries(0, grid, t, kappa=kappa, alpha=alpha, coupling=coupling)
 
 
 def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, instantaneous
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, ConfigError, DiagnosticIntegrityError
 from .propagator import (
     apply_block_entries,
     build_profile,
@@ -240,24 +240,15 @@ class _Stepper:
         )
 
 
-_STEPPER_CACHE: dict = {}
-
-
-def _stepper_for(grid: SpectralGrid, cfg: SolverConfig) -> _Stepper:
-    key = (grid, cfg)
-    hit = _STEPPER_CACHE.get(key)
-    if hit is None:
-        if len(_STEPPER_CACHE) >= 8:
-            _STEPPER_CACHE.pop(next(iter(_STEPPER_CACHE)))
-        hit = _STEPPER_CACHE[key] = _Stepper(grid, cfg)
-    return hit
-
-
 def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
-    """Advance one state by dt under the configured scheme."""
+    """Advance one state by dt under the configured scheme.
+
+    Builds the per-mode tables afresh on every call, exactly as ``run``
+    does once per run; loops should call ``run``.
+    """
     if state.grid.shape != (cfg.n1, cfg.n2) or (state.grid.l1, state.grid.l2) != (cfg.l1, cfg.l2):
         raise ConfigError("state grid does not match the solver configuration")
-    u = _stepper_for(state.grid, cfg).advance(state.u)
+    u = _Stepper(state.grid, cfg).advance(state.u)
     if not np.all(np.isfinite(u)):
         raise BlowUpError(
             f"non-finite coefficients after one step from t = {state.time}",
@@ -319,8 +310,9 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     The energy-law residual carried by each record is the signed defect
     of the half-L2 balance with the dissipation integral accumulated by
     per-step trapezoid quadrature; it shrinks at second order in dt. On
-    non-finite coefficients the partial trajectory rides on the raised
-    ``BlowUpError``.
+    non-finite coefficients or a failed diagnostic invariant the partial
+    trajectory rides on the raised ``BlowUpError`` or
+    ``DiagnosticIntegrityError``.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -363,7 +355,11 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
             snap = SpectralState(g, u.copy(), t)
             snap.validate()
             resid = _half_l2_sq(g, u) - e0 + acc
-            rec = instantaneous(snap, cfg.m, energy_residual=resid)
+            try:
+                rec = instantaneous(snap, cfg.m, energy_residual=resid)
+            except DiagnosticIntegrityError as exc:
+                exc.trajectory = traj
+                raise
             last = (i + 1) == cfg.n_steps
             traj.append(t, rec, snap if (keep_states or last) else None)
     return traj

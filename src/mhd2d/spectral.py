@@ -167,13 +167,15 @@ class SpectralState:
         return self.u[3]
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Assert Hermitian symmetry, zero mean, and zero divergence.
+        """Assert finite values, Hermitian symmetry, zero mean, and zero divergence.
 
         Tolerances are relative to the coefficient scale; raises
         ``ConfigError`` on the first violated property.
         """
         g = self.grid
         scale = max(float(np.max(np.abs(self.u))), 1e-300)
+        if not np.isfinite(scale):
+            raise ConfigError("state has non-finite coefficients")
         herm = hermitian_defect(g, self.u)
         if herm > tol * scale:
             raise ConfigError(f"state is not Hermitian symmetric: defect {herm:.3e}")
@@ -360,21 +362,31 @@ def save_state(state: SpectralState, path) -> None:
 
 
 def load_state(path) -> SpectralState:
-    """Read a snapshot written by ``save_state``; validates magic and version."""
+    """Read a snapshot written by ``save_state``; ``SnapshotFormatError`` unless
+    it is exactly one header and a payload that passes ``validate``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SNAPSHOT_MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r}, expected {SNAPSHOT_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        n1f, n2f, l1, l2, time = struct.unpack("<5d", fh.read(40))
-        n1, n2 = int(n1f), int(n2f)
-        if n1 != n1f or n2 != n2f:
-            raise SnapshotFormatError(f"non-integer grid sizes {n1f}, {n2f}")
-        grid = SpectralGrid(n1, n2, l1, l2)
-        raw = fh.read(4 * n1 * n2 * 16)
-        if len(raw) != 4 * n1 * n2 * 16:
-            raise SnapshotFormatError("truncated snapshot payload")
-        u = np.frombuffer(raw, dtype="<c16").reshape(4, n1, n2).astype(np.complex128)
-        return SpectralState(grid, u, time)
+        data = fh.read()
+    if data[:4] != SNAPSHOT_MAGIC:
+        raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {SNAPSHOT_MAGIC!r}")
+    header = 4 + struct.calcsize("<I5d")
+    if len(data) < header:
+        raise SnapshotFormatError(f"truncated snapshot header: {len(data)} of {header} bytes")
+    version, n1f, n2f, l1, l2, time = struct.unpack_from("<I5d", data, 4)
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotFormatError(f"unsupported snapshot version {version}")
+    if not (n1f.is_integer() and n2f.is_integer() and n1f > 0 and n2f > 0):
+        raise SnapshotFormatError(f"grid sizes must be positive integers, got {n1f}, {n2f}")
+    n1, n2 = int(n1f), int(n2f)
+    # sizes are checked against the file before the grid allocates anything
+    extra = len(data) - header - 4 * n1 * n2 * 16
+    if extra < 0:
+        raise SnapshotFormatError("truncated snapshot payload")
+    if extra > 0:
+        raise SnapshotFormatError(f"{extra} trailing bytes after the snapshot payload")
+    u = np.frombuffer(data, dtype="<c16", offset=header).reshape(4, n1, n2).astype(np.complex128)
+    try:
+        state = SpectralState(SpectralGrid(n1, n2, l1, l2), u, time)
+        state.validate()
+    except ConfigError as exc:
+        raise SnapshotFormatError(f"invalid snapshot: {exc}") from exc
+    return state

@@ -1,0 +1,44 @@
+"""Names the benchmark reaches from outside the package still resolve.
+
+``bench/spans.py`` wraps package functions by module and attribute name, and
+``bench/run.py``/``bench/workloads.py`` call a few private names directly. A
+refactor that renames one of them should fail here rather than crash the
+traced benchmark.
+"""
+
+import importlib
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+# called directly by the benchmark rather than through spans.py's tables
+DIRECT = (
+    ("solver", "_Stepper"),
+    ("solver", "_Stepper.__init__"),
+    ("solver", "run"),
+    ("cli", "_solver_config"),
+    ("modes", "mode_system"),
+    ("spectral", "SpectralState.validate"),
+)
+
+
+def _spans_namespace():
+    # executed from source, so nothing is written under bench/
+    ns = {"__name__": "bench_spans"}
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), ns)
+    return ns
+
+
+def test_benchmark_names_resolve():
+    ns = _spans_namespace()
+    names = [(mod, attr) for mod, attr, _ in ns["WRAPS"]]
+    names += [(mod, path) for mod, path, _ in ns["STEP_WRAPS"]]
+    names += list(DIRECT)
+    for mod_name in ns["MODULES"]:
+        importlib.import_module(f"mhd2d.{mod_name}")
+    for mod_name, path in names:
+        owner = importlib.import_module(f"mhd2d.{mod_name}")
+        for part in path.split("."):
+            assert hasattr(owner, part), f"mhd2d.{mod_name}.{path}: no {part!r}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"mhd2d.{mod_name}.{path} is not callable"

@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from mhd2d import cli
+from mhd2d import cli, solver
 from mhd2d.config import parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
-from mhd2d.errors import ConfigError
+from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.spectral import load_state
 
 
@@ -182,6 +182,29 @@ def test_nonlinear_run_blowup_exit_code(tmp_path, capsys):
     lines = (out / "diagnostics.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) >= 2
+
+
+def test_nonlinear_run_integrity_failure_keeps_history(tmp_path, capsys, monkeypatch):
+    k = 3
+    real = solver.instantaneous
+    samples = []
+
+    def failing(state, m, **kw):
+        # run() samples pass energy_residual; initial_state's normalization does not
+        if "energy_residual" in kw:
+            samples.append(state.time)
+            if len(samples) > k:
+                raise DiagnosticIntegrityError("injected invariant failure")
+        return real(state, m, **kw)
+
+    monkeypatch.setattr(solver, "instantaneous", failing)
+    cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out)]) == 3
+    assert "integrity failure" in capsys.readouterr().err
+    lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 1 + k
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ DIVIDED_DIFF_ORACLE = [
     (1.7, 1.0, 0.37274945721461132),
     (1.7, 10.0, -0.0021324845136691185),
     (1.7, 100.0, -9.1646446110187437e-23),
+    # |t s| at 5e-4, 1e-3 and 2e-3, around the confluent switch, for real
+    # (xi1 < 1/2) and imaginary (xi1 > 1/2) s
+    (0.4999999375, 1.0, 0.6065306660306607),
+    (0.49999975, 1.0, 0.6065306849847383),
+    (0.49999975, 2.0, 0.7357590049693405),
+    (0.5000000625, 1.0, 0.6065306533946053),
+    (0.50000025, 1.0, 0.6065306344405166),
+    (0.50000025, 2.0, 0.7357587597163797),
 ]
 
 # Same script: lam_minus = 2 x^2 / (1 + sqrt(1 - 4 x^2)), real branch.

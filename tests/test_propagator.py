@@ -28,6 +28,10 @@ TWO_PI = 2.0 * np.pi
 
 XI1_SAMPLES = [0.0, 1e-8, 0.1, 0.25, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.7, 1.0, 2.5, -0.3, -0.5]
 T_SAMPLES = [0.0, 0.01, 0.5, 3.0, 25.0]
+# |s| = |sqrt(1 - 4 xi1^2)| from 2e-4 to 5e-2, real and imaginary, so that
+# |h s| falls on both sides of the confluent switch at 1e-3
+SWITCH_BAND_XI1 = [0.5 * math.sqrt(1.0 + sign * s * s)
+                   for s in (2e-4, 1e-3, 2e-3, 1e-2, 5e-2) for sign in (-1.0, 1.0)]
 
 
 def analysis_block(xi1):
@@ -36,7 +40,7 @@ def analysis_block(xi1):
 
 
 def test_block_matches_matrix_exponential():
-    for x in XI1_SAMPLES:
+    for x in XI1_SAMPLES + SWITCH_BAND_XI1:
         K = analysis_block(x)
         for t in T_SAMPLES:
             got = propagator_block(x, t)
@@ -68,7 +72,7 @@ def test_phi1_block_integral_identity():
 def test_phi_blocks_match_augmented_exponential():
     # expm([[A, I, 0], [0, 0, I], [0, 0, 0]]) packs phi1(A), phi2(A) in the
     # first block row
-    for x in XI1_SAMPLES:
+    for x in XI1_SAMPLES + SWITCH_BAND_XI1:
         for h in (0.02, 0.8, 5.0):
             A = -h * analysis_block(x)
             M = np.zeros((6, 6), dtype=complex)

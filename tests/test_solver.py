@@ -283,6 +283,14 @@ def test_step_grid_mismatch():
         step(other, cfg)
 
 
+def test_step_matches_first_step_of_run():
+    for scheme in ("etdrk2", "ifrk4"):
+        cfg = small_cfg(t_end=0.02, dt=0.01, output_every=0.01, scheme=scheme)
+        st = initial_state(cfg)
+        traj = run(cfg, initial=st, keep_states=True)
+        assert np.array_equal(step(st, cfg).u, traj.states[1].u), scheme
+
+
 def test_trajectory_append_monotone():
     traj = Trajectory()
     cfg = small_cfg(data_kind="zero")

@@ -176,6 +176,10 @@ def test_state_validation_errors():
     st.u[:, 0, 0] = 1.0
     with pytest.raises(ConfigError):
         st.validate()
+    st = random_div_free_state(g, seed=7)
+    st.u[0, 1, 2] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        st.validate()
 
 
 def test_enforce_zero_mean():
@@ -187,7 +191,7 @@ def test_enforce_zero_mean():
 
 def test_snapshot_roundtrip(tmp_path):
     g = make_grid(16, 24, 3.5, TWO_PI)
-    st = random_state(g, seed=9)
+    st = random_div_free_state(g, seed=9)
     st.time = 2.25
     path = tmp_path / "snap.bin"
     save_state(st, path)
@@ -199,7 +203,7 @@ def test_snapshot_roundtrip(tmp_path):
 
 def test_snapshot_format_errors(tmp_path):
     g = make_grid(16, 16, TWO_PI, TWO_PI)
-    st = random_state(g, seed=10)
+    st = random_div_free_state(g, seed=10)
     path = tmp_path / "snap.bin"
     save_state(st, path)
 
@@ -215,3 +219,26 @@ def test_snapshot_format_errors(tmp_path):
     (tmp_path / "short.bin").write_bytes(data[:-16])
     with pytest.raises(SnapshotFormatError):
         load_state(tmp_path / "short.bin")
+
+    (tmp_path / "header.bin").write_bytes(data[:6])
+    with pytest.raises(SnapshotFormatError, match="header"):
+        load_state(tmp_path / "header.bin")
+
+    (tmp_path / "trailing.bin").write_bytes(data + b"\x00")
+    with pytest.raises(SnapshotFormatError, match="trailing"):
+        load_state(tmp_path / "trailing.bin")
+
+    # payloads that fail validate(), and a non-finite one
+    edits = (
+        ("Hermitian", [((0, 1, 2), st.u[0, 1, 2] + 1.0j)]),
+        ("divergence", [((0, 1, 0), 1.0), ((0, -1, 0), 1.0)]),
+        ("non-finite", [((0, 1, 2), np.nan)]),
+    )
+    for i, (pattern, changes) in enumerate(edits):
+        bad = st.u.copy()
+        for index, value in changes:
+            bad[index] = value
+        path = tmp_path / f"bad{i}.bin"
+        save_state(SpectralState(g, bad), path)
+        with pytest.raises(SnapshotFormatError, match=pattern):
+            load_state(path)
