@@ -28,6 +28,7 @@ from .spectral import (
     dealias,
     enforce_zero_mean,
     from_physical,
+    from_potentials,
     hermitian_defect,
     divergence_defect,
     l2_norm,
@@ -40,6 +41,7 @@ from .spectral import (
     sobolev_norm,
     spectral_derivative,
     to_physical,
+    to_potentials,
 )
 from .modes import (
     AuditRow,

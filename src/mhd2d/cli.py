@@ -16,6 +16,7 @@ import numpy as np
 
 from . import diagnostics as dx
 from . import solver as sv
+from .artifacts import atomic_open
 from .config import load_config, typed_config
 from .errors import (
     AuditInapplicableError,
@@ -63,14 +64,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -187,19 +188,23 @@ def _write_diagnostics_csv(path, records):
     _write_csv(path, dx.CSV_COLUMNS, [r.csv_row() for r in records])
 
 
-def cmd_nonlinear_run(args, raw) -> int:
-    typed = typed_config("nonlinear-run", raw)
-    cfg = _solver_config(args, typed)
-    out = _out_dir(args, typed)
+def _run(cfg, out):
+    """``solver.run``; a failed run first writes the history sampled before
+    the failure to diagnostics.csv, and main() maps the exit code."""
     try:
-        traj = sv.run(cfg)
+        return sv.run(cfg)
     except (BlowUpError, DiagnosticIntegrityError) as exc:
-        # keep the history sampled before the failure; main() maps the exit code
         if exc.trajectory is not None and exc.trajectory.records:
             _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"),
                                    exc.trajectory.records)
         raise
 
+
+def cmd_nonlinear_run(args, raw) -> int:
+    typed = typed_config("nonlinear-run", raw)
+    cfg = _solver_config(args, typed)
+    out = _out_dir(args, typed)
+    traj = _run(cfg, out)
     _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
     save_state(traj.states[0], os.path.join(out, "initial.bin"))
     save_state(traj.final_state, os.path.join(out, "final.bin"))
@@ -270,7 +275,7 @@ def cmd_audit_energy(args, raw) -> int:
     tol = _tolerances(args.tolerance, {"implied_c": float("inf"), "lhs": float("inf")})
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    traj = sv.run(cfg)
+    traj = _run(cfg, out)
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
     except AuditResolutionError as exc:

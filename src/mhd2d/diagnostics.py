@@ -200,8 +200,8 @@ def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) ->
     if int(m) != m or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
     g = state.grid
-    wm = multi_index_weight(g, m)
     wm1 = multi_index_weight(g, m - 1)
+    wm = wm1 + sum(g.xi1 ** (2 * a) * g.xi2 ** (2 * (m - a)) for a in range(m + 1))
     absu2 = np.abs(state.u) ** 2
 
     hm_v_sq = float(g.area * np.sum(wm * (absu2[0] + absu2[1])))
@@ -220,12 +220,14 @@ def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) ->
             f"|A| = {abs(A):.6e} exceeds E^2/2 = {0.5 * e_sq:.6e}"
         )
 
-    fields = to_physical(state)
+    # the state is Hermitian, so its real fields come from the half spectrum
     d1v1 = coeff_derivative(g, state.u[0], 1)
     d1v2 = coeff_derivative(g, state.u[1], 1)
-    d1v_phys = np.real(np.fft.ifft2(np.stack([d1v1, d1v2]), axes=(-2, -1))) * (g.n1 * g.n2)
-    sup_d1v = float(np.max(np.sqrt(d1v_phys[0] ** 2 + d1v_phys[1] ** 2)))
-    sup_B2 = float(np.max(np.abs(fields[3])))
+    nh = g.n2 // 2 + 1
+    half = np.stack([state.u[3, :, :nh], d1v1[:, :nh], d1v2[:, :nh]])
+    b2, d1v1_phys, d1v2_phys = np.fft.irfft2(half, s=g.shape, axes=(-2, -1), norm="forward")
+    sup_d1v = float(np.max(np.sqrt(d1v1_phys**2 + d1v2_phys**2)))
+    sup_B2 = float(np.max(np.abs(b2)))
 
     # two independently differentiated routes of the same pairing; the sum
     # cancels analytically, so what remains measures accumulated roundoff

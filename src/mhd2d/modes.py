@@ -187,13 +187,27 @@ class ModeSystem:
         return complex(np.dot(np.asarray(u, dtype=complex), self.eigenvector(sign, j)))
 
     def reconstruct(self, u: np.ndarray) -> np.ndarray:
-        """Sum of coefficient * recon_vector over all four mode labels."""
-        u = np.asarray(u, dtype=complex)
-        out = np.zeros(4, dtype=complex)
-        for sign in (+1, -1):
-            for j in (1, 2):
-                out += self.coefficient(u, sign, j) * self.recon_vector(sign, j)
-        return out
+        """Sum of coefficient * recon_vector over all four mode labels.
+
+        Closed form of that sum, per pair j with (x, y) = (u_j, u_{j+2}):
+        c_pm = i xi1 x - lam_mp y, then x' = -i (lam_plus c_plus - lam_minus
+        c_minus) / (xi1 s) and y' = (c_plus - c_minus) / s.
+        """
+        if self.degenerate:
+            raise SingularBasisError(
+                f"reconstruction vectors are undefined at xi1 = {self.xi1}"
+            )
+        ixi, lam_m, lam_p = 1j * self.xi1, self.lam_minus, self.lam_plus
+        pref = 1.0 / (self.xi1 * self.s)
+        v1, v2, b1, b2 = np.asarray(u, dtype=complex).tolist()
+        out = []
+        for x, y in ((v1, b1), (v2, b2)):
+            c_plus = ixi * x - lam_m * y
+            c_minus = ixi * x - lam_p * y
+            out.append((-1j * pref * (lam_p * c_plus - lam_m * c_minus),
+                        self.xi1 * pref * (c_plus - c_minus)))
+        (x1, y1), (x2, y2) = out
+        return np.array([x1, x2, y1, y2], dtype=complex)
 
 
 def mode_system(xi1: float) -> ModeSystem:

@@ -74,12 +74,16 @@ def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=T
     xi1, so the grid applies the block family with the opposite coupling
     sign. Diagonal entries are provably real (the eigenvalue pair is real
     or complex conjugate), so they are realified to keep Hermitian symmetry
-    of states exact.
+    of states exact. The entries depend on xi only through xi1 and |xi|^2,
+    so they are evaluated on the half spectrum (columns k2 = 0 .. n2/2) and
+    column -k2 repeats column k2.
     """
-    a = kappa * grid.xi_sq**alpha if alpha != 0.0 else np.full(grid.shape, kappa)
-    xi1 = np.broadcast_to(grid.xi1, grid.shape) if coupling else np.zeros(grid.shape)
+    xi_sq = grid.half_xi_sq
+    a = kappa * xi_sq**alpha if alpha != 0.0 else np.full(xi_sq.shape, kappa)
+    xi1 = np.broadcast_to(grid.xi1, xi_sq.shape) if coupling else np.zeros(xi_sq.shape)
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
-    return np.real(p11), 1j * np.imag(p12), np.real(p22)
+    cols = np.abs(grid.k2)
+    return np.real(p11)[:, cols], 1j * np.imag(p12)[:, cols], np.real(p22)[:, cols]
 
 
 def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=True):
@@ -88,13 +92,17 @@ def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=Tru
 
 
 def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:
-    """Apply per-mode 2x2 entries to both (v_j, B_j) pairs of a state array."""
+    """Apply per-mode 2x2 entries to the pairs (u[i], u[k + i]), k = len(u) // 2.
+
+    The pairs are (v_j, B_j) for a four-component state array and (psi, a)
+    for a potential stack; the block is the same for each.
+    """
     p11, p12, p22 = entries
+    k = len(u) // 2
+    v, B = u[:k], u[k:]
     out = np.empty_like(u)
-    for j in range(2):
-        v, B = u[j], u[j + 2]
-        out[j] = p11 * v + p12 * B
-        out[j + 2] = p12 * v + p22 * B
+    out[:k] = p11 * v + p12 * B
+    out[k:] = p12 * v + p22 * B
     return out
 
 

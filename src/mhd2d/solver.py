@@ -6,10 +6,23 @@ unit background field along x1:
     dt v + kappa (-Lap)^alpha v + (v.grad) v - (B.grad) B - grad p = d1 B
     dt B + (v.grad) B - (B.grad) v = d1 v
 
-with both fields divergence free and the pressure removed by projection.
-The linear part (damping plus the d1 coupling) is applied exactly through
-the per-mode 2x2 semigroup entries; only the quadratic terms are stepped
-by the integrator, so the scheme's error vanishes with the data amplitude.
+with both fields divergence free. In 2D that makes v = (d2 psi, -d1 psi)
+and B = (d2 a, -d1 a), and the stepper evolves the stream function psi and
+the magnetic potential a on the real-FFT half spectrum (one (2, n1,
+n2//2 + 1) stack) instead of the four components over the full spectrum.
+The pressure never appears, zero divergence holds by construction, and
+real fields stay real because only half of the spectrum is stored. The
+per-mode 2x2 block of the linear part acts on (psi_hat, a_hat) exactly as
+it acts on each (v_j_hat, B_j_hat) pair, so the linear flow is applied
+exactly through the same semigroup entries; only the quadratic terms
+
+    N_omega = -v.grad omega + B.grad j,   N_psi = N_omega / |xi|^2,
+    N_a = v1 B2 - v2 B1,
+
+with omega = -Lap psi and j = -Lap a, are stepped by the integrator, so the
+scheme's error vanishes with the data amplitude. ``SpectralState`` (the
+four components on the full spectrum) stays the form of every input and
+output; the conversion happens only at sample times.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -34,14 +47,14 @@ from .propagator import (
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    _project_pair,
-    coeff_derivative,
     dealias,
     enforce_zero_mean,
+    from_potentials,
     leray_project,
     make_grid,
     random_div_free_state,
     to_physical,
+    to_potentials,
 )
 
 SCHEMES = ("etdrk2", "ifrk4")
@@ -156,84 +169,106 @@ class Trajectory:
         return None
 
 
-def _nonlinear(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
-    """Quadratic tendencies of both equations from one coefficient stack.
+def _nonlinear(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
+    """Quadratic tendencies (N_psi, N_a) of one half-spectrum (psi, a) stack.
 
-    Advective form: N_v = P[-(v.grad)v + (B.grad)B], N_B = -(v.grad)B +
-    (B.grad)v, evaluated pointwise in physical space and projected,
-    dealiased, and mean-zeroed on return.
+    Eight real fields come from one ``irfft2`` (v1, B1, v2, B2, d1 omega,
+    d1 j, d2 omega, d2 j), the two products N_omega = -v.grad omega +
+    B.grad j and N_a = v1 B2 - v2 B1 go back through one ``rfft2``, and the
+    result is dealiased, N_omega divided by |xi|^2, and mean-zeroed.
     """
-    n = grid.n1 * grid.n2
-    phys = np.real(np.fft.ifft2(u, axes=(-2, -1))) * n
-    dcoef = np.empty((8,) + grid.shape, dtype=np.complex128)
-    for c in range(4):
-        dcoef[c] = coeff_derivative(grid, u[c], 1)
-        dcoef[4 + c] = coeff_derivative(grid, u[c], 2)
-    d = np.real(np.fft.ifft2(dcoef, axes=(-2, -1))) * n
-
-    v1, v2, B1, B2 = phys
-    prod = np.empty((4,) + grid.shape)
-    # d[c] = d1 of component c, d[4+c] = d2 of component c
-    prod[0] = -(v1 * d[0] + v2 * d[4]) + (B1 * d[2] + B2 * d[6])
-    prod[1] = -(v1 * d[1] + v2 * d[5]) + (B1 * d[3] + B2 * d[7])
-    prod[2] = -(v1 * d[2] + v2 * d[6]) + (B1 * d[0] + B2 * d[4])
-    prod[3] = -(v1 * d[3] + v2 * d[7]) + (B1 * d[1] + B2 * d[5])
-
-    out = np.fft.fft2(prod, axes=(-2, -1)) / n
-    out *= grid.dealias_mask
-    out[0], out[1] = _project_pair(grid, out[0], out[1])
-    # analytically redundant for the B pair, applied to suppress drift
-    out[2], out[3] = _project_pair(grid, out[2], out[3])
-    out[:, 0, 0] = 0.0
+    shape = grid.shape
+    iw = 1j * w
+    curl = grid.half_xi_sq * iw  # i omega_hat, i j_hat
+    spec = np.empty((8,) + w.shape[1:], dtype=np.complex128)
+    spec[0:2] = grid.half_xi2 * iw
+    spec[2:4] = -grid.xi1 * iw
+    spec[4:6] = grid.xi1 * curl
+    spec[6:8] = grid.half_xi2 * curl
+    v1, B1, v2, B2, d1w, d1j, d2w, d2j = np.fft.irfft2(spec, s=shape, axes=(-2, -1),
+                                                       norm="forward")
+    prod = np.empty((2,) + shape)
+    prod[0] = B1 * d1j + B2 * d2j - v1 * d1w - v2 * d2w
+    prod[1] = v1 * B2 - v2 * B1
+    out = np.fft.rfft2(prod, axes=(-2, -1), norm="forward")
+    out *= grid.half_dealias_mask
+    out[0] *= grid.half_inv_xi_sq
+    out[1, 0, 0] = 0.0
     return out
 
 
 def nonlinear_rhs(state: SpectralState) -> np.ndarray:
-    """Quadratic spectral tendency of a dealiased divergence-free state."""
-    return _nonlinear(state.grid, state.u)
+    """Quadratic spectral tendency of a dealiased divergence-free state.
+
+    The four-component form of the (psi, a) tendency: the projected
+    -(v.grad)v + (B.grad)B and -(v.grad)B + (B.grad)v, dealiased and
+    mean-free.
+    """
+    return from_potentials(state.grid, _nonlinear(state.grid, to_potentials(state))).u
 
 
 class _Stepper:
-    """Precomputed per-mode entries for one (grid, config) pair."""
+    """Per-mode tables for one (grid, config) pair, on the half spectrum."""
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
         h = cfg.dt
         kw = dict(kappa=cfg.kappa, alpha=cfg.alpha, coupling=cfg.coupling)
-        self.full = grid_semigroup_entries(grid, h, **kw)
+        nh = grid.n2 // 2 + 1
+
+        def half(entries):
+            return tuple(np.ascontiguousarray(e[:, :nh]) for e in entries)
+
+        self.full = half(grid_semigroup_entries(grid, h, **kw))
         if cfg.scheme == "etdrk2":
-            self.phi1 = grid_phi_entries(1, grid, h, **kw)
-            self.phi2 = grid_phi_entries(2, grid, h, **kw)
+            self.phi1 = half(grid_phi_entries(1, grid, h, **kw))
+            self.phi2 = half(grid_phi_entries(2, grid, h, **kw))
         else:
-            self.half = grid_semigroup_entries(grid, 0.5 * h, **kw)
+            self.half = half(grid_semigroup_entries(grid, 0.5 * h, **kw))
+        # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum: the
+        # k2 = 0 and Nyquist columns count once, every other column twice
+        columns = np.full(nh, 2.0)
+        columns[[0, -1]] = 1.0
+        l2_weight = grid.area * columns * grid.half_xi_sq
+        self.energy_weight = 0.5 * l2_weight
+        damping = grid.half_xi_sq**cfg.alpha if cfg.alpha != 0.0 else 1.0
+        self.dissipation_weight = cfg.kappa * damping * l2_weight
 
-    def advance(self, u: np.ndarray) -> np.ndarray:
+    def half_l2_sq(self, w: np.ndarray) -> float:
+        """(|v|^2 + |B|^2) / 2 integrated over the box."""
+        return float(np.sum(self.energy_weight * (w.real**2 + w.imag**2)))
+
+    def dissipation_rate(self, w: np.ndarray) -> float:
+        """kappa |(-Lap)^(alpha/2) v|^2 integrated over the box."""
+        return float(np.sum(self.dissipation_weight * (w[0].real**2 + w[0].imag**2)))
+
+    def advance(self, w: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
-            return apply_block_entries(u, self.full)
+            return apply_block_entries(w, self.full)
         if self.cfg.scheme == "etdrk2":
-            return self._etdrk2(u)
-        return self._ifrk4(u)
+            return self._etdrk2(w)
+        return self._ifrk4(w)
 
-    def _etdrk2(self, u):
+    def _etdrk2(self, w):
         g, h = self.grid, self.cfg.dt
-        n0 = _nonlinear(g, u)
-        ua = apply_block_entries(u, self.full) + h * apply_block_entries(n0, self.phi1)
-        na = _nonlinear(g, ua)
-        return ua + h * apply_block_entries(na - n0, self.phi2)
+        n0 = _nonlinear(g, w)
+        wa = apply_block_entries(w, self.full) + h * apply_block_entries(n0, self.phi1)
+        na = _nonlinear(g, wa)
+        return wa + h * apply_block_entries(na - n0, self.phi2)
 
-    def _ifrk4(self, u):
+    def _ifrk4(self, w):
         g, h = self.grid, self.cfg.dt
-        k1 = _nonlinear(g, u)
-        eu_half = apply_block_entries(u, self.half)
-        a = eu_half + 0.5 * h * apply_block_entries(k1, self.half)
+        k1 = _nonlinear(g, w)
+        ew_half = apply_block_entries(w, self.half)
+        a = ew_half + 0.5 * h * apply_block_entries(k1, self.half)
         k2 = _nonlinear(g, a)
-        b = eu_half + 0.5 * h * k2
+        b = ew_half + 0.5 * h * k2
         k3 = _nonlinear(g, b)
-        eu_full = apply_block_entries(u, self.full)
-        c = eu_full + h * apply_block_entries(k3, self.half)
+        ew_full = apply_block_entries(w, self.full)
+        c = ew_full + h * apply_block_entries(k3, self.half)
         k4 = _nonlinear(g, c)
-        return eu_full + (h / 6.0) * (
+        return ew_full + (h / 6.0) * (
             apply_block_entries(k1, self.full)
             + 2.0 * apply_block_entries(k2 + k3, self.half)
             + k4
@@ -248,13 +283,13 @@ def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
     """
     if state.grid.shape != (cfg.n1, cfg.n2) or (state.grid.l1, state.grid.l2) != (cfg.l1, cfg.l2):
         raise ConfigError("state grid does not match the solver configuration")
-    u = _Stepper(state.grid, cfg).advance(state.u)
-    if not np.all(np.isfinite(u)):
+    w = _Stepper(state.grid, cfg).advance(to_potentials(state))
+    if not np.all(np.isfinite(w)):
         raise BlowUpError(
             f"non-finite coefficients after one step from t = {state.time}",
             last_valid_time=state.time,
         )
-    return SpectralState(state.grid, u, state.time + cfg.dt)
+    return from_potentials(state.grid, w, state.time + cfg.dt)
 
 
 def advective_dt_bound(state: SpectralState) -> float:
@@ -294,15 +329,6 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
     return st
 
 
-def _dissipation_rate(grid: SpectralGrid, u: np.ndarray, kappa: float, alpha: float) -> float:
-    w = grid.xi_sq**alpha if alpha != 0.0 else 1.0
-    return float(kappa * grid.area * np.sum(w * (np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)))
-
-
-def _half_l2_sq(grid: SpectralGrid, u: np.ndarray) -> float:
-    return float(0.5 * grid.area * np.sum(np.abs(u) ** 2))
-
-
 def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         keep_states: bool = False) -> Trajectory:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
@@ -312,7 +338,9 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     per-step trapezoid quadrature; it shrinks at second order in dt. On
     non-finite coefficients or a failed diagnostic invariant the partial
     trajectory rides on the raised ``BlowUpError`` or
-    ``DiagnosticIntegrityError``.
+    ``DiagnosticIntegrityError``. After each sample the stepper goes on from
+    the sampled state, so a run restarted from any snapshot repeats the
+    uninterrupted run bit for bit.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -331,30 +359,31 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     stepper = _Stepper(g, cfg)
     traj = Trajectory()
     base = state.time
-    e0 = _half_l2_sq(g, state.u)
+    w = to_potentials(state)
+    e0 = stepper.half_l2_sq(w)
     acc = 0.0
-    d_prev = _dissipation_rate(g, state.u, cfg.kappa, cfg.alpha)
+    d_prev = stepper.dissipation_rate(w)
     traj.append(base, instantaneous(state, cfg.m, energy_residual=0.0), state.copy())
 
-    u = state.u.copy()
     t_prev = base
     for i in range(cfg.n_steps):
-        u = stepper.advance(u)
+        w = stepper.advance(w)
         t = base + (i + 1) * cfg.dt
-        if not np.all(np.isfinite(u)):
+        if not np.all(np.isfinite(w)):
             raise BlowUpError(
                 f"non-finite coefficients at t = {t}",
                 last_valid_time=t_prev,
                 trajectory=traj,
             )
-        d_next = _dissipation_rate(g, u, cfg.kappa, cfg.alpha)
+        d_next = stepper.dissipation_rate(w)
         acc += 0.5 * cfg.dt * (d_prev + d_next)
         d_prev = d_next
         t_prev = t
         if (i + 1) % cfg.sample_stride == 0:
-            snap = SpectralState(g, u.copy(), t)
+            snap = from_potentials(g, w, t)
             snap.validate()
-            resid = _half_l2_sq(g, u) - e0 + acc
+            resid = stepper.half_l2_sq(w) - e0 + acc
+            w = to_potentials(snap)
             try:
                 rec = instantaneous(snap, cfg.m, energy_residual=resid)
             except DiagnosticIntegrityError as exc:

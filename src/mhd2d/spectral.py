@@ -1,8 +1,9 @@
 """Periodic-grid spectral substrate.
 
 Transforms, Leray projection, spectral derivatives, 2/3 dealiasing, Sobolev
-norms, divergence-free random states, and the binary snapshot format used by
-the experiment runner.
+norms, divergence-free random states, the stream-function/potential form of
+a state on the real-FFT half spectrum, and the binary snapshot format used
+by the experiment runner.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -12,6 +13,8 @@ Conventions fixed here and relied on everywhere else:
 * Differentiation along axis ``i`` multiplies coefficients by ``(i xi_i)``.
 * With this normalization ``l1*l2 * sum |fhat|^2`` equals the physical-space
   integral of ``|f|^2`` (cell area times the sum of squares of samples).
+* The half spectrum is the ``rfft2`` layout: columns ``k2 = 0 .. n2/2`` of
+  the full layout, the rest following from Hermitian symmetry.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import ConfigError, SnapshotFormatError
 
 SNAPSHOT_MAGIC = b"MHD2"
@@ -50,6 +54,11 @@ class SpectralGrid:
     xi_sq : ``|xi|^2`` on the full grid.
     dealias_mask : True where ``3*|k_i| < n_i`` on both axes, so products
         of two retained modes never alias back into the retained set.
+    half_xi2, half_xi_sq, half_dealias_mask : the same on the half spectrum
+        (columns ``k2 = 0 .. n2/2``; the last one keeps the full layout's
+        Nyquist wavenumber ``-n2/2``).
+    half_inv_xi_sq : ``1/|xi|^2`` on the half spectrum, zero on the mean
+        mode and on the Nyquist row and column, which carry no potential.
     """
 
     n1: int
@@ -62,6 +71,10 @@ class SpectralGrid:
     xi2: np.ndarray = field(init=False, repr=False, compare=False)
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    half_xi2: np.ndarray = field(init=False, repr=False, compare=False)
+    half_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    half_inv_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    half_dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, n in (("n1", self.n1), ("n2", self.n2)):
@@ -84,6 +97,18 @@ class SpectralGrid:
         keep1 = 3 * np.abs(k1) < self.n1
         keep2 = 3 * np.abs(k2) < self.n2
         object.__setattr__(self, "dealias_mask", keep1[:, None] & keep2[None, :])
+        nh = self.n2 // 2 + 1
+        half_sq = np.ascontiguousarray(self.xi_sq[:, :nh])
+        # odd derivatives drop the Nyquist modes, so no real field has a
+        # potential there
+        carries = ((k1 != -self.n1 // 2)[:, None] & (k2[:nh] != -self.n2 // 2)[None, :]
+                   & (half_sq > 0.0))
+        inv = np.zeros(half_sq.shape)
+        inv[carries] = 1.0 / half_sq[carries]
+        object.__setattr__(self, "half_xi2", self.xi2[:, :nh].copy())
+        object.__setattr__(self, "half_xi_sq", half_sq)
+        object.__setattr__(self, "half_inv_xi_sq", inv)
+        object.__setattr__(self, "half_dealias_mask", self.dealias_mask[:, :nh].copy())
 
     @property
     def shape(self):
@@ -265,6 +290,42 @@ def leray_project(state: SpectralState) -> SpectralState:
     return SpectralState(g, out, state.time)
 
 
+def to_potentials(state: SpectralState) -> np.ndarray:
+    """Stream function and magnetic potential of a state, shape (2, n1, n2//2 + 1).
+
+    With v = (d2 psi, -d1 psi) and B = (d2 a, -d1 a), psi_hat = i (xi1 v2_hat -
+    xi2 v1_hat) / |xi|^2 and likewise a_hat, on the half spectrum. The
+    gradient part of a field that is not divergence free is dropped; the mean
+    mode and the Nyquist row and column come out zero.
+    """
+    g = state.grid
+    half = state.u[:, :, : g.half_xi2.shape[1]]
+    curl = g.xi1 * half[1::2] - g.half_xi2 * half[0::2]
+    return 1j * (curl * g.half_inv_xi_sq)
+
+
+def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
+    """The state (v, B) = (curl-perp psi, curl-perp a) of a half-spectrum stack.
+
+    The inverse of ``to_potentials`` on divergence-free states. The negative
+    k2 columns, and the negative k1 half of the k2 = 0 column, are mirrored
+    from their conjugates without any transform, and the Nyquist row and
+    column are zero, so the result is exactly Hermitian.
+    """
+    n1, n2 = grid.shape
+    nh = n2 // 2 + 1
+    iw = 1j * w
+    u = np.empty((4, n1, n2), dtype=np.complex128)
+    u[0::2, :, :nh] = grid.half_xi2 * iw
+    u[1::2, :, :nh] = -grid.xi1 * iw
+    u[:, n1 // 2, :nh] = 0.0
+    u[:, :, n2 // 2] = 0.0
+    u[:, n1 // 2 + 1:, 0] = np.conj(u[:, n1 // 2 - 1:0:-1, 0])
+    rev1 = (-np.arange(n1)) % n1
+    u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
+    return SpectralState(grid, u, time)
+
+
 def enforce_zero_mean(state: SpectralState) -> SpectralState:
     out = state.u.copy()
     out[:, 0, 0] = 0.0
@@ -350,10 +411,11 @@ def save_state(state: SpectralState, path) -> None:
 
     Layout: magic ``MHD2``, version u32 (little endian), then n1, n2, l1,
     l2, time as little-endian IEEE-754 doubles, then the four coefficient
-    arrays row-major with re/im interleaved.
+    arrays row-major with re/im interleaved. The file appears whole or not
+    at all (``artifacts.atomic_open``).
     """
     g = state.grid
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<I", SNAPSHOT_VERSION))
         fh.write(struct.pack("<5d", float(g.n1), float(g.n2), g.l1, g.l2, state.time))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mhd2d import cli, solver
 from mhd2d.config import parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
-from mhd2d.spectral import load_state
+from mhd2d.spectral import load_state, make_grid, random_div_free_state, save_state
 
 
 def write_cfg(tmp_path, name, mapping):
@@ -186,6 +187,18 @@ def test_nonlinear_run_blowup_exit_code(tmp_path, capsys):
 
 def test_nonlinear_run_integrity_failure_keeps_history(tmp_path, capsys, monkeypatch):
     k = 3
+    _fail_after_samples(monkeypatch, k)
+    cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out)]) == 3
+    assert "integrity failure" in capsys.readouterr().err
+    lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 1 + k
+
+
+def _fail_after_samples(monkeypatch, k):
+    """Make run sample k + 1 raise, as a failed diagnostic invariant would."""
     real = solver.instantaneous
     samples = []
 
@@ -198,13 +211,80 @@ def test_nonlinear_run_integrity_failure_keeps_history(tmp_path, capsys, monkeyp
         return real(state, m, **kw)
 
     monkeypatch.setattr(solver, "instantaneous", failing)
-    cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
+
+
+def test_audit_energy_integrity_failure_keeps_history(tmp_path, capsys, monkeypatch):
+    k = 4
+    _fail_after_samples(monkeypatch, k)
+    cfg = write_cfg(tmp_path, "audit.cfg", dict(RUN_CFG, dt=0.025, **{
+        "output.every": 0.025}))
     out = tmp_path / "out"
-    assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out)]) == 3
+    assert cli.main(["audit-energy", "--config", cfg, "--out", str(out)]) == 3
     assert "integrity failure" in capsys.readouterr().err
     lines = (out / "diagnostics.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + k
+    assert not (out / "energy_audit.json").exists()
+
+
+def test_audit_energy_blowup_keeps_history(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "blow.cfg", dict(
+        RUN_CFG, dt=0.5, t_end=10.0, **{"data.delta": 1e4, "output.every": 0.5}))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        rc = cli.main(["audit-energy", "--config", cfg, "--out", str(out)])
+    assert rc == 4
+    assert "blow-up" in capsys.readouterr().err
+    lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) >= 2
+
+
+def _only_file(directory):
+    names = os.listdir(directory)
+    assert len(names) == 1, names
+    return directory / names[0]
+
+
+def test_artifact_writes_are_atomic(tmp_path):
+    # a write that raises midway leaves the earlier file and no temporary
+    def rows():
+        yield ["1", "2"]
+        raise RuntimeError("interrupted")
+
+    csv_dir = tmp_path / "csv"
+    csv_dir.mkdir()
+    path = csv_dir / "curve.csv"
+    cli._write_csv(path, ("t", "value"), [["0", "1"]])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        cli._write_csv(path, ("t", "value"), rows())
+    assert _only_file(csv_dir) == path and path.read_bytes() == before
+
+    json_dir = tmp_path / "json"
+    json_dir.mkdir()
+    path = json_dir / "fit.json"
+    cli._write_json(path, {"slope": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"a": 1.0, "z": object()})  # not serializable, after "a"
+    assert _only_file(json_dir) == path and path.read_bytes() == before
+
+    class Unreadable:
+        def __array__(self, *args, **kwargs):
+            raise RuntimeError("interrupted")
+
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    path = bin_dir / "final.bin"
+    st = random_div_free_state(make_grid(8, 8, 2.0 * np.pi, 2.0 * np.pi), seed=1)
+    save_state(st, path)
+    before = path.read_bytes()
+    broken = SimpleNamespace(grid=st.grid, time=1.0, u=Unreadable())
+    with pytest.raises(RuntimeError):
+        save_state(broken, path)  # fails after the header is written
+    assert _only_file(bin_dir) == path and path.read_bytes() == before
+    assert np.array_equal(load_state(path).u, st.u)
 
 
 # ---------------------------------------------------------------------------
