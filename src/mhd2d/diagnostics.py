@@ -39,8 +39,6 @@ from .spectral import (
     coeff_derivative,
     dealias,
     enforce_zero_mean,
-    l2_norm,
-    multi_index_weight,
     sobolev_norm,
     to_physical,
 )
@@ -137,127 +135,159 @@ def _l1_calibration(grid: SpectralGrid) -> float:
     return 4.0 * np.pi**2
 
 
+def _full_row_sums(f: np.ndarray) -> np.ndarray:
+    """Full-spectrum row sums of a half-spectrum array even under k -> -k.
+
+    Row k1 of the full spectrum holds the half row k1 and, in its negative
+    k2 columns, the interior half columns of row -k1.
+    """
+    twice = np.sum(f[:, 1:-1], axis=1)
+    rev1 = (-np.arange(f.shape[0])) % f.shape[0]
+    return f[:, 0] + f[:, -1] + twice + twice[rev1]
+
+
+def _xm(g: SpectralGrid, power: np.ndarray, m: int) -> float:
+    """``anisotropic_norm`` from the half-spectrum power of a Hermitian state."""
+    mult = g.half_mult
+    total = np.sum(power, axis=0)
+    hm = np.sqrt(g.area * np.sum((1.0 + g.half_xi_sq) ** m * mult * total))
+
+    absxi = np.sqrt(g.half_xi_sq)
+    absxi1 = np.abs(g.xi1[:, 0])
+    col = absxi1 > 0.0
+    winv = np.divide(1.0, absxi, out=np.zeros(absxi.shape), where=absxi > 0.0)
+    # L^1 in xi2 of the continuum transform l1*l2*fhat, then L^2 in xi1.
+    w = np.sqrt(absxi1)[:, None] * winv
+    inner = (g.l1 * g.l2) * _full_row_sums(w * np.sqrt(total)) * g.dxi[1]
+    t2 = float(np.sqrt(np.sum(inner**2) * g.dxi[0]))
+
+    bmag = mult * np.sqrt(power[2] + power[3])
+    cal = _l1_calibration(g)
+    t3 = float(cal * np.sum(winv * bmag))
+    t4 = float(cal * np.sum(np.sum(bmag, axis=1)[col] / np.sqrt(absxi1[col])))
+    return float(hm + t2 + t3 + t4)
+
+
 def anisotropic_norm(state: SpectralState, m: int) -> float:
     """Weighted initial-data norm: H^m plus three anisotropic terms.
 
     Terms: || (sqrt|xi1|/|xi|) fhat ||_{L^2_{xi1} L^1_{xi2}} over all four
     components, and the L^1 norms of |(Bhat1, Bhat2)| against 1/|xi| and
-    1/sqrt|xi1|. Modes where a weight is singular are excluded.
+    1/sqrt|xi1|. Modes where a weight is singular are excluded. Summed on
+    the half spectrum, so the state must be Hermitian.
     """
-    g = state.grid
-    hm = np.sqrt(sum(sobolev_norm(g, state.u[c], m) ** 2 for c in range(4)))
+    h = state.u[:, :, : state.grid.n2 // 2 + 1]
+    return _xm(state.grid, h.real**2 + h.imag**2, m)
 
-    mag = np.sqrt(np.sum(np.abs(state.u) ** 2, axis=0))
-    absxi = np.sqrt(g.xi_sq)
-    absxi1 = np.broadcast_to(np.abs(g.xi1), g.shape)
 
-    w = np.zeros(g.shape)
-    nz = absxi > 0.0
-    w[nz] = np.sqrt(absxi1[nz]) / absxi[nz]
-    # L^1 in xi2 of the continuum transform l1*l2*fhat, then L^2 in xi1.
-    inner = (g.l1 * g.l2) * np.sum(w * mag, axis=1) * g.dxi[1]
-    t2 = float(np.sqrt(np.sum(inner**2) * g.dxi[0]))
-
-    bmag = np.sqrt(np.abs(state.u[2]) ** 2 + np.abs(state.u[3]) ** 2)
+def _fourier_l1_terms(g: SpectralGrid, power: np.ndarray):
+    """The six integrands of the mediating quantity, from the half-spectrum power."""
+    mult = g.half_mult
     cal = _l1_calibration(g)
-    winv = np.zeros(g.shape)
-    winv[nz] = 1.0 / absxi[nz]
-    t3 = float(cal * np.sum(winv * bmag))
+    absxi1 = np.abs(g.xi1[:, 0])
     col = absxi1 > 0.0
-    t4 = float(cal * np.sum(bmag[col] / np.sqrt(absxi1[col])))
-    return float(hm + t2 + t3 + t4)
+    b2 = mult * np.sqrt(power[3])
+    b2_rows = np.sum(b2, axis=1)
+    vmag_rows = np.sum(mult * np.sqrt(power[0] + power[1]), axis=1)
+    v2 = np.sqrt(power[1])
 
+    d1b2 = float(cal * np.sum(absxi1 * b2_rows))
+    b2l1 = float(cal * np.sum(b2_rows))
+    gradb2 = float(cal * np.sum(np.sqrt(g.half_xi_sq) * b2))
+    d1v = float(cal * np.sum(absxi1 * vmag_rows))
 
-def _fourier_l1_terms(state: SpectralState):
-    """The six integrands of the mediating quantity, at one instant."""
-    g = state.grid
-    cal = _l1_calibration(g)
-    absxi1 = np.broadcast_to(np.abs(g.xi1), g.shape)
-    absxi = np.sqrt(g.xi_sq)
-    b2 = np.abs(state.u[3])
-    vmag = np.sqrt(np.abs(state.u[0]) ** 2 + np.abs(state.u[1]) ** 2)
-    v2 = np.abs(state.u[1])
-
-    d1b2 = float(cal * np.sum(absxi1 * b2))
-    b2l1 = float(cal * np.sum(b2))
-    gradb2 = float(cal * np.sum(absxi * b2))
-    d1v = float(cal * np.sum(absxi1 * vmag))
-
-    col = np.abs(g.xi1[:, 0]) > 0.0
-    inner = (g.l1 * g.l2) * np.sum(v2, axis=1) * g.dxi[1]  # L^1 in xi2
-    half_sq = float(np.sum(inner[col] ** 2 / np.abs(g.xi1[col, 0])) * g.dxi[0])
-    colmask = absxi1 > 0.0
-    half_l1 = float(cal * np.sum(v2[colmask] / np.sqrt(absxi1[colmask])))
+    inner = (g.l1 * g.l2) * _full_row_sums(v2) * g.dxi[1]  # L^1 in xi2
+    half_sq = float(np.sum(inner[col] ** 2 / absxi1[col]) * g.dxi[0])
+    v2_rows = np.sum(mult * v2, axis=1)
+    half_l1 = float(cal * np.sum(v2_rows[col] / np.sqrt(absxi1[col])))
     return d1b2, b2l1, gradb2, d1v, half_sq, half_l1
+
+
+def _derivative_sum_weights(g: SpectralGrid, m: int):
+    """``multi_index_weight`` of orders m - 1 and m on the half spectrum,
+    each times the column multiplicity ``half_mult``."""
+    x1 = g.xi1**2
+    x2 = g.half_xi2[0] ** 2
+    # partial[j] = mult * sum_{b <= j} xi2^(2b)
+    partial = [g.half_mult]
+    for j in range(1, m + 1):
+        partial.append(partial[-1] + g.half_mult * x2**j)
+    wm1 = sum(x1**a * partial[m - 1 - a] for a in range(m))
+    wm = sum(x1**a * partial[m - a] for a in range(m + 1))
+    return wm1, wm
 
 
 def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of one state.
 
-    Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond roundoff,
-    or when the three region masses fail to recover the total L^2 mass.
+    Every sum runs over the ``rfft2`` half spectrum, columns weighted by
+    ``half_mult``: each summand is even under k -> -k for a Hermitian state,
+    so this equals the full-spectrum sum. Raises
+    ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond roundoff, or when
+    the three region masses fail to recover the total L^2 mass.
     """
     if int(m) != m or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
     g = state.grid
-    wm1 = multi_index_weight(g, m - 1)
-    wm = wm1 + sum(g.xi1 ** (2 * a) * g.xi2 ** (2 * (m - a)) for a in range(m + 1))
-    absu2 = np.abs(state.u) ** 2
+    h = state.u[:, :, : g.n2 // 2 + 1]
+    power = h.real**2 + h.imag**2
+    pv = power[0] + power[1]
+    pb = power[2] + power[3]
+    wm1, wm = _derivative_sum_weights(g, m)
 
-    hm_v_sq = float(g.area * np.sum(wm * (absu2[0] + absu2[1])))
-    hm_b_sq = float(g.area * np.sum(wm * (absu2[2] + absu2[3])))
+    hm_v_sq = float(g.area * np.sum(wm * pv))
+    hm_b_sq = float(g.area * np.sum(wm * pb))
     e_sq = hm_v_sq + hm_b_sq
     E = float(np.sqrt(e_sq))
 
-    cross = state.u[2] * np.conj(state.u[0]) + state.u[3] * np.conj(state.u[1])
-    A = float(g.area * np.sum(wm1 * g.xi1 * np.imag(cross)))
+    # the Nyquist row's xi1 has no mirror of opposite sign: its full-spectrum
+    # sum vanishes, so odd_xi1 drops it here
+    cross = h[2] * np.conj(h[0]) + h[3] * np.conj(h[1])
+    A = float(g.area * np.sum(wm1 * g.odd_xi1 * cross.imag))
 
-    xi1sq = np.broadcast_to(g.xi1**2, g.shape)
-    hm1_d1b_sq = float(g.area * np.sum(wm1 * xi1sq * (absu2[2] + absu2[3])))
+    hm1_d1b_sq = float(g.area * np.sum(wm1 * g.xi1**2 * pb))
 
     if abs(A) > 0.5 * e_sq * (1.0 + 1e-10) + 1e-300:
         raise DiagnosticIntegrityError(
             f"|A| = {abs(A):.6e} exceeds E^2/2 = {0.5 * e_sq:.6e}"
         )
 
-    # the state is Hermitian, so its real fields come from the half spectrum
-    d1v1 = coeff_derivative(g, state.u[0], 1)
-    d1v2 = coeff_derivative(g, state.u[1], 1)
-    nh = g.n2 // 2 + 1
-    half = np.stack([state.u[3, :, :nh], d1v1[:, :nh], d1v2[:, :nh]])
-    b2, d1v1_phys, d1v2_phys = np.fft.irfft2(half, s=g.shape, axes=(-2, -1), norm="forward")
-    sup_d1v = float(np.max(np.sqrt(d1v1_phys**2 + d1v2_phys**2)))
+    d1 = (1j * g.odd_xi1) * h  # d1 v1, d1 v2, d1 B1, d1 B2
+    b2, d1v1_phys, d1v2_phys = np.fft.irfft2(np.stack([h[3], d1[0], d1[1]]), s=g.shape,
+                                             axes=(-2, -1), norm="forward")
+    # sqrt is monotone, so it is taken once, of the largest squared magnitude
+    sup_d1v = float(np.sqrt(np.max(d1v1_phys**2 + d1v2_phys**2)))
     sup_B2 = float(np.max(np.abs(b2)))
 
     # two independently differentiated routes of the same pairing; the sum
     # cancels analytically, so what remains measures accumulated roundoff
-    d1B1 = coeff_derivative(g, state.u[2], 1)
-    d1B2 = coeff_derivative(g, state.u[3], 1)
-    i1 = g.area * np.sum(wm * np.real(d1B1 * np.conj(state.u[0]) + d1B2 * np.conj(state.u[1])))
-    i2 = g.area * np.sum(wm * np.real(d1v1 * np.conj(state.u[2]) + d1v2 * np.conj(state.u[3])))
+    i1 = g.area * np.sum(wm * np.real(d1[2] * np.conj(h[0]) + d1[3] * np.conj(h[1])))
+    i2 = g.area * np.sum(wm * np.real(d1[0] * np.conj(h[2]) + d1[1] * np.conj(h[3])))
     cancel = float(abs(i1 + i2) / max(abs(i1), abs(i2), 1e-300))
 
-    total = np.sum(absu2, axis=0)
-    r1, r2, r3 = region_masks(np.broadcast_to(g.xi1, g.shape))
-    m1 = float(g.area * np.sum(total[r1]))
-    m2 = float(g.area * np.sum(total[r2]))
-    m3 = float(g.area * np.sum(total[r3]))
-    tot = float(g.area * np.sum(total))
+    comp = g.area * np.sum(g.half_mult * power, axis=2)  # (4, n1): per component and row
+    rows = np.sum(comp, axis=0)
+    r1, r2, r3 = region_masks(g.xi1[:, 0])
+    m1 = float(np.sum(rows[r1]))
+    m2 = float(np.sum(rows[r2]))
+    m3 = float(np.sum(rows[r3]))
+    tot = float(np.sum(rows))
     if abs((m1 + m2 + m3) - tot) > 1e-12 * max(tot, 1e-300):
         raise DiagnosticIntegrityError("region masses do not partition the L^2 mass")
+    l2 = np.sqrt(np.sum(comp, axis=1))
 
-    h = _fourier_l1_terms(state)
+    h_terms = _fourier_l1_terms(g, power)
     return DiagnosticsRecord(
         t=float(state.time),
         E=E,
         A=A,
         sup_d1v=sup_d1v,
         sup_B2=sup_B2,
-        xm=anisotropic_norm(state, m),
-        l2_v1=l2_norm(g, state.u[0]),
-        l2_v2=l2_norm(g, state.u[1]),
-        l2_B1=l2_norm(g, state.u[2]),
-        l2_B2=l2_norm(g, state.u[3]),
+        xm=_xm(g, power, m),
+        l2_v1=float(l2[0]),
+        l2_v2=float(l2[1]),
+        l2_B1=float(l2[2]),
+        l2_B2=float(l2[3]),
         e_residual=float(energy_residual),
         cancel_residual=cancel,
         mass_omega1=m1,
@@ -266,12 +296,12 @@ def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) ->
         hm_v_sq=hm_v_sq,
         hm_b_sq=hm_b_sq,
         hm1_d1b_sq=hm1_d1b_sq,
-        h_d1b2_l1=h[0],
-        h_b2_l1=h[1],
-        h_gradb2_l1=h[2],
-        h_d1v_l1=h[3],
-        h_v2_half_sq=h[4],
-        h_v2_half_l1=h[5],
+        h_d1b2_l1=h_terms[0],
+        h_b2_l1=h_terms[1],
+        h_gradb2_l1=h_terms[2],
+        h_d1v_l1=h_terms[3],
+        h_v2_half_sq=h_terms[4],
+        h_v2_half_l1=h_terms[5],
     )
 
 

@@ -53,7 +53,6 @@ from .spectral import (
     leray_project,
     make_grid,
     random_div_free_state,
-    to_physical,
     to_potentials,
 )
 
@@ -226,11 +225,8 @@ class _Stepper:
             self.phi2 = half(grid_phi_entries(2, grid, h, **kw))
         else:
             self.half = half(grid_semigroup_entries(grid, 0.5 * h, **kw))
-        # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum: the
-        # k2 = 0 and Nyquist columns count once, every other column twice
-        columns = np.full(nh, 2.0)
-        columns[[0, -1]] = 1.0
-        l2_weight = grid.area * columns * grid.half_xi_sq
+        # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
+        l2_weight = grid.area * grid.half_mult * grid.half_xi_sq
         self.energy_weight = 0.5 * l2_weight
         damping = grid.half_xi_sq**cfg.alpha if cfg.alpha != 0.0 else 1.0
         self.dissipation_weight = cfg.kappa * damping * l2_weight
@@ -293,11 +289,17 @@ def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
 
 
 def advective_dt_bound(state: SpectralState) -> float:
-    """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms."""
-    fields = to_physical(state)
+    """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms.
+
+    The four real fields of the (Hermitian) state come from one ``irfft2``
+    of its half spectrum.
+    """
+    g = state.grid
+    fields = np.fft.irfft2(state.u[:, :, : g.n2 // 2 + 1], s=g.shape, axes=(-2, -1),
+                           norm="forward")
     vmax = float(np.max(np.sqrt(fields[0] ** 2 + fields[1] ** 2)))
     bmax = float(np.max(np.sqrt(fields[2] ** 2 + fields[3] ** 2)))
-    return 0.5 * min(state.grid.dx) / (1.0 + vmax + bmax)
+    return 0.5 * min(g.dx) / (1.0 + vmax + bmax)
 
 
 def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> SpectralState:

@@ -59,6 +59,12 @@ class SpectralGrid:
         Nyquist wavenumber ``-n2/2``).
     half_inv_xi_sq : ``1/|xi|^2`` on the half spectrum, zero on the mean
         mode and on the Nyquist row and column, which carry no potential.
+    half_mult : how often each half-spectrum column occurs in the full
+        spectrum: once for ``k2 = 0`` and the Nyquist column, twice for the
+        others (``k2`` and ``-k2``). A full-spectrum sum of a quantity even
+        under ``k -> -k`` is the half-spectrum sum weighted by it.
+    odd_xi1 : ``xi1`` with the Nyquist row zeroed, the multiplier (after
+        ``i``) of a first derivative along axis 1.
     """
 
     n1: int
@@ -75,6 +81,8 @@ class SpectralGrid:
     half_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_inv_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    half_mult: np.ndarray = field(init=False, repr=False, compare=False)
+    odd_xi1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, n in (("n1", self.n1), ("n2", self.n2)):
@@ -109,6 +117,10 @@ class SpectralGrid:
         object.__setattr__(self, "half_xi_sq", half_sq)
         object.__setattr__(self, "half_inv_xi_sq", inv)
         object.__setattr__(self, "half_dealias_mask", self.dealias_mask[:, :nh].copy())
+        mult = np.full(nh, 2.0)
+        mult[[0, -1]] = 1.0
+        object.__setattr__(self, "half_mult", mult)
+        object.__setattr__(self, "odd_xi1", np.where(k1[:, None] == -self.n1 // 2, 0.0, self.xi1))
 
     @property
     def shape(self):
@@ -365,11 +377,17 @@ def multi_index_weight(grid: SpectralGrid, m: int) -> np.ndarray:
 
 
 def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
-    """Max |u(-k) - conj(u(k))| over modes and components."""
-    rev1 = (-np.arange(grid.n1)) % grid.n1
-    rev2 = (-np.arange(grid.n2)) % grid.n2
-    mirrored = np.conj(u[:, rev1[:, None], rev2[None, :]])
-    return float(np.max(np.abs(u - mirrored)))
+    """Max |u(-k) - conj(u(k))| over modes and components.
+
+    Only the half-spectrum columns ``k2 = 0 .. n2/2`` are compared with
+    their mirrors: every pair (k, -k) has a member there, and both members
+    give the same |u(-k) - conj(u(k))|.
+    """
+    nh = grid.n2 // 2 + 1
+    rev2 = (-np.arange(nh)) % grid.n2
+    # rows reversed and rolled by one: row k1 holds row -k1 (mod n1)
+    mirrored = np.conj(np.roll(u[..., ::-1, rev2], 1, axis=-2))
+    return float(np.max(np.abs(u[..., :nh] - mirrored)))
 
 
 def divergence_defect(grid: SpectralGrid, u: np.ndarray):

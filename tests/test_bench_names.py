@@ -9,6 +9,8 @@ traced benchmark.
 import importlib
 from pathlib import Path
 
+from mhd2d import solver
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 # called directly by the benchmark rather than through spans.py's tables
@@ -42,3 +44,22 @@ def test_benchmark_names_resolve():
             assert hasattr(owner, part), f"mhd2d.{mod_name}.{path}: no {part!r}"
             owner = getattr(owner, part)
         assert callable(owner), f"mhd2d.{mod_name}.{path} is not callable"
+
+
+def test_run_samples_through_module_name(monkeypatch):
+    # the benchmark's diagnostics.samples and diagnostics.sample_ms spans wrap
+    # solver.instantaneous; a run that sampled some other way would zero them
+    real = solver.instantaneous
+    sampled = []
+
+    def counted(state, m, **kw):
+        if "energy_residual" in kw:
+            sampled.append(state.time)
+        return real(state, m, **kw)
+
+    monkeypatch.setattr(solver, "instantaneous", counted)
+    cfg = solver.SolverConfig(n1=16, n2=16, dt=0.05, t_end=0.2, output_every=0.1,
+                              data_kind="random", data_delta=0.1, seed=3)
+    traj = solver.run(cfg)
+    assert sampled == traj.times
+    assert len(sampled) == cfg.n_steps // cfg.sample_stride + 1

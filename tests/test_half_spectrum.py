@@ -5,10 +5,13 @@ wavenumber mix-up between the two axes, or an off-by-one in the Hermitian
 mirror or the dealias cutoff, cannot cancel out.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mhd2d import diagnostics
+from mhd2d.modes import region_masks
 from mhd2d.solver import SolverConfig, initial_state, nonlinear_rhs, run, step
 from mhd2d.spectral import (
     SpectralState,
@@ -19,8 +22,11 @@ from mhd2d.spectral import (
     leray_project,
     load_state,
     make_grid,
+    multi_index_weight,
     random_div_free_state,
     save_state,
+    sobolev_norm,
+    to_physical,
     to_potentials,
 )
 
@@ -125,3 +131,140 @@ def test_sample_transforms_three_half_planes(monkeypatch):
     diagnostics.instantaneous(st, 4)
     assert fft.planes == {"irfft2": 3}
 
+
+
+def full_spectrum_record(state, m):
+    """Every field of ``instantaneous`` as full-spectrum sums over all n1 n2 modes."""
+    g = state.grid
+    u = state.u
+    cal = 4.0 * np.pi**2
+    wm1 = multi_index_weight(g, m - 1)
+    wm = multi_index_weight(g, m)
+    absu2 = np.abs(u) ** 2
+    absxi = np.sqrt(g.xi_sq)
+    absxi1 = np.broadcast_to(np.abs(g.xi1), g.shape)
+    col = absxi1 > 0.0
+    rows = np.abs(g.xi1[:, 0]) > 0.0
+    nz = absxi > 0.0
+    d1 = [coeff_derivative(g, u[c], 1) for c in range(4)]
+    fields = to_physical(SpectralState(g, np.stack([u[3], d1[0], d1[1], u[0]])))
+    i1 = g.area * np.sum(wm * np.real(d1[2] * np.conj(u[0]) + d1[3] * np.conj(u[1])))
+    i2 = g.area * np.sum(wm * np.real(d1[0] * np.conj(u[2]) + d1[1] * np.conj(u[3])))
+    total = np.sum(absu2, axis=0)
+    r1, r2, r3 = region_masks(np.broadcast_to(g.xi1, g.shape))
+
+    mag = np.sqrt(total)
+    w = np.zeros(g.shape)
+    w[nz] = np.sqrt(absxi1[nz]) / absxi[nz]
+    inner = g.l1 * g.l2 * np.sum(w * mag, axis=1) * g.dxi[1]
+    bmag = np.sqrt(absu2[2] + absu2[3])
+    hm = np.sqrt(sum(sobolev_norm(g, u[c], m) ** 2 for c in range(4)))
+    xm = (hm + np.sqrt(np.sum(inner**2) * g.dxi[0]) + cal * np.sum(bmag[nz] / absxi[nz])
+          + cal * np.sum(bmag[col] / np.sqrt(absxi1[col])))
+
+    b2 = np.abs(u[3])
+    v2 = np.abs(u[1])
+    v2_inner = g.l1 * g.l2 * np.sum(v2, axis=1) * g.dxi[1]
+    hm_v_sq = g.area * np.sum(wm * (absu2[0] + absu2[1]))
+    hm_b_sq = g.area * np.sum(wm * (absu2[2] + absu2[3]))
+    return dict(
+        t=state.time,
+        E=np.sqrt(hm_v_sq + hm_b_sq),
+        A=g.area * np.sum(wm1 * g.xi1 * np.imag(u[2] * np.conj(u[0]) + u[3] * np.conj(u[1]))),
+        sup_d1v=np.max(np.sqrt(fields[1] ** 2 + fields[2] ** 2)),
+        sup_B2=np.max(np.abs(fields[0])),
+        xm=xm,
+        l2_v1=np.sqrt(g.area * np.sum(absu2[0])),
+        l2_v2=np.sqrt(g.area * np.sum(absu2[1])),
+        l2_B1=np.sqrt(g.area * np.sum(absu2[2])),
+        l2_B2=np.sqrt(g.area * np.sum(absu2[3])),
+        e_residual=0.0,
+        cancel_residual=abs(i1 + i2) / max(abs(i1), abs(i2)),
+        mass_omega1=g.area * np.sum(total[r1]),
+        mass_omega2=g.area * np.sum(total[r2]),
+        mass_omega3=g.area * np.sum(total[r3]),
+        hm_v_sq=hm_v_sq,
+        hm_b_sq=hm_b_sq,
+        hm1_d1b_sq=g.area * np.sum(wm1 * g.xi1**2 * (absu2[2] + absu2[3])),
+        h_d1b2_l1=cal * np.sum(absxi1 * b2),
+        h_b2_l1=cal * np.sum(b2),
+        h_gradb2_l1=cal * np.sum(absxi * b2),
+        h_d1v_l1=cal * np.sum(absxi1 * np.sqrt(absu2[0] + absu2[1])),
+        h_v2_half_sq=np.sum(v2_inner[rows] ** 2 / np.abs(g.xi1[rows, 0])) * g.dxi[0],
+        h_v2_half_l1=cal * np.sum(v2[col] / np.sqrt(absxi1[col])),
+    )
+
+
+def with_nyquist_content(state, seed):
+    """The state plus the real Nyquist entries a Hermitian, divergence-free
+    state may carry: v1 and B1 at (0, -n2/2), v2 and B2 at (-n1/2, 0), and
+    both pairs at the corner (-n1/2, -n2/2)."""
+    g = state.grid
+    u = state.u.copy()
+    ny1, ny2 = g.n1 // 2, g.n2 // 2
+    scale = np.max(np.abs(u))
+    a, b, c, d, e, f = np.random.default_rng(seed).standard_normal(6) * scale
+    u[0, 0, ny2], u[2, 0, ny2] = a, b
+    u[1, ny1, 0], u[3, ny1, 0] = c, d
+    for pair, amp in ((0, e), (2, f)):
+        k = amp / np.sqrt(g.xi_sq[ny1, ny2])
+        u[pair, ny1, ny2], u[pair + 1, ny1, ny2] = g.xi2[0, ny2] * k, -g.xi1[ny1, 0] * k
+    out = SpectralState(g, u, state.time)
+    out.validate()
+    return out
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+@pytest.mark.parametrize("m", (1, 2, 4))
+def test_sample_matches_full_spectrum_sums(n1, n2, m):
+    g = make_grid(n1, n2, L1, L2)
+    for seed in range(3):
+        st = random_div_free_state(g, seed=100 * seed + m, amplitude=2.0)
+        # the Nyquist column counts once, and the row sums must not fold it twice
+        st = with_nyquist_content(st, seed) if seed == 2 else st
+        got = diagnostics.instantaneous(st, m)
+        want = full_spectrum_record(st, m)
+        assert set(want) == {f.name for f in dataclasses.fields(got)}
+        assert got.cancel_residual <= 1e-10 and want["cancel_residual"] <= 1e-10
+        assert abs(got.A - want["A"]) <= 1e-13 * got.E**2
+        for name, value in want.items():
+            if name not in ("A", "cancel_residual"):
+                assert abs(getattr(got, name) - value) <= 1e-13 * abs(value), name
+
+
+def full_gather_defect(grid, u):
+    """Max |u(-k) - conj(u(k))| with the mirror gathered over the whole 2-D grid."""
+    rev1 = (-np.arange(grid.n1)) % grid.n1
+    rev2 = (-np.arange(grid.n2)) % grid.n2
+    return float(np.max(np.abs(u - np.conj(u[:, rev1[:, None], rev2[None, :]]))))
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+def test_hermitian_defect_matches_full_gather(n1, n2):
+    g = make_grid(n1, n2, L1, L2)
+    base = random_div_free_state(g, seed=n1 + 2 * n2).u
+    assert hermitian_defect(g, base) == full_gather_defect(g, base)
+    rng = np.random.default_rng(n1 * n2)
+    ny1, ny2 = n1 // 2, n2 // 2
+    entries = [(int(rng.integers(n1)), int(rng.integers(ny2 + 1, n2))) for _ in range(4)]
+    entries += [(int(rng.integers(n1)), 0) for _ in range(3)] + [(0, 0), (ny1, 0)]
+    entries += [(ny1, int(rng.integers(n2))) for _ in range(3)] + [(ny1, ny2)]
+    entries += [(int(rng.integers(n1)), ny2) for _ in range(3)]
+    for c, (k1, k2) in enumerate(entries):
+        u = base.copy()
+        u[c % 4, k1, k2] += complex(*rng.standard_normal(2))
+        got = hermitian_defect(g, u)
+        assert got > 0.0
+        assert got == full_gather_defect(g, u), (k1, k2)
+
+
+def test_run_transforms_only_half_planes(monkeypatch):
+    n = 3
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=n * 0.02,
+                       data_kind="random", data_delta=0.5, seed=1)
+    st = initial_state(cfg)
+    fft = PlaneCounter(monkeypatch)
+    traj = run(cfg, initial=st)
+    assert len(traj.records) == n + 1
+    # n steps, n + 1 samples and the advective bound at t = 0; no complex transform
+    assert fft.planes == {"irfft2": 16 * n + 3 * (n + 1) + 4, "rfft2": 4 * n}
