@@ -21,7 +21,6 @@ those are the reference against which periodic-grid results are compared
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -229,11 +228,14 @@ def linear_decay_curve(profile: ProfileData, weight, times) -> DecayCurve:
     pair through the exponential block) or a nonnegative integer j (the
     xi1^j-weighted norm of exp(-lam_minus t) * scalar profile). Values are
     exact up to the quadrature tolerance; the xi1 integrals use dyadic
-    refinement toward zero where the large-t mass concentrates.
+    refinement toward zero where the large-t mass concentrates. One stacked
+    integral covers every time of the curve (each time converges on its
+    own, see ``refine_integral``), and one more gives the xi2 factor.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) <= 0):
         raise ConfigError("times must be a strictly increasing 1d array of t >= 0")
+    t = times[:, None]
 
     if isinstance(weight, str):
         if weight not in _COMPONENT_ROW:
@@ -243,23 +245,22 @@ def linear_decay_curve(profile: ProfileData, weight, times) -> DecayCurve:
         row, j = _COMPONENT_ROW[weight]
         fv, fB, g = profile.pairs[j]
         c2 = 2.0 * refine_integral(lambda x2: np.abs(g(x2)) ** 2, 0.0, profile.support2)
-        values = np.empty(times.shape)
-        for i, t in enumerate(times):
-            def integrand(x1, t=t):
-                p11, p12, p22 = exp_block_entries(x1, t)
-                w = p11 * fv(x1) + p12 * fB(x1) if row == "v" else p12 * fv(x1) + p22 * fB(x1)
-                return np.abs(w) ** 2
-            values[i] = math.sqrt(c2 * 2.0 * refine_integral(integrand, 0.0, profile.support1))
-        return DecayCurve(weight, times, values)
 
-    j = int(weight)
-    if j < 0 or j != weight:
-        raise ConfigError(f"weight must be a component name or integer j >= 0, got {weight!r}")
-    c2 = 2.0 * refine_integral(lambda x2: np.abs(profile.scalar2(x2)) ** 2, 0.0, profile.support2)
-    values = np.empty(times.shape)
-    for i, t in enumerate(times):
-        def integrand(x1, t=t):
+        def integrand(x1):
+            p11, p12, p22 = exp_block_entries(x1, t)
+            w = p11 * fv(x1) + p12 * fB(x1) if row == "v" else p12 * fv(x1) + p22 * fB(x1)
+            return np.abs(w) ** 2
+        label = weight
+    else:
+        j = int(weight)
+        if j < 0 or j != weight:
+            raise ConfigError(f"weight must be a component name or integer j >= 0, got {weight!r}")
+        c2 = 2.0 * refine_integral(lambda x2: np.abs(profile.scalar2(x2)) ** 2, 0.0,
+                                   profile.support2)
+
+        def integrand(x1):
             lam_m, _ = eigenvalues(x1)
             return x1 ** (2 * j) * np.abs(np.exp(-lam_m * t) * profile.scalar1(x1)) ** 2
-        values[i] = math.sqrt(c2 * 2.0 * refine_integral(integrand, 0.0, profile.support1))
-    return DecayCurve(f"j{j}", times, values)
+        label = f"j{j}"
+    values = np.sqrt(c2 * 2.0 * refine_integral(integrand, 0.0, profile.support1))
+    return DecayCurve(label, times, values)

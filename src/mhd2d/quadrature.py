@@ -5,7 +5,7 @@ panels are refined dyadically toward the lower endpoint: at depth d the
 panels are [lo, lo+w/2^d] and the rings [lo+w/2^i, lo+w/2^(i-1)]. Each
 refinement step only splits the innermost panel, so deepening is cheap.
 Convergence is declared after two successive refinements agree to the
-relative tolerance.
+relative tolerance, separately for each entry of a stacked integrand.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ def _gl_nodes(n: int):
     return _NODES_CACHE[n]
 
 
-def _panel(f, a: float, b: float, nodes: int) -> float:
+def _panel(f, a: float, b: float, nodes: int):
     x0, w0 = _gl_nodes(nodes)
     half = 0.5 * (b - a)
     xs = a + half * (x0 + 1.0)
-    return float(half * np.sum(w0 * f(xs)))
+    return half * np.sum(w0 * f(xs), axis=-1)
 
 
 def refine_integral(
@@ -42,8 +42,12 @@ def refine_integral(
 ):
     """Integrate a vectorized callable over [lo, hi], refined toward lo.
 
-    Raises ``QuadratureError`` if two successive refinements never agree to
-    ``rel_tol`` before ``max_depth``.
+    ``f`` maps the nodes x, shape (nodes,), to values of shape (..., nodes):
+    a scalar integrand returns a float, a stacked one an array of its
+    leading shape. Every entry keeps its own agreement count and freezes
+    its value at its own second agreement, so each entry equals a scalar
+    call on that entry alone. Raises ``QuadratureError`` if any entry's two
+    successive refinements never agree to ``rel_tol`` before ``max_depth``.
     """
     if not (hi > lo):
         raise QuadratureError(f"empty integration interval [{lo}, {hi}]")
@@ -55,25 +59,32 @@ def refine_integral(
     inner = _panel(f, lo, lo + w / 2.0**start_depth, nodes)
     value = inner + sum(rings)
     depth = start_depth
-    agreements = 0
+    agreements = np.zeros(np.shape(value), dtype=int)
+    done = np.zeros(np.shape(value), dtype=bool)
+    result = np.full(np.shape(value), np.nan)
     delta = np.inf
     while depth < max_depth:
         depth += 1
         new_ring = _panel(f, lo + w / 2.0**depth, lo + w / 2.0 ** (depth - 1), nodes)
         new_inner = _panel(f, lo, lo + w / 2.0**depth, nodes)
         new_value = value - inner + new_ring + new_inner
-        delta = abs(new_value - value)
-        scale = max(abs(new_value), 1e-300)
+        delta = np.abs(new_value - value)
+        scale = np.maximum(np.abs(new_value), 1e-300)
         value, inner = new_value, new_inner
-        if delta <= rel_tol * scale:
-            agreements += 1
-            if agreements >= 2:
-                return value
-        else:
-            agreements = 0
+        agreements = np.where(delta <= rel_tol * scale, agreements + 1, 0)
+        newly = (agreements >= 2) & ~done
+        result = np.where(newly, value, result)
+        done |= newly
+        if done.all():
+            return _plain(result)
     raise QuadratureError(
         f"panel refinement did not converge by depth {max_depth}",
-        value=value,
-        last_delta=delta,
+        value=_plain(value),
+        last_delta=_plain(delta),
         depth=depth,
     )
+
+
+def _plain(x):
+    """A 0-d result as a Python float, anything else as an array."""
+    return float(x) if np.ndim(x) == 0 else x

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mhd2d import modes
 from mhd2d.errors import SingularBasisError
 from mhd2d.modes import (
     E2,
@@ -286,3 +287,84 @@ def test_scan_lemma_bounds_deterministic_and_capped():
         assert info["max_ratio"] <= 1e3
     assert all(np.isfinite(r.ratio) for r in rows)
     assert all(r.inequality in summary for r in rows)
+
+
+def test_mode_system_matches_array_path():
+    for x0 in (0.0, 1e-9, 0.25, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.8, 3.0):
+        for x in (x0, -x0):
+            ms = mode_system(x)
+            lam_m, lam_p = eigenvalues(x)
+            s = complex(sqrt_discriminant(x))
+            assert ms.s.imag >= 0.0 and s.imag >= 0.0, x
+            for got, ref in ((ms.s, s), (ms.lam_minus, lam_m), (ms.lam_plus, lam_p)):
+                assert abs(got - ref) <= 1e-15 * abs(ref), (x, got, ref)
+
+
+# criterion 8's grid: the confluent point and its 1e-6 neighbours included
+CRITERION8_XI1 = np.unique(np.concatenate([
+    np.linspace(0.005, 2.0, 100),
+    [1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6],
+]))
+CRITERION8_TIMES = np.geomspace(0.1, 1.0e4, 25)
+
+
+def _sequential_scan(xi1_values, times, n_samples, seed):
+    """The lemma scan as a loop over (t, sample), two decompositions each."""
+    rng = np.random.default_rng(seed)
+    fs = rng.standard_normal((n_samples, 4)) + 1j * rng.standard_normal((n_samples, 4))
+    summary = {k: {"max_ratio": 0.0, "xi1": 0.0, "t": 0.0, "lhs": 0.0, "rhs": 0.0}
+               for k in ("omg1", "omg2", "omg3", "omg4")}
+    r1, r2, r3 = region_masks(xi1_values)
+    best = {}
+    for t in times:
+        for f in fs:
+            res2, _ = anisotropic_decompose(f, xi1_values, t, E2)
+            res4, _ = anisotropic_decompose(f, xi1_values, t, E4)
+            fnorm = float(np.linalg.norm(f))
+            lhs_sum = np.abs(res2) + np.abs(res4)
+            decay3 = np.exp(-(xi1_values**2) * t)
+            data = {
+                "omg1": (r1, lhs_sum, np.broadcast_to(np.exp(-t / 4.0) * fnorm, xi1_values.shape)),
+                "omg2": (r2, lhs_sum,
+                         np.broadcast_to((1.0 + t) * np.exp(-t / 16.0) * fnorm, xi1_values.shape)),
+                "omg4": (r3, np.abs(res2),
+                         decay3 * (xi1_values**2 * np.abs(f[1]) + np.abs(xi1_values) * np.abs(f[3]))),
+                "omg3": (r3, np.abs(res4),
+                         decay3 * (np.abs(xi1_values) * np.abs(f[1]) + np.abs(f[3]))),
+            }
+            for name, (mask, lhs, rhs) in data.items():
+                ok = mask & (rhs > 0.0)
+                if not np.any(ok):
+                    continue
+                ratio = np.where(ok, lhs / np.where(ok, rhs, 1.0), 0.0)
+                i = int(np.argmax(ratio))
+                r = float(ratio[i])
+                key = (name, float(t))
+                row = AuditRow(name, float(xi1_values[i]), float(t), float(lhs[i]), float(rhs[i]))
+                if key not in best or r > best[key].ratio:
+                    best[key] = row
+                if r > summary[name]["max_ratio"]:
+                    summary[name] = {"max_ratio": r, "xi1": row.xi1, "t": row.t,
+                                     "lhs": row.lhs, "rhs": row.rhs}
+    return summary, [best[k] for k in sorted(best)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_lemma_bounds_matches_sequential_loop(seed):
+    got = scan_lemma_bounds(CRITERION8_XI1, CRITERION8_TIMES, n_samples=20, seed=seed)
+    want = _sequential_scan(CRITERION8_XI1, CRITERION8_TIMES, 20, seed)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+def test_scan_lemma_bounds_splits_phi_once_per_time(monkeypatch):
+    calls = []
+    original = modes.phi_split
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "phi_split", counted)
+    scan_lemma_bounds(CRITERION8_XI1, CRITERION8_TIMES, n_samples=20, seed=0)
+    assert len(calls) == len(CRITERION8_TIMES)

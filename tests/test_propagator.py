@@ -7,7 +7,9 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from mhd2d import propagator
 from mhd2d.errors import ConfigError, QuadratureError
+from mhd2d.modes import eigenvalues
 from mhd2d.propagator import (
     apply_block_entries,
     apply_semigroup,
@@ -287,3 +289,78 @@ def test_refine_integral_divergent_raises():
     assert err.last_delta > 0.1
     with pytest.raises(QuadratureError):
         refine_integral(lambda x: x, 1.0, 1.0)
+
+
+def test_refine_integral_vector_entries_match_scalar_calls():
+    # entries converge at different depths: the large-t rows need the
+    # deepest refinement toward 0
+    rates = np.geomspace(1e-2, 1e4, 13)
+    stacked = refine_integral(lambda x: np.exp(-rates[:, None] * x), 0.0, 1.0)
+    assert stacked.shape == rates.shape
+    for r, got in zip(rates, stacked):
+        assert got == refine_integral(lambda x, r=r: np.exp(-r * x), 0.0, 1.0), r
+    # x^p with an endpoint singularity keeps moving after it converges, so
+    # an entry frozen late would differ from its scalar call
+    powers = np.array([-0.5, -0.25, 0.5, 1.5])
+    singular = refine_integral(lambda x: x ** powers[:, None], 0.0, 1.0, max_depth=64)
+    for p, got in zip(powers, singular):
+        assert got == refine_integral(lambda x, p=p: x**p, 0.0, 1.0, max_depth=64), p
+    grid = refine_integral(lambda x: np.exp(-rates.reshape(13, 1, 1) * x[None, :]
+                                            * np.array([1.0, 2.0])[:, None]), 0.0, 1.0)
+    assert grid.shape == (13, 2)
+    assert np.array_equal(grid[:, 0], stacked)
+
+
+def test_refine_integral_vector_with_divergent_entry_raises():
+    def rows(x):
+        return np.stack([np.exp(-x), 1.0 / x, np.cos(x)])
+
+    with pytest.raises(QuadratureError) as info:
+        refine_integral(rows, 0.0, 1.0)
+    assert info.value.depth == 48
+    assert info.value.value.shape == (3,)
+
+
+def _per_time_curve(profile, weight, times):
+    """The decay curve as one scalar integral per time."""
+    if isinstance(weight, str):
+        row, j = {"v1": ("v", 1), "v2": ("v", 2), "B1": ("B", 1), "B2": ("B", 2)}[weight]
+        fv, fB, g = profile.pairs[j]
+        c2 = 2.0 * refine_integral(lambda x2: np.abs(g(x2)) ** 2, 0.0, profile.support2)
+
+        def integrand(x1, t):
+            p11, p12, p22 = exp_block_entries(x1, t)
+            w = p11 * fv(x1) + p12 * fB(x1) if row == "v" else p12 * fv(x1) + p22 * fB(x1)
+            return np.abs(w) ** 2
+    else:
+        c2 = 2.0 * refine_integral(lambda x2: np.abs(profile.scalar2(x2)) ** 2, 0.0,
+                                   profile.support2)
+
+        def integrand(x1, t):
+            lam_m, _ = eigenvalues(x1)
+            return x1 ** (2 * weight) * np.abs(np.exp(-lam_m * t) * profile.scalar1(x1)) ** 2
+    return np.array([
+        math.sqrt(c2 * 2.0 * refine_integral(lambda x1, t=t: integrand(x1, t), 0.0,
+                                             profile.support1))
+        for t in times
+    ])
+
+
+@pytest.mark.parametrize("count", [9, 161])
+def test_decay_curve_is_one_batched_integral(monkeypatch, count):
+    # the benchmark counts panels through the name propagator.refine_integral;
+    # a curve must go through it once for all its times plus once for xi2
+    calls = []
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return refine_integral(f, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "refine_integral", counted)
+    prof = build_profile("prop25")
+    times = np.geomspace(1.0, 1.0e4, count)
+    for weight in ("v1", "v2", "B1", "B2", 0, 1, 2):
+        calls.clear()
+        curve = linear_decay_curve(prof, weight, times)
+        assert len(calls) == 2, weight
+        assert np.array_equal(curve.values, _per_time_curve(prof, weight, times)), weight
