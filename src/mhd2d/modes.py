@@ -368,9 +368,10 @@ def scan_lemma_bounds(xi1_values, times, n_samples=20, seed=0):
             ok = mask & (rhs > 0.0)
             if not np.any(ok):
                 continue
-            ratio = np.where(ok, lhs / np.where(ok, rhs, 1.0), 0.0)
-            # first maximum in sample-major order, as a loop over samples
-            # that keeps only strict improvements would find it
+            # off-strip entries can never win, even when every in-strip
+            # ratio is 0; first maximum in sample-major order, as a loop over
+            # samples that keeps only strict improvements would find it
+            ratio = np.where(ok, lhs / np.where(ok, rhs, 1.0), -np.inf)
             n, i = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
             r = float(ratio[n, i])
             row = AuditRow(name, float(xi1_values[i]), float(t), float(lhs[n, i]),

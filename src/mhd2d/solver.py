@@ -16,13 +16,18 @@ per-mode 2x2 block of the linear part acts on (psi_hat, a_hat) exactly as
 it acts on each (v_j_hat, B_j_hat) pair, so the linear flow is applied
 exactly through the same semigroup entries; only the quadratic terms
 
-    N_omega = -v.grad omega + B.grad j,   N_psi = N_omega / |xi|^2,
-    N_a = v1 B2 - v2 B1,
+    N_omega = -v.grad omega + B.grad j = d1 d2 (T22 - T11) + (d1^2 - d2^2) T12,
+    N_psi = N_omega / |xi|^2,   N_a = v1 B2 - v2 B1,
 
-with omega = -Lap psi and j = -Lap a, are stepped by the integrator, so the
-scheme's error vanishes with the data amplitude. ``SpectralState`` (the
-four components on the full spectrum) stays the form of every input and
-output; the conversion happens only at sample times.
+with omega = -Lap psi, j = -Lap a and the stress T = B (x) B - v (x) v
+(for divergence-free v and B, -(v.grad)v + (B.grad)B = div T), are stepped
+by the integrator, so the scheme's error vanishes with the data amplitude.
+The stress form (C. Basdevant, J. Comput. Phys. 50, 1983) needs only v and
+B in physical space: a tendency transforms 4 planes inverse and 3 forward,
+14 per ETDRK2 step.
+``SpectralState`` (the four components on the full spectrum) stays the
+form of every input and output; the conversion happens only at sample
+times.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -171,25 +176,33 @@ class Trajectory:
 def _nonlinear(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     """Quadratic tendencies (N_psi, N_a) of one half-spectrum (psi, a) stack.
 
-    Eight real fields come from one ``irfft2`` (v1, B1, v2, B2, d1 omega,
-    d1 j, d2 omega, d2 j), the two products N_omega = -v.grad omega +
-    B.grad j and N_a = v1 B2 - v2 B1 go back through one ``rfft2``, and the
-    result is dealiased, N_omega divided by |xi|^2, and mean-zeroed.
+    In stress form: the four velocities v1, B1, v2, B2 come from one
+    ``irfft2``, the three products T22 - T11, T12 and N_a = v1 B2 - v2 B1 of
+    T = B (x) B - v (x) v go back through one ``rfft2``, and
+    N_omega_hat = (xi2^2 - xi1^2) T12_hat - xi1 xi2 (T22 - T11)_hat is the
+    curl of div T. The result is dealiased, N_omega divided by |xi|^2, and
+    mean-zeroed. Each stage's input is released before the next stage
+    allocates, and the result overwrites the forward transform in place,
+    which keeps the transient memory of a call small.
     """
     shape = grid.shape
-    iw = 1j * w
-    curl = grid.half_xi_sq * iw  # i omega_hat, i j_hat
-    spec = np.empty((8,) + w.shape[1:], dtype=np.complex128)
-    spec[0:2] = grid.half_xi2 * iw
-    spec[2:4] = -grid.xi1 * iw
-    spec[4:6] = grid.xi1 * curl
-    spec[6:8] = grid.half_xi2 * curl
-    v1, B1, v2, B2, d1w, d1j, d2w, d2j = np.fft.irfft2(spec, s=shape, axes=(-2, -1),
-                                                       norm="forward")
-    prod = np.empty((2,) + shape)
-    prod[0] = B1 * d1j + B2 * d2j - v1 * d1w - v2 * d2w
-    prod[1] = v1 * B2 - v2 * B1
-    out = np.fft.rfft2(prod, axes=(-2, -1), norm="forward")
+    spec = np.empty((4,) + w.shape[1:], dtype=np.complex128)
+    np.multiply(w, 1j * grid.half_xi2, out=spec[0:2])
+    np.multiply(w, -1j * grid.xi1, out=spec[2:4])
+    v1, B1, v2, B2 = np.fft.irfft2(spec, s=shape, axes=(-2, -1), norm="forward")
+    del spec
+    prod = np.empty((3,) + shape)
+    prod[0] = v1 * v1 - v2 * v2 + B2 * B2 - B1 * B1
+    prod[1] = B1 * B2 - v1 * v2
+    prod[2] = v1 * B2 - v2 * B1
+    del v1, B1, v2, B2
+    t = np.fft.rfft2(prod, axes=(-2, -1), norm="forward")
+    del prod
+    xi1, xi2 = grid.xi1, grid.half_xi2
+    t[1] *= xi2 * xi2 - xi1 * xi1
+    t[0] *= xi1 * xi2
+    t[1] -= t[0]
+    out = t[1:]
     out *= grid.half_dealias_mask
     out[0] *= grid.half_inv_xi_sq
     out[1, 0, 0] = 0.0
@@ -271,14 +284,33 @@ class _Stepper:
         )
 
 
+def _check_band_limited(state: SpectralState) -> None:
+    """Raise ``ConfigError`` if a coefficient outside the 2/3 dealias band
+    exceeds 1e-12 max|u|, the relative scale of ``SpectralState.validate``.
+
+    The tendency is exact only on band-limited states: outside the band the
+    stress form aliases differently from the advective form it stands for.
+    """
+    mag = np.abs(state.u)
+    scale = max(float(np.max(mag)), 1e-300)
+    outside = float(np.max(mag[:, ~state.grid.dealias_mask]))
+    if outside > 1e-12 * scale:
+        raise ConfigError(
+            f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
+            f"against max |u| = {scale:.3e}"
+        )
+
+
 def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
     """Advance one state by dt under the configured scheme.
 
     Builds the per-mode tables afresh on every call, exactly as ``run``
-    does once per run; loops should call ``run``.
+    does once per run; loops should call ``run``. A state with coefficients
+    outside the 2/3 dealias band raises ``ConfigError``.
     """
     if state.grid.shape != (cfg.n1, cfg.n2) or (state.grid.l1, state.grid.l2) != (cfg.l1, cfg.l2):
         raise ConfigError("state grid does not match the solver configuration")
+    _check_band_limited(state)
     w = _Stepper(state.grid, cfg).advance(to_potentials(state))
     if not np.all(np.isfinite(w)):
         raise BlowUpError(
@@ -342,13 +374,16 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     trajectory rides on the raised ``BlowUpError`` or
     ``DiagnosticIntegrityError``. After each sample the stepper goes on from
     the sampled state, so a run restarted from any snapshot repeats the
-    uninterrupted run bit for bit.
+    uninterrupted run bit for bit. An initial state must pass ``validate()``
+    and lie inside the 2/3 dealias band, as every snapshot of a run does;
+    otherwise ``ConfigError`` is raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
     if state.grid != g:
         raise ConfigError("initial state grid does not match the configuration")
     state.validate()
+    _check_band_limited(state)
 
     bound = advective_dt_bound(state)
     if cfg.dt > bound:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mhd2d import diagnostics
+from mhd2d.errors import ConfigError
 from mhd2d.modes import region_masks
 from mhd2d.solver import SolverConfig, initial_state, nonlinear_rhs, run, step
 from mhd2d.spectral import (
@@ -55,7 +56,8 @@ def projected_tendency(grid, u):
     return out
 
 
-@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+# plus the criterion-7 grid and twice it, where product roundoff grows
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256), (512, 512)))
 def test_tendency_matches_projected_four_component_form(n1, n2):
     g = make_grid(n1, n2, L1, L2)
     st = random_div_free_state(g, seed=n1 + n2, amplitude=3.0)
@@ -114,14 +116,16 @@ class PlaneCounter:
         return wrapper
 
 
-def test_etdrk2_step_transforms_twenty_half_planes(monkeypatch):
-    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04,
+@pytest.mark.parametrize("scheme,tendencies", (("etdrk2", 2), ("ifrk4", 4)),
+                         ids=("etdrk2", "ifrk4"))
+def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04, scheme=scheme,
                        data_kind="random", data_delta=0.5, seed=1)
     st = initial_state(cfg)
     fft = PlaneCounter(monkeypatch)
     step(st, cfg)
-    # two tendencies, each 8 inverse and 2 forward real transforms
-    assert fft.planes == {"irfft2": 16, "rfft2": 4}
+    # each tendency: 4 inverse (v1, B1, v2, B2) and 3 forward (T22 - T11, T12, N_a)
+    assert fft.planes == {"irfft2": 4 * tendencies, "rfft2": 3 * tendencies}
     assert all(shape == (40, 64 // 2 + 1) for name, shape in fft.inputs if name == "irfft2")
 
 
@@ -267,4 +271,25 @@ def test_run_transforms_only_half_planes(monkeypatch):
     traj = run(cfg, initial=st)
     assert len(traj.records) == n + 1
     # n steps, n + 1 samples and the advective bound at t = 0; no complex transform
-    assert fft.planes == {"irfft2": 16 * n + 3 * (n + 1) + 4, "rfft2": 4 * n}
+    assert fft.planes == {"irfft2": 8 * n + 3 * (n + 1) + 4, "rfft2": 6 * n}
+
+
+def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04,
+                       data_kind="random", data_delta=0.5, seed=3)
+    g = cfg.grid()
+    w = to_potentials(initial_state(cfg, g))
+    k2 = -(-g.n2 // 3)  # first half-spectrum column the 2/3 rule drops
+    assert not g.half_dealias_mask[1, k2]
+    w[0, 1, k2] = np.max(np.abs(w))
+    st = from_potentials(g, w)
+    st.validate()
+    with pytest.raises(ConfigError, match="dealias band"):
+        run(cfg, initial=st)
+    with pytest.raises(ConfigError, match="dealias band"):
+        step(st, cfg)
+    # a snapshot of a run lies inside the band and runs on
+    path = tmp_path / "end.bin"
+    save_state(run(cfg).final_state, path)
+    again = run(cfg, initial=load_state(path))
+    assert again.times[-1] == pytest.approx(0.08)

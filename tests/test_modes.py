@@ -336,7 +336,7 @@ def _sequential_scan(xi1_values, times, n_samples, seed):
                 ok = mask & (rhs > 0.0)
                 if not np.any(ok):
                     continue
-                ratio = np.where(ok, lhs / np.where(ok, rhs, 1.0), 0.0)
+                ratio = np.where(ok, lhs / np.where(ok, rhs, 1.0), -np.inf)
                 i = int(np.argmax(ratio))
                 r = float(ratio[i])
                 key = (name, float(t))
@@ -355,6 +355,17 @@ def test_scan_lemma_bounds_matches_sequential_loop(seed):
     want = _sequential_scan(CRITERION8_XI1, CRITERION8_TIMES, 20, seed)
     assert got[0] == want[0]
     assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_lemma_rows_lie_in_their_strips(seed):
+    # at large t every in-strip omg1 ratio underflows to 0 while the
+    # right-hand side does not; the reported point must still be in region 1
+    _, rows = scan_lemma_bounds(CRITERION8_XI1, CRITERION8_TIMES, n_samples=20, seed=seed)
+    strip = {"omg1": 0, "omg2": 1, "omg3": 2, "omg4": 2}
+    assert {r.inequality for r in rows} == set(strip)
+    for r in rows:
+        assert region_masks(r.xi1)[strip[r.inequality]], r
 
 
 def test_scan_lemma_bounds_splits_phi_once_per_time(monkeypatch):
