@@ -24,10 +24,9 @@ with omega = -Lap psi, j = -Lap a and the stress T = B (x) B - v (x) v
 by the integrator, so the scheme's error vanishes with the data amplitude.
 The stress form (C. Basdevant, J. Comput. Phys. 50, 1983) needs only v and
 B in physical space: a tendency transforms 4 planes inverse and 3 forward,
-14 per ETDRK2 step.
-``SpectralState`` (the four components on the full spectrum) stays the
-form of every input and output; the conversion happens only at sample
-times.
+14 per ETDRK2 step. ``SpectralState`` (the four components on the full
+spectrum) stays the form of every input and output; the conversion happens
+only at sample times.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -176,14 +175,15 @@ class Trajectory:
 def _nonlinear(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     """Quadratic tendencies (N_psi, N_a) of one half-spectrum (psi, a) stack.
 
-    In stress form: the four velocities v1, B1, v2, B2 come from one
+    In stress form: the four components v1, B1, v2, B2 come from one
     ``irfft2``, the three products T22 - T11, T12 and N_a = v1 B2 - v2 B1 of
     T = B (x) B - v (x) v go back through one ``rfft2``, and
     N_omega_hat = (xi2^2 - xi1^2) T12_hat - xi1 xi2 (T22 - T11)_hat is the
-    curl of div T. The result is dealiased, N_omega divided by |xi|^2, and
-    mean-zeroed. Each stage's input is released before the next stage
-    allocates, and the result overwrites the forward transform in place,
-    which keeps the transient memory of a call small.
+    curl of div T: 7 half-size planes per call, 14 per ETDRK2 step. The
+    result is dealiased, N_omega divided by |xi|^2, and mean-zeroed. Each
+    stage's input is released before the next stage allocates, and the
+    result overwrites the forward transform in place, which keeps the
+    transient memory of a call small.
     """
     shape = grid.shape
     spec = np.empty((4,) + w.shape[1:], dtype=np.complex128)
@@ -288,8 +288,9 @@ def _check_band_limited(state: SpectralState) -> None:
     """Raise ``ConfigError`` if a coefficient outside the 2/3 dealias band
     exceeds 1e-12 max|u|, the relative scale of ``SpectralState.validate``.
 
-    The tendency is exact only on band-limited states: outside the band the
-    stress form aliases differently from the advective form it stands for.
+    The tendency is alias-free only on band-limited states: outside the
+    band the stress form aliases differently from the advective form it
+    stands for.
     """
     mag = np.abs(state.u)
     scale = max(float(np.max(mag)), 1e-300)
