@@ -37,8 +37,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     coeff_derivative,
-    dealias,
-    enforce_zero_mean,
+    from_potentials,
     sobolev_norm,
     to_physical,
 )
@@ -130,9 +129,8 @@ class InterpolationAudit:
         return 0.0 if self.lhs == 0.0 else float("inf")
 
 
-def _l1_calibration(grid: SpectralGrid) -> float:
-    # integral over xi of |l1*l2*fhat| with cell (2pi/l1)(2pi/l2)
-    return 4.0 * np.pi**2
+# integral over xi of |l1*l2*fhat| with cell (2pi/l1)(2pi/l2), on any box
+_L1_CALIBRATION = 4.0 * np.pi**2
 
 
 def _full_row_sums(f: np.ndarray) -> np.ndarray:
@@ -162,9 +160,8 @@ def _xm(g: SpectralGrid, power: np.ndarray, m: int) -> float:
     t2 = float(np.sqrt(np.sum(inner**2) * g.dxi[0]))
 
     bmag = mult * np.sqrt(power[2] + power[3])
-    cal = _l1_calibration(g)
-    t3 = float(cal * np.sum(winv * bmag))
-    t4 = float(cal * np.sum(np.sum(bmag, axis=1)[col] / np.sqrt(absxi1[col])))
+    t3 = float(_L1_CALIBRATION * np.sum(winv * bmag))
+    t4 = float(_L1_CALIBRATION * np.sum(np.sum(bmag, axis=1)[col] / np.sqrt(absxi1[col])))
     return float(hm + t2 + t3 + t4)
 
 
@@ -183,7 +180,6 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
 def _fourier_l1_terms(g: SpectralGrid, power: np.ndarray):
     """The six integrands of the mediating quantity, from the half-spectrum power."""
     mult = g.half_mult
-    cal = _l1_calibration(g)
     absxi1 = np.abs(g.xi1[:, 0])
     col = absxi1 > 0.0
     b2 = mult * np.sqrt(power[3])
@@ -191,15 +187,15 @@ def _fourier_l1_terms(g: SpectralGrid, power: np.ndarray):
     vmag_rows = np.sum(mult * np.sqrt(power[0] + power[1]), axis=1)
     v2 = np.sqrt(power[1])
 
-    d1b2 = float(cal * np.sum(absxi1 * b2_rows))
-    b2l1 = float(cal * np.sum(b2_rows))
-    gradb2 = float(cal * np.sum(np.sqrt(g.half_xi_sq) * b2))
-    d1v = float(cal * np.sum(absxi1 * vmag_rows))
+    d1b2 = float(_L1_CALIBRATION * np.sum(absxi1 * b2_rows))
+    b2l1 = float(_L1_CALIBRATION * np.sum(b2_rows))
+    gradb2 = float(_L1_CALIBRATION * np.sum(np.sqrt(g.half_xi_sq) * b2))
+    d1v = float(_L1_CALIBRATION * np.sum(absxi1 * vmag_rows))
 
     inner = (g.l1 * g.l2) * _full_row_sums(v2) * g.dxi[1]  # L^1 in xi2
     half_sq = float(np.sum(inner[col] ** 2 / absxi1[col]) * g.dxi[0])
     v2_rows = np.sum(mult * v2, axis=1)
-    half_l1 = float(cal * np.sum(v2_rows[col] / np.sqrt(absxi1[col])))
+    half_l1 = float(_L1_CALIBRATION * np.sum(v2_rows[col] / np.sqrt(absxi1[col])))
     return d1b2, b2l1, gradb2, d1v, half_sq, half_l1
 
 
@@ -465,7 +461,7 @@ def fourier_l1_audit(state: SpectralState, component: int = 3) -> InterpolationA
     g = state.grid
     fhat = state.u[component]
     col = np.broadcast_to(np.abs(g.xi1) > 0.0, g.shape)
-    lhs = _l1_calibration(g) * float(np.sum(np.abs(fhat[col])))
+    lhs = _L1_CALIBRATION * float(np.sum(np.abs(fhat[col])))
     d1 = coeff_derivative(g, fhat, 1)
     rhs = np.sqrt(sobolev_norm(g, d1, 1)) * np.sqrt(sobolev_norm(g, fhat, 1))
     return InterpolationAudit(lhs=lhs, rhs=float(rhs))
@@ -505,39 +501,36 @@ def physical_l1_norm(state: SpectralState) -> float:
 
 def gaussian_divfree_family(grid: SpectralGrid, widths=(0.5, 1.0, 2.0, 4.0)):
     """Divergence-free Gaussian-envelope states, one per physical width."""
-    states = []
-    for w in widths:
-        psi_v = np.exp(-0.5 * w**2 * grid.xi_sq)
-        psi_b = np.exp(-0.25 * w**2 * grid.xi_sq)
-        u = np.zeros((4, grid.n1, grid.n2), dtype=np.complex128)
-        u[0] = 1j * grid.xi2 * psi_v
-        u[1] = -1j * grid.xi1 * psi_v
-        u[2] = 1j * grid.xi2 * psi_b
-        u[3] = -1j * grid.xi1 * psi_b
-        st = enforce_zero_mean(dealias(SpectralState(grid, u)))
-        states.append(st)
-    return states
+    return [
+        from_potentials(grid, np.stack((np.exp(-0.5 * w**2 * grid.half_xi_sq),
+                                        np.exp(-0.25 * w**2 * grid.half_xi_sq)))
+                        * grid.half_dealias_mask)
+        for w in widths
+    ]
 
 
 def single_mode_state(grid: SpectralGrid, k1: int, k2: int, pair: str = "v") -> SpectralState:
-    """Hermitian single-mode divergence-free state at integer mode (k1, k2)."""
+    """Hermitian single-mode divergence-free state at integer mode (k1, k2).
+
+    A unit stream function (pair ``"v"``) or magnetic potential (``"B"``)
+    at (k1, k2) and its conjugate partner (-k1, -k2). Raises
+    ``ConfigError`` for the mean mode and for |k_i| >= n_i/2: the Nyquist
+    modes carry no potential and larger ones are not on the grid.
+    """
     if (k1, k2) == (0, 0):
         raise ConfigError("single mode must not be the mean mode")
     if pair not in ("v", "B"):
         raise ConfigError(f"pair must be 'v' or 'B', got {pair!r}")
-    i1 = int(np.where(grid.k1 == k1)[0][0])
-    i2 = int(np.where(grid.k2 == k2)[0][0])
-    j1 = int(np.where(grid.k1 == -k1)[0][0])
-    j2 = int(np.where(grid.k2 == -k2)[0][0])
-    xi1 = grid.xi1[i1, 0]
-    xi2 = grid.xi2[0, i2]
-    u = np.zeros((4, grid.n1, grid.n2), dtype=np.complex128)
-    base = 0 if pair == "v" else 2
-    u[base, i1, i2] = 1j * xi2
-    u[base + 1, i1, i2] = -1j * xi1
-    u[base, j1, j2] = np.conj(u[base, i1, i2])
-    u[base + 1, j1, j2] = np.conj(u[base + 1, i1, i2])
-    return SpectralState(grid, u)
+    if 2 * abs(k1) >= grid.n1 or 2 * abs(k2) >= grid.n2:
+        raise ConfigError(
+            f"single mode ({k1}, {k2}) needs |k_i| < n_i/2 on a {grid.n1}x{grid.n2} grid"
+        )
+    # the half spectrum holds k2 > 0, and k1 > 0 of the k2 = 0 column
+    if k2 < 0 or (k2 == 0 and k1 < 0):
+        k1, k2 = -k1, -k2
+    w = np.zeros((2, grid.n1, grid.n2 // 2 + 1))
+    w[0 if pair == "v" else 1, k1 % grid.n1, k2] = 1.0
+    return from_potentials(grid, w)
 
 
 def xm_embedding_scan(states: Sequence[SpectralState], m: int):

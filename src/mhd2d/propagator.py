@@ -66,7 +66,7 @@ def phi1_block(xi1: float, dt: float) -> np.ndarray:
 
 
 def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=True):
-    """phi_k(-h K) entries over a grid, in the grid's transform orientation.
+    """phi_k(-h K) entries over a grid's half spectrum, in its transform orientation.
 
     The grid transform uses the exp(-i xi . x) kernel while the analysis
     blocks are written for exp(+i xi . x); the two are mirror images in
@@ -74,15 +74,16 @@ def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=T
     sign. Diagonal entries are provably real (the eigenvalue pair is real
     or complex conjugate), so they are realified to keep Hermitian symmetry
     of states exact. The entries depend on xi only through xi1 and |xi|^2,
-    so they are evaluated on the half spectrum (columns k2 = 0 .. n2/2) and
-    column -k2 repeats column k2.
+    so they are returned on the half spectrum, shape (n1, n2//2 + 1) with
+    columns k2 = 0 .. n2/2, where the stepper's (psi, a) stack lives;
+    column -k2 of the full spectrum repeats column |k2|.
     """
     xi_sq = grid.half_xi_sq
     a = kappa * xi_sq**alpha if alpha != 0.0 else np.full(xi_sq.shape, kappa)
     xi1 = np.broadcast_to(grid.xi1, xi_sq.shape) if coupling else np.zeros(xi_sq.shape)
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
-    cols = np.abs(grid.k2)
-    return np.real(p11)[:, cols], 1j * np.imag(p12)[:, cols], np.real(p22)[:, cols]
+    return (np.ascontiguousarray(np.real(p11)), 1j * np.imag(p12),
+            np.ascontiguousarray(np.real(p22)))
 
 
 def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=True):
@@ -106,13 +107,17 @@ def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:
 
 
 def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
-    """Advance a state by the exact linear flow for time t >= 0."""
+    """Advance a state by the exact linear flow for time t >= 0.
+
+    Full-spectrum column k2 takes the half-spectrum entries of column |k2|.
+    """
     if t < 0.0:
         raise ConfigError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return state.copy()
-    entries = grid_semigroup_entries(state.grid, t)
-    return SpectralState(state.grid, apply_block_entries(state.u, entries), state.time + t)
+    g = state.grid
+    entries = [e[:, np.abs(g.k2)] for e in grid_semigroup_entries(g, t)]
+    return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
 
 
 # ---------------------------------------------------------------------------

@@ -14,64 +14,53 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# one rule and one refinement schedule serve every decay curve and audit
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_REL_TOL = 1e-8
+_START_DEPTH = 5
 
 
-def _gl_nodes(n: int):
-    if n not in _NODES_CACHE:
-        _NODES_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _NODES_CACHE[n]
-
-
-def _panel(f, a: float, b: float, nodes: int):
-    x0, w0 = _gl_nodes(nodes)
+def _panel(f, a: float, b: float):
     half = 0.5 * (b - a)
-    xs = a + half * (x0 + 1.0)
-    return half * np.sum(w0 * f(xs), axis=-1)
+    xs = a + half * (_GL_X + 1.0)
+    return half * np.sum(_GL_W * f(xs), axis=-1)
 
 
-def refine_integral(
-    f,
-    lo: float,
-    hi: float,
-    *,
-    nodes: int = 64,
-    rel_tol: float = 1e-8,
-    start_depth: int = 5,
-    max_depth: int = 48,
-):
+def refine_integral(f, lo: float, hi: float, *, max_depth: int = 48):
     """Integrate a vectorized callable over [lo, hi], refined toward lo.
 
-    ``f`` maps the nodes x, shape (nodes,), to values of shape (..., nodes):
-    a scalar integrand returns a float, a stacked one an array of its
-    leading shape. Every entry keeps its own agreement count and freezes
-    its value at its own second agreement, so each entry equals a scalar
-    call on that entry alone. Raises ``QuadratureError`` if any entry's two
-    successive refinements never agree to ``rel_tol`` before ``max_depth``.
+    Each panel is a 64-point Gauss-Legendre rule: ``f`` maps the nodes x,
+    shape (64,), to values of shape (..., 64). A scalar integrand returns a
+    float, a stacked one an array of its leading shape. Every entry keeps
+    its own agreement count and freezes its value at its own second
+    agreement, so each entry equals a scalar call on that entry alone.
+    Refinement starts at depth 5. Raises ``QuadratureError`` if any entry's
+    two successive refinements never agree to 1e-8 relative before
+    ``max_depth``.
     """
     if not (hi > lo):
         raise QuadratureError(f"empty integration interval [{lo}, {hi}]")
     w = hi - lo
     rings = [
-        _panel(f, lo + w / 2.0**i, lo + w / 2.0 ** (i - 1), nodes)
-        for i in range(start_depth, 0, -1)
+        _panel(f, lo + w / 2.0**i, lo + w / 2.0 ** (i - 1))
+        for i in range(_START_DEPTH, 0, -1)
     ]
-    inner = _panel(f, lo, lo + w / 2.0**start_depth, nodes)
+    inner = _panel(f, lo, lo + w / 2.0**_START_DEPTH)
     value = inner + sum(rings)
-    depth = start_depth
+    depth = _START_DEPTH
     agreements = np.zeros(np.shape(value), dtype=int)
     done = np.zeros(np.shape(value), dtype=bool)
     result = np.full(np.shape(value), np.nan)
     delta = np.inf
     while depth < max_depth:
         depth += 1
-        new_ring = _panel(f, lo + w / 2.0**depth, lo + w / 2.0 ** (depth - 1), nodes)
-        new_inner = _panel(f, lo, lo + w / 2.0**depth, nodes)
+        new_ring = _panel(f, lo + w / 2.0**depth, lo + w / 2.0 ** (depth - 1))
+        new_inner = _panel(f, lo, lo + w / 2.0**depth)
         new_value = value - inner + new_ring + new_inner
         delta = np.abs(new_value - value)
         scale = np.maximum(np.abs(new_value), 1e-300)
         value, inner = new_value, new_inner
-        agreements = np.where(delta <= rel_tol * scale, agreements + 1, 0)
+        agreements = np.where(delta <= _REL_TOL * scale, agreements + 1, 0)
         newly = (agreements >= 2) & ~done
         result = np.where(newly, value, result)
         done |= newly

@@ -51,10 +51,7 @@ from .propagator import (
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    dealias,
-    enforce_zero_mean,
     from_potentials,
-    leray_project,
     make_grid,
     random_div_free_state,
     to_potentials,
@@ -227,17 +224,12 @@ class _Stepper:
         self.cfg = cfg
         h = cfg.dt
         kw = dict(kappa=cfg.kappa, alpha=cfg.alpha, coupling=cfg.coupling)
-        nh = grid.n2 // 2 + 1
-
-        def half(entries):
-            return tuple(np.ascontiguousarray(e[:, :nh]) for e in entries)
-
-        self.full = half(grid_semigroup_entries(grid, h, **kw))
+        self.full = grid_semigroup_entries(grid, h, **kw)
         if cfg.scheme == "etdrk2":
-            self.phi1 = half(grid_phi_entries(1, grid, h, **kw))
-            self.phi2 = half(grid_phi_entries(2, grid, h, **kw))
+            self.phi1 = grid_phi_entries(1, grid, h, **kw)
+            self.phi2 = grid_phi_entries(2, grid, h, **kw)
         else:
-            self.half = half(grid_semigroup_entries(grid, 0.5 * h, **kw))
+            self.half = grid_semigroup_entries(grid, 0.5 * h, **kw)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         l2_weight = grid.area * grid.half_mult * grid.half_xi_sq
         self.energy_weight = 0.5 * l2_weight
@@ -339,19 +331,19 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
     """Build and normalize the configured initial data on the grid.
 
     Profile data is sampled at grid wavenumbers with the stream-function
-    phase (so physical fields are real), projected, mean-zeroed, and
-    dealiased, then scaled so the order-m energy E(0) equals data_delta.
+    phase (so physical fields are real) and reduced to its potentials,
+    which drops the gradient part, the mean and the Nyquist modes. Cut to
+    the 2/3 band and turned back into a state by ``from_potentials``, it
+    is scaled so the order-m energy E(0) equals data_delta.
     """
     g = grid if grid is not None else cfg.grid()
     if cfg.data_kind == "zero":
         return SpectralState.zeros(g)
     if cfg.data_kind == "prop25":
-        profile = build_profile("prop25")
-        samp = profile.vector_at(
+        samp = build_profile("prop25").vector_at(
             np.broadcast_to(g.xi1, g.shape), np.broadcast_to(g.xi2, g.shape)
         )
-        st = SpectralState(g, 1j * samp)
-        st = dealias(enforce_zero_mean(leray_project(st)))
+        st = from_potentials(g, to_potentials(SpectralState(g, 1j * samp)) * g.half_dealias_mask)
     else:
         st = random_div_free_state(g, cfg.seed)
     e0 = instantaneous(st, cfg.m).E

@@ -322,7 +322,9 @@ def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> Spe
     The inverse of ``to_potentials`` on divergence-free states. The negative
     k2 columns, and the negative k1 half of the k2 = 0 column, are mirrored
     from their conjugates without any transform, and the Nyquist row and
-    column are zero, so the result is exactly Hermitian.
+    column are zero, so the result is exactly Hermitian. Every state the
+    package builds (random, profile, Gaussian and single-mode data, and
+    each state a run samples) comes out of this one curl map.
     """
     n1, n2 = grid.shape
     nh = n2 // 2 + 1
@@ -402,22 +404,20 @@ def random_div_free_state(
 ) -> SpectralState:
     """Seeded, Hermitian-by-construction, divergence-free random state.
 
-    Both pairs come from stream functions: white noise is transformed,
-    shaped by a Gaussian spectral envelope, and turned into a curl, so the
-    divergence vanishes mode by mode. Deterministic for a fixed seed.
+    Both pairs come from stream functions: two planes of white noise go
+    through one ``rfft2``, are shaped by a Gaussian spectral envelope and
+    cut to the 2/3 band, and ``from_potentials`` turns them into curls, so
+    the state is exactly Hermitian, mean-free and divergence free. The
+    largest component L2 norm is then scaled to ``amplitude``.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    n = grid.n1 * grid.n2
     ximax = min(float(np.max(np.abs(grid.xi1))), float(np.max(np.abs(grid.xi2))))
     xic = max(ximax / 4.0, 1e-8)
-    envelope = np.exp(-grid.xi_sq / (2.0 * xic**2))
-    u = np.zeros((4, grid.n1, grid.n2), dtype=np.complex128)
-    for pair in range(2):
-        psi = np.fft.fft2(rng.standard_normal(grid.shape)) / n * envelope
-        u[2 * pair] = 1j * grid.xi2 * psi
-        u[2 * pair + 1] = -1j * grid.xi1 * psi
-    state = SpectralState(grid, u, time)
-    state = dealias(enforce_zero_mean(state))
+    envelope = np.exp(-grid.half_xi_sq / (2.0 * xic**2)) * grid.half_dealias_mask
+    noise = rng.standard_normal((2,) + grid.shape)
+    w = np.fft.rfft2(noise, axes=(-2, -1), norm="forward") * envelope
+    state = from_potentials(grid, w, time)
     cur = max((l2_norm(grid, state.u[c]) for c in range(4)), default=0.0)
     if cur > 0.0:
         state.u *= amplitude / cur

@@ -311,6 +311,13 @@ def test_single_mode_state_guards():
         single_mode_state(g, 1, 1, pair="w")
     st = single_mode_state(g, 3, -2, pair="B")
     st.validate()
+    # a mode and its conjugate partner describe the same real field
+    assert np.array_equal(st.u, single_mode_state(g, -3, 2, pair="B").u)
+    assert np.array_equal(single_mode_state(g, -3, 0).u, single_mode_state(g, 3, 0).u)
+    # the Nyquist modes carry no potential, and larger ones are off the grid
+    for k1, k2 in ((8, 0), (0, 8), (-8, 1), (1, -8), (9, 1), (1, 20)):
+        with pytest.raises(ConfigError):
+            single_mode_state(g, k1, k2)
 
 
 def test_embedding_scan_family():

@@ -81,6 +81,29 @@ def test_potential_roundtrip(n1, n2):
     back.validate()
 
 
+@pytest.mark.parametrize("l1,l2", ((L1, L2), (32.0 * np.pi, 32.0 * np.pi)),
+                         ids=("box", "box32pi"))
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
+    # every constructor goes through from_potentials, so each property holds
+    # exactly, not to roundoff; prop25 data needs the large box to be resolved
+    g = make_grid(n1, n2, l1, l2)
+    base = dict(n1=n1, n2=n2, l1=l1, l2=l2, dt=0.1, t_end=0.2, seed=n1)
+    states = [random_div_free_state(g, seed=n2, amplitude=2.0),
+              initial_state(SolverConfig(data_kind="random", **base))]
+    if l1 == 32.0 * np.pi:
+        states.append(initial_state(SolverConfig(data_kind="prop25", **base)))
+    states += diagnostics.gaussian_divfree_family(g)
+    states += [diagnostics.single_mode_state(g, k1, k2, pair)
+               for k1, k2 in ((2, 1), (-3, 0), (1, -4), (0, 5)) for pair in ("v", "B")]
+    for st in states:
+        assert hermitian_defect(g, st.u) == 0.0
+        assert np.all(st.u[:, 0, 0] == 0.0)
+        assert np.all(st.u[:, ~g.dealias_mask] == 0.0)
+        assert np.max(np.abs(st.u)) > 0.0
+        st.validate()
+
+
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_restart_through_snapshot_matches(n1, n2, tmp_path):
     base = dict(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.02, data_kind="random",

@@ -348,6 +348,14 @@ def test_audit_embedding(tmp_path):
     assert report["max_ratio"] == pytest.approx(max(report["ratios"].values()))
 
 
+def test_audit_embedding_mode_off_the_grid_is_a_usage_error(tmp_path, capsys):
+    # k = 8 is the Nyquist mode of a 16-point axis
+    cfg = write_cfg(tmp_path, "embed.cfg", {"n1": 16, "n2": 16, "modes": "8"})
+    assert cli.main(["audit-embedding", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 64
+    assert "single mode" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 
