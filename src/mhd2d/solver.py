@@ -8,8 +8,10 @@ unit background field along x1:
 
 with both fields divergence free. In 2D that makes v = (d2 psi, -d1 psi)
 and B = (d2 a, -d1 a), and the stepper evolves the stream function psi and
-the magnetic potential a on the real-FFT half spectrum (one (2, n1,
-n2//2 + 1) stack) instead of the four components over the full spectrum.
+the magnetic potential a on the real-FFT half spectrum, cut to its first
+kc = ceil(n2/3) columns, the only ones the 2/3 dealias rule keeps (one
+(2, n1, kc) band stack), instead of the four components over the full
+spectrum.
 The pressure never appears, zero divergence holds by construction, and
 real fields stay real because only half of the spectrum is stored. The
 per-mode 2x2 block of the linear part acts on (psi_hat, a_hat) exactly as
@@ -24,9 +26,11 @@ with omega = -Lap psi, j = -Lap a and the stress T = B (x) B - v (x) v
 by the integrator, so the scheme's error vanishes with the data amplitude.
 The stress form (C. Basdevant, J. Comput. Phys. 50, 1983) needs only v and
 B in physical space: a tendency transforms 4 planes inverse and 3 forward,
-14 per ETDRK2 step. ``SpectralState`` (the four components on the full
-spectrum) stays the form of every input and output; the conversion happens
-only at sample times.
+14 per ETDRK2 step, each direction as two 1-D passes: one along axis 2 and
+one along axis 1 over the kc band columns only. ``SpectralState`` (the four
+components on the full spectrum) stays the form of every input and output;
+the conversion, with the columns past the band zero-padded, happens only at
+sample times.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -170,40 +174,61 @@ class Trajectory:
 
 
 def _nonlinear(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
-    """Quadratic tendencies (N_psi, N_a) of one half-spectrum (psi, a) stack.
+    """Quadratic tendencies (N_psi, N_a) of one band stack (psi, a).
 
-    In stress form: the four components v1, B1, v2, B2 come from one
-    ``irfft2``, the three products T22 - T11, T12 and N_a = v1 B2 - v2 B1 of
-    T = B (x) B - v (x) v go back through one ``rfft2``, and
+    The stack holds the first ``grid.band_cols`` = kc half-spectrum columns,
+    the only ones the 2/3 rule keeps. In stress form: the four components
+    v1, B1, v2, B2 come from an ``ifftn`` along axis 1 over the kc columns
+    and an ``irfftn`` of length n2 along axis 2 (which zero-pads the
+    dropped columns); the three products T22 - T11, T12 and N_a = v1 B2 -
+    v2 B1 of T = B (x) B - v (x) v go back through an ``rfftn`` along axis 2
+    and an ``fftn`` along axis 1 over its first kc columns. Then
     N_omega_hat = (xi2^2 - xi1^2) T12_hat - xi1 xi2 (T22 - T11)_hat is the
-    curl of div T: 7 half-size planes per call, 14 per ETDRK2 step. The
-    result is dealiased, N_omega divided by |xi|^2, and mean-zeroed. Each
-    stage's input is released before the next stage allocates, and the
-    result overwrites the forward transform in place, which keeps the
-    transient memory of a call small.
+    curl of div T. That is four 1-D passes per call, the same values as one
+    7-plane ``irfft2``/``rfft2`` pair on the whole half spectrum, bit for
+    bit. The result is dealiased along axis 1, N_omega divided by |xi|^2,
+    and mean-zeroed. Each stage's input is released before the next stage
+    allocates, and the result overwrites the forward transform in place,
+    which keeps the transient memory of a call small.
     """
-    shape = grid.shape
+    kc = w.shape[-1]
+    xi1, xi2 = grid.xi1, grid.half_xi2[:, :kc]
     spec = np.empty((4,) + w.shape[1:], dtype=np.complex128)
-    np.multiply(w, 1j * grid.half_xi2, out=spec[0:2])
-    np.multiply(w, -1j * grid.xi1, out=spec[2:4])
-    v1, B1, v2, B2 = np.fft.irfft2(spec, s=shape, axes=(-2, -1), norm="forward")
+    np.multiply(w, 1j * xi2, out=spec[0:2])
+    np.multiply(w, -1j * xi1, out=spec[2:4])
+    cols = np.fft.ifftn(spec, axes=(-2,), norm="forward")
     del spec
-    prod = np.empty((3,) + shape)
+    v1, B1, v2, B2 = np.fft.irfftn(cols, s=(grid.n2,), axes=(-1,), norm="forward")
+    del cols
+    prod = np.empty((3,) + grid.shape)
     prod[0] = v1 * v1 - v2 * v2 + B2 * B2 - B1 * B1
     prod[1] = B1 * B2 - v1 * v2
     prod[2] = v1 * B2 - v2 * B1
     del v1, B1, v2, B2
-    t = np.fft.rfft2(prod, axes=(-2, -1), norm="forward")
+    rows = np.fft.rfftn(prod, axes=(-1,), norm="forward")
     del prod
-    xi1, xi2 = grid.xi1, grid.half_xi2
+    t = np.fft.fftn(rows[..., :kc], axes=(-2,), norm="forward")
+    del rows
     t[1] *= xi2 * xi2 - xi1 * xi1
     t[0] *= xi1 * xi2
     t[1] -= t[0]
     out = t[1:]
-    out *= grid.half_dealias_mask
-    out[0] *= grid.half_inv_xi_sq
+    out *= grid.half_dealias_mask[:, :kc]
+    out[0] *= grid.half_inv_xi_sq[:, :kc]
     out[1, 0, 0] = 0.0
     return out
+
+
+def _band(state: SpectralState) -> np.ndarray:
+    """The (psi, a) stack of a state on its ``band_cols`` leading half columns."""
+    return to_potentials(state)[..., : state.grid.band_cols].copy()
+
+
+def _unband(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
+    """The state of a band stack, zero in the half columns past the band."""
+    half = np.zeros(w.shape[:-1] + (grid.n2 // 2 + 1,), dtype=np.complex128)
+    half[..., : w.shape[-1]] = w
+    return from_potentials(grid, half, time)
 
 
 def nonlinear_rhs(state: SpectralState) -> np.ndarray:
@@ -211,29 +236,42 @@ def nonlinear_rhs(state: SpectralState) -> np.ndarray:
 
     The four-component form of the (psi, a) tendency: the projected
     -(v.grad)v + (B.grad)B and -(v.grad)B + (B.grad)v, dealiased and
-    mean-free.
+    mean-free. A state with coefficients outside the 2/3 dealias band
+    raises ``ConfigError``.
     """
-    return from_potentials(state.grid, _nonlinear(state.grid, to_potentials(state))).u
+    _check_band_limited(state)
+    return _unband(state.grid, _nonlinear(state.grid, _band(state))).u
 
 
 class _Stepper:
-    """Per-mode tables for one (grid, config) pair, on the half spectrum."""
+    """Per-mode tables for one (grid, config) pair, on the band columns.
+
+    Every table and weight is cut once to the ``grid.band_cols`` leading
+    half-spectrum columns, as contiguous arrays, so each operation of a
+    step acts on the band stack only.
+    """
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
         h = cfg.dt
+        kc = grid.band_cols
         kw = dict(kappa=cfg.kappa, alpha=cfg.alpha, coupling=cfg.coupling)
-        self.full = grid_semigroup_entries(grid, h, **kw)
+
+        def cut(entries):
+            return tuple(np.ascontiguousarray(e[:, :kc]) for e in entries)
+
+        self.full = cut(grid_semigroup_entries(grid, h, **kw))
         if cfg.scheme == "etdrk2":
-            self.phi1 = grid_phi_entries(1, grid, h, **kw)
-            self.phi2 = grid_phi_entries(2, grid, h, **kw)
+            self.phi1 = cut(grid_phi_entries(1, grid, h, **kw))
+            self.phi2 = cut(grid_phi_entries(2, grid, h, **kw))
         else:
-            self.half = grid_semigroup_entries(grid, 0.5 * h, **kw)
+            self.half = cut(grid_semigroup_entries(grid, 0.5 * h, **kw))
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
-        l2_weight = grid.area * grid.half_mult * grid.half_xi_sq
+        xi_sq = grid.half_xi_sq[:, :kc]
+        l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
         self.energy_weight = 0.5 * l2_weight
-        damping = grid.half_xi_sq**cfg.alpha if cfg.alpha != 0.0 else 1.0
+        damping = xi_sq**cfg.alpha if cfg.alpha != 0.0 else 1.0
         self.dissipation_weight = cfg.kappa * damping * l2_weight
 
     def half_l2_sq(self, w: np.ndarray) -> float:
@@ -282,7 +320,7 @@ def _check_band_limited(state: SpectralState) -> None:
 
     The tendency is alias-free only on band-limited states: outside the
     band the stress form aliases differently from the advective form it
-    stands for.
+    stands for, and the band stack the stepper evolves drops it.
     """
     mag = np.abs(state.u)
     scale = max(float(np.max(mag)), 1e-300)
@@ -304,13 +342,13 @@ def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
     if state.grid.shape != (cfg.n1, cfg.n2) or (state.grid.l1, state.grid.l2) != (cfg.l1, cfg.l2):
         raise ConfigError("state grid does not match the solver configuration")
     _check_band_limited(state)
-    w = _Stepper(state.grid, cfg).advance(to_potentials(state))
+    w = _Stepper(state.grid, cfg).advance(_band(state))
     if not np.all(np.isfinite(w)):
         raise BlowUpError(
             f"non-finite coefficients after one step from t = {state.time}",
             last_valid_time=state.time,
         )
-    return from_potentials(state.grid, w, state.time + cfg.dt)
+    return _unband(state.grid, w, state.time + cfg.dt)
 
 
 def advective_dt_bound(state: SpectralState) -> float:
@@ -389,7 +427,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     stepper = _Stepper(g, cfg)
     traj = Trajectory()
     base = state.time
-    w = to_potentials(state)
+    w = _band(state)
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
@@ -410,10 +448,10 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         d_prev = d_next
         t_prev = t
         if (i + 1) % cfg.sample_stride == 0:
-            snap = from_potentials(g, w, t)
+            snap = _unband(g, w, t)
             snap.validate()
             resid = stepper.half_l2_sq(w) - e0 + acc
-            w = to_potentials(snap)
+            w = _band(snap)
             try:
                 rec = instantaneous(snap, cfg.m, energy_residual=resid)
             except DiagnosticIntegrityError as exc:

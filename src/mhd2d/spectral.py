@@ -127,6 +127,12 @@ class SpectralGrid:
         return (self.n1, self.n2)
 
     @property
+    def band_cols(self) -> int:
+        """ceil(n2/3): the leading half-spectrum columns ``k2 = 0 ..
+        band_cols - 1`` hold every mode of the 2/3 dealias band."""
+        return -(-self.n2 // 3)
+
+    @property
     def area(self) -> float:
         return self.l1 * self.l2
 

@@ -9,6 +9,8 @@ traced benchmark.
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from mhd2d import solver
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -63,3 +65,27 @@ def test_run_samples_through_module_name(monkeypatch):
     traj = solver.run(cfg)
     assert sampled == traj.times
     assert len(sampled) == cfg.n_steps // cfg.sample_stride + 1
+
+
+def test_every_transform_goes_through_a_timed_fft_name(monkeypatch):
+    # spans.py times only the n-D names in FFT_FUNCS; a step or a sampled run
+    # that called, say, np.fft.ifft would drop out of spectral.fft_ms_per_step
+    timed = set(_spans_namespace()["FFT_FUNCS"])
+    names = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+             "fftn", "ifftn", "rfftn", "irfftn")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    cfg = solver.SolverConfig(n1=16, n2=24, dt=0.05, t_end=0.2, output_every=0.1,
+                              data_kind="random", data_delta=0.1, seed=3)
+    solver.step(solver.initial_state(cfg), cfg)
+    solver.run(cfg)
+    assert calls
+    assert set(calls) <= timed, sorted(set(calls) - timed)

@@ -13,7 +13,16 @@ import pytest
 from mhd2d import diagnostics
 from mhd2d.errors import ConfigError
 from mhd2d.modes import region_masks
-from mhd2d.solver import SolverConfig, initial_state, nonlinear_rhs, run, step
+from mhd2d.solver import (
+    SolverConfig,
+    _band,
+    _nonlinear,
+    _Stepper,
+    initial_state,
+    nonlinear_rhs,
+    run,
+    step,
+)
 from mhd2d.spectral import (
     SpectralState,
     coeff_derivative,
@@ -64,6 +73,53 @@ def test_tendency_matches_projected_four_component_form(n1, n2):
     want = projected_tendency(g, st.u)
     got = nonlinear_rhs(st)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def half_spectrum_tendency(grid, w):
+    """The stress-form tendency through one 4-plane ``irfft2`` and one 3-plane
+    ``rfft2`` over the whole half spectrum, with the solver's arithmetic."""
+    xi1, xi2 = grid.xi1, grid.half_xi2
+    spec = np.concatenate([w * (1j * xi2), w * (-1j * xi1)])
+    v1, B1, v2, B2 = np.fft.irfft2(spec, s=grid.shape, axes=(-2, -1), norm="forward")
+    prod = np.stack([v1 * v1 - v2 * v2 + B2 * B2 - B1 * B1, B1 * B2 - v1 * v2,
+                     v1 * B2 - v2 * B1])
+    t = np.fft.rfft2(prod, axes=(-2, -1), norm="forward")
+    out = np.stack([t[1] * (xi2 * xi2 - xi1 * xi1) - t[0] * (xi1 * xi2), t[2]])
+    out *= grid.half_dealias_mask
+    out[0] *= grid.half_inv_xi_sq
+    out[1, 0, 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((40, 48), (256, 256)))
+def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
+    # the column-pruned passes skip only columns that are zero on input and
+    # dropped on output, so the result is the same to the bit
+    g = make_grid(n1, n2, L1, L2)
+    kc = g.band_cols
+    assert kc == int(np.count_nonzero(g.half_dealias_mask.any(axis=0)))
+    w = to_potentials(random_div_free_state(g, seed=n1 + n2, amplitude=3.0))
+    assert np.all(w[..., kc:] == 0.0)
+    got = _nonlinear(g, w[..., :kc].copy())
+    assert got.shape == (2, n1, kc)
+    padded = np.zeros_like(w)
+    padded[..., :kc] = got
+    assert np.array_equal(padded, half_spectrum_tendency(g, w))
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((40, 48),))
+def test_band_weights_match_full_spectrum_sums(n1, n2):
+    # the stepper's energy and dissipation sums run over the band columns
+    # with column multiplicities; they must equal the full-spectrum sums
+    cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.02, t_end=0.04, alpha=0.5,
+                       kappa=0.7, data_kind="random", data_delta=0.5, seed=5)
+    st = initial_state(cfg)
+    g, w = st.grid, _band(st)
+    stepper = _Stepper(g, cfg)
+    energy = 0.5 * g.area * np.sum(np.abs(st.u) ** 2)
+    dissipation = cfg.kappa * g.area * np.sum(g.xi_sq**cfg.alpha * np.abs(st.u[:2]) ** 2)
+    assert stepper.half_l2_sq(w) == pytest.approx(energy, rel=1e-13)
+    assert stepper.dissipation_rate(w) == pytest.approx(dissipation, rel=1e-13)
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
@@ -147,9 +203,12 @@ def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
     st = initial_state(cfg)
     fft = PlaneCounter(monkeypatch)
     step(st, cfg)
-    # each tendency: 4 inverse (v1, B1, v2, B2) and 3 forward (T22 - T11, T12, N_a)
-    assert fft.planes == {"irfft2": 4 * tendencies, "rfft2": 3 * tendencies}
-    assert all(shape == (40, 64 // 2 + 1) for name, shape in fft.inputs if name == "irfft2")
+    # each tendency: 4 inverse (v1, B1, v2, B2) and 3 forward (T22 - T11, T12,
+    # N_a), each as a column pass over the kc = 22 band columns and a row pass
+    assert fft.planes == {"ifftn": 4 * tendencies, "irfftn": 4 * tendencies,
+                          "rfftn": 3 * tendencies, "fftn": 3 * tendencies}
+    want = {"ifftn": (40, 22), "irfftn": (40, 22), "rfftn": (40, 64), "fftn": (40, 22)}
+    assert all(shape == want[name] for name, shape in fft.inputs)
 
 
 def test_sample_transforms_three_half_planes(monkeypatch):
@@ -293,8 +352,9 @@ def test_run_transforms_only_half_planes(monkeypatch):
     fft = PlaneCounter(monkeypatch)
     traj = run(cfg, initial=st)
     assert len(traj.records) == n + 1
-    # n steps, n + 1 samples and the advective bound at t = 0; no complex transform
-    assert fft.planes == {"irfft2": 8 * n + 3 * (n + 1) + 4, "rfft2": 6 * n}
+    # n steps as 1-D passes, n + 1 samples and the advective bound at t = 0
+    assert fft.planes == {"ifftn": 8 * n, "irfftn": 8 * n, "rfftn": 6 * n, "fftn": 6 * n,
+                          "irfft2": 3 * (n + 1) + 4}
 
 
 def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
@@ -311,6 +371,8 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
         run(cfg, initial=st)
     with pytest.raises(ConfigError, match="dealias band"):
         step(st, cfg)
+    with pytest.raises(ConfigError, match="dealias band"):
+        nonlinear_rhs(st)
     # a snapshot of a run lies inside the band and runs on
     path = tmp_path / "end.bin"
     save_state(run(cfg).final_state, path)

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from mhd2d import propagator
+from mhd2d import propagator, quadrature
 from mhd2d.errors import ConfigError, QuadratureError
 from mhd2d.modes import eigenvalues
 from mhd2d.propagator import (
@@ -272,6 +272,14 @@ def test_decay_curve_input_checks():
         linear_decay_curve(prof, 0, np.array([2.0, 1.0]))
     with pytest.raises(ConfigError):
         linear_decay_curve(build_profile("fstar"), "v1", np.array([1.0]))
+
+
+def test_stored_gauss_legendre_rule_is_numpys():
+    # the rule is stored as its mirrored positive half; it must be numpy's
+    # 64-point rule to the bit, or every decay curve moves
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(quadrature._GL_X, x)
+    assert np.array_equal(quadrature._GL_W, w)
 
 
 def test_refine_integral_smooth_and_singular():
