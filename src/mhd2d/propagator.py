@@ -173,29 +173,21 @@ class ProfileData:
         return out
 
 
-def build_profile(kind: str, *, phi=None, varphi=None, scalar1=None, scalar2=None,
-                  pairs=None, support1=0.25, support2=0.25) -> ProfileData:
-    """Construct one of the built-in profiles or wrap custom callables.
+def build_profile(kind: str) -> ProfileData:
+    """Construct one of the built-in profiles.
 
-    ``fstar``: scalar phi(xi1) sigma(|xi1|) times a truncated Gaussian in
-    xi2; phi defaults to 1 and must not vanish at 0. ``prop25``: the
-    divergence-free rotational data sigma sigma (xi2, -xi1, xi2, -xi1).
-    ``custom``: caller-supplied factors.
+    ``fstar``: scalar sigma(|xi1|) times a truncated Gaussian in xi2.
+    ``prop25``: the divergence-free rotational data sigma sigma (xi2, -xi1,
+    xi2, -xi1).
     """
+    s = sigma_cutoff
     if kind == "fstar":
-        phi_fn = phi if phi is not None else (lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        if abs(complex(np.asarray(phi_fn(np.asarray(0.0))))) == 0.0:
-            raise ConfigError("fstar requires |phi(0)| > 0")
-        vp = varphi if varphi is not None else (
-            lambda x2: np.exp(-8.0 * np.asarray(x2, dtype=float) ** 2) * sigma_cutoff(x2)
-        )
         return ProfileData(
             kind, 0.25, 0.25,
-            scalar1=lambda x1: phi_fn(x1) * sigma_cutoff(x1),
-            scalar2=vp,
+            scalar1=s,
+            scalar2=lambda x2: np.exp(-8.0 * np.asarray(x2, dtype=float) ** 2) * s(x2),
         )
     if kind == "prop25":
-        s = sigma_cutoff
         return ProfileData(
             kind, 0.25, 0.25,
             scalar1=s,
@@ -207,10 +199,6 @@ def build_profile(kind: str, *, phi=None, varphi=None, scalar1=None, scalar2=Non
                     s),
             },
         )
-    if kind == "custom":
-        if scalar1 is None or scalar2 is None:
-            raise ConfigError("custom profiles need scalar1 and scalar2")
-        return ProfileData(kind, support1, support2, scalar1, scalar2, pairs)
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 

@@ -28,9 +28,11 @@ The stress form (C. Basdevant, J. Comput. Phys. 50, 1983) needs only v and
 B in physical space: a tendency transforms 4 planes inverse and 3 forward,
 14 per ETDRK2 step, each direction as two 1-D passes: one along axis 2 and
 one along axis 1 over the kc band columns only. ``SpectralState`` (the four
-components on the full spectrum) stays the form of every input and output;
-the conversion, with the columns past the band zero-padded, happens only at
-sample times.
+components on the full spectrum) stays the form of every input and output.
+``run``, ``step`` and ``nonlinear_rhs`` enter the band stack only through
+``_band``, which checks the grid, ``validate()`` and the 2/3 band, and leave
+it only through ``from_potentials``, which takes the band stack as it is;
+inside a run the conversion happens only at sample times.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -53,6 +55,7 @@ from .propagator import (
     grid_semigroup_entries,
 )
 from .spectral import (
+    STATE_RTOL,
     SpectralGrid,
     SpectralState,
     from_potentials,
@@ -98,7 +101,6 @@ class SolverConfig:
     data_kind: str = "prop25"
     data_delta: float = 1e-2
     output_every: Optional[float] = None
-    output_dir: Optional[str] = None
     nonlinear: bool = True
     coupling: bool = True
 
@@ -219,16 +221,28 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band(state: SpectralState) -> np.ndarray:
-    """The (psi, a) stack of a state on its ``band_cols`` leading half columns."""
-    return to_potentials(state)[..., : state.grid.band_cols].copy()
+def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
+    """The (psi, a) band stack of a checked state: the one way into the stepper.
 
-
-def _unband(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
-    """The state of a band stack, zero in the half columns past the band."""
-    half = np.zeros(w.shape[:-1] + (grid.n2 // 2 + 1,), dtype=np.complex128)
-    half[..., : w.shape[-1]] = w
-    return from_potentials(grid, half, time)
+    Raises ``ConfigError`` unless the state lies on ``grid``, passes
+    ``validate()`` and has no coefficient outside the 2/3 dealias band above
+    ``STATE_RTOL`` max|u|. The tendency is alias-free only on band-limited
+    states: outside the band the stress form aliases differently from the
+    advective form it stands for, and the band stack drops it. The stack
+    holds the ``grid.band_cols`` leading half-spectrum columns.
+    """
+    if state.grid != grid:
+        raise ConfigError("state grid does not match the solver configuration")
+    state.validate()
+    mag = np.abs(state.u)
+    scale = max(float(np.max(mag)), 1e-300)
+    outside = float(np.max(mag[:, ~grid.dealias_mask]))
+    if outside > STATE_RTOL * scale:
+        raise ConfigError(
+            f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
+            f"against max |u| = {scale:.3e}"
+        )
+    return to_potentials(state)[..., : grid.band_cols].copy()
 
 
 def nonlinear_rhs(state: SpectralState) -> np.ndarray:
@@ -236,11 +250,11 @@ def nonlinear_rhs(state: SpectralState) -> np.ndarray:
 
     The four-component form of the (psi, a) tendency: the projected
     -(v.grad)v + (B.grad)B and -(v.grad)B + (B.grad)v, dealiased and
-    mean-free. A state with coefficients outside the 2/3 dealias band
-    raises ``ConfigError``.
+    mean-free. A state that fails ``validate()`` or has coefficients
+    outside the 2/3 dealias band raises ``ConfigError``.
     """
-    _check_band_limited(state)
-    return _unband(state.grid, _nonlinear(state.grid, _band(state))).u
+    g = state.grid
+    return from_potentials(g, _nonlinear(g, _band(state, g))).u
 
 
 class _Stepper:
@@ -314,41 +328,22 @@ class _Stepper:
         )
 
 
-def _check_band_limited(state: SpectralState) -> None:
-    """Raise ``ConfigError`` if a coefficient outside the 2/3 dealias band
-    exceeds 1e-12 max|u|, the relative scale of ``SpectralState.validate``.
-
-    The tendency is alias-free only on band-limited states: outside the
-    band the stress form aliases differently from the advective form it
-    stands for, and the band stack the stepper evolves drops it.
-    """
-    mag = np.abs(state.u)
-    scale = max(float(np.max(mag)), 1e-300)
-    outside = float(np.max(mag[:, ~state.grid.dealias_mask]))
-    if outside > 1e-12 * scale:
-        raise ConfigError(
-            f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
-            f"against max |u| = {scale:.3e}"
-        )
-
-
 def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
     """Advance one state by dt under the configured scheme.
 
     Builds the per-mode tables afresh on every call, exactly as ``run``
-    does once per run; loops should call ``run``. A state with coefficients
-    outside the 2/3 dealias band raises ``ConfigError``.
+    does once per run; loops should call ``run``. A state off the
+    configured grid, failing ``validate()`` or with coefficients outside the
+    2/3 dealias band raises ``ConfigError``.
     """
-    if state.grid.shape != (cfg.n1, cfg.n2) or (state.grid.l1, state.grid.l2) != (cfg.l1, cfg.l2):
-        raise ConfigError("state grid does not match the solver configuration")
-    _check_band_limited(state)
-    w = _Stepper(state.grid, cfg).advance(_band(state))
+    g = cfg.grid()
+    w = _Stepper(g, cfg).advance(_band(state, g))
     if not np.all(np.isfinite(w)):
         raise BlowUpError(
             f"non-finite coefficients after one step from t = {state.time}",
             last_valid_time=state.time,
         )
-    return _unband(state.grid, w, state.time + cfg.dt)
+    return from_potentials(g, w, state.time + cfg.dt)
 
 
 def advective_dt_bound(state: SpectralState) -> float:
@@ -405,16 +400,13 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     trajectory rides on the raised ``BlowUpError`` or
     ``DiagnosticIntegrityError``. After each sample the stepper goes on from
     the sampled state, so a run restarted from any snapshot repeats the
-    uninterrupted run bit for bit. An initial state must pass ``validate()``
-    and lie inside the 2/3 dealias band, as every snapshot of a run does;
-    otherwise ``ConfigError`` is raised.
+    uninterrupted run bit for bit. An initial state must lie on the
+    configured grid, pass ``validate()`` and lie inside the 2/3 dealias band,
+    as every snapshot of a run does; otherwise ``ConfigError`` is raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
-    if state.grid != g:
-        raise ConfigError("initial state grid does not match the configuration")
-    state.validate()
-    _check_band_limited(state)
+    w = _band(state, g)
 
     bound = advective_dt_bound(state)
     if cfg.dt > bound:
@@ -427,7 +419,6 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     stepper = _Stepper(g, cfg)
     traj = Trajectory()
     base = state.time
-    w = _band(state)
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
@@ -448,10 +439,12 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         d_prev = d_next
         t_prev = t
         if (i + 1) % cfg.sample_stride == 0:
-            snap = _unband(g, w, t)
+            snap = from_potentials(g, w, t)
             snap.validate()
             resid = stepper.half_l2_sq(w) - e0 + acc
-            w = _band(snap)
+            # built from the band stack and validated above, so the entry's
+            # band check would only repeat a full |u| pass
+            w = to_potentials(snap)[..., : g.band_cols].copy()
             try:
                 rec = instantaneous(snap, cfg.m, energy_residual=resid)
             except DiagnosticIntegrityError as exc:

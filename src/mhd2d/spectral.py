@@ -32,6 +32,10 @@ SNAPSHOT_VERSION = 1
 
 COMPONENTS = ("v1", "v2", "B1", "B2")
 
+# relative scale (against max |u|) of every state check: ``validate`` and the
+# stepper's 2/3-band check
+STATE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -209,10 +213,10 @@ class SpectralState:
     def B2(self):
         return self.u[3]
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Assert finite values, Hermitian symmetry, zero mean, and zero divergence.
 
-        Tolerances are relative to the coefficient scale; raises
+        Each defect is compared with ``STATE_RTOL`` max|u|; raises
         ``ConfigError`` on the first violated property.
         """
         g = self.grid
@@ -220,13 +224,13 @@ class SpectralState:
         if not np.isfinite(scale):
             raise ConfigError("state has non-finite coefficients")
         herm = hermitian_defect(g, self.u)
-        if herm > tol * scale:
+        if herm > STATE_RTOL * scale:
             raise ConfigError(f"state is not Hermitian symmetric: defect {herm:.3e}")
         mean = float(np.max(np.abs(self.u[:, 0, 0])))
-        if mean > tol * scale:
+        if mean > STATE_RTOL * scale:
             raise ConfigError(f"state has nonzero mean mode: {mean:.3e}")
         dv, dB = divergence_defect(g, self.u)
-        if max(dv, dB) > tol * scale:
+        if max(dv, dB) > STATE_RTOL * scale:
             raise ConfigError(
                 f"state is not divergence free: |div v|={dv:.3e} |div B|={dB:.3e}"
             )
@@ -325,19 +329,24 @@ def to_potentials(state: SpectralState) -> np.ndarray:
 def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
     """The state (v, B) = (curl-perp psi, curl-perp a) of a half-spectrum stack.
 
-    The inverse of ``to_potentials`` on divergence-free states. The negative
+    The inverse of ``to_potentials`` on divergence-free states. ``w`` may
+    hold only the leading kc <= n2//2 + 1 half-spectrum columns, as the
+    stepper's band stack does; the columns kc .. n2/2 are zero. The negative
     k2 columns, and the negative k1 half of the k2 = 0 column, are mirrored
     from their conjugates without any transform, and the Nyquist row and
     column are zero, so the result is exactly Hermitian. Every state the
-    package builds (random, profile, Gaussian and single-mode data, and
-    each state a run samples) comes out of this one curl map.
+    package builds (random, profile, Gaussian and single-mode data, each
+    state a run samples and each result of ``step``) comes out of this one
+    curl map.
     """
     n1, n2 = grid.shape
     nh = n2 // 2 + 1
+    kc = w.shape[-1]
     iw = 1j * w
     u = np.empty((4, n1, n2), dtype=np.complex128)
-    u[0::2, :, :nh] = grid.half_xi2 * iw
-    u[1::2, :, :nh] = -grid.xi1 * iw
+    u[0::2, :, :kc] = grid.half_xi2[:, :kc] * iw
+    u[1::2, :, :kc] = -grid.xi1 * iw
+    u[:, :, kc:nh] = 0.0
     u[:, n1 // 2, :nh] = 0.0
     u[:, :, n2 // 2] = 0.0
     u[:, n1 // 2 + 1:, 0] = np.conj(u[:, n1 // 2 - 1:0:-1, 0])

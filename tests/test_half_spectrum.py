@@ -114,7 +114,7 @@ def test_band_weights_match_full_spectrum_sums(n1, n2):
     cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.02, t_end=0.04, alpha=0.5,
                        kappa=0.7, data_kind="random", data_delta=0.5, seed=5)
     st = initial_state(cfg)
-    g, w = st.grid, _band(st)
+    g, w = st.grid, _band(st, st.grid)
     stepper = _Stepper(g, cfg)
     energy = 0.5 * g.area * np.sum(np.abs(st.u) ** 2)
     dissipation = cfg.kappa * g.area * np.sum(g.xi_sq**cfg.alpha * np.abs(st.u[:2]) ** 2)
@@ -373,6 +373,25 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
         step(st, cfg)
     with pytest.raises(ConfigError, match="dealias band"):
         nonlinear_rhs(st)
+    # in-band states that fail validate() are rejected at the same entry: a
+    # gradient part (with its conjugate), an unmirrored divergence-free mode
+    # and a mean; and, for step and run, the same array on another box
+    base = initial_state(cfg, g)
+    amp = 1e-2 * np.max(np.abs(base.u))
+    grad = 1j * amp * np.array([g.xi1[1, 0], g.xi2[0, 1]])
+    divergent, unmirrored, mean = base.copy(), base.copy(), base.copy()
+    divergent.u[0:2, 1, 1] += grad
+    divergent.u[0:2, -1, -1] += np.conj(grad)
+    unmirrored.u[0:2, 1, 1] += amp * np.array([g.xi2[0, 1], -g.xi1[1, 0]])
+    mean.u[0, 0, 0] += amp
+    for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
+        for call in (lambda s: run(cfg, initial=s), lambda s: step(s, cfg), nonlinear_rhs):
+            with pytest.raises(ConfigError, match=why):
+                call(bad)
+    elsewhere = SpectralState(make_grid(g.n1, g.n2, 2.0 * L1, L2), base.u)
+    for call in (lambda s: run(cfg, initial=s), lambda s: step(s, cfg)):
+        with pytest.raises(ConfigError, match="grid"):
+            call(elsewhere)
     # a snapshot of a run lies inside the band and runs on
     path = tmp_path / "end.bin"
     save_state(run(cfg).final_state, path)

@@ -214,10 +214,6 @@ def test_sigma_cutoff_shape():
 def test_build_profile_guards():
     with pytest.raises(ConfigError):
         build_profile("nope")
-    with pytest.raises(ConfigError):
-        build_profile("custom", scalar1=lambda x: x)
-    with pytest.raises(ConfigError):
-        build_profile("fstar", phi=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     prof = build_profile("fstar")
     assert prof.scalar1(0.0) == pytest.approx(1.0)
     assert prof.pairs is None
