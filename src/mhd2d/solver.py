@@ -32,7 +32,8 @@ components on the full spectrum) stays the form of every input and output.
 ``run``, ``step`` and ``nonlinear_rhs`` enter the band stack only through
 ``_band``, which checks the grid, ``validate()`` and the 2/3 band, and leave
 it only through ``from_potentials``, which takes the band stack as it is;
-inside a run the conversion happens only at sample times.
+inside a run the conversion happens only at sample times, after a check of
+the band stack itself (``_sampled_state``).
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -58,6 +59,7 @@ from .spectral import (
     STATE_RTOL,
     SpectralGrid,
     SpectralState,
+    _potentials,
     from_potentials,
     make_grid,
     random_div_free_state,
@@ -242,7 +244,48 @@ def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
             f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
             f"against max |u| = {scale:.3e}"
         )
-    return to_potentials(state)[..., : grid.band_cols].copy()
+    return _potentials(grid, state.u, grid.band_cols)
+
+
+def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float,
+                   kept: bool) -> SpectralState:
+    """The state a run samples from its band stack, checked on the stack.
+
+    ``from_potentials`` makes its state Hermitian, mean-free and divergence
+    free by construction, and its mirror would hide an asymmetric k2 = 0
+    column of ``w``. So ``w`` itself is checked, each test against
+    ``STATE_RTOL`` max|w|: max|w| times the band's largest |xi| must be
+    finite (the only way a finite stack gives a non-finite state), the
+    k2 = 0 column Hermitian and the mean mode zero. A kept state, which
+    leaves the run, also passes the full ``validate()``. Any failure raises
+    ``DiagnosticIntegrityError``.
+    """
+    peak = float(np.max(np.abs(w)))
+    if not np.isfinite(peak * grid.band_xi_max):
+        raise DiagnosticIntegrityError(
+            f"band stack at t = {time} overflows the curl map: max |w| = {peak:.3e}"
+        )
+    scale = max(peak, 1e-300)
+    col = w[:, :, 0]
+    herm = float(np.max(np.abs(col - np.conj(col[:, (-np.arange(grid.n1)) % grid.n1]))))
+    if herm > STATE_RTOL * scale:
+        raise DiagnosticIntegrityError(
+            f"band stack at t = {time} is not Hermitian symmetric in its k2 = 0 "
+            f"column: defect {herm:.3e} against max |w| = {scale:.3e}"
+        )
+    mean = float(np.max(np.abs(w[:, 0, 0])))
+    if mean > STATE_RTOL * scale:
+        raise DiagnosticIntegrityError(
+            f"band stack at t = {time} has nonzero mean mode: {mean:.3e} "
+            f"against max |w| = {scale:.3e}"
+        )
+    snap = from_potentials(grid, w, time)
+    if kept:
+        try:
+            snap.validate()
+        except ConfigError as exc:
+            raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
+    return snap
 
 
 def nonlinear_rhs(state: SpectralState) -> np.ndarray:
@@ -398,11 +441,16 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     per-step trapezoid quadrature; it shrinks at second order in dt. On
     non-finite coefficients or a failed diagnostic invariant the partial
     trajectory rides on the raised ``BlowUpError`` or
+    ``DiagnosticIntegrityError``. At each sample the band stack itself is
+    checked (finite through the curl map, a Hermitian k2 = 0 column, a zero
+    mean mode), and only a state that leaves the run, a kept one or the
+    last, passes the full ``validate()``; a failure of either is a
     ``DiagnosticIntegrityError``. After each sample the stepper goes on from
-    the sampled state, so a run restarted from any snapshot repeats the
-    uninterrupted run bit for bit. An initial state must lie on the
-    configured grid, pass ``validate()`` and lie inside the 2/3 dealias band,
-    as every snapshot of a run does; otherwise ``ConfigError`` is raised.
+    the sampled state's band columns, so a run restarted from any snapshot
+    repeats the uninterrupted run bit for bit. An initial state must lie on
+    the configured grid, pass ``validate()`` and lie inside the 2/3 dealias
+    band, as every snapshot of a run does; otherwise ``ConfigError`` is
+    raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -439,17 +487,16 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         d_prev = d_next
         t_prev = t
         if (i + 1) % cfg.sample_stride == 0:
-            snap = from_potentials(g, w, t)
-            snap.validate()
+            kept = keep_states or (i + 1) == cfg.n_steps
             resid = stepper.half_l2_sq(w) - e0 + acc
-            # built from the band stack and validated above, so the entry's
-            # band check would only repeat a full |u| pass
-            w = to_potentials(snap)[..., : g.band_cols].copy()
             try:
+                snap = _sampled_state(g, w, t, kept)
+                # built from the checked band stack, so the entry's checks
+                # would only repeat full |u| passes
+                w = _potentials(g, snap.u, g.band_cols)
                 rec = instantaneous(snap, cfg.m, energy_residual=resid)
             except DiagnosticIntegrityError as exc:
                 exc.trajectory = traj
                 raise
-            last = (i + 1) == cfg.n_steps
-            traj.append(t, rec, snap if (keep_states or last) else None)
+            traj.append(t, rec, snap if kept else None)
     return traj

@@ -137,6 +137,11 @@ class SpectralGrid:
         return -(-self.n2 // 3)
 
     @property
+    def band_xi_max(self) -> float:
+        """Largest |xi| over the ``band_cols`` columns, all rows included."""
+        return float(np.sqrt(np.max(self.half_xi_sq[:, : self.band_cols])))
+
+    @property
     def area(self) -> float:
         return self.l1 * self.l2
 
@@ -321,9 +326,20 @@ def to_potentials(state: SpectralState) -> np.ndarray:
     mode and the Nyquist row and column come out zero.
     """
     g = state.grid
-    half = state.u[:, :, : g.half_xi2.shape[1]]
-    curl = g.xi1 * half[1::2] - g.half_xi2 * half[0::2]
-    return 1j * (curl * g.half_inv_xi_sq)
+    return _potentials(g, state.u, g.n2 // 2 + 1)
+
+
+def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
+    """``to_potentials`` on the leading kc half-spectrum columns only.
+
+    The one inverse curl map: the same elementwise operations on every
+    width, so its columns equal those of the full-width result bit for bit.
+    The stepper takes its band stack (kc = ``grid.band_cols``) from it
+    without computing the columns it would drop.
+    """
+    half = u[:, :, :kc]
+    curl = grid.xi1 * half[1::2] - grid.half_xi2[:, :kc] * half[0::2]
+    return 1j * (curl * grid.half_inv_xi_sq[:, :kc])
 
 
 def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mhd2d import diagnostics
-from mhd2d.errors import ConfigError
+from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.modes import region_masks
 from mhd2d.solver import (
     SolverConfig,
@@ -25,6 +25,7 @@ from mhd2d.solver import (
 )
 from mhd2d.spectral import (
     SpectralState,
+    _potentials,
     coeff_derivative,
     divergence_defect,
     from_potentials,
@@ -139,10 +140,12 @@ def test_potential_roundtrip(n1, n2):
 
 @pytest.mark.parametrize("l1,l2", ((L1, L2), (32.0 * np.pi, 32.0 * np.pi)),
                          ids=("box", "box32pi"))
-@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
 def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
     # every constructor goes through from_potentials, so each property holds
-    # exactly, not to roundoff; prop25 data needs the large box to be resolved
+    # exactly, not to roundoff; prop25 data needs the large box to be resolved.
+    # The band-width inverse curl of the stepper's entry and re-anchor gives
+    # the leading columns of to_potentials bit for bit.
     g = make_grid(n1, n2, l1, l2)
     base = dict(n1=n1, n2=n2, l1=l1, l2=l2, dt=0.1, t_end=0.2, seed=n1)
     states = [random_div_free_state(g, seed=n2, amplitude=2.0),
@@ -158,6 +161,9 @@ def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
         assert np.all(st.u[:, ~g.dealias_mask] == 0.0)
         assert np.max(np.abs(st.u)) > 0.0
         st.validate()
+        band = to_potentials(st)[..., : g.band_cols]
+        assert np.array_equal(_potentials(g, st.u, g.band_cols), band)
+        assert np.array_equal(_band(st, g), band)
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
@@ -355,6 +361,75 @@ def test_run_transforms_only_half_planes(monkeypatch):
     # n steps as 1-D passes, n + 1 samples and the advective bound at t = 0
     assert fft.planes == {"ifftn": 8 * n, "irfftn": 8 * n, "rfftn": 6 * n, "fftn": 6 * n,
                           "irfft2": 3 * (n + 1) + 4}
+
+
+def test_run_validates_only_states_that_leave_it(monkeypatch):
+    n = 3
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=n * 0.02,
+                       data_kind="random", data_delta=0.5, seed=1)
+    st = initial_state(cfg)
+    real = SpectralState.validate
+    calls = []
+
+    def counted(self):
+        calls.append(self.time)
+        return real(self)
+
+    monkeypatch.setattr(SpectralState, "validate", counted)
+    # the entry check covers the t = 0 sample; later samples check the band
+    # stack, and only a kept or the last state passes validate() as well
+    assert len(run(cfg, initial=st).records) == n + 1
+    assert len(calls) == 2
+    calls.clear()
+    run(cfg, initial=st, keep_states=True)
+    assert len(calls) == n + 1
+    # a kept state that fails validate() ends the run as an integrity failure
+    # that carries the samples taken before it
+
+    def failing(self):
+        if self.time > 0.0:
+            raise ConfigError("injected validate failure")
+        return real(self)
+
+    monkeypatch.setattr(SpectralState, "validate", failing)
+    with pytest.raises(DiagnosticIntegrityError, match="injected") as info:
+        run(cfg, initial=st)
+    assert len(info.value.trajectory.records) == n
+
+
+@pytest.mark.parametrize("why", ("Hermitian", "mean"))
+def test_sample_band_check_sees_what_validate_cannot(monkeypatch, why):
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.1,
+                       data_kind="random", data_delta=0.5, seed=4)
+    g = cfg.grid()
+    st = initial_state(cfg, g)
+
+    def corrupt(w):
+        # an unmirrored k2 = 0 entry, or a mean: the curl map's mirror and its
+        # zero wavenumber hide both from the state built from w
+        if why == "Hermitian":
+            w[0, 3, 0] += np.max(np.abs(w))
+        else:
+            w[1, 0, 0] = np.max(np.abs(w))
+
+    w = _band(st, g)
+    corrupt(w)
+    from_potentials(g, w).validate()
+    # the second step's stack goes bad, after the samples at t = 0 and dt
+    real = _Stepper.advance
+    steps = []
+
+    def advance(self, w):
+        out = real(self, w)
+        steps.append(1)
+        if len(steps) == 2:
+            corrupt(out)
+        return out
+
+    monkeypatch.setattr(_Stepper, "advance", advance)
+    with pytest.raises(DiagnosticIntegrityError, match=why) as info:
+        run(cfg, initial=st)
+    assert info.value.trajectory.times == pytest.approx([0.0, 0.02])
 
 
 def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):

@@ -197,6 +197,31 @@ def test_nonlinear_run_integrity_failure_keeps_history(tmp_path, capsys, monkeyp
     assert len(lines) == 1 + k
 
 
+def test_nonlinear_run_band_check_failure_keeps_history(tmp_path, capsys, monkeypatch):
+    # a band stack that goes bad between samples is an integrity failure
+    # (exit 3) with the history sampled before it, not a usage error
+    k = 3
+    real = solver._Stepper.advance
+    steps = []
+
+    def advance(self, w):
+        out = real(self, w)
+        steps.append(1)
+        if len(steps) == k:
+            out[0, 1, 0] += np.max(np.abs(out))  # unmirrored k2 = 0 entry
+        return out
+
+    monkeypatch.setattr(solver._Stepper, "advance", advance)
+    cfg = write_cfg(tmp_path, "run.cfg", dict(RUN_CFG, **{"output.every": 0.05}))
+    out = tmp_path / "out"
+    assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "integrity failure" in err and "Hermitian" in err
+    lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 1 + k
+
+
 def _fail_after_samples(monkeypatch, k):
     """Make run sample k + 1 raise, as a failed diagnostic invariant would."""
     real = solver.instantaneous
