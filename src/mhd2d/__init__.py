@@ -25,21 +25,16 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     coeff_derivative,
-    dealias,
-    enforce_zero_mean,
-    from_physical,
     from_potentials,
     hermitian_defect,
     divergence_defect,
     l2_norm,
-    leray_project,
     load_state,
     make_grid,
     multi_index_weight,
     random_div_free_state,
     save_state,
     sobolev_norm,
-    spectral_derivative,
     to_physical,
     to_potentials,
 )
@@ -61,13 +56,11 @@ from .quadrature import refine_integral
 from .propagator import (
     DecayCurve,
     ProfileData,
-    apply_semigroup,
     build_profile,
     exp_block_entries,
     grid_phi_entries,
     grid_semigroup_entries,
     linear_decay_curve,
-    phi1_block,
     phi_block_entries,
     propagator_block,
     sigma_cutoff,
@@ -77,7 +70,6 @@ from .solver import (
     Trajectory,
     advective_dt_bound,
     initial_state,
-    nonlinear_rhs,
     run,
     step,
 )

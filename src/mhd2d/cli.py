@@ -8,6 +8,7 @@ serialized with repr-faithful %.17g formatting, newlines are always LF).
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -175,13 +176,12 @@ def _solver_config(args, typed) -> sv.SolverConfig:
         coupling=typed.get("coupling", True),
     )
     if "output.every" in typed:
-        kw["output_every"] = typed["output.every"]
-    else:
-        n_steps = int(round(kw["t_end"] / kw["dt"]))
-        target = max(1, round(n_steps / 100))
-        stride = next(s for s in range(target, 0, -1) if n_steps % s == 0)
-        kw["output_every"] = stride * kw["dt"]
-    return sv.SolverConfig(**kw)
+        return sv.SolverConfig(output_every=typed["output.every"], **kw)
+    # the default cadence, about 100 samples, from a validated dt and t_end
+    cfg = sv.SolverConfig(**kw)
+    target = max(1, round(cfg.n_steps / 100))
+    stride = next(s for s in range(target, 0, -1) if cfg.n_steps % s == 0)
+    return dataclasses.replace(cfg, output_every=stride * cfg.dt)
 
 
 def _write_diagnostics_csv(path, records):
@@ -235,17 +235,24 @@ def cmd_audit_lemma(args, raw) -> int:
     lo = typed.get("xi1.min", 0.005)
     hi = typed.get("xi1.max", 2.0)
     cnt = typed.get("xi1.count", 100)
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"need 0 < xi1.min < xi1.max, got [{lo}, {hi}]")
+    t_min = typed.get("t.min", 0.1)
+    t_max = typed.get("t.max", 1.0e4)
+    t_count = typed.get("t.count", 25)
+    samples = typed.get("samples", 20)
+    if not (0.0 < lo < hi < np.inf) or cnt < 0:
+        raise ConfigError(f"need 0 < xi1.min < xi1.max < inf and xi1.count >= 0, "
+                          f"got [{lo}, {hi}] and {cnt}")
+    if not (0.0 < t_min < t_max < np.inf):
+        raise ConfigError(f"need 0 < t.min < t.max < inf, got [{t_min}, {t_max}]")
+    if t_count < 1 or samples < 1:
+        raise ConfigError(f"need t.count >= 1 and samples >= 1, got {t_count} and {samples}")
     xi1 = np.unique(np.concatenate([
         np.linspace(lo, hi, int(cnt)),
         [1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6],
     ]))
-    times = np.geomspace(typed.get("t.min", 0.1), typed.get("t.max", 1.0e4),
-                         typed.get("t.count", 25))
+    times = np.geomspace(t_min, t_max, t_count)
     seed = args.seed if args.seed is not None else typed.get("seed", 0)
-    summary, rows = scan_lemma_bounds(xi1, times, n_samples=typed.get("samples", 20),
-                                      seed=seed)
+    summary, rows = scan_lemma_bounds(xi1, times, n_samples=samples, seed=seed)
     out = _out_dir(args, typed)
     _write_csv(
         os.path.join(out, "lemma_rows.csv"),

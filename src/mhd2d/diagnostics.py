@@ -17,7 +17,7 @@ the excluded-column content is reported nowhere else, so all such norms
 are lower bounds that converge as the box grows.
 """
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -540,6 +540,8 @@ def xm_embedding_scan(states: Sequence[SpectralState], m: int):
     the point of the scan; the denominator's L^1 part is a physical-grid
     Riemann sum.
     """
+    if not states:
+        raise ConfigError("embedding scan needs at least one state")
     ratios = []
     for st in states:
         g = st.grid

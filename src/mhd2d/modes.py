@@ -185,9 +185,6 @@ class ModeSystem:
         out[j + 1] = np.sign(sign) * self.xi1 * pref
         return out
 
-    def coefficient(self, u: np.ndarray, sign: int, j: int) -> complex:
-        return complex(np.dot(np.asarray(u, dtype=complex), self.eigenvector(sign, j)))
-
     def reconstruct(self, u: np.ndarray) -> np.ndarray:
         """Sum of coefficient * recon_vector over all four mode labels.
 

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError
 from .modes import eigenvalues, phi_split
 from .quadrature import refine_integral
-from .spectral import SpectralState
 
 
 def phi_block_entries(k: int, xi1, h, a=1.0, coupling_sign: int = 1):
@@ -54,14 +53,6 @@ def propagator_block(xi1: float, t: float) -> np.ndarray:
     xi1 = 0 it reduces to diag(exp(-t), 1).
     """
     p11, p12, p22 = exp_block_entries(float(xi1), float(t))
-    return np.array([[p11, p12], [p12, p22]], dtype=complex)
-
-
-def phi1_block(xi1: float, dt: float) -> np.ndarray:
-    """phi1(-dt K) = (1/dt) * integral of exp(-(dt - tau) K) over [0, dt]."""
-    if not (dt > 0.0):
-        raise ConfigError(f"dt must be positive, got {dt}")
-    p11, p12, p22 = phi_block_entries(1, float(xi1), float(dt))
     return np.array([[p11, p12], [p12, p22]], dtype=complex)
 
 
@@ -104,20 +95,6 @@ def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:
     out[:k] = p11 * v + p12 * B
     out[k:] = p12 * v + p22 * B
     return out
-
-
-def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
-    """Advance a state by the exact linear flow for time t >= 0.
-
-    Full-spectrum column k2 takes the half-spectrum entries of column |k2|.
-    """
-    if t < 0.0:
-        raise ConfigError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return state.copy()
-    g = state.grid
-    entries = [e[:, np.abs(g.k2)] for e in grid_semigroup_entries(g, t)]
-    return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
 
 
 # ---------------------------------------------------------------------------

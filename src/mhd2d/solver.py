@@ -29,11 +29,11 @@ B in physical space: a tendency transforms 4 planes inverse and 3 forward,
 14 per ETDRK2 step, each direction as two 1-D passes: one along axis 2 and
 one along axis 1 over the kc band columns only. ``SpectralState`` (the four
 components on the full spectrum) stays the form of every input and output.
-``run``, ``step`` and ``nonlinear_rhs`` enter the band stack only through
-``_band``, which checks the grid, ``validate()`` and the 2/3 band, and leave
-it only through ``from_potentials``, which takes the band stack as it is;
-inside a run the conversion happens only at sample times, after a check of
-the band stack itself (``_sampled_state``).
+``run`` and ``step`` enter the band stack only through ``_band``, which
+checks the grid, ``validate()`` and the 2/3 band, and leave it only
+through ``from_potentials``, which takes the band stack as it is; inside a
+run the conversion happens only at sample times, after a check of the band
+stack itself (``_sampled_state``).
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -71,6 +71,8 @@ DATA_KINDS = ("zero", "prop25", "random")
 
 
 def _multiple_of(value: float, unit: float, what: str) -> int:
+    if not np.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     k = int(round(value / unit))
     if k < 1 or abs(k * unit - value) > 1e-8 * max(value, unit):
         raise ConfigError(f"{what} = {value} is not a positive multiple of {unit}")
@@ -286,18 +288,6 @@ def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float,
         except ConfigError as exc:
             raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
     return snap
-
-
-def nonlinear_rhs(state: SpectralState) -> np.ndarray:
-    """Quadratic spectral tendency of a dealiased divergence-free state.
-
-    The four-component form of the (psi, a) tendency: the projected
-    -(v.grad)v + (B.grad)B and -(v.grad)B + (B.grad)v, dealiased and
-    mean-free. A state that fails ``validate()`` or has coefficients
-    outside the 2/3 dealias band raises ``ConfigError``.
-    """
-    g = state.grid
-    return from_potentials(g, _nonlinear(g, _band(state, g))).u
 
 
 class _Stepper:

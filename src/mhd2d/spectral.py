@@ -1,6 +1,7 @@
 """Periodic-grid spectral substrate.
 
-Transforms, Leray projection, spectral derivatives, 2/3 dealiasing, Sobolev
+Grids and their wavenumbers with the 2/3 dealias mask, the state container
+and its checks, the inverse transform, per-component derivatives, Sobolev
 norms, divergence-free random states, the stream-function/potential form of
 a state on the real-FFT half spectrum, and the binary snapshot format used
 by the experiment runner.
@@ -247,22 +248,6 @@ def to_physical(state: SpectralState) -> np.ndarray:
     return np.real(np.fft.ifft2(state.u, axes=(-2, -1))) * n
 
 
-def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> SpectralState:
-    """Forward transform of physical fields, shape (4, n1, n2)."""
-    fields = np.asarray(fields, dtype=float)
-    u = np.fft.fft2(fields, axes=(-2, -1)) / (grid.n1 * grid.n2)
-    return SpectralState(grid, u, time)
-
-
-def transform_roundtrip(state: SpectralState) -> SpectralState:
-    """Inverse transform followed by forward transform.
-
-    For Hermitian input this is the identity up to roundoff; used as the
-    self-check of the transform normalization.
-    """
-    return from_physical(state.grid, to_physical(state), state.time)
-
-
 def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
     """Multiply one coefficient array by (i xi_axis)^order.
 
@@ -281,40 +266,6 @@ def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 
         else:
             out[:, grid.k2 == -grid.n2 // 2] = 0.0
     return out
-
-
-def spectral_derivative(state: SpectralState, axis: int, order: int = 1) -> SpectralState:
-    """Differentiate all four components of a state along one axis."""
-    g = state.grid
-    out = np.empty_like(state.u)
-    for c in range(4):
-        out[c] = coeff_derivative(g, state.u[c], axis, order)
-    return SpectralState(g, out, state.time)
-
-
-def dealias(state: SpectralState) -> SpectralState:
-    """Zero all modes with 3*|k_i| > n_i on either axis (2/3 rule)."""
-    return SpectralState(state.grid, state.u * state.grid.dealias_mask, state.time)
-
-
-def _project_pair(grid: SpectralGrid, f1: np.ndarray, f2: np.ndarray):
-    xisq = np.where(grid.xi_sq == 0.0, 1.0, grid.xi_sq)
-    div = grid.xi1 * f1 + grid.xi2 * f2
-    p1 = f1 - grid.xi1 * div / xisq
-    p2 = f2 - grid.xi2 * div / xisq
-    # The zero mode has no divergence content; leave it untouched.
-    p1[0, 0] = f1[0, 0]
-    p2[0, 0] = f2[0, 0]
-    return p1, p2
-
-
-def leray_project(state: SpectralState) -> SpectralState:
-    """Apply the divergence-free projector to the v pair and the B pair."""
-    g = state.grid
-    out = np.empty_like(state.u)
-    out[0], out[1] = _project_pair(g, state.u[0], state.u[1])
-    out[2], out[3] = _project_pair(g, state.u[2], state.u[3])
-    return SpectralState(g, out, state.time)
 
 
 def to_potentials(state: SpectralState) -> np.ndarray:
@@ -369,12 +320,6 @@ def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> Spe
     rev1 = (-np.arange(n1)) % n1
     u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
     return SpectralState(grid, u, time)
-
-
-def enforce_zero_mean(state: SpectralState) -> SpectralState:
-    out = state.u.copy()
-    out[:, 0, 0] = 0.0
-    return SpectralState(state.grid, out, state.time)
 
 
 def l2_norm(grid: SpectralGrid, f: np.ndarray) -> float:

@@ -1,0 +1,71 @@
+"""Four-component, full-spectrum reference operations for the tests.
+
+The package steps only the (psi, a) band stack; these helpers act on a
+whole ``SpectralState`` instead, with plain full-spectrum arithmetic, so
+the tests can build closed-form states and check the stepper's tendency
+and linear flow against an independent form of each. ``tendency`` is the
+stepper's own tendency, returned as four components for those checks.
+"""
+
+import numpy as np
+
+from mhd2d.errors import ConfigError
+from mhd2d.propagator import apply_block_entries, grid_semigroup_entries
+from mhd2d.solver import _band, _nonlinear
+from mhd2d.spectral import SpectralGrid, SpectralState, coeff_derivative, from_potentials
+
+
+def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> SpectralState:
+    """Forward transform of physical fields, shape (4, n1, n2)."""
+    fields = np.asarray(fields, dtype=float)
+    u = np.fft.fft2(fields, axes=(-2, -1)) / (grid.n1 * grid.n2)
+    return SpectralState(grid, u, time)
+
+
+def spectral_derivative(state: SpectralState, axis: int, order: int = 1) -> SpectralState:
+    """Differentiate all four components of a state along one axis."""
+    g = state.grid
+    out = np.empty_like(state.u)
+    for c in range(4):
+        out[c] = coeff_derivative(g, state.u[c], axis, order)
+    return SpectralState(g, out, state.time)
+
+
+def _project_pair(grid: SpectralGrid, f1: np.ndarray, f2: np.ndarray):
+    xisq = np.where(grid.xi_sq == 0.0, 1.0, grid.xi_sq)
+    div = grid.xi1 * f1 + grid.xi2 * f2
+    p1 = f1 - grid.xi1 * div / xisq
+    p2 = f2 - grid.xi2 * div / xisq
+    # The zero mode has no divergence content; leave it untouched.
+    p1[0, 0] = f1[0, 0]
+    p2[0, 0] = f2[0, 0]
+    return p1, p2
+
+
+def leray_project(state: SpectralState) -> SpectralState:
+    """Apply the divergence-free projector to the v pair and the B pair."""
+    g = state.grid
+    out = np.empty_like(state.u)
+    out[0], out[1] = _project_pair(g, state.u[0], state.u[1])
+    out[2], out[3] = _project_pair(g, state.u[2], state.u[3])
+    return SpectralState(g, out, state.time)
+
+
+def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
+    """Advance a state by the exact linear flow for time t >= 0.
+
+    Full-spectrum column k2 takes the half-spectrum entries of column |k2|.
+    """
+    if t < 0.0:
+        raise ConfigError(f"t must be nonnegative, got {t}")
+    if t == 0.0:
+        return state.copy()
+    g = state.grid
+    entries = [e[:, np.abs(g.k2)] for e in grid_semigroup_entries(g, t)]
+    return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
+
+
+def tendency(state: SpectralState) -> np.ndarray:
+    """The stepper's quadratic tendency of a checked state, as four components."""
+    g = state.grid
+    return from_potentials(g, _nonlinear(g, _band(state, g))).u

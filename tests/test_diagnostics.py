@@ -27,14 +27,9 @@ from mhd2d.errors import (
     IncompleteHistoryError,
 )
 from mhd2d.propagator import DecayCurve
-from mhd2d.solver import SolverConfig, initial_state, run
-from mhd2d.spectral import (
-    SpectralState,
-    dealias,
-    from_physical,
-    make_grid,
-    random_div_free_state,
-)
+from mhd2d.solver import SolverConfig, run
+from mhd2d.spectral import SpectralState, make_grid, random_div_free_state
+from reference import from_physical
 
 TWO_PI = 2.0 * np.pi
 

@@ -70,6 +70,21 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["nonlinear-run", "--config", bad]) == 64
     assert cli.main(["audit-lemma", "--tolerance", "ratio"]) == 64
     capsys.readouterr()
+    # each is refused at the command's entry: without the checks they raise
+    # from numpy or float arithmetic, or pass a gate with nothing checked
+    cases = [(cmd, run) for cmd in ("nonlinear-run", "audit-energy")
+             for run in ({"dt": 0.0}, {"dt": "nan"}, {"t_end": "inf"})]
+    cases += [("audit-lemma", {"t.min": 0.0}), ("audit-lemma", {"t.min": -1.0}),
+              ("audit-lemma", {"t.max": "inf"}), ("audit-lemma", {"xi1.max": "inf"}),
+              ("audit-lemma", {"xi1.count": -1}),
+              ("audit-lemma", {"samples": 0}), ("audit-lemma", {"t.count": 0}),
+              ("audit-embedding", {"widths": "", "modes": ""})]
+    for i, (cmd, mapping) in enumerate(cases):
+        path = write_cfg(tmp_path, f"case{i}.cfg", mapping)
+        out = tmp_path / f"out{i}"
+        assert cli.main([cmd, "--config", path, "--out", str(out), "--quiet"]) == 64, mapping
+        assert capsys.readouterr().err.startswith("error:"), mapping
+        assert not (out / "lemma_rows.csv").exists()
 
 
 def test_module_entry_point_usage():

