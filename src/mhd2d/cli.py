@@ -80,14 +80,29 @@ def _write_json(path, payload):
 def _tolerances(pairs, defaults):
     out = dict(defaults)
     for item in pairs or ():
-        key, sep, val = item.partition("=")
+        key, sep, val = (part.strip() for part in item.partition("="))
         if not sep or not key:
             raise ConfigError(f"--tolerance expects KEY=VAL, got {item!r}")
+        if key not in defaults:
+            raise ConfigError(f"--tolerance key {key!r} is not one of {sorted(defaults)}")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
+            if not out[key] >= 0.0:  # NaN fails too; inf is a valid cap
+                raise ValueError(f"need a number >= 0, got {val!r}")
         except ValueError as exc:
             raise ConfigError(f"--tolerance {key}: {exc}") from exc
     return out
+
+
+def _time_grid(typed, t_min, t_max, count):
+    """``t.count`` geometric times over [t.min, t.max]; the arguments are defaults."""
+    t_min = typed.get("t.min", t_min)
+    t_max = typed.get("t.max", t_max)
+    count = typed.get("t.count", count)
+    if not (0.0 < t_min < t_max < np.inf) or count < 1:
+        raise ConfigError(f"need 0 < t.min < t.max < inf and t.count >= 1, "
+                          f"got [{t_min}, {t_max}] and {count}")
+    return np.geomspace(t_min, t_max, count)
 
 
 def _out_dir(args, typed) -> str:
@@ -111,13 +126,8 @@ _EXPECTED_COMPONENT_SLOPES = {"v1": -0.75, "v2": -1.25, "B1": -0.25, "B2": -0.75
 def cmd_linear_decay(args, raw) -> int:
     typed = typed_config("linear-decay", raw)
     tol = _tolerances(args.tolerance, {"slope": 0.05})
-    t_min = typed.get("t.min", 1.0)
-    t_max = typed.get("t.max", 1.0e4)
-    count = typed.get("t.count", 161)
-    if not (0.0 < t_min < t_max):
-        raise ConfigError(f"need 0 < t.min < t.max, got [{t_min}, {t_max}]")
-    window = (typed.get("window.lo", 1.0e2), typed.get("window.hi", t_max))
-    times = np.geomspace(t_min, t_max, int(count))
+    times = _time_grid(typed, 1.0, 1.0e4, 161)
+    window = (typed.get("window.lo", 1.0e2), typed.get("window.hi", float(times[-1])))
 
     profile = build_profile(typed.get("profile", "prop25"))
     jobs = []
@@ -156,29 +166,23 @@ def cmd_linear_decay(args, raw) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+# the CLI's own run defaults; every other key defaults as in ``SolverConfig``
+_RUN_DEFAULTS = {"n1": 128, "n2": 128, "l1": 32.0 * np.pi, "l2": 32.0 * np.pi,
+                 "dt": 0.02, "t_end": 10.0}
+
+
 def _solver_config(args, typed) -> sv.SolverConfig:
-    seed = args.seed if args.seed is not None else typed.get("seed", 0)
-    kw = dict(
-        n1=typed.get("n1", 128),
-        n2=typed.get("n2", 128),
-        l1=typed.get("l1", 32.0 * np.pi),
-        l2=typed.get("l2", 32.0 * np.pi),
-        dt=typed.get("dt", 0.02),
-        t_end=typed.get("t_end", 10.0),
-        scheme=typed.get("scheme", "etdrk2"),
-        alpha=typed.get("alpha", 0.0),
-        kappa=typed.get("kappa", 1.0),
-        m=typed.get("m", 4),
-        seed=seed,
-        data_kind=typed.get("data.kind", "prop25"),
-        data_delta=typed.get("data.delta", 1e-2),
-        nonlinear=typed.get("nonlinear", True),
-        coupling=typed.get("coupling", True),
-    )
-    if "output.every" in typed:
-        return sv.SolverConfig(output_every=typed["output.every"], **kw)
-    # the default cadence, about 100 samples, from a validated dt and t_end
+    """Each config key sets the ``SolverConfig`` field named by it, ``.`` read as ``_``."""
+    fields = {f.name for f in dataclasses.fields(sv.SolverConfig)}
+    kw = dict(_RUN_DEFAULTS)
+    kw.update((k.replace(".", "_"), v) for k, v in typed.items()
+              if k.replace(".", "_") in fields)
+    if args.seed is not None:
+        kw["seed"] = args.seed
     cfg = sv.SolverConfig(**kw)
+    if "output_every" in kw:
+        return cfg
+    # the default cadence, about 100 samples, from a validated dt and t_end
     target = max(1, round(cfg.n_steps / 100))
     stride = next(s for s in range(target, 0, -1) if cfg.n_steps % s == 0)
     return dataclasses.replace(cfg, output_every=stride * cfg.dt)
@@ -202,6 +206,7 @@ def _run(cfg, out):
 
 def cmd_nonlinear_run(args, raw) -> int:
     typed = typed_config("nonlinear-run", raw)
+    _tolerances(args.tolerance, {})  # it has no gate, so any key is an error
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
     traj = _run(cfg, out)
@@ -235,23 +240,18 @@ def cmd_audit_lemma(args, raw) -> int:
     lo = typed.get("xi1.min", 0.005)
     hi = typed.get("xi1.max", 2.0)
     cnt = typed.get("xi1.count", 100)
-    t_min = typed.get("t.min", 0.1)
-    t_max = typed.get("t.max", 1.0e4)
-    t_count = typed.get("t.count", 25)
     samples = typed.get("samples", 20)
+    seed = args.seed if args.seed is not None else typed.get("seed", 0)
     if not (0.0 < lo < hi < np.inf) or cnt < 0:
         raise ConfigError(f"need 0 < xi1.min < xi1.max < inf and xi1.count >= 0, "
                           f"got [{lo}, {hi}] and {cnt}")
-    if not (0.0 < t_min < t_max < np.inf):
-        raise ConfigError(f"need 0 < t.min < t.max < inf, got [{t_min}, {t_max}]")
-    if t_count < 1 or samples < 1:
-        raise ConfigError(f"need t.count >= 1 and samples >= 1, got {t_count} and {samples}")
+    times = _time_grid(typed, 0.1, 1.0e4, 25)
+    if samples < 1 or seed < 0:
+        raise ConfigError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
     xi1 = np.unique(np.concatenate([
         np.linspace(lo, hi, int(cnt)),
         [1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6],
     ]))
-    times = np.geomspace(t_min, t_max, t_count)
-    seed = args.seed if args.seed is not None else typed.get("seed", 0)
     summary, rows = scan_lemma_bounds(xi1, times, n_samples=samples, seed=seed)
     out = _out_dir(args, typed)
     _write_csv(

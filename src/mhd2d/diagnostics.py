@@ -381,14 +381,13 @@ def em_inequality_audit(records: Sequence[DiagnosticsRecord], m: int) -> EnergyA
         raise AuditResolutionError("audit requires a uniform sampling cadence")
 
     y = np.array([r.E**2 + r.A for r in records])
-    n = len(y)
-    dy = np.empty(n)
+    dy = np.empty_like(y)
     dy[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
     dy[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
     dy[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
 
     dy2 = (y[4:] - y[:-4]) / (4.0 * h)
-    fd_err = float(np.max(np.abs(dy[2:-2] - dy2)) / 3.0) if n >= 5 else 0.0
+    fd_err = float(np.max(np.abs(dy[2:-2] - dy2)) / 3.0)
 
     vsq = np.array([r.hm_v_sq for r in records])
     bsq = np.array([r.hm_b_sq for r in records])
@@ -411,10 +410,8 @@ def em_inequality_audit(records: Sequence[DiagnosticsRecord], m: int) -> EnergyA
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(pos == 0.0, 0.0, pos / np.where(rhs > 0.0, rhs, np.nan))
     ratios = np.where(np.isnan(ratios), np.where(pos > 0.0, np.inf, 0.0), ratios)
-    return EnergyAudit(
-        m=m, times=times, lhs=lhs, rhs=rhs, fd_error=fd_err,
-        implied_C=float(np.max(ratios)) if n else 0.0,
-    )
+    return EnergyAudit(m=m, times=times, lhs=lhs, rhs=rhs, fd_error=fd_err,
+                       implied_C=float(np.max(ratios)))
 
 
 def interpolation_audit(f: Callable, p: float, q: float, d: int = 2,

@@ -257,13 +257,8 @@ def classify_region(xi) -> int:
     Boundaries go to the lower index, so 1/2 is region 1 and 1/4 region 2.
     Accepts a scalar xi1 or a 2-vector (xi1, xi2).
     """
-    arr = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    x = abs(float(arr[0]))
-    if x >= 0.5:
-        return 1
-    if x >= 0.25:
-        return 2
-    return 3
+    r1, r2, _ = region_masks(np.atleast_1d(np.asarray(xi, dtype=float)).ravel()[0])
+    return 1 if r1 else 2 if r2 else 3
 
 
 def region_masks(xi1):

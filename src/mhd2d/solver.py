@@ -63,6 +63,7 @@ from .spectral import (
     from_potentials,
     make_grid,
     random_div_free_state,
+    to_physical,
     to_potentials,
 )
 
@@ -125,6 +126,8 @@ class SolverConfig:
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
         if self.data_kind not in DATA_KINDS:
             raise ConfigError(f"data_kind must be one of {DATA_KINDS}, got {self.data_kind!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.data_kind != "zero" and not (self.data_delta > 0.0):
             raise ConfigError(f"data_delta must be positive, got {self.data_delta!r}")
         every = self.output_every if self.output_every is not None else self.dt
@@ -380,17 +383,11 @@ def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
 
 
 def advective_dt_bound(state: SpectralState) -> float:
-    """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms.
-
-    The four real fields of the (Hermitian) state come from one ``irfft2``
-    of its half spectrum.
-    """
-    g = state.grid
-    fields = np.fft.irfft2(state.u[:, :, : g.n2 // 2 + 1], s=g.shape, axes=(-2, -1),
-                           norm="forward")
+    """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms."""
+    fields = to_physical(state)
     vmax = float(np.max(np.sqrt(fields[0] ** 2 + fields[1] ** 2)))
     bmax = float(np.max(np.sqrt(fields[2] ** 2 + fields[3] ** 2)))
-    return 0.5 * min(g.dx) / (1.0 + vmax + bmax)
+    return 0.5 * min(state.grid.dx) / (1.0 + vmax + bmax)
 
 
 def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> SpectralState:

@@ -203,22 +203,6 @@ class SpectralState:
     def copy(self) -> "SpectralState":
         return SpectralState(self.grid, self.u.copy(), self.time)
 
-    @property
-    def v1(self):
-        return self.u[0]
-
-    @property
-    def v2(self):
-        return self.u[1]
-
-    @property
-    def B1(self):
-        return self.u[2]
-
-    @property
-    def B2(self):
-        return self.u[3]
-
     def validate(self) -> None:
         """Assert finite values, Hermitian symmetry, zero mean, and zero divergence.
 
@@ -243,9 +227,11 @@ class SpectralState:
 
 
 def to_physical(state: SpectralState) -> np.ndarray:
-    """Return the four real fields on the collocation grid, shape (4, n1, n2)."""
-    n = state.grid.n1 * state.grid.n2
-    return np.real(np.fft.ifft2(state.u, axes=(-2, -1))) * n
+    """The four real fields on the collocation grid, shape (4, n1, n2), from one
+    ``irfft2`` of the half spectrum (columns 0..n2//2) of a Hermitian state."""
+    g = state.grid
+    return np.fft.irfft2(state.u[:, :, : g.n2 // 2 + 1], s=g.shape, axes=(-2, -1),
+                         norm="forward")
 
 
 def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:

@@ -11,7 +11,6 @@ Run ``pytest tests/test_acceptance.py -s -v`` for the full report.
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from mhd2d import cli

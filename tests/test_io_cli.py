@@ -1,5 +1,6 @@
 """Config parsing, command-line workflows, artifacts, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from mhd2d import cli, solver
-from mhd2d.config import parse_config, typed_config
+from mhd2d.config import COMMAND_KEYS, parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.spectral import load_state, make_grid, random_div_free_state, save_state
@@ -57,6 +58,37 @@ def test_typed_config_coercion_and_schema():
         typed_config("frobnicate", {})
 
 
+def test_solver_config_defaults_come_from_solver_config():
+    cfg = cli._solver_config(SimpleNamespace(seed=None), {})
+    for f in dataclasses.fields(solver.SolverConfig):
+        if f.name in cli._RUN_DEFAULTS:
+            assert getattr(cfg, f.name) == cli._RUN_DEFAULTS[f.name], f.name
+        elif f.name != "output_every":
+            assert getattr(cfg, f.name) == f.default, f.name
+    # the default cadence: 500 steps sampled every 5
+    assert cfg.output_every == 5 * cfg.dt
+
+
+def test_solver_config_reads_every_run_key():
+    run_keys = COMMAND_KEYS["nonlinear-run"]
+    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert {k.replace(".", "_") for k in run_keys} - fields == {"output_dir"}
+    raw = {"n1": "32", "n2": "48", "l1": "3.0", "l2": "5.0", "dt": "0.05",
+           "t_end": "0.5", "scheme": "ifrk4", "alpha": "0.5", "kappa": "2.0",
+           "m": "3", "seed": "7", "data.kind": "random", "data.delta": "0.02",
+           "output.every": "0.25", "output.dir": "elsewhere", "nonlinear": "false",
+           "coupling": "false"}
+    assert set(raw) == set(run_keys)
+    typed = typed_config("nonlinear-run", raw)
+    cfg = cli._solver_config(SimpleNamespace(seed=None), typed)
+    defaults = cli._solver_config(SimpleNamespace(seed=None), {})
+    for key, value in typed.items():
+        if key != "output.dir":
+            assert getattr(cfg, key.replace(".", "_")) == value != getattr(
+                defaults, key.replace(".", "_")), key
+    assert cli._solver_config(SimpleNamespace(seed=11), typed).seed == 11
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -71,20 +103,42 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["audit-lemma", "--tolerance", "ratio"]) == 64
     capsys.readouterr()
     # each is refused at the command's entry: without the checks they raise
-    # from numpy or float arithmetic, or pass a gate with nothing checked
-    cases = [(cmd, run) for cmd in ("nonlinear-run", "audit-energy")
-             for run in ({"dt": 0.0}, {"dt": "nan"}, {"t_end": "inf"})]
-    cases += [("audit-lemma", {"t.min": 0.0}), ("audit-lemma", {"t.min": -1.0}),
-              ("audit-lemma", {"t.max": "inf"}), ("audit-lemma", {"xi1.max": "inf"}),
-              ("audit-lemma", {"xi1.count": -1}),
-              ("audit-lemma", {"samples": 0}), ("audit-lemma", {"t.count": 0}),
-              ("audit-embedding", {"widths": "", "modes": ""})]
-    for i, (cmd, mapping) in enumerate(cases):
+    # from numpy or float arithmetic, pass a gate with nothing checked, or
+    # fail only after writing partial curves
+    cases = [(cmd, run, ()) for cmd in ("nonlinear-run", "audit-energy")
+             for run in ({"dt": 0.0}, {"dt": "nan"}, {"t_end": "inf"},
+                         {"data.kind": "random", "seed": -1})]
+    cases += [("audit-lemma", run, ()) for run in (
+        {"t.min": 0.0}, {"t.min": -1.0}, {"t.max": "inf"}, {"xi1.max": "inf"},
+        {"xi1.count": -1}, {"samples": 0}, {"t.count": 0}, {"seed": -3})]
+    cases += [("audit-lemma", {}, ("--seed", "-3")),
+              ("linear-decay", {"t.max": "inf"}, ()), ("linear-decay", {"t.count": 0}, ()),
+              ("audit-embedding", {"widths": "", "modes": ""}, ())]
+    # a tolerance key the command does not have, or a NaN or negative value
+    cases += [("linear-decay", {}, ("--tolerance", tol))
+              for tol in ("slpoe=0.0", "slope=nan", "slope=-0.01")]
+    small = {"n1": 16, "n2": 16, "dt": 0.05, "t_end": 0.5, "output.every": 0.05}
+    cases += [("audit-energy", small, ("--tolerance", tol))
+              for tol in ("implied_C=1", "lhs=-inf")]
+    cases += [("audit-lemma", {}, ("--tolerance", "slope=1")),
+              ("nonlinear-run", small, ("--tolerance", "ratio=1"))]
+    for i, (cmd, mapping, flags) in enumerate(cases):
         path = write_cfg(tmp_path, f"case{i}.cfg", mapping)
         out = tmp_path / f"out{i}"
-        assert cli.main([cmd, "--config", path, "--out", str(out), "--quiet"]) == 64, mapping
-        assert capsys.readouterr().err.startswith("error:"), mapping
-        assert not (out / "lemma_rows.csv").exists()
+        argv = [cmd, "--config", path, "--out", str(out), "--quiet", *flags]
+        assert cli.main(argv) == 64, (mapping, flags)
+        assert capsys.readouterr().err.startswith("error:"), (mapping, flags)
+        assert not list(out.glob("*.csv")), (mapping, flags)
+
+
+def test_tolerance_overrides():
+    defaults = {"implied_c": float("inf"), "lhs": float("inf")}
+    assert cli._tolerances(None, defaults) == defaults
+    assert cli._tolerances(["lhs = 0.5", "implied_c=inf"], defaults) == {
+        "implied_c": float("inf"), "lhs": 0.5}
+    assert cli._tolerances(["slope=0"], {"slope": 0.05}) == {"slope": 0.0}
+    with pytest.raises(ConfigError, match=r"\['implied_c', 'lhs'\]"):
+        cli._tolerances(["implied_C=1"], defaults)
 
 
 def test_module_entry_point_usage():

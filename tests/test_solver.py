@@ -43,6 +43,7 @@ def test_config_validation():
         dict(t_end=1.0, output_every=0.3),
         dict(t_end=float("inf")),
         dict(output_every=float("inf")), dict(output_every=float("nan")),
+        dict(seed=-1), dict(seed=2.5),
     ]
     for override in bad:
         with pytest.raises(ConfigError):

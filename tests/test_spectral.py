@@ -49,6 +49,15 @@ def test_grid_wavenumber_layout():
     assert g.k1[g.n1 // 2] == -g.n1 // 2  # single Nyquist
 
 
+@pytest.mark.parametrize("n1, n2", [(16, 16), (24, 40), (40, 18)])
+def test_to_physical_matches_full_spectrum_inverse(n1, n2):
+    # the half-spectrum irfft2 against the full complex inverse transform
+    g = make_grid(n1, n2, TWO_PI, 3.0)
+    for st in (random_div_free_state(g, seed=n1), random_state(g, seed=n2)):
+        ref = np.real(np.fft.ifft2(st.u, axes=(-2, -1))) * n1 * n2
+        assert np.max(np.abs(to_physical(st) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_roundtrip_identity():
     g = make_grid(32, 24, TWO_PI, 4.0)
     st = random_state(g, seed=1)
