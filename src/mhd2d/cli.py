@@ -358,6 +358,8 @@ def cmd_fit(args, raw) -> int:
         raise ConfigError(f"curve {path!r} is not t,value CSV: {exc}") from exc
     if data.size == 0:
         raise ConfigError(f"curve {path!r} is empty")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"curve {path!r} has a non-finite t or value")
     curve = DecayCurve("input", data[:, 0], data[:, 1])
     window = (typed.get("window.lo", float(data[0, 0])),
               typed.get("window.hi", float(data[-1, 0])))
@@ -398,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if name in ("nonlinear-run", "audit-energy", "audit-lemma"):
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--tolerance", action="append", metavar="KEY=VAL",
                        help="tolerance override, repeatable")
         p.add_argument("--quiet", action="store_true")

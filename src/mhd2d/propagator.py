@@ -57,24 +57,24 @@ def propagator_block(xi1: float, t: float) -> np.ndarray:
 
 
 def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=True):
-    """phi_k(-h K) entries over a grid's half spectrum, in its transform orientation.
+    """phi_k(-h K) entries on a grid's band, in its transform orientation.
 
     The grid transform uses the exp(-i xi . x) kernel while the analysis
     blocks are written for exp(+i xi . x); the two are mirror images in
     xi1, so the grid applies the block family with the opposite coupling
     sign. Diagonal entries are provably real (the eigenvalue pair is real
     or complex conjugate), so they are realified to keep Hermitian symmetry
-    of states exact. The entries depend on xi only through xi1 and |xi|^2,
-    so they are returned on the half spectrum, shape (n1, n2//2 + 1) with
-    columns k2 = 0 .. n2/2, where the stepper's (psi, a) stack lives;
-    column -k2 of the full spectrum repeats column |k2|.
+    of states exact. The tables are the stepper's own C-contiguous (n1,
+    grid.band_cols) band arrays, each evaluated only on what it depends on,
+    then broadcast: with alpha = 0 the block depends on xi1 alone, so once
+    per row (once without coupling); with alpha != 0 on the band's |xi|^2.
     """
-    xi_sq = grid.half_xi_sq
-    a = kappa * xi_sq**alpha if alpha != 0.0 else np.full(xi_sq.shape, kappa)
-    xi1 = np.broadcast_to(grid.xi1, xi_sq.shape) if coupling else np.zeros(xi_sq.shape)
+    shape = (grid.n1, grid.band_cols)
+    a = kappa * grid.half_xi_sq[:, : shape[1]] ** alpha if alpha != 0.0 else kappa
+    xi1 = grid.xi1 if coupling else 0.0
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
-    return (np.ascontiguousarray(np.real(p11)), 1j * np.imag(p12),
-            np.ascontiguousarray(np.real(p22)))
+    return tuple(np.ascontiguousarray(np.broadcast_to(e, shape))
+                 for e in (np.real(p11), 1j * np.imag(p12), np.real(p22)))
 
 
 def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=True):

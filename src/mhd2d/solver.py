@@ -16,7 +16,8 @@ The pressure never appears, zero divergence holds by construction, and
 real fields stay real because only half of the spectrum is stored. The
 per-mode 2x2 block of the linear part acts on (psi_hat, a_hat) exactly as
 it acts on each (v_j_hat, B_j_hat) pair, so the linear flow is applied
-exactly through the same semigroup entries; only the quadratic terms
+exactly through the same semigroup entries, built in the band stack's
+shape (once per row when alpha = 0); only the quadratic terms
 
     N_omega = -v.grad omega + B.grad j = d1 d2 (T22 - T11) + (d1^2 - d2^2) T12,
     N_psi = N_omega / |xi|^2,   N_a = v1 B2 - v2 B1,
@@ -64,7 +65,6 @@ from .spectral import (
     make_grid,
     random_div_free_state,
     to_physical,
-    to_potentials,
 )
 
 SCHEMES = ("etdrk2", "ifrk4")
@@ -296,8 +296,9 @@ def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float,
 class _Stepper:
     """Per-mode tables for one (grid, config) pair, on the band columns.
 
-    Every table and weight is cut once to the ``grid.band_cols`` leading
-    half-spectrum columns, as contiguous arrays, so each operation of a
+    The step tables come from ``grid_phi_entries`` already in the band
+    stack's shape, contiguous (n1, ``grid.band_cols``) arrays, and the
+    energy weights are formed on the same columns, so each operation of a
     step acts on the band stack only.
     """
 
@@ -307,16 +308,12 @@ class _Stepper:
         h = cfg.dt
         kc = grid.band_cols
         kw = dict(kappa=cfg.kappa, alpha=cfg.alpha, coupling=cfg.coupling)
-
-        def cut(entries):
-            return tuple(np.ascontiguousarray(e[:, :kc]) for e in entries)
-
-        self.full = cut(grid_semigroup_entries(grid, h, **kw))
+        self.full = grid_semigroup_entries(grid, h, **kw)
         if cfg.scheme == "etdrk2":
-            self.phi1 = cut(grid_phi_entries(1, grid, h, **kw))
-            self.phi2 = cut(grid_phi_entries(2, grid, h, **kw))
+            self.phi1 = grid_phi_entries(1, grid, h, **kw)
+            self.phi2 = grid_phi_entries(2, grid, h, **kw)
         else:
-            self.half = cut(grid_semigroup_entries(grid, 0.5 * h, **kw))
+            self.half = grid_semigroup_entries(grid, 0.5 * h, **kw)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         xi_sq = grid.half_xi_sq[:, :kc]
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
@@ -393,20 +390,19 @@ def advective_dt_bound(state: SpectralState) -> float:
 def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> SpectralState:
     """Build and normalize the configured initial data on the grid.
 
-    Profile data is sampled at grid wavenumbers with the stream-function
+    Profile data is sampled on the band columns with the stream-function
     phase (so physical fields are real) and reduced to its potentials,
     which drops the gradient part, the mean and the Nyquist modes. Cut to
-    the 2/3 band and turned back into a state by ``from_potentials``, it
-    is scaled so the order-m energy E(0) equals data_delta.
+    the 2/3 band and turned into a state by ``from_potentials``, it is
+    scaled so the order-m energy E(0) equals data_delta.
     """
     g = grid if grid is not None else cfg.grid()
     if cfg.data_kind == "zero":
         return SpectralState.zeros(g)
     if cfg.data_kind == "prop25":
-        samp = build_profile("prop25").vector_at(
-            np.broadcast_to(g.xi1, g.shape), np.broadcast_to(g.xi2, g.shape)
-        )
-        st = from_potentials(g, to_potentials(SpectralState(g, 1j * samp)) * g.half_dealias_mask)
+        kc = g.band_cols
+        samp = build_profile("prop25").vector_at(g.xi1, g.half_xi2[:, :kc])
+        st = from_potentials(g, _potentials(g, 1j * samp, kc) * g.half_dealias_mask[:, :kc])
     else:
         st = random_div_free_state(g, cfg.seed)
     e0 = instantaneous(st, cfg.m).E

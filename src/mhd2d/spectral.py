@@ -193,8 +193,8 @@ class SpectralState:
                 f"state array must have shape (4, {self.grid.n1}, {self.grid.n2}), "
                 f"got {self.u.shape}"
             )
-        if self.time < 0.0:
-            raise ConfigError(f"time must be nonnegative, got {self.time}")
+        if not 0.0 <= self.time < np.inf:
+            raise ConfigError(f"time must be finite and nonnegative, got {self.time}")
 
     @classmethod
     def zeros(cls, grid: SpectralGrid, time: float = 0.0) -> "SpectralState":

@@ -10,7 +10,7 @@ stepper's own tendency, returned as four components for those checks.
 import numpy as np
 
 from mhd2d.errors import ConfigError
-from mhd2d.propagator import apply_block_entries, grid_semigroup_entries
+from mhd2d.propagator import apply_block_entries, phi_block_entries
 from mhd2d.solver import _band, _nonlinear
 from mhd2d.spectral import SpectralGrid, SpectralState, coeff_derivative, from_potentials
 
@@ -54,14 +54,17 @@ def leray_project(state: SpectralState) -> SpectralState:
 def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
     """Advance a state by the exact linear flow for time t >= 0.
 
-    Full-spectrum column k2 takes the half-spectrum entries of column |k2|.
+    The exp(-t K) entries (kappa = 1, alpha = 0) are evaluated on every
+    full-spectrum mode, with the grid's coupling sign, real diagonals and an
+    imaginary off-diagonal, independently of the stepper's band tables.
     """
     if t < 0.0:
         raise ConfigError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return state.copy()
     g = state.grid
-    entries = [e[:, np.abs(g.k2)] for e in grid_semigroup_entries(g, t)]
+    p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, g.shape), t, coupling_sign=-1)
+    entries = (np.real(p11), 1j * np.imag(p12), np.real(p22))
     return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
 
 

@@ -6,13 +6,15 @@ mirror or the dealias cutoff, cannot cancel out.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from mhd2d import diagnostics
+from mhd2d import diagnostics, propagator
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.modes import region_masks
+from mhd2d.propagator import phi_block_entries
 from mhd2d.solver import (
     SolverConfig,
     _band,
@@ -120,6 +122,48 @@ def test_band_weights_match_full_spectrum_sums(n1, n2):
     dissipation = cfg.kappa * g.area * np.sum(g.xi_sq**cfg.alpha * np.abs(st.u[:2]) ** 2)
     assert stepper.half_l2_sq(w) == pytest.approx(energy, rel=1e-13)
     assert stepper.dissipation_rate(w) == pytest.approx(dissipation, rel=1e-13)
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((128, 128), (256, 256)))
+def test_stepper_tables_are_built_on_the_band(n1, n2, monkeypatch):
+    # with alpha = 0 the block depends on xi1 alone: phi_split runs once
+    # per row (once in all without coupling, where xi1 is zero); with
+    # alpha != 0 once per band mode. Each table comes out in the band
+    # stack's shape and equals the full half-spectrum evaluation cut to kc.
+    sizes = []
+    split = propagator.phi_split
+
+    def counted(*args):
+        out = split(*args)
+        sizes.append(out[2].size)
+        return out
+
+    g = make_grid(n1, n2, L1, L2)
+    kc = g.band_cols
+    xi_sq = g.half_xi_sq
+    for scheme, kinds in (("etdrk2", {"full": (0, 1.0), "phi1": (1, 1.0), "phi2": (2, 1.0)}),
+                          ("ifrk4", {"full": (0, 1.0), "half": (0, 0.5)})):
+        for alpha, kappa, coupling in itertools.product((0.0, 0.5), (0.0, 1.0, 2.0),
+                                                        (True, False)):
+            cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.04, t_end=0.08, scheme=scheme,
+                               alpha=alpha, kappa=kappa, coupling=coupling)
+            sizes.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(propagator, "phi_split", counted)
+                stepper = _Stepper(g, cfg)
+            per_table = (n1 if coupling else 1) if alpha == 0.0 else n1 * kc
+            assert sizes == [per_table] * len(kinds)
+            a = kappa * xi_sq**alpha if alpha != 0.0 else np.full(xi_sq.shape, kappa)
+            xi1 = np.broadcast_to(g.xi1, xi_sq.shape) if coupling else np.zeros(xi_sq.shape)
+            for name, (k, frac) in kinds.items():
+                tables = getattr(stepper, name)
+                ref = phi_block_entries(k, xi1, frac * cfg.dt, a, coupling_sign=-1)
+                ref = (np.real(ref[0]), 1j * np.imag(ref[1]), np.real(ref[2]))
+                for got, want, dtype in zip(tables, ref, (np.float64, np.complex128,
+                                                          np.float64)):
+                    assert got.shape == (n1, kc) and got.flags.c_contiguous
+                    assert got.dtype == dtype
+                    assert np.array_equal(got, want[:, :kc]), (scheme, alpha, kappa, coupling, name)
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)

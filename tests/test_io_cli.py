@@ -97,6 +97,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main([]) == 64
     assert cli.main(["no-such-command"]) == 64
     assert cli.main(["fit", "--bogus-flag"]) == 64
+    # only the commands that read a seed take --seed
+    for cmd in ("linear-decay", "audit-embedding", "fit"):
+        assert cli.main([cmd, "--seed", "-7"]) == 64, cmd
     assert cli.main(["nonlinear-run", "--config", str(tmp_path / "missing.cfg")]) == 64
     bad = write_cfg(tmp_path, "bad.cfg", {"profile": "fstar"})
     assert cli.main(["nonlinear-run", "--config", bad]) == 64
@@ -483,6 +486,20 @@ def test_fit_input_errors(tmp_path, capsys):
     bad = write_cfg(tmp_path, "fit3.cfg", {"input": str(garbage)})
     assert cli.main(["fit", "--config", bad, "--quiet"]) == 64
     capsys.readouterr()
+    # a non-finite value or time anywhere in the curve, the last time
+    # included, is refused before the fit and writes no fit.json
+    times = [f"{t:.17g}" for t in np.geomspace(1.0, 1e4, 40)]
+    for i, (row, col, token) in enumerate(((5, 1, "nan"), (5, 1, "inf"), (5, 0, "nan"),
+                                           (-1, 0, "inf"))):
+        rows = [[t, f"{(1.0 + float(t)) ** -0.75:.17g}"] for t in times]
+        rows[row][col] = token
+        curve = tmp_path / f"curve{i}.csv"
+        curve.write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in rows), encoding="utf-8")
+        cfg = write_cfg(tmp_path, f"nonfinite{i}.cfg", {"input": str(curve)})
+        out = tmp_path / f"nonfinite{i}"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 64, i
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -100,8 +100,8 @@ def test_grid_entries_preserve_state_structure():
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     p11, p12, p22 = grid_semigroup_entries(g, 0.7)
     assert np.isrealobj(p11) and np.isrealobj(p22)
-    # the stepper applies the tables as returned, on the half spectrum
-    assert all(e.shape == (32, 17) and e.flags.c_contiguous for e in (p11, p12, p22))
+    # the stepper applies the tables as returned, on its band columns
+    assert all(e.shape == (32, 11) and e.flags.c_contiguous for e in (p11, p12, p22))
     assert np.max(np.abs(np.real(p12))) == 0.0
     st = random_div_free_state(g, seed=0)
     out = apply_semigroup(st, 0.7)
@@ -113,9 +113,9 @@ def test_grid_entries_match_elementwise_exponential():
     g = make_grid(8, 8, TWO_PI, 4.0)
     for kappa, alpha in ((1.0, 0.0), (2.0, 0.5), (0.5, 1.0)):
         p11, p12, p22 = grid_semigroup_entries(g, 0.9, kappa=kappa, alpha=alpha)
-        assert p11.shape == p12.shape == p22.shape == (8, 5)
-        for i in (0, 1, 3, 5):
-            for j in (0, 2, 4):  # half-spectrum columns; 4 is the Nyquist column
+        assert p11.shape == p12.shape == p22.shape == (8, 3)
+        for i in (0, 1, 3, 4, 5):  # 4 is the Nyquist row
+            for j in (0, 1, 2):  # the band columns k2 < 8/3
                 a = kappa * (g.xi1[i, 0] ** 2 + g.half_xi2[0, j] ** 2) ** alpha
                 K = np.array([[a, -1j * g.xi1[i, 0]], [-1j * g.xi1[i, 0], 0.0]])
                 ref = scipy.linalg.expm(-0.9 * K)
@@ -127,7 +127,7 @@ def test_grid_orientation_against_ode():
     # spectral coefficients of the grid follow u' = [[-a, i xi1], [i xi1, 0]] u
     g = make_grid(16, 16, TWO_PI, TWO_PI)
     rng = np.random.default_rng(5)
-    for i, j in ((1, 2), (3, 0), (15, 7)):  # (k1, k2) = (1, 2), (3, 0), (-1, 7)
+    for i, j in ((1, 2), (3, 0), (15, 5)):  # (k1, k2) = (1, 2), (3, 0), (-1, 5)
         xi1 = g.xi1[i, 0]
         y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
 
@@ -186,11 +186,11 @@ def test_decoupled_entries_damp_velocity_only():
 
 def test_apply_block_entries_acts_on_both_pairs():
     g = make_grid(8, 8, TWO_PI, TWO_PI)
-    u = np.zeros((4, 8, 5), dtype=complex)  # on the half spectrum, as the tables
+    u = np.zeros((4, 8, 3), dtype=complex)  # on the band columns, as the tables
     u[0, 1, 1] = 1.0  # v1
     u[3, 2, 2] = 1.0  # B2
     p11, p12, p22 = grid_semigroup_entries(g, 0.5)
-    assert p11.shape == (8, 5)
+    assert p11.shape == (8, 3)
     out = apply_block_entries(u, (p11, p12, p22))
     assert out[0, 1, 1] == p11[1, 1]
     assert out[2, 1, 1] == p12[1, 1]

@@ -1,5 +1,7 @@
 """Transform conventions, projections, norms, and the snapshot format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,9 @@ def test_state_validation_errors():
     g = make_grid(16, 16, TWO_PI, TWO_PI)
     with pytest.raises(ConfigError):
         SpectralState(g, np.zeros((3, 16, 16), dtype=complex))
-    with pytest.raises(ConfigError):
-        SpectralState(g, np.zeros((4, 16, 16), dtype=complex), time=-1.0)
+    for time in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="time"):
+            SpectralState(g, np.zeros((4, 16, 16), dtype=complex), time=time)
     st = random_state(g, seed=7)
     st.u[:, 0, 0] = 1.0
     with pytest.raises(ConfigError):
@@ -225,6 +228,13 @@ def test_snapshot_format_errors(tmp_path):
     (tmp_path / "trailing.bin").write_bytes(data + b"\x00")
     with pytest.raises(SnapshotFormatError, match="trailing"):
         load_state(tmp_path / "trailing.bin")
+
+    # the header's time, the last of its five doubles, must be finite
+    for i, time in enumerate((np.nan, np.inf)):
+        path = tmp_path / f"time{i}.bin"
+        path.write_bytes(data[:40] + struct.pack("<d", time) + data[48:])
+        with pytest.raises(SnapshotFormatError, match="time"):
+            load_state(path)
 
     # payloads that fail validate(), and a non-finite one
     edits = (
