@@ -133,30 +133,31 @@ class InterpolationAudit:
 _L1_CALIBRATION = 4.0 * np.pi**2
 
 
-def _full_row_sums(f: np.ndarray) -> np.ndarray:
+def _full_row_sums(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
     """Full-spectrum row sums of a half-spectrum array even under k -> -k.
 
     Row k1 of the full spectrum holds the half row k1 and, in its negative
-    k2 columns, the interior half columns of row -k1.
+    k2 columns, the interior half columns 1 .. n2/2 - 1 of row -k1.
     """
-    twice = np.sum(f[:, 1:-1], axis=1)
-    rev1 = (-np.arange(f.shape[0])) % f.shape[0]
-    return f[:, 0] + f[:, -1] + twice + twice[rev1]
+    interior = np.sum(f[:, 1:g.n2 // 2], axis=1)
+    rev1 = (-np.arange(g.n1)) % g.n1
+    return np.sum(f, axis=1) + interior[rev1]
 
 
 def _xm(g: SpectralGrid, power: np.ndarray, m: int) -> float:
     """``anisotropic_norm`` from the half-spectrum power of a Hermitian state."""
-    mult = g.half_mult
+    mult = g.half_mult[:power.shape[-1]]
+    xi_sq = g.half_xi_sq[:, :power.shape[-1]]
     total = np.sum(power, axis=0)
-    hm = np.sqrt(g.area * np.sum((1.0 + g.half_xi_sq) ** m * mult * total))
+    hm = np.sqrt(g.area * np.sum((1.0 + xi_sq) ** m * mult * total))
 
-    absxi = np.sqrt(g.half_xi_sq)
+    absxi = np.sqrt(xi_sq)
     absxi1 = np.abs(g.xi1[:, 0])
     col = absxi1 > 0.0
     winv = np.divide(1.0, absxi, out=np.zeros(absxi.shape), where=absxi > 0.0)
     # L^1 in xi2 of the continuum transform l1*l2*fhat, then L^2 in xi1.
     w = np.sqrt(absxi1)[:, None] * winv
-    inner = (g.l1 * g.l2) * _full_row_sums(w * np.sqrt(total)) * g.dxi[1]
+    inner = (g.l1 * g.l2) * _full_row_sums(g, w * np.sqrt(total)) * g.dxi[1]
     t2 = float(np.sqrt(np.sum(inner**2) * g.dxi[0]))
 
     bmag = mult * np.sqrt(power[2] + power[3])
@@ -179,7 +180,7 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
 
 def _fourier_l1_terms(g: SpectralGrid, power: np.ndarray):
     """The six integrands of the mediating quantity, from the half-spectrum power."""
-    mult = g.half_mult
+    mult = g.half_mult[:power.shape[-1]]
     absxi1 = np.abs(g.xi1[:, 0])
     col = absxi1 > 0.0
     b2 = mult * np.sqrt(power[3])
@@ -189,47 +190,51 @@ def _fourier_l1_terms(g: SpectralGrid, power: np.ndarray):
 
     d1b2 = float(_L1_CALIBRATION * np.sum(absxi1 * b2_rows))
     b2l1 = float(_L1_CALIBRATION * np.sum(b2_rows))
-    gradb2 = float(_L1_CALIBRATION * np.sum(np.sqrt(g.half_xi_sq) * b2))
+    gradb2 = float(_L1_CALIBRATION * np.sum(np.sqrt(g.half_xi_sq[:, :mult.size]) * b2))
     d1v = float(_L1_CALIBRATION * np.sum(absxi1 * vmag_rows))
 
-    inner = (g.l1 * g.l2) * _full_row_sums(v2) * g.dxi[1]  # L^1 in xi2
+    inner = (g.l1 * g.l2) * _full_row_sums(g, v2) * g.dxi[1]  # L^1 in xi2
     half_sq = float(np.sum(inner[col] ** 2 / absxi1[col]) * g.dxi[0])
     v2_rows = np.sum(mult * v2, axis=1)
     half_l1 = float(_L1_CALIBRATION * np.sum(v2_rows[col] / np.sqrt(absxi1[col])))
     return d1b2, b2l1, gradb2, d1v, half_sq, half_l1
 
 
-def _derivative_sum_weights(g: SpectralGrid, m: int):
-    """``multi_index_weight`` of orders m - 1 and m on the half spectrum,
-    each times the column multiplicity ``half_mult``."""
+def _derivative_sum_weights(g: SpectralGrid, m: int, kc: int):
+    """``multi_index_weight`` of orders m - 1 and m on the leading kc
+    half-spectrum columns, each times the column multiplicity ``half_mult``."""
     x1 = g.xi1**2
-    x2 = g.half_xi2[0] ** 2
+    x2 = g.half_xi2[0, :kc] ** 2
     # partial[j] = mult * sum_{b <= j} xi2^(2b)
-    partial = [g.half_mult]
+    partial = [g.half_mult[:kc]]
     for j in range(1, m + 1):
-        partial.append(partial[-1] + g.half_mult * x2**j)
+        partial.append(partial[-1] + partial[0] * x2**j)
     wm1 = sum(x1**a * partial[m - 1 - a] for a in range(m))
     wm = sum(x1**a * partial[m - a] for a in range(m + 1))
     return wm1, wm
 
 
-def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) -> DiagnosticsRecord:
-    """Evaluate every per-instant functional of one state.
+def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
+                  energy_residual: float = 0.0) -> DiagnosticsRecord:
+    """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
-    Every sum runs over the ``rfft2`` half spectrum, columns weighted by
-    ``half_mult``: each summand is even under k -> -k for a Hermitian state,
-    so this equals the full-spectrum sum. Raises
-    ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond roundoff, or when
-    the three region masses fail to recover the total L^2 mass.
+    ``u`` (shape (4, n1, kc), else ``ConfigError``) holds the components on
+    the leading kc half-spectrum columns, zero past them; columns past n2/2,
+    as in a ``SpectralState.u``, are ignored. Each summand, weighted by
+    ``half_mult``, is even under k -> -k, so the sums are full-spectrum
+    sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
+    roundoff, or when the region masses fail to recover the L^2 mass.
     """
     if int(m) != m or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
-    g = state.grid
-    h = state.u[:, :, : g.n2 // 2 + 1]
+    m, g = int(m), grid
+    if u.ndim != 3 or u.shape[:2] != (4, g.n1):
+        raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
+    h = u[:, :, : g.n2 // 2 + 1]
     power = h.real**2 + h.imag**2
     pv = power[0] + power[1]
     pb = power[2] + power[3]
-    wm1, wm = _derivative_sum_weights(g, m)
+    wm1, wm = _derivative_sum_weights(g, m, h.shape[-1])
 
     hm_v_sq = float(g.area * np.sum(wm * pv))
     hm_b_sq = float(g.area * np.sum(wm * pb))
@@ -261,12 +266,9 @@ def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) ->
     i2 = g.area * np.sum(wm * np.real(d1[0] * np.conj(h[2]) + d1[1] * np.conj(h[3])))
     cancel = float(abs(i1 + i2) / max(abs(i1), abs(i2), 1e-300))
 
-    comp = g.area * np.sum(g.half_mult * power, axis=2)  # (4, n1): per component and row
+    comp = g.area * np.sum(g.half_mult[:h.shape[-1]] * power, axis=2)  # (4, n1) by component, row
     rows = np.sum(comp, axis=0)
-    r1, r2, r3 = region_masks(g.xi1[:, 0])
-    m1 = float(np.sum(rows[r1]))
-    m2 = float(np.sum(rows[r2]))
-    m3 = float(np.sum(rows[r3]))
+    m1, m2, m3 = (float(np.sum(rows[r])) for r in region_masks(g.xi1[:, 0]))
     tot = float(np.sum(rows))
     if abs((m1 + m2 + m3) - tot) > 1e-12 * max(tot, 1e-300):
         raise DiagnosticIntegrityError("region masses do not partition the L^2 mass")
@@ -274,7 +276,7 @@ def instantaneous(state: SpectralState, m: int, energy_residual: float = 0.0) ->
 
     h_terms = _fourier_l1_terms(g, power)
     return DiagnosticsRecord(
-        t=float(state.time),
+        t=float(time),
         E=E,
         A=A,
         sup_d1v=sup_d1v,
@@ -309,8 +311,8 @@ def _check_history(records: Sequence[DiagnosticsRecord], T: float):
         raise IncompleteHistoryError("history times must be strictly increasing")
     if times[0] > 1e-12:
         raise IncompleteHistoryError(f"history starts at t = {times[0]}, not 0")
-    if T > times[-1] * (1.0 + 1e-12) + 1e-12:
-        raise IncompleteHistoryError(f"history ends at {times[-1]}, before T = {T}")
+    if not times[0] <= T <= times[-1] * (1.0 + 1e-12) + 1e-12:  # NaN fails too
+        raise IncompleteHistoryError(f"T = {T} is outside the history [{times[0]}, {times[-1]}]")
     if len(times) > 2:
         steps = np.diff(times)
         med = float(np.median(steps))
@@ -475,8 +477,8 @@ def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:
             f"window [{t_lo}, {t_hi}] holds {int(np.sum(mask))} samples; need >= 10"
         )
     vals = curve.values[mask]
-    if np.any(vals <= 0.0):
-        raise FitDomainError("curve values must be positive inside the fit window")
+    if np.any(vals <= 0.0) or np.any(curve.times[mask] <= -1.0):
+        raise FitDomainError("the fit needs values > 0 and t > -1 inside its window")
     x = np.log1p(curve.times[mask])
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)

@@ -58,4 +58,4 @@ class AuditInapplicableError(ValueError):
 
 
 class FitDomainError(ValueError):
-    """Decay fit requested on non-positive values or too few samples."""
+    """Decay fit requested on non-positive values, t <= -1 or too few samples."""

@@ -32,9 +32,9 @@ one along axis 1 over the kc band columns only. ``SpectralState`` (the four
 components on the full spectrum) stays the form of every input and output.
 ``run`` and ``step`` enter the band stack only through ``_band``, which
 checks the grid, ``validate()`` and the 2/3 band, and leave it only
-through ``from_potentials``, which takes the band stack as it is; inside a
-run the conversion happens only at sample times, after a check of the band
-stack itself (``_sampled_state``).
+through ``from_potentials``, which takes the band stack as it is; a run
+records each sample from the band stack's own columns and builds a state
+only for one that leaves the run (``_sampled_state``).
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -60,6 +60,7 @@ from .spectral import (
     STATE_RTOL,
     SpectralGrid,
     SpectralState,
+    _components,
     _potentials,
     from_potentials,
     make_grid,
@@ -124,6 +125,7 @@ class SolverConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if int(self.m) != self.m or self.m < 1:
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if self.data_kind not in DATA_KINDS:
             raise ConfigError(f"data_kind must be one of {DATA_KINDS}, got {self.data_kind!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -252,18 +254,15 @@ def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     return _potentials(grid, state.u, grid.band_cols)
 
 
-def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float,
-                   kept: bool) -> SpectralState:
-    """The state a run samples from its band stack, checked on the stack.
+def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
+    """A run's sample of its band stack: the components on the band columns
+    and, if ``kept`` (it leaves the run), the state, else None.
 
-    ``from_potentials`` makes its state Hermitian, mean-free and divergence
-    free by construction, and its mirror would hide an asymmetric k2 = 0
-    column of ``w``. So ``w`` itself is checked, each test against
-    ``STATE_RTOL`` max|w|: max|w| times the band's largest |xi| must be
-    finite (the only way a finite stack gives a non-finite state), the
-    k2 = 0 column Hermitian and the mean mode zero. A kept state, which
-    leaves the run, also passes the full ``validate()``. Any failure raises
-    ``DiagnosticIntegrityError``.
+    The curl map's mirror would hide an asymmetric k2 = 0 column, so ``w``
+    itself is checked against ``STATE_RTOL`` max|w|: max|w| times the band's
+    largest |xi| must be finite (else the components would not be), the
+    k2 = 0 column Hermitian and the mean mode zero. A kept state also passes
+    the full ``validate()``. Any failure raises ``DiagnosticIntegrityError``.
     """
     peak = float(np.max(np.abs(w)))
     if not np.isfinite(peak * grid.band_xi_max):
@@ -284,13 +283,13 @@ def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float,
             f"band stack at t = {time} has nonzero mean mode: {mean:.3e} "
             f"against max |w| = {scale:.3e}"
         )
-    snap = from_potentials(grid, w, time)
     if kept:
+        snap = from_potentials(grid, w, time)
         try:
             snap.validate()
         except ConfigError as exc:
             raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
-    return snap
+    return _components(grid, w), (snap if kept else None)
 
 
 class _Stepper:
@@ -405,7 +404,7 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
         st = from_potentials(g, _potentials(g, 1j * samp, kc) * g.half_dealias_mask[:, :kc])
     else:
         st = random_div_free_state(g, cfg.seed)
-    e0 = instantaneous(st, cfg.m).E
+    e0 = instantaneous(g, st.u, cfg.m).E
     if e0 <= 0.0:
         raise ConfigError(
             f"initial data {cfg.data_kind!r} vanishes on this grid; "
@@ -424,12 +423,11 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     per-step trapezoid quadrature; it shrinks at second order in dt. On
     non-finite coefficients or a failed diagnostic invariant the partial
     trajectory rides on the raised ``BlowUpError`` or
-    ``DiagnosticIntegrityError``. At each sample the band stack itself is
-    checked (finite through the curl map, a Hermitian k2 = 0 column, a zero
-    mean mode), and only a state that leaves the run, a kept one or the
-    last, passes the full ``validate()``; a failure of either is a
-    ``DiagnosticIntegrityError``. After each sample the stepper goes on from
-    the sampled state's band columns, so a run restarted from any snapshot
+    ``DiagnosticIntegrityError``. Each sample checks the band stack itself
+    and is recorded from its band columns; only a state that leaves the run,
+    a kept one or the last, is built and passes the full ``validate()``, and
+    a failure of either is a ``DiagnosticIntegrityError``. The stepper goes
+    on from the sample's band columns, so a run restarted from any snapshot
     repeats the uninterrupted run bit for bit. An initial state must lie on
     the configured grid, pass ``validate()`` and lie inside the 2/3 dealias
     band, as every snapshot of a run does; otherwise ``ConfigError`` is
@@ -453,7 +451,8 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
-    traj.append(base, instantaneous(state, cfg.m, energy_residual=0.0), state.copy())
+    traj.append(base, instantaneous(g, state.u, cfg.m, time=base, energy_residual=0.0),
+                state.copy())
 
     t_prev = base
     for i in range(cfg.n_steps):
@@ -473,13 +472,12 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
             kept = keep_states or (i + 1) == cfg.n_steps
             resid = stepper.half_l2_sq(w) - e0 + acc
             try:
-                snap = _sampled_state(g, w, t, kept)
-                # built from the checked band stack, so the entry's checks
-                # would only repeat full |u| passes
-                w = _potentials(g, snap.u, g.band_cols)
-                rec = instantaneous(snap, cfg.m, energy_residual=resid)
+                h, snap = _sampled_state(g, w, t, kept)
+                # the stack is checked: _band would only repeat full |u| passes
+                w = _potentials(g, h, g.band_cols)
+                rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid)
             except DiagnosticIntegrityError as exc:
                 exc.trajectory = traj
                 raise
-            traj.append(t, rec, snap if kept else None)
+            traj.append(t, rec, snap)
     return traj

@@ -279,30 +279,35 @@ def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
     return 1j * (curl * grid.half_inv_xi_sq[:, :kc])
 
 
+def _components(grid: SpectralGrid, w: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """(v1, v2, B1, B2) of ``from_potentials`` on w's kc columns, into ``out``
+    if given: Nyquist row and column zero, the k2 = 0 column mirrored."""
+    n1, kc = grid.n1, w.shape[-1]
+    out = np.empty((4, n1, kc), dtype=np.complex128) if out is None else out
+    iw = 1j * w
+    out[0::2] = grid.half_xi2[:, :kc] * iw
+    out[1::2] = -grid.xi1 * iw
+    out[:, n1 // 2] = 0.0
+    out[:, :, grid.n2 // 2:] = 0.0  # the Nyquist column, if among them
+    out[:, n1 // 2 + 1:, 0] = np.conj(out[:, n1 // 2 - 1:0:-1, 0])
+    return out
+
+
 def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
     """The state (v, B) = (curl-perp psi, curl-perp a) of a half-spectrum stack.
 
     The inverse of ``to_potentials`` on divergence-free states. ``w`` may
-    hold only the leading kc <= n2//2 + 1 half-spectrum columns, as the
-    stepper's band stack does; the columns kc .. n2/2 are zero. The negative
-    k2 columns, and the negative k1 half of the k2 = 0 column, are mirrored
-    from their conjugates without any transform, and the Nyquist row and
-    column are zero, so the result is exactly Hermitian. Every state the
-    package builds (random, profile, Gaussian and single-mode data, each
-    state a run samples and each result of ``step``) comes out of this one
-    curl map.
+    hold only the leading kc <= n2//2 + 1 columns, as the band stack does:
+    those become its ``_components``, the rest of the half spectrum zero,
+    and the negative k2 columns their mirrors, so the result is exactly
+    Hermitian. Every state the package builds comes out of this curl map.
     """
     n1, n2 = grid.shape
     nh = n2 // 2 + 1
     kc = w.shape[-1]
-    iw = 1j * w
     u = np.empty((4, n1, n2), dtype=np.complex128)
-    u[0::2, :, :kc] = grid.half_xi2[:, :kc] * iw
-    u[1::2, :, :kc] = -grid.xi1 * iw
+    _components(grid, w, u[:, :, :kc])
     u[:, :, kc:nh] = 0.0
-    u[:, n1 // 2, :nh] = 0.0
-    u[:, :, n2 // 2] = 0.0
-    u[:, n1 // 2 + 1:, 0] = np.conj(u[:, n1 // 2 - 1:0:-1, 0])
     rev1 = (-np.arange(n1)) % n1
     u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
     return SpectralState(grid, u, time)
@@ -334,8 +339,8 @@ def multi_index_weight(grid: SpectralGrid, m: int) -> np.ndarray:
     if int(m) != m or m < 0:
         raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
     w = np.zeros(grid.shape)
-    for a in range(m + 1):
-        for b in range(m + 1 - a):
+    for a in range(int(m) + 1):
+        for b in range(int(m) + 1 - a):
             w += grid.xi1 ** (2 * a) * grid.xi2 ** (2 * b)
     return w
 

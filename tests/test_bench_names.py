@@ -54,10 +54,10 @@ def test_run_samples_through_module_name(monkeypatch):
     real = solver.instantaneous
     sampled = []
 
-    def counted(state, m, **kw):
+    def counted(grid, u, m, **kw):
         if "energy_residual" in kw:
-            sampled.append(state.time)
-        return real(state, m, **kw)
+            sampled.append(kw["time"])
+        return real(grid, u, m, **kw)
 
     monkeypatch.setattr(solver, "instantaneous", counted)
     cfg = solver.SolverConfig(n1=16, n2=16, dt=0.05, t_end=0.2, output_every=0.1,

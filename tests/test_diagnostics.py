@@ -28,7 +28,7 @@ from mhd2d.errors import (
 )
 from mhd2d.propagator import DecayCurve
 from mhd2d.solver import SolverConfig, run
-from mhd2d.spectral import SpectralState, make_grid, random_div_free_state
+from mhd2d.spectral import SpectralState, make_grid, multi_index_weight, random_div_free_state
 from reference import from_physical
 
 TWO_PI = 2.0 * np.pi
@@ -36,7 +36,7 @@ TWO_PI = 2.0 * np.pi
 
 def test_zero_state_record():
     g = make_grid(16, 16, TWO_PI, TWO_PI)
-    rec = instantaneous(SpectralState.zeros(g), 4)
+    rec = instantaneous(g, SpectralState.zeros(g).u, 4)
     for c in CSV_COLUMNS:
         assert getattr(rec, c) == 0.0, c
     assert len(rec.csv_row()) == len(CSV_COLUMNS)
@@ -46,9 +46,26 @@ def test_instantaneous_m_validation():
     g = make_grid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=0)
     with pytest.raises(ConfigError):
-        instantaneous(st, 0)
+        instantaneous(g, st.u, 0)
     with pytest.raises(ConfigError):
-        instantaneous(st, 2.5)
+        instantaneous(g, st.u, 2.5)
+
+
+def test_integral_float_m_is_the_integer_m():
+    # m = 4.0 passes the integer check and must then act as m = 4, not reach
+    # range() as a float
+    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    st = random_div_free_state(g, seed=0)
+    assert instantaneous(g, st.u, 2.0) == instantaneous(g, st.u, 2)
+    assert np.array_equal(multi_index_weight(g, 2.0), multi_index_weight(g, 2))
+    base = dict(n1=16, n2=16, dt=0.05, t_end=0.1, data_kind="random", seed=3)
+    as_float = SolverConfig(m=4.0, **base)
+    assert type(as_float.m) is int
+    assert run(as_float).records == run(SolverConfig(m=4, **base)).records
+    with pytest.raises(ConfigError):
+        SolverConfig(m=2.5, **base)
+    with pytest.raises(ConfigError):
+        multi_index_weight(g, 2.5)
 
 
 def test_cross_term_closed_form():
@@ -60,7 +77,7 @@ def test_cross_term_closed_form():
     v1, v2 = np.sin(th) * np.ones(g.shape), -np.sin(th) * np.ones(g.shape)
     b1, b2 = -np.cos(th) * np.ones(g.shape), np.cos(th) * np.ones(g.shape)
     st = from_physical(g, np.stack([v1, v2, b1, b2]))
-    rec = instantaneous(st, 1)
+    rec = instantaneous(g, st.u, 1)
     assert rec.A == pytest.approx(-4.0 * np.pi**2, rel=1e-12)
     assert rec.E**2 == pytest.approx(24.0 * np.pi**2, rel=1e-12)
     assert abs(rec.A) <= 0.5 * rec.E**2
@@ -74,7 +91,7 @@ def test_cross_term_bounded_by_energy_sweep():
     for seed in range(8):
         st = random_div_free_state(g, seed=seed, amplitude=2.0)
         for m in (1, 2, 4):
-            rec = instantaneous(st, m)
+            rec = instantaneous(g, st.u, m)
             assert abs(rec.A) <= 0.5 * rec.E**2 * (1.0 + 1e-12)
             assert rec.cancel_residual <= 1e-10
 
@@ -82,16 +99,16 @@ def test_cross_term_bounded_by_energy_sweep():
 def test_region_masses_partition_and_localize():
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=3)
-    rec = instantaneous(st, 2)
+    rec = instantaneous(g, st.u, 2)
     l2_sq = rec.l2_v1**2 + rec.l2_v2**2 + rec.l2_B1**2 + rec.l2_B2**2
     assert rec.mass_omega1 + rec.mass_omega2 + rec.mass_omega3 == pytest.approx(
         l2_sq, rel=1e-12)
     # a single mode with xi1 = 1 sits entirely in the outer strip
-    one = instantaneous(single_mode_state(g, 1, 2), 2)
+    one = instantaneous(g, single_mode_state(g, 1, 2).u, 2)
     assert one.mass_omega2 == 0.0 and one.mass_omega3 == 0.0
     assert one.mass_omega1 > 0.0
     # xi1 = 0 modes sit in the inner strip
-    flat = instantaneous(single_mode_state(g, 0, 3), 2)
+    flat = instantaneous(g, single_mode_state(g, 0, 3).u, 2)
     assert flat.mass_omega1 == 0.0 and flat.mass_omega2 == 0.0
 
 
@@ -99,7 +116,7 @@ def test_xm_reduces_to_sobolev_on_zero_xi1_column():
     # v supported on xi1 = 0 has no anisotropic content at all
     g = make_grid(32, 32, TWO_PI, TWO_PI)
     st = single_mode_state(g, 0, 3, pair="v")
-    rec = instantaneous(st, 3)
+    rec = instantaneous(g, st.u, 3)
     from mhd2d.spectral import sobolev_norm
     hm = np.sqrt(sum(sobolev_norm(g, st.u[c], 3) ** 2 for c in range(4)))
     assert rec.xm == pytest.approx(hm, rel=1e-14)
@@ -108,7 +125,7 @@ def test_xm_reduces_to_sobolev_on_zero_xi1_column():
 def test_cumulative_single_sample_and_constant_history():
     g = make_grid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=1)
-    rec0 = instantaneous(st, 2)
+    rec0 = instantaneous(g, st.u, 2)
     single = cumulative([rec0])
     assert single.G == pytest.approx(rec0.E)
     assert single.H == 0.0 and single.dissipation_integral == 0.0
@@ -136,7 +153,7 @@ def test_cumulative_single_sample_and_constant_history():
 
 def test_cumulative_history_validation():
     g = make_grid(16, 16, TWO_PI, TWO_PI)
-    rec = instantaneous(random_div_free_state(g, seed=1), 2)
+    rec = instantaneous(g, random_div_free_state(g, seed=1).u, 2)
 
     with pytest.raises(IncompleteHistoryError):
         cumulative([])
@@ -146,6 +163,9 @@ def test_cumulative_history_validation():
         cumulative([dataclasses.replace(rec, t=0.0), dataclasses.replace(rec, t=0.0)])
     with pytest.raises(IncompleteHistoryError):  # ends before T
         cumulative([dataclasses.replace(rec, t=0.0), dataclasses.replace(rec, t=1.0)], T=2.0)
+    for T in (-0.5, float("nan")):  # before the first sample, or not a time
+        with pytest.raises(IncompleteHistoryError, match="outside"):
+            cumulative([dataclasses.replace(rec, t=0.0), dataclasses.replace(rec, t=1.0)], T=T)
     with pytest.raises(IncompleteHistoryError):  # gap in the cadence
         ts = [0.0, 0.1, 0.2, 0.5, 0.6]
         cumulative([dataclasses.replace(rec, t=x) for x in ts])
@@ -182,7 +202,7 @@ def test_energy_inequality_audit_rejects_coarse_cadence():
     # an oscillation sampled near its own period leaves the derivative
     # estimate meaningless; the audit must refuse rather than report
     g = make_grid(16, 16, TWO_PI, TWO_PI)
-    base = instantaneous(random_div_free_state(g, seed=2), 2)
+    base = instantaneous(g, random_div_free_state(g, seed=2).u, 2)
     ts = np.arange(0.0, 5.0 + 1e-12, 0.5)
     recs = []
     for t in ts:
@@ -288,6 +308,9 @@ def test_fit_decay_domain_errors():
     bad = DecayCurve("x", times, np.concatenate([np.ones(25), -np.ones(25)]))
     with pytest.raises(FitDomainError):
         fit_decay(bad, (1.0, 1e3))
+    early = np.linspace(-3.0, 40.0, 40)  # log(1 + t) is undefined at t <= -1
+    with pytest.raises(FitDomainError, match="t > -1"):
+        fit_decay(DecayCurve("x", early, np.exp(-early)), (-3.0, 40.0))
 
 
 def test_physical_l1_single_mode_oracle():

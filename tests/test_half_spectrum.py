@@ -26,6 +26,7 @@ from mhd2d.solver import (
 )
 from mhd2d.spectral import (
     SpectralState,
+    _components,
     _potentials,
     coeff_derivative,
     divergence_defect,
@@ -263,7 +264,7 @@ def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
 def test_sample_transforms_three_half_planes(monkeypatch):
     st = random_div_free_state(make_grid(40, 64, L1, L2), seed=2)
     fft = PlaneCounter(monkeypatch)
-    diagnostics.instantaneous(st, 4)
+    diagnostics.instantaneous(st.grid, st.u, 4)
     assert fft.planes == {"irfft2": 3}
 
 
@@ -357,7 +358,7 @@ def test_sample_matches_full_spectrum_sums(n1, n2, m):
         st = random_div_free_state(g, seed=100 * seed + m, amplitude=2.0)
         # the Nyquist column counts once, and the row sums must not fold it twice
         st = with_nyquist_content(st, seed) if seed == 2 else st
-        got = diagnostics.instantaneous(st, m)
+        got = diagnostics.instantaneous(g, st.u, m)
         want = full_spectrum_record(st, m)
         assert set(want) == {f.name for f in dataclasses.fields(got)}
         assert got.cancel_residual <= 1e-10 and want["cancel_residual"] <= 1e-10
@@ -404,6 +405,82 @@ def test_run_transforms_only_half_planes(monkeypatch):
     # n steps as 1-D passes, n + 1 samples and the advective bound at t = 0
     assert fft.planes == {"ifftn": 8 * n, "irfftn": 8 * n, "rfftn": 6 * n, "fftn": 6 * n,
                           "irfft2": 3 * (n + 1) + 4}
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
+def test_components_are_the_leading_columns_of_from_potentials(n1, n2):
+    # the sample's band columns are the built state's, bit for bit, also for a
+    # stack with an asymmetric k2 = 0 column, which both mirror the same way
+    g = make_grid(n1, n2, L1, L2)
+    rng = np.random.default_rng(n1 + n2)
+    nh = n2 // 2 + 1
+    stacks = [_potentials(g, random_div_free_state(g, seed=n1).u, nh),
+              rng.standard_normal((2, n1, nh)) + 1j * rng.standard_normal((2, n1, nh))]
+    for w in stacks:
+        for kc in (g.band_cols, nh):
+            h = _components(g, w[..., :kc])
+            assert h.shape == (4, n1, kc)
+            assert np.array_equal(h, from_potentials(g, w[..., :kc]).u[..., :kc])
+
+
+def record_states():
+    g = make_grid(40, 64, L1, L2)
+    prop = SolverConfig(n1=64, n2=48, l1=32.0 * np.pi, l2=24.0 * np.pi, dt=0.02,
+                        t_end=0.04, data_kind="prop25")
+    return ([random_div_free_state(g, seed=4, amplitude=2.0), initial_state(prop)]
+            + diagnostics.gaussian_divfree_family(make_grid(50, 70, 16.0 * np.pi, 20.0 * np.pi))
+            + [diagnostics.single_mode_state(g, 3, 5, "B"),
+               diagnostics.single_mode_state(g, 2, 0, "v")])
+
+
+@pytest.mark.parametrize("m", (1, 2, 4))
+def test_band_record_matches_state_record(m):
+    # a run records the components of its band stack on kc columns; they give
+    # the whole state's record to roundoff, field by field
+    for st in record_states():
+        g, kc = st.grid, st.grid.band_cols
+        want = diagnostics.instantaneous(g, st.u, m, time=0.5)
+        for h in (st.u[:, :, :kc], _components(g, _potentials(g, st.u, kc))):
+            got = diagnostics.instantaneous(g, h, m, time=0.5)
+            assert got.t == 0.5
+            assert got.cancel_residual <= 1e-13 and want.cancel_residual <= 1e-13
+            assert abs(got.A - want.A) <= 1e-15 * want.E**2
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name not in ("A", "cancel_residual"):
+                    assert abs(a - b) <= 1e-15 * max(abs(a), abs(b)), f.name
+
+
+def test_record_rejects_components_of_another_shape():
+    g = make_grid(40, 64, L1, L2)
+    st = random_div_free_state(g, seed=1)
+    w = _potentials(g, st.u, g.band_cols)
+    for bad in (w, st.u[0], st.u[:, :20], np.swapaxes(st.u, 1, 2), st.u[None]):
+        with pytest.raises(ConfigError, match="shape"):
+            diagnostics.instantaneous(g, bad, 4)
+
+
+def test_unkept_samples_build_no_state(monkeypatch):
+    n = 5
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=n * 0.02,
+                       data_kind="random", data_delta=0.5, seed=1)
+    st = initial_state(cfg)
+    real = SpectralState.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self.time)
+        return real(self)
+
+    monkeypatch.setattr(SpectralState, "__post_init__", counted)
+    # the copy of the t = 0 state and the last sample, not one per sample
+    traj = run(cfg, initial=st)
+    assert len(traj.records) == n + 1
+    assert built == [0.0, traj.times[-1]]
+    assert [s is not None for s in traj.states] == [True] + [False] * (n - 1) + [True]
+    built.clear()
+    run(cfg, initial=st, keep_states=True)
+    assert len(built) == n + 1
 
 
 def test_run_validates_only_states_that_leave_it(monkeypatch):

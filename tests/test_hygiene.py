@@ -1,4 +1,4 @@
-"""Every import in the package, the tests and the demos is used.
+"""Every import in the package, the tests, the demos and the benchmark is used.
 
 An AST scan: an imported name counts as used when it appears as a name
 anywhere in its module. The re-exports of ``__init__.py`` and
@@ -26,7 +26,7 @@ def _unused_imports(path):
 def test_no_unused_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line} {name}"
-        for top in ("src", "tests", "demos")
+        for top in ("src", "tests", "demos", "bench")
         for path in sorted((ROOT / top).rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in _unused_imports(path)

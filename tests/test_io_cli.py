@@ -299,13 +299,13 @@ def _fail_after_samples(monkeypatch, k):
     real = solver.instantaneous
     samples = []
 
-    def failing(state, m, **kw):
+    def failing(grid, u, m, **kw):
         # run() samples pass energy_residual; initial_state's normalization does not
         if "energy_residual" in kw:
-            samples.append(state.time)
+            samples.append(kw["time"])
             if len(samples) > k:
                 raise DiagnosticIntegrityError("injected invariant failure")
-        return real(state, m, **kw)
+        return real(grid, u, m, **kw)
 
     monkeypatch.setattr(solver, "instantaneous", failing)
 
@@ -500,6 +500,15 @@ def test_fit_input_errors(tmp_path, capsys):
         assert cli.main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 64, i
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "fit.json").exists()
+    # log(1 + t) is undefined at t <= -1: a domain error, not a traceback
+    rows = [f"{t:.17g},{np.exp(-0.1 * t):.17g}" for t in np.linspace(-3.0, 40.0, 40)]
+    curve = tmp_path / "negative.csv"
+    curve.write_text("t,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "negative.cfg", {"input": str(curve)})
+    out = tmp_path / "negative"
+    assert cli.main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 64
+    assert "t > -1" in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

@@ -259,13 +259,13 @@ def test_initial_state_normalization():
     st = initial_state(cfg)
     st.validate()
     from mhd2d.diagnostics import instantaneous
-    rec = instantaneous(st, cfg.m)
+    rec = instantaneous(st.grid, st.u, cfg.m)
     assert rec.E == pytest.approx(1e-2, rel=1e-12)
     assert abs(rec.A) < 1e-15  # v = B makes the cross term vanish
 
     rnd = SolverConfig(n1=32, n2=32, dt=0.02, t_end=0.04, data_kind="random",
                        data_delta=0.3, seed=5)
-    rec2 = instantaneous(initial_state(rnd), rnd.m)
+    rec2 = instantaneous(rnd.grid(), initial_state(rnd).u, rnd.m)
     assert rec2.E == pytest.approx(0.3, rel=1e-12)
 
 
