@@ -214,6 +214,20 @@ def _derivative_sum_weights(g: SpectralGrid, m: int, kc: int):
     return wm1, wm
 
 
+def _hm_squares(g: SpectralGrid, h: np.ndarray, m: int):
+    """The squared H^m norms of v and B from half-spectrum components ``h``.
+
+    Returned with the power |h|^2 and the ``_derivative_sum_weights`` of
+    orders m - 1 and m they are summed from, which the rest of a record
+    reuses; E = sqrt of the sum of the two squares.
+    """
+    power = h.real**2 + h.imag**2
+    wm1, wm = _derivative_sum_weights(g, m, h.shape[-1])
+    hm_v_sq = float(g.area * np.sum(wm * (power[0] + power[1])))
+    hm_b_sq = float(g.area * np.sum(wm * (power[2] + power[3])))
+    return hm_v_sq, hm_b_sq, power, wm1, wm
+
+
 def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
                   energy_residual: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
@@ -231,13 +245,8 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
     if u.ndim != 3 or u.shape[:2] != (4, g.n1):
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
     h = u[:, :, : g.n2 // 2 + 1]
-    power = h.real**2 + h.imag**2
-    pv = power[0] + power[1]
+    hm_v_sq, hm_b_sq, power, wm1, wm = _hm_squares(g, h, m)
     pb = power[2] + power[3]
-    wm1, wm = _derivative_sum_weights(g, m, h.shape[-1])
-
-    hm_v_sq = float(g.area * np.sum(wm * pv))
-    hm_b_sq = float(g.area * np.sum(wm * pb))
     e_sq = hm_v_sq + hm_b_sq
     E = float(np.sqrt(e_sq))
 

@@ -92,8 +92,10 @@ def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:
     k = len(u) // 2
     v, B = u[:k], u[k:]
     out = np.empty_like(u)
-    out[:k] = p11 * v + p12 * B
-    out[k:] = p12 * v + p22 * B
+    np.multiply(p11, v, out=out[:k])
+    out[:k] += p12 * B
+    np.multiply(p12, v, out=out[k:])
+    out[k:] += p22 * B
     return out
 
 

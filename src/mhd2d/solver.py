@@ -26,9 +26,14 @@ with omega = -Lap psi, j = -Lap a and the stress T = B (x) B - v (x) v
 (for divergence-free v and B, -(v.grad)v + (B.grad)B = div T), are stepped
 by the integrator, so the scheme's error vanishes with the data amplitude.
 The stress form (C. Basdevant, J. Comput. Phys. 50, 1983) needs only v and
-B in physical space: a tendency transforms 4 planes inverse and 3 forward,
-14 per ETDRK2 step, each direction as two 1-D passes: one along axis 2 and
-one along axis 1 over the kc band columns only. ``SpectralState`` (the four
+B in physical space, and in Elsasser variables z+- = (v +- B) / sqrt 2
+(W. M. Elsasser, Phys. Rev. 79, 1950), formed on the band before the
+inverse pass, its three quantities T22 - T11, T12 and N_a take four
+products instead of eight. A tendency transforms 4 planes inverse and 3
+forward, 14 per ETDRK2 step, each direction as two 1-D passes: one along
+axis 2 and one along axis 1 over the kc band columns only. The stepper
+builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
+and h is folded into its phi tables. ``SpectralState`` (the four
 components on the full spectrum) stays the form of every input and output.
 ``run`` and ``step`` enter the band stack only through ``_band``, which
 checks the grid, ``validate()`` and the 2/3 band, and leave it only
@@ -48,7 +53,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, instantaneous
+from .diagnostics import DiagnosticsRecord, _hm_squares, instantaneous
 from .errors import BlowUpError, ConfigError, DiagnosticIntegrityError
 from .propagator import (
     apply_block_entries,
@@ -184,48 +189,60 @@ class Trajectory:
         return None
 
 
-def _nonlinear(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
+def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
     """Quadratic tendencies (N_psi, N_a) of one band stack (psi, a).
 
     The stack holds the first ``grid.band_cols`` = kc half-spectrum columns,
-    the only ones the 2/3 rule keeps. In stress form: the four components
-    v1, B1, v2, B2 come from an ``ifftn`` along axis 1 over the kc columns
-    and an ``irfftn`` of length n2 along axis 2 (which zero-pads the
-    dropped columns); the three products T22 - T11, T12 and N_a = v1 B2 -
-    v2 B1 of T = B (x) B - v (x) v go back through an ``rfftn`` along axis 2
-    and an ``fftn`` along axis 1 over its first kc columns. Then
-    N_omega_hat = (xi2^2 - xi1^2) T12_hat - xi1 xi2 (T22 - T11)_hat is the
-    curl of div T. That is four 1-D passes per call, the same values as one
-    7-plane ``irfft2``/``rfft2`` pair on the whole half spectrum, bit for
-    bit. The result is dealiased along axis 1, N_omega divided by |xi|^2,
-    and mean-zeroed. Each stage's input is released before the next stage
+    the only ones the 2/3 rule keeps; ``tables`` are the stepper's
+    ``tendency_tables``. In Elsasser form: the components p1, m1, p2, m2 of
+    z+- = (v +- B) / sqrt 2 come from the band sums psi +- a times i xi2 /
+    sqrt 2 and -i xi1 / sqrt 2, through an ``ifftn`` along axis 1 over the
+    kc columns and an ``irfftn`` of length n2 along axis 2 (which zero-pads
+    the dropped columns). Four products give the three quantities
+
+        p1 m1 - p2 m2 = (T22 - T11) / 2,  p1 m2 + m1 p2 = -T12,
+        m1 p2 - p1 m2 = N_a = v1 B2 - v2 B1
+
+    of the stress T = B (x) B - v (x) v, written over the spent physical
+    planes; they go back through an ``rfftn`` along axis 2 and an ``fftn``
+    along axis 1 over their first kc columns. The first two tables finish
+    N_psi = N_omega / |xi|^2, the dealiased curl of div T; N_a is dealiased
+    along axis 1 and mean-zeroed. That is four 1-D passes per call, the
+    same values as one 7-plane ``irfft2``/``rfft2`` pair on the whole half
+    spectrum, bit for bit. The inverse column pass runs in place on the
+    spectra, each later stage's input is released before the next stage
     allocates, and the result overwrites the forward transform in place,
     which keeps the transient memory of a call small.
     """
     kc = w.shape[-1]
-    xi1, xi2 = grid.xi1, grid.half_xi2[:, :kc]
+    to_ab, to_s, mult1, mult2 = tables
     spec = np.empty((4,) + w.shape[1:], dtype=np.complex128)
-    np.multiply(w, 1j * xi2, out=spec[0:2])
-    np.multiply(w, -1j * xi1, out=spec[2:4])
-    cols = np.fft.ifftn(spec, axes=(-2,), norm="forward")
+    np.add(w[0], w[1], out=spec[0])
+    np.subtract(w[0], w[1], out=spec[1])
+    np.multiply(spec[0:2], mult2, out=spec[2:4])
+    spec[0:2] *= mult1
+    np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
+    phys = np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward")
     del spec
-    v1, B1, v2, B2 = np.fft.irfftn(cols, s=(grid.n2,), axes=(-1,), norm="forward")
-    del cols
-    prod = np.empty((3,) + grid.shape)
-    prod[0] = v1 * v1 - v2 * v2 + B2 * B2 - B1 * B1
-    prod[1] = B1 * B2 - v1 * v2
-    prod[2] = v1 * B2 - v2 * B1
-    del v1, B1, v2, B2
-    rows = np.fft.rfftn(prod, axes=(-1,), norm="forward")
-    del prod
+    p1, m1, p2, m2 = phys
+    cross = p1 * m2
+    np.multiply(p1, m1, out=p1)
+    np.multiply(m1, p2, out=m1)
+    np.multiply(p2, m2, out=m2)
+    p1 -= m2
+    np.add(cross, m1, out=p2)
+    m1 -= cross
+    del p1, m1, p2, m2, cross
+    # phys[0:3] now holds (T22 - T11) / 2, N_a and -T12
+    rows = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward")
+    del phys
     t = np.fft.fftn(rows[..., :kc], axes=(-2,), norm="forward")
     del rows
-    t[1] *= xi2 * xi2 - xi1 * xi1
-    t[0] *= xi1 * xi2
-    t[1] -= t[0]
-    out = t[1:]
-    out *= grid.half_dealias_mask[:, :kc]
-    out[0] *= grid.half_inv_xi_sq[:, :kc]
+    t[0] *= to_ab
+    t[2] *= to_s
+    t[0] += t[2]
+    out = t[0:2]
+    out[1] *= grid.half_dealias_mask[:, :kc]
     out[1, 0, 0] = 0.0
     return out
 
@@ -236,9 +253,9 @@ def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     Raises ``ConfigError`` unless the state lies on ``grid``, passes
     ``validate()`` and has no coefficient outside the 2/3 dealias band above
     ``STATE_RTOL`` max|u|. The tendency is alias-free only on band-limited
-    states: outside the band the stress form aliases differently from the
-    advective form it stands for, and the band stack drops it. The stack
-    holds the ``grid.band_cols`` leading half-spectrum columns.
+    states: outside the band the Elsasser products alias differently from
+    the advective form they stand for, and the band stack drops it. The
+    stack holds the ``grid.band_cols`` leading half-spectrum columns.
     """
     if state.grid != grid:
         raise ConfigError("state grid does not match the solver configuration")
@@ -296,9 +313,11 @@ class _Stepper:
     """Per-mode tables for one (grid, config) pair, on the band columns.
 
     The step tables come from ``grid_phi_entries`` already in the band
-    stack's shape, contiguous (n1, ``grid.band_cols``) arrays, and the
-    energy weights are formed on the same columns, so each operation of a
-    step acts on the band stack only.
+    stack's shape, contiguous (n1, ``grid.band_cols``) arrays, with h folded
+    into phi1 and phi2; the tendency's tables and the energy weights are
+    formed on the same columns, so each operation of a step acts on the
+    band stack only. A step sums its stages in place on arrays it made
+    itself and leaves its input as it is.
     """
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
@@ -309,10 +328,18 @@ class _Stepper:
         kw = dict(kappa=cfg.kappa, alpha=cfg.alpha, coupling=cfg.coupling)
         self.full = grid_semigroup_entries(grid, h, **kw)
         if cfg.scheme == "etdrk2":
-            self.phi1 = grid_phi_entries(1, grid, h, **kw)
-            self.phi2 = grid_phi_entries(2, grid, h, **kw)
+            self.phi1 = tuple(h * e for e in grid_phi_entries(1, grid, h, **kw))
+            self.phi2 = tuple(h * e for e in grid_phi_entries(2, grid, h, **kw))
         else:
             self.half = grid_semigroup_entries(grid, 0.5 * h, **kw)
+        # _nonlinear's tables: N_psi from the transforms of (T22 - T11) / 2
+        # and -T12, and the spectral multipliers of the z+- components
+        xi1, xi2 = grid.xi1, grid.half_xi2[:, :kc]
+        finish = grid.half_dealias_mask[:, :kc] * grid.half_inv_xi_sq[:, :kc]
+        self.tendency_tables = (-2.0 * finish * (xi1 * xi2),
+                                -finish * (xi2 * xi2 - xi1 * xi1),
+                                (1j / np.sqrt(2.0)) * xi2,
+                                (-1j / np.sqrt(2.0)) * xi1)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         xi_sq = grid.half_xi_sq[:, :kc]
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
@@ -336,28 +363,40 @@ class _Stepper:
         return self._ifrk4(w)
 
     def _etdrk2(self, w):
-        g, h = self.grid, self.cfg.dt
-        n0 = _nonlinear(g, w)
-        wa = apply_block_entries(w, self.full) + h * apply_block_entries(n0, self.phi1)
-        na = _nonlinear(g, wa)
-        return wa + h * apply_block_entries(na - n0, self.phi2)
+        g, tab = self.grid, self.tendency_tables
+        n0 = _nonlinear(g, w, tab)
+        wa = apply_block_entries(w, self.full)
+        wa += apply_block_entries(n0, self.phi1)
+        na = _nonlinear(g, wa, tab)
+        na -= n0
+        wa += apply_block_entries(na, self.phi2)
+        return wa
 
     def _ifrk4(self, w):
-        g, h = self.grid, self.cfg.dt
-        k1 = _nonlinear(g, w)
+        g, h, tab = self.grid, self.cfg.dt, self.tendency_tables
+        k1 = _nonlinear(g, w, tab)
         ew_half = apply_block_entries(w, self.half)
-        a = ew_half + 0.5 * h * apply_block_entries(k1, self.half)
-        k2 = _nonlinear(g, a)
-        b = ew_half + 0.5 * h * k2
-        k3 = _nonlinear(g, b)
+        a = apply_block_entries(k1, self.half)
+        a *= 0.5 * h
+        a += ew_half
+        k2 = _nonlinear(g, a, tab)
+        b = np.multiply(k2, 0.5 * h, out=a)  # a is spent once k2 is taken
+        b += ew_half
+        del ew_half
+        k3 = _nonlinear(g, b, tab)
         ew_full = apply_block_entries(w, self.full)
-        c = ew_full + h * apply_block_entries(k3, self.half)
-        k4 = _nonlinear(g, c)
-        return ew_full + (h / 6.0) * (
-            apply_block_entries(k1, self.full)
-            + 2.0 * apply_block_entries(k2 + k3, self.half)
-            + k4
-        )
+        c = apply_block_entries(k3, self.half)
+        c *= h
+        c += ew_full
+        k4 = _nonlinear(g, c, tab)
+        k2 += k3
+        out = apply_block_entries(k2, self.half)
+        out *= 2.0
+        out += apply_block_entries(k1, self.full)
+        out += k4
+        out *= h / 6.0
+        out += ew_full
+        return out
 
 
 def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
@@ -393,7 +432,8 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
     phase (so physical fields are real) and reduced to its potentials,
     which drops the gradient part, the mean and the Nyquist modes. Cut to
     the 2/3 band and turned into a state by ``from_potentials``, it is
-    scaled so the order-m energy E(0) equals data_delta.
+    scaled so the order-m energy E(0) equals data_delta; E comes from the
+    same H^m sums as a record's, and nothing else of a record is formed.
     """
     g = grid if grid is not None else cfg.grid()
     if cfg.data_kind == "zero":
@@ -404,7 +444,8 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
         st = from_potentials(g, _potentials(g, 1j * samp, kc) * g.half_dealias_mask[:, :kc])
     else:
         st = random_div_free_state(g, cfg.seed)
-    e0 = instantaneous(g, st.u, cfg.m).E
+    hm_v_sq, hm_b_sq = _hm_squares(g, st.u[:, :, : g.n2 // 2 + 1], cfg.m)[:2]
+    e0 = float(np.sqrt(hm_v_sq + hm_b_sq))
     if e0 <= 0.0:
         raise ConfigError(
             f"initial data {cfg.data_kind!r} vanishes on this grid; "
