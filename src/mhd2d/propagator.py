@@ -68,12 +68,13 @@ def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=T
     grid.band_cols) band arrays, each evaluated only on what it depends on,
     then broadcast: with alpha = 0 the block depends on xi1 alone, so once
     per row (once without coupling); with alpha != 0 on the band's |xi|^2.
+    Each table is a fresh writable array that shares memory with no other.
     """
     shape = (grid.n1, grid.band_cols)
     a = kappa * grid.half_xi_sq[:, : shape[1]] ** alpha if alpha != 0.0 else kappa
     xi1 = grid.xi1 if coupling else 0.0
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
-    return tuple(np.ascontiguousarray(np.broadcast_to(e, shape))
+    return tuple(np.broadcast_to(e, shape).copy()
                  for e in (np.real(p11), 1j * np.imag(p12), np.real(p22)))
 
 

@@ -36,10 +36,11 @@ builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables. ``SpectralState`` (the four
 components on the full spectrum) stays the form of every input and output.
 ``run`` and ``step`` enter the band stack only through ``_band``, which
-checks the grid, ``validate()`` and the 2/3 band, and leave it only
-through ``from_potentials``, which takes the band stack as it is; a run
-records each sample from the band stack's own columns and builds a state
-only for one that leaves the run (``_sampled_state``).
+checks the grid and, in one pass of the state check ``validate()`` uses,
+its properties and the 2/3 band, and leave it only through
+``from_potentials``, which takes the band stack as it is; a run records
+each sample, t = 0 included, from the band stack's own columns and builds
+a state only for one that leaves the run (``_sampled_state``).
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -62,9 +63,10 @@ from .propagator import (
     grid_semigroup_entries,
 )
 from .spectral import (
-    STATE_RTOL,
     SpectralGrid,
     SpectralState,
+    _STATE_FAULTS,
+    _column_fault,
     _components,
     _potentials,
     from_potentials,
@@ -250,25 +252,28 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
 def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     """The (psi, a) band stack of a checked state: the one way into the stepper.
 
-    Raises ``ConfigError`` unless the state lies on ``grid``, passes
-    ``validate()`` and has no coefficient outside the 2/3 dealias band above
-    ``STATE_RTOL`` max|u|. The tendency is alias-free only on band-limited
-    states: outside the band the Elsasser products alias differently from
-    the advective form they stand for, and the band stack drops it. The
-    stack holds the ``grid.band_cols`` leading half-spectrum columns.
+    Raises ``ConfigError`` unless the state lies on ``grid`` and passes
+    ``validate()``'s checks and, in the same pass, the 2/3 band's (nothing
+    outside it above ``STATE_RTOL`` max|u|). The tendency is alias-free only
+    on band-limited states: outside the band the Elsasser products alias
+    differently from the advective form they stand for, and the band stack
+    drops it. The stack holds the ``grid.band_cols`` leading columns.
     """
     if state.grid != grid:
         raise ConfigError("state grid does not match the solver configuration")
-    state.validate()
-    mag = np.abs(state.u)
-    scale = max(float(np.max(mag)), 1e-300)
-    outside = float(np.max(mag[:, ~grid.dealias_mask]))
-    if outside > STATE_RTOL * scale:
-        raise ConfigError(
-            f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
-            f"against max |u| = {scale:.3e}"
-        )
+    fault = _column_fault(grid, state.u, band=True)
+    if fault is not None:
+        raise ConfigError(_STATE_FAULTS[fault[0]].format(*fault[1:]))
     return _potentials(grid, state.u, grid.band_cols)
+
+
+# ``_sampled_state``'s message, after "band stack at t = ...", for each fault
+_STACK_FAULTS = {
+    "non-finite": "overflows the curl map: max |w| = {1:.3e}",
+    "Hermitian": "is not Hermitian symmetric in its k2 = 0 column: defect {0:.3e} "
+                 "against max |w| = {1:.3e}",
+    "mean": "has nonzero mean mode: {0:.3e} against max |w| = {1:.3e}",
+}
 
 
 def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
@@ -281,25 +286,10 @@ def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
     k2 = 0 column Hermitian and the mean mode zero. A kept state also passes
     the full ``validate()``. Any failure raises ``DiagnosticIntegrityError``.
     """
-    peak = float(np.max(np.abs(w)))
-    if not np.isfinite(peak * grid.band_xi_max):
+    fault = _column_fault(grid, w, gain=grid.band_xi_max)
+    if fault is not None:
         raise DiagnosticIntegrityError(
-            f"band stack at t = {time} overflows the curl map: max |w| = {peak:.3e}"
-        )
-    scale = max(peak, 1e-300)
-    col = w[:, :, 0]
-    herm = float(np.max(np.abs(col - np.conj(col[:, (-np.arange(grid.n1)) % grid.n1]))))
-    if herm > STATE_RTOL * scale:
-        raise DiagnosticIntegrityError(
-            f"band stack at t = {time} is not Hermitian symmetric in its k2 = 0 "
-            f"column: defect {herm:.3e} against max |w| = {scale:.3e}"
-        )
-    mean = float(np.max(np.abs(w[:, 0, 0])))
-    if mean > STATE_RTOL * scale:
-        raise DiagnosticIntegrityError(
-            f"band stack at t = {time} has nonzero mean mode: {mean:.3e} "
-            f"against max |w| = {scale:.3e}"
-        )
+            f"band stack at t = {time} " + _STACK_FAULTS[fault[0]].format(*fault[1:]))
     if kept:
         snap = from_potentials(grid, w, time)
         try:
@@ -464,15 +454,17 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     per-step trapezoid quadrature; it shrinks at second order in dt. On
     non-finite coefficients or a failed diagnostic invariant the partial
     trajectory rides on the raised ``BlowUpError`` or
-    ``DiagnosticIntegrityError``. Each sample checks the band stack itself
-    and is recorded from its band columns; only a state that leaves the run,
-    a kept one or the last, is built and passes the full ``validate()``, and
-    a failure of either is a ``DiagnosticIntegrityError``. The stepper goes
-    on from the sample's band columns, so a run restarted from any snapshot
-    repeats the uninterrupted run bit for bit. An initial state must lie on
-    the configured grid, pass ``validate()`` and lie inside the 2/3 dealias
-    band, as every snapshot of a run does; otherwise ``ConfigError`` is
-    raised.
+    ``DiagnosticIntegrityError``. Each sample, t = 0 included, is recorded
+    from the band columns, and each later one checks the band stack itself;
+    only a state that leaves the run, a kept one or the last, is built and
+    passes the full ``validate()``, and a failure of either is a
+    ``DiagnosticIntegrityError``. The t = 0 state is the one ``run`` built,
+    or a copy of ``initial``, which the caller may go on to change. The
+    stepper goes on from the sample's band columns, so a run restarted from
+    any snapshot repeats the uninterrupted run bit for bit. An initial state
+    must lie on the configured grid, pass ``validate()``'s checks and lie
+    inside the 2/3 dealias band, as every snapshot of a run does; otherwise
+    ``ConfigError`` is raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -492,8 +484,9 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
-    traj.append(base, instantaneous(g, state.u, cfg.m, time=base, energy_residual=0.0),
-                state.copy())
+    traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base,
+                                    energy_residual=0.0),
+                state if initial is None else state.copy())
 
     t_prev = base
     for i in range(cfg.n_steps):

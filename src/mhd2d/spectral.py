@@ -20,6 +20,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -33,8 +34,8 @@ SNAPSHOT_VERSION = 1
 
 COMPONENTS = ("v1", "v2", "B1", "B2")
 
-# relative scale (against max |u|) of every state check: ``validate`` and the
-# stepper's 2/3-band check
+# relative scale (against max |u|) of every defect ``_column_fault``, the one
+# state check, compares
 STATE_RTOL = 1e-12
 
 
@@ -206,24 +207,12 @@ class SpectralState:
     def validate(self) -> None:
         """Assert finite values, Hermitian symmetry, zero mean, and zero divergence.
 
-        Each defect is compared with ``STATE_RTOL`` max|u|; raises
-        ``ConfigError`` on the first violated property.
+        Each defect is compared with ``STATE_RTOL`` max|u| in one pass of
+        ``_column_fault``; raises ``ConfigError`` on the first violated property.
         """
-        g = self.grid
-        scale = max(float(np.max(np.abs(self.u))), 1e-300)
-        if not np.isfinite(scale):
-            raise ConfigError("state has non-finite coefficients")
-        herm = hermitian_defect(g, self.u)
-        if herm > STATE_RTOL * scale:
-            raise ConfigError(f"state is not Hermitian symmetric: defect {herm:.3e}")
-        mean = float(np.max(np.abs(self.u[:, 0, 0])))
-        if mean > STATE_RTOL * scale:
-            raise ConfigError(f"state has nonzero mean mode: {mean:.3e}")
-        dv, dB = divergence_defect(g, self.u)
-        if max(dv, dB) > STATE_RTOL * scale:
-            raise ConfigError(
-                f"state is not divergence free: |div v|={dv:.3e} |div B|={dB:.3e}"
-            )
+        fault = _column_fault(self.grid, self.u)
+        if fault is not None:
+            raise ConfigError(_STATE_FAULTS[fault[0]].format(*fault[1:]))
 
 
 def to_physical(state: SpectralState) -> np.ndarray:
@@ -345,18 +334,25 @@ def multi_index_weight(grid: SpectralGrid, m: int) -> np.ndarray:
     return w
 
 
+def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """Max |a(k1) - conj(b(-k1))| over the rows k1 (mod n1) of two column
+    stacks, as slices: row 0 against row 0, rows 1.. against rows n1-1 .. 1."""
+    return float(np.max([np.max(np.abs(np.conj(b[..., :1, :]) - a[..., :1, :])),
+                         np.max(np.abs(np.conj(b[..., :0:-1, :]) - a[..., 1:, :]))]))
+
+
 def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
     """Max |u(-k) - conj(u(k))| over modes and components.
 
     Only the half-spectrum columns ``k2 = 0 .. n2/2`` are compared with
     their mirrors: every pair (k, -k) has a member there, and both members
-    give the same |u(-k) - conj(u(k))|.
+    give the same |u(-k) - conj(u(k))|. The k2 = 0 and Nyquist columns are
+    their own mirrors, the others are read against the negative columns.
     """
     nh = grid.n2 // 2 + 1
-    rev2 = (-np.arange(nh)) % grid.n2
-    # rows reversed and rolled by one: row k1 holds row -k1 (mod n1)
-    mirrored = np.conj(np.roll(u[..., ::-1, rev2], 1, axis=-2))
-    return float(np.max(np.abs(u[..., :nh] - mirrored)))
+    selfs = u[..., 0:nh:nh - 1]  # the columns k2 = 0 and n2/2
+    return float(np.max([_mirror_defect(selfs, selfs),
+                         _mirror_defect(u[..., 1:nh - 1], u[..., :nh - 1:-1])]))
 
 
 def divergence_defect(grid: SpectralGrid, u: np.ndarray):
@@ -364,6 +360,57 @@ def divergence_defect(grid: SpectralGrid, u: np.ndarray):
     dv = np.max(np.abs(grid.xi1 * u[0] + grid.xi2 * u[1]))
     dB = np.max(np.abs(grid.xi1 * u[2] + grid.xi2 * u[3]))
     return float(dv), float(dB)
+
+
+# ``validate``'s message for each property ``_column_fault`` names
+_STATE_FAULTS = {
+    "non-finite": "state has non-finite coefficients",
+    "Hermitian": "state is not Hermitian symmetric: defect {0:.3e}",
+    "mean": "state has nonzero mean mode: {0:.3e}",
+    "divergence": "state is not divergence free: |div v|={0[0]:.3e} |div B|={0[1]:.3e}",
+    "band": ("state has coefficients outside the 2/3 dealias band: {0:.3e} "
+             "against max |u| = {1:.3e}"),
+}
+
+
+def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
+                  gain: float = 1.0):
+    """The one state check: None, or ``(name, defect, scale)`` of the first
+    property a state's (4, n1, n2) array or a (2, n1, kc < n2/2) band stack
+    fails. Each defect fails above ``STATE_RTOL`` max|u| (the scale), in the
+    order: ``non-finite`` (scale times ``gain``); ``Hermitian`` (a state's
+    ``hermitian_defect``; a band stack's k2 = 0 column, the only one whose
+    mirror it holds); ``mean``; a state's ``divergence`` on every column;
+    and with ``band``, max |u| outside the 2/3 band: the rows it drops, then
+    the columns it drops on the rows it keeps, negative columns included.
+    Every column is read as a slice.
+    """
+    mag = np.abs(u)
+    peak = float(np.max(mag))
+    if band:  # taken now, so |u| is not held through the other checks
+        r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
+        r1, c1 = grid.n1 - r0 + 1, grid.n2 - c0 + 1  # first ones kept again
+        outside = float(np.max([np.max(mag[:, r0:r1]), np.max(mag[:, :r0, c0:c1]),
+                                np.max(mag[:, r1:, c0:c1])]))
+    del mag
+    if not np.isfinite(peak * gain):
+        return "non-finite", peak, peak
+    scale = max(peak, 1e-300)
+    tol = STATE_RTOL * scale
+    state = u.shape[-1] == grid.n2
+    herm = hermitian_defect(grid, u) if state else _mirror_defect(u[..., :1], u[..., :1])
+    if herm > tol:
+        return "Hermitian", herm, scale
+    mean = float(np.max(np.abs(u[:, 0, 0])))
+    if mean > tol:
+        return "mean", mean, scale
+    if state:
+        div = divergence_defect(grid, u)
+        if max(div) > tol:
+            return "divergence", div, scale
+    if band and outside > tol:
+        return "band", outside, scale
+    return None
 
 
 def random_div_free_state(
@@ -404,33 +451,37 @@ def save_state(state: SpectralState, path) -> None:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<I", SNAPSHOT_VERSION))
         fh.write(struct.pack("<5d", float(g.n1), float(g.n2), g.l1, g.l2, state.time))
-        data = np.ascontiguousarray(state.u, dtype=np.complex128)
-        fh.write(data.astype("<c16").tobytes())
+        # one little-endian array, written from its own buffer
+        fh.write(np.ascontiguousarray(state.u, dtype="<c16"))
 
 
 def load_state(path) -> SpectralState:
     """Read a snapshot written by ``save_state``; ``SnapshotFormatError`` unless
     it is exactly one header and a payload that passes ``validate``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"bad magic {data[:4]!r}, expected {SNAPSHOT_MAGIC!r}")
     header = 4 + struct.calcsize("<I5d")
-    if len(data) < header:
-        raise SnapshotFormatError(f"truncated snapshot header: {len(data)} of {header} bytes")
-    version, n1f, n2f, l1, l2, time = struct.unpack_from("<I5d", data, 4)
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {version}")
-    if not (n1f.is_integer() and n2f.is_integer() and n1f > 0 and n2f > 0):
-        raise SnapshotFormatError(f"grid sizes must be positive integers, got {n1f}, {n2f}")
-    n1, n2 = int(n1f), int(n2f)
-    # sizes are checked against the file before the grid allocates anything
-    extra = len(data) - header - 4 * n1 * n2 * 16
-    if extra < 0:
-        raise SnapshotFormatError("truncated snapshot payload")
-    if extra > 0:
-        raise SnapshotFormatError(f"{extra} trailing bytes after the snapshot payload")
-    u = np.frombuffer(data, dtype="<c16", offset=header).reshape(4, n1, n2).astype(np.complex128)
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if head[:4] != SNAPSHOT_MAGIC:
+            raise SnapshotFormatError(f"bad magic {head[:4]!r}, expected {SNAPSHOT_MAGIC!r}")
+        if len(head) < header:
+            raise SnapshotFormatError(
+                f"truncated snapshot header: {len(head)} of {header} bytes")
+        version, n1f, n2f, l1, l2, time = struct.unpack_from("<I5d", head, 4)
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotFormatError(f"unsupported snapshot version {version}")
+        if not (n1f.is_integer() and n2f.is_integer() and n1f > 0 and n2f > 0):
+            raise SnapshotFormatError(f"grid sizes must be positive integers, got {n1f}, {n2f}")
+        n1, n2 = int(n1f), int(n2f)
+        # sizes are checked against the file before the payload is allocated
+        extra = os.fstat(fh.fileno()).st_size - header - 4 * n1 * n2 * 16
+        if extra < 0:
+            raise SnapshotFormatError("truncated snapshot payload")
+        if extra > 0:
+            raise SnapshotFormatError(f"{extra} trailing bytes after the snapshot payload")
+        # the payload is read once, into the array the state keeps
+        u = np.empty((4, n1, n2), dtype="<c16")
+        if fh.readinto(u) != u.nbytes:
+            raise SnapshotFormatError("truncated snapshot payload")
     try:
         state = SpectralState(SpectralGrid(n1, n2, l1, l2), u, time)
         state.validate()

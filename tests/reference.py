@@ -6,14 +6,29 @@ the tests can build closed-form states and check the stepper's tendency
 and linear flow against an independent form of each. ``tendency`` is the
 stepper's own tendency, returned as four components for those checks, and
 ``stress_tendency`` the stress form of the same tendency on a band stack.
+``check_state``, ``check_band`` and ``check_band_stack`` are the state
+checks written one property and one full-spectrum pass at a time, the
+oracle of the package's one half-spectrum check; ``traced_peak`` is the
+transient-memory probe the peak tests share.
 """
+
+import tracemalloc
 
 import numpy as np
 
-from mhd2d.errors import ConfigError
+from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.propagator import apply_block_entries, phi_block_entries
 from mhd2d.solver import SolverConfig, _band, _nonlinear, _Stepper
-from mhd2d.spectral import SpectralGrid, SpectralState, coeff_derivative, from_potentials
+from mhd2d.spectral import (
+    STATE_RTOL,
+    SpectralGrid,
+    SpectralState,
+    _components,
+    _potentials,
+    coeff_derivative,
+    divergence_defect,
+    from_potentials,
+)
 
 
 def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> SpectralState:
@@ -103,3 +118,99 @@ def stress_tendency(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     out[0] *= grid.half_inv_xi_sq[:, :kc]
     out[1, 0, 0] = 0.0
     return out
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced during the call above
+    what was held when it began."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak
+
+
+def gathered_hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
+    """Max |u(-k) - conj(u(k))| on the half-spectrum columns, each mirror
+    gathered by a column index array and a row roll."""
+    nh = grid.n2 // 2 + 1
+    rev2 = (-np.arange(nh)) % grid.n2
+    mirrored = np.conj(np.roll(u[..., ::-1, rev2], 1, axis=-2))
+    return float(np.max(np.abs(u[..., :nh] - mirrored)))
+
+
+def check_state(state: SpectralState) -> None:
+    """``SpectralState.validate``, one property at a time: finite values,
+    Hermitian symmetry, zero mean, zero divergence, else ``ConfigError``."""
+    g = state.grid
+    scale = max(float(np.max(np.abs(state.u))), 1e-300)
+    if not np.isfinite(scale):
+        raise ConfigError("state has non-finite coefficients")
+    herm = gathered_hermitian_defect(g, state.u)
+    if herm > STATE_RTOL * scale:
+        raise ConfigError(f"state is not Hermitian symmetric: defect {herm:.3e}")
+    mean = float(np.max(np.abs(state.u[:, 0, 0])))
+    if mean > STATE_RTOL * scale:
+        raise ConfigError(f"state has nonzero mean mode: {mean:.3e}")
+    dv, dB = divergence_defect(g, state.u)
+    if max(dv, dB) > STATE_RTOL * scale:
+        raise ConfigError(
+            f"state is not divergence free: |div v|={dv:.3e} |div B|={dB:.3e}"
+        )
+
+
+def check_band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
+    """``solver._band``: ``check_state``, then the 2/3 band over a full |u|
+    gathered by the mask, then the band stack."""
+    if state.grid != grid:
+        raise ConfigError("state grid does not match the solver configuration")
+    check_state(state)
+    mag = np.abs(state.u)
+    scale = max(float(np.max(mag)), 1e-300)
+    outside = float(np.max(mag[:, ~grid.dealias_mask]))
+    if outside > STATE_RTOL * scale:
+        raise ConfigError(
+            f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
+            f"against max |u| = {scale:.3e}"
+        )
+    return _potentials(grid, state.u, grid.band_cols)
+
+
+def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
+    """``solver._sampled_state``: the overflow, k2 = 0 column and mean checks
+    of a band stack, then ``check_state`` of a kept state, each failure a
+    ``DiagnosticIntegrityError``."""
+    peak = float(np.max(np.abs(w)))
+    if not np.isfinite(peak * grid.band_xi_max):
+        raise DiagnosticIntegrityError(
+            f"band stack at t = {time} overflows the curl map: max |w| = {peak:.3e}"
+        )
+    scale = max(peak, 1e-300)
+    col = w[:, :, 0]
+    herm = float(np.max(np.abs(col - np.conj(col[:, (-np.arange(grid.n1)) % grid.n1]))))
+    if herm > STATE_RTOL * scale:
+        raise DiagnosticIntegrityError(
+            f"band stack at t = {time} is not Hermitian symmetric in its k2 = 0 "
+            f"column: defect {herm:.3e} against max |w| = {scale:.3e}"
+        )
+    mean = float(np.max(np.abs(w[:, 0, 0])))
+    if mean > STATE_RTOL * scale:
+        raise DiagnosticIntegrityError(
+            f"band stack at t = {time} has nonzero mean mode: {mean:.3e} "
+            f"against max |w| = {scale:.3e}"
+        )
+    snap = None
+    if kept:
+        snap = from_potentials(grid, w, time)
+        try:
+            check_state(snap)
+        except ConfigError as exc:
+            raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
+    return _components(grid, w), snap

@@ -7,12 +7,11 @@ mirror or the dealias cutoff, cannot cancel out.
 
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from mhd2d import diagnostics, propagator
+from mhd2d import diagnostics, propagator, solver
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.modes import region_masks
 from mhd2d.propagator import phi_block_entries
@@ -42,7 +41,7 @@ from mhd2d.spectral import (
     to_physical,
     to_potentials,
 )
-from reference import leray_project, stress_tendency, tendency, tendency_tables
+from reference import leray_project, stress_tendency, tendency, tendency_tables, traced_peak
 
 L1, L2 = 2.0 * np.pi, 3.0 * np.pi
 ODD_GRIDS = ((40, 64), (64, 38), (50, 70))
@@ -216,17 +215,7 @@ def test_step_transient_peak(scheme):
     w = _band(st, st.grid)
     stepper = _Stepper(st.grid, cfg)
     stepper.advance(w)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = stepper.advance(w)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    out, peak = traced_peak(stepper.advance, w)
     assert out.shape == w.shape
     assert peak <= STEP_PEAK_PLANES[scheme] * 8 * 128 * 128, peak / (8 * 128 * 128)
 
@@ -547,6 +536,36 @@ def test_unkept_samples_build_no_state(monkeypatch):
     assert len(built) == n + 1
 
 
+def test_run_copies_only_a_callers_initial_state(monkeypatch):
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04,
+                       data_kind="random", data_delta=0.5, seed=2)
+    st = initial_state(cfg)
+    before = st.u.copy()
+    traj = run(cfg, initial=st)
+    # what the caller does with its state later does not reach the trajectory
+    st.u[...] = 0.0
+    st.time = 3.0
+    assert traj.states[0] is not st and traj.states[0].time == 0.0
+    assert np.array_equal(traj.states[0].u, before)
+    # a state run built itself is stored as it is: no copy at t = 0
+    real = SpectralState.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self.time)
+        return real(self)
+
+    monkeypatch.setattr(SpectralState, "__post_init__", counted)
+    own = run(cfg)
+    assert built == [0.0, own.times[-1]]
+    assert np.array_equal(own.states[0].u, before)
+    # t = 0 is recorded from the band columns, like every later sample
+    w = _band(own.states[0], own.states[0].grid)
+    want = diagnostics.instantaneous(own.states[0].grid, _components(own.states[0].grid, w),
+                                     cfg.m)
+    assert own.records[0] == want
+
+
 def test_run_validates_only_states_that_leave_it(monkeypatch):
     n = 3
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=n * 0.02,
@@ -559,14 +578,24 @@ def test_run_validates_only_states_that_leave_it(monkeypatch):
         calls.append(self.time)
         return real(self)
 
+    real_fault = solver._column_fault
+    entries = []
+
+    def entry_counted(grid, u, **kw):
+        entries.append(kw.get("band", False))
+        return real_fault(grid, u, **kw)
+
     monkeypatch.setattr(SpectralState, "validate", counted)
-    # the entry check covers the t = 0 sample; later samples check the band
-    # stack, and only a kept or the last state passes validate() as well
+    monkeypatch.setattr(solver, "_column_fault", entry_counted)
+    # the entry check (_band's pass, with the 2/3 band) covers the t = 0
+    # sample; later samples check the band stack, and only a kept or the last
+    # state passes validate() as well
     assert len(run(cfg, initial=st).records) == n + 1
-    assert len(calls) == 2
+    assert calls == [pytest.approx(n * 0.02)]
+    assert entries == [True] + [False] * n
     calls.clear()
     run(cfg, initial=st, keep_states=True)
-    assert len(calls) == n + 1
+    assert len(calls) == n
     # a kept state that fails validate() ends the run as an integrity failure
     # that carries the samples taken before it
 

@@ -184,6 +184,21 @@ def test_decoupled_entries_damp_velocity_only():
     assert np.allclose(k3, 1.0, rtol=1e-13)
 
 
+@pytest.mark.parametrize("alpha", (0.0, 0.5))
+@pytest.mark.parametrize("coupling", (True, False))
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_grid_tables_are_fresh_writable_arrays(k, coupling, alpha):
+    # with alpha != 0 the off-diagonal entry already has the band's shape, so a
+    # broadcast of it is contiguous and would come back as the read-only view
+    g = make_grid(24, 30, TWO_PI, 3.0 * np.pi)
+    tables = grid_phi_entries(k, g, 0.05, alpha=alpha, coupling=coupling)
+    for e in tables:
+        assert e.flags.writeable and e.flags.c_contiguous and e.flags.owndata
+        assert e.shape == (g.n1, g.band_cols)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert not np.shares_memory(tables[a], tables[b])
+
+
 def test_apply_block_entries_acts_on_both_pairs():
     g = make_grid(8, 8, TWO_PI, TWO_PI)
     u = np.zeros((4, 8, 3), dtype=complex)  # on the band columns, as the tables

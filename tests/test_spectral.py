@@ -7,6 +7,8 @@ import pytest
 
 from mhd2d.errors import ConfigError, SnapshotFormatError
 from mhd2d.spectral import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     SpectralState,
     coeff_derivative,
     divergence_defect,
@@ -20,7 +22,7 @@ from mhd2d.spectral import (
     sobolev_norm,
     to_physical,
 )
-from reference import from_physical, leray_project, spectral_derivative
+from reference import from_physical, leray_project, spectral_derivative, traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -200,6 +202,26 @@ def test_snapshot_roundtrip(tmp_path):
     assert back.grid == g
     assert back.time == 2.25
     assert np.array_equal(back.u, st.u)
+
+
+def test_snapshot_bytes_and_transient_memory(tmp_path):
+    # the layout is the header and the little-endian payload, byte for byte;
+    # the payload is written from the state's own buffer, and read into the
+    # one array the loaded state keeps
+    g = make_grid(128, 96, 3.5, TWO_PI)
+    st = random_div_free_state(g, seed=21)
+    st.time = 0.75
+    path = tmp_path / "snap.bin"
+    _, peak = traced_peak(save_state, st, path)
+    header = SNAPSHOT_MAGIC + struct.pack("<I", SNAPSHOT_VERSION)
+    header += struct.pack("<5d", 128.0, 96.0, 3.5, TWO_PI, 0.75)
+    assert path.read_bytes() == header + st.u.astype("<c16").tobytes()
+    assert peak < st.u.nbytes / 8, peak / st.u.nbytes
+    # the payload (1), the grid's tables and validate()'s transients, measured
+    # 2.02 payloads in all; two payload copies would be 3 or more
+    back, peak = traced_peak(load_state, path)
+    assert np.array_equal(back.u, st.u) and back.u.flags.writeable
+    assert peak < 2.5 * st.u.nbytes, peak / st.u.nbytes
 
 
 def test_snapshot_format_errors(tmp_path):

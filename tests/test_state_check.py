@@ -1,0 +1,218 @@
+"""The one half-spectrum state check against a property-by-property oracle.
+
+Each case builds a band-limited, exactly Hermitian, divergence-free state
+(or band stack) and adds a single defect just under or just over
+``STATE_RTOL`` max|u|. ``validate``, ``_band`` and ``_sampled_state`` must
+then decide exactly as ``reference.check_state``, ``check_band`` and
+``check_band_stack`` do, with the same exception type and message, so the
+set of accepted states is the same.
+"""
+
+import numpy as np
+import pytest
+
+from mhd2d.errors import ConfigError, DiagnosticIntegrityError
+from mhd2d.solver import _band, _sampled_state
+from mhd2d.spectral import (
+    STATE_RTOL,
+    _potentials,
+    hermitian_defect,
+    make_grid,
+    random_div_free_state,
+)
+from reference import check_band, check_band_stack, check_state, gathered_hermitian_defect
+
+GRIDS = ((16, 16, 2.0 * np.pi, 2.0 * np.pi), (24, 30, 2.0 * np.pi, 3.0 * np.pi))
+UNDER, OVER = 0.9, 1.1
+
+
+def outcome(fn, *args):
+    """("ok", result) or the raised check failure as (type, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ConfigError, DiagnosticIntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+def same(got, want):
+    if got[0] != "ok" or want[0] != "ok":
+        return got == want
+    a, b = got[1], want[1]
+    if isinstance(a, tuple):  # _sampled_state: components and the state or None
+        return (np.array_equal(a[0], b[0])
+                and (a[1] is None) == (b[1] is None)
+                and (a[1] is None or np.array_equal(a[1].u, b[1].u)))
+    return np.array_equal(a, b)
+
+
+def divfree(g, k1, k2, amp):
+    """A (v1, v2) pair along (xi2, -xi1) at row k1, column k2, whose larger
+    component has modulus |amp|: it adds no divergence."""
+    x1, x2 = g.xi1[k1, 0], g.xi2[0, k2]
+    return amp * np.array([x2, -x1]) / max(abs(x1), abs(x2))
+
+
+def level(st, f):
+    return f * STATE_RTOL * np.max(np.abs(st.u))
+
+
+def negative_column(st, f):
+    # unmirrored and divergence free: only the Hermitian pair compare sees it
+    g = st.grid
+    st.u[0:2, 3, g.n2 - 2] += divfree(g, 3, g.n2 - 2, level(st, f))
+
+
+def k2_zero_column(st, f):
+    # xi2 = 0 there, so a v2 entry adds no divergence
+    st.u[1, 2, 0] += 1j * level(st, f)
+
+
+def nyquist_column(st, f):
+    g = st.grid
+    st.u[0:2, 1, g.n2 // 2] += divfree(g, 1, g.n2 // 2, level(st, f))
+
+
+def nyquist_self(st, f):
+    # the (0, n2/2) mode is its own mirror: only an imaginary part is a defect
+    st.u[0, 0, st.grid.n2 // 2] += 0.5j * level(st, f)
+
+
+def mean(st, f):
+    st.u[0, 0, 0] = level(st, f)
+
+
+def divergence_negative_column(st, f):
+    # v1 alone at xi1 = 3: |div| = 3 |entry| against a Hermitian defect of
+    # |entry|, a third of it; only the negative column holds either
+    g = st.grid
+    assert g.xi1[3, 0] == 3.0
+    st.u[0, 3, g.n2 - 2] += level(st, f) / 3.0
+
+
+def band_negative_column(st, f):
+    # an out-of-band pair whose negative-column member is twice its mirror:
+    # the Hermitian defect and the positive column hold half the excess
+    g = st.grid
+    k2 = g.n2 // 2 - 2
+    assert not g.dealias_mask[1, k2]
+    add = divfree(g, g.n1 - 1, k2, level(st, f) / 2.0)
+    st.u[0:2, g.n1 - 1, k2] += add
+    st.u[0:2, 1, g.n2 - k2] += 2.0 * np.conj(add)
+
+
+def band_unmirrored(st, f):
+    g = st.grid
+    k2 = g.n2 // 2 - 2
+    st.u[0:2, 1, g.n2 - k2] += divfree(g, 1, g.n2 - k2, level(st, f))
+
+
+def band_row(st, f):
+    # a dropped row, mirrored: only the 2/3 band check sees it
+    g = st.grid
+    k1 = g.n1 // 2 - 1
+    add = divfree(g, k1, 2, level(st, f))
+    st.u[0:2, k1, 2] += add
+    st.u[0:2, g.n1 - k1, g.n2 - 2] += np.conj(add)
+
+
+def nan(st, f):
+    st.u[2, 1, 2] = np.nan
+
+
+def inf(st, f):
+    st.u[3, 2, st.grid.n2 - 1] = np.inf
+
+
+# each defect, and the property the first failed check names when it is over
+DEFECTS = {
+    negative_column: "Hermitian",
+    k2_zero_column: "Hermitian",
+    nyquist_column: "Hermitian",
+    nyquist_self: "Hermitian",
+    mean: "mean",
+    divergence_negative_column: "divergence",
+    band_negative_column: "dealias band",
+    band_unmirrored: "Hermitian",
+    band_row: "dealias band",
+    nan: "non-finite",
+    inf: "non-finite",
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
+def test_state_checks_decide_as_the_oracle(grid, defect, f):
+    g = make_grid(*grid)
+    st = random_div_free_state(g, seed=sum(grid[:2]), amplitude=2.0)
+    check_band(st, g)  # the clean state passes every check
+    defect(st, f)
+    got_v, want_v = outcome(st.validate), outcome(check_state, st)
+    got_b, want_b = outcome(_band, st, g), outcome(check_band, st, g)
+    assert same(got_v, want_v), (got_v, want_v)
+    assert same(got_b, want_b), (got_b, want_b)
+    if np.all(np.isfinite(st.u)):
+        assert hermitian_defect(g, st.u) == gathered_hermitian_defect(g, st.u)
+    why = DEFECTS[defect]
+    if f == OVER or why == "non-finite":
+        assert got_b[0] is ConfigError and why in got_b[1]
+        assert (got_v[0] == "ok") == (why == "dealias band")
+    else:
+        assert got_b[0] == "ok" and got_v[0] == "ok"
+
+
+def stack_k2_zero_column(w, f):
+    w[0, 2, 0] += 1j * f * STATE_RTOL * np.max(np.abs(w))
+
+
+def stack_mean(w, f):
+    w[1, 0, 0] = f * STATE_RTOL * np.max(np.abs(w))
+
+
+def stack_nan(w, f):
+    w[0, 1, 1] = np.nan
+
+
+def stack_overflow(w, f):
+    # finite, but not once multiplied by the band's largest |xi|
+    w[1, 1, 1] = np.finfo(float).max
+
+
+STACK_DEFECTS = {
+    stack_k2_zero_column: "Hermitian",
+    stack_mean: "mean",
+    stack_nan: "overflows",
+    stack_overflow: "overflows",
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("defect", STACK_DEFECTS, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
+@pytest.mark.parametrize("kept", (False, True), ids=("unkept", "kept"))
+def test_band_stack_check_decides_as_the_oracle(grid, defect, f, kept):
+    g = make_grid(*grid)
+    w = _potentials(g, random_div_free_state(g, seed=grid[0]).u, g.band_cols)
+    defect(w, f)
+    got = outcome(_sampled_state, g, w, 0.5, kept)
+    want = outcome(check_band_stack, g, w, 0.5, kept)
+    assert same(got, want), (got, want)
+    why = STACK_DEFECTS[defect]
+    if f == OVER or why == "overflows":
+        assert got[0] is DiagnosticIntegrityError and why in got[1]
+    else:
+        assert got[0] == "ok" and (got[1][1] is not None) == kept
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+def test_divergence_is_read_on_the_negative_columns(grid):
+    # a Hermitian defect just under the tolerance, in a negative column, with
+    # three times as much divergence: a divergence inferred from the mirror
+    # column would pass it
+    g = make_grid(*grid)
+    st = random_div_free_state(g, seed=grid[1], amplitude=2.0)
+    st.u[0, 3, g.n2 - 2] += level(st, 0.99)
+    assert hermitian_defect(g, st.u) < STATE_RTOL * np.max(np.abs(st.u))
+    for call in (st.validate, lambda: _band(st, g)):
+        with pytest.raises(ConfigError, match="divergence"):
+            call()
