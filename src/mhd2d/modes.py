@@ -28,6 +28,9 @@ E4 = "e4"
 
 _PHI_SERIES_RADIUS = 2.5
 _PHI_SERIES_TERMS = 48
+# the series' stop test is tried once the next term's bound falls below this
+# times 1/k!, about where its largest sums stop changing
+_PHI_TEST_FROM = 2.0**-54
 # balances the confluent expansion's truncation, (h s)^4 / 1920 ~ 5e-16 at
 # the switch, against the direct quotient's cancellation, eps |h lam| / |h s|
 _CONFLUENT_SWITCH = 1e-3
@@ -66,7 +69,24 @@ def eigenvalues(xi1, a=1.0):
 def _phi(k: int, z) -> np.ndarray:
     """phi_k(z) = sum_n z^n / (n + k)!, vectorized; phi_0 is exp. For k > 0,
     the power series on |z| < 2.5 and the upward recurrence from exp
-    elsewhere (safe there because the division by z shrinks the error)."""
+    elsewhere (safe there because the division by z shrinks the error).
+
+    The series adds at most 48 terms and stops as soon as the rest can no
+    longer change any entry. Let (R, I) be the absolute real and imaginary
+    parts of the last term added, b = |Im z|, s_max the largest |Re z| +
+    |Im z| and d = n + 2 + k the next divisor, with sigma = s_max / d <= 1/2.
+    Each later term takes its parts from the last one's through a
+    nonnegative 2x2 recursion, which bounds the real parts still to come by
+    R q + I p in all and the imaginary ones by I q + R p, with q = sigma /
+    (1 - sigma) and p = b / (d (1 - sigma)^2); so a real z keeps an exactly
+    real sum. Once both lie below an eighth of ``np.spacing`` of their part
+    of the sum (half an ulp towards zero is a quarter of it at a power of
+    two, and the other factor 2 covers the rounding of the terms and of the
+    bound), no later addition rounds to anything but the sum itself: the
+    result is the 48-term one to the bit. The test runs only once a scalar
+    bound on the next term says it may pass, and NaN and inf never reach the
+    series (|z| < 2.5 is false for them).
+    """
     z = np.asarray(z, dtype=complex)
     if k == 0:
         return np.exp(z)
@@ -75,9 +95,23 @@ def _phi(k: int, z) -> np.ndarray:
     zs = z[small]
     term = np.full(zs.shape, 1.0 / math.factorial(k), dtype=complex)
     acc = term.copy()
+    b = np.abs(zs.imag)
+    s_max = float(np.max(np.abs(zs.real) + b, initial=0.0))
+    bound = 1.0 / math.factorial(k)  # of |Re term| + |Im term|, every entry
     for n in range(_PHI_SERIES_TERMS):
         term = term * zs / (n + 1 + k)
         acc += term
+        bound *= s_max / (n + 1 + k)
+        d = n + 2 + k
+        sigma = s_max / d
+        if sigma > 0.5 or bound * sigma > _PHI_TEST_FROM / math.factorial(k):
+            continue
+        q = sigma / (1.0 - sigma)
+        p = b * (1.0 / (d * (1.0 - sigma) ** 2))
+        re, im = np.abs(term.real), np.abs(term.imag)
+        if (np.all(8.0 * (re * q + im * p) < np.spacing(np.abs(acc.real)))
+                and np.all(8.0 * (im * q + re * p) < np.spacing(np.abs(acc.imag)))):
+            break
     out[small] = acc
     zb = z[~small]
     rec = np.exp(zb)

@@ -68,14 +68,26 @@ def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=T
     grid.band_cols) band arrays, each evaluated only on what it depends on,
     then broadcast: with alpha = 0 the block depends on xi1 alone, so once
     per row (once without coupling); with alpha != 0 on the band's |xi|^2.
+    Either way it depends on xi1 only through xi1^2, and p12 is odd in xi1,
+    so only the rows k1 = 0 .. n1/2 are evaluated (the Nyquist row n1/2
+    directly) and the rows of -k1 are copied from those of k1, p12 negated
+    when coupling is on. That is exact: xi1^2 and the eigenpair come out the
+    same to the bit for +-xi1, and negation is exact.
     Each table is a fresh writable array that shares memory with no other.
     """
-    shape = (grid.n1, grid.band_cols)
-    a = kappa * grid.half_xi_sq[:, : shape[1]] ** alpha if alpha != 0.0 else kappa
-    xi1 = grid.xi1 if coupling else 0.0
+    n1, kc = grid.n1, grid.band_cols
+    rows = n1 // 2 + 1
+    a = kappa * grid.half_xi_sq[:rows, :kc] ** alpha if alpha != 0.0 else kappa
+    xi1 = grid.xi1[:rows] if coupling else 0.0
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
-    return tuple(np.broadcast_to(e, shape).copy()
-                 for e in (np.real(p11), 1j * np.imag(p12), np.real(p22)))
+    tables = []
+    for e, odd in ((np.real(p11), False), (1j * np.imag(p12), coupling), (np.real(p22), False)):
+        out = np.empty((n1, kc), dtype=np.result_type(e))
+        out[:rows] = e
+        mirror = out[rows - 2:0:-1]
+        out[rows:] = -mirror if odd else mirror
+        tables.append(out)
+    return tuple(tables)
 
 
 def grid_semigroup_entries(grid, t: float, *, kappa=1.0, alpha=0.0, coupling=True):

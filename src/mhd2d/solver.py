@@ -17,7 +17,8 @@ real fields stay real because only half of the spectrum is stored. The
 per-mode 2x2 block of the linear part acts on (psi_hat, a_hat) exactly as
 it acts on each (v_j_hat, B_j_hat) pair, so the linear flow is applied
 exactly through the same semigroup entries, built in the band stack's
-shape (once per row when alpha = 0); only the quadratic terms
+shape from its rows k1 >= 0 (once per row when alpha = 0); only the
+quadratic terms
 
     N_omega = -v.grad omega + B.grad j = d1 d2 (T22 - T11) + (d1^2 - d2^2) T12,
     N_psi = N_omega / |xi|^2,   N_a = v1 B2 - v2 B1,
@@ -66,6 +67,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     _STATE_FAULTS,
+    _check_grid,
     _column_fault,
     _components,
     _potentials,
@@ -118,7 +120,7 @@ class SolverConfig:
     coupling: bool = True
 
     def __post_init__(self):
-        make_grid(self.n1, self.n2, self.l1, self.l2)  # grid validation
+        _check_grid(self.n1, self.n2, self.l1, self.l2)
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
         if not (self.t_end > self.dt):

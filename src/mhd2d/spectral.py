@@ -39,6 +39,17 @@ COMPONENTS = ("v1", "v2", "B1", "B2")
 STATE_RTOL = 1e-12
 
 
+def _check_grid(n1, n2, l1, l2) -> None:
+    """Raise ``ConfigError`` unless (n1, n2, l1, l2) describe a valid
+    ``SpectralGrid``; a config checks its grid with it without building one."""
+    for name, n in (("n1", n1), ("n2", n2)):
+        if int(n) != n or n < 8 or n % 2 != 0:
+            raise ConfigError(f"{name} must be an even integer >= 8, got {n!r}")
+    for name, l in (("l1", l1), ("l2", l2)):
+        if not (l > 0.0) or not np.isfinite(l):
+            raise ConfigError(f"{name} must be positive and finite, got {l!r}")
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Rectangular periodic grid and its wavenumber bookkeeping.
@@ -91,12 +102,7 @@ class SpectralGrid:
     odd_xi1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, n in (("n1", self.n1), ("n2", self.n2)):
-            if int(n) != n or n < 8 or n % 2 != 0:
-                raise ConfigError(f"{name} must be an even integer >= 8, got {n!r}")
-        for name, l in (("l1", self.l1), ("l2", self.l2)):
-            if not (l > 0.0) or not np.isfinite(l):
-                raise ConfigError(f"{name} must be positive and finite, got {l!r}")
+        _check_grid(self.n1, self.n2, self.l1, self.l2)
         k1 = np.fft.fftfreq(self.n1, d=1.0 / self.n1).astype(np.int64)
         k2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2).astype(np.int64)
         xi1 = (2.0 * np.pi / self.l1) * k1.astype(float)

@@ -8,15 +8,19 @@ stepper's own tendency, returned as four components for those checks, and
 ``stress_tendency`` the stress form of the same tendency on a band stack.
 ``check_state``, ``check_band`` and ``check_band_stack`` are the state
 checks written one property and one full-spectrum pass at a time, the
-oracle of the package's one half-spectrum check; ``traced_peak`` is the
-transient-memory probe the peak tests share.
+oracle of the package's one half-spectrum check; ``phi_fixed_series`` is
+phi_k with all 48 series terms on every entry, the oracle of the series in
+``modes._phi`` that stops early, and so of the step tables; ``traced_peak``
+is the transient-memory probe the peak tests share.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
+from mhd2d.modes import _PHI_SERIES_RADIUS, _PHI_SERIES_TERMS
 from mhd2d.propagator import apply_block_entries, phi_block_entries
 from mhd2d.solver import SolverConfig, _band, _nonlinear, _Stepper
 from mhd2d.spectral import (
@@ -82,6 +86,30 @@ def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
     p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, g.shape), t, coupling_sign=-1)
     entries = (np.real(p11), 1j * np.imag(p12), np.real(p22))
     return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
+
+
+def phi_fixed_series(k: int, z) -> np.ndarray:
+    """phi_k(z) = sum_n z^n / (n + k)!, vectorized; phi_0 is exp. For k > 0,
+    the power series on |z| < 2.5 and the upward recurrence from exp
+    elsewhere (safe there because the division by z shrinks the error)."""
+    z = np.asarray(z, dtype=complex)
+    if k == 0:
+        return np.exp(z)
+    out = np.empty(z.shape, dtype=complex)
+    small = np.abs(z) < _PHI_SERIES_RADIUS
+    zs = z[small]
+    term = np.full(zs.shape, 1.0 / math.factorial(k), dtype=complex)
+    acc = term.copy()
+    for n in range(_PHI_SERIES_TERMS):
+        term = term * zs / (n + 1 + k)
+        acc += term
+    out[small] = acc
+    zb = z[~small]
+    rec = np.exp(zb)
+    for i in range(k):
+        rec = (rec - 1.0 / math.factorial(i)) / zb
+    out[~small] = rec
+    return out
 
 
 def tendency_tables(grid: SpectralGrid):

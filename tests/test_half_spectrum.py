@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mhd2d import diagnostics, propagator, solver
+from mhd2d import diagnostics, modes, propagator, solver
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.modes import region_masks
 from mhd2d.propagator import phi_block_entries
@@ -41,7 +41,14 @@ from mhd2d.spectral import (
     to_physical,
     to_potentials,
 )
-from reference import leray_project, stress_tendency, tendency, tendency_tables, traced_peak
+from reference import (
+    leray_project,
+    phi_fixed_series,
+    stress_tendency,
+    tendency,
+    tendency_tables,
+    traced_peak,
+)
 
 L1, L2 = 2.0 * np.pi, 3.0 * np.pi
 ODD_GRIDS = ((40, 64), (64, 38), (50, 70))
@@ -141,11 +148,13 @@ def test_band_weights_match_full_spectrum_sums(n1, n2):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((128, 128), (256, 256)))
 def test_stepper_tables_are_built_on_the_band(n1, n2, monkeypatch):
-    # with alpha = 0 the block depends on xi1 alone: phi_split runs once
-    # per row (once in all without coupling, where xi1 is zero); with
-    # alpha != 0 once per band mode. Each table comes out in the band
-    # stack's shape and equals the full half-spectrum evaluation cut to kc,
-    # times h for phi1 and phi2.
+    # the block depends on xi1 only through xi1^2 and p12 is odd in xi1, so
+    # phi_split runs on the rows k1 = 0 .. n1/2 only: with alpha = 0 once per
+    # such row (once in all without coupling, where xi1 is zero), with
+    # alpha != 0 once per band mode of those rows. Each table comes out in
+    # the band stack's shape and is, to the bit, the 48-term series
+    # evaluated on every band mode, times h for phi1 and phi2: on a fixed
+    # grid of configs and on seeded random alpha in (0, 1], dt in (0, 0.3].
     sizes = []
     split = propagator.phi_split
 
@@ -155,33 +164,39 @@ def test_stepper_tables_are_built_on_the_band(n1, n2, monkeypatch):
         return out
 
     g = make_grid(n1, n2, L1, L2)
-    kc = g.band_cols
-    xi_sq = g.half_xi_sq
+    kc, rows = g.band_cols, n1 // 2 + 1
+    xi_sq = g.half_xi_sq[:, :kc]
+    rng = np.random.default_rng(n1 * n2)
+    configs = [(0.04, alpha, kappa, coupling) for alpha, kappa, coupling
+               in itertools.product((0.0, 0.5), (0.0, 1.0, 2.0), (True, False))]
+    configs += [(0.3 * (1.0 - rng.random()), 1.0 - rng.random(), 2.0 * rng.random(),
+                 bool(rng.integers(2))) for _ in range(4)]
     for scheme, kinds in (("etdrk2", {"full": (0, 1.0), "phi1": (1, 1.0), "phi2": (2, 1.0)}),
                           ("ifrk4", {"full": (0, 1.0), "half": (0, 0.5)})):
-        for alpha, kappa, coupling in itertools.product((0.0, 0.5), (0.0, 1.0, 2.0),
-                                                        (True, False)):
-            cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.04, t_end=0.08, scheme=scheme,
-                               alpha=alpha, kappa=kappa, coupling=coupling)
+        for dt, alpha, kappa, coupling in configs:
+            case = (scheme, dt, alpha, kappa, coupling)
+            cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=dt, t_end=2.0 * dt,
+                               scheme=scheme, alpha=alpha, kappa=kappa, coupling=coupling)
             sizes.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(propagator, "phi_split", counted)
                 stepper = _Stepper(g, cfg)
-            per_table = (n1 if coupling else 1) if alpha == 0.0 else n1 * kc
-            assert sizes == [per_table] * len(kinds)
+            per_table = (rows if coupling else 1) if alpha == 0.0 else rows * kc
+            assert sizes == [per_table] * len(kinds), case
             a = kappa * xi_sq**alpha if alpha != 0.0 else np.full(xi_sq.shape, kappa)
             xi1 = np.broadcast_to(g.xi1, xi_sq.shape) if coupling else np.zeros(xi_sq.shape)
             for name, (k, frac) in kinds.items():
-                tables = getattr(stepper, name)
-                ref = phi_block_entries(k, xi1, frac * cfg.dt, a, coupling_sign=-1)
+                with monkeypatch.context() as mp:
+                    mp.setattr(modes, "_phi", phi_fixed_series)
+                    ref = phi_block_entries(k, xi1, frac * dt, a, coupling_sign=-1)
                 ref = (np.real(ref[0]), 1j * np.imag(ref[1]), np.real(ref[2]))
                 if k > 0:  # h is folded into the phi1 and phi2 tables
-                    ref = tuple(cfg.dt * e for e in ref)
-                for got, want, dtype in zip(tables, ref, (np.float64, np.complex128,
-                                                          np.float64)):
+                    ref = tuple(dt * e for e in ref)
+                for got, want, dtype in zip(getattr(stepper, name), ref,
+                                            (np.float64, np.complex128, np.float64)):
                     assert got.shape == (n1, kc) and got.flags.c_contiguous
                     assert got.dtype == dtype
-                    assert np.array_equal(got, want[:, :kc]), (scheme, alpha, kappa, coupling, name)
+                    assert got.tobytes() == want.tobytes(), (case, name)
 
 
 @pytest.mark.parametrize("scheme", ("etdrk2", "ifrk4"))

@@ -14,7 +14,13 @@ from mhd2d import cli, solver
 from mhd2d.config import COMMAND_KEYS, parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
-from mhd2d.spectral import load_state, make_grid, random_div_free_state, save_state
+from mhd2d.spectral import (
+    SpectralGrid,
+    load_state,
+    make_grid,
+    random_div_free_state,
+    save_state,
+)
 
 
 def write_cfg(tmp_path, name, mapping):
@@ -202,11 +208,18 @@ RUN_CFG = {
 }
 
 
-def test_nonlinear_run_artifacts(tmp_path, capsys):
+def test_nonlinear_run_artifacts(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
     out = tmp_path / "out"
+    # the config checks its grid's sizes without building one, so a run
+    # builds the one grid it steps on
+    built = []
+    post_init = SpectralGrid.__post_init__
+    monkeypatch.setattr(SpectralGrid, "__post_init__",
+                        lambda self: (built.append(self.shape), post_init(self)))
     assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out),
                      "--seed", "7"]) == 0
+    assert built == [(32, 32)]
     said = capsys.readouterr().out
     assert "run complete" in said
 

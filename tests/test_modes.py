@@ -21,6 +21,7 @@ from mhd2d.modes import (
     sqrt_discriminant,
     symbol_matrix,
 )
+from reference import phi_fixed_series
 
 # Reference values computed with mpmath at 50 decimal digits:
 #   s = sqrt(1 - 4 x^2), lam_pm = (1 -+ s)/2,
@@ -191,6 +192,37 @@ def test_divided_difference_vectorized():
     got = divided_difference(xs, 10.0)
     for i, x in enumerate(xs):
         assert got[i] == divided_difference(float(x), 10.0)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_phi_series_stop_keeps_every_bit(k, monkeypatch):
+    # the series stops once the rest can change no entry, so every input
+    # gives the bits of all 48 terms: NaN and +-inf (which take the
+    # recurrence, as |z| < 2.5 is false for them), |z| just under the series
+    # radius, tiny and real z, a random disc and empty arrays. The slowest
+    # entry of an array sets where its series stops, so each value is also
+    # taken alone; near the imaginary axis every other term is almost real,
+    # and a bound on the imaginary tail from the last term's imaginary part
+    # alone would stop too early there.
+    below = np.nextafter(2.5, 0.0)
+    edge = np.array([np.nan, complex(np.nan, 1.0), complex(1.0, np.nan), np.inf, -np.inf,
+                     complex(0.0, np.inf), complex(-np.inf, 1.0), below, -below, 1j * below,
+                     -1j * below, below * np.exp(0.7j), 0.0, 1e-300, -1e-300j])
+    axis = np.linspace(0.05, 2.45, 49) * np.exp(0.5j * np.pi)
+    rng = np.random.default_rng(k)
+    disc = 2.5 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+    inputs = [edge, axis, disc, np.concatenate([disc, edge]), disc.real, np.empty(0),
+              np.empty((0, 3))]
+    inputs += [np.array([z]) for z in np.concatenate([edge, axis])]
+    with np.errstate(all="ignore"):
+        for z in inputs:
+            got, want = modes._phi(k, z), phi_fixed_series(k, z)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), z
+        # a stop test that never holds runs to the 48-term cap
+        with monkeypatch.context() as mp:
+            mp.setattr(modes.np, "spacing", np.zeros_like)
+            got = modes._phi(k, disc)
+        assert got.tobytes() == phi_fixed_series(k, disc).tobytes()
 
 
 def test_anisotropic_decompose_matches_matrix_exponential():
