@@ -130,17 +130,15 @@ def cmd_linear_decay(args, raw) -> int:
     window = (typed.get("window.lo", 1.0e2), typed.get("window.hi", float(times[-1])))
 
     profile = build_profile(typed.get("profile", "prop25"))
-    jobs = []
-    if profile.pairs is not None:
-        jobs += [(c, _EXPECTED_COMPONENT_SLOPES[c]) for c in ("v1", "v2", "B1", "B2")]
-    for j in typed.get("j", (0, 1, 2)):
-        jobs.append((int(j), -(0.5 * j + 0.25)))
+    weights = tuple(_EXPECTED_COMPONENT_SLOPES) if profile.pairs is not None else ()
+    weights += typed.get("j", (0, 1, 2))
 
     out = _out_dir(args, typed)
     fits = []
     ok = True
-    for weight, expected in jobs:
-        curve = linear_decay_curve(profile, weight, times)
+    for weight, curve in zip(weights, linear_decay_curve(profile, weights, times)):
+        expected = (_EXPECTED_COMPONENT_SLOPES[weight] if isinstance(weight, str)
+                    else -(0.5 * weight + 0.25))
         _write_csv(
             os.path.join(out, f"decay_{curve.label}.csv"),
             ("t", "value"),

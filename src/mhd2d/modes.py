@@ -129,24 +129,26 @@ def phi_split(k: int, xi1, h, a=1.0):
     is the exponential. Where |h s| < 1e-3 the quotient cancels as the pair
     collides at |xi1| = a/2, so there dd is the symmetric expansion about
     z0 = -h a / 2: h (D1 + (h s)^2 / 24 * D3), with D1 and D3 the first and
-    third derivatives of phi_k at z0 (phi_k' = phi_k - k phi_{k+1}). Each
-    branch runs only on the entries that need it. The eigenpair is formed
-    on (xi1, a) before h is broadcast in, so a time axis does not repeat it.
+    third derivatives of phi_k at z0 (phi_k' = phi_k - k phi_{k+1}). With no
+    entry that close the quotient runs on the whole arrays, else each branch
+    on the entries that need it. The eigenpair is formed on (xi1, a) before
+    h is broadcast in, so a time axis does not repeat it.
     """
     a = np.asarray(a, dtype=float)
     s, lam_m, lam_p = _pair(xi1, a)
     h, s, lam_m, lam_p, a = np.broadcast_arrays(np.asarray(h, dtype=float), s, lam_m, lam_p, a)
     f_plus = _phi(k, -h * lam_p)
-    dd = np.empty(f_plus.shape, dtype=complex)
     near = np.abs(h * s) < _CONFLUENT_SWITCH
+    if not near.any():
+        return lam_m, lam_p, f_plus, (_phi(k, -h * lam_m) - f_plus) / s
+    dd = np.empty(f_plus.shape, dtype=complex)
     far = ~near
     dd[far] = (_phi(k, -h[far] * lam_m[far]) - f_plus[far]) / s[far]
-    if near.any():
-        hn, zn = h[near], h[near] * s[near]
-        p = [_phi(k + i, -0.5 * hn * a[near]) for i in range(4)]
-        d1 = p[0] - k * p[1]
-        d3 = p[0] - 3 * k * p[1] + 3 * k * (k + 1) * p[2] - k * (k + 1) * (k + 2) * p[3]
-        dd[near] = hn * (d1 + (zn * zn / 24.0) * d3)
+    hn, zn = h[near], h[near] * s[near]
+    p = [_phi(k + i, -0.5 * hn * a[near]) for i in range(4)]
+    d1 = p[0] - k * p[1]
+    d3 = p[0] - 3 * k * p[1] + 3 * k * (k + 1) * p[2] - k * (k + 1) * (k + 2) * p[3]
+    dd[near] = hn * (d1 + (zn * zn / 24.0) * d3)
     return lam_m, lam_p, f_plus, dd
 
 
@@ -154,9 +156,7 @@ def divided_difference(xi1, t, a=1.0):
     """(exp(-lam_minus t) - exp(-lam_plus t)) / (lam_plus - lam_minus), the
     k = 0 case of ``phi_split``; finite through the degenerate pair."""
     out = phi_split(0, xi1, t, a)[3]
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def symbol_matrix(xi1: float) -> np.ndarray:
@@ -209,9 +209,7 @@ class ModeSystem:
 
     def recon_vector(self, sign: int, j: int) -> np.ndarray:
         if self.degenerate:
-            raise SingularBasisError(
-                f"reconstruction vectors are undefined at xi1 = {self.xi1}"
-            )
+            raise SingularBasisError(f"reconstruction vectors are undefined at xi1 = {self.xi1}")
         lam = self._lam(sign)
         pref = 1.0 / (self.xi1 * self.s)
         out = np.zeros(4, dtype=complex)
@@ -226,21 +224,16 @@ class ModeSystem:
         c_pm = i xi1 x - lam_mp y, then x' = -i (lam_plus c_plus - lam_minus
         c_minus) / (xi1 s) and y' = (c_plus - c_minus) / s.
         """
-        if self.degenerate:
-            raise SingularBasisError(
-                f"reconstruction vectors are undefined at xi1 = {self.xi1}"
-            )
-        ixi, lam_m, lam_p = 1j * self.xi1, self.lam_minus, self.lam_plus
-        pref = 1.0 / (self.xi1 * self.s)
+        xi1, lam_m, lam_p = self.xi1, self.lam_minus, self.lam_plus
+        if xi1 in _DEGENERATE:
+            raise SingularBasisError(f"reconstruction vectors are undefined at xi1 = {xi1}")
+        pref = 1.0 / (xi1 * self.s)
+        ipref, xpref, ixi = -1j * pref, xi1 * pref, 1j * xi1
         v1, v2, b1, b2 = np.asarray(u, dtype=complex).tolist()
-        out = []
-        for x, y in ((v1, b1), (v2, b2)):
-            c_plus = ixi * x - lam_m * y
-            c_minus = ixi * x - lam_p * y
-            out.append((-1j * pref * (lam_p * c_plus - lam_m * c_minus),
-                        self.xi1 * pref * (c_plus - c_minus)))
-        (x1, y1), (x2, y2) = out
-        return np.array([x1, x2, y1, y2], dtype=complex)
+        cp1, cm1 = ixi * v1 - lam_m * b1, ixi * v1 - lam_p * b1
+        cp2, cm2 = ixi * v2 - lam_m * b2, ixi * v2 - lam_p * b2
+        return np.array([ipref * (lam_p * cp1 - lam_m * cm1), ipref * (lam_p * cp2 - lam_m * cm2),
+                         xpref * (cp1 - cm1), xpref * (cp2 - cm2)], dtype=complex)
 
 
 def mode_system(xi1: float) -> ModeSystem:
@@ -319,22 +312,20 @@ class AuditRow:
         return 0.0 if self.lhs == 0.0 else float("inf")
 
 
-def _audit_arrays(fs, xi1, t):
+def _audit_arrays(fs, fnorm, xi1, t):
     """lhs/rhs arrays for all four inequalities over samples x xi1.
 
-    ``fs`` holds one 4-vector per row; every array has shape
-    (len(fs), len(xi1)) and comes from one ``phi_split`` at t. Returns a
-    dict id -> (mask, lhs, rhs); masks, over xi1 only, select the strip
-    each inequality is stated on. Right-hand sides carry constant 1.
+    Rows of ``fs`` are complex 4-vectors and ``fnorm`` their norms, a column;
+    every array is (len(fs), len(xi1)) and comes from one ``phi_split`` at t.
+    Returns a dict id -> (mask, lhs, rhs); masks, over xi1 only, select the
+    strip each inequality is stated on. Right-hand sides carry constant 1.
     """
-    fs = np.asarray(fs, dtype=complex)
     xi1 = np.asarray(xi1, dtype=float)
     _, lam_p, _, dd = phi_split(0, xi1, t)
     f2, f4 = fs[:, 1:2], fs[:, 3:4]
     res2, res4 = _resonant(f2, f4, xi1, lam_p, dd)
     shape = res2.shape
     r1, r2, r3 = region_masks(xi1)
-    fnorm = np.array([np.linalg.norm(f) for f in fs])[:, None]
     abs2, abs4 = np.abs(res2), np.abs(res4)
     lhs_sum = abs2 + abs4
     rhs_quarter = np.exp(-t / 4.0) * fnorm
@@ -359,11 +350,10 @@ def lemma_bounds_audit(f, xi, t) -> list:
     Region 1 and 2 each contribute one combined-row inequality; region 3
     contributes the e2 row (omg4) and the e4 row (omg3).
     """
-    arr = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    xi1 = float(arr[0])
-    region = classify_region(xi1)
-    data = _audit_arrays([f], np.asarray([xi1]), float(t))
-    wanted = {1: ("omg1",), 2: ("omg2",), 3: ("omg4", "omg3")}[region]
+    xi1 = float(np.atleast_1d(np.asarray(xi, dtype=float)).ravel()[0])
+    fs = np.asarray([f], dtype=complex)
+    data = _audit_arrays(fs, np.array([[np.linalg.norm(fs[0])]]), np.asarray([xi1]), float(t))
+    wanted = {1: ("omg1",), 2: ("omg2",), 3: ("omg4", "omg3")}[classify_region(xi1)]
     rows = []
     for name in wanted:
         _, lhs, rhs = data[name]
@@ -387,9 +377,10 @@ def scan_lemma_bounds(xi1_values, times, n_samples=20, seed=0):
         k: {"max_ratio": 0.0, "xi1": 0.0, "t": 0.0, "lhs": 0.0, "rhs": 0.0}
         for k in ("omg1", "omg2", "omg3", "omg4")
     }
+    fnorm = np.array([np.linalg.norm(f) for f in fs])[:, None]
     best_rows: dict[tuple, AuditRow] = {}
     for t in times:
-        data = _audit_arrays(fs, xi1_values, float(t))
+        data = _audit_arrays(fs, fnorm, xi1_values, float(t))
         for name, (mask, lhs, rhs) in data.items():
             ok = mask & (rhs > 0.0)
             if not np.any(ok):

@@ -126,9 +126,7 @@ def sigma_cutoff(r):
     inside = r < 0.25
     x = 4.0 * r[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - x * x))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -206,46 +204,59 @@ class DecayCurve:
 _COMPONENT_ROW = {"v1": ("v", 1), "v2": ("v", 2), "B1": ("B", 1), "B2": ("B", 2)}
 
 
-def linear_decay_curve(profile: ProfileData, weight, times) -> DecayCurve:
+def linear_decay_curve(profile: ProfileData, weight, times):
     """Continuous-wavenumber L2 curve of the linearly evolved profile.
 
     ``weight`` is a component name in {v1, v2, B1, B2} (evolves the matching
     pair through the exponential block) or a nonnegative integer j (the
-    xi1^j-weighted norm of exp(-lam_minus t) * scalar profile). Values are
-    exact up to the quadrature tolerance; the xi1 integrals use dyadic
-    refinement toward zero where the large-t mass concentrates. One stacked
-    integral covers every time of the curve (each time converges on its
-    own, see ``refine_integral``), and one more gives the xi2 factor.
+    xi1^j-weighted norm of exp(-lam_minus t) * scalar profile); a tuple of
+    weights, all checked first, gives a list of curves in its order. Values
+    are exact up to the quadrature tolerance; all component weights share
+    one xi1 integral refined toward zero, the j weights another, each xi2
+    factor is integrated once, and every entry converges on its own.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) <= 0):
         raise ConfigError("times must be a strictly increasing 1d array of t >= 0")
-    t = times[:, None]
-
-    if isinstance(weight, str):
-        if weight not in _COMPONENT_ROW:
-            raise ConfigError(f"unknown component weight {weight!r}")
-        if profile.pairs is None:
+    weights = weight if isinstance(weight, tuple) else (weight,)
+    for w in weights:
+        if not isinstance(w, str):
+            if int(w) < 0 or int(w) != w:
+                raise ConfigError(f"weight must be a component name or integer j >= 0, got {w!r}")
+        elif w not in _COMPONENT_ROW:
+            raise ConfigError(f"unknown component weight {w!r}")
+        elif profile.pairs is None:
             raise ConfigError(f"profile kind {profile.kind!r} has no vector components")
-        row, j = _COMPONENT_ROW[weight]
-        fv, fB, g = profile.pairs[j]
-        c2 = 2.0 * refine_integral(lambda x2: np.abs(g(x2)) ** 2, 0.0, profile.support2)
+    comps = [_COMPONENT_ROW[w] for w in weights if isinstance(w, str)]
+    js = [int(w) for w in weights if not isinstance(w, str)]
 
-        def integrand(x1):
-            p11, p12, p22 = exp_block_entries(x1, t)
-            w = p11 * fv(x1) + p12 * fB(x1) if row == "v" else p12 * fv(x1) + p22 * fB(x1)
-            return np.abs(w) ** 2
-        label = weight
-    else:
-        j = int(weight)
-        if j < 0 or j != weight:
-            raise ConfigError(f"weight must be a component name or integer j >= 0, got {weight!r}")
-        c2 = 2.0 * refine_integral(lambda x2: np.abs(profile.scalar2(x2)) ** 2, 0.0,
-                                   profile.support2)
+    # a panel's stack is filled in place once its block is formed, and one w
+    # serves every row, so few (times, nodes) arrays live at once
+    def components(x1):
+        p11, p12, p22 = exp_block_entries(x1, times[:, None])
+        f = {j: (profile.pairs[j][0](x1), profile.pairs[j][1](x1)) for _, j in comps}
+        out, w = np.empty((len(comps),) + p11.shape), np.empty_like(p11)
+        for o, (row, j) in zip(out, comps):
+            (pv, pB), (fv, fB) = (p11, p12) if row == "v" else (p12, p22), f[j]
+            np.multiply(pv, fv, out=w)
+            w += pB * fB
+            np.square(np.abs(w, out=o), out=o)
+        return out
 
-        def integrand(x1):
-            lam_m, _ = eigenvalues(x1)
-            return x1 ** (2 * j) * np.abs(np.exp(-lam_m * t) * profile.scalar1(x1)) ** 2
-        label = f"j{j}"
-    values = np.sqrt(c2 * 2.0 * refine_integral(integrand, 0.0, profile.support1))
-    return DecayCurve(label, times, values)
+    def moments(x1):
+        base = np.abs(np.exp(-eigenvalues(x1)[0] * times[:, None]) * profile.scalar1(x1)) ** 2
+        out = np.empty((len(js),) + base.shape)
+        for o, j in zip(out, js):
+            np.multiply(x1 ** (2 * j), base, out=o)
+        return out
+
+    c_sums = iter(refine_integral(components, 0.0, profile.support1) if comps else ())
+    j_sums = iter(refine_integral(moments, 0.0, profile.support1) if js else ())
+    c2, curves = {}, []
+    for w in weights:
+        g = profile.pairs[_COMPONENT_ROW[w][1]][2] if isinstance(w, str) else profile.scalar2
+        if g not in c2:
+            c2[g] = 2.0 * refine_integral(lambda x2: np.abs(g(x2)) ** 2, 0.0, profile.support2)
+        label, x1_sum = (w, next(c_sums)) if isinstance(w, str) else (f"j{int(w)}", next(j_sums))
+        curves.append(DecayCurve(label, times, np.sqrt(c2[g] * 2.0 * x1_sum)))
+    return curves if isinstance(weight, tuple) else curves[0]

@@ -10,8 +10,10 @@ stepper's own tendency, returned as four components for those checks, and
 checks written one property and one full-spectrum pass at a time, the
 oracle of the package's one half-spectrum check; ``phi_fixed_series`` is
 phi_k with all 48 series terms on every entry, the oracle of the series in
-``modes._phi`` that stops early, and so of the step tables; ``traced_peak``
-is the transient-memory probe the peak tests share.
+``modes._phi`` that stops early, and so of the step tables;
+``pairwise_reconstruct`` is ``ModeSystem.reconstruct`` as a loop over the
+two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
+probe the peak tests share.
 """
 
 import math
@@ -19,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 
-from mhd2d.errors import ConfigError, DiagnosticIntegrityError
+from mhd2d.errors import ConfigError, DiagnosticIntegrityError, SingularBasisError
 from mhd2d.modes import _PHI_SERIES_RADIUS, _PHI_SERIES_TERMS
 from mhd2d.propagator import apply_block_entries, phi_block_entries
 from mhd2d.solver import SolverConfig, _band, _nonlinear, _Stepper
@@ -110,6 +112,25 @@ def phi_fixed_series(k: int, z) -> np.ndarray:
         rec = (rec - 1.0 / math.factorial(i)) / zb
     out[~small] = rec
     return out
+
+
+def pairwise_reconstruct(ms, u) -> np.ndarray:
+    """``ModeSystem.reconstruct`` of ``ms``, one (v_j, B_j) pair at a time."""
+    if ms.degenerate:
+        raise SingularBasisError(
+            f"reconstruction vectors are undefined at xi1 = {ms.xi1}"
+        )
+    ixi, lam_m, lam_p = 1j * ms.xi1, ms.lam_minus, ms.lam_plus
+    pref = 1.0 / (ms.xi1 * ms.s)
+    v1, v2, b1, b2 = np.asarray(u, dtype=complex).tolist()
+    out = []
+    for x, y in ((v1, b1), (v2, b2)):
+        c_plus = ixi * x - lam_m * y
+        c_minus = ixi * x - lam_p * y
+        out.append((-1j * pref * (lam_p * c_plus - lam_m * c_minus),
+                    ms.xi1 * pref * (c_plus - c_minus)))
+    (x1, y1), (x2, y2) = out
+    return np.array([x1, x2, y1, y2], dtype=complex)
 
 
 def tendency_tables(grid: SpectralGrid):

@@ -188,6 +188,31 @@ def test_linear_decay_passes_and_writes_artifacts(decay_out):
         assert len(lines) == 62  # header + 60 samples + trailing newline
 
 
+def test_linear_decay_stacked_call_writes_single_weight_bytes(tmp_path, monkeypatch):
+    # the command's one stacked call writes the bytes that one call per
+    # weight writes, for a vector profile and for a repeated moment
+    cfgs = {"prop25": {"t.min": 1.0, "t.max": 1.0e4, "t.count": 40, "j": "0,1,2"},
+            "fstar": {"profile": "fstar", "t.count": 40, "j": "2,0,2"}}
+    outs = {}
+    for name, keys in cfgs.items():
+        cfg = write_cfg(tmp_path, f"{name}.cfg", keys)
+        outs[name] = tmp_path / name
+        assert cli.main(["linear-decay", "--config", cfg, "--out", str(outs[name]),
+                         "--quiet"]) == 0
+    one_at_a_time = cli.linear_decay_curve
+    monkeypatch.setattr(cli, "linear_decay_curve", lambda profile, weights, times: [
+        one_at_a_time(profile, w, times) for w in weights])
+    for name, keys in cfgs.items():
+        cfg = write_cfg(tmp_path, f"{name}.cfg", keys)
+        single = tmp_path / f"{name}-single"
+        assert cli.main(["linear-decay", "--config", cfg, "--out", str(single), "--quiet"]) == 0
+        files = sorted(os.listdir(single))
+        assert files == sorted(os.listdir(outs[name]))
+        assert "decay_fits.json" in files and len(files) == (8 if name == "prop25" else 3)
+        for f in files:
+            assert (single / f).read_bytes() == (outs[name] / f).read_bytes(), (name, f)
+
+
 def test_linear_decay_impossible_tolerance(tmp_path, decay_out):
     cfg = write_cfg(tmp_path, "decay.cfg", {
         "t.min": 1.0, "t.max": 1.0e4, "t.count": 60,

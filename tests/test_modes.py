@@ -16,12 +16,13 @@ from mhd2d.modes import (
     eigenvalues,
     lemma_bounds_audit,
     mode_system,
+    phi_split,
     region_masks,
     scan_lemma_bounds,
     sqrt_discriminant,
     symbol_matrix,
 )
-from reference import phi_fixed_series
+from reference import pairwise_reconstruct, phi_fixed_series
 
 # Reference values computed with mpmath at 50 decimal digits:
 #   s = sqrt(1 - 4 x^2), lam_pm = (1 -+ s)/2,
@@ -153,6 +154,20 @@ def test_reconstruct_inverts_coefficients():
         assert np.max(np.abs(back - u)) < 1e-9 * np.max(np.abs(u)), x
 
 
+def test_reconstruct_is_the_pairwise_loop_to_the_bit():
+    # modes drawn as the benchmark draws them, plus points next to the
+    # degenerate ones and a large wavenumber
+    rng = np.random.default_rng(2024)
+    pool = rng.uniform(-3.0, 3.0, 30_000)
+    far = np.min(np.abs(pool[:, None] - np.array([0.0, 0.5, -0.5])), axis=1) >= 1e-3
+    edges = [s * x for s in (1.0, -1.0) for x in (0.5 - 1e-9, 0.5 + 1e-9, 1e-9, 3.0)]
+    xs = [float(x) for x in pool[far][:10_000]] + edges
+    us = rng.normal(size=(len(xs), 4)) + 1j * rng.normal(size=(len(xs), 4))
+    for x, u in zip(xs, us):
+        ms = mode_system(x)
+        assert ms.reconstruct(u).tobytes() == pairwise_reconstruct(ms, u).tobytes(), x
+
+
 def test_recon_vectors_are_dual():
     sys = mode_system(0.37)
     for sign_a in (+1, -1):
@@ -185,6 +200,20 @@ def test_divided_difference_oracle():
 def test_divided_difference_confluent_value():
     assert divided_difference(0.5, 0.5).real == pytest.approx(0.5 * np.exp(-0.25), rel=1e-13)
     assert abs(divided_difference(0.5, 0.0)) < 1e-15
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_phi_split_without_near_entries_is_the_masked_path(k):
+    # an array with no entry near the collision takes one whole-array
+    # quotient; adding one entry at the collision sends the same entries
+    # through the masked gathers, which must give the same bits
+    xi1 = np.concatenate([np.linspace(-0.25, 0.25, 64), np.linspace(0.6, 3.0, 7)])
+    h = np.geomspace(1.0, 1.0e4, 11)[:, None]
+    whole = phi_split(k, xi1, h, 1.0)
+    masked = phi_split(k, np.append(xi1, 0.5), h, 1.0)
+    assert np.min(np.abs(h * sqrt_discriminant(xi1))) >= modes._CONFLUENT_SWITCH
+    for got, ref in zip(whole, masked):
+        assert np.array_equal(got, ref[:, :-1])
 
 
 def test_divided_difference_vectorized():

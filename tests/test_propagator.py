@@ -367,10 +367,7 @@ def _per_time_curve(profile, weight, times):
     ])
 
 
-@pytest.mark.parametrize("count", [9, 161])
-def test_decay_curve_is_one_batched_integral(monkeypatch, count):
-    # the benchmark counts panels through the name propagator.refine_integral;
-    # a curve must go through it once for all its times plus once for xi2
+def _counted_integrals(monkeypatch):
     calls = []
 
     def counted(f, *args, **kwargs):
@@ -378,6 +375,14 @@ def test_decay_curve_is_one_batched_integral(monkeypatch, count):
         return refine_integral(f, *args, **kwargs)
 
     monkeypatch.setattr(propagator, "refine_integral", counted)
+    return calls
+
+
+@pytest.mark.parametrize("count", [9, 161])
+def test_decay_curve_is_one_batched_integral(monkeypatch, count):
+    # the benchmark counts panels through the name propagator.refine_integral;
+    # a curve must go through it once for all its times plus once for xi2
+    calls = _counted_integrals(monkeypatch)
     prof = build_profile("prop25")
     times = np.geomspace(1.0, 1.0e4, count)
     for weight in ("v1", "v2", "B1", "B2", 0, 1, 2):
@@ -385,3 +390,56 @@ def test_decay_curve_is_one_batched_integral(monkeypatch, count):
         curve = linear_decay_curve(prof, weight, times)
         assert len(calls) == 2, weight
         assert np.array_equal(curve.values, _per_time_curve(prof, weight, times)), weight
+
+
+@pytest.mark.parametrize("kind, weights", [
+    ("prop25", ("v1", "v2", "B1", "B2", 0, 1, 2)),
+    ("prop25", (2, "B2", 0, "v1")),
+    ("prop25", ("v2", 1, "v2", 1)),
+    ("fstar", (0, 1, 2)),
+    ("fstar", (1,)),
+])
+def test_stacked_decay_curves_match_per_time_integrals(kind, weights):
+    # every curve of a tuple call is each of its times integrated alone,
+    # whatever the order, mix or repetition of the weights
+    prof = build_profile(kind)
+    times = np.geomspace(1.0, 1.0e4, 23)
+    curves = linear_decay_curve(prof, weights, times)
+    assert isinstance(curves, list) and len(curves) == len(weights)
+    for weight, curve in zip(weights, curves):
+        assert curve.label == (weight if isinstance(weight, str) else f"j{weight}")
+        assert np.array_equal(curve.times, times)
+        assert np.array_equal(curve.values, _per_time_curve(prof, weight, times)), weight
+
+
+def test_stacked_decay_curves_share_their_integrals(monkeypatch):
+    # one xi1 integral per kind of weight and one per distinct xi2 factor;
+    # in prop25 the xi2 factor of pair 2 and the scalar one are both sigma
+    calls = _counted_integrals(monkeypatch)
+    times = np.geomspace(1.0, 1.0e4, 9)
+    prop25, fstar = build_profile("prop25"), build_profile("fstar")
+    assert prop25.pairs[2][2] is prop25.scalar2
+    linear_decay_curve(prop25, ("v1", "v2", "B1", "B2", 0, 1, 2), times)
+    assert len(calls) == 4
+    calls.clear()
+    linear_decay_curve(prop25, ("v1", "B1"), times)
+    assert len(calls) == 2
+    calls.clear()
+    linear_decay_curve(fstar, (0, 1, 2), times)
+    assert len(calls) == 2
+    calls.clear()
+    assert linear_decay_curve(prop25, (), times) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("weights, profile", [
+    (("v1", 0, "v3"), "prop25"),
+    ((0, "B1", -1), "prop25"),
+    (("v2", 1.5), "prop25"),
+    ((0, 1, "v1"), "fstar"),
+])
+def test_stacked_decay_curves_check_every_weight_first(monkeypatch, weights, profile):
+    calls = _counted_integrals(monkeypatch)
+    with pytest.raises(ConfigError):
+        linear_decay_curve(build_profile(profile), weights, np.array([1.0, 2.0]))
+    assert calls == []
