@@ -24,14 +24,12 @@ from .spectral import (
     COMPONENTS,
     SpectralGrid,
     SpectralState,
-    coeff_derivative,
     from_potentials,
     hermitian_defect,
     divergence_defect,
     l2_norm,
     load_state,
     make_grid,
-    multi_index_weight,
     random_div_free_state,
     save_state,
     sobolev_norm,
@@ -84,7 +82,6 @@ from .diagnostics import (
     cumulative,
     em_inequality_audit,
     fit_decay,
-    fourier_l1_audit,
     gaussian_divfree_family,
     instantaneous,
     interpolation_audit,

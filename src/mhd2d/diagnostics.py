@@ -2,11 +2,19 @@
 
 Instantaneous records follow a fixed CSV schema (``CSV_COLUMNS``). The
 Sobolev quantities E, A, and the energy-audit norms use the derivative-sum
-weight sum_{|alpha| <= m} xi^(2 alpha) (``multi_index_weight``): that is the
-convention under which d/dt(E^2 + A) closes with the exact 1/2 coefficients
-in front of the dissipation terms and |A| <= E^2/2 holds with constant
-exactly 1/2. The anisotropic norm reported as ``xm`` uses the standard
-multiplier H^m for its Sobolev part.
+weight sum_{|alpha| <= m} xi^(2 alpha): that is the convention under which
+d/dt(E^2 + A) closes with the exact 1/2 coefficients in front of the
+dissipation terms and |A| <= E^2/2 holds with constant exactly 1/2. The
+anisotropic norm reported as ``xm`` uses the standard multiplier H^m for
+its Sobolev part.
+
+A run builds the tables a record multiplies by once: ``_record_weights``
+keeps the ``RecordWeights`` of the last (grid, m, kc) it was asked for
+while that grid lives, so ``initial_state``'s E(0) and every record of the
+run share one build. A record forms |h|^2 once and takes each weighted total as one ``np.einsum``
+contraction of two contiguous arrays: no product array, and no BLAS call,
+whose last bit depends on its thread count, so a record depends on the
+state alone.
 
 Wavenumber sums are calibrated to continuum integrals: with the forward
 transform carrying 1/(n1 n2), the continuum Fourier transform of a box
@@ -17,6 +25,7 @@ the excluded-column content is reported nowhere else, so all such norms
 are lower bounds that converge as the box grows.
 """
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -36,7 +45,6 @@ from .quadrature import refine_integral
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    coeff_derivative,
     from_potentials,
     sobolev_norm,
     to_physical,
@@ -133,37 +141,133 @@ class InterpolationAudit:
 _L1_CALIBRATION = 4.0 * np.pi**2
 
 
-def _full_row_sums(g: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    """Full-spectrum row sums of a half-spectrum array even under k -> -k.
+class RecordWeights:
+    """Every table a record on kc leading half-spectrum columns multiplies
+    by, for one (grid, m, kc); records take them from ``_record_weights``.
 
-    Row k1 of the full spectrum holds the half row k1 and, in its negative
-    k2 columns, the interior half columns 1 .. n2/2 - 1 of row -k1.
+    (n1, kc) tables, each with the column multiplicity ``half_mult`` where
+    its sum is a full-spectrum sum: ``hm``, the area times the derivative-sum
+    weight sum_{|alpha| <= m} xi^(2 alpha) (also the cancellation pairing's);
+    ``cross`` and ``d1b``, the area times the order m - 1 weight and the row
+    factor ``odd_xi1`` (A) or xi1^2 (|d1 B|_{H^(m-1)}); (1 + |xi|^2)^m,
+    1/|xi| and |xi| of the X^m norm and the L1 terms, and sqrt|xi1|/|xi|,
+    summed along full rows. Row tables: |xi1|, the rows off xi1 = 0 and
+    their sqrt|xi1|, the region masks and the row mirror k1 -> -k1.
     """
-    interior = np.sum(f[:, 1:g.n2 // 2], axis=1)
-    rev1 = (-np.arange(g.n1)) % g.n1
-    return np.sum(f, axis=1) + interior[rev1]
+
+    __slots__ = ("hm", "cross", "d1b", "sobolev", "inv", "grad", "aniso",
+                 "ixi", "absxi1", "col", "root_xi1", "regions", "rev1")
+
+    def __init__(self, grid: SpectralGrid, m: int, kc: int):
+        g = grid
+        mult = g.half_mult[:kc]
+        x1 = g.xi1**2
+        x2 = g.half_xi2[0, :kc] ** 2
+        # partial[j] = mult * sum_{b <= j} xi2^(2b)
+        partial = [mult]
+        for j in range(1, m + 1):
+            partial.append(partial[-1] + partial[0] * x2**j)
+        wm1 = sum(x1**a * partial[m - 1 - a] for a in range(m))
+        self.hm = g.area * sum(x1**a * partial[m - a] for a in range(m + 1))
+        self.cross = (g.area * g.odd_xi1) * wm1
+        self.d1b = (g.area * x1) * wm1
+        xi_sq = g.half_xi_sq[:, :kc]
+        absxi = np.sqrt(xi_sq)
+        winv = np.divide(1.0, absxi, out=np.zeros(absxi.shape), where=absxi > 0.0)
+        self.sobolev = (1.0 + xi_sq) ** m * mult
+        self.inv = winv * mult
+        self.grad = absxi * mult
+        self.absxi1 = np.abs(g.xi1[:, 0])
+        self.aniso = np.sqrt(self.absxi1)[:, None] * winv
+        self.ixi = 1j * g.odd_xi1
+        self.col = self.absxi1 > 0.0
+        self.root_xi1 = np.sqrt(self.absxi1[self.col])
+        self.regions = region_masks(g.xi1[:, 0])
+        self.rev1 = (-np.arange(g.n1)) % g.n1
 
 
-def _xm(g: SpectralGrid, power: np.ndarray, m: int) -> float:
-    """``anisotropic_norm`` from the half-spectrum power of a Hermitian state."""
-    mult = g.half_mult[:power.shape[-1]]
-    xi_sq = g.half_xi_sq[:, :power.shape[-1]]
-    total = np.sum(power, axis=0)
-    hm = np.sqrt(g.area * np.sum((1.0 + xi_sq) ** m * mult * total))
+# the weights of the last (grid, m, kc) asked for, held while the grid they
+# were built for lives, as a run's does through its records; a module-level
+# cache would hold them past the grid, once per import of the package
+_WEIGHTS = weakref.WeakKeyDictionary()
 
-    absxi = np.sqrt(xi_sq)
-    absxi1 = np.abs(g.xi1[:, 0])
-    col = absxi1 > 0.0
-    winv = np.divide(1.0, absxi, out=np.zeros(absxi.shape), where=absxi > 0.0)
-    # L^1 in xi2 of the continuum transform l1*l2*fhat, then L^2 in xi1.
-    w = np.sqrt(absxi1)[:, None] * winv
-    inner = (g.l1 * g.l2) * _full_row_sums(g, w * np.sqrt(total)) * g.dxi[1]
-    t2 = float(np.sqrt(np.sum(inner**2) * g.dxi[0]))
 
-    bmag = mult * np.sqrt(power[2] + power[3])
-    t3 = float(_L1_CALIBRATION * np.sum(winv * bmag))
-    t4 = float(_L1_CALIBRATION * np.sum(np.sum(bmag, axis=1)[col] / np.sqrt(absxi1[col])))
-    return float(hm + t2 + t3 + t4)
+def _record_weights(grid: SpectralGrid, m: int, kc: int) -> RecordWeights:
+    held = _WEIGHTS.get(grid)  # an equal grid, by (n1, n2, l1, l2), finds them
+    if held is None or held[0] != (m, kc):
+        _WEIGHTS.clear()
+        held = _WEIGHTS[grid] = ((m, kc), RecordWeights(grid, m, kc))
+    return held[1]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) of two contiguous arrays of one size, in one contraction
+    that forms no product array. numpy's own loop, never BLAS, whose last
+    bit would depend on its thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+# rows of a record's stack past the four powers |h_c|^2: the fields whose
+# square roots it takes, the total power, |B|^2, |B2|^2, |v|^2 and |v2|^2
+_TOTAL, _B, _B2, _V, _V2 = range(4, 9)
+
+
+def energy(grid: SpectralGrid, u: np.ndarray, m: int) -> float:
+    """The order-m energy E of the components ``u`` on the leading kc
+    half-spectrum columns, summed as a record sums it."""
+    w = _record_weights(grid, m, u.shape[-1])
+    power = np.square(u.real) + np.square(u.imag)
+    vb = power[0::2] + power[1::2]  # |v|^2, |B|^2
+    return float(np.sqrt(_dot(w.hm, vb[0]) + _dot(w.hm, vb[1])))
+
+
+def _spectral_terms(g: SpectralGrid, h: np.ndarray, w: RecordWeights):
+    """Every record field the power of ``h`` gives: the two H^m squares,
+    |d1 B|_{H^(m-1)}^2, the X^m norm, the L^2 mass by component and row,
+    and the six Fourier-L1 integrands. All row sums are one sum over the
+    stack's interior columns 1 .. n2/2 - 1, whose weight ``half_mult`` is 2:
+    a row of the full spectrum holds the half row k1 and the interior
+    columns of row -k1."""
+    stack = np.empty((9,) + h.shape[1:])
+    np.square(h.real, out=stack[:4])
+    np.square(h.imag, out=stack[4:8])
+    stack[:4] += stack[4:8]
+    np.add(stack[0], stack[1], out=stack[_V])
+    np.add(stack[2], stack[3], out=stack[_B])
+    np.add(stack[_V], stack[_B], out=stack[_TOTAL])
+    stack[_B2] = stack[3]
+    stack[_V2] = stack[1]
+    hm_v_sq, hm_b_sq = _dot(w.hm, stack[_V]), _dot(w.hm, stack[_B])
+    hm1_d1b_sq = _dot(w.d1b, stack[_B])
+    sobolev = np.sqrt(g.area * _dot(w.sobolev, stack[_TOTAL]))
+    np.sqrt(stack[_TOTAL:], out=stack[_TOTAL:])
+    stack[_TOTAL] *= w.aniso
+    inv_b = _dot(w.inv, stack[_B])
+    grad_b2 = _dot(w.grad, stack[_B2])
+
+    interior = np.sum(stack[..., 1:g.n2 // 2], axis=-1)
+    rows = interior + stack[..., 0]
+    if h.shape[-1] == g.n2 // 2 + 1:
+        rows += stack[..., -1]
+    full = rows[[_TOTAL, _V2]] + interior[[_TOTAL, _V2]][:, w.rev1]
+    rows += interior  # now weighted by half_mult
+    del stack
+
+    # L^1 in xi2 of the continuum transform l1*l2*fhat, then L^2 in xi1
+    inner = (g.l1 * g.l2) * full * g.dxi[1]
+    t2 = np.sqrt(np.sum(inner[0] ** 2) * g.dxi[0])
+    t4 = np.sum(rows[_B][w.col] / w.root_xi1)
+    xm = float(sobolev + t2 + _L1_CALIBRATION * inv_b + _L1_CALIBRATION * t4)
+    absxi1, col = w.absxi1, w.col
+    h_terms = (
+        float(_L1_CALIBRATION * np.sum(absxi1 * rows[_B2])),
+        float(_L1_CALIBRATION * np.sum(rows[_B2])),
+        float(_L1_CALIBRATION * grad_b2),
+        float(_L1_CALIBRATION * np.sum(absxi1 * rows[_V])),
+        float(np.sum(inner[1][col] ** 2 / absxi1[col]) * g.dxi[0]),
+        float(_L1_CALIBRATION * np.sum(rows[_V2][col] / w.root_xi1)),
+    )
+    return hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, g.area * rows[:4], h_terms
 
 
 def anisotropic_norm(state: SpectralState, m: int) -> float:
@@ -174,61 +278,12 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
     1/sqrt|xi1|. Modes where a weight is singular are excluded. Summed on
     the half spectrum, so the state must be Hermitian.
     """
-    h = state.u[:, :, : state.grid.n2 // 2 + 1]
-    return _xm(state.grid, h.real**2 + h.imag**2, m)
+    g = state.grid
+    h = state.u[:, :, : g.n2 // 2 + 1]
+    return _spectral_terms(g, h, _record_weights(g, m, h.shape[-1]))[3]
 
 
-def _fourier_l1_terms(g: SpectralGrid, power: np.ndarray):
-    """The six integrands of the mediating quantity, from the half-spectrum power."""
-    mult = g.half_mult[:power.shape[-1]]
-    absxi1 = np.abs(g.xi1[:, 0])
-    col = absxi1 > 0.0
-    b2 = mult * np.sqrt(power[3])
-    b2_rows = np.sum(b2, axis=1)
-    vmag_rows = np.sum(mult * np.sqrt(power[0] + power[1]), axis=1)
-    v2 = np.sqrt(power[1])
-
-    d1b2 = float(_L1_CALIBRATION * np.sum(absxi1 * b2_rows))
-    b2l1 = float(_L1_CALIBRATION * np.sum(b2_rows))
-    gradb2 = float(_L1_CALIBRATION * np.sum(np.sqrt(g.half_xi_sq[:, :mult.size]) * b2))
-    d1v = float(_L1_CALIBRATION * np.sum(absxi1 * vmag_rows))
-
-    inner = (g.l1 * g.l2) * _full_row_sums(g, v2) * g.dxi[1]  # L^1 in xi2
-    half_sq = float(np.sum(inner[col] ** 2 / absxi1[col]) * g.dxi[0])
-    v2_rows = np.sum(mult * v2, axis=1)
-    half_l1 = float(_L1_CALIBRATION * np.sum(v2_rows[col] / np.sqrt(absxi1[col])))
-    return d1b2, b2l1, gradb2, d1v, half_sq, half_l1
-
-
-def _derivative_sum_weights(g: SpectralGrid, m: int, kc: int):
-    """``multi_index_weight`` of orders m - 1 and m on the leading kc
-    half-spectrum columns, each times the column multiplicity ``half_mult``."""
-    x1 = g.xi1**2
-    x2 = g.half_xi2[0, :kc] ** 2
-    # partial[j] = mult * sum_{b <= j} xi2^(2b)
-    partial = [g.half_mult[:kc]]
-    for j in range(1, m + 1):
-        partial.append(partial[-1] + partial[0] * x2**j)
-    wm1 = sum(x1**a * partial[m - 1 - a] for a in range(m))
-    wm = sum(x1**a * partial[m - a] for a in range(m + 1))
-    return wm1, wm
-
-
-def _hm_squares(g: SpectralGrid, h: np.ndarray, m: int):
-    """The squared H^m norms of v and B from half-spectrum components ``h``.
-
-    Returned with the power |h|^2 and the ``_derivative_sum_weights`` of
-    orders m - 1 and m they are summed from, which the rest of a record
-    reuses; E = sqrt of the sum of the two squares.
-    """
-    power = h.real**2 + h.imag**2
-    wm1, wm = _derivative_sum_weights(g, m, h.shape[-1])
-    hm_v_sq = float(g.area * np.sum(wm * (power[0] + power[1])))
-    hm_b_sq = float(g.area * np.sum(wm * (power[2] + power[3])))
-    return hm_v_sq, hm_b_sq, power, wm1, wm
-
-
-def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
+def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.0,
                   energy_residual: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
@@ -244,53 +299,61 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
     m, g = int(m), grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1):
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
-    h = u[:, :, : g.n2 // 2 + 1]
-    hm_v_sq, hm_b_sq, power, wm1, wm = _hm_squares(g, h, m)
-    pb = power[2] + power[3]
+    h = np.ascontiguousarray(u[:, :, : g.n2 // 2 + 1])
+    w = _record_weights(g, m, h.shape[-1])
+    hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, comp, h_terms = _spectral_terms(g, h, w)
     e_sq = hm_v_sq + hm_b_sq
-    E = float(np.sqrt(e_sq))
 
-    # the Nyquist row's xi1 has no mirror of opposite sign: its full-spectrum
-    # sum vanishes, so odd_xi1 drops it here
-    cross = h[2] * np.conj(h[0]) + h[3] * np.conj(h[1])
-    A = float(g.area * np.sum(wm1 * g.odd_xi1 * cross.imag))
-
-    hm1_d1b_sq = float(g.area * np.sum(wm1 * g.xi1**2 * pb))
-
+    # the pairings as real parts Re(a conj b), each one contraction of the
+    # float views; d holds the weighted factor a
+    planes = np.empty((3,) + h.shape[1:], dtype=np.complex128)
+    d = planes[1:]
+    v, b = h[:2].view(np.float64), h[2:].view(np.float64)
+    # A = sum of Im(B conj v) = Re((-i B) conj v); the Nyquist row's xi1 has
+    # no mirror of opposite sign, its full-spectrum sum vanishes, so odd_xi1
+    # (in ``cross``) drops it
+    np.multiply(h[2:], w.cross, out=d)
+    d *= -1j
+    A = _dot(d.view(np.float64), v)
     if abs(A) > 0.5 * e_sq * (1.0 + 1e-10) + 1e-300:
         raise DiagnosticIntegrityError(
             f"|A| = {abs(A):.6e} exceeds E^2/2 = {0.5 * e_sq:.6e}"
         )
 
-    d1 = (1j * g.odd_xi1) * h  # d1 v1, d1 v2, d1 B1, d1 B2
-    b2, d1v1_phys, d1v2_phys = np.fft.irfft2(np.stack([h[3], d1[0], d1[1]]), s=g.shape,
-                                             axes=(-2, -1), norm="forward")
-    # sqrt is monotone, so it is taken once, of the largest squared magnitude
-    sup_d1v = float(np.sqrt(np.max(d1v1_phys**2 + d1v2_phys**2)))
-    sup_B2 = float(np.max(np.abs(b2)))
-
     # two independently differentiated routes of the same pairing; the sum
     # cancels analytically, so what remains measures accumulated roundoff
-    i1 = g.area * np.sum(wm * np.real(d1[2] * np.conj(h[0]) + d1[3] * np.conj(h[1])))
-    i2 = g.area * np.sum(wm * np.real(d1[0] * np.conj(h[2]) + d1[1] * np.conj(h[3])))
+    np.multiply(h[2:], w.ixi, out=d)  # d1 B1, d1 B2
+    d *= w.hm
+    i1 = _dot(d.view(np.float64), v)
+    np.multiply(h[:2], w.ixi, out=d)  # d1 v1, d1 v2
+    planes[0] = h[3]
+    phys = np.fft.irfft2(planes, s=g.shape, axes=(-2, -1), norm="forward")
+    d *= w.hm
+    i2 = _dot(d.view(np.float64), b)
     cancel = float(abs(i1 + i2) / max(abs(i1), abs(i2), 1e-300))
+    del planes, d
 
-    comp = g.area * np.sum(g.half_mult[:h.shape[-1]] * power, axis=2)  # (4, n1) by component, row
+    b2, d1v = phys[0], phys[1:]
+    sup_B2 = float(max(np.max(b2), -np.min(b2)))
+    # sqrt is monotone, so it is taken once, of the largest squared magnitude
+    np.square(d1v, out=d1v)
+    d1v[0] += d1v[1]
+    sup_d1v = float(np.sqrt(np.max(d1v[0])))
+
     rows = np.sum(comp, axis=0)
-    m1, m2, m3 = (float(np.sum(rows[r])) for r in region_masks(g.xi1[:, 0]))
+    m1, m2, m3 = (float(np.sum(rows[r])) for r in w.regions)
     tot = float(np.sum(rows))
     if abs((m1 + m2 + m3) - tot) > 1e-12 * max(tot, 1e-300):
         raise DiagnosticIntegrityError("region masses do not partition the L^2 mass")
     l2 = np.sqrt(np.sum(comp, axis=1))
 
-    h_terms = _fourier_l1_terms(g, power)
     return DiagnosticsRecord(
         t=float(time),
-        E=E,
+        E=float(np.sqrt(e_sq)),
         A=A,
         sup_d1v=sup_d1v,
         sup_B2=sup_B2,
-        xm=_xm(g, power, m),
+        xm=xm,
         l2_v1=float(l2[0]),
         l2_v2=float(l2[1]),
         l2_B1=float(l2[2]),
@@ -457,22 +520,6 @@ def interpolation_audit(f: Callable, p: float, q: float, d: int = 2,
     )
     rhs = hi ** (0.5 * q / (p + q)) * lo ** (0.5 * p / (p + q))
     return InterpolationAudit(lhs=float(lhs), rhs=float(rhs))
-
-
-def fourier_l1_audit(state: SpectralState, component: int = 3) -> InterpolationAudit:
-    """Grid form of |ghat|_{L^1} <= C |d1 g|_{H^1}^(1/2) |g|_{H^1}^(1/2).
-
-    The xi1 = 0 column carries no d1 content and is excluded from the
-    left side; the audit therefore measures the inequality on the
-    mean-free-in-x1 part of the component.
-    """
-    g = state.grid
-    fhat = state.u[component]
-    col = np.broadcast_to(np.abs(g.xi1) > 0.0, g.shape)
-    lhs = _L1_CALIBRATION * float(np.sum(np.abs(fhat[col])))
-    d1 = coeff_derivative(g, fhat, 1)
-    rhs = np.sqrt(sobolev_norm(g, d1, 1)) * np.sqrt(sobolev_norm(g, fhat, 1))
-    return InterpolationAudit(lhs=lhs, rhs=float(rhs))
 
 
 def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:

@@ -55,7 +55,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, _hm_squares, instantaneous
+from .diagnostics import DiagnosticsRecord, energy, instantaneous
 from .errors import BlowUpError, ConfigError, DiagnosticIntegrityError
 from .propagator import (
     apply_block_entries,
@@ -424,20 +424,20 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
     phase (so physical fields are real) and reduced to its potentials,
     which drops the gradient part, the mean and the Nyquist modes. Cut to
     the 2/3 band and turned into a state by ``from_potentials``, it is
-    scaled so the order-m energy E(0) equals data_delta; E comes from the
-    same H^m sums as a record's, and nothing else of a record is formed.
+    scaled so the order-m energy E(0) equals data_delta; E is
+    ``diagnostics.energy``, a record's H^m sums over the weights the run's
+    records go on to use.
     """
     g = grid if grid is not None else cfg.grid()
     if cfg.data_kind == "zero":
         return SpectralState.zeros(g)
+    kc = g.band_cols  # the data lie on the band
     if cfg.data_kind == "prop25":
-        kc = g.band_cols
         samp = build_profile("prop25").vector_at(g.xi1, g.half_xi2[:, :kc])
         st = from_potentials(g, _potentials(g, 1j * samp, kc) * g.half_dealias_mask[:, :kc])
     else:
         st = random_div_free_state(g, cfg.seed)
-    hm_v_sq, hm_b_sq = _hm_squares(g, st.u[:, :, : g.n2 // 2 + 1], cfg.m)[:2]
-    e0 = float(np.sqrt(hm_v_sq + hm_b_sq))
+    e0 = energy(g, st.u[:, :, :kc], cfg.m)
     if e0 <= 0.0:
         raise ConfigError(
             f"initial data {cfg.data_kind!r} vanishes on this grid; "

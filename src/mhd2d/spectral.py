@@ -1,10 +1,10 @@
 """Periodic-grid spectral substrate.
 
 Grids and their wavenumbers with the 2/3 dealias mask, the state container
-and its checks, the inverse transform, per-component derivatives, Sobolev
-norms, divergence-free random states, the stream-function/potential form of
-a state on the real-FFT half spectrum, and the binary snapshot format used
-by the experiment runner.
+and its checks, the inverse transform, Sobolev norms, divergence-free
+random states, the stream-function/potential form of a state on the
+real-FFT half spectrum, and the binary snapshot format used by the
+experiment runner.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -229,26 +229,6 @@ def to_physical(state: SpectralState) -> np.ndarray:
                          norm="forward")
 
 
-def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-    """Multiply one coefficient array by (i xi_axis)^order.
-
-    Odd orders zero the Nyquist mode of that axis (it has no sign-definite
-    frequency, so an odd derivative of a real field must drop it).
-    """
-    if axis not in (1, 2):
-        raise ConfigError(f"axis must be 1 or 2, got {axis}")
-    if int(order) != order or order < 0:
-        raise ConfigError(f"order must be a nonnegative integer, got {order!r}")
-    xi = grid.xi1 if axis == 1 else grid.xi2
-    out = f * (1j * xi) ** order
-    if order % 2 == 1:
-        if axis == 1:
-            out[grid.k1 == -grid.n1 // 2, :] = 0.0
-        else:
-            out[:, grid.k2 == -grid.n2 // 2] = 0.0
-    return out
-
-
 def to_potentials(state: SpectralState) -> np.ndarray:
     """Stream function and magnetic potential of a state, shape (2, n1, n2//2 + 1).
 
@@ -323,21 +303,6 @@ def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
         raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
     w = (1.0 + grid.xi_sq) ** m
     return float(np.sqrt(grid.area * np.sum(w * np.abs(f) ** 2)))
-
-
-def multi_index_weight(grid: SpectralGrid, m: int) -> np.ndarray:
-    """sum over |alpha| <= m of xi^(2*alpha), the derivative-sum H^m weight.
-
-    This is the plain sum over multi-indices (no multinomial coefficients),
-    the weight under which the sharp 1/2 constants of the energy audit hold.
-    """
-    if int(m) != m or m < 0:
-        raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
-    w = np.zeros(grid.shape)
-    for a in range(int(m) + 1):
-        for b in range(int(m) + 1 - a):
-            w += grid.xi1 ** (2 * a) * grid.xi2 ** (2 * b)
-    return w
 
 
 def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,7 +11,6 @@ from mhd2d.diagnostics import (
     cumulative,
     em_inequality_audit,
     fit_decay,
-    fourier_l1_audit,
     gaussian_divfree_family,
     instantaneous,
     interpolation_audit,
@@ -28,8 +27,8 @@ from mhd2d.errors import (
 )
 from mhd2d.propagator import DecayCurve
 from mhd2d.solver import SolverConfig, run
-from mhd2d.spectral import SpectralState, make_grid, multi_index_weight, random_div_free_state
-from reference import from_physical
+from mhd2d.spectral import SpectralState, make_grid, random_div_free_state
+from reference import fourier_l1_audit, from_physical, multi_index_weight
 
 TWO_PI = 2.0 * np.pi
 

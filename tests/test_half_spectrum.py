@@ -6,7 +6,9 @@ mirror or the dealias cutoff, cannot cancel out.
 """
 
 import dataclasses
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +30,11 @@ from mhd2d.spectral import (
     SpectralState,
     _components,
     _potentials,
-    coeff_derivative,
     divergence_defect,
     from_potentials,
     hermitian_defect,
     load_state,
     make_grid,
-    multi_index_weight,
     random_div_free_state,
     save_state,
     sobolev_norm,
@@ -42,7 +42,11 @@ from mhd2d.spectral import (
     to_potentials,
 )
 from reference import (
+    coeff_derivative,
+    _xm as oracle_xm,
+    instantaneous as oracle_record,
     leray_project,
+    multi_index_weight,
     phi_fixed_series,
     stress_tendency,
     tendency,
@@ -517,6 +521,88 @@ def test_band_record_matches_state_record(m):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 if f.name not in ("A", "cancel_residual"):
                     assert abs(a - b) <= 1e-15 * max(abs(a), abs(b)), f.name
+
+
+def oracle_states(g, m):
+    """A random state, the same with Nyquist content, and prop25 data on a
+    32 pi box of the same sizes, as the benchmark's runs start from."""
+    st = random_div_free_state(g, seed=g.n1 + m, amplitude=2.0)
+    prop = SolverConfig(n1=g.n1, n2=g.n2, l1=32.0 * np.pi, l2=32.0 * np.pi, dt=0.02,
+                        t_end=0.04, m=m, data_kind="prop25")
+    return [st, with_nyquist_content(st, m), initial_state(prop)]
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((128, 128), (256, 256)))
+@pytest.mark.parametrize("m", (1, 2, 4))
+def test_record_matches_the_oracle_within_roundoff(n1, n2, m):
+    # one contraction per weighted total over tables built once, against the
+    # product arrays and np.sum of the per-call tables: not bitwise, but a few
+    # ulps on every field, from band columns and from whole states alike
+    for st in oracle_states(make_grid(n1, n2, L1, L2), m):
+        g = st.grid
+        for h in (st.u, _components(g, _potentials(g, st.u, g.band_cols))):
+            got = diagnostics.instantaneous(g, h, m, time=0.5, energy_residual=1e-9)
+            want = oracle_record(g, h, m, time=0.5, energy_residual=1e-9)
+            assert abs(got.A - want.A) <= 1e-15 * want.E**2
+            assert got.cancel_residual <= 1e-13 and want.cancel_residual <= 1e-13
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name not in ("A", "cancel_residual"):
+                    assert abs(a - b) <= 5e-15 * abs(b), (f.name, a, b)
+        # and the X^m norm of the whole state on its own
+        h = st.u[:, :, :g.n2 // 2 + 1]
+        want = oracle_xm(g, h.real**2 + h.imag**2, m)
+        got = diagnostics.anisotropic_norm(st, m)
+        assert abs(got - want) <= 5e-15 * want, (got, want)
+
+
+def test_a_run_builds_its_record_weights_once(monkeypatch):
+    # initial_state's E(0) builds them; every record of the run reuses them,
+    # and they go with the run's grid
+    real = diagnostics.RecordWeights
+    built = []
+
+    def counted(grid, m, kc):
+        built.append((m, kc))
+        return real(grid, m, kc)
+
+    monkeypatch.setattr(diagnostics, "RecordWeights", counted)
+    diagnostics._WEIGHTS.clear()
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.08, m=2,
+                       data_kind="random", data_delta=0.5, seed=5)
+    traj = run(cfg)
+    assert len(traj.records) == 5 and built == [(2, cfg.grid().band_cols)]
+    assert len(diagnostics._WEIGHTS) == 1
+    del traj
+    gc.collect()
+    assert len(diagnostics._WEIGHTS) == 0
+
+
+def test_record_transient_peak_and_weights_size():
+    # one 128^2 band-column record peaked at 1.67 MB when it built its tables
+    # on every call; with the run's weights already built about 0.93 MB, and
+    # about 1.24 MB when it builds them itself. A run's weights at 256^2 are
+    # seven (256, 86) tables, 1.25 MB.
+    cfg = SolverConfig(n1=128, n2=128, l1=32.0 * np.pi, l2=32.0 * np.pi, dt=0.02,
+                       t_end=0.04, data_kind="random", data_delta=0.5, seed=3)
+    g = cfg.grid()
+    h = _components(g, _band(initial_state(cfg, g), g))
+    for cleared in (False, True):
+        diagnostics.instantaneous(g, h, cfg.m)
+        if cleared:
+            diagnostics._WEIGHTS.clear()
+        _, peak = traced_peak(lambda: diagnostics.instantaneous(g, h, cfg.m))
+        assert peak <= 1.7e6, (cleared, peak)
+    big = make_grid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = diagnostics.RecordWeights(big, 4, big.band_cols)
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held.hm.shape == (256, 86)
+    assert size <= 1.3e6, size
 
 
 def test_record_rejects_components_of_another_shape():

@@ -10,19 +10,24 @@ from mhd2d.spectral import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     SpectralState,
-    coeff_derivative,
     divergence_defect,
     hermitian_defect,
     l2_norm,
     load_state,
     make_grid,
-    multi_index_weight,
     random_div_free_state,
     save_state,
     sobolev_norm,
     to_physical,
 )
-from reference import from_physical, leray_project, spectral_derivative, traced_peak
+from reference import (
+    coeff_derivative,
+    from_physical,
+    leray_project,
+    multi_index_weight,
+    spectral_derivative,
+    traced_peak,
+)
 
 TWO_PI = 2.0 * np.pi
 
