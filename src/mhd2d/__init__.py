@@ -34,7 +34,6 @@ from .spectral import (
     save_state,
     sobolev_norm,
     to_physical,
-    to_potentials,
 )
 from .modes import (
     AuditRow,
@@ -43,12 +42,10 @@ from .modes import (
     classify_region,
     divided_difference,
     eigenvalues,
-    lemma_bounds_audit,
     mode_system,
     region_masks,
     scan_lemma_bounds,
     sqrt_discriminant,
-    symbol_matrix,
 )
 from .quadrature import refine_integral
 from .propagator import (
@@ -69,7 +66,6 @@ from .solver import (
     advective_dt_bound,
     initial_state,
     run,
-    step,
 )
 from .diagnostics import (
     CSV_COLUMNS,

@@ -107,7 +107,10 @@ def _time_grid(typed, t_min, t_max, count):
 
 def _out_dir(args, typed) -> str:
     out = args.out or typed.get("output.dir") or "mhd2d-out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out!r}: {exc}") from exc
     return out
 
 

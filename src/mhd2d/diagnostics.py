@@ -193,6 +193,11 @@ _WEIGHTS = weakref.WeakKeyDictionary()
 
 
 def _record_weights(grid: SpectralGrid, m: int, kc: int) -> RecordWeights:
+    """The weights for (grid, m, kc); ``ConfigError`` unless m is a positive
+    integer, which every order-m quantity needs."""
+    if int(m) != m or m < 1:
+        raise ConfigError(f"m must be a positive integer, got {m!r}")
+    m = int(m)
     held = _WEIGHTS.get(grid)  # an equal grid, by (n1, n2, l1, l2), finds them
     if held is None or held[0] != (m, kc):
         _WEIGHTS.clear()
@@ -294,9 +299,7 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
     roundoff, or when the region masses fail to recover the L^2 mass.
     """
-    if int(m) != m or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
-    m, g = int(m), grid
+    g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1):
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
     h = np.ascontiguousarray(u[:, :, : g.n2 // 2 + 1])
@@ -488,11 +491,15 @@ def em_inequality_audit(records: Sequence[DiagnosticsRecord], m: int) -> EnergyA
                        implied_C=float(np.max(ratios)))
 
 
-def interpolation_audit(f: Callable, p: float, q: float, d: int = 2,
-                        radius: float = 60.0) -> InterpolationAudit:
+# where ``interpolation_audit`` truncates its radial integrals
+_AUDIT_RADIUS = 60.0
+
+
+def interpolation_audit(f: Callable, p: float, q: float, d: int = 2) -> InterpolationAudit:
     """Both sides of the weighted L^1 interpolation bound for a radial profile.
 
-    ``f`` maps radius r >= 0 to a value (vectorized). lhs = |f|_{L^1(R^d)};
+    ``f`` maps radius r >= 0 to a value (vectorized), integrated out to
+    ``_AUDIT_RADIUS``. lhs = |f|_{L^1(R^d)};
     rhs = the product of weighted L^2 norms with exponents q/(p+q), p/(p+q).
     The inner weighted norm diverges when the weight beats the radial
     volume factor at the origin and f(0) != 0; that case is rejected.
@@ -511,12 +518,12 @@ def interpolation_audit(f: Callable, p: float, q: float, d: int = 2,
     def absf(r):
         return np.abs(np.asarray(f(r), dtype=float))
 
-    lhs = sphere * refine_integral(lambda r: absf(r) * r ** (d - 1), 0.0, radius)
+    lhs = sphere * refine_integral(lambda r: absf(r) * r ** (d - 1), 0.0, _AUDIT_RADIUS)
     hi = sphere * refine_integral(
-        lambda r: r ** (d + 2.0 * p) * absf(r) ** 2 * r ** (d - 1), 0.0, radius
+        lambda r: r ** (d + 2.0 * p) * absf(r) ** 2 * r ** (d - 1), 0.0, _AUDIT_RADIUS
     )
     lo = sphere * refine_integral(
-        lambda r: r ** (d - 2.0 * q) * absf(r) ** 2 * r ** (d - 1), 0.0, radius
+        lambda r: r ** (d - 2.0 * q) * absf(r) ** 2 * r ** (d - 1), 0.0, _AUDIT_RADIUS
     )
     rhs = hi ** (0.5 * q / (p + q)) * lo ** (0.5 * p / (p + q))
     return InterpolationAudit(lhs=float(lhs), rhs=float(rhs))
@@ -555,7 +562,9 @@ def physical_l1_norm(state: SpectralState) -> float:
 
 
 def gaussian_divfree_family(grid: SpectralGrid, widths=(0.5, 1.0, 2.0, 4.0)):
-    """Divergence-free Gaussian-envelope states, one per physical width."""
+    """Divergence-free Gaussian-envelope states, one per finite physical width."""
+    if not np.all(np.isfinite(widths)):
+        raise ConfigError(f"widths must be finite, got {tuple(widths)!r}")
     return [
         from_potentials(grid, np.stack((np.exp(-0.5 * w**2 * grid.half_xi_sq),
                                         np.exp(-0.25 * w**2 * grid.half_xi_sq)))

@@ -2,8 +2,8 @@
 
 Per wavenumber the linearized system decouples into two identical 2x2 blocks
 acting on (v_j, B_j); the 4x4 symbol J has the double characteristic
-polynomial (lam^2 - lam + xi1^2)^2. This module owns the eigenvalues,
-eigen/reconstruction vectors, the one confluent-safe divided difference of
+polynomial (lam^2 - lam + xi1^2)^2. This module owns the eigenvalues, the
+normal-mode reconstruction, the one confluent-safe divided difference of
 phi_k over the eigenvalue pair (k = 0 is the exponential), the
 resonant/damped splitting of the semigroup acting on the second row pair,
 and the region-wise decay-bound audit built on it.
@@ -53,14 +53,14 @@ def _pair(xi1, a):
     return s, lam_minus, den / 2.0
 
 
-def eigenvalues(xi1, a=1.0):
+def eigenvalues(xi1):
     """Eigenvalue pair (lam_minus, lam_plus) of the 2x2 block.
 
-    lam_pm = (a +- sqrt(a^2 - 4 xi1^2)) / 2. The minus branch is evaluated
-    as 2 xi1^2 / (a + s), which is exact by Vieta and avoids cancellation
+    lam_pm = (1 +- sqrt(1 - 4 xi1^2)) / 2. The minus branch is evaluated
+    as 2 xi1^2 / (1 + s), which is exact by Vieta and avoids cancellation
     for small xi1.
     """
-    _, lam_minus, lam_plus = _pair(xi1, a)
+    _, lam_minus, lam_plus = _pair(xi1, 1.0)
     if np.ndim(lam_minus) == 0:
         return complex(lam_minus), complex(lam_plus)
     return lam_minus, lam_plus
@@ -152,39 +152,22 @@ def phi_split(k: int, xi1, h, a=1.0):
     return lam_m, lam_p, f_plus, dd
 
 
-def divided_difference(xi1, t, a=1.0):
+def divided_difference(xi1, t):
     """(exp(-lam_minus t) - exp(-lam_plus t)) / (lam_plus - lam_minus), the
     k = 0 case of ``phi_split``; finite through the degenerate pair."""
-    out = phi_split(0, xi1, t, a)[3]
+    out = phi_split(0, xi1, t)[3]
     return complex(out) if np.ndim(out) == 0 else out
-
-
-def symbol_matrix(xi1: float) -> np.ndarray:
-    """The 4x4 symbol J of the linear system, analysis orientation."""
-    c = 1j * xi1
-    return np.array(
-        [
-            [1.0, 0.0, c, 0.0],
-            [0.0, 1.0, 0.0, c],
-            [c, 0.0, 0.0, 0.0],
-            [0.0, c, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-_DEGENERATE = (0.0, 0.5, -0.5)
 
 
 @dataclass(frozen=True)
 class ModeSystem:
     """Eigen-system of the symbol at one wavenumber.
 
-    ``eigenvector(sign, j)`` returns the vector E with J E = lam_sign E;
-    analysis coefficients of a state u are plain dot products u . E.
-    ``recon_vector(sign, j)`` returns the dual vector b so that
-    u = sum over (sign, j) of (u . E_sign^j) b_sign^j. The b family is
-    undefined exactly at xi1 in {0, +-1/2} and is flagged there.
+    The eigenvector of J for lam_sign in the slots of pair j is E_sign^j =
+    (i xi1, -lam_other) there and zero elsewhere, and the analysis
+    coefficient of a state u is the plain dot product u . E_sign^j.
+    ``reconstruct`` sums those coefficients against the dual family, which
+    is undefined exactly at xi1 in {0, +-1/2} and is flagged there.
     """
 
     xi1: float
@@ -192,40 +175,16 @@ class ModeSystem:
     lam_minus: complex
     lam_plus: complex
 
-    @property
-    def degenerate(self) -> bool:
-        return self.xi1 in _DEGENERATE
-
-    def _lam(self, sign: int) -> complex:
-        return self.lam_plus if sign > 0 else self.lam_minus
-
-    def eigenvector(self, sign: int, j: int) -> np.ndarray:
-        """E_sign^j: (i xi1, 0, -lam_other, 0) in the slots of pair j."""
-        lam_other = self._lam(-sign)
-        out = np.zeros(4, dtype=complex)
-        out[j - 1] = 1j * self.xi1
-        out[j + 1] = -lam_other
-        return out
-
-    def recon_vector(self, sign: int, j: int) -> np.ndarray:
-        if self.degenerate:
-            raise SingularBasisError(f"reconstruction vectors are undefined at xi1 = {self.xi1}")
-        lam = self._lam(sign)
-        pref = 1.0 / (self.xi1 * self.s)
-        out = np.zeros(4, dtype=complex)
-        out[j - 1] = -1j * np.sign(sign) * lam * pref
-        out[j + 1] = np.sign(sign) * self.xi1 * pref
-        return out
-
     def reconstruct(self, u: np.ndarray) -> np.ndarray:
-        """Sum of coefficient * recon_vector over all four mode labels.
+        """u as the sum of its four analysis coefficients u . E_sign^j times
+        the dual vectors b_sign^j = sign (-i lam_sign, xi1) / (xi1 s).
 
         Closed form of that sum, per pair j with (x, y) = (u_j, u_{j+2}):
         c_pm = i xi1 x - lam_mp y, then x' = -i (lam_plus c_plus - lam_minus
         c_minus) / (xi1 s) and y' = (c_plus - c_minus) / s.
         """
         xi1, lam_m, lam_p = self.xi1, self.lam_minus, self.lam_plus
-        if xi1 in _DEGENERATE:
+        if xi1 in (0.0, 0.5, -0.5):
             raise SingularBasisError(f"reconstruction vectors are undefined at xi1 = {xi1}")
         pref = 1.0 / (xi1 * self.s)
         ipref, xpref, ixi = -1j * pref, xi1 * pref, 1j * xi1
@@ -342,23 +301,6 @@ def _audit_arrays(fs, fnorm, xi1, t):
         "omg4": (r3, abs2, rhs_e2),
         "omg3": (r3, abs4, rhs_e4),
     }
-
-
-def lemma_bounds_audit(f, xi, t) -> list:
-    """Audit rows for a single (f, wavenumber, t).
-
-    Region 1 and 2 each contribute one combined-row inequality; region 3
-    contributes the e2 row (omg4) and the e4 row (omg3).
-    """
-    xi1 = float(np.atleast_1d(np.asarray(xi, dtype=float)).ravel()[0])
-    fs = np.asarray([f], dtype=complex)
-    data = _audit_arrays(fs, np.array([[np.linalg.norm(fs[0])]]), np.asarray([xi1]), float(t))
-    wanted = {1: ("omg1",), 2: ("omg2",), 3: ("omg4", "omg3")}[classify_region(xi1)]
-    rows = []
-    for name in wanted:
-        _, lhs, rhs = data[name]
-        rows.append(AuditRow(name, xi1, float(t), float(lhs[0, 0]), float(rhs[0, 0])))
-    return rows
 
 
 def scan_lemma_bounds(xi1_values, times, n_samples=20, seed=0):

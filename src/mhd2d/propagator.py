@@ -41,9 +41,10 @@ def phi_block_entries(k: int, xi1, h, a=1.0, coupling_sign: int = 1):
     return p11, p12, p22
 
 
-def exp_block_entries(xi1, t, a=1.0, coupling_sign: int = 1):
-    """Vectorized entries of exp(-t K): ``phi_block_entries`` with k = 0."""
-    return phi_block_entries(0, xi1, t, a, coupling_sign)
+def exp_block_entries(xi1, t):
+    """Vectorized entries of exp(-t K), K = [[1, i xi1], [i xi1, 0]]:
+    ``phi_block_entries`` with k = 0."""
+    return phi_block_entries(0, xi1, t)
 
 
 def propagator_block(xi1: float, t: float) -> np.ndarray:

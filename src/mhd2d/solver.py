@@ -36,12 +36,12 @@ axis 2 and one along axis 1 over the kc band columns only. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables. ``SpectralState`` (the four
 components on the full spectrum) stays the form of every input and output.
-``run`` and ``step`` enter the band stack only through ``_band``, which
-checks the grid and, in one pass of the state check ``validate()`` uses,
-its properties and the 2/3 band, and leave it only through
-``from_potentials``, which takes the band stack as it is; a run records
-each sample, t = 0 included, from the band stack's own columns and builds
-a state only for one that leaves the run (``_sampled_state``).
+``run``, the one public way to a stepper, enters the band stack only
+through ``_band``, which checks the grid and, in one pass of the state
+check ``validate()`` uses, its properties and the 2/3 band, and leaves it
+only through ``from_potentials``, which takes the band stack as it is; a
+run records each sample, t = 0 included, from the band stack's own columns
+and builds a state only for one that leaves the run (``_sampled_state``).
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -139,8 +139,8 @@ class SolverConfig:
             raise ConfigError(f"data_kind must be one of {DATA_KINDS}, got {self.data_kind!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.data_kind != "zero" and not (self.data_delta > 0.0):
-            raise ConfigError(f"data_delta must be positive, got {self.data_delta!r}")
+        if self.data_kind != "zero" and not (0.0 < self.data_delta < np.inf):
+            raise ConfigError(f"data_delta must be positive and finite, got {self.data_delta!r}")
         every = self.output_every if self.output_every is not None else self.dt
         object.__setattr__(self, "output_every", float(every))
         _multiple_of(self.t_end, self.dt, "t_end")
@@ -389,24 +389,6 @@ class _Stepper:
         out *= h / 6.0
         out += ew_full
         return out
-
-
-def step(state: SpectralState, cfg: SolverConfig) -> SpectralState:
-    """Advance one state by dt under the configured scheme.
-
-    Builds the per-mode tables afresh on every call, exactly as ``run``
-    does once per run; loops should call ``run``. A state off the
-    configured grid, failing ``validate()`` or with coefficients outside the
-    2/3 dealias band raises ``ConfigError``.
-    """
-    g = cfg.grid()
-    w = _Stepper(g, cfg).advance(_band(state, g))
-    if not np.all(np.isfinite(w)):
-        raise BlowUpError(
-            f"non-finite coefficients after one step from t = {state.time}",
-            last_valid_time=state.time,
-        )
-    return from_potentials(g, w, state.time + cfg.dt)
 
 
 def advective_dt_bound(state: SpectralState) -> float:

@@ -204,8 +204,8 @@ class SpectralState:
             raise ConfigError(f"time must be finite and nonnegative, got {self.time}")
 
     @classmethod
-    def zeros(cls, grid: SpectralGrid, time: float = 0.0) -> "SpectralState":
-        return cls(grid, np.zeros((4, grid.n1, grid.n2), dtype=np.complex128), time)
+    def zeros(cls, grid: SpectralGrid) -> "SpectralState":
+        return cls(grid, np.zeros((4, grid.n1, grid.n2), dtype=np.complex128))
 
     def copy(self) -> "SpectralState":
         return SpectralState(self.grid, self.u.copy(), self.time)
@@ -229,25 +229,18 @@ def to_physical(state: SpectralState) -> np.ndarray:
                          norm="forward")
 
 
-def to_potentials(state: SpectralState) -> np.ndarray:
-    """Stream function and magnetic potential of a state, shape (2, n1, n2//2 + 1).
+def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
+    """Stream function and magnetic potential of the components ``u`` on
+    the leading kc half-spectrum columns, shape (2, n1, kc).
 
     With v = (d2 psi, -d1 psi) and B = (d2 a, -d1 a), psi_hat = i (xi1 v2_hat -
-    xi2 v1_hat) / |xi|^2 and likewise a_hat, on the half spectrum. The
-    gradient part of a field that is not divergence free is dropped; the mean
-    mode and the Nyquist row and column come out zero.
-    """
-    g = state.grid
-    return _potentials(g, state.u, g.n2 // 2 + 1)
-
-
-def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
-    """``to_potentials`` on the leading kc half-spectrum columns only.
-
-    The one inverse curl map: the same elementwise operations on every
-    width, so its columns equal those of the full-width result bit for bit.
-    The stepper takes its band stack (kc = ``grid.band_cols``) from it
-    without computing the columns it would drop.
+    xi2 v1_hat) / |xi|^2 and likewise a_hat. The gradient part of a field
+    that is not divergence free is dropped; the mean mode and the Nyquist
+    row and column come out zero. The one inverse curl map: the same
+    elementwise operations on every width, so its columns equal those of
+    the full-width result bit for bit. The stepper takes its band stack
+    (kc = ``grid.band_cols``) from it without computing the columns it
+    would drop.
     """
     half = u[:, :, :kc]
     curl = grid.xi1 * half[1::2] - grid.half_xi2[:, :kc] * half[0::2]
@@ -271,7 +264,7 @@ def _components(grid: SpectralGrid, w: np.ndarray, out: np.ndarray = None) -> np
 def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
     """The state (v, B) = (curl-perp psi, curl-perp a) of a half-spectrum stack.
 
-    The inverse of ``to_potentials`` on divergence-free states. ``w`` may
+    The inverse of ``_potentials`` on divergence-free states. ``w`` may
     hold only the leading kc <= n2//2 + 1 columns, as the band stack does:
     those become its ``_components``, the rest of the half spectrum zero,
     and the negative k2 columns their mirrors, so the result is exactly
@@ -384,9 +377,7 @@ def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
     return None
 
 
-def random_div_free_state(
-    grid: SpectralGrid, seed: int, amplitude: float = 1.0, time: float = 0.0
-) -> SpectralState:
+def random_div_free_state(grid: SpectralGrid, seed: int, amplitude: float = 1.0) -> SpectralState:
     """Seeded, Hermitian-by-construction, divergence-free random state.
 
     Both pairs come from stream functions: two planes of white noise go
@@ -402,7 +393,7 @@ def random_div_free_state(
     envelope = np.exp(-grid.half_xi_sq / (2.0 * xic**2)) * grid.half_dealias_mask
     noise = rng.standard_normal((2,) + grid.shape)
     w = np.fft.rfft2(noise, axes=(-2, -1), norm="forward") * envelope
-    state = from_potentials(grid, w, time)
+    state = from_potentials(grid, w)
     cur = max((l2_norm(grid, state.u[c]) for c in range(4)), default=0.0)
     if cur > 0.0:
         state.u *= amplitude / cur

@@ -121,7 +121,7 @@ def phi_fixed_series(k: int, z) -> np.ndarray:
 
 def pairwise_reconstruct(ms, u) -> np.ndarray:
     """``ModeSystem.reconstruct`` of ``ms``, one (v_j, B_j) pair at a time."""
-    if ms.degenerate:
+    if ms.xi1 in (0.0, 0.5, -0.5):
         raise SingularBasisError(
             f"reconstruction vectors are undefined at xi1 = {ms.xi1}"
         )

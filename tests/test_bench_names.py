@@ -85,7 +85,6 @@ def test_every_transform_goes_through_a_timed_fft_name(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     cfg = solver.SolverConfig(n1=16, n2=24, dt=0.05, t_end=0.2, output_every=0.1,
                               data_kind="random", data_delta=0.1, seed=3)
-    solver.step(solver.initial_state(cfg), cfg)
     solver.run(cfg)
     assert calls
     assert set(calls) <= timed, sorted(set(calls) - timed)

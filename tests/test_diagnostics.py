@@ -8,8 +8,10 @@ import scipy.integrate
 
 from mhd2d.diagnostics import (
     CSV_COLUMNS,
+    anisotropic_norm,
     cumulative,
     em_inequality_audit,
+    energy,
     fit_decay,
     gaussian_divfree_family,
     instantaneous,
@@ -42,12 +44,15 @@ def test_zero_state_record():
 
 
 def test_instantaneous_m_validation():
+    # the record, the X^m norm and E all take their weights through one check
     g = make_grid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=0)
-    with pytest.raises(ConfigError):
-        instantaneous(g, st.u, 0)
-    with pytest.raises(ConfigError):
-        instantaneous(g, st.u, 2.5)
+    band = st.u[:, :, : g.band_cols]
+    for m in (0, -1, 2.5):
+        for quantity, args in ((instantaneous, (g, st.u)), (anisotropic_norm, (st,)),
+                               (energy, (g, band))):
+            with pytest.raises(ConfigError, match="m must be a positive integer"):
+                quantity(*args, m)
 
 
 def test_integral_float_m_is_the_integer_m():

@@ -24,7 +24,6 @@ from mhd2d.solver import (
     _Stepper,
     initial_state,
     run,
-    step,
 )
 from mhd2d.spectral import (
     SpectralState,
@@ -39,7 +38,6 @@ from mhd2d.spectral import (
     save_state,
     sobolev_norm,
     to_physical,
-    to_potentials,
 )
 from reference import (
     coeff_derivative,
@@ -115,7 +113,7 @@ def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
     g = make_grid(n1, n2, L1, L2)
     kc = g.band_cols
     assert kc == int(np.count_nonzero(g.half_dealias_mask.any(axis=0)))
-    w = to_potentials(random_div_free_state(g, seed=n1 + n2, amplitude=3.0))
+    w = _potentials(g, random_div_free_state(g, seed=n1 + n2, amplitude=3.0).u, n2 // 2 + 1)
     assert np.all(w[..., kc:] == 0.0)
     got = _nonlinear(g, w[..., :kc].copy(), tendency_tables(g))
     assert got.shape == (2, n1, kc)
@@ -243,7 +241,7 @@ def test_step_transient_peak(scheme):
 def test_potential_roundtrip(n1, n2):
     g = make_grid(n1, n2, L1, L2)
     st = random_div_free_state(g, seed=n1 * n2)
-    w = to_potentials(st)
+    w = _potentials(g, st.u, n2 // 2 + 1)
     assert w.shape == (2, n1, n2 // 2 + 1)
     back = from_potentials(g, w, st.time)
     scale = np.max(np.abs(st.u))
@@ -261,7 +259,7 @@ def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
     # every constructor goes through from_potentials, so each property holds
     # exactly, not to roundoff; prop25 data needs the large box to be resolved.
     # The band-width inverse curl of the stepper's entry and re-anchor gives
-    # the leading columns of to_potentials bit for bit.
+    # the leading columns of the full-width one bit for bit.
     g = make_grid(n1, n2, l1, l2)
     base = dict(n1=n1, n2=n2, l1=l1, l2=l2, dt=0.1, t_end=0.2, seed=n1)
     states = [random_div_free_state(g, seed=n2, amplitude=2.0),
@@ -277,7 +275,7 @@ def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
         assert np.all(st.u[:, ~g.dealias_mask] == 0.0)
         assert np.max(np.abs(st.u)) > 0.0
         st.validate()
-        band = to_potentials(st)[..., : g.band_cols]
+        band = _potentials(g, st.u, g.n2 // 2 + 1)[..., : g.band_cols]
         assert np.array_equal(_potentials(g, st.u, g.band_cols), band)
         assert np.array_equal(_band(st, g), band)
 
@@ -323,8 +321,9 @@ def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04, scheme=scheme,
                        data_kind="random", data_delta=0.5, seed=1)
     st = initial_state(cfg)
+    g = cfg.grid()
     fft = PlaneCounter(monkeypatch)
-    step(st, cfg)
+    _Stepper(g, cfg).advance(_band(st, g))
     # each tendency: 4 inverse (v1, B1, v2, B2) and 3 forward (T22 - T11, T12,
     # N_a), each as a column pass over the kc = 22 band columns and a row pass
     assert fft.planes == {"ifftn": 4 * tendencies, "irfftn": 4 * tendencies,
@@ -750,7 +749,7 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04,
                        data_kind="random", data_delta=0.5, seed=3)
     g = cfg.grid()
-    w = to_potentials(initial_state(cfg, g))
+    w = _potentials(g, initial_state(cfg, g).u, g.n2 // 2 + 1)
     k2 = -(-g.n2 // 3)  # first half-spectrum column the 2/3 rule drops
     assert not g.half_dealias_mask[1, k2]
     w[0, 1, k2] = np.max(np.abs(w))
@@ -758,11 +757,9 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     st.validate()
     with pytest.raises(ConfigError, match="dealias band"):
         run(cfg, initial=st)
-    with pytest.raises(ConfigError, match="dealias band"):
-        step(st, cfg)
     # in-band states that fail validate() are rejected at the same entry: a
     # gradient part (with its conjugate), an unmirrored divergence-free mode
-    # and a mean; and, for step and run, the same array on another box
+    # and a mean; and the same array on another box
     base = initial_state(cfg, g)
     amp = 1e-2 * np.max(np.abs(base.u))
     grad = 1j * amp * np.array([g.xi1[1, 0], g.xi2[0, 1]])
@@ -772,13 +769,11 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     unmirrored.u[0:2, 1, 1] += amp * np.array([g.xi2[0, 1], -g.xi1[1, 0]])
     mean.u[0, 0, 0] += amp
     for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
-        for call in (lambda s: run(cfg, initial=s), lambda s: step(s, cfg)):
-            with pytest.raises(ConfigError, match=why):
-                call(bad)
+        with pytest.raises(ConfigError, match=why):
+            run(cfg, initial=bad)
     elsewhere = SpectralState(make_grid(g.n1, g.n2, 2.0 * L1, L2), base.u)
-    for call in (lambda s: run(cfg, initial=s), lambda s: step(s, cfg)):
-        with pytest.raises(ConfigError, match="grid"):
-            call(elsewhere)
+    with pytest.raises(ConfigError, match="grid"):
+        run(cfg, initial=elsewhere)
     # a snapshot of a run lies inside the band and runs on
     path = tmp_path / "end.bin"
     save_state(run(cfg).final_state, path)

@@ -1,8 +1,17 @@
-"""AST scans of the sources: every import is used, and ``src/`` calls no BLAS.
+"""AST scans of the sources: every import is used, every public name of the
+package has a caller outside the tests, and ``src/`` calls no BLAS.
 
 An imported name counts as used when it appears as a name anywhere in its
 module, in the package, the tests, the demos and the benchmark. The
 re-exports of ``__init__.py`` and ``__future__`` imports are skipped.
+
+A public top-level function or class of ``src/mhd2d``, or a public method
+of a public class, counts as reached when code that users run names it:
+the package outside ``__init__.py`` and the definition itself, the demos,
+the benchmark and the acceptance gates. A name is a name or attribute
+node, an imported name or a string constant that is exactly the name (the
+benchmark wraps functions by name); the other tests do not count, so a
+name that only tests call goes, or moves into ``tests/reference.py``.
 
 The package reduces with numpy's own loops only: a BLAS product's last bit
 depends on its thread count (on a 256^2 band, ``np.dot`` of the H^m
@@ -14,6 +23,8 @@ which may hand its contraction to BLAS, are refused anywhere in ``src/``.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +58,72 @@ def test_scan_reports_an_unused_import(tmp_path):
     mod.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
                    "from json import dump, loads\nprint(np.pi, loads)\n", encoding="utf-8")
     assert _unused_imports(mod) == [(2, "os"), (4, "dump")]
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _name_counts(tree):
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _IDENTIFIER.fullmatch(node.value)):
+            counts[node.value] += 1
+    return counts
+
+
+def _unreached(modules, users):
+    """``file:line name`` of each public definition in ``modules`` that no
+    file of ``users`` names outside the definition itself."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in {*modules, *users}}
+    named = sum((_name_counts(trees[path]) for path in users), Counter())
+    found = []
+    for path in modules:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            defs = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(m, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+            for d, label in defs:
+                own = _name_counts(d)[d.name] if path in users else 0
+                if named[d.name] <= own:
+                    found.append(f"{path.name}:{d.lineno} {label}")
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = [p for p in sorted((ROOT / "src" / "mhd2d").glob("*.py"))
+               if p.name != "__init__.py"]
+    users = modules + sorted((ROOT / "demos").rglob("*.py"))
+    users += sorted((ROOT / "bench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    found = _unreached(modules, users)
+    assert not found, "public names only tests reach:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_unreached_name(tmp_path):
+    mod, user = tmp_path / "mod.py", tmp_path / "user.py"
+    mod.write_text('"""Mentions gone in a docstring: gone."""\n'
+                   "def used():\n    return _private()\n"
+                   "def gone():\n    return gone\n"
+                   "def _private():\n    return 1\n"
+                   "def wrapped():\n    pass\n"
+                   "class Box:\n    def called(self):\n        pass\n"
+                   "    def idle(self):\n        pass\n"
+                   "    def _hidden(self):\n        pass\n"
+                   "class _Inner:\n    def idle_too(self):\n        pass\n", encoding="utf-8")
+    user.write_text("from mod import used\nimport mod\n"
+                    "WRAPS = (('mod', 'wrapped'), ('mod', 'gone.attr'))\n"
+                    "mod.Box().called(used())\n", encoding="utf-8")
+    assert _unreached([mod], [mod, user]) == ["mod.py:4 gone", "mod.py:13 Box.idle"]
 
 
 BLAS_NAMES = {"dot", "vdot", "matmul", "vecdot", "inner", "tensordot", "multi_dot"}

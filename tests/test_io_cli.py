@@ -123,6 +123,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     cases += [("audit-lemma", {}, ("--seed", "-3")),
               ("linear-decay", {"t.max": "inf"}, ()), ("linear-decay", {"t.count": 0}, ()),
               ("audit-embedding", {"widths": "", "modes": ""}, ())]
+    cases += [("audit-embedding", {"n1": 16, "n2": 16, "modes": 2, **bad}, ())
+              for bad in ({"m": 0}, {"m": -1}, {"widths": "1, inf"}, {"widths": "nan"})]
     # a tolerance key the command does not have, or a NaN or negative value
     cases += [("linear-decay", {}, ("--tolerance", tol))
               for tol in ("slpoe=0.0", "slope=nan", "slope=-0.01")]
@@ -489,6 +491,17 @@ def test_audit_embedding_mode_off_the_grid_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["audit-embedding", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 64
     assert "single mode" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "embed.cfg", {"n1": 16, "n2": 16, "modes": "2"})
+    for out in (taken, taken / "below"):
+        assert cli.main(["audit-embedding", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 64, out
+        assert "cannot make output directory" in capsys.readouterr().err, out
+    assert taken.read_text(encoding="utf-8") == ""
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from mhd2d.solver import (
     advective_dt_bound,
     initial_state,
     run,
-    step,
 )
 from mhd2d.spectral import (
     SpectralState,
@@ -39,6 +38,7 @@ def test_config_validation():
         dict(alpha=1.5), dict(alpha=-0.1), dict(kappa=-1.0),
         dict(scheme="euler"), dict(m=0), dict(m=2.5),
         dict(data_kind="bump"), dict(data_delta=0.0),
+        dict(data_delta=float("inf")), dict(data_delta=float("nan")),
         dict(t_end=0.95), dict(output_every=0.15),
         dict(t_end=1.0, output_every=0.3),
         dict(t_end=float("inf")),
@@ -279,16 +279,8 @@ def test_initial_state_unresolved_support():
 def test_step_grid_mismatch():
     cfg = small_cfg()
     other = random_div_free_state(make_grid(16, 16, TWO_PI, TWO_PI), seed=0)
-    with pytest.raises(ConfigError):
-        step(other, cfg)
-
-
-def test_step_matches_first_step_of_run():
-    for scheme in ("etdrk2", "ifrk4"):
-        cfg = small_cfg(t_end=0.02, dt=0.01, output_every=0.01, scheme=scheme)
-        st = initial_state(cfg)
-        traj = run(cfg, initial=st, keep_states=True)
-        assert np.array_equal(step(st, cfg).u, traj.states[1].u), scheme
+    with pytest.raises(ConfigError, match="grid"):
+        run(cfg, initial=other)
 
 
 def test_trajectory_append_monotone():
