@@ -20,7 +20,7 @@ from mhd2d.diagnostics import (
     xm_embedding_scan,
 )
 from mhd2d.solver import SolverConfig, run
-from mhd2d.spectral import make_grid
+from mhd2d.spectral import SpectralGrid
 
 # 1. energy inequality along an actual trajectory
 cfg = SolverConfig(n1=64, n2=64, l1=32.0 * np.pi, l2=32.0 * np.pi,
@@ -46,7 +46,7 @@ for name, f in profiles.items():
 # the ratio is dilation invariant, which is why one constant serves all scales
 
 # 3. X^m vs H^m + L1 on Gaussians and single modes
-g = make_grid(128, 128, 16.0 * np.pi, 16.0 * np.pi)
+g = SpectralGrid(128, 128, 16.0 * np.pi, 16.0 * np.pi)
 states = gaussian_divfree_family(g)
 labels = ["gauss w=0.5", "gauss w=1", "gauss w=2", "gauss w=4"]
 for k in (4, 16):

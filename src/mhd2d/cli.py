@@ -33,7 +33,7 @@ from .errors import (
 )
 from .modes import scan_lemma_bounds
 from .propagator import DecayCurve, build_profile, linear_decay_curve
-from .spectral import make_grid, save_state
+from .spectral import SpectralGrid, save_state
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
@@ -314,8 +314,8 @@ def cmd_audit_energy(args, raw) -> int:
 def cmd_audit_embedding(args, raw) -> int:
     typed = typed_config("audit-embedding", raw)
     tol = _tolerances(args.tolerance, {"ratio": 1.0e3})
-    grid = make_grid(typed.get("n1", 128), typed.get("n2", 128),
-                     typed.get("l1", 16.0 * np.pi), typed.get("l2", 16.0 * np.pi))
+    grid = SpectralGrid(typed.get("n1", 128), typed.get("n2", 128),
+                        typed.get("l1", 16.0 * np.pi), typed.get("l2", 16.0 * np.pi))
     m = typed.get("m", 4)
     widths = typed.get("widths", (0.5, 1.0, 2.0, 4.0))
     states = dx.gaussian_divfree_family(grid, widths)

@@ -27,7 +27,7 @@ are lower bounds that converge as the box grows.
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -378,16 +378,14 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     )
 
 
-def _check_history(records: Sequence[DiagnosticsRecord], T: float):
+def _check_history(records: Sequence[DiagnosticsRecord]):
     if not records:
         raise IncompleteHistoryError("empty history")
     times = np.array([r.t for r in records])
-    if np.any(np.diff(times) <= 0.0):
+    if not np.all(np.diff(times) > 0.0):  # NaN fails too
         raise IncompleteHistoryError("history times must be strictly increasing")
-    if times[0] > 1e-12:
+    if not times[0] <= 1e-12:
         raise IncompleteHistoryError(f"history starts at t = {times[0]}, not 0")
-    if not times[0] <= T <= times[-1] * (1.0 + 1e-12) + 1e-12:  # NaN fails too
-        raise IncompleteHistoryError(f"T = {T} is outside the history [{times[0]}, {times[-1]}]")
     if len(times) > 2:
         steps = np.diff(times)
         med = float(np.median(steps))
@@ -396,8 +394,8 @@ def _check_history(records: Sequence[DiagnosticsRecord], T: float):
     return times
 
 
-def cumulative(records: Sequence[DiagnosticsRecord], T: Optional[float] = None) -> CumulativeRecord:
-    """Trapezoid time integrals over the sampled history up to T.
+def cumulative(records: Sequence[DiagnosticsRecord]) -> CumulativeRecord:
+    """Trapezoid time integrals over the whole sampled history.
 
     G^2 = sup_t E^2 + int (|v|_{H^m}^2 + |d1 B|_{H^{m-1}}^2) dt. The
     mediating quantity sums int ||.||^p dt of the six Fourier-Lebesgue
@@ -405,12 +403,7 @@ def cumulative(records: Sequence[DiagnosticsRecord], T: Optional[float] = None) 
     p-th root is deliberately not taken, matching how the summands enter
     the continuity argument.
     """
-    if T is None:
-        T = records[-1].t if records else 0.0
-    times = _check_history(records, T)
-    keep = times <= T * (1.0 + 1e-12) + 1e-12
-    times = times[keep]
-    recs = [r for r, k in zip(records, keep) if k]
+    times = _check_history(records)
 
     def integrate(vals, power=1.0):
         if len(times) == 1:
@@ -418,16 +411,16 @@ def cumulative(records: Sequence[DiagnosticsRecord], T: Optional[float] = None) 
         v = np.array(vals, dtype=float) ** power
         return float(np.trapezoid(v, times))
 
-    sup_e = max(r.E for r in recs)
-    diss = integrate([r.hm_v_sq + r.hm1_d1b_sq for r in recs])
+    sup_e = max(r.E for r in records)
+    diss = integrate([r.hm_v_sq + r.hm1_d1b_sq for r in records])
     G = float(np.sqrt(sup_e**2 + diss))
     h_terms = (
-        integrate([r.h_d1b2_l1 for r in recs], 1.0),
-        integrate([r.h_b2_l1 for r in recs], 2.0),
-        integrate([r.h_gradb2_l1 for r in recs], 4.0 / 3.0),
-        integrate([r.h_d1v_l1 for r in recs], 1.0),
-        integrate([r.h_v2_half_sq for r in recs], 1.0),  # inner norm already squared
-        integrate([r.h_v2_half_l1 for r in recs], 4.0 / 3.0),
+        integrate([r.h_d1b2_l1 for r in records], 1.0),
+        integrate([r.h_b2_l1 for r in records], 2.0),
+        integrate([r.h_gradb2_l1 for r in records], 4.0 / 3.0),
+        integrate([r.h_d1v_l1 for r in records], 1.0),
+        integrate([r.h_v2_half_sq for r in records], 1.0),  # inner norm already squared
+        integrate([r.h_v2_half_l1 for r in records], 4.0 / 3.0),
     )
     return CumulativeRecord(
         T=float(times[-1]),
@@ -495,36 +488,30 @@ def em_inequality_audit(records: Sequence[DiagnosticsRecord], m: int) -> EnergyA
 _AUDIT_RADIUS = 60.0
 
 
-def interpolation_audit(f: Callable, p: float, q: float, d: int = 2) -> InterpolationAudit:
+def interpolation_audit(f: Callable, p: float, q: float) -> InterpolationAudit:
     """Both sides of the weighted L^1 interpolation bound for a radial profile.
 
     ``f`` maps radius r >= 0 to a value (vectorized), integrated out to
-    ``_AUDIT_RADIUS``. lhs = |f|_{L^1(R^d)};
+    ``_AUDIT_RADIUS``. lhs = |f|_{L^1(R^2)};
     rhs = the product of weighted L^2 norms with exponents q/(p+q), p/(p+q).
     The inner weighted norm diverges when the weight beats the radial
     volume factor at the origin and f(0) != 0; that case is rejected.
     """
     if p <= 0.0 or q <= 0.0:
         raise ConfigError("p and q must be positive")
-    if d not in (1, 2, 3):
-        raise ConfigError(f"d must be 1, 2, or 3, got {d}")
-    sphere = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
-    # the low-weight integrand is r^(2d-1-2q) |f|^2 near 0: divergent once q >= d
-    if q >= d and abs(float(np.asarray(f(0.0)))) > 0.0:
-        raise AuditInapplicableError(
-            f"weighted norm with q = {q} diverges at the origin in d = {d}"
-        )
+    # the low-weight integrand is r^(3-2q) |f|^2 near 0: divergent once q >= 2
+    if q >= 2 and abs(float(np.asarray(f(0.0)))) > 0.0:
+        raise AuditInapplicableError(f"weighted norm with q = {q} diverges at the origin")
 
     def absf(r):
         return np.abs(np.asarray(f(r), dtype=float))
 
-    lhs = sphere * refine_integral(lambda r: absf(r) * r ** (d - 1), 0.0, _AUDIT_RADIUS)
+    sphere = 2.0 * np.pi
+    lhs = sphere * refine_integral(lambda r: absf(r) * r, 0.0, _AUDIT_RADIUS)
     hi = sphere * refine_integral(
-        lambda r: r ** (d + 2.0 * p) * absf(r) ** 2 * r ** (d - 1), 0.0, _AUDIT_RADIUS
-    )
+        lambda r: r ** (2 + 2.0 * p) * absf(r) ** 2 * r, 0.0, _AUDIT_RADIUS)
     lo = sphere * refine_integral(
-        lambda r: r ** (d - 2.0 * q) * absf(r) ** 2 * r ** (d - 1), 0.0, _AUDIT_RADIUS
-    )
+        lambda r: r ** (2 - 2.0 * q) * absf(r) ** 2 * r, 0.0, _AUDIT_RADIUS)
     rhs = hi ** (0.5 * q / (p + q)) * lo ** (0.5 * p / (p + q))
     return InterpolationAudit(lhs=float(lhs), rhs=float(rhs))
 

@@ -40,9 +40,7 @@ class DiagnosticIntegrityError(RuntimeError):
     """A hard diagnostic invariant failed; inside a run it carries the
     trajectory sampled before the failure, as ``BlowUpError`` does."""
 
-    def __init__(self, message, *, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    trajectory = None
 
 
 class IncompleteHistoryError(ValueError):

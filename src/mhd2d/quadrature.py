@@ -45,6 +45,7 @@ _GL_X = np.concatenate([-_GL_X_POS[::-1], _GL_X_POS])
 _GL_W = np.concatenate([_GL_W_POS[::-1], _GL_W_POS])
 _REL_TOL = 1e-8
 _START_DEPTH = 5
+_MAX_DEPTH = 48
 
 
 def _panel(f, a: float, b: float):
@@ -53,7 +54,7 @@ def _panel(f, a: float, b: float):
     return half * np.sum(_GL_W * f(xs), axis=-1)
 
 
-def refine_integral(f, lo: float, hi: float, *, max_depth: int = 48):
+def refine_integral(f, lo: float, hi: float):
     """Integrate a vectorized callable over [lo, hi], refined toward lo.
 
     Each panel is a 64-point Gauss-Legendre rule: ``f`` maps the nodes x,
@@ -62,8 +63,8 @@ def refine_integral(f, lo: float, hi: float, *, max_depth: int = 48):
     its own agreement count and freezes its value at its own second
     agreement, so each entry equals a scalar call on that entry alone.
     Refinement starts at depth 5. Raises ``QuadratureError`` if any entry's
-    two successive refinements never agree to 1e-8 relative before
-    ``max_depth``.
+    two successive refinements never agree to 1e-8 relative before depth
+    ``_MAX_DEPTH``.
     """
     if not (hi > lo):
         raise QuadratureError(f"empty integration interval [{lo}, {hi}]")
@@ -79,7 +80,7 @@ def refine_integral(f, lo: float, hi: float, *, max_depth: int = 48):
     done = np.zeros(np.shape(value), dtype=bool)
     result = np.full(np.shape(value), np.nan)
     delta = np.inf
-    while depth < max_depth:
+    while depth < _MAX_DEPTH:
         depth += 1
         new_ring = _panel(f, lo + w / 2.0**depth, lo + w / 2.0 ** (depth - 1))
         new_inner = _panel(f, lo, lo + w / 2.0**depth)
@@ -94,7 +95,7 @@ def refine_integral(f, lo: float, hi: float, *, max_depth: int = 48):
         if done.all():
             return _plain(result)
     raise QuadratureError(
-        f"panel refinement did not converge by depth {max_depth}",
+        f"panel refinement did not converge by depth {_MAX_DEPTH}",
         value=_plain(value),
         last_delta=_plain(delta),
         depth=depth,

@@ -72,7 +72,6 @@ from .spectral import (
     _components,
     _potentials,
     from_potentials,
-    make_grid,
     random_div_free_state,
     to_physical,
 )
@@ -160,7 +159,7 @@ class SolverConfig:
         return int(round(self.output_every / self.dt))
 
     def grid(self) -> SpectralGrid:
-        return make_grid(self.n1, self.n2, self.l1, self.l2)
+        return SpectralGrid(self.n1, self.n2, self.l1, self.l2)
 
 
 @dataclass

@@ -32,8 +32,6 @@ from .errors import ConfigError, SnapshotFormatError
 SNAPSHOT_MAGIC = b"MHD2"
 SNAPSHOT_VERSION = 1
 
-COMPONENTS = ("v1", "v2", "B1", "B2")
-
 # relative scale (against max |u|) of every defect ``_column_fault``, the one
 # state check, compares
 STATE_RTOL = 1e-12
@@ -43,7 +41,7 @@ def _check_grid(n1, n2, l1, l2) -> None:
     """Raise ``ConfigError`` unless (n1, n2, l1, l2) describe a valid
     ``SpectralGrid``; a config checks its grid with it without building one."""
     for name, n in (("n1", n1), ("n2", n2)):
-        if int(n) != n or n < 8 or n % 2 != 0:
+        if not isinstance(n, (int, np.integer)) or n < 8 or n % 2:  # a bool is below 8
             raise ConfigError(f"{name} must be an even integer >= 8, got {n!r}")
     for name, l in (("l1", l1), ("l2", l2)):
         if not (l > 0.0) or not np.isfinite(l):
@@ -167,26 +165,15 @@ class SpectralGrid:
         """Wavenumber spacings (dxi1, dxi2)."""
         return (2.0 * np.pi / self.l1, 2.0 * np.pi / self.l2)
 
-    def x(self):
-        """Physical collocation coordinates, broadcastable like xi1/xi2."""
-        x1 = np.arange(self.n1) * (self.l1 / self.n1)
-        x2 = np.arange(self.n2) * (self.l2 / self.n2)
-        return x1[:, None], x2[None, :]
-
-
-def make_grid(n1: int, n2: int, l1: float, l2: float) -> SpectralGrid:
-    """Validated grid constructor."""
-    return SpectralGrid(n1, n2, l1, l2)
-
 
 @dataclass
 class SpectralState:
     """Fourier coefficients of (v1, v2, B1, B2) at one instant.
 
-    ``u`` has shape ``(4, n1, n2)`` complex, component order as in
-    ``COMPONENTS``. Fields of a physically meaningful state are Hermitian
-    symmetric, mean-free, and divergence-free in both the velocity and
-    magnetic pairs; ``validate`` checks all three.
+    ``u`` has shape ``(4, n1, n2)`` complex, in that component order.
+    Fields of a physically meaningful state are Hermitian symmetric,
+    mean-free, and divergence-free in both the velocity and magnetic pairs;
+    ``validate`` checks all three.
     """
 
     grid: SpectralGrid
@@ -377,14 +364,14 @@ def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
     return None
 
 
-def random_div_free_state(grid: SpectralGrid, seed: int, amplitude: float = 1.0) -> SpectralState:
+def random_div_free_state(grid: SpectralGrid, seed: int) -> SpectralState:
     """Seeded, Hermitian-by-construction, divergence-free random state.
 
     Both pairs come from stream functions: two planes of white noise go
     through one ``rfft2``, are shaped by a Gaussian spectral envelope and
     cut to the 2/3 band, and ``from_potentials`` turns them into curls, so
     the state is exactly Hermitian, mean-free and divergence free. The
-    largest component L2 norm is then scaled to ``amplitude``.
+    largest component L2 norm is then scaled to 1.
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
@@ -396,7 +383,7 @@ def random_div_free_state(grid: SpectralGrid, seed: int, amplitude: float = 1.0)
     state = from_potentials(grid, w)
     cur = max((l2_norm(grid, state.u[c]) for c in range(4)), default=0.0)
     if cur > 0.0:
-        state.u *= amplitude / cur
+        state.u *= 1.0 / cur
     return state
 
 

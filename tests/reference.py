@@ -16,8 +16,9 @@ two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
 probe the peak tests share. ``instantaneous`` is the record routine with
 every weight table built and every weighted sum taken as a product array
 summed by ``np.sum`` on each call, the oracle of the package's record;
-``coeff_derivative``, ``multi_index_weight`` and ``fourier_l1_audit`` are
-full-spectrum tools only tests call.
+``coordinates``, ``scaled_random_state``, ``coeff_derivative``,
+``multi_index_weight`` and ``fourier_l1_audit`` are grid and full-spectrum
+tools only tests call.
 """
 
 import math
@@ -38,8 +39,24 @@ from mhd2d.spectral import (
     _potentials,
     divergence_defect,
     from_potentials,
+    random_div_free_state,
     sobolev_norm,
 )
+
+
+def coordinates(grid: SpectralGrid):
+    """Physical collocation coordinates, broadcastable like xi1/xi2."""
+    x1 = np.arange(grid.n1) * (grid.l1 / grid.n1)
+    x2 = np.arange(grid.n2) * (grid.l2 / grid.n2)
+    return x1[:, None], x2[None, :]
+
+
+def scaled_random_state(grid: SpectralGrid, seed: int, amplitude: float) -> SpectralState:
+    """``random_div_free_state`` with its largest component L2 norm scaled
+    from 1 to ``amplitude``."""
+    state = random_div_free_state(grid, seed)
+    state.u *= amplitude
+    return state
 
 
 def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> SpectralState:

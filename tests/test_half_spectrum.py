@@ -26,6 +26,7 @@ from mhd2d.solver import (
     run,
 )
 from mhd2d.spectral import (
+    SpectralGrid,
     SpectralState,
     _components,
     _potentials,
@@ -33,7 +34,6 @@ from mhd2d.spectral import (
     from_potentials,
     hermitian_defect,
     load_state,
-    make_grid,
     random_div_free_state,
     save_state,
     sobolev_norm,
@@ -46,6 +46,7 @@ from reference import (
     leray_project,
     multi_index_weight,
     phi_fixed_series,
+    scaled_random_state,
     stress_tendency,
     tendency,
     tendency_tables,
@@ -80,8 +81,8 @@ def projected_tendency(grid, u):
 # plus the criterion-7 grid and twice it, where product roundoff grows
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256), (512, 512)))
 def test_tendency_matches_projected_four_component_form(n1, n2):
-    g = make_grid(n1, n2, L1, L2)
-    st = random_div_free_state(g, seed=n1 + n2, amplitude=3.0)
+    g = SpectralGrid(n1, n2, L1, L2)
+    st = scaled_random_state(g, n1 + n2, 3.0)
     want = projected_tendency(g, st.u)
     got = tendency(st)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -110,10 +111,10 @@ def half_spectrum_tendency(grid, w):
 def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
     # the column-pruned passes skip only columns that are zero on input and
     # dropped on output, so the result is the same to the bit
-    g = make_grid(n1, n2, L1, L2)
+    g = SpectralGrid(n1, n2, L1, L2)
     kc = g.band_cols
     assert kc == int(np.count_nonzero(g.half_dealias_mask.any(axis=0)))
-    w = _potentials(g, random_div_free_state(g, seed=n1 + n2, amplitude=3.0).u, n2 // 2 + 1)
+    w = _potentials(g, scaled_random_state(g, n1 + n2, 3.0).u, n2 // 2 + 1)
     assert np.all(w[..., kc:] == 0.0)
     got = _nonlinear(g, w[..., :kc].copy(), tendency_tables(g))
     assert got.shape == (2, n1, kc)
@@ -126,8 +127,8 @@ def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
 def test_elsasser_tendency_matches_stress_form(n1, n2):
     # four Elsasser products instead of the stress form's eight: the same
     # tendency up to product roundoff
-    g = make_grid(n1, n2, L1, L2)
-    w = _band(random_div_free_state(g, seed=n1 + n2, amplitude=3.0), g)
+    g = SpectralGrid(n1, n2, L1, L2)
+    w = _band(scaled_random_state(g, n1 + n2, 3.0), g)
     want = stress_tendency(g, w)
     got = _nonlinear(g, w, tendency_tables(g))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -165,7 +166,7 @@ def test_stepper_tables_are_built_on_the_band(n1, n2, monkeypatch):
         sizes.append(out[2].size)
         return out
 
-    g = make_grid(n1, n2, L1, L2)
+    g = SpectralGrid(n1, n2, L1, L2)
     kc, rows = g.band_cols, n1 // 2 + 1
     xi_sq = g.half_xi_sq[:, :kc]
     rng = np.random.default_rng(n1 * n2)
@@ -239,7 +240,7 @@ def test_step_transient_peak(scheme):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_potential_roundtrip(n1, n2):
-    g = make_grid(n1, n2, L1, L2)
+    g = SpectralGrid(n1, n2, L1, L2)
     st = random_div_free_state(g, seed=n1 * n2)
     w = _potentials(g, st.u, n2 // 2 + 1)
     assert w.shape == (2, n1, n2 // 2 + 1)
@@ -260,9 +261,9 @@ def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
     # exactly, not to roundoff; prop25 data needs the large box to be resolved.
     # The band-width inverse curl of the stepper's entry and re-anchor gives
     # the leading columns of the full-width one bit for bit.
-    g = make_grid(n1, n2, l1, l2)
+    g = SpectralGrid(n1, n2, l1, l2)
     base = dict(n1=n1, n2=n2, l1=l1, l2=l2, dt=0.1, t_end=0.2, seed=n1)
-    states = [random_div_free_state(g, seed=n2, amplitude=2.0),
+    states = [scaled_random_state(g, n2, 2.0),
               initial_state(SolverConfig(data_kind="random", **base))]
     if l1 == 32.0 * np.pi:
         states.append(initial_state(SolverConfig(data_kind="prop25", **base)))
@@ -333,7 +334,7 @@ def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
 
 
 def test_sample_transforms_three_half_planes(monkeypatch):
-    st = random_div_free_state(make_grid(40, 64, L1, L2), seed=2)
+    st = random_div_free_state(SpectralGrid(40, 64, L1, L2), seed=2)
     fft = PlaneCounter(monkeypatch)
     diagnostics.instantaneous(st.grid, st.u, 4)
     assert fft.planes == {"irfft2": 3}
@@ -424,9 +425,9 @@ def with_nyquist_content(state, seed):
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 @pytest.mark.parametrize("m", (1, 2, 4))
 def test_sample_matches_full_spectrum_sums(n1, n2, m):
-    g = make_grid(n1, n2, L1, L2)
+    g = SpectralGrid(n1, n2, L1, L2)
     for seed in range(3):
-        st = random_div_free_state(g, seed=100 * seed + m, amplitude=2.0)
+        st = scaled_random_state(g, 100 * seed + m, 2.0)
         # the Nyquist column counts once, and the row sums must not fold it twice
         st = with_nyquist_content(st, seed) if seed == 2 else st
         got = diagnostics.instantaneous(g, st.u, m)
@@ -448,7 +449,7 @@ def full_gather_defect(grid, u):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_hermitian_defect_matches_full_gather(n1, n2):
-    g = make_grid(n1, n2, L1, L2)
+    g = SpectralGrid(n1, n2, L1, L2)
     base = random_div_free_state(g, seed=n1 + 2 * n2).u
     assert hermitian_defect(g, base) == full_gather_defect(g, base)
     rng = np.random.default_rng(n1 * n2)
@@ -482,7 +483,7 @@ def test_run_transforms_only_half_planes(monkeypatch):
 def test_components_are_the_leading_columns_of_from_potentials(n1, n2):
     # the sample's band columns are the built state's, bit for bit, also for a
     # stack with an asymmetric k2 = 0 column, which both mirror the same way
-    g = make_grid(n1, n2, L1, L2)
+    g = SpectralGrid(n1, n2, L1, L2)
     rng = np.random.default_rng(n1 + n2)
     nh = n2 // 2 + 1
     stacks = [_potentials(g, random_div_free_state(g, seed=n1).u, nh),
@@ -495,11 +496,11 @@ def test_components_are_the_leading_columns_of_from_potentials(n1, n2):
 
 
 def record_states():
-    g = make_grid(40, 64, L1, L2)
+    g = SpectralGrid(40, 64, L1, L2)
     prop = SolverConfig(n1=64, n2=48, l1=32.0 * np.pi, l2=24.0 * np.pi, dt=0.02,
                         t_end=0.04, data_kind="prop25")
-    return ([random_div_free_state(g, seed=4, amplitude=2.0), initial_state(prop)]
-            + diagnostics.gaussian_divfree_family(make_grid(50, 70, 16.0 * np.pi, 20.0 * np.pi))
+    return ([scaled_random_state(g, 4, 2.0), initial_state(prop)]
+            + diagnostics.gaussian_divfree_family(SpectralGrid(50, 70, 16.0 * np.pi, 20.0 * np.pi))
             + [diagnostics.single_mode_state(g, 3, 5, "B"),
                diagnostics.single_mode_state(g, 2, 0, "v")])
 
@@ -525,7 +526,7 @@ def test_band_record_matches_state_record(m):
 def oracle_states(g, m):
     """A random state, the same with Nyquist content, and prop25 data on a
     32 pi box of the same sizes, as the benchmark's runs start from."""
-    st = random_div_free_state(g, seed=g.n1 + m, amplitude=2.0)
+    st = scaled_random_state(g, g.n1 + m, 2.0)
     prop = SolverConfig(n1=g.n1, n2=g.n2, l1=32.0 * np.pi, l2=32.0 * np.pi, dt=0.02,
                         t_end=0.04, m=m, data_kind="prop25")
     return [st, with_nyquist_content(st, m), initial_state(prop)]
@@ -537,7 +538,7 @@ def test_record_matches_the_oracle_within_roundoff(n1, n2, m):
     # one contraction per weighted total over tables built once, against the
     # product arrays and np.sum of the per-call tables: not bitwise, but a few
     # ulps on every field, from band columns and from whole states alike
-    for st in oracle_states(make_grid(n1, n2, L1, L2), m):
+    for st in oracle_states(SpectralGrid(n1, n2, L1, L2), m):
         g = st.grid
         for h in (st.u, _components(g, _potentials(g, st.u, g.band_cols))):
             got = diagnostics.instantaneous(g, h, m, time=0.5, energy_residual=1e-9)
@@ -592,7 +593,7 @@ def test_record_transient_peak_and_weights_size():
             diagnostics._WEIGHTS.clear()
         _, peak = traced_peak(lambda: diagnostics.instantaneous(g, h, cfg.m))
         assert peak <= 1.7e6, (cleared, peak)
-    big = make_grid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
+    big = SpectralGrid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -605,7 +606,7 @@ def test_record_transient_peak_and_weights_size():
 
 
 def test_record_rejects_components_of_another_shape():
-    g = make_grid(40, 64, L1, L2)
+    g = SpectralGrid(40, 64, L1, L2)
     st = random_div_free_state(g, seed=1)
     w = _potentials(g, st.u, g.band_cols)
     for bad in (w, st.u[0], st.u[:, :20], np.swapaxes(st.u, 1, 2), st.u[None]):
@@ -771,7 +772,7 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
         with pytest.raises(ConfigError, match=why):
             run(cfg, initial=bad)
-    elsewhere = SpectralState(make_grid(g.n1, g.n2, 2.0 * L1, L2), base.u)
+    elsewhere = SpectralState(SpectralGrid(g.n1, g.n2, 2.0 * L1, L2), base.u)
     with pytest.raises(ConfigError, match="grid"):
         run(cfg, initial=elsewhere)
     # a snapshot of a run lies inside the band and runs on

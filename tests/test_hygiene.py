@@ -1,17 +1,30 @@
-"""AST scans of the sources: every import is used, every public name of the
-package has a caller outside the tests, and ``src/`` calls no BLAS.
+"""AST scans of the sources: every import is used, every public name and
+every optional parameter of the package has a caller outside the tests,
+and ``src/`` calls no BLAS.
 
 An imported name counts as used when it appears as a name anywhere in its
-module, in the package, the tests, the demos and the benchmark. The
-re-exports of ``__init__.py`` and ``__future__`` imports are skipped.
+module, in the package, the tests, the demos and the benchmark; only
+``__future__`` imports are skipped. ``__init__.py`` is scanned too, so the
+package re-exports nothing: each name has one import path, its submodule.
 
 A public top-level function or class of ``src/mhd2d``, or a public method
 of a public class, counts as reached when code that users run names it:
-the package outside ``__init__.py`` and the definition itself, the demos,
-the benchmark and the acceptance gates. A name is a name or attribute
+the package outside the definition itself, the demos, the benchmark and
+the acceptance gates. A function or class is named by a name or attribute
 node, an imported name or a string constant that is exactly the name (the
-benchmark wraps functions by name); the other tests do not count, so a
-name that only tests call goes, or moves into ``tests/reference.py``.
+benchmark wraps functions by name); a method only by an attribute node or
+the last part of a dotted string constant (``"_Stepper.advance"``), since
+a local variable or a plain string of the same name does not call it.
+The other tests do not count, so a name that only tests call goes, or
+moves into ``tests/reference.py``.
+
+Each parameter with a default of a function, a method or an explicit
+class ``__init__`` of ``src/mhd2d`` must be passed by that code in at
+least one call: by position, by keyword, or through a ``*args`` or
+``**kwargs`` forward (the benchmark's wrappers forward both, and the
+stepper passes its coefficients as ``**kw``). A call is matched by the
+called name, a class ``__init__`` through calls of the class. A parameter
+that only tests set becomes its one value.
 
 The package reduces with numpy's own loops only: a BLAS product's last bit
 depends on its thread count (on a 256^2 band, ``np.dot`` of the H^m
@@ -47,7 +60,6 @@ def test_no_unused_imports():
         f"{path.relative_to(ROOT)}:{line} {name}"
         for top in ("src", "tests", "demos", "bench")
         for path in sorted((ROOT / top).rglob("*.py"))
-        if path.name != "__init__.py"
         for line, name in _unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
@@ -61,51 +73,70 @@ def test_scan_reports_an_unused_import(tmp_path):
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def _name_counts(tree):
-    counts = Counter()
+    """Two counters of what ``tree`` names: ``names`` counts name, attribute
+    and alias nodes and identifier strings, ``attrs`` (the way to name a
+    method) attribute nodes and the last part of dotted strings."""
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            counts[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            counts[node.attr] += 1
+            names[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, ast.alias):
-            counts[node.name.split(".")[-1]] += 1
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and _IDENTIFIER.fullmatch(node.value)):
-            counts[node.value] += 1
-    return counts
+            names[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.fullmatch(node.value):
+                names[node.value] += 1
+            elif _DOTTED.fullmatch(node.value):
+                attrs[node.value.rsplit(".", 1)[1]] += 1
+    return names, attrs
+
+
+def _parse(paths):
+    return {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
 
 
 def _unreached(modules, users):
     """``file:line name`` of each public definition in ``modules`` that no
     file of ``users`` names outside the definition itself."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in {*modules, *users}}
-    named = sum((_name_counts(trees[path]) for path in users), Counter())
+    trees = _parse({*modules, *users})
+    names, attrs = Counter(), Counter()
+    for path in users:
+        n, a = _name_counts(trees[path])
+        names += n
+        attrs += a
     found = []
     for path in modules:
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
                 continue
-            defs = [(node, node.name)]
+            defs = [(node, node.name, 0)]
             if isinstance(node, ast.ClassDef):
-                defs += [(m, f"{node.name}.{m.name}") for m in node.body
+                defs += [(m, f"{node.name}.{m.name}", 1) for m in node.body
                          if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
-            for d, label in defs:
-                own = _name_counts(d)[d.name] if path in users else 0
-                if named[d.name] <= own:
+            for d, label, method in defs:
+                own = _name_counts(d)[method][d.name] if path in users else 0
+                if (attrs if method else names)[d.name] <= own:
                     found.append(f"{path.name}:{d.lineno} {label}")
     return found
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    modules = [p for p in sorted((ROOT / "src" / "mhd2d").glob("*.py"))
-               if p.name != "__init__.py"]
+def _scanned():
+    """The package's modules, and the code users run: the package, the
+    demos, the benchmark and the acceptance gates."""
+    modules = sorted((ROOT / "src" / "mhd2d").glob("*.py"))
     users = modules + sorted((ROOT / "demos").rglob("*.py"))
     users += sorted((ROOT / "bench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    found = _unreached(modules, users)
+    return modules, users
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    found = _unreached(*_scanned())
     assert not found, "public names only tests reach:\n" + "\n".join(found)
 
 
@@ -124,6 +155,87 @@ def test_scan_reports_each_unreached_name(tmp_path):
                     "WRAPS = (('mod', 'wrapped'), ('mod', 'gone.attr'))\n"
                     "mod.Box().called(used())\n", encoding="utf-8")
     assert _unreached([mod], [mod, user]) == ["mod.py:4 gone", "mod.py:13 Box.idle"]
+
+
+def test_scan_reaches_a_method_only_through_attributes(tmp_path):
+    mod, user = tmp_path / "mod.py", tmp_path / "user.py"
+    mod.write_text("class Grid:\n    def x(self):\n        pass\n"
+                   "    def wrapped(self):\n        pass\n"
+                   "    def called(self):\n        return self.called()\n", encoding="utf-8")
+    user.write_text("import mod\nx = 'x'.replace('x', 'y')\nprint(x, mod.Grid())\n"
+                    "WRAPS = (('mod', 'Grid.wrapped'),)\n", encoding="utf-8")
+    assert _unreached([mod], [mod, user]) == ["mod.py:2 Grid.x", "mod.py:6 Grid.called"]
+
+
+def _calls(trees):
+    """For each called name, the calls that pass arguments to it, each as
+    (positions filled, keywords): a ``*`` forward fills every position,
+    and a ``**`` forward shows as the keyword None."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(
+                    (float("inf") if star else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _optional_params(node, bound):
+    """(name, position) of each parameter of ``node`` that has a default,
+    counting positions after ``self`` when ``bound``; None for a
+    keyword-only one."""
+    a = node.args
+    pos = (a.posonlyargs + a.args)[bound:]
+    found = [(p.arg, i) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return found + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _unpassed(modules, users):
+    """``file:line name(param)`` of each optional parameter of a function,
+    a method or a class ``__init__`` in ``modules`` that no call of
+    ``users`` passes."""
+    trees = _parse({*modules, *users})
+    calls = _calls(trees[path] for path in users)
+    found = []
+    for path in modules:
+        for node in trees[path].body:
+            defs = [(node, node.name, node.name, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                    callee = node.name if m.name == "__init__" else m.name
+                    defs.append((m, f"{node.name}.{m.name}", callee, int(not static)))
+            for d, label, callee, bound in defs:
+                for name, i in _optional_params(d, bound):
+                    if not any((i is not None and i < npos) or name in kws or None in kws
+                               for npos, kws in calls.get(callee, ())):
+                        found.append(f"{path.name}:{d.lineno} {label}({name})")
+    return found
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    found = _unpassed(*_scanned())
+    assert not found, "optional parameters only tests set:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_unpassed_parameter(tmp_path):
+    mod, user = tmp_path / "mod.py", tmp_path / "user.py"
+    mod.write_text("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                   "def g(a=1, *, b=2):\n    pass\n"
+                   "def h(a=1, *, b=2):\n    pass\n"
+                   "class Box:\n    def __init__(self, a, b=1):\n        pass\n"
+                   "    def put(self, a=1, b=2):\n        pass\n"
+                   "    @staticmethod\n    def make(a=1):\n        pass\n", encoding="utf-8")
+    user.write_text("import mod\nmod.f(0, 1, e=5)\nmod.f(0, c=2)\n"
+                    "def wrap(*args, **kwargs):\n    return mod.g(*args, **kwargs)\n"
+                    "mod.h(b=3)\nbox = mod.Box(0)\nbox.put(1)\n"
+                    "mod.Box.make(2)\n", encoding="utf-8")
+    assert _unpassed([mod], [mod, user]) == [
+        "mod.py:1 f(d)", "mod.py:5 h(a)", "mod.py:8 Box.__init__(b)", "mod.py:10 Box.put(b)",
+    ]
 
 
 BLAS_NAMES = {"dot", "vdot", "matmul", "vecdot", "inner", "tensordot", "multi_dot"}

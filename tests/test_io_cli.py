@@ -17,7 +17,6 @@ from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.spectral import (
     SpectralGrid,
     load_state,
-    make_grid,
     random_div_free_state,
     save_state,
 )
@@ -414,7 +413,7 @@ def test_artifact_writes_are_atomic(tmp_path):
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     path = bin_dir / "final.bin"
-    st = random_div_free_state(make_grid(8, 8, 2.0 * np.pi, 2.0 * np.pi), seed=1)
+    st = random_div_free_state(SpectralGrid(8, 8, 2.0 * np.pi, 2.0 * np.pi), seed=1)
     save_state(st, path)
     before = path.read_bytes()
     broken = SimpleNamespace(grid=st.grid, time=1.0, u=Unreadable())

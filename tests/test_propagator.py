@@ -22,7 +22,7 @@ from mhd2d.propagator import (
     sigma_cutoff,
 )
 from mhd2d.quadrature import refine_integral
-from mhd2d.spectral import make_grid, random_div_free_state
+from mhd2d.spectral import SpectralGrid, random_div_free_state
 from reference import apply_semigroup, spectral_derivative
 
 TWO_PI = 2.0 * np.pi
@@ -97,7 +97,7 @@ def test_phi_entries_at_degenerate_point_are_smooth():
 
 
 def test_grid_entries_preserve_state_structure():
-    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     p11, p12, p22 = grid_semigroup_entries(g, 0.7)
     assert np.isrealobj(p11) and np.isrealobj(p22)
     # the stepper applies the tables as returned, on its band columns
@@ -110,7 +110,7 @@ def test_grid_entries_preserve_state_structure():
 
 
 def test_grid_entries_match_elementwise_exponential():
-    g = make_grid(8, 8, TWO_PI, 4.0)
+    g = SpectralGrid(8, 8, TWO_PI, 4.0)
     for kappa, alpha in ((1.0, 0.0), (2.0, 0.5), (0.5, 1.0)):
         p11, p12, p22 = grid_semigroup_entries(g, 0.9, kappa=kappa, alpha=alpha)
         assert p11.shape == p12.shape == p22.shape == (8, 3)
@@ -125,7 +125,7 @@ def test_grid_entries_match_elementwise_exponential():
 
 def test_grid_orientation_against_ode():
     # spectral coefficients of the grid follow u' = [[-a, i xi1], [i xi1, 0]] u
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     rng = np.random.default_rng(5)
     for i, j in ((1, 2), (3, 0), (15, 5)):  # (k1, k2) = (1, 2), (3, 0), (-1, 5)
         xi1 = g.xi1[i, 0]
@@ -144,7 +144,7 @@ def test_grid_orientation_against_ode():
 
 def test_semigroup_derivative_matches_pde():
     # (4 P(h) - P(2h) - 3 I) u / 2h -> -v + d1 B, d1 v rows
-    g = make_grid(24, 24, TWO_PI, TWO_PI)
+    g = SpectralGrid(24, 24, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=7)
     h = 1e-4
     u1 = apply_semigroup(st, h).u
@@ -160,7 +160,7 @@ def test_semigroup_derivative_matches_pde():
 
 
 def test_apply_semigroup_time_handling():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=1)
     same = apply_semigroup(st, 0.0)
     assert same is not st and np.array_equal(same.u, st.u)
@@ -173,7 +173,7 @@ def test_apply_semigroup_time_handling():
 
 
 def test_decoupled_entries_damp_velocity_only():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     p11, p12, p22 = grid_semigroup_entries(g, 2.0, coupling=False)
     assert np.max(np.abs(p12)) == 0.0
     assert np.allclose(p11, np.exp(-2.0), rtol=1e-14)
@@ -190,7 +190,7 @@ def test_decoupled_entries_damp_velocity_only():
 def test_grid_tables_are_fresh_writable_arrays(k, coupling, alpha):
     # with alpha != 0 the off-diagonal entry already has the band's shape, so a
     # broadcast of it is contiguous and would come back as the read-only view
-    g = make_grid(24, 30, TWO_PI, 3.0 * np.pi)
+    g = SpectralGrid(24, 30, TWO_PI, 3.0 * np.pi)
     tables = grid_phi_entries(k, g, 0.05, alpha=alpha, coupling=coupling)
     for e in tables:
         assert e.flags.writeable and e.flags.c_contiguous and e.flags.owndata
@@ -200,7 +200,7 @@ def test_grid_tables_are_fresh_writable_arrays(k, coupling, alpha):
 
 
 def test_apply_block_entries_acts_on_both_pairs():
-    g = make_grid(8, 8, TWO_PI, TWO_PI)
+    g = SpectralGrid(8, 8, TWO_PI, TWO_PI)
     u = np.zeros((4, 8, 3), dtype=complex)  # on the band columns, as the tables
     u[0, 1, 1] = 1.0  # v1
     u[3, 2, 2] = 1.0  # B2
@@ -291,13 +291,14 @@ def test_stored_gauss_legendre_rule_is_numpys():
     assert np.array_equal(quadrature._GL_W, w)
 
 
-def test_refine_integral_smooth_and_singular():
+def test_refine_integral_smooth_and_singular(monkeypatch):
     assert refine_integral(lambda x: x**3, 0.0, 1.0) == pytest.approx(0.25, rel=1e-12)
     assert refine_integral(np.sin, 0.0, np.pi) == pytest.approx(2.0, rel=1e-10)
     # outer panels are never split, so the oscillation must fit 64 nodes
     osc = refine_integral(lambda x: np.sin(8.0 * x) ** 2, 0.0, TWO_PI)
     assert osc == pytest.approx(np.pi, rel=1e-9)
-    sing = refine_integral(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, max_depth=64)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 64)
+    sing = refine_integral(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert sing == pytest.approx(2.0, rel=1e-5)
 
 
@@ -312,7 +313,7 @@ def test_refine_integral_divergent_raises():
         refine_integral(lambda x: x, 1.0, 1.0)
 
 
-def test_refine_integral_vector_entries_match_scalar_calls():
+def test_refine_integral_vector_entries_match_scalar_calls(monkeypatch):
     # entries converge at different depths: the large-t rows need the
     # deepest refinement toward 0
     rates = np.geomspace(1e-2, 1e4, 13)
@@ -323,9 +324,10 @@ def test_refine_integral_vector_entries_match_scalar_calls():
     # x^p with an endpoint singularity keeps moving after it converges, so
     # an entry frozen late would differ from its scalar call
     powers = np.array([-0.5, -0.25, 0.5, 1.5])
-    singular = refine_integral(lambda x: x ** powers[:, None], 0.0, 1.0, max_depth=64)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 64)
+    singular = refine_integral(lambda x: x ** powers[:, None], 0.0, 1.0)
     for p, got in zip(powers, singular):
-        assert got == refine_integral(lambda x, p=p: x**p, 0.0, 1.0, max_depth=64), p
+        assert got == refine_integral(lambda x, p=p: x**p, 0.0, 1.0), p
     grid = refine_integral(lambda x: np.exp(-rates.reshape(13, 1, 1) * x[None, :]
                                             * np.array([1.0, 2.0])[:, None]), 0.0, 1.0)
     assert grid.shape == (13, 2)

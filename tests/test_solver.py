@@ -12,13 +12,13 @@ from mhd2d.solver import (
     run,
 )
 from mhd2d.spectral import (
+    SpectralGrid,
     SpectralState,
     l2_norm,
-    make_grid,
     random_div_free_state,
     to_physical,
 )
-from reference import apply_semigroup, from_physical, tendency
+from reference import apply_semigroup, coordinates, from_physical, scaled_random_state, tendency
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,8 +71,8 @@ def test_zero_data_stays_zero():
 def test_quadratic_tendency_closed_form():
     # B = (cos(2 x2), cos(x1)), v = 0: the magnetic stretching term
     # projects to  sin(x1+2x2) (-3/5, 3/10) + sin(2x2-x1) (-3/5, -3/10)
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
-    x1, x2 = g.x()
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
+    x1, x2 = coordinates(g)
     zero = np.zeros(g.shape)
     b1 = np.cos(2.0 * x2) * np.ones(g.shape)
     b2 = np.cos(x1) * np.ones(g.shape)
@@ -101,8 +101,8 @@ def test_quadratic_tendency_closed_form():
 def test_quadratic_tendency_alias_free():
     # the same retained modes on a refined grid produce the same tendency,
     # so retained products carry no aliased contributions
-    coarse = make_grid(16, 16, TWO_PI, TWO_PI)
-    fine = make_grid(32, 32, TWO_PI, TWO_PI)
+    coarse = SpectralGrid(16, 16, TWO_PI, TWO_PI)
+    fine = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     st = random_div_free_state(coarse, seed=9)
     up = np.zeros((4,) + fine.shape, dtype=complex)
     for i, k1 in enumerate(coarse.k1):
@@ -130,8 +130,8 @@ def test_quadratic_tendency_alias_free():
 
 def test_quadratic_tendency_energy_cancellation():
     # <N_v, v> + <N_B, B> = 0: the quadratic terms move energy, never make it
-    g = make_grid(48, 48, TWO_PI, TWO_PI)
-    st = random_div_free_state(g, seed=4, amplitude=2.0)
+    g = SpectralGrid(48, 48, TWO_PI, TWO_PI)
+    st = scaled_random_state(g, 4, 2.0)
     nl = tendency(st)
     pairing = float(g.area * np.sum(np.real(np.conj(st.u) * nl)))
     scale = float(g.area * np.sum(np.abs(st.u) ** 2))
@@ -139,8 +139,8 @@ def test_quadratic_tendency_energy_cancellation():
 
 
 def test_single_mode_has_no_self_advection():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
-    x1, x2 = g.x()
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
+    x1, x2 = coordinates(g)
     # one transverse mode: v = k-perp cos(k.x), k = (2, 1)
     f = np.cos(2.0 * x1 + x2)
     fields = np.stack([-1.0 * f, 2.0 * f, np.zeros(g.shape), np.zeros(g.shape)])
@@ -278,7 +278,7 @@ def test_initial_state_unresolved_support():
 
 def test_step_grid_mismatch():
     cfg = small_cfg()
-    other = random_div_free_state(make_grid(16, 16, TWO_PI, TWO_PI), seed=0)
+    other = random_div_free_state(SpectralGrid(16, 16, TWO_PI, TWO_PI), seed=0)
     with pytest.raises(ConfigError, match="grid"):
         run(cfg, initial=other)
 
@@ -333,9 +333,9 @@ def test_runs_are_deterministic():
 
 
 def test_advective_bound_scales_with_amplitude():
-    g = make_grid(32, 32, TWO_PI, TWO_PI)
-    small = random_div_free_state(g, seed=1, amplitude=0.1)
-    large = random_div_free_state(g, seed=1, amplitude=10.0)
+    g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
+    small = scaled_random_state(g, 1, 0.1)
+    large = scaled_random_state(g, 1, 10.0)
     b_small = advective_dt_bound(small)
     b_large = advective_dt_bound(large)
     assert 0.0 < b_large < b_small <= 0.5 * min(g.dx)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from mhd2d.errors import ConfigError, SnapshotFormatError
+from mhd2d.solver import SolverConfig
 from mhd2d.spectral import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    SpectralGrid,
     SpectralState,
     divergence_defect,
     hermitian_defect,
     l2_norm,
     load_state,
-    make_grid,
     random_div_free_state,
     save_state,
     sobolev_norm,
@@ -22,9 +23,11 @@ from mhd2d.spectral import (
 )
 from reference import (
     coeff_derivative,
+    coordinates,
     from_physical,
     leray_project,
     multi_index_weight,
+    scaled_random_state,
     spectral_derivative,
     traced_peak,
 )
@@ -40,17 +43,27 @@ def random_state(grid, seed=0, scale=1.0):
 
 def test_grid_validation():
     with pytest.raises(ConfigError):
-        make_grid(7, 8, TWO_PI, TWO_PI)
+        SpectralGrid(7, 8, TWO_PI, TWO_PI)
     with pytest.raises(ConfigError):
-        make_grid(8, 4, TWO_PI, TWO_PI)
+        SpectralGrid(8, 4, TWO_PI, TWO_PI)
     with pytest.raises(ConfigError):
-        make_grid(8, 8, -1.0, TWO_PI)
+        SpectralGrid(8, 8, -1.0, TWO_PI)
     with pytest.raises(ConfigError):
-        make_grid(8, 8, TWO_PI, float("inf"))
+        SpectralGrid(8, 8, TWO_PI, float("inf"))
+
+
+def test_grid_sizes_must_be_integers():
+    # 16.0 == int(16.0), but numpy's fftfreq refuses a float size
+    for n1, n2 in ((16.0, 16), (16, np.float64(16)), (True, 16)):
+        with pytest.raises(ConfigError, match="even integer"):
+            SpectralGrid(n1, n2, TWO_PI, TWO_PI)
+        with pytest.raises(ConfigError, match="even integer"):
+            SolverConfig(n1=n1, n2=n2, dt=0.1, t_end=1.0)
+    assert SpectralGrid(np.int64(16), 16, TWO_PI, TWO_PI).shape == (16, 16)
 
 
 def test_grid_wavenumber_layout():
-    g = make_grid(8, 16, TWO_PI, np.pi)
+    g = SpectralGrid(8, 16, TWO_PI, np.pi)
     assert g.xi1.shape == (8, 1) and g.xi2.shape == (1, 16)
     # spacing 2 pi / l per axis
     assert g.xi1[1, 0] == pytest.approx(1.0)
@@ -61,22 +74,22 @@ def test_grid_wavenumber_layout():
 @pytest.mark.parametrize("n1, n2", [(16, 16), (24, 40), (40, 18)])
 def test_to_physical_matches_full_spectrum_inverse(n1, n2):
     # the half-spectrum irfft2 against the full complex inverse transform
-    g = make_grid(n1, n2, TWO_PI, 3.0)
+    g = SpectralGrid(n1, n2, TWO_PI, 3.0)
     for st in (random_div_free_state(g, seed=n1), random_state(g, seed=n2)):
         ref = np.real(np.fft.ifft2(st.u, axes=(-2, -1))) * n1 * n2
         assert np.max(np.abs(to_physical(st) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_roundtrip_identity():
-    g = make_grid(32, 24, TWO_PI, 4.0)
+    g = SpectralGrid(32, 24, TWO_PI, 4.0)
     st = random_state(g, seed=1)
     back = from_physical(g, to_physical(st))
     assert np.max(np.abs(back.u - st.u)) < 1e-14
 
 
 def test_derivative_closed_form():
-    g = make_grid(32, 32, TWO_PI, TWO_PI)
-    x1, x2 = g.x()
+    g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
+    x1, x2 = coordinates(g)
     f = np.sin(3.0 * x1) * np.cos(2.0 * x2) * np.ones(g.shape)
     st = from_physical(g, np.broadcast_to(f, (4,) + g.shape).copy())
     d1 = to_physical(spectral_derivative(st, 1))
@@ -87,8 +100,8 @@ def test_derivative_closed_form():
 
 def test_derivative_respects_box_size():
     # on a box of side 4 pi the lowest mode has wavenumber 1/2
-    g = make_grid(32, 32, 2.0 * TWO_PI, TWO_PI)
-    x1, _ = g.x()
+    g = SpectralGrid(32, 32, 2.0 * TWO_PI, TWO_PI)
+    x1, _ = coordinates(g)
     f = np.cos(0.5 * x1) * np.ones(g.shape)
     st = from_physical(g, np.broadcast_to(f, (4,) + g.shape).copy())
     d1 = to_physical(spectral_derivative(st, 1))
@@ -96,7 +109,7 @@ def test_derivative_respects_box_size():
 
 
 def test_odd_derivative_kills_nyquist():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     u = np.zeros(g.shape, dtype=complex)
     u[g.n1 // 2, 3] = 1.0  # Nyquist row on axis 1
     out = coeff_derivative(g, u, 1, order=1)
@@ -106,7 +119,7 @@ def test_odd_derivative_kills_nyquist():
 
 
 def test_parseval_calibration():
-    g = make_grid(32, 32, 3.0, 5.0)
+    g = SpectralGrid(32, 32, 3.0, 5.0)
     st = random_state(g, seed=2)
     phys = to_physical(st)
     riemann = np.sqrt(np.sum(phys[0] ** 2) * g.cell_area)
@@ -116,7 +129,7 @@ def test_parseval_calibration():
 def test_dealias_two_thirds():
     # the mask the stepper's entry checks states against; 3 divides 24, so
     # the cutoff |k| = 8 is strict and |k| <= 7 is kept on both axes
-    g = make_grid(24, 24, TWO_PI, TWO_PI)
+    g = SpectralGrid(24, 24, TWO_PI, TWO_PI)
     keep1, keep2 = 3 * np.abs(g.k1) < g.n1, 3 * np.abs(g.k2) < g.n2
     assert np.array_equal(g.dealias_mask, keep1[:, None] & keep2[None, :])
     assert np.count_nonzero(g.dealias_mask) == 15 * 15
@@ -128,7 +141,7 @@ def test_dealias_two_thirds():
 
 
 def test_leray_projection():
-    g = make_grid(32, 32, TWO_PI, TWO_PI)
+    g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     st = random_state(g, seed=4)
     proj = leray_project(st)
     dv, dB = divergence_defect(g, proj.u)
@@ -142,7 +155,7 @@ def test_leray_projection():
 
 
 def test_sobolev_norm_conventions():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_state(g, seed=5)
     f = st.u[0]
     assert sobolev_norm(g, f, 0) == pytest.approx(l2_norm(g, f), rel=1e-14)
@@ -152,7 +165,7 @@ def test_sobolev_norm_conventions():
 
 
 def test_multi_index_weight_closed_form():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     w1 = multi_index_weight(g, 1)
     assert np.max(np.abs(w1 - (1.0 + g.xi1**2 + g.xi2**2))) == 0.0
     w2 = multi_index_weight(g, 2)
@@ -161,7 +174,7 @@ def test_multi_index_weight_closed_form():
 
 
 def test_hermitian_defect_detects_asymmetry():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_state(g, seed=6)
     assert hermitian_defect(g, st.u) < 1e-14
     st.u[0, 2, 3] += 0.5
@@ -169,19 +182,19 @@ def test_hermitian_defect_detects_asymmetry():
 
 
 def test_random_state_properties():
-    g = make_grid(32, 32, TWO_PI, TWO_PI)
-    st = random_div_free_state(g, seed=11, amplitude=0.25)
+    g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
+    st = scaled_random_state(g, 11, 0.25)
     st.validate()
     peak = max(l2_norm(g, st.u[c]) for c in range(4))
     assert peak == pytest.approx(0.25, rel=1e-12)
-    same = random_div_free_state(g, seed=11, amplitude=0.25)
+    same = scaled_random_state(g, 11, 0.25)
     assert np.array_equal(same.u, st.u)
-    other = random_div_free_state(g, seed=12, amplitude=0.25)
+    other = scaled_random_state(g, 12, 0.25)
     assert np.max(np.abs(other.u - st.u)) > 1e-3
 
 
 def test_state_validation_errors():
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     with pytest.raises(ConfigError):
         SpectralState(g, np.zeros((3, 16, 16), dtype=complex))
     for time in (-1.0, np.nan, np.inf):
@@ -198,7 +211,7 @@ def test_state_validation_errors():
 
 
 def test_snapshot_roundtrip(tmp_path):
-    g = make_grid(16, 24, 3.5, TWO_PI)
+    g = SpectralGrid(16, 24, 3.5, TWO_PI)
     st = random_div_free_state(g, seed=9)
     st.time = 2.25
     path = tmp_path / "snap.bin"
@@ -213,7 +226,7 @@ def test_snapshot_bytes_and_transient_memory(tmp_path):
     # the layout is the header and the little-endian payload, byte for byte;
     # the payload is written from the state's own buffer, and read into the
     # one array the loaded state keeps
-    g = make_grid(128, 96, 3.5, TWO_PI)
+    g = SpectralGrid(128, 96, 3.5, TWO_PI)
     st = random_div_free_state(g, seed=21)
     st.time = 0.75
     path = tmp_path / "snap.bin"
@@ -230,7 +243,7 @@ def test_snapshot_bytes_and_transient_memory(tmp_path):
 
 
 def test_snapshot_format_errors(tmp_path):
-    g = make_grid(16, 16, TWO_PI, TWO_PI)
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=10)
     path = tmp_path / "snap.bin"
     save_state(st, path)

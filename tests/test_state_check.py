@@ -15,12 +15,18 @@ from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.solver import _band, _sampled_state
 from mhd2d.spectral import (
     STATE_RTOL,
+    SpectralGrid,
     _potentials,
     hermitian_defect,
-    make_grid,
     random_div_free_state,
 )
-from reference import check_band, check_band_stack, check_state, gathered_hermitian_defect
+from reference import (
+    check_band,
+    check_band_stack,
+    check_state,
+    gathered_hermitian_defect,
+    scaled_random_state,
+)
 
 GRIDS = ((16, 16, 2.0 * np.pi, 2.0 * np.pi), (24, 30, 2.0 * np.pi, 3.0 * np.pi))
 UNDER, OVER = 0.9, 1.1
@@ -143,8 +149,8 @@ DEFECTS = {
 @pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
 def test_state_checks_decide_as_the_oracle(grid, defect, f):
-    g = make_grid(*grid)
-    st = random_div_free_state(g, seed=sum(grid[:2]), amplitude=2.0)
+    g = SpectralGrid(*grid)
+    st = scaled_random_state(g, sum(grid[:2]), 2.0)
     check_band(st, g)  # the clean state passes every check
     defect(st, f)
     got_v, want_v = outcome(st.validate), outcome(check_state, st)
@@ -191,7 +197,7 @@ STACK_DEFECTS = {
 @pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
 @pytest.mark.parametrize("kept", (False, True), ids=("unkept", "kept"))
 def test_band_stack_check_decides_as_the_oracle(grid, defect, f, kept):
-    g = make_grid(*grid)
+    g = SpectralGrid(*grid)
     w = _potentials(g, random_div_free_state(g, seed=grid[0]).u, g.band_cols)
     defect(w, f)
     got = outcome(_sampled_state, g, w, 0.5, kept)
@@ -209,8 +215,8 @@ def test_divergence_is_read_on_the_negative_columns(grid):
     # a Hermitian defect just under the tolerance, in a negative column, with
     # three times as much divergence: a divergence inferred from the mirror
     # column would pass it
-    g = make_grid(*grid)
-    st = random_div_free_state(g, seed=grid[1], amplitude=2.0)
+    g = SpectralGrid(*grid)
+    st = scaled_random_state(g, grid[1], 2.0)
     st.u[0, 3, g.n2 - 2] += level(st, 0.99)
     assert hermitian_defect(g, st.u) < STATE_RTOL * np.max(np.abs(st.u))
     for call in (st.validate, lambda: _band(st, g)):
