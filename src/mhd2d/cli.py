@@ -193,11 +193,11 @@ def _write_diagnostics_csv(path, records):
     _write_csv(path, dx.CSV_COLUMNS, [r.csv_row() for r in records])
 
 
-def _run(cfg, out):
+def _run(cfg, out, **kw):
     """``solver.run``; a failed run first writes the history sampled before
     the failure to diagnostics.csv, and main() maps the exit code."""
     try:
-        return sv.run(cfg)
+        return sv.run(cfg, **kw)
     except (BlowUpError, DiagnosticIntegrityError) as exc:
         if exc.trajectory is not None and exc.trajectory.records:
             _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"),
@@ -283,7 +283,7 @@ def cmd_audit_energy(args, raw) -> int:
     tol = _tolerances(args.tolerance, {"implied_c": float("inf"), "lhs": float("inf")})
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    traj = _run(cfg, out)
+    traj = _run(cfg, out, keep_final=False)  # it reads records only
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
     except AuditResolutionError as exc:
@@ -394,10 +394,12 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a command's name, with only its subparser,
+    which parses, helps and fails on that command as the full parser does."""
     parser = _Parser(prog="mhd2d", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in _COMMANDS:
+    for name in _COMMANDS if command is None else (command,):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -410,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # no command, or an unknown one, needs every subparser for its message
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -26,8 +26,7 @@ are lower bounds that converge as the box grows.
 """
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +57,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     """One sampling instant: the CSV schema plus the audit/cumulative extras."""
 
     t: float
@@ -93,8 +91,7 @@ class DiagnosticsRecord:
         return [format(getattr(self, c), ".17g") for c in CSV_COLUMNS]
 
 
-@dataclass(frozen=True)
-class CumulativeRecord:
+class CumulativeRecord(NamedTuple):
     """Time-integrated quantities over [0, T]."""
 
     T: float
@@ -105,8 +102,7 @@ class CumulativeRecord:
     h_terms: tuple
 
 
-@dataclass(frozen=True)
-class EnergyAudit:
+class EnergyAudit(NamedTuple):
     """Per-sample sides of the m-th order energy inequality."""
 
     m: int
@@ -117,16 +113,14 @@ class EnergyAudit:
     implied_C: float
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     slope: float
     intercept: float
     rms_residual: float
     window: tuple
 
 
-@dataclass(frozen=True)
-class InterpolationAudit:
+class InterpolationAudit(NamedTuple):
     lhs: float
     rhs: float
 
@@ -384,7 +378,7 @@ def _check_history(records: Sequence[DiagnosticsRecord]):
     times = np.array([r.t for r in records])
     if not np.all(np.diff(times) > 0.0):  # NaN fails too
         raise IncompleteHistoryError("history times must be strictly increasing")
-    if not times[0] <= 1e-12:
+    if not abs(times[0]) <= 1e-12:  # NaN fails too
         raise IncompleteHistoryError(f"history starts at t = {times[0]}, not 0")
     if len(times) > 2:
         steps = np.diff(times)

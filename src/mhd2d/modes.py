@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +159,7 @@ def divided_difference(xi1, t):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class ModeSystem:
+class ModeSystem(NamedTuple):
     """Eigen-system of the symbol at one wavenumber.
 
     The eigenvector of J for lam_sign in the slots of pair j is E_sign^j =
@@ -256,8 +255,7 @@ def region_masks(xi1):
     return r1, r2, r3
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     inequality: str
     xi1: float
     t: float

@@ -21,8 +21,7 @@ those are the reference against which periodic-grid results are compared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -130,8 +129,7 @@ def sigma_cutoff(r):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ProfileData:
+class ProfileData(NamedTuple):
     """Separable spectral profile.
 
     ``scalar1 * scalar2`` is the scalar amplitude used by j-weighted norms.
@@ -193,8 +191,7 @@ def build_profile(kind: str) -> ProfileData:
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(NamedTuple):
     """Norm values along a time grid for one weighted quantity."""
 
     label: str

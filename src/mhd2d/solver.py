@@ -166,8 +166,9 @@ class SolverConfig:
 class Trajectory:
     """Sampled history of one run: times, records, and state snapshots.
 
-    ``states`` aligns with ``times``; entries may be None when snapshots
-    were not kept, but the first and last sampled states always are.
+    ``states`` aligns with ``times``; an entry is None when its snapshot
+    was not kept. The first is always kept, and so is the last unless the
+    run was asked not to build it.
     """
 
     times: List[float] = field(default_factory=list)
@@ -186,10 +187,8 @@ class Trajectory:
 
     @property
     def final_state(self) -> Optional[SpectralState]:
-        for st in reversed(self.states):
-            if st is not None:
-                return st
-        return None
+        """The last sample's state, or None where it was not kept."""
+        return self.states[-1] if self.states else None
 
 
 def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
@@ -429,7 +428,7 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
 
 
 def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
-        keep_states: bool = False) -> Trajectory:
+        keep_states: bool = False, keep_final: bool = True) -> Trajectory:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     The energy-law residual carried by each record is the signed defect
@@ -439,15 +438,15 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     trajectory rides on the raised ``BlowUpError`` or
     ``DiagnosticIntegrityError``. Each sample, t = 0 included, is recorded
     from the band columns, and each later one checks the band stack itself;
-    only a state that leaves the run, a kept one or the last, is built and
-    passes the full ``validate()``, and a failure of either is a
-    ``DiagnosticIntegrityError``. The t = 0 state is the one ``run`` built,
-    or a copy of ``initial``, which the caller may go on to change. The
-    stepper goes on from the sample's band columns, so a run restarted from
-    any snapshot repeats the uninterrupted run bit for bit. An initial state
-    must lie on the configured grid, pass ``validate()``'s checks and lie
-    inside the 2/3 dealias band, as every snapshot of a run does; otherwise
-    ``ConfigError`` is raised.
+    only a state that leaves the run, a kept one or the last (unless
+    ``keep_final`` is false), is built and passes the full ``validate()``,
+    and a failure of either is a ``DiagnosticIntegrityError``. The t = 0
+    state is the one ``run`` built, or a copy of ``initial``, which the
+    caller may go on to change. The stepper goes on from the sample's band
+    columns, so a run restarted from any snapshot repeats the uninterrupted
+    run bit for bit. An initial state must lie on the configured grid, pass
+    ``validate()``'s checks and lie inside the 2/3 dealias band, as every
+    snapshot of a run does; otherwise ``ConfigError`` is raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -486,7 +485,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         d_prev = d_next
         t_prev = t
         if (i + 1) % cfg.sample_stride == 0:
-            kept = keep_states or (i + 1) == cfg.n_steps
+            kept = keep_states or (keep_final and (i + 1) == cfg.n_steps)
             resid = stepper.half_l2_sq(w) - e0 + acc
             try:
                 h, snap = _sampled_state(g, w, t, kept)

@@ -263,8 +263,10 @@ def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> Spe
     u = np.empty((4, n1, n2), dtype=np.complex128)
     _components(grid, w, u[:, :, :kc])
     u[:, :, kc:nh] = 0.0
-    rev1 = (-np.arange(n1)) % n1
-    u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
+    # u(k1, -k2) = conj(u(-k1, k2)), row 0 from row 0 and rows 1.. from
+    # rows n1-1 .. 1, as slices the way ``_mirror_defect`` reads them
+    np.conjugate(u[:, :1, n2 // 2 - 1:0:-1], out=u[:, :1, nh:])
+    np.conjugate(u[:, :0:-1, n2 // 2 - 1:0:-1], out=u[:, 1:, nh:])
     return SpectralState(grid, u, time)
 
 

@@ -12,8 +12,9 @@ oracle of the package's one half-spectrum check; ``phi_fixed_series`` is
 phi_k with all 48 series terms on every entry, the oracle of the series in
 ``modes._phi`` that stops early, and so of the step tables;
 ``pairwise_reconstruct`` is ``ModeSystem.reconstruct`` as a loop over the
-two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
-probe the peak tests share. ``instantaneous`` is the record routine with
+two (v_j, B_j) pairs, its oracle; ``gathered_from_potentials`` fills the
+negative columns by a row gather, the oracle of ``from_potentials``;
+``traced_peak`` is the transient-memory probe the peak tests share. ``instantaneous`` is the record routine with
 every weight table built and every weighted sum taken as a product array
 summed by ``np.sum`` on each call, the oracle of the package's record;
 ``coordinates``, ``scaled_random_state``, ``coeff_derivative``,
@@ -215,6 +216,20 @@ def gathered_hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
     rev2 = (-np.arange(nh)) % grid.n2
     mirrored = np.conj(np.roll(u[..., ::-1, rev2], 1, axis=-2))
     return float(np.max(np.abs(u[..., :nh] - mirrored)))
+
+
+def gathered_from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
+    """``spectral.from_potentials`` with the negative columns filled by one
+    row gather, ``rev1`` = -k1 mod n1, the oracle of its two slice copies."""
+    n1, n2 = grid.shape
+    nh = n2 // 2 + 1
+    kc = w.shape[-1]
+    u = np.empty((4, n1, n2), dtype=np.complex128)
+    _components(grid, w, u[:, :, :kc])
+    u[:, :, kc:nh] = 0.0
+    rev1 = (-np.arange(n1)) % n1
+    u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
+    return SpectralState(grid, u, time)
 
 
 def check_state(state: SpectralState) -> None:

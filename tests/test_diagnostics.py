@@ -1,7 +1,5 @@
 """Energy functionals, audits, decay fits, and embedding scans."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.integrate
@@ -141,7 +139,7 @@ def test_cumulative_single_sample_and_constant_history():
     assert single.H == 0.0 and single.dissipation_integral == 0.0
 
     T = 3.0
-    recs = [dataclasses.replace(rec0, t=x) for x in np.linspace(0.0, T, 7)]
+    recs = [rec0._replace(t=x) for x in np.linspace(0.0, T, 7)]
     cum = cumulative(recs)
     assert cum.T == pytest.approx(T)
     assert cum.dissipation_integral == pytest.approx(
@@ -168,15 +166,28 @@ def test_cumulative_history_validation():
     with pytest.raises(IncompleteHistoryError):
         cumulative([])
     with pytest.raises(IncompleteHistoryError):  # does not start at zero
-        cumulative([dataclasses.replace(rec, t=0.5), dataclasses.replace(rec, t=1.0)])
+        cumulative([rec._replace(t=0.5), rec._replace(t=1.0)])
     with pytest.raises(IncompleteHistoryError):  # not increasing
-        cumulative([dataclasses.replace(rec, t=0.0), dataclasses.replace(rec, t=0.0)])
+        cumulative([rec._replace(t=0.0), rec._replace(t=0.0)])
     for ts in ([0.0, float("nan")], [float("nan")]):  # not a time
         with pytest.raises(IncompleteHistoryError):
-            cumulative([dataclasses.replace(rec, t=x) for x in ts])
+            cumulative([rec._replace(t=x) for x in ts])
     with pytest.raises(IncompleteHistoryError):  # gap in the cadence
         ts = [0.0, 0.1, 0.2, 0.5, 0.6]
-        cumulative([dataclasses.replace(rec, t=x) for x in ts])
+        cumulative([rec._replace(t=x) for x in ts])
+
+
+def test_cumulative_refuses_a_history_before_zero():
+    # records at t = -2 .. 1 would give T = 1 and integrals over [-2, 1]
+    g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
+    rec = instantaneous(g, random_div_free_state(g, seed=1).u, 2)
+    for ts in ([-2.0, -1.0, 0.0, 1.0], [-1e-9, 1.0]):
+        with pytest.raises(IncompleteHistoryError, match="not 0"):
+            cumulative([rec._replace(t=x) for x in ts])
+    # roundoff about zero still starts a history, and a run's records pass
+    assert cumulative([rec._replace(t=x) for x in (-1e-13, 1.0)]).T == 1.0
+    cfg = SolverConfig(n1=16, n2=16, dt=0.05, t_end=0.2, data_kind="random", seed=3)
+    assert cumulative(run(cfg).records).T == pytest.approx(0.2)
 
 
 def linear_records(n1=64, t_end=2.5, dt=0.05, delta=1e-2):
@@ -215,8 +226,8 @@ def test_energy_inequality_audit_rejects_coarse_cadence():
     recs = []
     for t in ts:
         e = 1.0 + 0.5 * np.sin(9.0 * t)
-        recs.append(dataclasses.replace(
-            base, t=float(t), E=float(e), A=0.0,
+        recs.append(base._replace(
+            t=float(t), E=float(e), A=0.0,
             hm_v_sq=0.0, hm_b_sq=0.0, hm1_d1b_sq=0.0))
     with pytest.raises(AuditResolutionError, match="finite-difference"):
         em_inequality_audit(recs, 2)

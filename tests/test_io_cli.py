@@ -1,6 +1,8 @@
 """Config parsing, command-line workflows, artifacts, and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -139,6 +141,38 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert cli.main(argv) == 64, (mapping, flags)
         assert capsys.readouterr().err.startswith("error:"), (mapping, flags)
         assert not list(out.glob("*.csv")), (mapping, flags)
+
+
+def _parsed(parser, argv):
+    """What parsing ``argv`` prints, and its usage error message or None."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pass
+        except cli._UsageError as exc:
+            return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+def test_a_command_parser_helps_and_fails_as_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    for name in cli._COMMANDS:
+        for flags in (["--help"], ["--config"], ["--bogus"], ["--seed", "x"],
+                      ["--tolerance"], ["--out", "o", "extra"]):
+            got = _parsed(cli.build_parser(name), [name, *flags])
+            assert got == _parsed(cli.build_parser(), [name, *flags]), (name, flags)
+            assert any(got), (name, flags)
+        assert _parsed(cli.build_parser(name), [name, "--help"])[0].startswith(
+            f"usage: mhd2d {name} [-h]")
+    # main builds one subparser for a known command and all six otherwise
+    real, asked = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda *a: asked.append(a) or real(*a))
+    for argv in (["fit", "--bogus"], ["no-such-command"], [], ["--help", "fit"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            cli.main(argv)
+    assert asked == [("fit",), (None,), (None,), (None,)]
 
 
 def test_tolerance_overrides():
@@ -360,6 +394,49 @@ def test_audit_energy_integrity_failure_keeps_history(tmp_path, capsys, monkeypa
     lines = (out / "diagnostics.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + k
+    assert not (out / "energy_audit.json").exists()
+
+
+def test_audit_energy_builds_no_state_past_zero(tmp_path, monkeypatch):
+    # it reads records only; nonlinear-run still builds and checks its last state
+    real, built = solver.from_potentials, []
+
+    def counting(grid, w, time=0.0):
+        built.append(time)
+        return real(grid, w, time)
+
+    monkeypatch.setattr(solver, "from_potentials", counting)
+    box = repr(32.0 * np.pi)  # prop25's support needs a 32 pi box at 32^2
+    cfg = write_cfg(tmp_path, "run.cfg",
+                    dict(RUN_CFG, l1=box, l2=box, **{"data.kind": "prop25"}))
+    for cmd, want in (("audit-energy", [0.0]), ("nonlinear-run", [0.0, 0.5])):
+        built.clear()
+        argv = [cmd, "--config", cfg, "--out", str(tmp_path / cmd), "--quiet"]
+        assert cli.main(argv) == 0, cmd
+        assert built == pytest.approx(want), cmd
+
+
+def test_audit_energy_final_band_check_failure_keeps_history(tmp_path, capsys, monkeypatch):
+    # with no final state built, the last sample's band check still runs:
+    # exit 3 with the history sampled before it
+    real, steps = solver._Stepper.advance, []
+
+    def advance(self, w):
+        out = real(self, w)
+        steps.append(1)
+        if len(steps) == self.cfg.n_steps:
+            out[0, 1, 0] += np.max(np.abs(out))  # unmirrored k2 = 0 entry
+        return out
+
+    monkeypatch.setattr(solver._Stepper, "advance", advance)
+    cfg = write_cfg(tmp_path, "audit.cfg", dict(RUN_CFG, **{"output.every": 0.05}))
+    out = tmp_path / "out"
+    assert cli.main(["audit-energy", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "integrity failure" in err and "t = 0.5" in err and "Hermitian" in err
+    lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 1 + 10
     assert not (out / "energy_audit.json").exists()
 
 
