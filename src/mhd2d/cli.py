@@ -193,6 +193,23 @@ def _write_diagnostics_csv(path, records):
     _write_csv(path, dx.CSV_COLUMNS, [r.csv_row() for r in records])
 
 
+class _Snapshots(sv.Trajectory):
+    """A run's trajectory that keeps no state: with ``out`` set, the t = 0
+    state goes to initial.bin and a later one (the run's last) to final.bin
+    as ``solver.run`` hands them over, else nowhere. So no full state lives
+    through the steps, and a failed run has already written initial.bin."""
+
+    def __init__(self, out=None):
+        super().__init__()
+        self.out = out
+
+    def append(self, time, record, state=None):
+        super().append(time, record)
+        if state is not None and self.out is not None:
+            name = "initial.bin" if len(self.times) == 1 else "final.bin"
+            save_state(state, os.path.join(self.out, name))
+
+
 def _run(cfg, out, **kw):
     """``solver.run``; a failed run first writes the history sampled before
     the failure to diagnostics.csv, and main() maps the exit code."""
@@ -210,10 +227,9 @@ def cmd_nonlinear_run(args, raw) -> int:
     _tolerances(args.tolerance, {})  # it has no gate, so any key is an error
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    traj = _run(cfg, out)
+    # initial.bin and final.bin are written as the run takes them
+    traj = _run(cfg, out, trajectory=_Snapshots(out=out))
     _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
-    save_state(traj.states[0], os.path.join(out, "initial.bin"))
-    save_state(traj.final_state, os.path.join(out, "final.bin"))
 
     cum = dx.cumulative(traj.records)
     e0 = traj.records[0].E
@@ -283,7 +299,8 @@ def cmd_audit_energy(args, raw) -> int:
     tol = _tolerances(args.tolerance, {"implied_c": float("inf"), "lhs": float("inf")})
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    traj = _run(cfg, out, keep_final=False)  # it reads records only
+    # it reads records only
+    traj = _run(cfg, out, keep_final=False, trajectory=_Snapshots())
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
     except AuditResolutionError as exc:

@@ -269,16 +269,16 @@ class AuditRow(NamedTuple):
         return 0.0 if self.lhs == 0.0 else float("inf")
 
 
-def _audit_arrays(fs, fnorm, xi1, t):
+def _audit_arrays(fs, fnorm, xi1, t, lam_p, dd):
     """lhs/rhs arrays for all four inequalities over samples x xi1.
 
     Rows of ``fs`` are complex 4-vectors and ``fnorm`` their norms, a column;
-    every array is (len(fs), len(xi1)) and comes from one ``phi_split`` at t.
-    Returns a dict id -> (mask, lhs, rhs); masks, over xi1 only, select the
-    strip each inequality is stated on. Right-hand sides carry constant 1.
+    ``lam_p`` and ``dd`` are ``phi_split(0, xi1, t)``'s over xi1, and every
+    array is (len(fs), len(xi1)). Returns a dict id -> (mask, lhs, rhs);
+    masks, over xi1 only, select the strip each inequality is stated on.
+    Right-hand sides carry constant 1.
     """
     xi1 = np.asarray(xi1, dtype=float)
-    _, lam_p, _, dd = phi_split(0, xi1, t)
     f2, f4 = fs[:, 1:2], fs[:, 3:4]
     res2, res4 = _resonant(f2, f4, xi1, lam_p, dd)
     shape = res2.shape
@@ -308,9 +308,14 @@ def scan_lemma_bounds(xi1_values, times, n_samples=20, seed=0):
     them over a wavenumber grid and a time set. Ratios are only formed where
     the right-hand side is positive. Returns (summary, rows): summary maps
     inequality id to its worst ratio and where it occurred; rows hold the
-    per-(inequality, t) maxima for reporting.
+    per-(inequality, t) maxima for reporting. One ``phi_split`` over a time
+    axis gives every time's eigenvalue and divided difference; the maxima
+    over (samples, xi1) are taken one time at a time, so no array holds
+    more than one time's samples.
     """
     xi1_values = np.asarray(xi1_values, dtype=float)
+    times = np.asarray(times, dtype=float)
+    _, lam_p, _, dd = phi_split(0, xi1_values, times[:, None])
     rng = np.random.default_rng(seed)
     fs = rng.standard_normal((n_samples, 4)) + 1j * rng.standard_normal((n_samples, 4))
     summary = {
@@ -319,8 +324,8 @@ def scan_lemma_bounds(xi1_values, times, n_samples=20, seed=0):
     }
     fnorm = np.array([np.linalg.norm(f) for f in fs])[:, None]
     best_rows: dict[tuple, AuditRow] = {}
-    for t in times:
-        data = _audit_arrays(fs, fnorm, xi1_values, float(t))
+    for t, lam_pt, ddt in zip(times, lam_p, dd):
+        data = _audit_arrays(fs, fnorm, xi1_values, float(t), lam_pt, ddt)
         for name, (mask, lhs, rhs) in data.items():
             ok = mask & (rhs > 0.0)
             if not np.any(ok):

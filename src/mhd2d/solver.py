@@ -166,9 +166,15 @@ class SolverConfig:
 class Trajectory:
     """Sampled history of one run: times, records, and state snapshots.
 
-    ``states`` aligns with ``times``; an entry is None when its snapshot
-    was not kept. The first is always kept, and so is the last unless the
-    run was asked not to build it.
+    ``run`` hands each sample to ``append`` as it is taken and keeps no
+    reference to a state it has appended, so the trajectory alone decides
+    which snapshots stay in memory. This one keeps every state it is given:
+    ``states`` aligns with ``times``, an entry None where the run built no
+    state. The run builds the first always and the last unless asked not
+    to. A subclass may store None in their place and write a state out as
+    it arrives, as the CLI's ``_Snapshots`` writes initial.bin and
+    final.bin: a run that fails has then already handed over every sample
+    before the failure, so initial.bin is on disk.
     """
 
     times: List[float] = field(default_factory=list)
@@ -184,11 +190,6 @@ class Trajectory:
         self.times.append(float(time))
         self.records.append(record)
         self.states.append(state)
-
-    @property
-    def final_state(self) -> Optional[SpectralState]:
-        """The last sample's state, or None where it was not kept."""
-        return self.states[-1] if self.states else None
 
 
 def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
@@ -267,7 +268,7 @@ def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     return _potentials(grid, state.u, grid.band_cols)
 
 
-# ``_sampled_state``'s message, after "band stack at t = ...", for each fault
+# ``_sampled_components``' message, after "band stack at t = ...", for each fault
 _STACK_FAULTS = {
     "non-finite": "overflows the curl map: max |w| = {1:.3e}",
     "Hermitian": "is not Hermitian symmetric in its k2 = 0 column: defect {0:.3e} "
@@ -276,27 +277,32 @@ _STACK_FAULTS = {
 }
 
 
-def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
-    """A run's sample of its band stack: the components on the band columns
-    and, if ``kept`` (it leaves the run), the state, else None.
+def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.ndarray:
+    """The components of a run's band stack at a sample, on its columns.
 
     The curl map's mirror would hide an asymmetric k2 = 0 column, so ``w``
     itself is checked against ``STATE_RTOL`` max|w|: max|w| times the band's
     largest |xi| must be finite (else the components would not be), the
-    k2 = 0 column Hermitian and the mean mode zero. A kept state also passes
-    the full ``validate()``. Any failure raises ``DiagnosticIntegrityError``.
+    k2 = 0 column Hermitian and the mean mode zero. A failure raises
+    ``DiagnosticIntegrityError``.
     """
     fault = _column_fault(grid, w, gain=grid.band_xi_max)
     if fault is not None:
         raise DiagnosticIntegrityError(
             f"band stack at t = {time} " + _STACK_FAULTS[fault[0]].format(*fault[1:]))
-    if kept:
-        snap = from_potentials(grid, w, time)
-        try:
-            snap.validate()
-        except ConfigError as exc:
-            raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
-    return _components(grid, w), (snap if kept else None)
+    return _components(grid, w)
+
+
+def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float) -> SpectralState:
+    """The state of a band stack that ``_sampled_components`` passed, for a
+    sample that leaves the run; it also passes the full ``validate()``, and a
+    failure raises ``DiagnosticIntegrityError``."""
+    snap = from_potentials(grid, w, time)
+    try:
+        snap.validate()
+    except ConfigError as exc:
+        raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
+    return snap
 
 
 class _Stepper:
@@ -428,25 +434,37 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
 
 
 def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
-        keep_states: bool = False, keep_final: bool = True) -> Trajectory:
+        keep_states: bool = False, keep_final: bool = True,
+        trajectory: Optional[Trajectory] = None) -> Trajectory:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     The energy-law residual carried by each record is the signed defect
     of the half-L2 balance with the dissipation integral accumulated by
-    per-step trapezoid quadrature; it shrinks at second order in dt. On
-    non-finite coefficients or a failed diagnostic invariant the partial
-    trajectory rides on the raised ``BlowUpError`` or
+    per-step trapezoid quadrature; it shrinks at second order in dt. Each
+    sample goes to ``trajectory`` (a new ``Trajectory`` if None) as it is
+    taken, and that trajectory is returned; on non-finite coefficients or a
+    failed diagnostic invariant it rides, holding every sample taken
+    before the failure, on the raised ``BlowUpError`` or
     ``DiagnosticIntegrityError``. Each sample, t = 0 included, is recorded
     from the band columns, and each later one checks the band stack itself;
     only a state that leaves the run, a kept one or the last (unless
     ``keep_final`` is false), is built and passes the full ``validate()``,
     and a failure of either is a ``DiagnosticIntegrityError``. The t = 0
     state is the one ``run`` built, or a copy of ``initial``, which the
-    caller may go on to change. The stepper goes on from the sample's band
-    columns, so a run restarted from any snapshot repeats the uninterrupted
-    run bit for bit. An initial state must lie on the configured grid, pass
-    ``validate()``'s checks and lie inside the 2/3 dealias band, as every
-    snapshot of a run does; otherwise ``ConfigError`` is raised.
+    caller may go on to change.
+
+    Memory: ``run`` drops its reference to each state once it has appended
+    it, the t = 0 state included, so a trajectory that does not keep its
+    states leaves no full state alive through the steps. At the last sample
+    the stepper and its tables are released once the energy residual is
+    taken, and the final state is built after the record, so it shares the
+    peak with no table and no temporary of the record.
+
+    The stepper goes on from the sample's band columns, so a run restarted
+    from any snapshot repeats the uninterrupted run bit for bit. An initial
+    state must lie on the configured grid, pass ``validate()``'s checks and
+    lie inside the 2/3 dealias band, as every snapshot of a run does;
+    otherwise ``ConfigError`` is raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -461,7 +479,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         )
 
     stepper = _Stepper(g, cfg)
-    traj = Trajectory()
+    traj = trajectory if trajectory is not None else Trajectory()
     base = state.time
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
@@ -469,6 +487,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base,
                                     energy_residual=0.0),
                 state if initial is None else state.copy())
+    del state
 
     t_prev = base
     for i in range(cfg.n_steps):
@@ -485,15 +504,24 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         d_prev = d_next
         t_prev = t
         if (i + 1) % cfg.sample_stride == 0:
-            kept = keep_states or (keep_final and (i + 1) == cfg.n_steps)
+            last = (i + 1) == cfg.n_steps
             resid = stepper.half_l2_sq(w) - e0 + acc
+            if last:  # its tables would share the final state's peak
+                del stepper
             try:
-                h, snap = _sampled_state(g, w, t, kept)
-                # the stack is checked: _band would only repeat full |u| passes
-                w = _potentials(g, h, g.band_cols)
+                # the record first, then the state, with h released before it
+                spent, h = w, _sampled_components(g, w, t)
                 rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid)
+                if not last:
+                    # the stack is checked: _band would only repeat full |u| passes
+                    w = _potentials(g, h, g.band_cols)
+                del h
+                snap = (_sampled_state(g, spent, t)
+                        if keep_states or (keep_final and last) else None)
+                del spent
             except DiagnosticIntegrityError as exc:
                 exc.trajectory = traj
                 raise
             traj.append(t, rec, snap)
+            del snap
     return traj

@@ -290,8 +290,24 @@ def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
 def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
     """Max |a(k1) - conj(b(-k1))| over the rows k1 (mod n1) of two column
     stacks, as slices: row 0 against row 0, rows 1.. against rows n1-1 .. 1."""
-    return float(np.max([np.max(np.abs(np.conj(b[..., :1, :]) - a[..., :1, :])),
-                         np.max(np.abs(np.conj(b[..., :0:-1, :]) - a[..., 1:, :]))]))
+    rest = np.conj(b[..., :0:-1, :])
+    rest -= a[..., 1:, :]
+    return float(np.max([np.abs(np.conj(b[..., :1, :]) - a[..., :1, :]).max(),
+                         np.abs(rest).max()]))
+
+
+# the most elements in a block of the state check's |u| and its float64
+# buffers: one component of a 256^2 state, all four of a 128^2 one; the
+# complex temporaries of a block take about as many bytes
+_CHECK_ELEMENTS = 1 << 16
+
+
+def _component_blocks(u: np.ndarray):
+    """The leading components of ``u``, (..., n1, n2) or a band stack, as
+    slices of at most ``_CHECK_ELEMENTS`` elements, or of one component."""
+    flat = u.reshape((-1,) + u.shape[-2:])
+    k = max(1, _CHECK_ELEMENTS // flat[0].size)
+    return [flat[c:c + k] for c in range(0, len(flat), k)]
 
 
 def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
@@ -300,19 +316,29 @@ def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
     Only the half-spectrum columns ``k2 = 0 .. n2/2`` are compared with
     their mirrors: every pair (k, -k) has a member there, and both members
     give the same |u(-k) - conj(u(k))|. The k2 = 0 and Nyquist columns are
-    their own mirrors, the others are read against the negative columns.
+    their own mirrors, the others are read against the negative columns a
+    block of components at a time (``_component_blocks``).
     """
     nh = grid.n2 // 2 + 1
     selfs = u[..., 0:nh:nh - 1]  # the columns k2 = 0 and n2/2
-    return float(np.max([_mirror_defect(selfs, selfs),
-                         _mirror_defect(u[..., 1:nh - 1], u[..., :nh - 1:-1])]))
+    return float(np.max([_mirror_defect(selfs, selfs)]
+                        + [_mirror_defect(b[..., 1:nh - 1], b[..., :nh - 1:-1])
+                           for b in _component_blocks(u)]))
 
 
 def divergence_defect(grid: SpectralGrid, u: np.ndarray):
-    """Max |xi . vhat| and |xi . Bhat| over modes."""
-    dv = np.max(np.abs(grid.xi1 * u[0] + grid.xi2 * u[1]))
-    dB = np.max(np.abs(grid.xi1 * u[2] + grid.xi2 * u[3]))
-    return float(dv), float(dB)
+    """Max |xi . vhat| and |xi . Bhat| over modes, a block of rows at a time
+    whose two complex temporaries take at most ``_CHECK_ELEMENTS`` float64s."""
+    step = max(1, _CHECK_ELEMENTS // (4 * grid.n2))
+    out = []
+    for p in (0, 2):
+        peaks = []
+        for r in range(0, grid.n1, step):
+            d = grid.xi1[r:r + step] * u[p, r:r + step]
+            d += grid.xi2 * u[p + 1, r:r + step]
+            peaks.append(np.abs(d).max())
+        out.append(float(np.max(peaks)))
+    return out[0], out[1]
 
 
 # ``validate``'s message for each property ``_column_fault`` names
@@ -338,14 +364,23 @@ def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
     the columns it drops on the rows it keeps, negative columns included.
     Every column is read as a slice.
     """
-    mag = np.abs(u)
-    peak = float(np.max(mag))
-    if band:  # taken now, so |u| is not held through the other checks
-        r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
-        r1, c1 = grid.n1 - r0 + 1, grid.n2 - c0 + 1  # first ones kept again
-        outside = float(np.max([np.max(mag[:, r0:r1]), np.max(mag[:, :r0, c0:c1]),
-                                np.max(mag[:, r1:, c0:c1])]))
-    del mag
+    # |u| a block of components at a time, into one buffer; np.max combines
+    # the blocks' maxima and passes a NaN on as one np.max over |u| would
+    blocks = _component_blocks(u)
+    buf = np.empty(blocks[0].shape)
+    peaks, outside = [], []
+    r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
+    r1, c1 = grid.n1 - r0 + 1, grid.n2 - c0 + 1  # first ones kept again
+    for b in blocks:
+        mag = np.abs(b, out=buf[:len(b)])
+        peaks.append(mag.max())
+        if band:  # taken now, so |u| is not held through the other checks
+            outside += [mag[:, r0:r1].max(), mag[:, :r0, c0:c1].max(),
+                        mag[:, r1:, c0:c1].max()]
+    del buf, mag
+    peak = float(np.max(peaks))
+    if band:
+        outside = float(np.max(outside))
     if not np.isfinite(peak * gain):
         return "non-finite", peak, peak
     scale = max(peak, 1e-300)

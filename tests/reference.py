@@ -270,8 +270,9 @@ def check_band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
 
 
 def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
-    """``solver._sampled_state``: the overflow, k2 = 0 column and mean checks
-    of a band stack, then ``check_state`` of a kept state, each failure a
+    """``solver._sampled_components`` and, for a kept sample,
+    ``solver._sampled_state``: the overflow, k2 = 0 column and mean checks of
+    a band stack, then ``check_state`` of a kept state, each failure a
     ``DiagnosticIntegrityError``."""
     peak = float(np.max(np.abs(w)))
     if not np.isfinite(peak * grid.band_xi_max):

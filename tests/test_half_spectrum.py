@@ -288,11 +288,11 @@ def test_restart_through_snapshot_matches(n1, n2, tmp_path):
     whole = run(SolverConfig(t_end=0.2, output_every=0.1, **base))
     first = run(SolverConfig(t_end=0.1, output_every=0.1, **base))
     path = tmp_path / "mid.bin"
-    save_state(first.final_state, path)
+    save_state(first.states[-1], path)
     second = run(SolverConfig(t_end=0.1, output_every=0.1, **base), initial=load_state(path))
     assert second.times[-1] == pytest.approx(0.2)
-    want = whole.final_state.u
-    assert np.max(np.abs(second.final_state.u - want)) <= 1e-13 * np.max(np.abs(want))
+    want = whole.states[-1].u
+    assert np.max(np.abs(second.states[-1].u - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class PlaneCounter:
@@ -793,6 +793,6 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
         run(cfg, initial=elsewhere)
     # a snapshot of a run lies inside the band and runs on
     path = tmp_path / "end.bin"
-    save_state(run(cfg).final_state, path)
+    save_state(run(cfg).states[-1], path)
     again = run(cfg, initial=load_state(path))
     assert again.times[-1] == pytest.approx(0.08)

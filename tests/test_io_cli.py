@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -365,6 +366,70 @@ def test_nonlinear_run_band_check_failure_keeps_history(tmp_path, capsys, monkey
     lines = (out / "diagnostics.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + k
+
+
+def test_failed_nonlinear_run_leaves_the_initial_snapshot(tmp_path, capsys, monkeypatch):
+    # initial.bin is written as the run takes its t = 0 sample: a run that
+    # blows up (exit 4) or fails an invariant (exit 3) leaves it, byte for
+    # byte what a successful run from the same data writes, and no final.bin
+    blow = dict(RUN_CFG, dt=0.5, t_end=10.0, **{"data.delta": 1e4, "output.every": 0.5})
+    short = dict(blow, t_end=1.0)
+
+    def run(name, keys):
+        cfg = write_cfg(tmp_path, name + ".cfg", keys)
+        with pytest.warns(RuntimeWarning):
+            return cli.main(["nonlinear-run", "--config", cfg, "--out",
+                             str(tmp_path / name), "--quiet"])
+
+    assert run("ok", short) == 0
+    assert run("blow", blow) == 4
+    _fail_after_samples(monkeypatch, 1)
+    assert run("fail", short) == 3
+    capsys.readouterr()
+    want = (tmp_path / "ok" / "initial.bin").read_bytes()
+    for name in ("blow", "fail"):
+        out = tmp_path / name
+        assert (out / "initial.bin").read_bytes() == want, name
+        assert load_state(str(out / "initial.bin")).time == 0.0
+        assert not (out / "final.bin").exists(), name
+        assert (out / "diagnostics.csv").exists(), name
+
+
+def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
+    # the t = 0 state is written and released before the first step, and
+    # the stepper is released before the final state is built
+    refs, seen = {}, {"state": [], "stepper": []}
+    real_initial, real_init = solver.initial_state, solver._Stepper.__init__
+    real_advance, real_build = solver._Stepper.advance, solver.from_potentials
+
+    def initial(cfg, grid=None):
+        st = real_initial(cfg, grid)
+        refs["state"] = weakref.ref(st)
+        return st
+
+    def init(self, grid, cfg):
+        real_init(self, grid, cfg)
+        refs["stepper"] = weakref.ref(self)
+
+    def advance(self, w):
+        seen["state"].append(refs["state"]() is not None)
+        return real_advance(self, w)
+
+    def build(grid, w, time=0.0):
+        seen["stepper"].append(refs["stepper"]() is not None)
+        return real_build(grid, w, time)
+
+    monkeypatch.setattr(solver, "initial_state", initial)
+    monkeypatch.setattr(solver._Stepper, "__init__", init)
+    monkeypatch.setattr(solver._Stepper, "advance", advance)
+    monkeypatch.setattr(solver, "from_potentials", build)
+    cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert seen["state"] == [False] * 10
+    assert seen["stepper"] == [False]  # the final state, the one built past t = 0
+    assert load_state(str(out / "initial.bin")).time == 0.0
+    assert load_state(str(out / "final.bin")).time == pytest.approx(0.5)
 
 
 def _fail_after_samples(monkeypatch, k):

@@ -306,8 +306,9 @@ def test_middle_strip_envelope_tracks_slow_eigenvalue():
     f = np.array([0.1, 0.9, -0.3, 0.6], dtype=complex)
 
     def side(name, x, t):
+        _, lam_p, _, dd = modes.phi_split(0, np.array([x]), t)
         mask, lhs, rhs = modes._audit_arrays(f[None], np.array([[np.linalg.norm(f)]]),
-                                             np.array([x]), t)[name]
+                                             np.array([x]), t, lam_p, dd)[name]
         assert mask[0], (name, x)  # x lies on the strip the inequality is stated on
         return AuditRow(name, x, t, float(lhs[0, 0]), float(rhs[0, 0]))
 
@@ -428,4 +429,6 @@ def test_scan_lemma_bounds_splits_phi_once_per_time(monkeypatch):
 
     monkeypatch.setattr(modes, "phi_split", counted)
     scan_lemma_bounds(CRITERION8_XI1, CRITERION8_TIMES, n_samples=20, seed=0)
-    assert len(calls) == len(CRITERION8_TIMES)
+    # one split over a time axis gives every time its own
+    assert len(calls) == 1
+    assert np.shape(calls[0][2]) == (len(CRITERION8_TIMES), 1)

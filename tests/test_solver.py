@@ -64,7 +64,7 @@ def test_zero_data_stays_zero():
     traj = run(cfg)
     assert len(traj.times) == 6
     assert all(rec.E == 0.0 for rec in traj.records)
-    final = traj.final_state
+    final = traj.states[-1]
     assert final is not None and np.all(final.u == 0.0)
 
 
@@ -154,7 +154,7 @@ def test_linear_only_run_matches_exact_semigroup():
     st0 = initial_state(cfg, g)
     traj = run(cfg, initial=st0.copy())
     exact = apply_semigroup(st0, 1.0)
-    final = traj.final_state
+    final = traj.states[-1]
     scale = np.max(np.abs(st0.u))
     assert np.max(np.abs(final.u - exact.u)) < 1e-12 * scale
 
@@ -164,10 +164,10 @@ def test_etdrk2_second_order_in_time():
     # shrink the error by about 4
     base = dict(n1=32, n2=32, t_end=0.5, data_kind="random", data_delta=0.8,
                 seed=3, kappa=1.0)
-    ref = run(SolverConfig(dt=0.5 / 512, scheme="ifrk4", **base)).final_state
+    ref = run(SolverConfig(dt=0.5 / 512, scheme="ifrk4", **base)).states[-1]
     errs = []
     for dt in (0.05, 0.025):
-        got = run(SolverConfig(dt=dt, scheme="etdrk2", **base)).final_state
+        got = run(SolverConfig(dt=dt, scheme="etdrk2", **base)).states[-1]
         errs.append(np.max(np.abs(got.u - ref.u)))
     ratio = errs[0] / errs[1]
     assert 3.4 < ratio < 4.6, (errs, ratio)
@@ -176,10 +176,10 @@ def test_etdrk2_second_order_in_time():
 def test_ifrk4_fourth_order_in_time():
     base = dict(n1=32, n2=32, t_end=0.5, data_kind="random", data_delta=0.8,
                 seed=3, kappa=1.0)
-    ref = run(SolverConfig(dt=0.5 / 512, scheme="ifrk4", **base)).final_state
+    ref = run(SolverConfig(dt=0.5 / 512, scheme="ifrk4", **base)).states[-1]
     errs = []
     for dt in (0.05, 0.025):
-        got = run(SolverConfig(dt=dt, scheme="ifrk4", **base)).final_state
+        got = run(SolverConfig(dt=dt, scheme="ifrk4", **base)).states[-1]
         errs.append(np.max(np.abs(got.u - ref.u)))
     ratio = errs[0] / errs[1]
     assert 11.0 < ratio < 21.0, (errs, ratio)
@@ -206,7 +206,7 @@ def test_zero_dissipation_conserves_energy():
         st0 = initial_state(cfg, g)
         traj = run(cfg, initial=st0)
         e_start = sum(l2_norm(g, st0.u[c]) ** 2 for c in range(4))
-        final = traj.final_state
+        final = traj.states[-1]
         e_end = sum(l2_norm(g, final.u[c]) ** 2 for c in range(4))
         drifts.append(abs(e_end - e_start))
         assert drifts[-1] < 1e-8 * e_start
@@ -224,7 +224,7 @@ def test_decoupled_velocity_decays_exactly():
     st0 = initial_state(cfg, g)
     st0.u[2:] = 0.0
     traj = run(cfg, initial=st0)
-    final = traj.final_state
+    final = traj.states[-1]
     assert np.max(np.abs(final.u[2:])) == 0.0
     n0 = np.sqrt(sum(l2_norm(g, st0.u[c]) ** 2 for c in range(2)))
     n1 = np.sqrt(sum(l2_norm(g, final.u[c]) ** 2 for c in range(2)))
@@ -291,19 +291,19 @@ def test_trajectory_append_monotone():
     traj.append(1.0, rec)
     with pytest.raises(ConfigError):
         traj.append(0.5, rec)
-    assert traj.final_state is None
+    assert traj.states[-1] is None
 
 
 def test_run_restart_continues_exactly():
     cfg_a = small_cfg(t_end=0.05, dt=0.01)
     cfg_b = small_cfg(t_end=0.1, dt=0.01)
     leg1 = run(cfg_a)
-    mid = leg1.final_state
+    mid = leg1.states[-1]
     leg2 = run(cfg_a, initial=mid)
     once = run(cfg_b)
     assert leg2.times[0] == pytest.approx(0.05)
     assert leg2.times[-1] == pytest.approx(0.1)
-    assert np.array_equal(leg2.final_state.u, once.final_state.u)
+    assert np.array_equal(leg2.states[-1].u, once.states[-1].u)
 
 
 def test_sampling_cadence_and_snapshots():
@@ -328,7 +328,7 @@ def test_runs_are_deterministic():
     cfg = small_cfg(t_end=0.1, dt=0.01)
     a = run(cfg)
     b = run(cfg)
-    assert np.array_equal(a.final_state.u, b.final_state.u)
+    assert np.array_equal(a.states[-1].u, b.states[-1].u)
     assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
 
 

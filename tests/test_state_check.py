@@ -2,8 +2,8 @@
 
 Each case builds a band-limited, exactly Hermitian, divergence-free state
 (or band stack) and adds a single defect just under or just over
-``STATE_RTOL`` max|u|. ``validate``, ``_band`` and ``_sampled_state`` must
-then decide exactly as ``reference.check_state``, ``check_band`` and
+``STATE_RTOL`` max|u|. ``validate``, ``_band`` and a run's sample (``sampled``)
+must then decide exactly as ``reference.check_state``, ``check_band`` and
 ``check_band_stack`` do, with the same exception type and message, so the
 set of accepted states is the same.
 """
@@ -11,8 +11,9 @@ set of accepted states is the same.
 import numpy as np
 import pytest
 
+from mhd2d import spectral
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
-from mhd2d.solver import _band, _sampled_state
+from mhd2d.solver import _band, _sampled_components, _sampled_state
 from mhd2d.spectral import (
     STATE_RTOL,
     SpectralGrid,
@@ -26,6 +27,7 @@ from reference import (
     check_state,
     gathered_hermitian_defect,
     scaled_random_state,
+    traced_peak,
 )
 
 GRIDS = ((16, 16, 2.0 * np.pi, 2.0 * np.pi), (24, 30, 2.0 * np.pi, 3.0 * np.pi))
@@ -44,11 +46,18 @@ def same(got, want):
     if got[0] != "ok" or want[0] != "ok":
         return got == want
     a, b = got[1], want[1]
-    if isinstance(a, tuple):  # _sampled_state: components and the state or None
+    if isinstance(a, tuple):  # sampled: components and the state or None
         return (np.array_equal(a[0], b[0])
                 and (a[1] is None) == (b[1] is None)
                 and (a[1] is None or np.array_equal(a[1].u, b[1].u)))
     return np.array_equal(a, b)
+
+
+def sampled(g, w, time, kept):
+    """A run's sample of its band stack, as ``run`` takes it: the checked
+    components and, if ``kept``, the checked state, else None."""
+    h = _sampled_components(g, w, time)
+    return h, (_sampled_state(g, w, time) if kept else None)
 
 
 def divfree(g, k1, k2, amp):
@@ -167,6 +176,27 @@ def test_state_checks_decide_as_the_oracle(grid, defect, f):
         assert got_b[0] == "ok" and got_v[0] == "ok"
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
+def test_state_checks_in_blocks_decide_as_the_oracle(grid, defect, f, monkeypatch):
+    # a 256^2 state is checked a component, and its divergence a block of
+    # rows, at a time; these grids fit in one block, so the smallest blocks
+    # (one component, one row) must decide as the oracle too, NaN included
+    monkeypatch.setattr(spectral, "_CHECK_ELEMENTS", 1)
+    test_state_checks_decide_as_the_oracle(grid, defect, f)
+
+
+def test_validate_at_256_holds_about_one_component():
+    # |u| and the Hermitian compare take one component at a time and the
+    # divergence a block of rows: 0.19 of the state measured, where one pass
+    # over the whole state held 0.74
+    g = SpectralGrid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
+    st = random_div_free_state(g, seed=5)
+    _, peak = traced_peak(st.validate)
+    assert peak < 0.25 * st.u.nbytes, peak / st.u.nbytes
+
+
 def stack_k2_zero_column(w, f):
     w[0, 2, 0] += 1j * f * STATE_RTOL * np.max(np.abs(w))
 
@@ -200,7 +230,7 @@ def test_band_stack_check_decides_as_the_oracle(grid, defect, f, kept):
     g = SpectralGrid(*grid)
     w = _potentials(g, random_div_free_state(g, seed=grid[0]).u, g.band_cols)
     defect(w, f)
-    got = outcome(_sampled_state, g, w, 0.5, kept)
+    got = outcome(sampled, g, w, 0.5, kept)
     want = outcome(check_band_stack, g, w, 0.5, kept)
     assert same(got, want), (got, want)
     why = STACK_DEFECTS[defect]
