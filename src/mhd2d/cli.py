@@ -135,6 +135,9 @@ def cmd_linear_decay(args, raw) -> int:
     profile = build_profile(typed.get("profile", "prop25"))
     weights = tuple(_EXPECTED_COMPONENT_SLOPES) if profile.pairs is not None else ()
     weights += typed.get("j", (0, 1, 2))
+    if not weights:
+        raise ConfigError(f"profile {profile.kind!r} has no component curves, "
+                          "so j must list at least one weight")
 
     out = _out_dir(args, typed)
     fits = []
@@ -194,14 +197,18 @@ def _write_diagnostics_csv(path, records):
 
 
 class _Snapshots(sv.Trajectory):
-    """A run's trajectory that keeps no state: with ``out`` set, the t = 0
-    state goes to initial.bin and a later one (the run's last) to final.bin
-    as ``solver.run`` hands them over, else nowhere. So no full state lives
-    through the steps, and a failed run has already written initial.bin."""
+    """A run's trajectory that keeps no state: with ``out`` set it writes the
+    t = 0 state to initial.bin and the last to final.bin as ``solver.run``
+    hands them over, else the run builds no state past t = 0. So no full state
+    lives through the steps, and a failed run has already written initial.bin."""
 
     def __init__(self, out=None):
         super().__init__()
         self.out = out
+
+    @property
+    def keeps_states(self):
+        return self.out is not None
 
     def append(self, time, record, state=None):
         super().append(time, record)
@@ -210,15 +217,14 @@ class _Snapshots(sv.Trajectory):
             save_state(state, os.path.join(self.out, name))
 
 
-def _run(cfg, out, **kw):
-    """``solver.run``; a failed run first writes the history sampled before
-    the failure to diagnostics.csv, and main() maps the exit code."""
+def _run(cfg, out, traj):
+    """``solver.run`` into ``traj``; a failed run first writes the history
+    ``traj`` holds to diagnostics.csv, and main() maps the exit code."""
     try:
-        return sv.run(cfg, **kw)
-    except (BlowUpError, DiagnosticIntegrityError) as exc:
-        if exc.trajectory is not None and exc.trajectory.records:
-            _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"),
-                                   exc.trajectory.records)
+        return sv.run(cfg, trajectory=traj)
+    except (BlowUpError, DiagnosticIntegrityError):
+        if traj.records:
+            _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
         raise
 
 
@@ -228,7 +234,7 @@ def cmd_nonlinear_run(args, raw) -> int:
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
     # initial.bin and final.bin are written as the run takes them
-    traj = _run(cfg, out, trajectory=_Snapshots(out=out))
+    traj = _run(cfg, out, _Snapshots(out=out))
     _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
 
     cum = dx.cumulative(traj.records)
@@ -300,7 +306,7 @@ def cmd_audit_energy(args, raw) -> int:
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
     # it reads records only
-    traj = _run(cfg, out, keep_final=False, trajectory=_Snapshots())
+    traj = _run(cfg, out, _Snapshots())
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
     except AuditResolutionError as exc:

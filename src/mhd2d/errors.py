@@ -24,12 +24,12 @@ class QuadratureError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """Time integration produced non-finite coefficients."""
+    """Time integration produced non-finite coefficients after ``last_valid_time``;
+    every sample ``solver.run`` took before them is in the caller's trajectory."""
 
-    def __init__(self, message, *, last_valid_time=0.0, trajectory=None):
+    def __init__(self, message, *, last_valid_time=0.0):
         super().__init__(message)
         self.last_valid_time = last_valid_time
-        self.trajectory = trajectory
 
 
 class SnapshotFormatError(ValueError):
@@ -37,10 +37,8 @@ class SnapshotFormatError(ValueError):
 
 
 class DiagnosticIntegrityError(RuntimeError):
-    """A hard diagnostic invariant failed; inside a run it carries the
-    trajectory sampled before the failure, as ``BlowUpError`` does."""
-
-    trajectory = None
+    """A hard diagnostic invariant failed; inside ``solver.run`` every sample
+    taken before the failure is in the caller's trajectory."""
 
 
 class IncompleteHistoryError(ValueError):

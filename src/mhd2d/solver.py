@@ -167,14 +167,14 @@ class Trajectory:
     """Sampled history of one run: times, records, and state snapshots.
 
     ``run`` hands each sample to ``append`` as it is taken and keeps no
-    reference to a state it has appended, so the trajectory alone decides
-    which snapshots stay in memory. This one keeps every state it is given:
-    ``states`` aligns with ``times``, an entry None where the run built no
-    state. The run builds the first always and the last unless asked not
-    to. A subclass may store None in their place and write a state out as
-    it arrives, as the CLI's ``_Snapshots`` writes initial.bin and
-    final.bin: a run that fails has then already handed over every sample
-    before the failure, so initial.bin is on disk.
+    reference to a state it has appended, so the trajectory alone owns a
+    run's samples, those a failed run took before its failure included.
+    ``states`` aligns with ``times``, None where the run built no state: it
+    builds the t = 0 state, every state under ``run(keep_states=True)``, and
+    otherwise the last one only if ``keeps_states`` is true. This trajectory
+    keeps every state it is given; a subclass may store None instead and
+    write a state out as it arrives, as the CLI's ``_Snapshots`` writes
+    initial.bin and final.bin.
     """
 
     times: List[float] = field(default_factory=list)
@@ -183,13 +183,17 @@ class Trajectory:
 
     def append(self, time: float, record: DiagnosticsRecord,
                state: Optional[SpectralState] = None) -> None:
-        if self.times and time <= self.times[-1]:
-            raise ConfigError(
-                f"trajectory times must increase: {time} after {self.times[-1]}"
-            )
+        last = self.times[-1] if self.times else -np.inf
+        if not (np.isfinite(time) and time > last):
+            raise ConfigError(f"trajectory times must be finite and increase: {time} after {last}")
         self.times.append(float(time))
         self.records.append(record)
         self.states.append(state)
+
+    @property
+    def keeps_states(self) -> bool:
+        """Whether ``run`` builds the last sample's state for ``append``."""
+        return True
 
 
 def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
@@ -434,22 +438,22 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
 
 
 def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
-        keep_states: bool = False, keep_final: bool = True,
-        trajectory: Optional[Trajectory] = None) -> Trajectory:
+        keep_states: bool = False, trajectory: Optional[Trajectory] = None) -> Trajectory:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     The energy-law residual carried by each record is the signed defect
     of the half-L2 balance with the dissipation integral accumulated by
     per-step trapezoid quadrature; it shrinks at second order in dt. Each
     sample goes to ``trajectory`` (a new ``Trajectory`` if None) as it is
-    taken, and that trajectory is returned; on non-finite coefficients or a
-    failed diagnostic invariant it rides, holding every sample taken
-    before the failure, on the raised ``BlowUpError`` or
-    ``DiagnosticIntegrityError``. Each sample, t = 0 included, is recorded
-    from the band columns, and each later one checks the band stack itself;
-    only a state that leaves the run, a kept one or the last (unless
-    ``keep_final`` is false), is built and passes the full ``validate()``,
-    and a failure of either is a ``DiagnosticIntegrityError``. The t = 0
+    taken, and that trajectory is returned; it is the one record of a run
+    that stops on non-finite coefficients (``BlowUpError``) or a failed
+    diagnostic invariant (``DiagnosticIntegrityError``), holding every
+    sample taken before the failure. Each sample, t = 0 included, is
+    recorded from the band columns, and each later one checks the band
+    stack itself. A state past t = 0 is built, and passes the full
+    ``validate()``, only where it leaves the run: at every sample with
+    ``keep_states``, else at the last one if ``trajectory.keeps_states``;
+    a failure of either check is a ``DiagnosticIntegrityError``. The t = 0
     state is the one ``run`` built, or a copy of ``initial``, which the
     caller may go on to change.
 
@@ -494,11 +498,8 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         w = stepper.advance(w)
         t = base + (i + 1) * cfg.dt
         if not np.all(np.isfinite(w)):
-            raise BlowUpError(
-                f"non-finite coefficients at t = {t}",
-                last_valid_time=t_prev,
-                trajectory=traj,
-            )
+            raise BlowUpError(f"non-finite coefficients at t = {t}",
+                              last_valid_time=t_prev)
         d_next = stepper.dissipation_rate(w)
         acc += 0.5 * cfg.dt * (d_prev + d_next)
         d_prev = d_next
@@ -508,20 +509,16 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
             resid = stepper.half_l2_sq(w) - e0 + acc
             if last:  # its tables would share the final state's peak
                 del stepper
-            try:
-                # the record first, then the state, with h released before it
-                spent, h = w, _sampled_components(g, w, t)
-                rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid)
-                if not last:
-                    # the stack is checked: _band would only repeat full |u| passes
-                    w = _potentials(g, h, g.band_cols)
-                del h
-                snap = (_sampled_state(g, spent, t)
-                        if keep_states or (keep_final and last) else None)
-                del spent
-            except DiagnosticIntegrityError as exc:
-                exc.trajectory = traj
-                raise
+            # the record first, then the state, with h released before it
+            spent, h = w, _sampled_components(g, w, t)
+            rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid)
+            if not last:
+                # the stack is checked: _band would only repeat full |u| passes
+                w = _potentials(g, h, g.band_cols)
+            del h
+            snap = (_sampled_state(g, spent, t)
+                    if keep_states or (last and traj.keeps_states) else None)
+            del spent
             traj.append(t, rec, snap)
             del snap
     return traj

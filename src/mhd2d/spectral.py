@@ -63,15 +63,16 @@ class SpectralGrid:
 
     Derived arrays (filled in ``__post_init__``):
 
-    k1, k2 : integer mode numbers in fft order.
     xi1, xi2 : physical wavenumbers, shaped ``(n1, 1)`` and ``(1, n2)`` so
         they broadcast against ``(n1, n2)`` coefficient arrays.
     xi_sq : ``|xi|^2`` on the full grid.
-    dealias_mask : True where ``3*|k_i| < n_i`` on both axes, so products
-        of two retained modes never alias back into the retained set.
-    half_xi2, half_xi_sq, half_dealias_mask : the same on the half spectrum
+    half_xi2, half_xi_sq : ``xi2`` and ``xi_sq`` on the half spectrum
         (columns ``k2 = 0 .. n2/2``; the last one keeps the full layout's
         Nyquist wavenumber ``-n2/2``).
+    half_dealias_mask : True on the half spectrum where ``3*|k_i| < n_i``
+        on both axes, for the integer mode numbers ``k_i`` in fft order, so
+        products of two retained modes never alias back into the retained
+        set.
     half_inv_xi_sq : ``1/|xi|^2`` on the half spectrum, zero on the mean
         mode and on the Nyquist row and column, which carry no potential.
     half_mult : how often each half-spectrum column occurs in the full
@@ -86,12 +87,9 @@ class SpectralGrid:
     n2: int
     l1: float
     l2: float
-    k1: np.ndarray = field(init=False, repr=False, compare=False)
-    k2: np.ndarray = field(init=False, repr=False, compare=False)
     xi1: np.ndarray = field(init=False, repr=False, compare=False)
     xi2: np.ndarray = field(init=False, repr=False, compare=False)
     xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     half_xi2: np.ndarray = field(init=False, repr=False, compare=False)
     half_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_inv_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
@@ -105,8 +103,6 @@ class SpectralGrid:
         k2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2).astype(np.int64)
         xi1 = (2.0 * np.pi / self.l1) * k1.astype(float)
         xi2 = (2.0 * np.pi / self.l2) * k2.astype(float)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "xi1", xi1[:, None])
         object.__setattr__(self, "xi2", xi2[None, :])
         object.__setattr__(self, "xi_sq", self.xi1**2 + self.xi2**2)
@@ -114,7 +110,6 @@ class SpectralGrid:
         # (n/3, n/3) aliases exactly onto the retained mode -n/3
         keep1 = 3 * np.abs(k1) < self.n1
         keep2 = 3 * np.abs(k2) < self.n2
-        object.__setattr__(self, "dealias_mask", keep1[:, None] & keep2[None, :])
         nh = self.n2 // 2 + 1
         half_sq = np.ascontiguousarray(self.xi_sq[:, :nh])
         # odd derivatives drop the Nyquist modes, so no real field has a
@@ -126,7 +121,7 @@ class SpectralGrid:
         object.__setattr__(self, "half_xi2", self.xi2[:, :nh].copy())
         object.__setattr__(self, "half_xi_sq", half_sq)
         object.__setattr__(self, "half_inv_xi_sq", inv)
-        object.__setattr__(self, "half_dealias_mask", self.dealias_mask[:, :nh].copy())
+        object.__setattr__(self, "half_dealias_mask", keep1[:, None] & keep2[None, :nh])
         mult = np.full(nh, 2.0)
         mult[[0, -1]] = 1.0
         object.__setattr__(self, "half_mult", mult)

@@ -17,9 +17,9 @@ negative columns by a row gather, the oracle of ``from_potentials``;
 ``traced_peak`` is the transient-memory probe the peak tests share. ``instantaneous`` is the record routine with
 every weight table built and every weighted sum taken as a product array
 summed by ``np.sum`` on each call, the oracle of the package's record;
-``coordinates``, ``scaled_random_state``, ``coeff_derivative``,
-``multi_index_weight`` and ``fourier_l1_audit`` are grid and full-spectrum
-tools only tests call.
+``coordinates``, ``mode_numbers``, ``dealias_mask``, ``scaled_random_state``,
+``coeff_derivative``, ``multi_index_weight`` and ``fourier_l1_audit`` are
+grid and full-spectrum tools only tests call.
 """
 
 import math
@@ -50,6 +50,19 @@ def coordinates(grid: SpectralGrid):
     x1 = np.arange(grid.n1) * (grid.l1 / grid.n1)
     x2 = np.arange(grid.n2) * (grid.l2 / grid.n2)
     return x1[:, None], x2[None, :]
+
+
+def mode_numbers(grid: SpectralGrid):
+    """The integer mode numbers (k1, k2) of the full spectrum, in fft order."""
+    return (np.fft.fftfreq(grid.n1, d=1.0 / grid.n1).astype(np.int64),
+            np.fft.fftfreq(grid.n2, d=1.0 / grid.n2).astype(np.int64))
+
+
+def dealias_mask(grid: SpectralGrid) -> np.ndarray:
+    """The 2/3 rule on the full spectrum: True where ``3*|k_i| < n_i`` on
+    both axes."""
+    k1, k2 = mode_numbers(grid)
+    return (3 * np.abs(k1) < grid.n1)[:, None] & (3 * np.abs(k2) < grid.n2)[None, :]
 
 
 def scaled_random_state(grid: SpectralGrid, seed: int, amplitude: float) -> SpectralState:
@@ -260,7 +273,7 @@ def check_band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     check_state(state)
     mag = np.abs(state.u)
     scale = max(float(np.max(mag)), 1e-300)
-    outside = float(np.max(mag[:, ~grid.dealias_mask]))
+    outside = float(np.max(mag[:, ~dealias_mask(grid)]))
     if outside > STATE_RTOL * scale:
         raise ConfigError(
             f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
@@ -316,10 +329,11 @@ def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 
     xi = grid.xi1 if axis == 1 else grid.xi2
     out = f * (1j * xi) ** order
     if order % 2 == 1:
+        k1, k2 = mode_numbers(grid)
         if axis == 1:
-            out[grid.k1 == -grid.n1 // 2, :] = 0.0
+            out[k1 == -grid.n1 // 2, :] = 0.0
         else:
-            out[:, grid.k2 == -grid.n2 // 2] = 0.0
+            out[:, k2 == -grid.n2 // 2] = 0.0
     return out
 
 

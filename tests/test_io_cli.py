@@ -258,6 +258,15 @@ def test_linear_decay_impossible_tolerance(tmp_path, decay_out):
     assert rc == 2
 
 
+def test_linear_decay_without_a_curve_is_a_usage_error(tmp_path, capsys):
+    # fstar has no component curves, so an empty j leaves nothing to fit
+    cfg = write_cfg(tmp_path, "decay.cfg", {"profile": "fstar", "t.count": 40, "j": ""})
+    out = tmp_path / "o"
+    assert cli.main(["linear-decay", "--config", cfg, "--out", str(out), "--quiet"]) == 64
+    assert "at least one" in capsys.readouterr().err
+    assert not (out / "decay_fits.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # nonlinear-run
 

@@ -18,7 +18,14 @@ from mhd2d.spectral import (
     random_div_free_state,
     to_physical,
 )
-from reference import apply_semigroup, coordinates, from_physical, scaled_random_state, tendency
+from reference import (
+    apply_semigroup,
+    coordinates,
+    from_physical,
+    mode_numbers,
+    scaled_random_state,
+    tendency,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,26 +112,27 @@ def test_quadratic_tendency_alias_free():
     fine = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     st = random_div_free_state(coarse, seed=9)
     up = np.zeros((4,) + fine.shape, dtype=complex)
-    for i, k1 in enumerate(coarse.k1):
+    (coarse_k1, coarse_k2), (fine_k1, fine_k2) = mode_numbers(coarse), mode_numbers(fine)
+    for i, k1 in enumerate(coarse_k1):
         if 3 * abs(k1) >= coarse.n1:
             continue
-        fi = int(np.where(fine.k1 == k1)[0][0])
-        for j, k2 in enumerate(coarse.k2):
+        fi = int(np.where(fine_k1 == k1)[0][0])
+        for j, k2 in enumerate(coarse_k2):
             if 3 * abs(k2) >= coarse.n2:
                 continue
-            fj = int(np.where(fine.k2 == k2)[0][0])
+            fj = int(np.where(fine_k2 == k2)[0][0])
             up[:, fi, fj] = st.u[:, i, j]
     out_c = tendency(st)
     out_f = tendency(SpectralState(fine, up))
     scale = np.max(np.abs(out_c))
-    for i, k1 in enumerate(coarse.k1):
+    for i, k1 in enumerate(coarse_k1):
         if 3 * abs(k1) >= coarse.n1:
             continue
-        fi = int(np.where(fine.k1 == k1)[0][0])
-        for j, k2 in enumerate(coarse.k2):
+        fi = int(np.where(fine_k1 == k1)[0][0])
+        for j, k2 in enumerate(coarse_k2):
             if 3 * abs(k2) >= coarse.n2:
                 continue
-            fj = int(np.where(fine.k2 == k2)[0][0])
+            fj = int(np.where(fine_k2 == k2)[0][0])
             assert np.max(np.abs(out_c[:, i, j] - out_f[:, fi, fj])) < 1e-13 * scale
 
 
@@ -234,14 +242,16 @@ def test_decoupled_velocity_decays_exactly():
 def test_blow_up_reports_partial_trajectory():
     cfg = SolverConfig(n1=32, n2=32, dt=0.5, t_end=10.0, data_kind="random",
                        data_delta=1e4, seed=0)
+    traj = Trajectory()
     with pytest.warns(RuntimeWarning):
         with pytest.raises(BlowUpError) as info:
-            run(cfg)
+            run(cfg, trajectory=traj)
     err = info.value
     assert err.last_valid_time >= 0.0
-    assert isinstance(err.trajectory, Trajectory)
-    assert len(err.trajectory.times) >= 1
-    assert err.trajectory.times[0] == 0.0
+    assert isinstance(traj, Trajectory)
+    assert len(traj.times) >= 1
+    assert traj.times[0] == 0.0
+    assert traj.times[-1] <= err.last_valid_time
 
 
 def test_cfl_warning_on_coarse_dt():
@@ -292,6 +302,15 @@ def test_trajectory_append_monotone():
     with pytest.raises(ConfigError):
         traj.append(0.5, rec)
     assert traj.states[-1] is None
+    # a non-finite time fails too, first or later, and leaves no entry
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            traj.append(bad, rec)
+        with pytest.raises(ConfigError, match="finite"):
+            Trajectory().append(bad, rec)
+    with pytest.raises(ConfigError):
+        traj.append(1.0, rec)
+    assert traj.times == [0.0, 1.0]
 
 
 def test_run_restart_continues_exactly():

@@ -109,7 +109,7 @@ def band_negative_column(st, f):
     # the Hermitian defect and the positive column hold half the excess
     g = st.grid
     k2 = g.n2 // 2 - 2
-    assert not g.dealias_mask[1, k2]
+    assert not g.half_dealias_mask[1, k2]
     add = divfree(g, g.n1 - 1, k2, level(st, f) / 2.0)
     st.u[0:2, g.n1 - 1, k2] += add
     st.u[0:2, 1, g.n2 - k2] += 2.0 * np.conj(add)
