@@ -341,12 +341,16 @@ def cmd_audit_embedding(args, raw) -> int:
                         typed.get("l1", 16.0 * np.pi), typed.get("l2", 16.0 * np.pi))
     m = typed.get("m", 4)
     widths = typed.get("widths", (0.5, 1.0, 2.0, 4.0))
-    states = dx.gaussian_divfree_family(grid, widths)
+    modes = typed.get("modes", (4, 8))
+    # each profile names its own ratio in the report
     labels = [f"gaussian_w{w:g}" for w in widths]
-    for k in typed.get("modes", (4, 8)):
-        for pair in ("v", "B"):
-            states.append(dx.single_mode_state(grid, int(k), int(k), pair))
-            labels.append(f"mode_k{k}_{pair}")
+    labels += [f"mode_k{k}_{pair}" for k in modes for pair in ("v", "B")]
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        raise ConfigError(f"widths and modes must not repeat a profile, got {repeated} twice")
+    states = dx.gaussian_divfree_family(grid, widths)
+    states += [dx.single_mode_state(grid, int(k), int(k), pair)
+               for k in modes for pair in ("v", "B")]
     max_ratio, ratios = dx.xm_embedding_scan(states, m)
     out = _out_dir(args, typed)
     cap = tol["ratio"]

@@ -495,7 +495,8 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
 
     t_prev = base
     for i in range(cfg.n_steps):
-        w = stepper.advance(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            w = stepper.advance(w)
         t = base + (i + 1) * cfg.dt
         if not np.all(np.isfinite(w)):
             raise BlowUpError(f"non-finite coefficients at t = {t}",

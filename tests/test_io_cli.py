@@ -340,6 +340,25 @@ def test_nonlinear_run_blowup_exit_code(tmp_path, capsys):
     assert len(lines) >= 2
 
 
+def test_blowup_stderr_holds_no_numpy_warning(tmp_path):
+    # the finiteness check after each step reports a blow-up; the step's own
+    # overflow and invalid-value warnings, which carry the absolute path of
+    # solver.py, stay out of stderr. The advective-bound warning stays.
+    cfg = write_cfg(tmp_path, "blow.cfg", dict(
+        RUN_CFG, dt=0.5, t_end=10.0, **{"data.delta": 1e6, "output.every": 0.5}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "mhd2d", "nonlinear-run", "--config", cfg,
+                           "--out", str(tmp_path / "out"), "--quiet"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 4
+    warned = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
+    assert len(warned) == 1 and "advective bound" in warned[0], proc.stderr
+    assert "encountered" not in proc.stderr
+    assert proc.stderr.rstrip().splitlines()[-1].startswith("blow-up: ")
+
+
 def test_nonlinear_run_integrity_failure_keeps_history(tmp_path, capsys, monkeypatch):
     k = 3
     _fail_after_samples(monkeypatch, k)
@@ -633,6 +652,20 @@ def test_audit_embedding(tmp_path):
     assert set(report["ratios"]) == {"gaussian_w1", "gaussian_w2",
                                      "mode_k4_v", "mode_k4_B"}
     assert report["max_ratio"] == pytest.approx(max(report["ratios"].values()))
+
+
+def test_audit_embedding_repeated_profile_is_a_usage_error(tmp_path, capsys):
+    # each profile labels its own ratio: a repeated width or mode would drop
+    # ratios from the report, so it is refused before the scan
+    for i, keys in enumerate(({"widths": "1.0, 1.0", "modes": "4, 4"},
+                              {"widths": "1, 2", "modes": "4, 4"},
+                              {"widths": "1, 1.0000001", "modes": "4"})):
+        cfg = write_cfg(tmp_path, f"embed{i}.cfg", dict(n1=32, n2=32, **keys))
+        out = tmp_path / f"o{i}"
+        assert cli.main(["audit-embedding", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 64, keys
+        assert "must not repeat" in capsys.readouterr().err
+        assert not (out / "embedding_audit.json").exists()
 
 
 def test_audit_embedding_mode_off_the_grid_is_a_usage_error(tmp_path, capsys):
