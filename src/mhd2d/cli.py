@@ -342,12 +342,10 @@ def cmd_audit_embedding(args, raw) -> int:
     m = typed.get("m", 4)
     widths = typed.get("widths", (0.5, 1.0, 2.0, 4.0))
     modes = typed.get("modes", (4, 8))
-    # each profile names its own ratio in the report
     labels = [f"gaussian_w{w:g}" for w in widths]
     labels += [f"mode_k{k}_{pair}" for k in modes for pair in ("v", "B")]
-    repeated = sorted({x for x in labels if labels.count(x) > 1})
-    if repeated:
-        raise ConfigError(f"widths and modes must not repeat a profile, got {repeated} twice")
+    if len(set(labels)) < len(labels):  # each profile names its own ratio
+        raise ConfigError(f"widths and modes must not repeat a profile: {labels}")
     states = dx.gaussian_divfree_family(grid, widths)
     states += [dx.single_mode_state(grid, int(k), int(k), pair)
                for k in modes for pair in ("v", "B")]

@@ -278,25 +278,24 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
     the half spectrum, so the state must be Hermitian.
     """
     g = state.grid
-    h = state.u[:, :, : g.n2 // 2 + 1]
-    return _spectral_terms(g, h, _record_weights(g, m, h.shape[-1]))[3]
+    return _spectral_terms(g, state.u, _record_weights(g, m, state.u.shape[-1]))[3]
 
 
 def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.0,
                   energy_residual: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
-    ``u`` (shape (4, n1, kc), else ``ConfigError``) holds the components on
-    the leading kc half-spectrum columns, zero past them; columns past n2/2,
-    as in a ``SpectralState.u``, are ignored. Each summand, weighted by
+    ``u`` (shape (4, n1, kc <= n2/2 + 1), else ``ConfigError``) holds the
+    components on the leading kc half-spectrum columns, zero past them, as
+    a ``SpectralState.u`` does with kc = n2/2 + 1. Each summand, weighted by
     ``half_mult``, is even under k -> -k, so the sums are full-spectrum
     sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
     roundoff, or when the region masses fail to recover the L^2 mass.
     """
     g = grid
-    if u.ndim != 3 or u.shape[:2] != (4, g.n1):
+    if u.ndim != 3 or u.shape[:2] != (4, g.n1) or u.shape[-1] > g.n2 // 2 + 1:
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
-    h = np.ascontiguousarray(u[:, :, : g.n2 // 2 + 1])
+    h = np.ascontiguousarray(u)
     w = _record_weights(g, m, h.shape[-1])
     hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, comp, h_terms = _spectral_terms(g, h, w)
     e_sq = hm_v_sq + hm_b_sq

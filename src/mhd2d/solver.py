@@ -35,7 +35,8 @@ forward, 14 per ETDRK2 step, each direction as two 1-D passes: one along
 axis 2 and one along axis 1 over the kc band columns only. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables. ``SpectralState`` (the four
-components on the full spectrum) stays the form of every input and output.
+components on the whole half spectrum) stays the form of every input and
+output.
 ``run``, the one public way to a stepper, enters the band stack only
 through ``_band``, which checks the grid and, in one pass of the state
 check ``validate()`` uses, its properties and the 2/3 band, and leaves it

@@ -2,9 +2,9 @@
 
 Grids and their wavenumbers with the 2/3 dealias mask, the state container
 and its checks, the inverse transform, Sobolev norms, divergence-free
-random states, the stream-function/potential form of a state on the
-real-FFT half spectrum, and the binary snapshot format used by the
-experiment runner.
+random states, the stream-function/potential form of a state, and the
+binary snapshot format used by the experiment runner, all on the real-FFT
+half spectrum.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
 * With this normalization ``l1*l2 * sum |fhat|^2`` equals the physical-space
   integral of ``|f|^2`` (cell area times the sum of squares of samples).
 * The half spectrum is the ``rfft2`` layout: columns ``k2 = 0 .. n2/2`` of
-  the full layout, the rest following from Hermitian symmetry.
+  the full layout, the rest following from Hermitian symmetry. Every
+  coefficient array of the package, a state's included, is stored on it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .artifacts import atomic_open
 from .errors import ConfigError, SnapshotFormatError
 
 SNAPSHOT_MAGIC = b"MHD2"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # relative scale (against max |u|) of every defect ``_column_fault``, the one
 # state check, compares
@@ -61,14 +62,14 @@ class SpectralGrid:
         Box side lengths. Wavenumber spacing along axis ``i`` is
         ``2*pi/l_i``.
 
-    Derived arrays (filled in ``__post_init__``):
+    Derived arrays (filled in ``__post_init__``), all on the half spectrum
+    (columns ``k2 = 0 .. n2/2``):
 
-    xi1, xi2 : physical wavenumbers, shaped ``(n1, 1)`` and ``(1, n2)`` so
-        they broadcast against ``(n1, n2)`` coefficient arrays.
-    xi_sq : ``|xi|^2`` on the full grid.
-    half_xi2, half_xi_sq : ``xi2`` and ``xi_sq`` on the half spectrum
-        (columns ``k2 = 0 .. n2/2``; the last one keeps the full layout's
-        Nyquist wavenumber ``-n2/2``).
+    xi1, half_xi2 : physical wavenumbers, shaped ``(n1, 1)`` and
+        ``(1, n2/2 + 1)`` so they broadcast against ``(n1, n2/2 + 1)``
+        coefficient arrays; the last column keeps the full layout's
+        Nyquist wavenumber ``-n2/2``.
+    half_xi_sq : ``|xi|^2``.
     half_dealias_mask : True on the half spectrum where ``3*|k_i| < n_i``
         on both axes, for the integer mode numbers ``k_i`` in fft order, so
         products of two retained modes never alias back into the retained
@@ -88,8 +89,6 @@ class SpectralGrid:
     l1: float
     l2: float
     xi1: np.ndarray = field(init=False, repr=False, compare=False)
-    xi2: np.ndarray = field(init=False, repr=False, compare=False)
-    xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_xi2: np.ndarray = field(init=False, repr=False, compare=False)
     half_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_inv_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
@@ -99,29 +98,27 @@ class SpectralGrid:
 
     def __post_init__(self):
         _check_grid(self.n1, self.n2, self.l1, self.l2)
+        nh = self.n2 // 2 + 1
         k1 = np.fft.fftfreq(self.n1, d=1.0 / self.n1).astype(np.int64)
-        k2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2).astype(np.int64)
-        xi1 = (2.0 * np.pi / self.l1) * k1.astype(float)
-        xi2 = (2.0 * np.pi / self.l2) * k2.astype(float)
-        object.__setattr__(self, "xi1", xi1[:, None])
-        object.__setattr__(self, "xi2", xi2[None, :])
-        object.__setattr__(self, "xi_sq", self.xi1**2 + self.xi2**2)
+        k2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2).astype(np.int64)[:nh]
+        xi1 = ((2.0 * np.pi / self.l1) * k1.astype(float))[:, None]
+        xi2 = ((2.0 * np.pi / self.l2) * k2.astype(float))[None, :]
+        half_sq = xi1**2 + xi2**2
         # strict cutoff: with 3|k| <= n and 3 | n, the extreme retained pair
         # (n/3, n/3) aliases exactly onto the retained mode -n/3
         keep1 = 3 * np.abs(k1) < self.n1
         keep2 = 3 * np.abs(k2) < self.n2
-        nh = self.n2 // 2 + 1
-        half_sq = np.ascontiguousarray(self.xi_sq[:, :nh])
         # odd derivatives drop the Nyquist modes, so no real field has a
         # potential there
-        carries = ((k1 != -self.n1 // 2)[:, None] & (k2[:nh] != -self.n2 // 2)[None, :]
+        carries = ((k1 != -self.n1 // 2)[:, None] & (k2 != -self.n2 // 2)[None, :]
                    & (half_sq > 0.0))
         inv = np.zeros(half_sq.shape)
         inv[carries] = 1.0 / half_sq[carries]
-        object.__setattr__(self, "half_xi2", self.xi2[:, :nh].copy())
+        object.__setattr__(self, "xi1", xi1)
+        object.__setattr__(self, "half_xi2", xi2)
         object.__setattr__(self, "half_xi_sq", half_sq)
         object.__setattr__(self, "half_inv_xi_sq", inv)
-        object.__setattr__(self, "half_dealias_mask", keep1[:, None] & keep2[None, :nh])
+        object.__setattr__(self, "half_dealias_mask", keep1[:, None] & keep2[None, :])
         mult = np.full(nh, 2.0)
         mult[[0, -1]] = 1.0
         object.__setattr__(self, "half_mult", mult)
@@ -165,10 +162,13 @@ class SpectralGrid:
 class SpectralState:
     """Fourier coefficients of (v1, v2, B1, B2) at one instant.
 
-    ``u`` has shape ``(4, n1, n2)`` complex, in that component order.
-    Fields of a physically meaningful state are Hermitian symmetric,
-    mean-free, and divergence-free in both the velocity and magnetic pairs;
-    ``validate`` checks all three.
+    ``u`` has shape ``(4, n1, n2/2 + 1)`` complex, in that component
+    order: the half spectrum, whose negative k2 columns the fields being
+    real would only mirror. Fields of a physically meaningful state are
+    Hermitian symmetric (which the half spectrum leaves open only in its
+    self-mirrored k2 = 0 and Nyquist columns), mean-free, and
+    divergence-free in both the velocity and magnetic pairs; ``validate``
+    checks all three.
     """
 
     grid: SpectralGrid
@@ -177,17 +177,15 @@ class SpectralState:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.complex128)
-        if self.u.shape != (4, self.grid.n1, self.grid.n2):
-            raise ConfigError(
-                f"state array must have shape (4, {self.grid.n1}, {self.grid.n2}), "
-                f"got {self.u.shape}"
-            )
+        shape = (4, self.grid.n1, self.grid.n2 // 2 + 1)
+        if self.u.shape != shape:
+            raise ConfigError(f"state array must have shape {shape}, got {self.u.shape}")
         if not 0.0 <= self.time < np.inf:
             raise ConfigError(f"time must be finite and nonnegative, got {self.time}")
 
     @classmethod
     def zeros(cls, grid: SpectralGrid) -> "SpectralState":
-        return cls(grid, np.zeros((4, grid.n1, grid.n2), dtype=np.complex128))
+        return cls(grid, np.zeros((4, grid.n1, grid.n2 // 2 + 1), dtype=np.complex128))
 
     def copy(self) -> "SpectralState":
         return SpectralState(self.grid, self.u.copy(), self.time)
@@ -205,10 +203,8 @@ class SpectralState:
 
 def to_physical(state: SpectralState) -> np.ndarray:
     """The four real fields on the collocation grid, shape (4, n1, n2), from one
-    ``irfft2`` of the half spectrum (columns 0..n2//2) of a Hermitian state."""
-    g = state.grid
-    return np.fft.irfft2(state.u[:, :, : g.n2 // 2 + 1], s=g.shape, axes=(-2, -1),
-                         norm="forward")
+    ``irfft2`` of a state's half spectrum."""
+    return np.fft.irfft2(state.u, s=state.grid.shape, axes=(-2, -1), norm="forward")
 
 
 def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
@@ -220,7 +216,7 @@ def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
     that is not divergence free is dropped; the mean mode and the Nyquist
     row and column come out zero. The one inverse curl map: the same
     elementwise operations on every width, so its columns equal those of
-    the full-width result bit for bit. The stepper takes its band stack
+    the half-width result bit for bit. The stepper takes its band stack
     (kc = ``grid.band_cols``) from it without computing the columns it
     would drop.
     """
@@ -248,37 +244,29 @@ def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> Spe
 
     The inverse of ``_potentials`` on divergence-free states. ``w`` may
     hold only the leading kc <= n2//2 + 1 columns, as the band stack does:
-    those become its ``_components``, the rest of the half spectrum zero,
-    and the negative k2 columns their mirrors, so the result is exactly
-    Hermitian. Every state the package builds comes out of this curl map.
+    those become its ``_components`` and the rest of the half spectrum
+    zero, so the result is exactly Hermitian. Every state the package
+    builds comes out of this curl map.
     """
-    n1, n2 = grid.shape
-    nh = n2 // 2 + 1
-    kc = w.shape[-1]
-    u = np.empty((4, n1, n2), dtype=np.complex128)
-    _components(grid, w, u[:, :, :kc])
-    u[:, :, kc:nh] = 0.0
-    # u(k1, -k2) = conj(u(-k1, k2)), row 0 from row 0 and rows 1.. from
-    # rows n1-1 .. 1, as slices the way ``_mirror_defect`` reads them
-    np.conjugate(u[:, :1, n2 // 2 - 1:0:-1], out=u[:, :1, nh:])
-    np.conjugate(u[:, :0:-1, n2 // 2 - 1:0:-1], out=u[:, 1:, nh:])
+    u = np.zeros((4, grid.n1, grid.n2 // 2 + 1), dtype=np.complex128)
+    _components(grid, w, u[:, :, :w.shape[-1]])
     return SpectralState(grid, u, time)
 
 
 def l2_norm(grid: SpectralGrid, f: np.ndarray) -> float:
-    """L2 norm of one component from its coefficients."""
-    return float(np.sqrt(grid.area * np.sum(np.abs(f) ** 2)))
+    """L2 norm of one component from its half-spectrum coefficients."""
+    return float(np.sqrt(grid.area * np.sum(grid.half_mult * np.abs(f) ** 2)))
 
 
 def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
     """H^m norm with the multiplier (1 + |xi|^2)^(m/2).
 
-    ``f`` is a single coefficient array. Monotone in m for m >= 0; at m = 0
-    this is the L2 norm.
+    ``f`` is a single half-spectrum coefficient array. Monotone in m for
+    m >= 0; at m = 0 this is the L2 norm.
     """
     if int(m) != m or m < 0:
         raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
-    w = (1.0 + grid.xi_sq) ** m
+    w = (1.0 + grid.half_xi_sq) ** m * grid.half_mult
     return float(np.sqrt(grid.area * np.sum(w * np.abs(f) ** 2)))
 
 
@@ -292,45 +280,34 @@ def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # the most elements in a block of the state check's |u| and its float64
-# buffers: one component of a 256^2 state, all four of a 128^2 one; the
+# buffers: about one component of a 256^2 state, three of a 128^2 one; the
 # complex temporaries of a block take about as many bytes
-_CHECK_ELEMENTS = 1 << 16
-
-
-def _component_blocks(u: np.ndarray):
-    """The leading components of ``u``, (..., n1, n2) or a band stack, as
-    slices of at most ``_CHECK_ELEMENTS`` elements, or of one component."""
-    flat = u.reshape((-1,) + u.shape[-2:])
-    k = max(1, _CHECK_ELEMENTS // flat[0].size)
-    return [flat[c:c + k] for c in range(0, len(flat), k)]
+_CHECK_ELEMENTS = 1 << 15
 
 
 def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
-    """Max |u(-k) - conj(u(k))| over modes and components.
+    """Max |u(-k) - conj(u(k))| over modes and components of a state, or of
+    a band stack, which holds fewer than n2/2 + 1 columns.
 
-    Only the half-spectrum columns ``k2 = 0 .. n2/2`` are compared with
-    their mirrors: every pair (k, -k) has a member there, and both members
-    give the same |u(-k) - conj(u(k))|. The k2 = 0 and Nyquist columns are
-    their own mirrors, the others are read against the negative columns a
-    block of components at a time (``_component_blocks``).
+    The half spectrum holds one member of each pair (k, -k) of its interior
+    columns, so only the k2 = 0 and Nyquist columns, each its own mirror,
+    can fail.
     """
-    nh = grid.n2 // 2 + 1
-    selfs = u[..., 0:nh:nh - 1]  # the columns k2 = 0 and n2/2
-    return float(np.max([_mirror_defect(selfs, selfs)]
-                        + [_mirror_defect(b[..., 1:nh - 1], b[..., :nh - 1:-1])
-                           for b in _component_blocks(u)]))
+    selfs = u[..., 0:grid.n2 // 2 + 1:grid.n2 // 2]  # the columns k2 = 0 and n2/2
+    return _mirror_defect(selfs, selfs)
 
 
 def divergence_defect(grid: SpectralGrid, u: np.ndarray):
-    """Max |xi . vhat| and |xi . Bhat| over modes, a block of rows at a time
-    whose two complex temporaries take at most ``_CHECK_ELEMENTS`` float64s."""
-    step = max(1, _CHECK_ELEMENTS // (4 * grid.n2))
+    """Max |xi . vhat| and |xi . Bhat| over a state's modes, a block of rows
+    at a time whose two complex temporaries take at most ``_CHECK_ELEMENTS``
+    float64s."""
+    step = max(1, _CHECK_ELEMENTS // (4 * u.shape[-1]))
     out = []
     for p in (0, 2):
         peaks = []
         for r in range(0, grid.n1, step):
             d = grid.xi1[r:r + step] * u[p, r:r + step]
-            d += grid.xi2 * u[p + 1, r:r + step]
+            d += grid.half_xi2 * u[p + 1, r:r + step]
             peaks.append(np.abs(d).max())
         out.append(float(np.max(peaks)))
     return out[0], out[1]
@@ -350,28 +327,28 @@ _STATE_FAULTS = {
 def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
                   gain: float = 1.0):
     """The one state check: None, or ``(name, defect, scale)`` of the first
-    property a state's (4, n1, n2) array or a (2, n1, kc < n2/2) band stack
-    fails. Each defect fails above ``STATE_RTOL`` max|u| (the scale), in the
-    order: ``non-finite`` (scale times ``gain``); ``Hermitian`` (a state's
-    ``hermitian_defect``; a band stack's k2 = 0 column, the only one whose
-    mirror it holds); ``mean``; a state's ``divergence`` on every column;
-    and with ``band``, max |u| outside the 2/3 band: the rows it drops, then
-    the columns it drops on the rows it keeps, negative columns included.
+    property a state's (4, n1, n2/2 + 1) array or a (2, n1, kc < n2/2 + 1)
+    band stack, told apart by their width, fails. Each defect fails above
+    ``STATE_RTOL`` max|u| (the scale), in the order: ``non-finite`` (scale
+    times ``gain``); ``Hermitian`` (``hermitian_defect``); ``mean``; a
+    state's ``divergence``; and with ``band``, max |u| outside the 2/3 band:
+    the rows it drops, then the columns it drops on the rows it keeps.
     Every column is read as a slice.
     """
-    # |u| a block of components at a time, into one buffer; np.max combines
-    # the blocks' maxima and passes a NaN on as one np.max over |u| would
-    blocks = _component_blocks(u)
+    # |u| a block of components (at most _CHECK_ELEMENTS elements, or one
+    # component) at a time, into one buffer; np.max combines the blocks'
+    # maxima and passes a NaN on as one np.max over |u| would
+    k = max(1, _CHECK_ELEMENTS // (u.shape[-2] * u.shape[-1]))
+    blocks = [u[c:c + k] for c in range(0, len(u), k)]
     buf = np.empty(blocks[0].shape)
     peaks, outside = [], []
     r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
-    r1, c1 = grid.n1 - r0 + 1, grid.n2 - c0 + 1  # first ones kept again
+    r1 = grid.n1 - r0 + 1  # first row kept again
     for b in blocks:
         mag = np.abs(b, out=buf[:len(b)])
         peaks.append(mag.max())
         if band:  # taken now, so |u| is not held through the other checks
-            outside += [mag[:, r0:r1].max(), mag[:, :r0, c0:c1].max(),
-                        mag[:, r1:, c0:c1].max()]
+            outside += [mag[:, r0:r1].max(), mag[:, :r0, c0:].max(), mag[:, r1:, c0:].max()]
     del buf, mag
     peak = float(np.max(peaks))
     if band:
@@ -380,14 +357,13 @@ def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
         return "non-finite", peak, peak
     scale = max(peak, 1e-300)
     tol = STATE_RTOL * scale
-    state = u.shape[-1] == grid.n2
-    herm = hermitian_defect(grid, u) if state else _mirror_defect(u[..., :1], u[..., :1])
+    herm = hermitian_defect(grid, u)
     if herm > tol:
         return "Hermitian", herm, scale
     mean = float(np.max(np.abs(u[:, 0, 0])))
     if mean > tol:
         return "mean", mean, scale
-    if state:
+    if u.shape[-1] == grid.n2 // 2 + 1:  # a state
         div = divergence_defect(grid, u)
         if max(div) > tol:
             return "divergence", div, scale
@@ -407,7 +383,7 @@ def random_div_free_state(grid: SpectralGrid, seed: int) -> SpectralState:
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    ximax = min(float(np.max(np.abs(grid.xi1))), float(np.max(np.abs(grid.xi2))))
+    ximax = min(float(np.max(np.abs(grid.xi1))), float(np.max(np.abs(grid.half_xi2))))
     xic = max(ximax / 4.0, 1e-8)
     envelope = np.exp(-grid.half_xi_sq / (2.0 * xic**2)) * grid.half_dealias_mask
     noise = rng.standard_normal((2,) + grid.shape)
@@ -420,12 +396,12 @@ def random_div_free_state(grid: SpectralGrid, seed: int) -> SpectralState:
 
 
 def save_state(state: SpectralState, path) -> None:
-    """Write the binary snapshot format.
+    """Write the binary snapshot format, version 2.
 
     Layout: magic ``MHD2``, version u32 (little endian), then n1, n2, l1,
-    l2, time as little-endian IEEE-754 doubles, then the four coefficient
-    arrays row-major with re/im interleaved. The file appears whole or not
-    at all (``artifacts.atomic_open``).
+    l2, time as little-endian IEEE-754 doubles, then the four half-spectrum
+    coefficient arrays, (4, n1, n2/2 + 1) row-major with re/im interleaved.
+    The file appears whole or not at all (``artifacts.atomic_open``).
     """
     g = state.grid
     with atomic_open(path, "wb") as fh:
@@ -438,7 +414,13 @@ def save_state(state: SpectralState, path) -> None:
 
 def load_state(path) -> SpectralState:
     """Read a snapshot written by ``save_state``; ``SnapshotFormatError`` unless
-    it is exactly one header and a payload that passes ``validate``."""
+    it is exactly one header and a payload that passes ``validate``.
+
+    A version 1 snapshot, the same header before a full-spectrum (4, n1, n2)
+    payload, is read too: it must be finite and its negative k2 columns must
+    mirror the half spectrum within ``STATE_RTOL`` max|u|, and the state
+    keeps a copy of the half.
+    """
     header = 4 + struct.calcsize("<I5d")
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -448,23 +430,36 @@ def load_state(path) -> SpectralState:
             raise SnapshotFormatError(
                 f"truncated snapshot header: {len(head)} of {header} bytes")
         version, n1f, n2f, l1, l2, time = struct.unpack_from("<I5d", head, 4)
-        if version != SNAPSHOT_VERSION:
+        if version not in (1, SNAPSHOT_VERSION):
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
         if not (n1f.is_integer() and n2f.is_integer() and n1f > 0 and n2f > 0):
             raise SnapshotFormatError(f"grid sizes must be positive integers, got {n1f}, {n2f}")
         n1, n2 = int(n1f), int(n2f)
+        nh = n2 // 2 + 1
+        shape = (4, n1, n2 if version == 1 else nh)
         # sizes are checked against the file before the payload is allocated
-        extra = os.fstat(fh.fileno()).st_size - header - 4 * n1 * n2 * 16
+        extra = os.fstat(fh.fileno()).st_size - header - 16 * int(np.prod(shape))
         if extra < 0:
             raise SnapshotFormatError("truncated snapshot payload")
         if extra > 0:
             raise SnapshotFormatError(f"{extra} trailing bytes after the snapshot payload")
-        # the payload is read once, into the array the state keeps
-        u = np.empty((4, n1, n2), dtype="<c16")
+        # the payload is read once, into the array a version 2 state keeps
+        u = np.empty(shape, dtype="<c16")
         if fh.readinto(u) != u.nbytes:
             raise SnapshotFormatError("truncated snapshot payload")
     try:
-        state = SpectralState(SpectralGrid(n1, n2, l1, l2), u, time)
+        grid = SpectralGrid(n1, n2, l1, l2)
+        if version == 1:
+            peak = float(np.max(np.abs(u)))
+            if not peak < np.inf:  # NaN fails too
+                raise ConfigError(_STATE_FAULTS["non-finite"])
+            defect = _mirror_defect(u[..., 1:nh - 1], u[..., :nh - 1:-1])
+            if defect > STATE_RTOL * peak:
+                raise ConfigError(f"the negative k2 columns of a version 1 payload do not "
+                                  f"mirror its half spectrum: defect {defect:.3e} against "
+                                  f"max |u| = {peak:.3e}")
+            u = u[..., :nh].copy()
+        state = SpectralState(grid, u, time)
         state.validate()
     except ConfigError as exc:
         raise SnapshotFormatError(f"invalid snapshot: {exc}") from exc

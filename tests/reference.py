@@ -12,14 +12,20 @@ oracle of the package's one half-spectrum check; ``phi_fixed_series`` is
 phi_k with all 48 series terms on every entry, the oracle of the series in
 ``modes._phi`` that stops early, and so of the step tables;
 ``pairwise_reconstruct`` is ``ModeSystem.reconstruct`` as a loop over the
-two (v_j, B_j) pairs, its oracle; ``gathered_from_potentials`` fills the
-negative columns by a row gather, the oracle of ``from_potentials``;
-``traced_peak`` is the transient-memory probe the peak tests share. ``instantaneous`` is the record routine with
+two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
+probe the peak tests share. ``instantaneous`` is the record routine with
 every weight table built and every weighted sum taken as a product array
-summed by ``np.sum`` on each call, the oracle of the package's record;
+summed by ``np.sum`` on each call, the oracle of the package's record.
+
+The package stores every coefficient array on the half spectrum; the
+full-spectrum oracles read ``full_spectrum``, which fills the negative k2
+columns with the mirrors of a half-spectrum array by two slice copies, and
+``full_xi``, the full layout's wavenumbers. ``gathered_from_potentials``
+fills them by a row gather instead, the oracle of ``full_spectrum``.
 ``coordinates``, ``mode_numbers``, ``dealias_mask``, ``scaled_random_state``,
-``coeff_derivative``, ``multi_index_weight`` and ``fourier_l1_audit`` are
-grid and full-spectrum tools only tests call.
+``coeff_derivative``, ``multi_index_weight``, ``full_sobolev_norm`` and
+``fourier_l1_audit`` are grid and full-spectrum tools only tests call; the
+derivative and the Leray projector act on either width.
 """
 
 import math
@@ -38,10 +44,8 @@ from mhd2d.spectral import (
     SpectralState,
     _components,
     _potentials,
-    divergence_defect,
     from_potentials,
     random_div_free_state,
-    sobolev_norm,
 )
 
 
@@ -56,6 +60,30 @@ def mode_numbers(grid: SpectralGrid):
     """The integer mode numbers (k1, k2) of the full spectrum, in fft order."""
     return (np.fft.fftfreq(grid.n1, d=1.0 / grid.n1).astype(np.int64),
             np.fft.fftfreq(grid.n2, d=1.0 / grid.n2).astype(np.int64))
+
+
+def full_xi(grid: SpectralGrid):
+    """xi1, xi2 and |xi|^2 of the full spectrum, shaped (n1, 1), (1, n2) and
+    (n1, n2)."""
+    xi2 = ((2.0 * np.pi / grid.l2) * mode_numbers(grid)[1].astype(float))[None, :]
+    return grid.xi1, xi2, grid.xi1**2 + xi2**2
+
+
+def _xi2(grid: SpectralGrid, width: int) -> np.ndarray:
+    """The xi2 row of a half-spectrum (width n2/2 + 1) or full (n2) array."""
+    return grid.half_xi2 if width == grid.n2 // 2 + 1 else full_xi(grid)[1]
+
+
+def full_spectrum(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """The (..., n1, n2) full spectrum of half-spectrum coefficients ``u``:
+    u(k1, -k2) = conj(u(-k1, k2)), row 0 from row 0 and rows 1.. from rows
+    n1-1 .. 1, as two slice copies."""
+    n2, nh = grid.n2, grid.n2 // 2 + 1
+    out = np.empty(u.shape[:-1] + (n2,), dtype=np.complex128)
+    out[..., :nh] = u
+    np.conjugate(u[..., :1, n2 // 2 - 1:0:-1], out=out[..., :1, nh:])
+    np.conjugate(u[..., :0:-1, n2 // 2 - 1:0:-1], out=out[..., 1:, nh:])
+    return out
 
 
 def dealias_mask(grid: SpectralGrid) -> np.ndarray:
@@ -74,10 +102,10 @@ def scaled_random_state(grid: SpectralGrid, seed: int, amplitude: float) -> Spec
 
 
 def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> SpectralState:
-    """Forward transform of physical fields, shape (4, n1, n2)."""
+    """Forward transform of physical fields, shape (4, n1, n2), onto the half
+    spectrum."""
     fields = np.asarray(fields, dtype=float)
-    u = np.fft.fft2(fields, axes=(-2, -1)) / (grid.n1 * grid.n2)
-    return SpectralState(grid, u, time)
+    return SpectralState(grid, np.fft.rfft2(fields, axes=(-2, -1), norm="forward"), time)
 
 
 def spectral_derivative(state: SpectralState, axis: int, order: int = 1) -> SpectralState:
@@ -90,23 +118,25 @@ def spectral_derivative(state: SpectralState, axis: int, order: int = 1) -> Spec
 
 
 def _project_pair(grid: SpectralGrid, f1: np.ndarray, f2: np.ndarray):
-    xisq = np.where(grid.xi_sq == 0.0, 1.0, grid.xi_sq)
-    div = grid.xi1 * f1 + grid.xi2 * f2
+    xi2 = _xi2(grid, f1.shape[-1])
+    xi_sq = grid.xi1**2 + xi2**2
+    xisq = np.where(xi_sq == 0.0, 1.0, xi_sq)
+    div = grid.xi1 * f1 + xi2 * f2
     p1 = f1 - grid.xi1 * div / xisq
-    p2 = f2 - grid.xi2 * div / xisq
+    p2 = f2 - xi2 * div / xisq
     # The zero mode has no divergence content; leave it untouched.
     p1[0, 0] = f1[0, 0]
     p2[0, 0] = f2[0, 0]
     return p1, p2
 
 
-def leray_project(state: SpectralState) -> SpectralState:
-    """Apply the divergence-free projector to the v pair and the B pair."""
-    g = state.grid
-    out = np.empty_like(state.u)
-    out[0], out[1] = _project_pair(g, state.u[0], state.u[1])
-    out[2], out[3] = _project_pair(g, state.u[2], state.u[3])
-    return SpectralState(g, out, state.time)
+def leray_project(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """Apply the divergence-free projector to the v pair and the B pair of
+    four components on either width."""
+    out = np.empty_like(u)
+    out[0], out[1] = _project_pair(grid, u[0], u[1])
+    out[2], out[3] = _project_pair(grid, u[2], u[3])
+    return out
 
 
 def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
@@ -121,7 +151,8 @@ def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
     if t == 0.0:
         return state.copy()
     g = state.grid
-    p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, g.shape), t, coupling_sign=-1)
+    p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, state.u.shape[1:]), t,
+                                      coupling_sign=-1)
     entries = (np.real(p11), 1j * np.imag(p12), np.real(p22))
     return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
 
@@ -223,17 +254,20 @@ def traced_peak(fn, *args):
 
 
 def gathered_hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
-    """Max |u(-k) - conj(u(k))| on the half-spectrum columns, each mirror
-    gathered by a column index array and a row roll."""
+    """Max |u(-k) - conj(u(k))| on the half-spectrum columns of a full
+    spectrum, or of ``full_spectrum`` of a half one, each mirror gathered by
+    a column index array and a row roll."""
     nh = grid.n2 // 2 + 1
+    u = full_spectrum(grid, u) if u.shape[-1] == nh else u
     rev2 = (-np.arange(nh)) % grid.n2
     mirrored = np.conj(np.roll(u[..., ::-1, rev2], 1, axis=-2))
     return float(np.max(np.abs(u[..., :nh] - mirrored)))
 
 
-def gathered_from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
-    """``spectral.from_potentials`` with the negative columns filled by one
-    row gather, ``rev1`` = -k1 mod n1, the oracle of its two slice copies."""
+def gathered_from_potentials(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
+    """The full spectrum of ``spectral.from_potentials(grid, w).u``, with
+    the negative columns filled by one row gather, ``rev1`` = -k1 mod n1,
+    the oracle of ``full_spectrum``'s two slice copies."""
     n1, n2 = grid.shape
     nh = n2 // 2 + 1
     kc = w.shape[-1]
@@ -242,23 +276,31 @@ def gathered_from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.
     u[:, :, kc:nh] = 0.0
     rev1 = (-np.arange(n1)) % n1
     u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
-    return SpectralState(grid, u, time)
+    return u
+
+
+def full_divergence_defect(grid: SpectralGrid, u: np.ndarray):
+    """Max |xi . vhat| and |xi . Bhat| over the modes of a full spectrum."""
+    xi1, xi2, _ = full_xi(grid)
+    return tuple(float(np.max(np.abs(xi1 * u[p] + xi2 * u[p + 1]))) for p in (0, 2))
 
 
 def check_state(state: SpectralState) -> None:
-    """``SpectralState.validate``, one property at a time: finite values,
-    Hermitian symmetry, zero mean, zero divergence, else ``ConfigError``."""
+    """``SpectralState.validate``, one property at a time on the full
+    spectrum: finite values, Hermitian symmetry, zero mean, zero divergence,
+    else ``ConfigError``."""
     g = state.grid
-    scale = max(float(np.max(np.abs(state.u))), 1e-300)
+    u = full_spectrum(g, state.u)
+    scale = max(float(np.max(np.abs(u))), 1e-300)
     if not np.isfinite(scale):
         raise ConfigError("state has non-finite coefficients")
-    herm = gathered_hermitian_defect(g, state.u)
+    herm = gathered_hermitian_defect(g, u)
     if herm > STATE_RTOL * scale:
         raise ConfigError(f"state is not Hermitian symmetric: defect {herm:.3e}")
-    mean = float(np.max(np.abs(state.u[:, 0, 0])))
+    mean = float(np.max(np.abs(u[:, 0, 0])))
     if mean > STATE_RTOL * scale:
         raise ConfigError(f"state has nonzero mean mode: {mean:.3e}")
-    dv, dB = divergence_defect(g, state.u)
+    dv, dB = full_divergence_defect(g, u)
     if max(dv, dB) > STATE_RTOL * scale:
         raise ConfigError(
             f"state is not divergence free: |div v|={dv:.3e} |div B|={dB:.3e}"
@@ -266,12 +308,12 @@ def check_state(state: SpectralState) -> None:
 
 
 def check_band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
-    """``solver._band``: ``check_state``, then the 2/3 band over a full |u|
-    gathered by the mask, then the band stack."""
+    """``solver._band``: ``check_state``, then the 2/3 band over the full
+    spectrum's |u| gathered by the mask, then the band stack."""
     if state.grid != grid:
         raise ConfigError("state grid does not match the solver configuration")
     check_state(state)
-    mag = np.abs(state.u)
+    mag = np.abs(full_spectrum(grid, state.u))
     scale = max(float(np.max(mag)), 1e-300)
     outside = float(np.max(mag[:, ~dealias_mask(grid)]))
     if outside > STATE_RTOL * scale:
@@ -317,7 +359,7 @@ def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool)
 
 
 def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-    """Multiply one coefficient array by (i xi_axis)^order.
+    """Multiply one half-spectrum or full coefficient array by (i xi_axis)^order.
 
     Odd orders zero the Nyquist mode of that axis (it has no sign-definite
     frequency, so an odd derivative of a real field must drop it).
@@ -326,14 +368,14 @@ def coeff_derivative(grid: SpectralGrid, f: np.ndarray, axis: int, order: int = 
         raise ConfigError(f"axis must be 1 or 2, got {axis}")
     if int(order) != order or order < 0:
         raise ConfigError(f"order must be a nonnegative integer, got {order!r}")
-    xi = grid.xi1 if axis == 1 else grid.xi2
+    xi = grid.xi1 if axis == 1 else _xi2(grid, f.shape[-1])
     out = f * (1j * xi) ** order
     if order % 2 == 1:
         k1, k2 = mode_numbers(grid)
         if axis == 1:
             out[k1 == -grid.n1 // 2, :] = 0.0
         else:
-            out[:, k2 == -grid.n2 // 2] = 0.0
+            out[:, k2[:f.shape[-1]] == -grid.n2 // 2] = 0.0
     return out
 
 
@@ -345,11 +387,17 @@ def multi_index_weight(grid: SpectralGrid, m: int) -> np.ndarray:
     """
     if int(m) != m or m < 0:
         raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
+    xi1, xi2, _ = full_xi(grid)
     w = np.zeros(grid.shape)
     for a in range(int(m) + 1):
         for b in range(int(m) + 1 - a):
-            w += grid.xi1 ** (2 * a) * grid.xi2 ** (2 * b)
+            w += xi1 ** (2 * a) * xi2 ** (2 * b)
     return w
+
+
+def full_sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
+    """``spectral.sobolev_norm`` as a plain sum over a full spectrum ``f``."""
+    return float(np.sqrt(grid.area * np.sum((1.0 + full_xi(grid)[2]) ** m * np.abs(f) ** 2)))
 
 
 def fourier_l1_audit(state: SpectralState, component: int = 3) -> InterpolationAudit:
@@ -360,11 +408,11 @@ def fourier_l1_audit(state: SpectralState, component: int = 3) -> InterpolationA
     mean-free-in-x1 part of the component.
     """
     g = state.grid
-    fhat = state.u[component]
+    fhat = full_spectrum(g, state.u[component])
     col = np.broadcast_to(np.abs(g.xi1) > 0.0, g.shape)
     lhs = _L1_CALIBRATION * float(np.sum(np.abs(fhat[col])))
     d1 = coeff_derivative(g, fhat, 1)
-    rhs = np.sqrt(sobolev_norm(g, d1, 1)) * np.sqrt(sobolev_norm(g, fhat, 1))
+    rhs = np.sqrt(full_sobolev_norm(g, d1, 1)) * np.sqrt(full_sobolev_norm(g, fhat, 1))
     return InterpolationAudit(lhs=lhs, rhs=float(rhs))
 
 
@@ -455,19 +503,19 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
                   energy_residual: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
-    ``u`` (shape (4, n1, kc), else ``ConfigError``) holds the components on
-    the leading kc half-spectrum columns, zero past them; columns past n2/2,
-    as in a ``SpectralState.u``, are ignored. Each summand, weighted by
-    ``half_mult``, is even under k -> -k, so the sums are full-spectrum
-    sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
-    roundoff, or when the region masses fail to recover the L^2 mass.
+    ``u`` (shape (4, n1, kc <= n2/2 + 1), else ``ConfigError``) holds the
+    components on the leading kc half-spectrum columns, zero past them. Each
+    summand, weighted by ``half_mult``, is even under k -> -k, so the sums
+    are full-spectrum sums. Raises ``DiagnosticIntegrityError`` when |A| >
+    E^2/2 beyond roundoff, or when the region masses fail to recover the
+    L^2 mass.
     """
     if int(m) != m or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
     m, g = int(m), grid
-    if u.ndim != 3 or u.shape[:2] != (4, g.n1):
+    if u.ndim != 3 or u.shape[:2] != (4, g.n1) or u.shape[-1] > g.n2 // 2 + 1:
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
-    h = u[:, :, : g.n2 // 2 + 1]
+    h = u
     hm_v_sq, hm_b_sq, power, wm1, wm = _hm_squares(g, h, m)
     pb = power[2] + power[3]
     e_sq = hm_v_sq + hm_b_sq

@@ -29,6 +29,7 @@ from mhd2d.spectral import (
     SpectralGrid,
     SpectralState,
     _components,
+    _mirror_defect,
     _potentials,
     divergence_defect,
     from_potentials,
@@ -36,12 +37,13 @@ from mhd2d.spectral import (
     load_state,
     random_div_free_state,
     save_state,
-    sobolev_norm,
-    to_physical,
 )
 from reference import (
     coeff_derivative,
     dealias_mask,
+    full_sobolev_norm,
+    full_spectrum,
+    full_xi,
     gathered_from_potentials,
     _xm as oracle_xm,
     instantaneous as oracle_record,
@@ -61,8 +63,10 @@ ODD_GRIDS = ((40, 64), (64, 38), (50, 70))
 
 def projected_tendency(grid, u):
     """The four-component tendency: advective products of the full-spectrum
-    fields, dealiased, with both pairs Leray-projected and the mean zeroed."""
+    fields of half-spectrum components ``u``, dealiased, with both pairs
+    Leray-projected and the mean zeroed, on the half spectrum."""
     n = grid.n1 * grid.n2
+    u = full_spectrum(grid, u)
 
     def phys(c):
         return np.real(np.fft.ifft2(c)) * n
@@ -74,10 +78,9 @@ def projected_tendency(grid, u):
     for c, (f, g) in enumerate(((0, 2), (1, 3), (2, 0), (3, 1))):
         # N_v = -(v.grad)v + (B.grad)B, N_B = -(v.grad)B + (B.grad)v
         prod[c] = -(v1 * d1[f] + v2 * d2[f]) + (B1 * d1[g] + B2 * d2[g])
-    out = np.fft.fft2(prod) / n * dealias_mask(grid)
-    out = leray_project(SpectralState(grid, out)).u
+    out = leray_project(grid, np.fft.fft2(prod) / n * dealias_mask(grid))
     out[:, 0, 0] = 0.0
-    return out
+    return out[..., :grid.n2 // 2 + 1]
 
 
 # plus the criterion-7 grid and twice it, where product roundoff grows
@@ -145,8 +148,9 @@ def test_band_weights_match_full_spectrum_sums(n1, n2):
     st = initial_state(cfg)
     g, w = st.grid, _band(st, st.grid)
     stepper = _Stepper(g, cfg)
-    energy = 0.5 * g.area * np.sum(np.abs(st.u) ** 2)
-    dissipation = cfg.kappa * g.area * np.sum(g.xi_sq**cfg.alpha * np.abs(st.u[:2]) ** 2)
+    u = full_spectrum(g, st.u)
+    energy = 0.5 * g.area * np.sum(np.abs(u) ** 2)
+    dissipation = cfg.kappa * g.area * np.sum(full_xi(g)[2]**cfg.alpha * np.abs(u[:2]) ** 2)
     assert stepper.half_l2_sq(w) == pytest.approx(energy, rel=1e-13)
     assert stepper.dissipation_rate(w) == pytest.approx(dissipation, rel=1e-13)
 
@@ -250,7 +254,7 @@ def test_potential_roundtrip(n1, n2):
     scale = np.max(np.abs(st.u))
     assert np.max(np.abs(back.u - st.u)) <= 1e-14 * scale
     assert hermitian_defect(g, back.u) == 0.0
-    assert max(divergence_defect(g, back.u)) <= 1e-15 * scale * np.max(np.sqrt(g.xi_sq))
+    assert max(divergence_defect(g, back.u)) <= 1e-15 * scale * np.max(np.sqrt(g.half_xi_sq))
     assert np.all(back.u[:, 0, 0] == 0.0)
     back.validate()
 
@@ -275,7 +279,7 @@ def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
     for st in states:
         assert hermitian_defect(g, st.u) == 0.0
         assert np.all(st.u[:, 0, 0] == 0.0)
-        assert np.all(st.u[:, ~dealias_mask(g)] == 0.0)
+        assert np.all(full_spectrum(g, st.u)[:, ~dealias_mask(g)] == 0.0)
         assert np.max(np.abs(st.u)) > 0.0
         st.validate()
         band = _potentials(g, st.u, g.n2 // 2 + 1)[..., : g.band_cols]
@@ -346,18 +350,18 @@ def test_sample_transforms_three_half_planes(monkeypatch):
 def full_spectrum_record(state, m):
     """Every field of ``instantaneous`` as full-spectrum sums over all n1 n2 modes."""
     g = state.grid
-    u = state.u
+    u = full_spectrum(g, state.u)
     cal = 4.0 * np.pi**2
     wm1 = multi_index_weight(g, m - 1)
     wm = multi_index_weight(g, m)
     absu2 = np.abs(u) ** 2
-    absxi = np.sqrt(g.xi_sq)
+    absxi = np.sqrt(full_xi(g)[2])
     absxi1 = np.broadcast_to(np.abs(g.xi1), g.shape)
     col = absxi1 > 0.0
     rows = np.abs(g.xi1[:, 0]) > 0.0
     nz = absxi > 0.0
     d1 = [coeff_derivative(g, u[c], 1) for c in range(4)]
-    fields = to_physical(SpectralState(g, np.stack([u[3], d1[0], d1[1], u[0]])))
+    fields = np.real(np.fft.ifft2(np.stack([u[3], d1[0], d1[1], u[0]]))) * g.n1 * g.n2
     i1 = g.area * np.sum(wm * np.real(d1[2] * np.conj(u[0]) + d1[3] * np.conj(u[1])))
     i2 = g.area * np.sum(wm * np.real(d1[0] * np.conj(u[2]) + d1[1] * np.conj(u[3])))
     total = np.sum(absu2, axis=0)
@@ -368,7 +372,7 @@ def full_spectrum_record(state, m):
     w[nz] = np.sqrt(absxi1[nz]) / absxi[nz]
     inner = g.l1 * g.l2 * np.sum(w * mag, axis=1) * g.dxi[1]
     bmag = np.sqrt(absu2[2] + absu2[3])
-    hm = np.sqrt(sum(sobolev_norm(g, u[c], m) ** 2 for c in range(4)))
+    hm = np.sqrt(sum(full_sobolev_norm(g, u[c], m) ** 2 for c in range(4)))
     xm = (hm + np.sqrt(np.sum(inner**2) * g.dxi[0]) + cal * np.sum(bmag[nz] / absxi[nz])
           + cal * np.sum(bmag[col] / np.sqrt(absxi1[col])))
 
@@ -417,8 +421,8 @@ def with_nyquist_content(state, seed):
     u[0, 0, ny2], u[2, 0, ny2] = a, b
     u[1, ny1, 0], u[3, ny1, 0] = c, d
     for pair, amp in ((0, e), (2, f)):
-        k = amp / np.sqrt(g.xi_sq[ny1, ny2])
-        u[pair, ny1, ny2], u[pair + 1, ny1, ny2] = g.xi2[0, ny2] * k, -g.xi1[ny1, 0] * k
+        k = amp / np.sqrt(g.half_xi_sq[ny1, ny2])
+        u[pair, ny1, ny2], u[pair + 1, ny1, ny2] = g.half_xi2[0, ny2] * k, -g.xi1[ny1, 0] * k
     out = SpectralState(g, u, state.time)
     out.validate()
     return out
@@ -451,9 +455,18 @@ def full_gather_defect(grid, u):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_hermitian_defect_matches_full_gather(n1, n2):
+    # on a full spectrum, as a version 1 snapshot holds it, the reader's
+    # compare of the negative columns with the interior ones and a state's
+    # hermitian_defect of its self-mirrored columns give the full gather
     g = SpectralGrid(n1, n2, L1, L2)
-    base = random_div_free_state(g, seed=n1 + 2 * n2).u
-    assert hermitian_defect(g, base) == full_gather_defect(g, base)
+    nh = n2 // 2 + 1
+
+    def defect(u):
+        return max(hermitian_defect(g, u[..., :nh]),
+                   _mirror_defect(u[..., 1:nh - 1], u[..., :nh - 1:-1]))
+
+    base = full_spectrum(g, random_div_free_state(g, seed=n1 + 2 * n2).u)
+    assert defect(base) == full_gather_defect(g, base)
     rng = np.random.default_rng(n1 * n2)
     ny1, ny2 = n1 // 2, n2 // 2
     entries = [(int(rng.integers(n1)), int(rng.integers(ny2 + 1, n2))) for _ in range(4)]
@@ -463,7 +476,7 @@ def test_hermitian_defect_matches_full_gather(n1, n2):
     for c, (k1, k2) in enumerate(entries):
         u = base.copy()
         u[c % 4, k1, k2] += complex(*rng.standard_normal(2))
-        got = hermitian_defect(g, u)
+        got = defect(u)
         assert got > 0.0
         assert got == full_gather_defect(g, u), (k1, k2)
 
@@ -500,16 +513,18 @@ def test_components_are_the_leading_columns_of_from_potentials(n1, n2):
 @pytest.mark.parametrize("n1,n2", ((8, 8), (40, 64), (64, 38), (50, 70), (96, 128),
                                    (128, 128), (128, 160), (256, 256), (256, 288)))
 def test_mirror_fill_matches_the_row_gather(n1, n2):
-    # two slice copies give the gathered mirror bit for bit, also for a stack
-    # whose k2 = 0 column is not Hermitian
+    # the tests' mirror fill, full_spectrum's two slice copies, gives the
+    # gathered mirror bit for bit, also for a stack whose k2 = 0 column is
+    # not Hermitian; from_potentials gives its half spectrum
     g = SpectralGrid(n1, n2, L1, L2)
     rng = np.random.default_rng(n1 * n2)
     nh = n2 // 2 + 1
     w = rng.standard_normal((2, n1, nh)) + 1j * rng.standard_normal((2, n1, nh))
     for kc in (3, g.band_cols, nh):
         got = from_potentials(g, w[..., :kc], 0.5)
-        want = gathered_from_potentials(g, w[..., :kc], 0.5)
-        assert got.time == want.time and np.array_equal(got.u, want.u), kc
+        want = gathered_from_potentials(g, w[..., :kc])
+        assert got.time == 0.5 and np.array_equal(got.u, want[..., :nh]), kc
+        assert np.array_equal(full_spectrum(g, got.u), want), kc
         assert hermitian_defect(g, got.u) == 0.0, kc
 
 
@@ -779,15 +794,15 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     with pytest.raises(ConfigError, match="dealias band"):
         run(cfg, initial=st)
     # in-band states that fail validate() are rejected at the same entry: a
-    # gradient part (with its conjugate), an unmirrored divergence-free mode
-    # and a mean; and the same array on another box
+    # gradient part (its conjugate is the half spectrum's mirror), an
+    # unmirrored divergence-free mode of the k2 = 0 column and a mean; and
+    # the same array on another box
     base = initial_state(cfg, g)
     amp = 1e-2 * np.max(np.abs(base.u))
-    grad = 1j * amp * np.array([g.xi1[1, 0], g.xi2[0, 1]])
+    grad = 1j * amp * np.array([g.xi1[1, 0], g.half_xi2[0, 1]])
     divergent, unmirrored, mean = base.copy(), base.copy(), base.copy()
     divergent.u[0:2, 1, 1] += grad
-    divergent.u[0:2, -1, -1] += np.conj(grad)
-    unmirrored.u[0:2, 1, 1] += amp * np.array([g.xi2[0, 1], -g.xi1[1, 0]])
+    unmirrored.u[0:2, 1, 0] += amp * np.array([g.half_xi2[0, 0], -g.xi1[1, 0]])
     mean.u[0, 0, 0] += amp
     for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
         with pytest.raises(ConfigError, match=why):

@@ -10,6 +10,7 @@ from mhd2d.solver import SolverConfig
 from mhd2d.spectral import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    STATE_RTOL,
     SpectralGrid,
     SpectralState,
     divergence_defect,
@@ -25,6 +26,8 @@ from reference import (
     coeff_derivative,
     coordinates,
     from_physical,
+    full_spectrum,
+    full_xi,
     leray_project,
     mode_numbers,
     multi_index_weight,
@@ -65,11 +68,13 @@ def test_grid_sizes_must_be_integers():
 
 def test_grid_wavenumber_layout():
     g = SpectralGrid(8, 16, TWO_PI, np.pi)
-    assert g.xi1.shape == (8, 1) and g.xi2.shape == (1, 16)
+    assert g.xi1.shape == (8, 1) and g.half_xi2.shape == (1, 9)
     # spacing 2 pi / l per axis
     assert g.xi1[1, 0] == pytest.approx(1.0)
-    assert g.xi2[0, 1] == pytest.approx(2.0)
+    assert g.half_xi2[0, 1] == pytest.approx(2.0)
     assert g.xi1[g.n1 // 2, 0] == -(g.n1 // 2)  # single Nyquist
+    # the half spectrum's last column is the full layout's Nyquist column
+    assert g.half_xi2[0, -1] == full_xi(g)[1][0, g.n2 // 2] == -2.0 * (g.n2 // 2)
 
 
 @pytest.mark.parametrize("n1, n2", [(16, 16), (24, 40), (40, 18)])
@@ -77,7 +82,7 @@ def test_to_physical_matches_full_spectrum_inverse(n1, n2):
     # the half-spectrum irfft2 against the full complex inverse transform
     g = SpectralGrid(n1, n2, TWO_PI, 3.0)
     for st in (random_div_free_state(g, seed=n1), random_state(g, seed=n2)):
-        ref = np.real(np.fft.ifft2(st.u, axes=(-2, -1))) * n1 * n2
+        ref = np.real(np.fft.ifft2(full_spectrum(g, st.u), axes=(-2, -1))) * n1 * n2
         assert np.max(np.abs(to_physical(st) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -111,7 +116,7 @@ def test_derivative_respects_box_size():
 
 def test_odd_derivative_kills_nyquist():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
-    u = np.zeros(g.shape, dtype=complex)
+    u = np.zeros((g.n1, g.n2 // 2 + 1), dtype=complex)
     u[g.n1 // 2, 3] = 1.0  # Nyquist row on axis 1
     out = coeff_derivative(g, u, 1, order=1)
     assert np.all(out == 0.0)
@@ -145,15 +150,15 @@ def test_dealias_two_thirds():
 def test_leray_projection():
     g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     st = random_state(g, seed=4)
-    proj = leray_project(st)
-    dv, dB = divergence_defect(g, proj.u)
-    scale = np.max(np.abs(proj.u))
+    proj = leray_project(g, st.u)
+    dv, dB = divergence_defect(g, proj)
+    scale = np.max(np.abs(proj))
     assert max(dv, dB) < 1e-13 * scale
-    twice = leray_project(proj)
-    assert np.max(np.abs(twice.u - proj.u)) < 1e-14 * scale
+    twice = leray_project(g, proj)
+    assert np.max(np.abs(twice - proj)) < 1e-14 * scale
     # the zero mode passes through untouched
     st.u[:, 0, 0] = 7.0
-    assert np.all(leray_project(st).u[:, 0, 0] == 7.0)
+    assert np.all(leray_project(g, st.u)[:, 0, 0] == 7.0)
 
 
 def test_sobolev_norm_conventions():
@@ -168,18 +173,21 @@ def test_sobolev_norm_conventions():
 
 def test_multi_index_weight_closed_form():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
+    xi1, xi2, _ = full_xi(g)
     w1 = multi_index_weight(g, 1)
-    assert np.max(np.abs(w1 - (1.0 + g.xi1**2 + g.xi2**2))) == 0.0
+    assert np.max(np.abs(w1 - (1.0 + xi1**2 + xi2**2))) == 0.0
     w2 = multi_index_weight(g, 2)
-    expect = (1.0 + g.xi1**2 + g.xi2**2 + g.xi1**4 + g.xi1**2 * g.xi2**2 + g.xi2**4)
+    expect = (1.0 + xi1**2 + xi2**2 + xi1**4 + xi1**2 * xi2**2 + xi2**4)
     assert np.max(np.abs(w2 - expect)) < 1e-12 * np.max(expect)
 
 
 def test_hermitian_defect_detects_asymmetry():
+    # the half spectrum mirrors its interior columns by construction: only
+    # the k2 = 0 and Nyquist columns can be asymmetric
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_state(g, seed=6)
     assert hermitian_defect(g, st.u) < 1e-14
-    st.u[0, 2, 3] += 0.5
+    st.u[0, 2, 0] += 0.5
     assert hermitian_defect(g, st.u) > 0.1
 
 
@@ -197,11 +205,13 @@ def test_random_state_properties():
 
 def test_state_validation_errors():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
-    with pytest.raises(ConfigError):
-        SpectralState(g, np.zeros((3, 16, 16), dtype=complex))
+    # a state holds the half spectrum, 16 // 2 + 1 = 9 columns
+    for shape in ((3, 16, 9), (4, 16, 16)):
+        with pytest.raises(ConfigError, match="shape"):
+            SpectralState(g, np.zeros(shape, dtype=complex))
     for time in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="time"):
-            SpectralState(g, np.zeros((4, 16, 16), dtype=complex), time=time)
+            SpectralState(g, np.zeros((4, 16, 9), dtype=complex), time=time)
     st = random_state(g, seed=7)
     st.u[:, 0, 0] = 1.0
     with pytest.raises(ConfigError):
@@ -225,9 +235,10 @@ def test_snapshot_roundtrip(tmp_path):
 
 
 def test_snapshot_bytes_and_transient_memory(tmp_path):
-    # the layout is the header and the little-endian payload, byte for byte;
-    # the payload is written from the state's own buffer, and read into the
-    # one array the loaded state keeps
+    # the layout is the header and the little-endian half-spectrum payload,
+    # byte for byte; the payload is written from the state's own buffer, and
+    # read into the one array the loaded state keeps
+    assert SNAPSHOT_VERSION == 2
     g = SpectralGrid(128, 96, 3.5, TWO_PI)
     st = random_div_free_state(g, seed=21)
     st.time = 0.75
@@ -236,6 +247,7 @@ def test_snapshot_bytes_and_transient_memory(tmp_path):
     header = SNAPSHOT_MAGIC + struct.pack("<I", SNAPSHOT_VERSION)
     header += struct.pack("<5d", 128.0, 96.0, 3.5, TWO_PI, 0.75)
     assert path.read_bytes() == header + st.u.astype("<c16").tobytes()
+    assert len(path.read_bytes()) == 48 + 4 * 128 * 49 * 16
     assert peak < st.u.nbytes / 8, peak / st.u.nbytes
     # the payload (1), the grid's tables and validate()'s transients, measured
     # 2.02 payloads in all; two payload copies would be 3 or more
@@ -280,7 +292,7 @@ def test_snapshot_format_errors(tmp_path):
 
     # payloads that fail validate(), and a non-finite one
     edits = (
-        ("Hermitian", [((0, 1, 2), st.u[0, 1, 2] + 1.0j)]),
+        ("Hermitian", [((0, 1, 0), st.u[0, 1, 0] + 1.0j)]),  # a self-mirrored column
         ("divergence", [((0, 1, 0), 1.0), ((0, -1, 0), 1.0)]),
         ("non-finite", [((0, 1, 2), np.nan)]),
     )
@@ -292,3 +304,54 @@ def test_snapshot_format_errors(tmp_path):
         save_state(SpectralState(g, bad), path)
         with pytest.raises(SnapshotFormatError, match=pattern):
             load_state(path)
+
+
+def version_1_bytes(grid, u, time):
+    """A version 1 snapshot: the same header before the full spectrum of ``u``."""
+    head = SNAPSHOT_MAGIC + struct.pack("<I", 1)
+    head += struct.pack("<5d", float(grid.n1), float(grid.n2), grid.l1, grid.l2, time)
+    return head + full_spectrum(grid, u).astype("<c16").tobytes()
+
+
+def test_version_1_snapshot_loads_its_half(tmp_path):
+    g = SpectralGrid(16, 24, 3.5, TWO_PI)
+    st = random_div_free_state(g, seed=9)
+    path = tmp_path / "v1.bin"
+    data = version_1_bytes(g, st.u, 1.5)
+    assert len(data) == 48 + 4 * 16 * 24 * 16
+    path.write_bytes(data)
+    back = load_state(path)
+    assert back.grid == g and back.time == 1.5
+    assert np.array_equal(back.u, st.u)
+    assert back.u.flags.c_contiguous and back.u.flags.writeable
+    # written again, it is the version 2 snapshot of the same state
+    st.time = 1.5
+    save_state(back, tmp_path / "back.bin")
+    save_state(st, tmp_path / "v2.bin")
+    assert (tmp_path / "back.bin").read_bytes() == (tmp_path / "v2.bin").read_bytes()
+    for name, cut, pattern in (("short", data[:-16], "truncated"),
+                               ("trailing", data + b"\x00", "trailing")):
+        (tmp_path / name).write_bytes(cut)
+        with pytest.raises(SnapshotFormatError, match=pattern):
+            load_state(tmp_path / name)
+
+
+def test_version_1_snapshot_must_mirror_its_half(tmp_path):
+    # the negative k2 columns of a version 1 payload must mirror the half
+    # spectrum within STATE_RTOL max|u|, and be finite; the state keeps the half
+    g = SpectralGrid(16, 24, 3.5, TWO_PI)
+    st = random_div_free_state(g, seed=11)
+    full = full_spectrum(g, st.u)
+    level = STATE_RTOL * np.max(np.abs(full))
+    for i, (value, pattern) in enumerate(((0.5 * level, None), (2.0 * level, "mirror"),
+                                          (np.inf, "non-finite"), (np.nan, "non-finite"))):
+        bad = full.copy()
+        bad[1, 3, g.n2 - 2] += value
+        path = tmp_path / f"v1_{i}.bin"
+        path.write_bytes(version_1_bytes(g, bad[..., :g.n2 // 2 + 1], 0.0)[:48]
+                         + bad.astype("<c16").tobytes())
+        if pattern is None:
+            assert np.array_equal(load_state(path).u, st.u)
+        else:
+            with pytest.raises(SnapshotFormatError, match=pattern):
+                load_state(path)

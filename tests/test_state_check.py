@@ -5,7 +5,9 @@ Each case builds a band-limited, exactly Hermitian, divergence-free state
 ``STATE_RTOL`` max|u|. ``validate``, ``_band`` and a run's sample (``sampled``)
 must then decide exactly as ``reference.check_state``, ``check_band`` and
 ``check_band_stack`` do, with the same exception type and message, so the
-set of accepted states is the same.
+set of accepted states is the same. The oracles read the full spectrum
+that ``reference.full_spectrum`` mirrors from a state's half spectrum, whose
+one negative k2 column is the Nyquist column, wavenumber -n2/2.
 """
 
 import numpy as np
@@ -63,7 +65,7 @@ def sampled(g, w, time, kept):
 def divfree(g, k1, k2, amp):
     """A (v1, v2) pair along (xi2, -xi1) at row k1, column k2, whose larger
     component has modulus |amp|: it adds no divergence."""
-    x1, x2 = g.xi1[k1, 0], g.xi2[0, k2]
+    x1, x2 = g.xi1[k1, 0], g.half_xi2[0, k2]
     return amp * np.array([x2, -x1]) / max(abs(x1), abs(x2))
 
 
@@ -72,9 +74,10 @@ def level(st, f):
 
 
 def negative_column(st, f):
+    # in the Nyquist column, the one negative k2 column a state holds,
     # unmirrored and divergence free: only the Hermitian pair compare sees it
     g = st.grid
-    st.u[0:2, 3, g.n2 - 2] += divfree(g, 3, g.n2 - 2, level(st, f))
+    st.u[0:2, 3, g.n2 // 2] += divfree(g, 3, g.n2 // 2, level(st, f))
 
 
 def k2_zero_column(st, f):
@@ -98,36 +101,34 @@ def mean(st, f):
 
 def divergence_negative_column(st, f):
     # v1 alone at xi1 = 3: |div| = 3 |entry| against a Hermitian defect of
-    # |entry|, a third of it; only the negative column holds either
+    # |entry|, a third of it; only the negative (Nyquist) column holds either
     g = st.grid
     assert g.xi1[3, 0] == 3.0
-    st.u[0, 3, g.n2 - 2] += level(st, f) / 3.0
+    st.u[0, 3, g.n2 // 2] += level(st, f) / 3.0
 
 
 def band_negative_column(st, f):
-    # an out-of-band pair whose negative-column member is twice its mirror:
-    # the Hermitian defect and the positive column hold half the excess
+    # an out-of-band pair in the negative (Nyquist) column, rows -1 and 1,
+    # each divergence free, the row 1 member twice the other's size: with
+    # |xi2| >= 3 |xi1| there, the Hermitian defect holds half the excess
     g = st.grid
-    k2 = g.n2 // 2 - 2
-    assert not g.half_dealias_mask[1, k2]
-    add = divfree(g, g.n1 - 1, k2, level(st, f) / 2.0)
-    st.u[0:2, g.n1 - 1, k2] += add
-    st.u[0:2, 1, g.n2 - k2] += 2.0 * np.conj(add)
+    k2 = g.n2 // 2
+    assert not g.half_dealias_mask[1, k2] and abs(g.half_xi2[0, k2]) >= 3.0 * g.xi1[1, 0]
+    st.u[0:2, g.n1 - 1, k2] += divfree(g, g.n1 - 1, k2, level(st, f) / 2.0)
+    st.u[0:2, 1, k2] += divfree(g, 1, k2, level(st, f))
 
 
 def band_unmirrored(st, f):
     g = st.grid
-    k2 = g.n2 // 2 - 2
-    st.u[0:2, 1, g.n2 - k2] += divfree(g, 1, g.n2 - k2, level(st, f))
+    st.u[0:2, 2, g.n2 // 2] += divfree(g, 2, g.n2 // 2, level(st, f))
 
 
 def band_row(st, f):
-    # a dropped row, mirrored: only the 2/3 band check sees it
+    # a dropped row, mirrored by the half spectrum: only the 2/3 band check
+    # sees it
     g = st.grid
     k1 = g.n1 // 2 - 1
-    add = divfree(g, k1, 2, level(st, f))
-    st.u[0:2, k1, 2] += add
-    st.u[0:2, g.n1 - k1, g.n2 - 2] += np.conj(add)
+    st.u[0:2, k1, 2] += divfree(g, k1, 2, level(st, f))
 
 
 def nan(st, f):
@@ -135,7 +136,7 @@ def nan(st, f):
 
 
 def inf(st, f):
-    st.u[3, 2, st.grid.n2 - 1] = np.inf
+    st.u[3, 2, st.grid.n2 // 2] = np.inf
 
 
 # each defect, and the property the first failed check names when it is over
@@ -180,17 +181,17 @@ def test_state_checks_decide_as_the_oracle(grid, defect, f):
 @pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
 def test_state_checks_in_blocks_decide_as_the_oracle(grid, defect, f, monkeypatch):
-    # a 256^2 state is checked a component, and its divergence a block of
-    # rows, at a time; these grids fit in one block, so the smallest blocks
+    # a 256^2 state is checked about a component, and its divergence a block
+    # of rows, at a time; these grids fit in one block, so the smallest blocks
     # (one component, one row) must decide as the oracle too, NaN included
     monkeypatch.setattr(spectral, "_CHECK_ELEMENTS", 1)
     test_state_checks_decide_as_the_oracle(grid, defect, f)
 
 
 def test_validate_at_256_holds_about_one_component():
-    # |u| and the Hermitian compare take one component at a time and the
-    # divergence a block of rows: 0.19 of the state measured, where one pass
-    # over the whole state held 0.74
+    # |u| takes one component at a time and the divergence a block of rows:
+    # 0.19 of the half-spectrum state measured, where one pass over the whole
+    # state held 0.74
     g = SpectralGrid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
     st = random_div_free_state(g, seed=5)
     _, peak = traced_peak(st.validate)
@@ -242,12 +243,12 @@ def test_band_stack_check_decides_as_the_oracle(grid, defect, f, kept):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
 def test_divergence_is_read_on_the_negative_columns(grid):
-    # a Hermitian defect just under the tolerance, in a negative column, with
-    # three times as much divergence: a divergence inferred from the mirror
-    # column would pass it
+    # a Hermitian defect just under the tolerance, in the one negative column
+    # a state holds (Nyquist, k2 = -n2/2), with three times as much
+    # divergence: a divergence inferred from the mirror row would pass it
     g = SpectralGrid(*grid)
     st = scaled_random_state(g, grid[1], 2.0)
-    st.u[0, 3, g.n2 - 2] += level(st, 0.99)
+    st.u[0, 3, g.n2 // 2] += level(st, 0.99)
     assert hermitian_defect(g, st.u) < STATE_RTOL * np.max(np.abs(st.u))
     for call in (st.validate, lambda: _band(st, g)):
         with pytest.raises(ConfigError, match="divergence"):
