@@ -13,9 +13,11 @@ phi_k with all 48 series terms on every entry, the oracle of the series in
 ``modes._phi`` that stops early, and so of the step tables;
 ``pairwise_reconstruct`` is ``ModeSystem.reconstruct`` as a loop over the
 two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
-probe the peak tests share. ``instantaneous`` is the record routine with
-every weight table built and every weighted sum taken as a product array
-summed by ``np.sum`` on each call, the oracle of the package's record.
+probe the peak tests share, and ``failing_instantaneous`` the record
+routine with an injected invariant failure the command-line tests share.
+``instantaneous`` is the record routine with every weight table built and
+every weighted sum taken as a product array summed by ``np.sum`` on each
+call, the oracle of the package's record.
 
 The package stores every coefficient array on the half spectrum; the
 full-spectrum oracles read ``full_spectrum``, which fills the negative k2
@@ -37,6 +39,7 @@ from mhd2d.diagnostics import _L1_CALIBRATION, DiagnosticsRecord, InterpolationA
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError, SingularBasisError
 from mhd2d.modes import _PHI_SERIES_RADIUS, _PHI_SERIES_TERMS, region_masks
 from mhd2d.propagator import apply_block_entries, phi_block_entries
+from mhd2d import solver as solver_module
 from mhd2d.solver import SolverConfig, _band, _nonlinear, _Stepper
 from mhd2d.spectral import (
     STATE_RTOL,
@@ -127,6 +130,10 @@ def _project_pair(grid: SpectralGrid, f1: np.ndarray, f2: np.ndarray):
     # The zero mode has no divergence content; leave it untouched.
     p1[0, 0] = f1[0, 0]
     p2[0, 0] = f2[0, 0]
+    if f1.shape[-1] == grid.n2 // 2 + 1:
+        # an interior entry of the Nyquist row and its mirror (n1/2, -k2)
+        # share xi1, so both are divergence free only when it is zero
+        p1[grid.n1 // 2, 1:-1] = p2[grid.n1 // 2, 1:-1] = 0.0
     return p1, p2
 
 
@@ -234,6 +241,22 @@ def stress_tendency(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     out[0] *= grid.half_inv_xi_sq[:, :kc]
     out[1, 0, 0] = 0.0
     return out
+
+
+def failing_instantaneous(k):
+    """``solver.instantaneous`` that raises ``DiagnosticIntegrityError`` at a
+    run's sample k + 1, as a failed diagnostic invariant would."""
+    real, samples = solver_module.instantaneous, []
+
+    def failing(grid, u, m, **kw):
+        # run() samples pass energy_residual; initial_state's normalization does not
+        if "energy_residual" in kw:
+            samples.append(kw["time"])
+            if len(samples) > k:
+                raise DiagnosticIntegrityError("injected invariant failure")
+        return real(grid, u, m, **kw)
+
+    return failing
 
 
 def traced_peak(fn, *args):

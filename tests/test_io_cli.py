@@ -16,13 +16,14 @@ import pytest
 from mhd2d import cli, solver
 from mhd2d.config import COMMAND_KEYS, parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
-from mhd2d.errors import ConfigError, DiagnosticIntegrityError
+from mhd2d.errors import ConfigError
 from mhd2d.spectral import (
     SpectralGrid,
     load_state,
     random_div_free_state,
     save_state,
 )
+from reference import failing_instantaneous
 
 
 def write_cfg(tmp_path, name, mapping):
@@ -462,18 +463,7 @@ def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
 
 def _fail_after_samples(monkeypatch, k):
     """Make run sample k + 1 raise, as a failed diagnostic invariant would."""
-    real = solver.instantaneous
-    samples = []
-
-    def failing(grid, u, m, **kw):
-        # run() samples pass energy_residual; initial_state's normalization does not
-        if "energy_residual" in kw:
-            samples.append(kw["time"])
-            if len(samples) > k:
-                raise DiagnosticIntegrityError("injected invariant failure")
-        return real(grid, u, m, **kw)
-
-    monkeypatch.setattr(solver, "instantaneous", failing)
+    monkeypatch.setattr(solver, "instantaneous", failing_instantaneous(k))
 
 
 def test_audit_energy_integrity_failure_keeps_history(tmp_path, capsys, monkeypatch):

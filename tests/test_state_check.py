@@ -131,6 +131,15 @@ def band_row(st, f):
     st.u[0:2, k1, 2] += divfree(g, k1, 2, level(st, f))
 
 
+def nyquist_row(st, f):
+    # divergence free at (n1/2, 2), but not its mirror (n1/2, -2), whose xi1
+    # is the same -n1/2: only the divergence of the mirror sees it
+    g = st.grid
+    x1, x2 = g.xi1[g.n1 // 2, 0], g.half_xi2[0, 2]
+    scale = max(abs(x1), abs(x2)) / (2.0 * abs(x1 * x2))
+    st.u[0:2, g.n1 // 2, 2] += divfree(g, g.n1 // 2, 2, level(st, f) * scale)
+
+
 def nan(st, f):
     st.u[2, 1, 2] = np.nan
 
@@ -150,6 +159,7 @@ DEFECTS = {
     band_negative_column: "dealias band",
     band_unmirrored: "Hermitian",
     band_row: "dealias band",
+    nyquist_row: "divergence",
     nan: "non-finite",
     inf: "non-finite",
 }
