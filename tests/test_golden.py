@@ -146,10 +146,6 @@ def _numbers(values):
             math.fsum(w2 * x)]
 
 
-def _text_hash(text) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _parse(name, data):
     """(the output with its numbers taken out, {series: numbers}) of one file."""
     if name.endswith(".bin"):
@@ -188,7 +184,8 @@ def _parse(name, data):
 
 def digest(name, data) -> dict:
     skeleton, series = _parse(name, data)
-    return {"sha256": hashlib.sha256(data).hexdigest(), "text": _text_hash(skeleton),
+    return {"sha256": hashlib.sha256(data).hexdigest(),
+            "text": hashlib.sha256(skeleton.encode("utf-8")).hexdigest(),
             "numbers": {key: _numbers(v) for key, v in series.items()}}
 
 
