@@ -291,6 +291,9 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     ``half_mult``, is even under k -> -k, so the sums are full-spectrum
     sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
     roundoff, or when the region masses fail to recover the L^2 mass.
+    One (3, n1, kc) complex array holds the pairings' weighted factors in
+    turn, then B2, d1 v1 and d1 v2, whose column pass runs in place on it
+    before one ``irfftn`` row pass makes the three physical planes.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or u.shape[-1] > g.n2 // 2 + 1:
@@ -322,11 +325,14 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     d *= w.hm
     i1 = _dot(d.view(np.float64), v)
     np.multiply(h[:2], w.ixi, out=d)  # d1 v1, d1 v2
-    planes[0] = h[3]
-    phys = np.fft.irfft2(planes, s=g.shape, axes=(-2, -1), norm="forward")
     d *= w.hm
     i2 = _dot(d.view(np.float64), b)
     cancel = float(abs(i1 + i2) / max(abs(i1), abs(i2), 1e-300))
+    # B2, d1 v1, d1 v2 to physical space; the row pass zero-pads past kc
+    np.multiply(h[:2], w.ixi, out=d)
+    planes[0] = h[3]
+    np.fft.ifftn(planes, axes=(-2,), norm="forward", out=planes)
+    phys = np.fft.irfftn(planes, s=(g.n2,), axes=(-1,), norm="forward")
     del planes, d
 
     b2, d1v = phys[0], phys[1:]

@@ -99,16 +99,18 @@ def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:
     """Apply per-mode 2x2 entries to the pairs (u[i], u[k + i]), k = len(u) // 2.
 
     The pairs are (v_j, B_j) for a four-component state array and (psi, a)
-    for a potential stack; the block is the same for each.
+    for a potential stack; the block is the same for each. Besides the
+    output, one temporary holds p12 B, then p22 B.
     """
     p11, p12, p22 = entries
     k = len(u) // 2
     v, B = u[:k], u[k:]
     out = np.empty_like(u)
     np.multiply(p11, v, out=out[:k])
-    out[:k] += p12 * B
+    tmp = p12 * B
+    out[:k] += tmp
     np.multiply(p12, v, out=out[k:])
-    out[k:] += p22 * B
+    out[k:] += np.multiply(p22, B, out=tmp)
     return out
 
 

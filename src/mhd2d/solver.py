@@ -32,7 +32,9 @@ B in physical space, and in Elsasser variables z+- = (v +- B) / sqrt 2
 inverse pass, its three quantities T22 - T11, T12 and N_a take four
 products instead of eight. A tendency transforms 4 planes inverse and 3
 forward, 14 per ETDRK2 step, each direction as two 1-D passes: one along
-axis 2 and one along axis 1 over the kc band columns only. The stepper
+axis 2 and one along axis 1 over the kc band columns only; every pass but
+the inverse row pass, which makes the physical planes, writes with numpy's
+``out=`` into scratch the call made. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables. ``SpectralState`` (the four
 components on the whole half spectrum) stays the form of every input and
@@ -217,39 +219,43 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
     N_psi = N_omega / |xi|^2, the dealiased curl of div T; N_a is dealiased
     along axis 1 and mean-zeroed. That is four 1-D passes per call, the
     same values as one 7-plane ``irfft2``/``rfft2`` pair on the whole half
-    spectrum, bit for bit. The inverse column pass runs in place on the
-    spectra, each later stage's input is released before the next stage
-    allocates, and the result overwrites the forward transform in place,
-    which keeps the transient memory of a call small.
+    spectrum, bit for bit. Every pass but the inverse row pass writes with
+    ``out=`` into arrays the call made: one complex workspace holds in turn
+    the four spectra (the inverse column pass runs in place on them), the
+    float ``cross`` plane and the three row spectra, and the forward column
+    pass writes the first two into the new compact (2, n1, kc) result and
+    the third in place. Nothing is held between calls, and the result keeps
+    no dead third plane alive.
     """
-    kc = w.shape[-1]
+    n1, kc = w.shape[1:]
+    nh = grid.n2 // 2 + 1
     to_ab, to_s, mult1, mult2 = tables
-    spec = np.empty((4,) + w.shape[1:], dtype=np.complex128)
+    # holds the four spectra, then cross, then the three row spectra
+    work = np.empty(max(4 * kc, 3 * nh) * n1, dtype=np.complex128)
+    spec = work[:4 * n1 * kc].reshape(4, n1, kc)
     np.add(w[0], w[1], out=spec[0])
     np.subtract(w[0], w[1], out=spec[1])
     np.multiply(spec[0:2], mult2, out=spec[2:4])
     spec[0:2] *= mult1
     np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
     phys = np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward")
-    del spec
     p1, m1, p2, m2 = phys
-    cross = p1 * m2
+    cross = np.multiply(p1, m2, out=work.view(np.float64)[:p1.size].reshape(p1.shape))
     np.multiply(p1, m1, out=p1)
     np.multiply(m1, p2, out=m1)
     np.multiply(p2, m2, out=m2)
     p1 -= m2
     np.add(cross, m1, out=p2)
     m1 -= cross
-    del p1, m1, p2, m2, cross
     # phys[0:3] now holds (T22 - T11) / 2, N_a and -T12
-    rows = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward")
-    del phys
-    t = np.fft.fftn(rows[..., :kc], axes=(-2,), norm="forward")
-    del rows
-    t[0] *= to_ab
-    t[2] *= to_s
-    t[0] += t[2]
-    out = t[0:2]
+    rows = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward",
+                        out=work[:3 * n1 * nh].reshape(3, n1, nh))
+    del phys, p1, m1, p2, m2
+    out = np.fft.fftn(rows[0:2, :, :kc], axes=(-2,), norm="forward")
+    s = np.fft.fftn(rows[2, :, :kc], axes=(-2,), norm="forward", out=rows[2, :, :kc])
+    out[0] *= to_ab
+    s *= to_s
+    out[0] += s
     out[1] *= grid.half_dealias_mask[:, :kc]
     out[1, 0, 0] = 0.0
     return out

@@ -13,8 +13,10 @@ phi_k with all 48 series terms on every entry, the oracle of the series in
 ``modes._phi`` that stops early, and so of the step tables;
 ``pairwise_reconstruct`` is ``ModeSystem.reconstruct`` as a loop over the
 two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
-probe the peak tests share, and ``failing_instantaneous`` the record
-routine with an injected invariant failure the command-line tests share.
+probe the peak tests share, ``failing_instantaneous`` the record routine
+with an injected invariant failure the command-line tests share, and
+``package_env`` the environment of a child Python that must import the
+package the tests import.
 ``instantaneous`` is the record routine with every weight table built and
 every weighted sum taken as a product array summed by ``np.sum`` on each
 call, the oracle of the package's record.
@@ -31,10 +33,13 @@ derivative and the Leray projector act on either width.
 """
 
 import math
+import os
+import pathlib
 import tracemalloc
 
 import numpy as np
 
+import mhd2d
 from mhd2d.diagnostics import _L1_CALIBRATION, DiagnosticsRecord, InterpolationAudit
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError, SingularBasisError
 from mhd2d.modes import _PHI_SERIES_RADIUS, _PHI_SERIES_TERMS, region_masks
@@ -274,6 +279,16 @@ def traced_peak(fn, *args):
         if started:
             tracemalloc.stop()
     return out, peak
+
+
+def package_env(**extra) -> dict:
+    """This process's environment with the directory the package was imported
+    from first on ``PYTHONPATH``, plus ``extra``: a child Python then imports
+    the package under test however pytest found it, through its
+    ``pythonpath`` setting, an installed copy or ``PYTHONPATH`` itself."""
+    src = str(pathlib.Path(mhd2d.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def gathered_hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:

@@ -1,13 +1,12 @@
 """Every script under demos/ runs to completion against the current API."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import mhd2d
+from reference import package_env
 
 DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -20,9 +19,7 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     # the package is found where this test imported it from; anything a demo
     # writes lands under tmp_path
-    src = str(pathlib.Path(mhd2d.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                          env=package_env(TMPDIR=str(tmp_path)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

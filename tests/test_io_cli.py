@@ -23,7 +23,7 @@ from mhd2d.spectral import (
     random_div_free_state,
     save_state,
 )
-from reference import failing_instantaneous
+from reference import failing_instantaneous, package_env
 
 
 def write_cfg(tmp_path, name, mapping):
@@ -189,7 +189,7 @@ def test_tolerance_overrides():
 
 def test_module_entry_point_usage():
     proc = subprocess.run([sys.executable, "-m", "mhd2d"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 64
 
 
@@ -347,12 +347,9 @@ def test_blowup_stderr_holds_no_numpy_warning(tmp_path):
     # solver.py, stay out of stderr. The advective-bound warning stays.
     cfg = write_cfg(tmp_path, "blow.cfg", dict(
         RUN_CFG, dt=0.5, t_end=10.0, **{"data.delta": 1e6, "output.every": 0.5}))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-m", "mhd2d", "nonlinear-run", "--config", cfg,
                            "--out", str(tmp_path / "out"), "--quiet"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 4
     warned = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
     assert len(warned) == 1 and "advective bound" in warned[0], proc.stderr
