@@ -135,6 +135,9 @@ def cmd_linear_decay(args, raw) -> int:
     profile = build_profile(typed.get("profile", "prop25"))
     weights = tuple(_EXPECTED_COMPONENT_SLOPES) if profile.pairs is not None else ()
     weights += typed.get("j", (0, 1, 2))
+    repeats = sorted({w for w in weights if weights.count(w) > 1})  # only j can repeat
+    if repeats:  # each weight names its own curve file and fit
+        raise ConfigError(f"j must not repeat a weight: {repeats}")
     if not weights:
         raise ConfigError(f"profile {profile.kind!r} has no component curves, "
                           "so j must list at least one weight")
@@ -371,7 +374,7 @@ def cmd_fit(args, raw) -> int:
     if not path:
         raise ConfigError("fit requires input = <curve csv> in the config")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a BOM is dropped
             reader = csv.reader(fh)
             rows = [row for row in reader if row]
     except OSError as exc:

@@ -31,7 +31,7 @@ def parse_config(text: str) -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is dropped
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

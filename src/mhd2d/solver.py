@@ -297,7 +297,7 @@ def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.nd
     k2 = 0 column Hermitian and the mean mode zero. A failure raises
     ``DiagnosticIntegrityError``.
     """
-    fault = _column_fault(grid, w, gain=grid.band_xi_max)
+    fault = _column_fault(grid, w)
     if fault is not None:
         raise DiagnosticIntegrityError(
             f"band stack at t = {time} " + _STACK_FAULTS[fault[0]].format(*fault[1:]))

@@ -272,17 +272,9 @@ def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
 
 def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
     """Max |a(k1) - conj(b(-k1))| over the rows k1 (mod n1) of two column
-    stacks, as slices: row 0 against row 0, rows 1.. against rows n1-1 .. 1."""
-    rest = np.conj(b[..., :0:-1, :])
-    rest -= a[..., 1:, :]
-    return float(np.max([np.abs(np.conj(b[..., :1, :]) - a[..., :1, :]).max(),
-                         np.abs(rest).max()]))
-
-
-# the most elements in a block of the state check's |u| and its float64
-# buffers: about one component of a 256^2 state, three of a 128^2 one; the
-# complex temporaries of a block take about as many bytes
-_CHECK_ELEMENTS = 1 << 15
+    stacks, against one gathered copy of b's rows in mirror order."""
+    rows = -np.arange(b.shape[-2]) % b.shape[-2]
+    return float(np.abs(a - np.conj(b[..., rows, :])).max())
 
 
 def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
@@ -298,20 +290,15 @@ def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
 
 
 def divergence_defect(grid: SpectralGrid, u: np.ndarray):
-    """Max |xi . vhat| and |xi . Bhat| over a state's modes and their mirrors,
-    a block of rows at a time whose two complex temporaries take at most
-    ``_CHECK_ELEMENTS`` float64s."""
-    step = max(1, _CHECK_ELEMENTS // (4 * u.shape[-1]))
+    """Max |xi . vhat| and |xi . Bhat| over a state's modes and their mirrors."""
     ny, xi1 = u[:, grid.n1 // 2, 1:-1], grid.xi1[grid.n1 // 2, 0]
     out = []
     for p in (0, 2):
         # the Nyquist row's mirror (n1/2, -k2) keeps xi1, so only xi2 flips
-        peaks = [np.abs(xi1 * ny[p] - grid.half_xi2[0, 1:-1] * ny[p + 1]).max()]
-        for r in range(0, grid.n1, step):
-            d = grid.xi1[r:r + step] * u[p, r:r + step]
-            d += grid.half_xi2 * u[p + 1, r:r + step]
-            peaks.append(np.abs(d).max())
-        out.append(float(np.max(peaks)))
+        mirror = np.abs(xi1 * ny[p] - grid.half_xi2[0, 1:-1] * ny[p + 1]).max()
+        d = grid.xi1 * u[p]
+        d += grid.half_xi2 * u[p + 1]
+        out.append(float(np.max([mirror, np.abs(d).max()])))
     return out[0], out[1]
 
 
@@ -326,34 +313,26 @@ _STATE_FAULTS = {
 }
 
 
-def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
-                  gain: float = 1.0):
+def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False):
     """The one state check: None, or ``(name, defect, scale)`` of the first
     property a state's (4, n1, n2/2 + 1) array or a (2, n1, kc < n2/2 + 1)
     band stack, told apart by their width, fails. Each defect fails above
-    ``STATE_RTOL`` max|u| (the scale), in the order: ``non-finite`` (scale
-    times ``gain``); ``Hermitian`` (``hermitian_defect``); ``mean``; a
+    ``STATE_RTOL`` max|u| (the scale), in the order: ``non-finite`` (the
+    scale, times ``grid.band_xi_max`` for a band stack, whose curl map
+    multiplies by it); ``Hermitian`` (``hermitian_defect``); ``mean``; a
     state's ``divergence``; and with ``band``, max |u| outside the 2/3 band:
     the rows it drops, then the columns it drops on the rows it keeps.
-    Every column is read as a slice.
     """
-    # |u| a block of components (at most _CHECK_ELEMENTS elements, or one
-    # component) at a time, into one buffer; np.max combines the blocks'
-    # maxima and passes a NaN on as one np.max over |u| would
-    k = max(1, _CHECK_ELEMENTS // (u.shape[-2] * u.shape[-1]))
-    blocks = [u[c:c + k] for c in range(0, len(u), k)]
-    buf = np.empty(blocks[0].shape)
-    peaks, outside = [], []
-    r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
-    r1 = grid.n1 - r0 + 1  # first row kept again
-    for b in blocks:
-        mag = np.abs(b, out=buf[:len(b)])
-        peaks.append(mag.max())
-        if band:  # taken now, so |u| is not held through the other checks
-            outside += [mag[:, r0:r1].max(), mag[:, :r0, c0:].max(), mag[:, r1:, c0:].max()]
-    del buf, mag
-    peak, outside = float(np.max(peaks)), float(np.max(outside, initial=0.0))
-    if not np.isfinite(peak * gain):
+    state = u.shape[-1] == grid.n2 // 2 + 1
+    mag = np.abs(u)
+    peak, outside = float(mag.max()), 0.0
+    if band:  # taken now, so |u| is not held through the other checks
+        r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
+        r1 = grid.n1 - r0 + 1  # first row kept again
+        outside = float(np.max([mag[:, r0:r1].max(), mag[:, :r0, c0:].max(),
+                                mag[:, r1:, c0:].max()]))
+    del mag
+    if not np.isfinite(peak * (1.0 if state else grid.band_xi_max)):
         return "non-finite", peak, peak
     scale = max(peak, 1e-300)
     tol = STATE_RTOL * scale
@@ -363,7 +342,7 @@ def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False,
     mean = float(np.max(np.abs(u[:, 0, 0])))
     if mean > tol:
         return "mean", mean, scale
-    if u.shape[-1] == grid.n2 // 2 + 1:  # a state
+    if state:
         div = divergence_defect(grid, u)
         if max(div) > tol:
             return "divergence", div, scale
@@ -437,8 +416,9 @@ def load_state(path) -> SpectralState:
         n1, n2 = int(n1f), int(n2f)
         nh = n2 // 2 + 1
         shape = (4, n1, n2 if version == 1 else nh)
-        # sizes are checked against the file before the payload is allocated
-        extra = os.fstat(fh.fileno()).st_size - header - 16 * int(np.prod(shape))
+        # sizes are checked against the file, in Python ints that cannot wrap,
+        # before the payload is allocated
+        extra = os.fstat(fh.fileno()).st_size - header - 16 * 4 * n1 * shape[-1]
         if extra < 0:
             raise SnapshotFormatError("truncated snapshot payload")
         if extra > 0:

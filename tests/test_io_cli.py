@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mhd2d import cli, solver
-from mhd2d.config import COMMAND_KEYS, parse_config, typed_config
+from mhd2d.config import COMMAND_KEYS, load_config, parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
 from mhd2d.errors import ConfigError
 from mhd2d.spectral import (
@@ -51,6 +51,22 @@ def test_parse_config_basics():
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_load_config_drops_a_byte_order_mark(tmp_path, capsys):
+    # some editors start a UTF-8 file with U+FEFF; it must not become part of
+    # the first key, and a file without it reads the same
+    text = "n1 = 64\n# \u00e9t\u00e9\ndt = 0.5\n"
+    for name, encoding in (("bom.cfg", "utf-8-sig"), ("plain.cfg", "utf-8")):
+        path = tmp_path / name
+        path.write_text(text, encoding=encoding)
+        assert load_config(path) == {"n1": "64", "dt": "0.5"}, name
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n1 = 7\n", encoding="utf-8-sig")
+    assert cli.main(["nonlinear-run", "--config", str(cfg), "--quiet"]) == 64
+    err = capsys.readouterr().err
+    assert "n1 must be an even integer" in err and "\ufeff" not in err, err
 
 
 def test_typed_config_coercion_and_schema():
@@ -227,9 +243,9 @@ def test_linear_decay_passes_and_writes_artifacts(decay_out):
 
 def test_linear_decay_stacked_call_writes_single_weight_bytes(tmp_path, monkeypatch):
     # the command's one stacked call writes the bytes that one call per
-    # weight writes, for a vector profile and for a repeated moment
+    # weight writes, for a vector profile and for a scalar one
     cfgs = {"prop25": {"t.min": 1.0, "t.max": 1.0e4, "t.count": 40, "j": "0,1,2"},
-            "fstar": {"profile": "fstar", "t.count": 40, "j": "2,0,2"}}
+            "fstar": {"profile": "fstar", "t.count": 40, "j": "2,0,1"}}
     outs = {}
     for name, keys in cfgs.items():
         cfg = write_cfg(tmp_path, f"{name}.cfg", keys)
@@ -245,9 +261,27 @@ def test_linear_decay_stacked_call_writes_single_weight_bytes(tmp_path, monkeypa
         assert cli.main(["linear-decay", "--config", cfg, "--out", str(single), "--quiet"]) == 0
         files = sorted(os.listdir(single))
         assert files == sorted(os.listdir(outs[name]))
-        assert "decay_fits.json" in files and len(files) == (8 if name == "prop25" else 3)
+        assert "decay_fits.json" in files and len(files) == (8 if name == "prop25" else 4)
         for f in files:
             assert (single / f).read_bytes() == (outs[name] / f).read_bytes(), (name, f)
+    # the command refuses a repeated j, but a stacked call still takes one
+    profile, times = cli.build_profile("fstar"), np.geomspace(1.0, 1.0e4, 40)
+    stacked = one_at_a_time(profile, (2, 0, 2), times)
+    for w, curve in zip((2, 0, 2), stacked):
+        assert np.array_equal(curve.values, one_at_a_time(profile, w, times).values), w
+
+
+def test_linear_decay_repeated_j_is_a_usage_error(tmp_path, capsys):
+    # each weight names its own curve file and fit: a repeated j would write
+    # its file twice and list its fit twice, so it is refused before any curve
+    for i, (j, named) in enumerate((("1,1", "[1]"), ("0,2,0,2,1", "[0, 2]"))):
+        cfg = write_cfg(tmp_path, f"decay{i}.cfg", {"t.count": 20, "j": j})
+        out = tmp_path / f"o{i}"
+        assert cli.main(["linear-decay", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 64, j
+        err = capsys.readouterr().err
+        assert "must not repeat" in err and named in err, err
+        assert not out.exists()
 
 
 def test_linear_decay_impossible_tolerance(tmp_path, decay_out):
@@ -695,6 +729,15 @@ def test_fit_roundtrip(tmp_path):
     wrong = write_cfg(tmp_path, "fit2.cfg", {
         "input": str(curve), "window.lo": 1e2, "expected": -2.0})
     assert cli.main(["fit", "--config", wrong, "--out", str(out), "--quiet"]) == 2
+
+    # a curve that starts with a UTF-8 byte-order mark fits as the same curve
+    # without it: its header is still recognised
+    bom = tmp_path / "bom.csv"
+    bom.write_text(curve.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    cfg = write_cfg(tmp_path, "fit3.cfg", {"input": str(bom), "window.lo": 1e2})
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "bom"), "--quiet"]) == 0
+    again = json.loads((tmp_path / "bom" / "fit.json").read_text())
+    assert again["slope"] == report["slope"] and again["window"] == report["window"]
 
 
 def test_fit_input_errors(tmp_path, capsys):

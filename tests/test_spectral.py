@@ -283,6 +283,15 @@ def test_snapshot_format_errors(tmp_path):
     with pytest.raises(SnapshotFormatError, match="trailing"):
         load_state(tmp_path / "trailing.bin")
 
+    # a header whose payload size wraps in int64: 4 * 8 * (2^59 + 1) half
+    # columns are 32 elements mod 2^64, and version 1's 4 * 8 * 2^60 are none
+    for version, payload in ((2, 16 * 32), (1, 0)):
+        path = tmp_path / f"wrap{version}.bin"
+        head = data[:4] + struct.pack("<I5d", version, 8.0, 2.0**60, TWO_PI, TWO_PI, 0.0)
+        path.write_bytes(head + bytes(payload))
+        with pytest.raises(SnapshotFormatError, match="truncated snapshot payload"):
+            load_state(path)
+
     # the header's time, the last of its five doubles, must be finite
     for i, time in enumerate((np.nan, np.inf)):
         path = tmp_path / f"time{i}.bin"

@@ -13,7 +13,6 @@ one negative k2 column is the Nyquist column, wavenumber -n2/2.
 import numpy as np
 import pytest
 
-from mhd2d import spectral
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.solver import _band, _sampled_components, _sampled_state
 from mhd2d.spectral import (
@@ -187,25 +186,14 @@ def test_state_checks_decide_as_the_oracle(grid, defect, f):
         assert got_b[0] == "ok" and got_v[0] == "ok"
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
-@pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.__name__)
-@pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
-def test_state_checks_in_blocks_decide_as_the_oracle(grid, defect, f, monkeypatch):
-    # a 256^2 state is checked about a component, and its divergence a block
-    # of rows, at a time; these grids fit in one block, so the smallest blocks
-    # (one component, one row) must decide as the oracle too, NaN included
-    monkeypatch.setattr(spectral, "_CHECK_ELEMENTS", 1)
-    test_state_checks_decide_as_the_oracle(grid, defect, f)
-
-
-def test_validate_at_256_holds_about_one_component():
-    # |u| takes one component at a time and the divergence a block of rows:
-    # 0.19 of the half-spectrum state measured, where one pass over the whole
-    # state held 0.74
+def test_validate_at_256_holds_about_one_magnitude_array():
+    # one whole-array |u| (half the state's bytes, being float64) and, once it
+    # is freed, the divergence's complex temporaries: 0.56 of the
+    # half-spectrum state measured
     g = SpectralGrid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
     st = random_div_free_state(g, seed=5)
     _, peak = traced_peak(st.validate)
-    assert peak < 0.25 * st.u.nbytes, peak / st.u.nbytes
+    assert peak < 0.6 * st.u.nbytes, peak / st.u.nbytes
 
 
 def stack_k2_zero_column(w, f):
