@@ -220,14 +220,14 @@ def energy(grid: SpectralGrid, u: np.ndarray, m: int) -> float:
     return float(np.sqrt(_dot(w.hm, vb[0]) + _dot(w.hm, vb[1])))
 
 
-def _spectral_terms(g: SpectralGrid, h: np.ndarray, w: RecordWeights):
+def _spectral_terms(g: SpectralGrid, h: np.ndarray, w: RecordWeights, stack: np.ndarray):
     """Every record field the power of ``h`` gives: the two H^m squares,
     |d1 B|_{H^(m-1)}^2, the X^m norm, the L^2 mass by component and row,
-    and the six Fourier-L1 integrands. All row sums are one sum over the
+    and the six Fourier-L1 integrands, with ``stack``, a float (9,) +
+    ``h.shape[1:]`` array, as scratch. All row sums are one sum over the
     stack's interior columns 1 .. n2/2 - 1, whose weight ``half_mult`` is 2:
     a row of the full spectrum holds the half row k1 and the interior
     columns of row -k1."""
-    stack = np.empty((9,) + h.shape[1:])
     np.square(h.real, out=stack[:4])
     np.square(h.imag, out=stack[4:8])
     stack[:4] += stack[4:8]
@@ -250,7 +250,6 @@ def _spectral_terms(g: SpectralGrid, h: np.ndarray, w: RecordWeights):
         rows += stack[..., -1]
     full = rows[[_TOTAL, _V2]] + interior[[_TOTAL, _V2]][:, w.rev1]
     rows += interior  # now weighted by half_mult
-    del stack
 
     # L^1 in xi2 of the continuum transform l1*l2*fhat, then L^2 in xi1
     inner = (g.l1 * g.l2) * full * g.dxi[1]
@@ -277,12 +276,13 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
     1/sqrt|xi1|. Modes where a weight is singular are excluded. Summed on
     the half spectrum, so the state must be Hermitian.
     """
-    g = state.grid
-    return _spectral_terms(g, state.u, _record_weights(g, m, state.u.shape[-1]))[3]
+    g, u = state.grid, state.u
+    return _spectral_terms(g, u, _record_weights(g, m, u.shape[-1]),
+                           np.empty((9,) + u.shape[1:]))[3]
 
 
 def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.0,
-                  energy_residual: float = 0.0) -> DiagnosticsRecord:
+                  energy_residual: float = 0.0, work=None) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
     ``u`` (shape (4, n1, kc <= n2/2 + 1), else ``ConfigError``) holds the
@@ -291,27 +291,41 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     ``half_mult``, is even under k -> -k, so the sums are full-spectrum
     sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
     roundoff, or when the region masses fail to recover the L^2 mass.
-    One (3, n1, kc) complex array holds the pairings' weighted factors in
-    turn, then B2, d1 v1 and d1 v2, whose column pass runs in place on it
-    before one ``irfftn`` row pass makes the three physical planes.
+    Every array the record works in is a view into one complex buffer:
+    ``work``, a stepper's workspace (``solver._Stepper.work``), or else one
+    of 3 n1 (kc + n2/2) elements the call makes. The (9, n1, kc) float
+    power stack comes first; then one (3, n1, kc) complex array at the
+    front holds the pairings' weighted factors in turn, then B2, d1 v1 and
+    d1 v2, whose column pass runs in place on it before one ``irfftn`` row
+    pass writes the three physical planes into the float view of the
+    buffer's tail.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or u.shape[-1] > g.n2 // 2 + 1:
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
     h = np.ascontiguousarray(u)
-    w = _record_weights(g, m, h.shape[-1])
-    hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, comp, h_terms = _spectral_terms(g, h, w)
+    n1, kc = h.shape[1:]
+    w = _record_weights(g, m, kc)
+    if work is None:
+        work = np.empty(3 * n1 * (kc + g.n2 // 2), dtype=np.complex128)
+    flat = work.view(np.float64)
+    hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, comp, h_terms = _spectral_terms(
+        g, h, w, flat[:9 * n1 * kc].reshape(9, n1, kc))
     e_sq = hm_v_sq + hm_b_sq
 
     # the pairings as real parts Re(a conj b), each one contraction of the
-    # float views; d holds the weighted factor a
-    planes = np.empty((3,) + h.shape[1:], dtype=np.complex128)
-    d = planes[1:]
+    # float views; d holds the weighted factor a. The weights are copied to
+    # complex (n1, kc) tables first, planes[0] and the buffer's last n1 kc
+    # elements, as a product that casts or broadcasts a factor along its
+    # rows would run through numpy's iterator buffers
+    planes = work[:3 * n1 * kc].reshape(3, n1, kc)
+    d, factor, weight = planes[1:], planes[0], work[-n1 * kc:].reshape(n1, kc)
     v, b = h[:2].view(np.float64), h[2:].view(np.float64)
     # A = sum of Im(B conj v) = Re((-i B) conj v); the Nyquist row's xi1 has
     # no mirror of opposite sign, its full-spectrum sum vanishes, so odd_xi1
     # (in ``cross``) drops it
-    np.multiply(h[2:], w.cross, out=d)
+    factor[...] = w.cross
+    np.multiply(h[2:], factor, out=d)
     d *= -1j
     A = _dot(d.view(np.float64), v)
     if abs(A) > 0.5 * e_sq * (1.0 + 1e-10) + 1e-300:
@@ -321,19 +335,21 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
 
     # two independently differentiated routes of the same pairing; the sum
     # cancels analytically, so what remains measures accumulated roundoff
-    np.multiply(h[2:], w.ixi, out=d)  # d1 B1, d1 B2
-    d *= w.hm
+    factor[...] = w.ixi
+    weight[...] = w.hm
+    np.multiply(h[2:], factor, out=d)  # d1 B1, d1 B2
+    d *= weight
     i1 = _dot(d.view(np.float64), v)
-    np.multiply(h[:2], w.ixi, out=d)  # d1 v1, d1 v2
-    d *= w.hm
+    np.multiply(h[:2], factor, out=d)  # d1 v1, d1 v2
+    d *= weight
     i2 = _dot(d.view(np.float64), b)
     cancel = float(abs(i1 + i2) / max(abs(i1), abs(i2), 1e-300))
     # B2, d1 v1, d1 v2 to physical space; the row pass zero-pads past kc
-    np.multiply(h[:2], w.ixi, out=d)
+    np.multiply(h[:2], factor, out=d)
     planes[0] = h[3]
     np.fft.ifftn(planes, axes=(-2,), norm="forward", out=planes)
-    phys = np.fft.irfftn(planes, s=(g.n2,), axes=(-1,), norm="forward")
-    del planes, d
+    phys = np.fft.irfftn(planes, s=(g.n2,), axes=(-1,), norm="forward",
+                         out=flat[flat.size - 3 * n1 * g.n2:].reshape(3, n1, g.n2))
 
     b2, d1v = phys[0], phys[1:]
     sup_B2 = float(max(np.max(b2), -np.min(b2)))

@@ -64,25 +64,28 @@ def grid_phi_entries(k: int, grid, h: float, *, kappa=1.0, alpha=0.0, coupling=T
     xi1, so the grid applies the block family with the opposite coupling
     sign. Diagonal entries are provably real (the eigenvalue pair is real
     or complex conjugate), so they are realified to keep Hermitian symmetry
-    of states exact. The tables are the stepper's own C-contiguous (n1,
-    grid.band_cols) band arrays, each evaluated only on what it depends on,
-    then broadcast: with alpha = 0 the block depends on xi1 alone, so once
-    per row (once without coupling); with alpha != 0 on the band's |xi|^2.
-    Either way it depends on xi1 only through xi1^2, and p12 is odd in xi1,
-    so only the rows k1 = 0 .. n1/2 are evaluated (the Nyquist row n1/2
-    directly) and the rows of -k1 are copied from those of k1, p12 negated
-    when coupling is on. That is exact: xi1^2 and the eigenpair come out the
+    of states exact. The tables are the stepper's own C-contiguous arrays,
+    each in the shape of what it depends on: with alpha = 0 the block
+    depends on xi1 alone, so a table is an (n1, 1) row table, evaluated once
+    per row (once without coupling), that broadcasts over the band columns
+    in ``apply_block_entries``; with alpha != 0 it depends on the band's
+    |xi|^2, and a table is an (n1, grid.band_cols) band array. Either way
+    it depends on xi1 only through xi1^2, and p12 is odd in xi1, so only
+    the rows k1 = 0 .. n1/2 are evaluated (the Nyquist row n1/2 directly)
+    and the rows of -k1 are copied from those of k1, p12 negated when
+    coupling is on. That is exact: xi1^2 and the eigenpair come out the
     same to the bit for +-xi1, and negation is exact.
     Each table is a fresh writable array that shares memory with no other.
     """
-    n1, kc = grid.n1, grid.band_cols
+    n1 = grid.n1
+    cols = grid.band_cols if alpha != 0.0 else 1
     rows = n1 // 2 + 1
-    a = kappa * grid.half_xi_sq[:rows, :kc] ** alpha if alpha != 0.0 else kappa
+    a = kappa * grid.half_xi_sq[:rows, :cols] ** alpha if alpha != 0.0 else kappa
     xi1 = grid.xi1[:rows] if coupling else 0.0
     p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
     tables = []
     for e, odd in ((np.real(p11), False), (1j * np.imag(p12), coupling), (np.real(p22), False)):
-        out = np.empty((n1, kc), dtype=np.result_type(e))
+        out = np.empty((n1, cols), dtype=np.result_type(e))
         out[:rows] = e
         mirror = out[rows - 2:0:-1]
         out[rows:] = -mirror if odd else mirror
@@ -99,8 +102,9 @@ def apply_block_entries(u: np.ndarray, entries) -> np.ndarray:
     """Apply per-mode 2x2 entries to the pairs (u[i], u[k + i]), k = len(u) // 2.
 
     The pairs are (v_j, B_j) for a four-component state array and (psi, a)
-    for a potential stack; the block is the same for each. Besides the
-    output, one temporary holds p12 B, then p22 B.
+    for a potential stack; the block is the same for each. The entries
+    broadcast against a pair, so (n1, 1) row tables serve every column.
+    Besides the output, one temporary holds p12 B, then p22 B.
     """
     p11, p12, p22 = entries
     k = len(u) // 2

@@ -199,16 +199,17 @@ class Trajectory:
         return True
 
 
-def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
+def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> np.ndarray:
     """Quadratic tendencies (N_psi, N_a) of one band stack (psi, a).
 
     The stack holds the first ``grid.band_cols`` = kc half-spectrum columns,
     the only ones the 2/3 rule keeps; ``tables`` are the stepper's
-    ``tendency_tables``. In Elsasser form: the components p1, m1, p2, m2 of
-    z+- = (v +- B) / sqrt 2 come from the band sums psi +- a times i xi2 /
-    sqrt 2 and -i xi1 / sqrt 2, through an ``ifftn`` along axis 1 over the
-    kc columns and an ``irfftn`` of length n2 along axis 2 (which zero-pads
-    the dropped columns). Four products give the three quantities
+    ``tendency_tables`` and ``work`` its workspace. In Elsasser form: the
+    components p1, m1, p2, m2 of z+- = (v +- B) / sqrt 2 come from the band
+    sums psi +- a times i xi2 / sqrt 2 and -i xi1 / sqrt 2, through an
+    ``ifftn`` along axis 1 over the kc columns and an ``irfftn`` of length
+    n2 along axis 2 (which zero-pads the dropped columns). Four products
+    give the three quantities
 
         p1 m1 - p2 m2 = (T22 - T11) / 2,  p1 m2 + m1 p2 = -T12,
         m1 p2 - p1 m2 = N_a = v1 B2 - v2 B1
@@ -219,26 +220,34 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
     N_psi = N_omega / |xi|^2, the dealiased curl of div T; N_a is dealiased
     along axis 1 and mean-zeroed. That is four 1-D passes per call, the
     same values as one 7-plane ``irfft2``/``rfft2`` pair on the whole half
-    spectrum, bit for bit. Every pass but the inverse row pass writes with
-    ``out=`` into arrays the call made: one complex workspace holds in turn
-    the four spectra (the inverse column pass runs in place on them), the
-    float ``cross`` plane and the three row spectra, and the forward column
-    pass writes the first two into the new compact (2, n1, kc) result and
-    the third in place. Nothing is held between calls, and the result keeps
-    no dead third plane alive.
+    spectrum, bit for bit.
+
+    Every pass writes with ``out=`` into ``work``. Its leading max(4 kc,
+    3 (n2/2 + 1)) n1 elements hold in turn the four spectra (the inverse
+    column pass runs in place on them), the float ``cross`` plane and the
+    three row spectra; the float view of the remaining 2 n2 n1 holds the
+    four physical planes, and around them the last 2 n1 kc hold the third
+    plane's column pass and each table copied out to a complex (n1, kc)
+    one. So every product runs on contiguous operands of one dtype: one
+    that casts, broadcasts along rows or reads a strided plane would run
+    through numpy's iterator buffers. The forward column pass writes the
+    first two row spectra into the new compact (2, n1, kc) result, all the
+    call allocates, which keeps no dead third plane alive.
     """
     n1, kc = w.shape[1:]
     nh = grid.n2 // 2 + 1
     to_ab, to_s, mult1, mult2 = tables
-    # holds the four spectra, then cross, then the three row spectra
-    work = np.empty(max(4 * kc, 3 * nh) * n1, dtype=np.complex128)
     spec = work[:4 * n1 * kc].reshape(4, n1, kc)
+    table = work[-n1 * kc:].reshape(n1, kc)
     np.add(w[0], w[1], out=spec[0])
     np.subtract(w[0], w[1], out=spec[1])
-    np.multiply(spec[0:2], mult2, out=spec[2:4])
-    spec[0:2] *= mult1
+    table[...] = mult2
+    np.multiply(spec[0:2], table, out=spec[2:4])
+    table[...] = mult1
+    spec[0:2] *= table
     np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
-    phys = np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward")
+    phys = np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward",
+                         out=work[-2 * n1 * grid.n2:].view(np.float64).reshape(4, n1, grid.n2))
     p1, m1, p2, m2 = phys
     cross = np.multiply(p1, m2, out=work.view(np.float64)[:p1.size].reshape(p1.shape))
     np.multiply(p1, m1, out=p1)
@@ -250,13 +259,16 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables) -> np.ndarray:
     # phys[0:3] now holds (T22 - T11) / 2, N_a and -T12
     rows = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward",
                         out=work[:3 * n1 * nh].reshape(3, n1, nh))
-    del phys, p1, m1, p2, m2
     out = np.fft.fftn(rows[0:2, :, :kc], axes=(-2,), norm="forward")
-    s = np.fft.fftn(rows[2, :, :kc], axes=(-2,), norm="forward", out=rows[2, :, :kc])
-    out[0] *= to_ab
-    s *= to_s
+    s = np.fft.fftn(rows[2, :, :kc], axes=(-2,), norm="forward",
+                    out=work[-2 * n1 * kc:-n1 * kc].reshape(n1, kc))
+    table[...] = to_ab
+    out[0] *= table
+    table[...] = to_s
+    s *= table
     out[0] += s
-    out[1] *= grid.half_dealias_mask[:, :kc]
+    table[...] = grid.half_dealias_mask[:, :kc]
+    out[1] *= table
     out[1, 0, 0] = 0.0
     return out
 
@@ -317,14 +329,19 @@ def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float) -> SpectralSt
 
 
 class _Stepper:
-    """Per-mode tables for one (grid, config) pair, on the band columns.
+    """Per-mode tables and one workspace for a (grid, config) pair.
 
-    The step tables come from ``grid_phi_entries`` already in the band
-    stack's shape, contiguous (n1, ``grid.band_cols``) arrays, with h folded
-    into phi1 and phi2; the tendency's tables and the energy weights are
-    formed on the same columns, so each operation of a step acts on the
-    band stack only. A step sums its stages in place on arrays it made
-    itself and leaves its input as it is.
+    The step tables come from ``grid_phi_entries`` in the shape of what
+    they depend on, with h folded into phi1 and phi2: (n1, 1) row tables
+    with alpha = 0, which broadcast over the band columns, and (n1,
+    ``grid.band_cols``) band arrays otherwise. The tendency's tables and
+    the energy weights are formed on the band columns, so each operation of
+    a step acts on the band stack only. ``work`` is the complex scratch of
+    max(4 kc, 3 (n2/2 + 1)) n1 + 2 n2 n1 elements in which every tendency
+    (``_nonlinear``) and every record ``run`` takes while the stepper lives
+    (``instantaneous``) runs its passes and products; the row tables pay
+    for it. A step sums its stages in place on arrays it made itself and
+    leaves its input as it is.
     """
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
@@ -347,6 +364,8 @@ class _Stepper:
                                 -finish * (xi2 * xi2 - xi1 * xi1),
                                 (1j / np.sqrt(2.0)) * xi2,
                                 (-1j / np.sqrt(2.0)) * xi1)
+        lead = max(4 * kc, 3 * (grid.n2 // 2 + 1))
+        self.work = np.empty((lead + 2 * grid.n2) * grid.n1, dtype=np.complex128)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         xi_sq = grid.half_xi_sq[:, :kc]
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
@@ -370,32 +389,32 @@ class _Stepper:
         return self._ifrk4(w)
 
     def _etdrk2(self, w):
-        g, tab = self.grid, self.tendency_tables
-        n0 = _nonlinear(g, w, tab)
+        g, tab, work = self.grid, self.tendency_tables, self.work
+        n0 = _nonlinear(g, w, tab, work)
         wa = apply_block_entries(w, self.full)
         wa += apply_block_entries(n0, self.phi1)
-        na = _nonlinear(g, wa, tab)
+        na = _nonlinear(g, wa, tab, work)
         na -= n0
         wa += apply_block_entries(na, self.phi2)
         return wa
 
     def _ifrk4(self, w):
-        g, h, tab = self.grid, self.cfg.dt, self.tendency_tables
-        k1 = _nonlinear(g, w, tab)
+        g, h, tab, work = self.grid, self.cfg.dt, self.tendency_tables, self.work
+        k1 = _nonlinear(g, w, tab, work)
         ew_half = apply_block_entries(w, self.half)
         a = apply_block_entries(k1, self.half)
         a *= 0.5 * h
         a += ew_half
-        k2 = _nonlinear(g, a, tab)
+        k2 = _nonlinear(g, a, tab, work)
         b = np.multiply(k2, 0.5 * h, out=a)  # a is spent once k2 is taken
         b += ew_half
         del ew_half
-        k3 = _nonlinear(g, b, tab)
+        k3 = _nonlinear(g, b, tab, work)
         ew_full = apply_block_entries(w, self.full)
         c = apply_block_entries(k3, self.half)
         c *= h
         c += ew_full
-        k4 = _nonlinear(g, c, tab)
+        k4 = _nonlinear(g, c, tab, work)
         k2 += k3
         out = apply_block_entries(k2, self.half)
         out *= 2.0
@@ -496,7 +515,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
     traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base,
-                                    energy_residual=0.0),
+                                    energy_residual=0.0, work=stepper.work),
                 state if initial is None else state.copy())
     del state
 
@@ -519,7 +538,8 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
                 del stepper
             # the record first, then the state, with h released before it
             spent, h = w, _sampled_components(g, w, t)
-            rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid)
+            rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid,
+                                work=None if last else stepper.work)
             if not last:
                 # the stack is checked: _band would only repeat full |u| passes
                 w = _potentials(g, h, g.band_cols)

@@ -212,16 +212,18 @@ def pairwise_reconstruct(ms, u) -> np.ndarray:
     return np.array([x1, x2, y1, y2], dtype=complex)
 
 
-def tendency_tables(grid: SpectralGrid):
-    """The tables a stepper on ``grid`` hands to ``solver._nonlinear``."""
+def tendency_args(grid: SpectralGrid):
+    """The tables and the workspace a stepper on ``grid`` hands to
+    ``solver._nonlinear``."""
     cfg = SolverConfig(n1=grid.n1, n2=grid.n2, l1=grid.l1, l2=grid.l2, dt=1.0, t_end=2.0)
-    return _Stepper(grid, cfg).tendency_tables
+    stepper = _Stepper(grid, cfg)
+    return stepper.tendency_tables, stepper.work
 
 
 def tendency(state: SpectralState) -> np.ndarray:
     """The stepper's quadratic tendency of a checked state, as four components."""
     g = state.grid
-    return from_potentials(g, _nonlinear(g, _band(state, g), tendency_tables(g))).u
+    return from_potentials(g, _nonlinear(g, _band(state, g), *tendency_args(g))).u
 
 
 def stress_tendency(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ from reference import (
     scaled_random_state,
     stress_tendency,
     tendency,
-    tendency_tables,
+    tendency_args,
     traced_peak,
 )
 
@@ -121,7 +121,7 @@ def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
     assert kc == int(np.count_nonzero(g.half_dealias_mask.any(axis=0)))
     w = _potentials(g, scaled_random_state(g, n1 + n2, 3.0).u, n2 // 2 + 1)
     assert np.all(w[..., kc:] == 0.0)
-    got = _nonlinear(g, w[..., :kc].copy(), tendency_tables(g))
+    got = _nonlinear(g, w[..., :kc].copy(), *tendency_args(g))
     assert got.shape == (2, n1, kc)
     padded = np.zeros_like(w)
     padded[..., :kc] = got
@@ -131,13 +131,29 @@ def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
 def test_tendency_result_owns_a_compact_stack(n1, n2):
     # the forward column pass writes N_psi and N_a into an array of their own,
-    # so a stage tendency keeps neither the third plane nor the call's scratch
+    # so a stage tendency keeps neither the third plane nor the workspace
     g = SpectralGrid(n1, n2, L1, L2)
     w = _band(scaled_random_state(g, n1 + n2, 3.0), g)
-    got = _nonlinear(g, w, tendency_tables(g))
+    tables, work = tendency_args(g)
+    got = _nonlinear(g, w, tables, work)
     assert got.shape == (2, n1, g.band_cols) and got.dtype == np.complex128
     assert got.flags.c_contiguous and got.flags.owndata
-    assert not np.shares_memory(got, w)
+    assert not np.shares_memory(got, w) and not np.shares_memory(got, work)
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
+def test_tendency_allocates_only_its_result(n1, n2):
+    # every pass and product runs in the workspace, on contiguous operands of
+    # one dtype, so numpy's iterator allocates no buffers; what is left above
+    # the result is the call's few small Python objects
+    g = SpectralGrid(n1, n2, L1, L2)
+    w = _band(scaled_random_state(g, n1 + n2, 3.0), g)
+    tables, work = tendency_args(g)
+    want = _nonlinear(g, w, tables, work)
+    work[:] = np.nan  # nothing is read from the workspace before it is written
+    got, peak = traced_peak(_nonlinear, g, w, tables, work)
+    assert got.tobytes() == want.tobytes()
+    assert got.nbytes <= peak <= got.nbytes + 8192, peak - got.nbytes
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
@@ -147,7 +163,7 @@ def test_elsasser_tendency_matches_stress_form(n1, n2):
     g = SpectralGrid(n1, n2, L1, L2)
     w = _band(scaled_random_state(g, n1 + n2, 3.0), g)
     want = stress_tendency(g, w)
-    got = _nonlinear(g, w, tendency_tables(g))
+    got = _nonlinear(g, w, *tendency_args(g))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -172,8 +188,9 @@ def test_stepper_tables_are_built_on_the_band(n1, n2, monkeypatch):
     # the block depends on xi1 only through xi1^2 and p12 is odd in xi1, so
     # phi_split runs on the rows k1 = 0 .. n1/2 only: with alpha = 0 once per
     # such row (once in all without coupling, where xi1 is zero), with
-    # alpha != 0 once per band mode of those rows. Each table comes out in
-    # the band stack's shape and is, to the bit, the 48-term series
+    # alpha != 0 once per band mode of those rows. Each table comes out as
+    # (n1, 1) rows with alpha = 0 and in the band stack's shape otherwise,
+    # and broadcast over the band it is, to the bit, the 48-term series
     # evaluated on every band mode, times h for phi1 and phi2: on a fixed
     # grid of configs and on seeded random alpha in (0, 1], dt in (0, 0.3].
     sizes = []
@@ -215,9 +232,11 @@ def test_stepper_tables_are_built_on_the_band(n1, n2, monkeypatch):
                     ref = tuple(dt * e for e in ref)
                 for got, want, dtype in zip(getattr(stepper, name), ref,
                                             (np.float64, np.complex128, np.float64)):
-                    assert got.shape == (n1, kc) and got.flags.c_contiguous
-                    assert got.dtype == dtype
-                    assert got.tobytes() == want.tobytes(), (case, name)
+                    assert got.shape == (n1, kc if alpha != 0.0 else 1), case
+                    assert got.flags.c_contiguous and got.flags.writeable
+                    assert got.flags.owndata and got.dtype == dtype
+                    assert np.array_equal(np.broadcast_to(got, want.shape), want), (case, name)
+                    assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ("etdrk2", "ifrk4"))
@@ -237,11 +256,13 @@ def test_advance_leaves_its_input_alone(scheme, nonlinear, coupling):
 
 
 # transient peak of one 128^2 step in planes of n1 n2 float64, measured
-# 9.76 (ETDRK2) and 15.14 (IFRK4): a tendency's 7.1 planes on top of the
-# stage tendencies and sums the step holds, each tendency a compact 1.34
-# planes. The margin is smaller than any band stack (1.3 planes) or band
+# 6.74 (ETDRK2) and 13.46 (IFRK4): the stage tendencies and sums the step
+# holds, each tendency a compact 1.34 planes, and the block applications'
+# temporaries. A tendency allocates only its result, as its scratch is the
+# stepper's workspace (9.76 and 15.14 when each call made its own 7.1
+# planes). The margin is smaller than any band stack (1.3 planes) or band
 # table (0.3 planes) a step could add.
-STEP_PEAK_PLANES = {"etdrk2": 9.9, "ifrk4": 15.3}
+STEP_PEAK_PLANES = {"etdrk2": 6.8, "ifrk4": 13.5}
 
 
 @pytest.mark.parametrize("scheme", ("etdrk2", "ifrk4"))
@@ -645,9 +666,10 @@ def test_record_transient_peak_and_weights_size():
     # one 128^2 band-column record peaked at 1.67 MB when it built its tables
     # on every call, and at 0.93 MB (1.24 MB building them) while its inverse
     # pass made a (3, n1, kc) complex intermediate. With the column pass in
-    # place it peaks at 0.66 MB with the run's weights already built, and at
-    # 0.98 MB when it builds them itself. A run's weights at 256^2 are seven
-    # (256, 86) tables, 1.25 MB.
+    # place and every array cut from one buffer of the size of its (3, n1,
+    # kc) complex and (3, n1, n2) float planes, it peaks at 0.69 MB with the
+    # run's weights already built, and at 1.00 MB when it builds them itself.
+    # A run's weights at 256^2 are seven (256, 86) tables, 1.25 MB.
     cfg = SolverConfig(n1=128, n2=128, l1=32.0 * np.pi, l2=32.0 * np.pi, dt=0.02,
                        t_end=0.04, data_kind="random", data_delta=0.5, seed=3)
     g = cfg.grid()
@@ -668,6 +690,29 @@ def test_record_transient_peak_and_weights_size():
         tracemalloc.stop()
     assert held.hm.shape == (256, 86)
     assert size <= 1.3e6, size
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((128, 128),))
+def test_record_in_a_workspace_equals_its_own_buffer(n1, n2):
+    # a run's records cut their arrays from the stepper's workspace, the last
+    # one from a buffer of its own; both give the same record, field for
+    # field, from band columns and from whole states, and read nothing the
+    # workspace held before
+    cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.02, t_end=0.04,
+                       data_kind="random", data_delta=0.5, seed=n1)
+    g = cfg.grid()
+    st = initial_state(cfg, g)
+    work = _Stepper(g, cfg).work
+    for h in (_components(g, _band(st, g)), st.u):
+        want = diagnostics.instantaneous(g, h, cfg.m, time=0.5, energy_residual=1e-9)
+        work[:] = np.nan
+        got, peak = traced_peak(lambda: diagnostics.instantaneous(
+            g, h, cfg.m, time=0.5, energy_residual=1e-9, work=work))
+        for name in got._fields:
+            assert np.float64(getattr(got, name)).tobytes() == \
+                np.float64(getattr(want, name)).tobytes(), name
+        # less than the buffer the record would make itself
+        assert peak < 48 * n1 * (h.shape[-1] + n2 // 2), peak
 
 
 def test_record_rejects_components_of_another_shape():

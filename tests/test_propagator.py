@@ -96,12 +96,26 @@ def test_phi_entries_at_degenerate_point_are_smooth():
             assert abs(a - b) < 1e-6 and abs(c - b) < 1e-6
 
 
+def band_oracle(grid, k, h, kappa=1.0, alpha=0.0, coupling=True):
+    """phi_k(-h K) entries evaluated on every band mode, with no row mirror
+    and no row tables: what the tables broadcast to over the band."""
+    shape = (grid.n1, grid.band_cols)
+    xi_sq = grid.half_xi_sq[:, :grid.band_cols]
+    a = kappa * xi_sq**alpha if alpha != 0.0 else np.full(shape, kappa)
+    xi1 = np.broadcast_to(grid.xi1, shape) if coupling else np.zeros(shape)
+    p11, p12, p22 = phi_block_entries(k, xi1, h, a, coupling_sign=-1)
+    return np.real(p11), 1j * np.imag(p12), np.real(p22)
+
+
 def test_grid_entries_preserve_state_structure():
     g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     p11, p12, p22 = grid_semigroup_entries(g, 0.7)
     assert np.isrealobj(p11) and np.isrealobj(p22)
-    # the stepper applies the tables as returned, on its band columns
-    assert all(e.shape == (32, 11) and e.flags.c_contiguous for e in (p11, p12, p22))
+    # the stepper applies the tables as returned: alpha = 0 row tables, which
+    # broadcast over its band columns
+    assert all(e.shape == (32, 1) and e.flags.c_contiguous for e in (p11, p12, p22))
+    for got, want in zip((p11, p12, p22), band_oracle(g, 0, 0.7)):
+        assert np.array_equal(np.broadcast_to(got, want.shape), want)
     assert np.max(np.abs(np.real(p12))) == 0.0
     st = random_div_free_state(g, seed=0)
     out = apply_semigroup(st, 0.7)
@@ -112,8 +126,9 @@ def test_grid_entries_preserve_state_structure():
 def test_grid_entries_match_elementwise_exponential():
     g = SpectralGrid(8, 8, TWO_PI, 4.0)
     for kappa, alpha in ((1.0, 0.0), (2.0, 0.5), (0.5, 1.0)):
-        p11, p12, p22 = grid_semigroup_entries(g, 0.9, kappa=kappa, alpha=alpha)
-        assert p11.shape == p12.shape == p22.shape == (8, 3)
+        tables = grid_semigroup_entries(g, 0.9, kappa=kappa, alpha=alpha)
+        assert all(e.shape == (8, 3 if alpha else 1) for e in tables)
+        p11, p12, p22 = (np.broadcast_to(e, (8, 3)) for e in tables)
         for i in (0, 1, 3, 4, 5):  # 4 is the Nyquist row
             for j in (0, 1, 2):  # the band columns k2 < 8/3
                 a = kappa * (g.xi1[i, 0] ** 2 + g.half_xi2[0, j] ** 2) ** alpha
@@ -135,7 +150,9 @@ def test_grid_orientation_against_ode():
             return [-y[0] + 1j * xi1 * y[1], 1j * xi1 * y[0]]
 
         sol = scipy.integrate.solve_ivp(rhs, (0.0, 1.3), y0, rtol=1e-12, atol=1e-14)
-        p11, p12, p22 = grid_semigroup_entries(g, 1.3)
+        tables = grid_semigroup_entries(g, 1.3)
+        assert all(e.shape == (16, 1) for e in tables)  # rows, broadcast over k2
+        p11, p12, p22 = (np.broadcast_to(e, (16, g.band_cols)) for e in tables)
         got_v = p11[i, j] * y0[0] + p12[i, j] * y0[1]
         got_b = p12[i, j] * y0[0] + p22[i, j] * y0[1]
         assert abs(got_v - sol.y[0, -1]) < 1e-9
@@ -189,12 +206,14 @@ def test_decoupled_entries_damp_velocity_only():
 @pytest.mark.parametrize("k", (0, 1, 2))
 def test_grid_tables_are_fresh_writable_arrays(k, coupling, alpha):
     # with alpha != 0 the off-diagonal entry already has the band's shape, so a
-    # broadcast of it is contiguous and would come back as the read-only view
+    # broadcast of it is contiguous and would come back as the read-only view;
+    # with alpha = 0 each table is one column of rows, which broadcasts
     g = SpectralGrid(24, 30, TWO_PI, 3.0 * np.pi)
     tables = grid_phi_entries(k, g, 0.05, alpha=alpha, coupling=coupling)
-    for e in tables:
+    for e, want in zip(tables, band_oracle(g, k, 0.05, alpha=alpha, coupling=coupling)):
         assert e.flags.writeable and e.flags.c_contiguous and e.flags.owndata
-        assert e.shape == (g.n1, g.band_cols)
+        assert e.shape == (g.n1, g.band_cols if alpha else 1)
+        assert np.array_equal(np.broadcast_to(e, want.shape), want)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         assert not np.shares_memory(tables[a], tables[b])
 
@@ -205,12 +224,14 @@ def test_apply_block_entries_acts_on_both_pairs():
     u[0, 1, 1] = 1.0  # v1
     u[3, 2, 2] = 1.0  # B2
     p11, p12, p22 = grid_semigroup_entries(g, 0.5)
-    assert p11.shape == (8, 3)
+    assert p11.shape == (8, 1)  # row tables, broadcast over the columns
     out = apply_block_entries(u, (p11, p12, p22))
-    assert out[0, 1, 1] == p11[1, 1]
-    assert out[2, 1, 1] == p12[1, 1]
-    assert out[3, 2, 2] == p22[2, 2]
-    assert out[1, 2, 2] == p12[2, 2]
+    assert out[0, 1, 1] == p11[1, 0]
+    assert out[2, 1, 1] == p12[1, 0]
+    assert out[3, 2, 2] == p22[2, 0]
+    assert out[1, 2, 2] == p12[2, 0]
+    band = tuple(np.ascontiguousarray(np.broadcast_to(e, (8, 3))) for e in (p11, p12, p22))
+    assert np.array_equal(out, apply_block_entries(u, band))
 
 
 def test_sigma_cutoff_shape():
