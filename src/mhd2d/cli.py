@@ -131,6 +131,7 @@ def cmd_linear_decay(args, raw) -> int:
     tol = _tolerances(args.tolerance, {"slope": 0.05})
     times = _time_grid(typed, 1.0, 1.0e4, 161)
     window = (typed.get("window.lo", 1.0e2), typed.get("window.hi", float(times[-1])))
+    dx.window_mask(times, window)  # every curve's fit reads it; refuse it before any file
 
     profile = build_profile(typed.get("profile", "prop25"))
     weights = tuple(_EXPECTED_COMPONENT_SLOPES) if profile.pairs is not None else ()

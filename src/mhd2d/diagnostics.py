@@ -295,10 +295,10 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     ``work``, a stepper's workspace (``solver._Stepper.work``), or else one
     of 3 n1 (kc + n2/2) elements the call makes. The (9, n1, kc) float
     power stack comes first; then one (3, n1, kc) complex array at the
-    front holds the pairings' weighted factors in turn, then B2, d1 v1 and
-    d1 v2, whose column pass runs in place on it before one ``irfftn`` row
-    pass writes the three physical planes into the float view of the
-    buffer's tail.
+    front holds a weight table and the pairings' weighted factors, then
+    B2, d1 v1 and d1 v2, whose column pass runs in place on it before one
+    ``irfftn`` row pass writes the three physical planes into the float
+    view of the buffer's tail.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or u.shape[-1] > g.n2 // 2 + 1:
@@ -531,16 +531,24 @@ def interpolation_audit(f: Callable, p: float, q: float) -> InterpolationAudit:
     return InterpolationAudit(lhs=float(lhs), rhs=float(rhs))
 
 
-def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:
-    """Least-squares slope of log(value) against log(1 + t) in a window."""
+def window_mask(times: np.ndarray, window: tuple) -> np.ndarray:
+    """Which of ``times`` lie in ``window`` = (t_lo, t_hi); ``FitDomainError``
+    unless t_lo < t_hi and at least 10 of them do, as a fit needs."""
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise FitDomainError(f"empty window [{t_lo}, {t_hi}]")
-    mask = (curve.times >= t_lo) & (curve.times <= t_hi)
+    mask = (times >= t_lo) & (times <= t_hi)
     if int(np.sum(mask)) < 10:
         raise FitDomainError(
             f"window [{t_lo}, {t_hi}] holds {int(np.sum(mask))} samples; need >= 10"
         )
+    return mask
+
+
+def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:
+    """Least-squares slope of log(value) against log(1 + t) in a window."""
+    t_lo, t_hi = float(window[0]), float(window[1])
+    mask = window_mask(curve.times, window)
     vals = curve.values[mask]
     if np.any(vals <= 0.0) or np.any(curve.times[mask] <= -1.0):
         raise FitDomainError("the fit needs values > 0 and t > -1 inside its window")
@@ -564,9 +572,15 @@ def physical_l1_norm(state: SpectralState) -> float:
 
 
 def gaussian_divfree_family(grid: SpectralGrid, widths=(0.5, 1.0, 2.0, 4.0)):
-    """Divergence-free Gaussian-envelope states, one per finite physical width."""
+    """Divergence-free Gaussian-envelope states, one per physical width.
+
+    Each width must be finite and positive, else ``ConfigError``: the
+    envelope depends on w^2 alone, so -w repeats w, and w = 0 is flat.
+    """
     if not np.all(np.isfinite(widths)):
         raise ConfigError(f"widths must be finite, got {tuple(widths)!r}")
+    if not np.all(np.asarray(widths) > 0.0):
+        raise ConfigError(f"widths must be positive, got {tuple(widths)!r}")
     return [
         from_potentials(grid, np.stack((np.exp(-0.5 * w**2 * grid.half_xi_sq),
                                         np.exp(-0.25 * w**2 * grid.half_xi_sq)))

@@ -16,8 +16,8 @@ The pressure never appears, zero divergence holds by construction, and
 real fields stay real because only half of the spectrum is stored. The
 per-mode 2x2 block of the linear part acts on (psi_hat, a_hat) exactly as
 it acts on each (v_j_hat, B_j_hat) pair, so the linear flow is applied
-exactly through the same semigroup entries, built in the band stack's
-shape from its rows k1 >= 0 (once per row when alpha = 0); only the
+exactly through the same semigroup entries, built from the band stack's
+rows k1 >= 0 (once per row when alpha = 0); only the
 quadratic terms
 
     N_omega = -v.grad omega + B.grad j = d1 d2 (T22 - T11) + (d1^2 - d2^2) T12,
@@ -32,11 +32,12 @@ B in physical space, and in Elsasser variables z+- = (v +- B) / sqrt 2
 inverse pass, its three quantities T22 - T11, T12 and N_a take four
 products instead of eight. A tendency transforms 4 planes inverse and 3
 forward, 14 per ETDRK2 step, each direction as two 1-D passes: one along
-axis 2 and one along axis 1 over the kc band columns only; every pass but
-the inverse row pass, which makes the physical planes, writes with numpy's
-``out=`` into scratch the call made. The stepper
+axis 2 and one along axis 1 over the kc band columns only; every pass
+writes with numpy's ``out=`` into the workspace the stepper holds, which
+every record the run takes while the stepper lives shares. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
-and h is folded into its phi tables. ``SpectralState`` (the four
+and h is folded into its phi tables, (n1, 1) row tables with alpha = 0,
+whose saved memory pays for the workspace. ``SpectralState`` (the four
 components on the whole half spectrum) stays the form of every input and
 output.
 ``run``, the one public way to a stepper, enters the band stack only
@@ -137,6 +138,17 @@ class SolverConfig:
         if int(self.m) != self.m or self.m < 1:
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
+        # a record weighs by up to area (1 + |xi|^2)^m and the tendency by
+        # 1/|xi|^2; a box where these overflow or vanish has no finite record
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            xi = 2.0 * np.pi / np.array([self.l1, self.l2], dtype=float)
+            area = np.float64(self.l1) * self.l2
+            top = area * (1.0 + np.sum((xi * [self.n1 // 2, self.n2 // 2]) ** 2)) ** self.m
+            bottom = 1.0 / np.min(xi) ** 2
+        if not all(0.0 < x < np.inf for x in (area, top, bottom)):
+            raise ConfigError(
+                f"box l1 x l2 = {self.l1!r} x {self.l2!r} is out of range for m = {self.m}: "
+                "l1 l2, area (1 + max|xi|^2)^m or 1/min|xi|^2 is not a positive finite float")
         if self.data_kind not in DATA_KINDS:
             raise ConfigError(f"data_kind must be one of {DATA_KINDS}, got {self.data_kind!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -373,13 +385,22 @@ class _Stepper:
         damping = xi_sq**cfg.alpha if cfg.alpha != 0.0 else 1.0
         self.dissipation_weight = cfg.kappa * damping * l2_weight
 
+    def _weighted_power(self, weight: np.ndarray, w: np.ndarray) -> float:
+        """sum(weight * |w|^2), its products formed in the workspace."""
+        flat = self.work.view(np.float64)
+        power, imag = flat[:w.size].reshape(w.shape), flat[w.size:2 * w.size].reshape(w.shape)
+        np.square(w.real, out=power)
+        power += np.square(w.imag, out=imag)
+        power *= weight
+        return float(np.sum(power))
+
     def half_l2_sq(self, w: np.ndarray) -> float:
         """(|v|^2 + |B|^2) / 2 integrated over the box."""
-        return float(np.sum(self.energy_weight * (w.real**2 + w.imag**2)))
+        return self._weighted_power(self.energy_weight, w)
 
     def dissipation_rate(self, w: np.ndarray) -> float:
         """kappa |(-Lap)^(alpha/2) v|^2 integrated over the box."""
-        return float(np.sum(self.dissipation_weight * (w[0].real**2 + w[0].imag**2)))
+        return self._weighted_power(self.dissipation_weight, w[0])
 
     def advance(self, w: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:

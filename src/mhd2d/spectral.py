@@ -230,9 +230,9 @@ def _components(grid: SpectralGrid, w: np.ndarray, out: np.ndarray = None) -> np
     if given: Nyquist row and column zero, the k2 = 0 column mirrored."""
     n1, kc = grid.n1, w.shape[-1]
     out = np.empty((4, n1, kc), dtype=np.complex128) if out is None else out
-    iw = 1j * w
-    np.multiply(grid.half_xi2[:, :kc], iw, out=out[0::2])
-    np.multiply(-grid.xi1, iw, out=out[1::2])
+    np.multiply(w, 1j, out=out[0::2])  # i w, scaled in place below
+    np.multiply(out[0::2], -grid.xi1, out=out[1::2])
+    out[0::2] *= grid.half_xi2[:, :kc]
     out[:, n1 // 2] = 0.0
     out[:, :, grid.n2 // 2:] = 0.0  # the Nyquist column, if among them
     out[:, n1 // 2 + 1:, 0] = np.conj(out[:, n1 // 2 - 1:0:-1, 0])

@@ -224,6 +224,18 @@ def decay_out(tmp_path_factory):
     return rc, out
 
 
+@pytest.mark.parametrize("window", ({"window.lo": 1e5}, {"window.lo": 10, "window.hi": 5},
+                                    {"window.lo": 9e3}))
+def test_linear_decay_bad_window_writes_nothing(tmp_path, capsys, window):
+    # the window is checked against the time grid before any curve is written
+    cfg = write_cfg(tmp_path, "decay.cfg", {"t.count": 60, "j": "0", **window})
+    out = tmp_path / "out"
+    assert cli.main(["linear-decay", "--config", cfg, "--out", str(out), "--quiet"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("empty window" in err or "need >= 10" in err), err
+    assert not list(out.glob("decay_*.csv"))
+
+
 def test_linear_decay_passes_and_writes_artifacts(decay_out):
     rc, out = decay_out
     assert rc == 0
@@ -311,6 +323,21 @@ RUN_CFG = {
     "dt": 0.05, "t_end": 0.5, "output.every": 0.1,
     "data.kind": "random", "data.delta": 0.01, "m": 4,
 }
+
+
+@pytest.mark.parametrize("box", ({"l1": 1e-40, "l2": 1e-40}, {"l1": 1e-300},
+                                 {"l1": 1e160, "l2": 1e160}), ids=("tiny", "thin", "huge"))
+def test_nonlinear_run_box_out_of_range_is_a_usage_error(tmp_path, box):
+    # the order-m record weights or 1/|xi|^2 would overflow: refused with the
+    # config, before numpy warns or a state check reports non-finite data
+    cfg = write_cfg(tmp_path, "run.cfg", {**RUN_CFG, "n1": 16, "n2": 16, **box})
+    proc = subprocess.run([sys.executable, "-m", "mhd2d", "nonlinear-run", "--config", cfg,
+                           "--out", str(tmp_path / "out"), "--quiet"],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 64
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: box l1 x l2"), proc.stderr
+    assert "m = 4" in lines[0]
 
 
 def test_nonlinear_run_artifacts(tmp_path, capsys, monkeypatch):
@@ -686,6 +713,18 @@ def test_audit_embedding_repeated_profile_is_a_usage_error(tmp_path, capsys):
         assert cli.main(["audit-embedding", "--config", cfg, "--out", str(out),
                          "--quiet"]) == 64, keys
         assert "must not repeat" in capsys.readouterr().err
+        assert not (out / "embedding_audit.json").exists()
+
+
+def test_audit_embedding_non_positive_width_is_a_usage_error(tmp_path, capsys):
+    # the envelope uses w^2, so a width of -1 would repeat 1 under another
+    # label, and 0 would label the flat band profile a Gaussian
+    for i, widths in enumerate(("1, -1", "0", "-2")):
+        cfg = write_cfg(tmp_path, f"embed{i}.cfg", {"n1": 32, "n2": 32, "widths": widths})
+        out = tmp_path / f"o{i}"
+        assert cli.main(["audit-embedding", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 64, widths
+        assert "widths must be positive" in capsys.readouterr().err
         assert not (out / "embedding_audit.json").exists()
 
 
