@@ -350,10 +350,10 @@ class _Stepper:
     the energy weights are formed on the band columns, so each operation of
     a step acts on the band stack only. ``work`` is the complex scratch of
     max(4 kc, 3 (n2/2 + 1)) n1 + 2 n2 n1 elements in which every tendency
-    (``_nonlinear``) and every record ``run`` takes while the stepper lives
-    (``instantaneous``) runs its passes and products; the row tables pay
-    for it. A step sums its stages in place on arrays it made itself and
-    leaves its input as it is.
+    (``_nonlinear``), every record ``run`` takes while the stepper lives
+    (``instantaneous``) and the energy and dissipation sums run their
+    passes and products; the row tables pay for it. A step sums its stages
+    in place on arrays it made itself and leaves its input as it is.
     """
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
@@ -506,10 +506,12 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
 
     Memory: ``run`` drops its reference to each state once it has appended
     it, the t = 0 state included, so a trajectory that does not keep its
-    states leaves no full state alive through the steps. At the last sample
-    the stepper and its tables are released once the energy residual is
-    taken, and the final state is built after the record, so it shares the
-    peak with no table and no temporary of the record.
+    states leaves no full state alive through the steps. Every record but
+    the last works in the stepper's workspace. At the last sample the
+    stepper, with its tables and workspace, is released once the energy
+    residual is taken, the record makes its own buffer, and the final state
+    is built after the record, so it shares the peak with no table and no
+    temporary of the record.
 
     The stepper goes on from the sample's band columns, so a run restarted
     from any snapshot repeats the uninterrupted run bit for bit. An initial
@@ -555,7 +557,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         if (i + 1) % cfg.sample_stride == 0:
             last = (i + 1) == cfg.n_steps
             resid = stepper.half_l2_sq(w) - e0 + acc
-            if last:  # its tables would share the final state's peak
+            if last:  # its tables and workspace would share the final state's peak
                 del stepper
             # the record first, then the state, with h released before it
             spent, h = w, _sampled_components(g, w, t)
