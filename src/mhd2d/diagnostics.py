@@ -44,6 +44,7 @@ from .quadrature import refine_integral
 from .spectral import (
     SpectralGrid,
     SpectralState,
+    _check_order,
     from_potentials,
     sobolev_norm,
     to_physical,
@@ -189,9 +190,7 @@ _WEIGHTS = weakref.WeakKeyDictionary()
 def _record_weights(grid: SpectralGrid, m: int, kc: int) -> RecordWeights:
     """The weights for (grid, m, kc); ``ConfigError`` unless m is a positive
     integer, which every order-m quantity needs."""
-    if int(m) != m or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
-    m = int(m)
+    m = _check_order(m, 1)
     held = _WEIGHTS.get(grid)  # an equal grid, by (n1, n2, l1, l2), finds them
     if held is None or held[0] != (m, kc):
         _WEIGHTS.clear()
@@ -285,8 +284,8 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
                   energy_residual: float = 0.0, work=None) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
-    ``u`` (shape (4, n1, kc <= n2/2 + 1), else ``ConfigError``) holds the
-    components on the leading kc half-spectrum columns, zero past them, as
+    ``u`` (shape (4, n1, kc), 0 < kc <= n2/2 + 1, else ``ConfigError``) holds
+    the components on the leading kc half-spectrum columns, zero past them, as
     a ``SpectralState.u`` does with kc = n2/2 + 1. Each summand, weighted by
     ``half_mult``, is even under k -> -k, so the sums are full-spectrum
     sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
@@ -296,12 +295,11 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     of 3 n1 (kc + n2/2) elements the call makes. The (9, n1, kc) float
     power stack comes first; then one (3, n1, kc) complex array at the
     front holds a weight table and the pairings' weighted factors, then
-    B2, d1 v1 and d1 v2, whose column pass runs in place on it before one
-    ``irfftn`` row pass writes the three physical planes into the float
-    view of the buffer's tail.
+    B2, d1 v1 and d1 v2, which ``to_physical`` turns into physical planes
+    in the float view of the buffer's tail.
     """
     g = grid
-    if u.ndim != 3 or u.shape[:2] != (4, g.n1) or u.shape[-1] > g.n2 // 2 + 1:
+    if u.ndim != 3 or u.shape[:2] != (4, g.n1) or not 0 < u.shape[-1] <= g.n2 // 2 + 1:
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
     h = np.ascontiguousarray(u)
     n1, kc = h.shape[1:]
@@ -347,9 +345,7 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     # B2, d1 v1, d1 v2 to physical space; the row pass zero-pads past kc
     np.multiply(h[:2], factor, out=d)
     planes[0] = h[3]
-    np.fft.ifftn(planes, axes=(-2,), norm="forward", out=planes)
-    phys = np.fft.irfftn(planes, s=(g.n2,), axes=(-1,), norm="forward",
-                         out=flat[flat.size - 3 * n1 * g.n2:].reshape(3, n1, g.n2))
+    phys = to_physical(g, planes, flat[flat.size - 3 * n1 * g.n2:].reshape(3, n1, g.n2))
 
     b2, d1v = phys[0], phys[1:]
     sup_B2 = float(max(np.max(b2), -np.min(b2)))
@@ -566,7 +562,7 @@ def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:
 
 def physical_l1_norm(state: SpectralState) -> float:
     """Riemann-sum L^1 norm of the pointwise 4-component magnitude."""
-    fields = to_physical(state)
+    fields = to_physical(state.grid, state.u.copy(), np.empty((4,) + state.grid.shape))
     mag = np.sqrt(np.sum(fields**2, axis=0))
     return float(np.sum(mag) * state.grid.cell_area)
 

@@ -30,11 +30,10 @@ The stress form (C. Basdevant, J. Comput. Phys. 50, 1983) needs only v and
 B in physical space, and in Elsasser variables z+- = (v +- B) / sqrt 2
 (W. M. Elsasser, Phys. Rev. 79, 1950), formed on the band before the
 inverse pass, its three quantities T22 - T11, T12 and N_a take four
-products instead of eight. A tendency transforms 4 planes inverse and 3
-forward, 14 per ETDRK2 step, each direction as two 1-D passes: one along
-axis 2 and one along axis 1 over the kc band columns only; every pass
-writes with numpy's ``out=`` into the workspace the stepper holds, which
-every record the run takes while the stepper lives shares. The stepper
+products instead of eight. A tendency transforms 4 planes inverse, through
+``spectral.to_physical``, and 3 forward, 14 per ETDRK2 step, each direction
+as two 1-D passes, the one along axis 1 over the kc band columns only, into
+the workspace the stepper holds and its records share. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables, (n1, 1) row tables with alpha = 0,
 whose saved memory pays for the workspace. ``SpectralState`` (the four
@@ -70,8 +69,8 @@ from .propagator import (
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    _STATE_FAULTS,
     _check_grid,
+    _check_order,
     _column_fault,
     _components,
     _potentials,
@@ -135,9 +134,7 @@ class SolverConfig:
             raise ConfigError(f"kappa must be nonnegative, got {self.kappa!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if int(self.m) != self.m or self.m < 1:
-            raise ConfigError(f"m must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _check_order(self.m, 1))
         # a record weighs by up to area (1 + |xi|^2)^m and the tendency by
         # 1/|xi|^2; a box where these overflow or vanish has no finite record
         with np.errstate(over="ignore", divide="ignore", under="ignore"):
@@ -151,7 +148,8 @@ class SolverConfig:
                 "l1 l2, area (1 + max|xi|^2)^m or 1/min|xi|^2 is not a positive finite float")
         if self.data_kind not in DATA_KINDS:
             raise ConfigError(f"data_kind must be one of {DATA_KINDS}, got {self.data_kind!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.data_kind != "zero" and not (0.0 < self.data_delta < np.inf):
             raise ConfigError(f"data_delta must be positive and finite, got {self.data_delta!r}")
@@ -218,10 +216,8 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
     the only ones the 2/3 rule keeps; ``tables`` are the stepper's
     ``tendency_tables`` and ``work`` its workspace. In Elsasser form: the
     components p1, m1, p2, m2 of z+- = (v +- B) / sqrt 2 come from the band
-    sums psi +- a times i xi2 / sqrt 2 and -i xi1 / sqrt 2, through an
-    ``ifftn`` along axis 1 over the kc columns and an ``irfftn`` of length
-    n2 along axis 2 (which zero-pads the dropped columns). Four products
-    give the three quantities
+    sums psi +- a times i xi2 / sqrt 2 and -i xi1 / sqrt 2, through
+    ``to_physical``. Four products give the three quantities
 
         p1 m1 - p2 m2 = (T22 - T11) / 2,  p1 m2 + m1 p2 = -T12,
         m1 p2 - p1 m2 = N_a = v1 B2 - v2 B1
@@ -236,14 +232,14 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
 
     Every pass writes with ``out=`` into ``work``. Its leading max(4 kc,
     3 (n2/2 + 1)) n1 elements hold in turn the four spectra (the inverse
-    column pass runs in place on them), the float ``cross`` plane and the
-    three row spectra; the float view of the remaining 2 n2 n1 holds the
-    four physical planes, and around them the last 2 n1 kc hold the third
-    plane's column pass and each table copied out to a complex (n1, kc)
-    one. So every product runs on contiguous operands of one dtype: one
-    that casts, broadcasts along rows or reads a strided plane would run
-    through numpy's iterator buffers. The forward column pass writes the
-    first two row spectra into the new compact (2, n1, kc) result, all the
+    runs in place on them), the float ``cross`` plane and the three row
+    spectra; the float view of the remaining 2 n2 n1 holds the four
+    physical planes, and around them the last 2 n1 kc hold the third
+    plane's column pass and each table copied to a complex (n1, kc) one,
+    so every product runs on contiguous operands of one dtype (one that
+    casts, broadcasts along rows or reads a strided plane would run
+    through numpy's iterator buffers). The forward column pass writes the
+    first two row spectra into the compact (2, n1, kc) result, all the
     call allocates, which keeps no dead third plane alive.
     """
     n1, kc = w.shape[1:]
@@ -257,9 +253,8 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
     np.multiply(spec[0:2], table, out=spec[2:4])
     table[...] = mult1
     spec[0:2] *= table
-    np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
-    phys = np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward",
-                         out=work[-2 * n1 * grid.n2:].view(np.float64).reshape(4, n1, grid.n2))
+    phys = to_physical(grid, spec,
+                       work[-2 * n1 * grid.n2:].view(np.float64).reshape(4, n1, grid.n2))
     p1, m1, p2, m2 = phys
     cross = np.multiply(p1, m2, out=work.view(np.float64)[:p1.size].reshape(p1.shape))
     np.multiply(p1, m1, out=p1)
@@ -299,17 +294,8 @@ def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
         raise ConfigError("state grid does not match the solver configuration")
     fault = _column_fault(grid, state.u, band=True)
     if fault is not None:
-        raise ConfigError(_STATE_FAULTS[fault[0]].format(*fault[1:]))
+        raise ConfigError(fault)
     return _potentials(grid, state.u, grid.band_cols)
-
-
-# ``_sampled_components``' message, after "band stack at t = ...", for each fault
-_STACK_FAULTS = {
-    "non-finite": "overflows the curl map: max |w| = {1:.3e}",
-    "Hermitian": "is not Hermitian symmetric in its k2 = 0 column: defect {0:.3e} "
-                 "against max |w| = {1:.3e}",
-    "mean": "has nonzero mean mode: {0:.3e} against max |w| = {1:.3e}",
-}
 
 
 def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.ndarray:
@@ -323,8 +309,7 @@ def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.nd
     """
     fault = _column_fault(grid, w)
     if fault is not None:
-        raise DiagnosticIntegrityError(
-            f"band stack at t = {time} " + _STACK_FAULTS[fault[0]].format(*fault[1:]))
+        raise DiagnosticIntegrityError(f"band stack at t = {time} {fault}")
     return _components(grid, w)
 
 
@@ -447,11 +432,15 @@ class _Stepper:
 
 
 def advective_dt_bound(state: SpectralState) -> float:
-    """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms."""
-    fields = to_physical(state)
-    vmax = float(np.max(np.sqrt(fields[0] ** 2 + fields[1] ** 2)))
-    bmax = float(np.max(np.sqrt(fields[2] ** 2 + fields[3] ** 2)))
-    return 0.5 * min(state.grid.dx) / (1.0 + vmax + bmax)
+    """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms, of a
+    state in the 2/3 band, as ``run``'s is: only its band columns are
+    transformed, and sqrt is taken of the largest squared magnitude only."""
+    g = state.grid
+    fields = to_physical(g, state.u[:, :, :g.band_cols].copy(), np.empty((4,) + g.shape))
+    np.square(fields, out=fields)
+    fields[0::2] += fields[1::2]
+    vmax, bmax = (float(np.sqrt(np.max(f))) for f in fields[0::2])
+    return 0.5 * min(g.dx) / (1.0 + vmax + bmax)
 
 
 def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> SpectralState:
@@ -525,11 +514,8 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
 
     bound = advective_dt_bound(state)
     if cfg.dt > bound:
-        warnings.warn(
-            f"dt = {cfg.dt} exceeds the advective bound {bound:.3e}; "
-            "accuracy may degrade",
-            RuntimeWarning,
-        )
+        warnings.warn(f"dt = {cfg.dt} exceeds the advective bound {bound:.3e}; "
+                      "accuracy may degrade", RuntimeWarning)
 
     stepper = _Stepper(g, cfg)
     traj = trajectory if trajectory is not None else Trajectory()

@@ -1,7 +1,7 @@
 """Periodic-grid spectral substrate.
 
 Grids and their wavenumbers with the 2/3 dealias mask, the state container
-and its checks, the inverse transform, Sobolev norms, divergence-free
+and its checks, the one inverse transform, Sobolev norms, divergence-free
 random states, the stream-function/potential form of a state, and the
 binary snapshot format used by the experiment runner, all on the real-FFT
 half spectrum.
@@ -36,6 +36,15 @@ SNAPSHOT_VERSION = 2
 # relative scale (against max |u|) of every defect ``_column_fault``, the one
 # state check, compares
 STATE_RTOL = 1e-12
+
+
+def _check_order(m, low: int) -> int:
+    """The order m as an int; ``ConfigError`` unless it is a whole number >=
+    ``low`` (1 or 0): not a bool, nan or inf."""
+    whole = isinstance(m, (float, np.floating)) and float(m).is_integer()
+    if isinstance(m, bool) or not (whole or isinstance(m, (int, np.integer))) or m < low:
+        raise ConfigError(f"m must be a {('nonnegative', 'positive')[low]} integer, got {m!r}")
+    return int(m)
 
 
 def _check_grid(n1, n2, l1, l2) -> None:
@@ -198,13 +207,17 @@ class SpectralState:
         """
         fault = _column_fault(self.grid, self.u)
         if fault is not None:
-            raise ConfigError(_STATE_FAULTS[fault[0]].format(*fault[1:]))
+            raise ConfigError(fault)
 
 
-def to_physical(state: SpectralState) -> np.ndarray:
-    """The four real fields on the collocation grid, shape (4, n1, n2), from one
-    ``irfft2`` of a state's half spectrum."""
-    return np.fft.irfft2(state.u, s=state.grid.shape, axes=(-2, -1), norm="forward")
+def to_physical(grid: SpectralGrid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one inverse transform: the real (..., n1, n2) planes, into and as
+    ``out``, of the leading kc <= n2/2 + 1 half-spectrum columns ``spec``.
+    An ``ifftn`` along axis 1 in place on ``spec`` and an ``irfftn`` of
+    length n2 along axis 2, which zero-pads the dropped columns (S. A.
+    Orszag, J. Atmos. Sci. 28, 1971): ``irfft2``'s values bit for bit."""
+    np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
+    return np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward", out=out)
 
 
 def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
@@ -264,9 +277,7 @@ def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
     ``f`` is a single half-spectrum coefficient array. Monotone in m for
     m >= 0; at m = 0 this is the L2 norm.
     """
-    if int(m) != m or m < 0:
-        raise ConfigError(f"m must be a nonnegative integer, got {m!r}")
-    w = (1.0 + grid.half_xi_sq) ** m * grid.half_mult
+    w = (1.0 + grid.half_xi_sq) ** _check_order(m, 0) * grid.half_mult
     return float(np.sqrt(grid.area * np.sum(w * np.abs(f) ** 2)))
 
 
@@ -302,7 +313,7 @@ def divergence_defect(grid: SpectralGrid, u: np.ndarray):
     return out[0], out[1]
 
 
-# ``validate``'s message for each property ``_column_fault`` names
+# ``_column_fault``'s message for each fault of a state and of a band stack
 _STATE_FAULTS = {
     "non-finite": "state has non-finite coefficients",
     "Hermitian": "state is not Hermitian symmetric: defect {0:.3e}",
@@ -311,19 +322,26 @@ _STATE_FAULTS = {
     "band": ("state has coefficients outside the 2/3 dealias band: {0:.3e} "
              "against max |u| = {1:.3e}"),
 }
+_STACK_FAULTS = {
+    "non-finite": "overflows the curl map: max |w| = {1:.3e}",
+    "Hermitian": "is not Hermitian symmetric in its k2 = 0 column: defect {0:.3e} "
+                 "against max |w| = {1:.3e}",
+    "mean": "has nonzero mean mode: {0:.3e} against max |w| = {1:.3e}",
+}
 
 
 def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False):
-    """The one state check: None, or ``(name, defect, scale)`` of the first
-    property a state's (4, n1, n2/2 + 1) array or a (2, n1, kc < n2/2 + 1)
-    band stack, told apart by their width, fails. Each defect fails above
-    ``STATE_RTOL`` max|u| (the scale), in the order: ``non-finite`` (the
-    scale, times ``grid.band_xi_max`` for a band stack, whose curl map
-    multiplies by it); ``Hermitian`` (``hermitian_defect``); ``mean``; a
-    state's ``divergence``; and with ``band``, max |u| outside the 2/3 band:
-    the rows it drops, then the columns it drops on the rows it keeps.
-    """
+    """The one state check: None, or the message, from ``_STATE_FAULTS`` or
+    ``_STACK_FAULTS``, of the first property a state's (4, n1, n2/2 + 1)
+    array or a (2, n1, kc < n2/2 + 1) band stack, told apart by their
+    width, fails. Each defect fails above ``STATE_RTOL`` max|u| (the
+    scale), in the order: ``non-finite`` (the scale, times
+    ``grid.band_xi_max`` for a band stack, whose curl map multiplies by
+    it); ``Hermitian`` (``hermitian_defect``); ``mean``; a state's
+    ``divergence``; and with ``band``, max |u| outside the 2/3 band: the
+    rows it drops, then the columns it drops on the rows it keeps."""
     state = u.shape[-1] == grid.n2 // 2 + 1
+    table = _STATE_FAULTS if state else _STACK_FAULTS
     mag = np.abs(u)
     peak, outside = float(mag.max()), 0.0
     if band:  # taken now, so |u| is not held through the other checks
@@ -333,21 +351,21 @@ def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False):
                                 mag[:, r1:, c0:].max()]))
     del mag
     if not np.isfinite(peak * (1.0 if state else grid.band_xi_max)):
-        return "non-finite", peak, peak
+        return table["non-finite"].format(peak, peak)
     scale = max(peak, 1e-300)
     tol = STATE_RTOL * scale
     herm = hermitian_defect(grid, u)
     if herm > tol:
-        return "Hermitian", herm, scale
+        return table["Hermitian"].format(herm, scale)
     mean = float(np.max(np.abs(u[:, 0, 0])))
     if mean > tol:
-        return "mean", mean, scale
+        return table["mean"].format(mean, scale)
     if state:
         div = divergence_defect(grid, u)
         if max(div) > tol:
-            return "divergence", div, scale
+            return table["divergence"].format(div, scale)
     if outside > tol:
-        return "band", outside, scale
+        return table["band"].format(outside, scale)
     return None
 
 

@@ -26,6 +26,9 @@ full-spectrum oracles read ``full_spectrum``, which fills the negative k2
 columns with the mirrors of a half-spectrum array by two slice copies, and
 ``full_xi``, the full layout's wavenumbers. ``gathered_from_potentials``
 fills them by a row gather instead, the oracle of ``full_spectrum``.
+``physical_fields`` is the whole-spectrum ``irfft2`` of a state, the oracle
+of the package's one inverse transform, and ``irfft2_dt_bound`` the
+advective bound taken from it.
 ``coordinates``, ``mode_numbers``, ``dealias_mask``, ``scaled_random_state``,
 ``coeff_derivative``, ``multi_index_weight``, ``full_sobolev_norm`` and
 ``fourier_l1_audit`` are grid and full-spectrum tools only tests call; the
@@ -114,6 +117,22 @@ def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> 
     spectrum."""
     fields = np.asarray(fields, dtype=float)
     return SpectralState(grid, np.fft.rfft2(fields, axes=(-2, -1), norm="forward"), time)
+
+
+def physical_fields(state: SpectralState) -> np.ndarray:
+    """The four real fields, shape (4, n1, n2), of a state's whole half
+    spectrum through one ``irfft2``: the inverse of ``from_physical`` and the
+    oracle of the package's band-pruned ``spectral.to_physical``."""
+    return np.fft.irfft2(state.u, s=state.grid.shape, axes=(-2, -1), norm="forward")
+
+
+def irfft2_dt_bound(state: SpectralState) -> float:
+    """``solver.advective_dt_bound`` from ``physical_fields``, with a square
+    root at every point before the maxima."""
+    fields = physical_fields(state)
+    vmax = float(np.max(np.sqrt(fields[0] ** 2 + fields[1] ** 2)))
+    bmax = float(np.max(np.sqrt(fields[2] ** 2 + fields[3] ** 2)))
+    return 0.5 * min(state.grid.dx) / (1.0 + vmax + bmax)
 
 
 def spectral_derivative(state: SpectralState, axis: int, order: int = 1) -> SpectralState:

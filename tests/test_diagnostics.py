@@ -52,7 +52,7 @@ def test_instantaneous_m_validation():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=0)
     band = st.u[:, :, : g.band_cols]
-    for m in (0, -1, 2.5):
+    for m in (0, -1, 2.5, float("nan"), float("inf"), True):
         for quantity, args in ((instantaneous, (g, st.u)), (anisotropic_norm, (st,)),
                                (energy, (g, band))):
             with pytest.raises(ConfigError, match="m must be a positive integer"):

@@ -45,11 +45,13 @@ from reference import (
     full_spectrum,
     full_xi,
     gathered_from_potentials,
+    irfft2_dt_bound,
     _xm as oracle_xm,
     instantaneous as oracle_record,
     leray_project,
     multi_index_weight,
     phi_fixed_series,
+    physical_fields,
     scaled_random_state,
     stress_tendency,
     tendency,
@@ -396,6 +398,36 @@ def test_sample_transforms_three_half_planes(monkeypatch):
     assert fft.planes == {"ifftn": 3, "irfftn": 3}
 
 
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
+def test_advective_bound_matches_the_irfft2_bound(n1, n2, monkeypatch):
+    # the band columns' two 1-D passes, squared and summed in place, give the
+    # whole-spectrum irfft2 bound bit for bit on band-limited states
+    g = SpectralGrid(n1, n2, L1, L2)
+    prop = SolverConfig(n1=n1, n2=n2, l1=32.0 * np.pi, l2=24.0 * np.pi, dt=0.02, t_end=0.04,
+                        data_kind="prop25")
+    states = [random_div_free_state(g, seed=n1), scaled_random_state(g, n2, 40.0),
+              initial_state(prop)] + diagnostics.gaussian_divfree_family(g)
+    for st in states:
+        before = st.u.copy()
+        want = irfft2_dt_bound(st)
+        fft = PlaneCounter(monkeypatch)
+        got = solver.advective_dt_bound(st)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert fft.planes == {"ifftn": 4, "irfftn": 4}
+        assert all(shape == (n1, g.band_cols) for _, shape in fft.inputs)
+        assert np.array_equal(st.u, before)  # the state is left as it was
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+def test_physical_l1_norm_matches_the_irfft2_sum(n1, n2):
+    g = SpectralGrid(n1, n2, L1, L2)
+    for st in [scaled_random_state(g, n1, 3.0)] + diagnostics.gaussian_divfree_family(g):
+        fields = physical_fields(st)
+        want = float(np.sum(np.sqrt(np.sum(fields**2, axis=0))) * g.cell_area)
+        assert diagnostics.physical_l1_norm(st) == want
+
+
 
 def full_spectrum_record(state, m):
     """Every field of ``instantaneous`` as full-spectrum sums over all n1 n2 modes."""
@@ -541,8 +573,8 @@ def test_run_transforms_only_half_planes(monkeypatch):
     assert len(traj.records) == n + 1
     # n steps and n + 1 samples as 1-D passes, and the advective bound at t = 0
     samples = 3 * (n + 1)
-    assert fft.planes == {"ifftn": 8 * n + samples, "irfftn": 8 * n + samples,
-                          "rfftn": 6 * n, "fftn": 6 * n, "irfft2": 4}
+    assert fft.planes == {"ifftn": 8 * n + samples + 4, "irfftn": 8 * n + samples + 4,
+                          "rfftn": 6 * n, "fftn": 6 * n}
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
@@ -719,7 +751,7 @@ def test_record_rejects_components_of_another_shape():
     g = SpectralGrid(40, 64, L1, L2)
     st = random_div_free_state(g, seed=1)
     w = _potentials(g, st.u, g.band_cols)
-    for bad in (w, st.u[0], st.u[:, :20], np.swapaxes(st.u, 1, 2), st.u[None]):
+    for bad in (w, st.u[0], st.u[:, :20], np.swapaxes(st.u, 1, 2), st.u[None], st.u[..., :0]):
         with pytest.raises(ConfigError, match="shape"):
             diagnostics.instantaneous(g, bad, 4)
 

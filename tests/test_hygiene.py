@@ -40,6 +40,11 @@ weight and |v|^2 read ``0x1.0fd11ff592ceep+15`` on one OpenBLAS thread and
 would make ``diagnostics.csv`` depend on the machine. So the
 ``dot``-family names, the ``@`` operator and ``einsum(..., optimize=...)``,
 which may hand its contraction to BLAS, are refused anywhere in ``src/``.
+
+Every physical-space plane of the package, the tendency's, a record's, the
+advective bound's and the L^1 norm's, comes from ``spectral.to_physical``,
+the band-pruned pair of 1-D passes; so ``src/`` names no inverse FFT
+anywhere else.
 """
 
 import ast
@@ -286,6 +291,62 @@ def test_scan_reports_each_blas_use(tmp_path):
         (2, "vdot"), (5, "dot"), (5, "dot"), (5, "matmul"), (5, "vecdot"), (6, "@"),
         (7, "@"), (8, "inner"), (8, "multi_dot"), (8, "tensordot"), (9, "einsum(optimize=)"),
     ]
+
+
+# every physical-space plane of the package comes from one inverse transform,
+# a column ``ifftn`` and a row ``irfftn``
+INVERSE_FFT_NAMES = {"ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"}
+THE_INVERSE = ("spectral.py", "to_physical")
+ITS_PASSES = {"ifftn", "irfftn"}
+
+
+def _inverse_ffts(path):
+    """``(line, name)`` of each inverse FFT name in ``path`` but the two
+    passes of the top-level ``to_physical`` of a ``spectral.py``: a name or
+    attribute node, an imported name or a string constant that is exactly
+    the name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    allowed = {id(n) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and (path.name, node.name) == THE_INVERSE
+               for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in INVERSE_FFT_NAMES and (id(node) not in allowed or name not in ITS_PASSES):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_src_has_one_inverse_transform():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in _inverse_ffts(path)
+    ]
+    assert not found, "inverse FFTs outside spectral.to_physical:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_inverse_fft(tmp_path):
+    spectral, other = tmp_path / "spectral.py", tmp_path / "other.py"
+    body = ('"""Uses irfft2 in a docstring only."""\nimport numpy as np\n'
+            "from numpy.fft import ifft2\n"
+            "def to_physical(a):\n    return np.fft.irfftn(np.fft.ifftn(a)) + np.fft.irfft2(a)\n"
+            "def full(a):\n    return np.fft.irfft2(a), getattr(np.fft, 'ifft')(a)\n"
+            "class Box:\n    def to_physical(self, a):\n        return np.fft.irfft(a)\n")
+    spectral.write_text(body, encoding="utf-8")
+    other.write_text(body, encoding="utf-8")
+    tail = [(3, "ifft2"), (5, "irfft2"), (7, "ifft"), (7, "irfft2"), (10, "irfft")]
+    assert _inverse_ffts(spectral) == tail
+    assert _inverse_ffts(other) == sorted([(5, "ifftn"), (5, "irfftn")] + tail)
 
 
 def _callee(call):

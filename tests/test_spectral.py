@@ -31,6 +31,7 @@ from reference import (
     leray_project,
     mode_numbers,
     multi_index_weight,
+    physical_fields,
     scaled_random_state,
     spectral_derivative,
     traced_peak,
@@ -79,17 +80,28 @@ def test_grid_wavenumber_layout():
 
 @pytest.mark.parametrize("n1, n2", [(16, 16), (24, 40), (40, 18)])
 def test_to_physical_matches_full_spectrum_inverse(n1, n2):
-    # the half-spectrum irfft2 against the full complex inverse transform
+    # the two 1-D passes against the full complex inverse transform, and
+    # against one irfft2 bit for bit, on the whole half spectrum and, for a
+    # band-limited state, on its band columns alone
     g = SpectralGrid(n1, n2, TWO_PI, 3.0)
     for st in (random_div_free_state(g, seed=n1), random_state(g, seed=n2)):
         ref = np.real(np.fft.ifft2(full_spectrum(g, st.u), axes=(-2, -1))) * n1 * n2
-        assert np.max(np.abs(to_physical(st) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        want = physical_fields(st)
+        out = np.full((4, n1, n2), np.nan)
+        spec = st.u.copy()
+        assert to_physical(g, spec, out) is out
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert out.tobytes() == want.tobytes()
+        assert not np.array_equal(spec, st.u)  # the column pass ran in place
+    st = random_div_free_state(g, seed=n1)
+    band = to_physical(g, st.u[:, :, :g.band_cols].copy(), np.empty((4, n1, n2)))
+    assert band.tobytes() == physical_fields(st).tobytes()
 
 
 def test_roundtrip_identity():
     g = SpectralGrid(32, 24, TWO_PI, 4.0)
     st = random_state(g, seed=1)
-    back = from_physical(g, to_physical(st))
+    back = from_physical(g, physical_fields(st))
     assert np.max(np.abs(back.u - st.u)) < 1e-14
 
 
@@ -98,8 +110,8 @@ def test_derivative_closed_form():
     x1, x2 = coordinates(g)
     f = np.sin(3.0 * x1) * np.cos(2.0 * x2) * np.ones(g.shape)
     st = from_physical(g, np.broadcast_to(f, (4,) + g.shape).copy())
-    d1 = to_physical(spectral_derivative(st, 1))
-    d2 = to_physical(spectral_derivative(st, 2))
+    d1 = physical_fields(spectral_derivative(st, 1))
+    d2 = physical_fields(spectral_derivative(st, 2))
     assert np.max(np.abs(d1[0] - 3.0 * np.cos(3.0 * x1) * np.cos(2.0 * x2))) < 1e-12
     assert np.max(np.abs(d2[0] + 2.0 * np.sin(3.0 * x1) * np.sin(2.0 * x2))) < 1e-12
 
@@ -110,7 +122,7 @@ def test_derivative_respects_box_size():
     x1, _ = coordinates(g)
     f = np.cos(0.5 * x1) * np.ones(g.shape)
     st = from_physical(g, np.broadcast_to(f, (4,) + g.shape).copy())
-    d1 = to_physical(spectral_derivative(st, 1))
+    d1 = physical_fields(spectral_derivative(st, 1))
     assert np.max(np.abs(d1[0] + 0.5 * np.sin(0.5 * x1))) < 1e-13
 
 
@@ -127,7 +139,7 @@ def test_odd_derivative_kills_nyquist():
 def test_parseval_calibration():
     g = SpectralGrid(32, 32, 3.0, 5.0)
     st = random_state(g, seed=2)
-    phys = to_physical(st)
+    phys = physical_fields(st)
     riemann = np.sqrt(np.sum(phys[0] ** 2) * g.cell_area)
     assert l2_norm(g, st.u[0]) == pytest.approx(riemann, rel=1e-13)
 
@@ -167,8 +179,9 @@ def test_sobolev_norm_conventions():
     f = st.u[0]
     assert sobolev_norm(g, f, 0) == pytest.approx(l2_norm(g, f), rel=1e-14)
     assert sobolev_norm(g, f, 2) >= sobolev_norm(g, f, 1) >= sobolev_norm(g, f, 0)
-    with pytest.raises(ConfigError):
-        sobolev_norm(g, f, -1)
+    for bad in (-1, 2.5, float("nan"), float("inf"), True):
+        with pytest.raises(ConfigError, match="m must be a nonnegative integer"):
+            sobolev_norm(g, f, bad)
 
 
 def test_multi_index_weight_closed_form():
