@@ -44,6 +44,7 @@ from .quadrature import refine_integral
 from .spectral import (
     SpectralGrid,
     SpectralState,
+    _block_rows,
     _check_order,
     from_potentials,
     sobolev_norm,
@@ -280,6 +281,17 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
                            np.empty((9,) + u.shape[1:]))[3]
 
 
+def _record_size(grid: SpectralGrid, kc: int) -> int:
+    """Complex elements of the buffer a record on kc columns works in: its
+    float (9, n1, kc) power stack, or its (3, n1, kc) complex planes and,
+    after them, a complex (n1, kc) weight table and then a block of its
+    three physical planes' rows. 3 n1 (kc + n2/2) where the planes take one
+    block."""
+    n1 = grid.n1
+    rows = _block_rows(grid, 3)
+    return max(-(-9 * n1 * kc // 2), 3 * n1 * kc + max(n1 * kc, 3 * rows * grid.n2 // 2))
+
+
 def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.0,
                   energy_residual: float = 0.0, work=None) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
@@ -291,12 +303,15 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     sums. Raises ``DiagnosticIntegrityError`` when |A| > E^2/2 beyond
     roundoff, or when the region masses fail to recover the L^2 mass.
     Every array the record works in is a view into one complex buffer:
-    ``work``, a stepper's workspace (``solver._Stepper.work``), or else one
-    of 3 n1 (kc + n2/2) elements the call makes. The (9, n1, kc) float
-    power stack comes first; then one (3, n1, kc) complex array at the
-    front holds a weight table and the pairings' weighted factors, then
-    B2, d1 v1 and d1 v2, which ``to_physical`` turns into physical planes
-    in the float view of the buffer's tail.
+    ``work``, a stepper's workspace (``solver._Stepper.work``, which holds
+    a record on the band columns), or else one of ``_record_size``
+    elements the call makes. The (9, n1, kc) float power stack comes
+    first; then one (3, n1, kc) complex array at the front holds a weight
+    table and the pairings' weighted factors, then B2, d1 v1 and d1 v2,
+    which ``to_physical`` turns into physical planes one block of rows at a
+    time, in the float view of the buffer's tail. The sups are the maxima
+    of the blocks' maxima, so they do not depend on the blocks; every grid
+    up to 128^2 takes one block, 256^2 four of up to 85 rows.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or not 0 < u.shape[-1] <= g.n2 // 2 + 1:
@@ -305,7 +320,7 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     n1, kc = h.shape[1:]
     w = _record_weights(g, m, kc)
     if work is None:
-        work = np.empty(3 * n1 * (kc + g.n2 // 2), dtype=np.complex128)
+        work = np.empty(_record_size(g, kc), dtype=np.complex128)
     flat = work.view(np.float64)
     hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, comp, h_terms = _spectral_terms(
         g, h, w, flat[:9 * n1 * kc].reshape(9, n1, kc))
@@ -342,17 +357,19 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     d *= weight
     i2 = _dot(d.view(np.float64), b)
     cancel = float(abs(i1 + i2) / max(abs(i1), abs(i2), 1e-300))
-    # B2, d1 v1, d1 v2 to physical space; the row pass zero-pads past kc
+    # B2, d1 v1, d1 v2 to physical space; the row pass zero-pads past kc.
+    # sqrt is monotone, so it is taken once, of the largest squared magnitude
     np.multiply(h[:2], factor, out=d)
     planes[0] = h[3]
-    phys = to_physical(g, planes, flat[flat.size - 3 * n1 * g.n2:].reshape(3, n1, g.n2))
-
-    b2, d1v = phys[0], phys[1:]
-    sup_B2 = float(max(np.max(b2), -np.min(b2)))
-    # sqrt is monotone, so it is taken once, of the largest squared magnitude
-    np.square(d1v, out=d1v)
-    d1v[0] += d1v[1]
-    sup_d1v = float(np.sqrt(np.max(d1v[0])))
+    tail, top = 3 * _block_rows(g, 3) * g.n2, None
+    for _, phys in to_physical(g, planes, flat[flat.size - tail:].reshape(3, -1, g.n2)):
+        b2, d1v = phys[0], phys[1:]
+        np.square(d1v, out=d1v)
+        d1v[0] += d1v[1]
+        block = (np.max(b2), -np.min(b2), np.max(d1v[0]))
+        top = block if top is None else np.maximum(top, block)  # passes a NaN on
+    sup_B2 = float(max(top[0], top[1]))
+    sup_d1v = float(np.sqrt(top[2]))
 
     rows = np.sum(comp, axis=0)
     m1, m2, m3 = (float(np.sum(rows[r])) for r in w.regions)
@@ -561,8 +578,9 @@ def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:
 
 
 def physical_l1_norm(state: SpectralState) -> float:
-    """Riemann-sum L^1 norm of the pointwise 4-component magnitude."""
-    fields = to_physical(state.grid, state.u.copy(), np.empty((4,) + state.grid.shape))
+    """Riemann-sum L^1 norm of the pointwise 4-component magnitude, taken
+    of the whole planes in one block, so the order of the sum is fixed."""
+    (_, fields), = to_physical(state.grid, state.u.copy(), np.empty((4,) + state.grid.shape))
     mag = np.sqrt(np.sum(fields**2, axis=0))
     return float(np.sum(mag) * state.grid.cell_area)
 

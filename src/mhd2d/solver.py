@@ -32,8 +32,11 @@ B in physical space, and in Elsasser variables z+- = (v +- B) / sqrt 2
 inverse pass, its three quantities T22 - T11, T12 and N_a take four
 products instead of eight. A tendency transforms 4 planes inverse, through
 ``spectral.to_physical``, and 3 forward, 14 per ETDRK2 step, each direction
-as two 1-D passes, the one along axis 1 over the kc band columns only, into
-the workspace the stepper holds and its records share. The stepper
+as two 1-D passes, the one along axis 1 over the kc band columns only, in
+the workspace the stepper holds and its records share. The passes along
+axis 2 and the products between them run one block of rows at a time, so
+the workspace holds the band and one block of physical rows; every grid up
+to 128^2 takes one block, 256^2 four of 64 rows. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables, (n1, 1) row tables with alpha = 0,
 whose saved memory pays for the workspace. ``SpectralState`` (the four
@@ -69,6 +72,7 @@ from .propagator import (
 from .spectral import (
     SpectralGrid,
     SpectralState,
+    _block_rows,
     _check_grid,
     _check_order,
     _column_fault,
@@ -223,27 +227,38 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
         m1 p2 - p1 m2 = N_a = v1 B2 - v2 B1
 
     of the stress T = B (x) B - v (x) v, written over the spent physical
-    planes; they go back through an ``rfftn`` along axis 2 and an ``fftn``
+    rows; they go back through an ``rfftn`` along axis 2 and an ``fftn``
     along axis 1 over their first kc columns. The first two tables finish
     N_psi = N_omega / |xi|^2, the dealiased curl of div T; N_a is dealiased
     along axis 1 and mean-zeroed. That is four 1-D passes per call, the
     same values as one 7-plane ``irfft2``/``rfft2`` pair on the whole half
     spectrum, bit for bit.
 
-    Every pass writes with ``out=`` into ``work``. Its leading max(4 kc,
-    3 (n2/2 + 1)) n1 elements hold in turn the four spectra (the inverse
-    runs in place on them), the float ``cross`` plane and the three row
-    spectra; the float view of the remaining 2 n2 n1 holds the four
-    physical planes, and around them the last 2 n1 kc hold the third
-    plane's column pass and each table copied to a complex (n1, kc) one,
-    so every product runs on contiguous operands of one dtype (one that
-    casts, broadcasts along rows or reads a strided plane would run
-    through numpy's iterator buffers). The forward column pass writes the
-    first two row spectra into the compact (2, n1, kc) result, all the
-    call allocates, which keeps no dead third plane alive.
+    Every pass writes with ``out=`` into ``work`` (``_Stepper``'s layout).
+    Its leading 4 n1 kc elements hold the four spectra, on which the
+    inverse column pass runs in place; the float view of its last 2 n2
+    ``rows`` elements holds the block buffer of four physical planes'
+    ``rows`` rows, and the last n1 kc hold each table copied to a complex
+    (n1, kc) one, so every product runs on contiguous operands of one dtype
+    (one that casts, broadcasts along rows or reads a strided plane would
+    run through numpy's iterator buffers). The row pass runs a block at a
+    time; the block's products and its forward row pass, whose three row
+    spectra and the float ``cross`` plane share 3 (n2/2 + 1) ``rows``
+    elements, follow at once.
+
+    With one block (``rows`` = n1, every grid up to 128^2) the row spectra
+    go over the spent spectra at the front and the forward column pass
+    reads their first kc columns, writing the third into the n1 kc
+    elements before the table's. With several, the row spectra follow the four
+    spectra, and each block's first kc columns go back over the band rows
+    it has just spent, which line up, so the forward column pass reads the
+    band and runs in place on its third plane. Either way it writes the
+    first two into the compact (2, n1, kc) result, all the call allocates,
+    which keeps no dead third plane alive.
     """
     n1, kc = w.shape[1:]
-    nh = grid.n2 // 2 + 1
+    n2, nh = grid.n2, grid.n2 // 2 + 1
+    rows = _block_rows(grid, 4)
     to_ab, to_s, mult1, mult2 = tables
     spec = work[:4 * n1 * kc].reshape(4, n1, kc)
     table = work[-n1 * kc:].reshape(n1, kc)
@@ -253,22 +268,31 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
     np.multiply(spec[0:2], table, out=spec[2:4])
     table[...] = mult1
     spec[0:2] *= table
-    phys = to_physical(grid, spec,
-                       work[-2 * n1 * grid.n2:].view(np.float64).reshape(4, n1, grid.n2))
-    p1, m1, p2, m2 = phys
-    cross = np.multiply(p1, m2, out=work.view(np.float64)[:p1.size].reshape(p1.shape))
-    np.multiply(p1, m1, out=p1)
-    np.multiply(m1, p2, out=m1)
-    np.multiply(p2, m2, out=m2)
-    p1 -= m2
-    np.add(cross, m1, out=p2)
-    m1 -= cross
-    # phys[0:3] now holds (T22 - T11) / 2, N_a and -T12
-    rows = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward",
-                        out=work[:3 * n1 * nh].reshape(3, n1, nh))
-    out = np.fft.fftn(rows[0:2, :, :kc], axes=(-2,), norm="forward")
-    s = np.fft.fftn(rows[2, :, :kc], axes=(-2,), norm="forward",
-                    out=work[-2 * n1 * kc:-n1 * kc].reshape(n1, kc))
+    # one block: the row spectra go over the spent spectra; else after them
+    lead = 0 if rows == n1 else spec.size
+    spectra = work[lead:lead + 3 * rows * nh]
+    for r0, phys in to_physical(grid, spec, work[-2 * rows * n2:].view(np.float64)
+                                .reshape(4, rows, n2)):
+        r = phys.shape[1]
+        p1, m1, p2, m2 = phys
+        cross = np.multiply(p1, m2, out=spectra.view(np.float64)[:p1.size].reshape(p1.shape))
+        np.multiply(p1, m1, out=p1)
+        np.multiply(m1, p2, out=m1)
+        np.multiply(p2, m2, out=m2)
+        p1 -= m2
+        np.add(cross, m1, out=p2)
+        m1 -= cross
+        # phys[0:3] now holds (T22 - T11) / 2, N_a and -T12
+        band = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward",
+                            out=spectra[:3 * r * nh].reshape(3, r, nh))[..., :kc]
+        if rows < n1:
+            spec[0:3, r0:r0 + r] = band
+    if rows < n1:
+        band, s = spec[0:3], spec[2]
+    else:
+        s = work[-2 * n1 * kc:-n1 * kc].reshape(n1, kc)
+    out = np.fft.fftn(band[0:2], axes=(-2,), norm="forward")
+    np.fft.fftn(band[2], axes=(-2,), norm="forward", out=s)
     table[...] = to_ab
     out[0] *= table
     table[...] = to_s
@@ -333,12 +357,17 @@ class _Stepper:
     with alpha = 0, which broadcast over the band columns, and (n1,
     ``grid.band_cols``) band arrays otherwise. The tendency's tables and
     the energy weights are formed on the band columns, so each operation of
-    a step acts on the band stack only. ``work`` is the complex scratch of
-    max(4 kc, 3 (n2/2 + 1)) n1 + 2 n2 n1 elements in which every tendency
-    (``_nonlinear``), every record ``run`` takes while the stepper lives
-    (``instantaneous``) and the energy and dissipation sums run their
-    passes and products; the row tables pay for it. A step sums its stages
-    in place on arrays it made itself and leaves its input as it is.
+    a step acts on the band stack only. ``work`` is the complex scratch in
+    which every tendency (``_nonlinear``), every record ``run`` takes while
+    the stepper lives (``instantaneous``, on the band columns) and the
+    energy and dissipation sums run their passes and products; the row
+    tables pay for it. With ``rows`` = ``spectral._block_rows(grid, 4)``,
+    the rows of four physical planes one block holds, it has (max(4 kc,
+    3 (n2/2 + 1)) + 2 n2) n1 elements where they are all n1 rows (0.92 MB
+    at 128^2), else 4 n1 kc + max(n1 kc, (3 (n2/2 + 1) + 2 n2) rows) (2.33
+    MB at 256^2, against 3.68 MB in one block). A step sums its stages in
+    place on arrays it made itself, releases each at its last use and
+    leaves its input as it is.
     """
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
@@ -361,8 +390,10 @@ class _Stepper:
                                 -finish * (xi2 * xi2 - xi1 * xi1),
                                 (1j / np.sqrt(2.0)) * xi2,
                                 (-1j / np.sqrt(2.0)) * xi1)
-        lead = max(4 * kc, 3 * (grid.n2 // 2 + 1))
-        self.work = np.empty((lead + 2 * grid.n2) * grid.n1, dtype=np.complex128)
+        n1, n2, nh, rows = grid.n1, grid.n2, grid.n2 // 2 + 1, _block_rows(grid, 4)
+        size = ((max(4 * kc, 3 * nh) + 2 * n2) * n1 if rows == n1
+                else 4 * n1 * kc + max(n1 * kc, (3 * nh + 2 * n2) * rows))
+        self.work = np.empty(size, dtype=np.complex128)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         xi_sq = grid.half_xi_sq[:, :kc]
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
@@ -401,6 +432,7 @@ class _Stepper:
         wa += apply_block_entries(n0, self.phi1)
         na = _nonlinear(g, wa, tab, work)
         na -= n0
+        del n0
         wa += apply_block_entries(na, self.phi2)
         return wa
 
@@ -414,18 +446,24 @@ class _Stepper:
         k2 = _nonlinear(g, a, tab, work)
         b = np.multiply(k2, 0.5 * h, out=a)  # a is spent once k2 is taken
         b += ew_half
-        del ew_half
+        del ew_half, a
         k3 = _nonlinear(g, b, tab, work)
+        del b
         ew_full = apply_block_entries(w, self.full)
         c = apply_block_entries(k3, self.half)
         c *= h
         c += ew_full
         k4 = _nonlinear(g, c, tab, work)
+        del c
         k2 += k3
+        del k3
         out = apply_block_entries(k2, self.half)
+        del k2
         out *= 2.0
         out += apply_block_entries(k1, self.full)
+        del k1
         out += k4
+        del k4
         out *= h / 6.0
         out += ew_full
         return out
@@ -434,12 +472,17 @@ class _Stepper:
 def advective_dt_bound(state: SpectralState) -> float:
     """0.5 * min grid spacing / (1 + max |v| + max |B|), pointwise norms, of a
     state in the 2/3 band, as ``run``'s is: only its band columns are
-    transformed, and sqrt is taken of the largest squared magnitude only."""
+    transformed, one block of rows at a time, and sqrt is taken of the
+    largest squared magnitude only, the maximum of the blocks' maxima."""
     g = state.grid
-    fields = to_physical(g, state.u[:, :, :g.band_cols].copy(), np.empty((4,) + g.shape))
-    np.square(fields, out=fields)
-    fields[0::2] += fields[1::2]
-    vmax, bmax = (float(np.sqrt(np.max(f))) for f in fields[0::2])
+    top = None
+    for _, fields in to_physical(g, state.u[:, :, :g.band_cols].copy(),
+                                 np.empty((4, _block_rows(g, 4), g.n2))):
+        np.square(fields, out=fields)
+        fields[0::2] += fields[1::2]
+        block = (np.max(fields[0]), np.max(fields[2]))
+        top = block if top is None else np.maximum(top, block)
+    vmax, bmax = (float(np.sqrt(x)) for x in top)
     return 0.5 * min(g.dx) / (1.0 + vmax + bmax)
 
 

@@ -91,6 +91,8 @@ class SpectralGrid:
         under ``k -> -k`` is the half-spectrum sum weighted by it.
     odd_xi1 : ``xi1`` with the Nyquist row zeroed, the multiplier (after
         ``i``) of a first derivative along axis 1.
+    band_xi_max : largest |xi| over the ``band_cols`` columns, all rows
+        included.
     """
 
     n1: int
@@ -104,6 +106,7 @@ class SpectralGrid:
     half_dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     half_mult: np.ndarray = field(init=False, repr=False, compare=False)
     odd_xi1: np.ndarray = field(init=False, repr=False, compare=False)
+    band_xi_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_grid(self.n1, self.n2, self.l1, self.l2)
@@ -132,6 +135,8 @@ class SpectralGrid:
         mult[[0, -1]] = 1.0
         object.__setattr__(self, "half_mult", mult)
         object.__setattr__(self, "odd_xi1", np.where(k1[:, None] == -self.n1 // 2, 0.0, self.xi1))
+        object.__setattr__(self, "band_xi_max",
+                           float(np.sqrt(np.max(half_sq[:, :self.band_cols]))))
 
     @property
     def shape(self):
@@ -142,11 +147,6 @@ class SpectralGrid:
         """ceil(n2/3): the leading half-spectrum columns ``k2 = 0 ..
         band_cols - 1`` hold every mode of the 2/3 dealias band."""
         return -(-self.n2 // 3)
-
-    @property
-    def band_xi_max(self) -> float:
-        """Largest |xi| over the ``band_cols`` columns, all rows included."""
-        return float(np.sqrt(np.max(self.half_xi_sq[:, : self.band_cols])))
 
     @property
     def area(self) -> float:
@@ -210,14 +210,41 @@ class SpectralState:
             raise ConfigError(fault)
 
 
-def to_physical(grid: SpectralGrid, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The one inverse transform: the real (..., n1, n2) planes, into and as
-    ``out``, of the leading kc <= n2/2 + 1 half-spectrum columns ``spec``.
-    An ``ifftn`` along axis 1 in place on ``spec`` and an ``irfftn`` of
-    length n2 along axis 2, which zero-pads the dropped columns (S. A.
-    Orszag, J. Atmos. Sci. 28, 1971): ``irfft2``'s values bit for bit."""
+# bytes of physical rows one block of ``to_physical`` holds: a whole 128^2
+# tendency's four planes, 64 of 256^2's rows
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(grid: SpectralGrid, planes: int) -> int:
+    """Rows of each of ``planes`` float physical planes per block: all n1
+    when they fit in ``_BLOCK_BYTES``, as four and three planes do on every
+    grid up to 128^2, else as many as fit, at least one."""
+    return max(1, min(grid.n1, _BLOCK_BYTES // (8 * planes * grid.n2)))
+
+
+def to_physical(grid: SpectralGrid, spec: np.ndarray, out: np.ndarray):
+    """The one inverse transform: the real (..., n1, n2) planes of the
+    leading kc <= n2/2 + 1 half-spectrum columns ``spec``, one block of
+    rows at a time. An ``ifftn`` along axis 1 runs once, in place, over
+    all of ``spec``; then an ``irfftn`` of length n2 along axis 2, which
+    zero-pads the dropped columns (S. A. Orszag, J. Atmos. Sci. 28, 1971),
+    writes each block into the contiguous float (..., rows, n2) buffer
+    ``out``: ``irfft2``'s values bit for bit.
+
+    Yields (r0, block), the planes' rows r0 .. r0 + len - 1, where a block
+    is ``out`` itself, or for a short last block its leading elements, so
+    every block is contiguous. A buffer of n1 rows gives one block, the
+    whole planes. The caller uses a block before asking for the next, which
+    overwrites it; the rows of ``spec`` before the next block's are spent.
+    """
     np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
-    return np.fft.irfftn(spec, s=(grid.n2,), axes=(-1,), norm="forward", out=out)
+    n1, rows = grid.n1, out.shape[-2]
+    for r0 in range(0, n1, rows):
+        r = min(rows, n1 - r0)
+        block = out if r == rows else out.reshape(-1)[:out.size // rows * r].reshape(
+            out.shape[:-2] + (r, grid.n2))
+        yield r0, np.fft.irfftn(spec[..., r0:r0 + r, :], s=(grid.n2,), axes=(-1,),
+                                norm="forward", out=block)
 
 
 def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:

@@ -8,11 +8,12 @@ mirror or the dealias cutoff, cannot cancel out.
 import gc
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mhd2d import diagnostics, modes, propagator, solver
+from mhd2d import diagnostics, modes, propagator, solver, spectral
 from mhd2d.errors import ConfigError, DiagnosticIntegrityError
 from mhd2d.modes import region_masks
 from mhd2d.propagator import phi_block_entries
@@ -143,11 +144,12 @@ def test_tendency_result_owns_a_compact_stack(n1, n2):
     assert not np.shares_memory(got, w) and not np.shares_memory(got, work)
 
 
-@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256), (100, 600)))
 def test_tendency_allocates_only_its_result(n1, n2):
     # every pass and product runs in the workspace, on contiguous operands of
     # one dtype, so numpy's iterator allocates no buffers; what is left above
-    # the result is the call's few small Python objects
+    # the result is the call's few small Python objects. 256^2 runs four
+    # blocks of rows, 100 x 600 three of 27 and a short one of 19
     g = SpectralGrid(n1, n2, L1, L2)
     w = _band(scaled_random_state(g, n1 + n2, 3.0), g)
     tables, work = tendency_args(g)
@@ -156,6 +158,53 @@ def test_tendency_allocates_only_its_result(n1, n2):
     got, peak = traced_peak(_nonlinear, g, w, tables, work)
     assert got.tobytes() == want.tobytes()
     assert got.nbytes <= peak <= got.nbytes + 8192, peak - got.nbytes
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS)
+@pytest.mark.parametrize("rows", (1, 5, "half"))
+def test_blocks_of_rows_give_the_one_block_results(n1, n2, rows, monkeypatch):
+    # with the block budget cut to ``rows`` rows of four planes (a record's
+    # three planes take a third more), the tendency, the record, in a
+    # stepper's workspace and in its own buffer, and the advective bound
+    # equal their one-block values bit for bit; a record of a whole state
+    # makes its own buffer, as a stepper's holds band columns
+    rows = n1 // 2 if rows == "half" else rows
+    cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.02, t_end=0.04,
+                       data_kind="random", data_delta=0.5, seed=n2)
+    g = cfg.grid()
+    st = initial_state(cfg, g)
+    w = _band(st, g)
+    h = _components(g, w)
+
+    def results():
+        tables, work = tendency_args(g)
+        n = _nonlinear(g, w, tables, work)
+        records = [diagnostics.instantaneous(g, c, cfg.m, time=0.5, energy_residual=1e-9,
+                                             work=buf) for c, buf in ((h, work), (h, None),
+                                                                      (st.u, None))]
+        return n, records, solver.advective_dt_bound(st), work.size
+
+    assert spectral._block_rows(g, 4) == n1
+    n, records, bound, size = results()
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 4 * n2 * rows)
+    assert spectral._block_rows(g, 4) == rows
+    n_b, records_b, bound_b, size_b = results()
+    assert n_b.tobytes() == n.tobytes()
+    for got, want in zip(records_b, records):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.float64(bound_b).tobytes() == np.float64(bound).tobytes()
+    assert size_b < size
+
+
+@pytest.mark.parametrize("n1,n2,nbytes", ((128, 128, 923_648), (256, 256, 2_329_600)))
+def test_stepper_workspace_size(n1, n2, nbytes):
+    # 128^2 takes one block in (max(4 kc, 3 (n2/2 + 1)) + 2 n2) n1 elements;
+    # 256^2, in blocks of 64 rows, 4 n1 kc + max(n1 kc, (3 (n2/2 + 1) + 2 n2) 64)
+    # (3.68 MB in one block). Either holds a record on the band columns
+    g = SpectralGrid(n1, n2, L1, L2)
+    work = tendency_args(g)[1]
+    assert work.nbytes == nbytes and work.dtype == np.complex128
+    assert work.size >= diagnostics._record_size(g, g.band_cols)
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
@@ -257,27 +306,34 @@ def test_advance_leaves_its_input_alone(scheme, nonlinear, coupling):
     assert not np.shares_memory(out, w)
 
 
-# transient peak of one 128^2 step in planes of n1 n2 float64, measured
-# 6.74 (ETDRK2) and 13.46 (IFRK4): the stage tendencies and sums the step
-# holds, each tendency a compact 1.34 planes, and the block applications'
-# temporaries. A tendency allocates only its result, as its scratch is the
-# stepper's workspace (9.76 and 15.14 when each call made its own 7.1
-# planes). The margin is smaller than any band stack (1.3 planes) or band
-# table (0.3 planes) a step could add.
-STEP_PEAK_PLANES = {"etdrk2": 6.8, "ifrk4": 13.5}
+# transient peak of one step in planes of n1 n2 float64, measured at 128^2
+# 5.394-5.412 (ETDRK2, with the tests run alone or together) and 8.093
+# (IFRK4): the stage tendencies and sums the step holds, each tendency a
+# compact 1.34 planes, and the block applications' temporaries, each stage
+# array released at its last use (6.74 and 13.46 when they lived until the
+# step returned). A tendency allocates only its result, as its scratch is
+# the stepper's workspace (9.76 and 15.14 when each call made its own 7.1
+# planes). At 256^2 they measure 4.957 and 8.070 (6.30 and 13.02 before
+# the releases). The margin is smaller than any band stack (1.3 planes) or
+# band table (0.3 planes) a step could add.
+STEP_PEAK_PLANES = {(128, "etdrk2"): 5.45, (128, "ifrk4"): 8.1,
+                    (256, "etdrk2"): 5.0, (256, "ifrk4"): 8.1}
 
 
 @pytest.mark.parametrize("scheme", ("etdrk2", "ifrk4"))
 def test_step_transient_peak(scheme):
-    cfg = SolverConfig(n1=128, n2=128, dt=0.02, t_end=0.04, scheme=scheme,
-                       data_kind="random", data_delta=0.5, seed=3)
-    st = initial_state(cfg)
-    w = _band(st, st.grid)
-    stepper = _Stepper(st.grid, cfg)
-    stepper.advance(w)
-    out, peak = traced_peak(stepper.advance, w)
-    assert out.shape == w.shape
-    assert peak <= STEP_PEAK_PLANES[scheme] * 8 * 128 * 128, peak / (8 * 128 * 128)
+    # 256^2 runs the tendency's physical phase in four blocks of 64 rows
+    for n in (128, 256):
+        cfg = SolverConfig(n1=n, n2=n, dt=0.02, t_end=0.04, scheme=scheme,
+                           data_kind="random", data_delta=0.5, seed=3)
+        st = initial_state(cfg)
+        w = _band(st, st.grid)
+        stepper = _Stepper(st.grid, cfg)
+        stepper.advance(w)
+        out, peak = traced_peak(stepper.advance, w)
+        assert out.shape == w.shape
+        planes = peak / (8 * n * n)
+        assert planes <= STEP_PEAK_PLANES[n, scheme], (n, planes)
 
 
 @pytest.mark.parametrize("pairs", (1, 2), ids=("stack", "state"))
@@ -353,12 +409,14 @@ def test_restart_through_snapshot_matches(n1, n2, tmp_path):
 
 
 class PlaneCounter:
-    """Counts the 2-D planes each numpy.fft function transforms."""
+    """Counts the 2-D planes of n1 rows each numpy.fft function transforms;
+    a block of rows counts as its share of a plane."""
 
     NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
              "fftn", "ifftn", "rfftn", "irfftn")
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, n1):
+        self.n1 = n1
         self.planes = {}
         self.inputs = []
         for name in self.NAMES:
@@ -367,7 +425,8 @@ class PlaneCounter:
     def _counted(self, name, fn):
         def wrapper(a, *args, **kwargs):
             a = np.asarray(a)
-            self.planes[name] = self.planes.get(name, 0) + a.size // (a.shape[-2] * a.shape[-1])
+            share = Fraction(a.size // a.shape[-1], self.n1)
+            self.planes[name] = self.planes.get(name, 0) + share
             self.inputs.append((name, a.shape[-2:]))
             return fn(a, *args, **kwargs)
         return wrapper
@@ -380,7 +439,7 @@ def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
                        data_kind="random", data_delta=0.5, seed=1)
     st = initial_state(cfg)
     g = cfg.grid()
-    fft = PlaneCounter(monkeypatch)
+    fft = PlaneCounter(monkeypatch, 40)
     _Stepper(g, cfg).advance(_band(st, g))
     # each tendency: 4 inverse (v1, B1, v2, B2) and 3 forward (T22 - T11, T12,
     # N_a), each as a column pass over the kc = 22 band columns and a row pass
@@ -392,7 +451,7 @@ def test_step_transforms_fourteen_half_planes(monkeypatch, scheme, tendencies):
 
 def test_sample_transforms_three_half_planes(monkeypatch):
     st = random_div_free_state(SpectralGrid(40, 64, L1, L2), seed=2)
-    fft = PlaneCounter(monkeypatch)
+    fft = PlaneCounter(monkeypatch, 40)
     diagnostics.instantaneous(st.grid, st.u, 4)
     # B2, d1 v1, d1 v2: a column pass in place, then a row pass
     assert fft.planes == {"ifftn": 3, "irfftn": 3}
@@ -403,6 +462,7 @@ def test_advective_bound_matches_the_irfft2_bound(n1, n2, monkeypatch):
     # the band columns' two 1-D passes, squared and summed in place, give the
     # whole-spectrum irfft2 bound bit for bit on band-limited states
     g = SpectralGrid(n1, n2, L1, L2)
+    rows = n1 if n1 < 256 else 64
     prop = SolverConfig(n1=n1, n2=n2, l1=32.0 * np.pi, l2=24.0 * np.pi, dt=0.02, t_end=0.04,
                         data_kind="prop25")
     states = [random_div_free_state(g, seed=n1), scaled_random_state(g, n2, 40.0),
@@ -410,11 +470,13 @@ def test_advective_bound_matches_the_irfft2_bound(n1, n2, monkeypatch):
     for st in states:
         before = st.u.copy()
         want = irfft2_dt_bound(st)
-        fft = PlaneCounter(monkeypatch)
+        fft = PlaneCounter(monkeypatch, n1)
         got = solver.advective_dt_bound(st)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert fft.planes == {"ifftn": 4, "irfftn": 4}
-        assert all(shape == (n1, g.band_cols) for _, shape in fft.inputs)
+        # one column pass, then a row pass per block: four at 256^2
+        assert fft.inputs[0] == ("ifftn", (n1, g.band_cols))
+        assert fft.inputs[1:] == [("irfftn", (rows, g.band_cols))] * (n1 // rows)
         assert np.array_equal(st.u, before)  # the state is left as it was
         monkeypatch.undo()
 
@@ -568,7 +630,7 @@ def test_run_transforms_only_half_planes(monkeypatch):
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=n * 0.02,
                        data_kind="random", data_delta=0.5, seed=1)
     st = initial_state(cfg)
-    fft = PlaneCounter(monkeypatch)
+    fft = PlaneCounter(monkeypatch, 40)
     traj = run(cfg, initial=st)
     assert len(traj.records) == n + 1
     # n steps and n + 1 samples as 1-D passes, and the advective bound at t = 0

@@ -43,8 +43,11 @@ which may hand its contraction to BLAS, are refused anywhere in ``src/``.
 
 Every physical-space plane of the package, the tendency's, a record's, the
 advective bound's and the L^1 norm's, comes from ``spectral.to_physical``,
-the band-pruned pair of 1-D passes; so ``src/`` names no inverse FFT
-anywhere else.
+the band-pruned pair of 1-D passes: the column pass once, in place, over
+the band, then the row pass one block of rows at a time into the caller's
+block buffer (the whole planes in one block on every grid up to 128^2,
+and always for the L^1 norm, whose sum keeps its order). So ``src/`` names
+no inverse FFT anywhere else.
 """
 
 import ast

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from mhd2d import spectral
 from mhd2d.errors import ConfigError, SnapshotFormatError
 from mhd2d.solver import SolverConfig
 from mhd2d.spectral import (
@@ -13,6 +14,7 @@ from mhd2d.spectral import (
     STATE_RTOL,
     SpectralGrid,
     SpectralState,
+    _block_rows,
     divergence_defect,
     hermitian_defect,
     l2_norm,
@@ -89,13 +91,49 @@ def test_to_physical_matches_full_spectrum_inverse(n1, n2):
         want = physical_fields(st)
         out = np.full((4, n1, n2), np.nan)
         spec = st.u.copy()
-        assert to_physical(g, spec, out) is out
+        # a buffer of n1 rows takes one block: the whole planes, in it
+        (r0, block), = to_physical(g, spec, out)
+        assert r0 == 0 and block is out
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert out.tobytes() == want.tobytes()
         assert not np.array_equal(spec, st.u)  # the column pass ran in place
     st = random_div_free_state(g, seed=n1)
-    band = to_physical(g, st.u[:, :, :g.band_cols].copy(), np.empty((4, n1, n2)))
+    (_, band), = to_physical(g, st.u[:, :, :g.band_cols].copy(), np.empty((4, n1, n2)))
     assert band.tobytes() == physical_fields(st).tobytes()
+
+
+@pytest.mark.parametrize("n1, n2", [(40, 64), (64, 38), (50, 70), (256, 256)])
+def test_to_physical_in_blocks_equals_the_whole_planes(n1, n2):
+    # each block holds the whole pass's rows bit for bit, in order, whether
+    # the block rows divide n1 or leave a short last block; every block is
+    # contiguous, in the buffer, and the column pass runs in place once
+    g = SpectralGrid(n1, n2, TWO_PI, 3.0)
+    st = random_div_free_state(g, seed=n2)
+    for spec0 in (st.u[:, :, :g.band_cols].copy(), st.u):
+        whole_spec = spec0.copy()
+        (_, whole), = to_physical(g, whole_spec, np.empty((4, n1, n2)))
+        for rows in sorted({1, 7, n1 // 4, n1 // 2, n1 - 1}):
+            spec, out = spec0.copy(), np.full((4, rows, n2), np.nan)
+            starts = []
+            for r0, block in to_physical(g, spec, out):
+                r = block.shape[1]
+                assert block.shape == (4, min(rows, n1 - r0), n2) and r > 0
+                assert block.flags.c_contiguous and np.shares_memory(block, out)
+                assert block.tobytes() == whole[:, r0:r0 + r].tobytes(), (rows, r0)
+                starts.append(r0)
+            assert starts == list(range(0, n1, rows))
+            assert spec.tobytes() == whole_spec.tobytes()  # the column pass, in place
+        assert not np.array_equal(whole_spec, spec0)
+
+
+def test_block_rows_follow_one_byte_budget(monkeypatch):
+    # four (tendency) and three (record) planes of 128^2 take one block;
+    # at 256^2 they take 64 and 85 rows of 512 KB, and a block holds a row
+    # at least, however small the budget
+    assert [_block_rows(SpectralGrid(n, n, TWO_PI, TWO_PI), p)
+            for n in (16, 128, 256, 512) for p in (4, 3)] == [16, 16, 128, 128, 64, 85, 32, 42]
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1)
+    assert _block_rows(SpectralGrid(40, 64, TWO_PI, TWO_PI), 4) == 1
 
 
 def test_roundtrip_identity():
