@@ -46,7 +46,7 @@ from .spectral import (
     SpectralState,
     _block_rows,
     _check_order,
-    from_potentials,
+    _components,
     sobolev_norm,
     to_physical,
 )
@@ -305,13 +305,14 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     Every array the record works in is a view into one complex buffer:
     ``work``, a stepper's workspace (``solver._Stepper.work``, which holds
     a record on the band columns), or else one of ``_record_size``
-    elements the call makes. The (9, n1, kc) float power stack comes
-    first; then one (3, n1, kc) complex array at the front holds a weight
-    table and the pairings' weighted factors, then B2, d1 v1 and d1 v2,
-    which ``to_physical`` turns into physical planes one block of rows at a
-    time, in the float view of the buffer's tail. The sups are the maxima
-    of the blocks' maxima, so they do not depend on the blocks; every grid
-    up to 128^2 takes one block, 256^2 four of up to 85 rows.
+    elements the call makes; a smaller ``work`` is a ``ConfigError``. The
+    (9, n1, kc) float power stack comes first; then one (3, n1, kc) complex
+    array at the front holds a weight table and the pairings' weighted
+    factors, then B2, d1 v1 and d1 v2, which ``to_physical`` turns into
+    physical planes one block of rows at a time, in the float view of the
+    buffer's tail. The sups are the maxima of the blocks' maxima, so they
+    do not depend on the blocks; every grid up to 128^2 takes one block,
+    256^2 four of up to 85 rows.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or not 0 < u.shape[-1] <= g.n2 // 2 + 1:
@@ -319,8 +320,11 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     h = np.ascontiguousarray(u)
     n1, kc = h.shape[1:]
     w = _record_weights(g, m, kc)
-    if work is None:
-        work = np.empty(_record_size(g, kc), dtype=np.complex128)
+    need = _record_size(g, kc)
+    work = np.empty(need, dtype=np.complex128) if work is None else work
+    if work.size < need:
+        raise ConfigError(f"a record on {kc} columns needs a work buffer of {need} "
+                          f"complex elements, got {work.size}")
     flat = work.view(np.float64)
     hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, comp, h_terms = _spectral_terms(
         g, h, w, flat[:9 * n1 * kc].reshape(9, n1, kc))
@@ -580,9 +584,10 @@ def fit_decay(curve: DecayCurve, window: tuple) -> DecayFit:
 def physical_l1_norm(state: SpectralState) -> float:
     """Riemann-sum L^1 norm of the pointwise 4-component magnitude, taken
     of the whole planes in one block, so the order of the sum is fixed."""
-    (_, fields), = to_physical(state.grid, state.u.copy(), np.empty((4,) + state.grid.shape))
+    g = state.grid
+    (_, fields), = to_physical(g, _components(g, state.w), np.empty((4,) + g.shape))
     mag = np.sqrt(np.sum(fields**2, axis=0))
-    return float(np.sum(mag) * state.grid.cell_area)
+    return float(np.sum(mag) * g.cell_area)
 
 
 def gaussian_divfree_family(grid: SpectralGrid, widths=(0.5, 1.0, 2.0, 4.0)):
@@ -595,12 +600,10 @@ def gaussian_divfree_family(grid: SpectralGrid, widths=(0.5, 1.0, 2.0, 4.0)):
         raise ConfigError(f"widths must be finite, got {tuple(widths)!r}")
     if not np.all(np.asarray(widths) > 0.0):
         raise ConfigError(f"widths must be positive, got {tuple(widths)!r}")
-    return [
-        from_potentials(grid, np.stack((np.exp(-0.5 * w**2 * grid.half_xi_sq),
-                                        np.exp(-0.25 * w**2 * grid.half_xi_sq)))
-                        * grid.half_dealias_mask)
-        for w in widths
-    ]
+    keep = grid.half_dealias_mask & (grid.half_xi_sq > 0.0)  # no field has a mean potential
+    return [SpectralState(grid, np.stack((np.exp(-0.5 * w**2 * grid.half_xi_sq),
+                                          np.exp(-0.25 * w**2 * grid.half_xi_sq))) * keep)
+            for w in widths]
 
 
 def single_mode_state(grid: SpectralGrid, k1: int, k2: int, pair: str = "v") -> SpectralState:
@@ -623,8 +626,9 @@ def single_mode_state(grid: SpectralGrid, k1: int, k2: int, pair: str = "v") -> 
     if k2 < 0 or (k2 == 0 and k1 < 0):
         k1, k2 = -k1, -k2
     w = np.zeros((2, grid.n1, grid.n2 // 2 + 1))
-    w[0 if pair == "v" else 1, k1 % grid.n1, k2] = 1.0
-    return from_potentials(grid, w)
+    # a k2 = 0 mode is its own column's mirror pair, (k1, 0) and (-k1, 0)
+    w[0 if pair == "v" else 1, [k1 % grid.n1, -k1 % grid.n1][:1 + (k2 == 0)], k2] = 1.0
+    return SpectralState(grid, w)
 
 
 def xm_embedding_scan(states: Sequence[SpectralState], m: int):
@@ -640,7 +644,7 @@ def xm_embedding_scan(states: Sequence[SpectralState], m: int):
     for st in states:
         g = st.grid
         xm = anisotropic_norm(st, m)
-        hm = np.sqrt(sum(sobolev_norm(g, st.u[c], m) ** 2 for c in range(4)))
+        hm = np.sqrt(sum(sobolev_norm(g, f, m) ** 2 for f in st.u))
         denom = hm + physical_l1_norm(st)
         if denom <= 0.0:
             raise ConfigError("embedding scan needs nonzero states")

@@ -153,20 +153,6 @@ class ProfileData(NamedTuple):
     scalar2: Callable
     pairs: Optional[dict] = None
 
-    def vector_at(self, xi1, xi2) -> np.ndarray:
-        """Sample the four components on a wavenumber grid (pairs required)."""
-        if self.pairs is None:
-            raise ConfigError(f"profile kind {self.kind!r} has no vector structure")
-        xi1 = np.asarray(xi1, dtype=float)
-        xi2 = np.asarray(xi2, dtype=float)
-        shape = np.broadcast_shapes(xi1.shape, xi2.shape)
-        out = np.zeros((4,) + shape, dtype=complex)
-        for j in (1, 2):
-            fv, fB, g = self.pairs[j]
-            out[j - 1] = fv(xi1) * g(xi2)
-            out[j + 1] = fB(xi1) * g(xi2)
-        return out
-
 
 def build_profile(kind: str) -> ProfileData:
     """Construct one of the built-in profiles.

@@ -39,15 +39,13 @@ the workspace holds the band and one block of physical rows; every grid up
 to 128^2 takes one block, 256^2 four of 64 rows. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables, (n1, 1) row tables with alpha = 0,
-whose saved memory pays for the workspace. ``SpectralState`` (the four
-components on the whole half spectrum) stays the form of every input and
-output.
-``run``, the one public way to a stepper, enters the band stack only
-through ``_band``, which checks the grid and, in one pass of the state
-check ``validate()`` uses, its properties and the 2/3 band, and leaves it
-only through ``from_potentials``, which takes the band stack as it is; a
-run records each sample, t = 0 included, from the band stack's own columns
-and builds a state only for one that leaves the run (``_sampled_state``).
+whose saved memory pays for the workspace. A ``SpectralState`` holds the
+same potentials on the whole half spectrum, a zero-padded band stack:
+``run``, the one public way to a stepper, enters through ``_band``, which
+checks the grid, the potentials and the 2/3 band in one pass of the state
+check ``validate()`` uses and slices the band; it goes on from the stepped
+stack at every sample, records each from the stack's own columns, and
+builds a state only for one that leaves the run.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -77,8 +75,6 @@ from .spectral import (
     _check_order,
     _column_fault,
     _components,
-    _potentials,
-    from_potentials,
     random_div_free_state,
     to_physical,
 )
@@ -188,10 +184,12 @@ class Trajectory:
     run's samples, those a failed run took before its failure included.
     ``states`` aligns with ``times``, None where the run built no state: it
     builds the t = 0 state, every state under ``run(keep_states=True)``, and
-    otherwise the last one only if ``keeps_states`` is true. This trajectory
-    keeps every state it is given; a subclass may store None instead and
-    write a state out as it arrives, as the CLI's ``_Snapshots`` writes
-    initial.bin and final.bin.
+    otherwise the last one only if ``keeps_states`` is true. Each state past
+    t = 0 holds the run's own band stack at its time, so the states do not
+    depend on the sample cadence, and a run from any of them repeats the
+    rest of this one. This trajectory keeps every state it is given; a
+    subclass may store None instead and write a state out as it arrives, as
+    the CLI's ``_Snapshots`` writes initial.bin and final.bin.
     """
 
     times: List[float] = field(default_factory=list)
@@ -307,19 +305,20 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
 def _band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     """The (psi, a) band stack of a checked state: the one way into the stepper.
 
-    Raises ``ConfigError`` unless the state lies on ``grid`` and passes
-    ``validate()``'s checks and, in the same pass, the 2/3 band's (nothing
-    outside it above ``STATE_RTOL`` max|u|). The tendency is alias-free only
-    on band-limited states: outside the band the Elsasser products alias
-    differently from the advective form they stand for, and the band stack
-    drops it. The stack holds the ``grid.band_cols`` leading columns.
+    Raises ``ConfigError`` unless the state lies on ``grid`` and its
+    potentials pass ``validate()``'s checks and, in the same pass, the 2/3
+    band's (nothing outside it above ``STATE_RTOL`` max|w|). The tendency
+    is alias-free only on band-limited states: outside the band the
+    Elsasser products alias differently from the advective form they stand
+    for, and the band stack drops it. The stack is a copy of the
+    ``grid.band_cols`` leading columns.
     """
     if state.grid != grid:
         raise ConfigError("state grid does not match the solver configuration")
-    fault = _column_fault(grid, state.u, band=True)
+    fault = _column_fault(grid, state.w, band=True)
     if fault is not None:
         raise ConfigError(fault)
-    return _potentials(grid, state.u, grid.band_cols)
+    return state.w[:, :, :grid.band_cols].copy()
 
 
 def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.ndarray:
@@ -329,24 +328,12 @@ def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.nd
     itself is checked against ``STATE_RTOL`` max|w|: max|w| times the band's
     largest |xi| must be finite (else the components would not be), the
     k2 = 0 column Hermitian and the mean mode zero. A failure raises
-    ``DiagnosticIntegrityError``.
+    ``DiagnosticIntegrityError``. A stack that passes is a valid state.
     """
-    fault = _column_fault(grid, w)
+    fault = _column_fault(grid, w, stack=True)
     if fault is not None:
         raise DiagnosticIntegrityError(f"band stack at t = {time} {fault}")
     return _components(grid, w)
-
-
-def _sampled_state(grid: SpectralGrid, w: np.ndarray, time: float) -> SpectralState:
-    """The state of a band stack that ``_sampled_components`` passed, for a
-    sample that leaves the run; it also passes the full ``validate()``, and a
-    failure raises ``DiagnosticIntegrityError``."""
-    snap = from_potentials(grid, w, time)
-    try:
-        snap.validate()
-    except ConfigError as exc:
-        raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
-    return snap
 
 
 class _Stepper:
@@ -476,7 +463,7 @@ def advective_dt_bound(state: SpectralState) -> float:
     largest squared magnitude only, the maximum of the blocks' maxima."""
     g = state.grid
     top = None
-    for _, fields in to_physical(g, state.u[:, :, :g.band_cols].copy(),
+    for _, fields in to_physical(g, _components(g, state.w[:, :, :g.band_cols]),
                                  np.empty((4, _block_rows(g, 4), g.n2))):
         np.square(fields, out=fields)
         fields[0::2] += fields[1::2]
@@ -489,12 +476,13 @@ def advective_dt_bound(state: SpectralState) -> float:
 def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> SpectralState:
     """Build and normalize the configured initial data on the grid.
 
-    Profile data is sampled on the band columns with the stream-function
-    phase (so physical fields are real) and reduced to its potentials,
-    which drops the gradient part, the mean and the Nyquist modes. Cut to
-    the 2/3 band and turned into a state by ``from_potentials``, it is
-    scaled so the order-m energy E(0) equals data_delta; E is
-    ``diagnostics.energy``, a record's H^m sums over the weights the run's
+    The prop25 profile sigma(xi1) sigma(xi2) (xi2, -xi1, xi2, -xi1), times
+    i so the physical fields are real, is the curl of the potentials
+    psi_hat = a_hat = sigma(xi1) sigma(xi2); those are sampled on the band
+    columns, cut to the 2/3 band, with the mean zeroed. Random data come
+    from ``random_div_free_state``. The potentials are scaled so the
+    order-m energy E(0) equals data_delta; E is ``diagnostics.energy`` of
+    the band's components, a record's H^m sums over the weights the run's
     records go on to use.
     """
     g = grid if grid is not None else cfg.grid()
@@ -502,17 +490,19 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
         return SpectralState.zeros(g)
     kc = g.band_cols  # the data lie on the band
     if cfg.data_kind == "prop25":
-        samp = build_profile("prop25").vector_at(g.xi1, g.half_xi2[:, :kc])
-        st = from_potentials(g, _potentials(g, 1j * samp, kc) * g.half_dealias_mask[:, :kc])
+        prof = build_profile("prop25")
+        w = prof.scalar1(g.xi1) * prof.scalar2(g.half_xi2[:, :kc]) * g.half_dealias_mask[:, :kc]
+        w[0, 0] = 0.0
+        st = SpectralState(g, np.stack((w, w)))
     else:
         st = random_div_free_state(g, cfg.seed)
-    e0 = energy(g, st.u[:, :, :kc], cfg.m)
+    e0 = energy(g, _components(g, st.w[:, :, :kc]), cfg.m)
     if e0 <= 0.0:
         raise ConfigError(
             f"initial data {cfg.data_kind!r} vanishes on this grid; "
             "the box is too small to resolve its spectral support"
         )
-    st.u *= cfg.data_delta / e0
+    st.w *= cfg.data_delta / e0
     return st
 
 
@@ -529,12 +519,11 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     diagnostic invariant (``DiagnosticIntegrityError``), holding every
     sample taken before the failure. Each sample, t = 0 included, is
     recorded from the band columns, and each later one checks the band
-    stack itself. A state past t = 0 is built, and passes the full
-    ``validate()``, only where it leaves the run: at every sample with
-    ``keep_states``, else at the last one if ``trajectory.keeps_states``;
-    a failure of either check is a ``DiagnosticIntegrityError``. The t = 0
-    state is the one ``run`` built, or a copy of ``initial``, which the
-    caller may go on to change.
+    stack itself, a failure being a ``DiagnosticIntegrityError``. A state
+    past t = 0 is built only where it leaves the run: at every sample with
+    ``keep_states``, else at the last one if ``trajectory.keeps_states``.
+    The t = 0 state is the one ``run`` built, or a copy of ``initial``,
+    which the caller may go on to change.
 
     Memory: ``run`` drops its reference to each state once it has appended
     it, the t = 0 state included, so a trajectory that does not keep its
@@ -545,11 +534,13 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     is built after the record, so it shares the peak with no table and no
     temporary of the record.
 
-    The stepper goes on from the sample's band columns, so a run restarted
-    from any snapshot repeats the uninterrupted run bit for bit. An initial
-    state must lie on the configured grid, pass ``validate()``'s checks and
-    lie inside the 2/3 dealias band, as every snapshot of a run does;
-    otherwise ``ConfigError`` is raised.
+    The stepper goes on from the stepped stack itself at every sample, and
+    a state a run hands out holds that stack, zero-padded; so a run's
+    states do not depend on its sample cadence, and a run restarted from
+    any of them repeats the uninterrupted run bit for bit, its times
+    included. An initial state must lie on the configured grid, pass
+    ``validate()``'s checks and lie inside the 2/3 dealias band, as every
+    state of a run does; otherwise ``ConfigError`` is raised.
     """
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
@@ -563,6 +554,9 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     stepper = _Stepper(g, cfg)
     traj = trajectory if trajectory is not None else Trajectory()
     base = state.time
+    # times lie on the dt grid through t = 0, offset as the initial state is,
+    # so a run from a state on the grid, as its samples are, repeats them
+    k0 = round(base / cfg.dt)
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
@@ -575,7 +569,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     for i in range(cfg.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
             w = stepper.advance(w)
-        t = base + (i + 1) * cfg.dt
+        t = (k0 + i + 1) * cfg.dt + (base - k0 * cfg.dt)
         if not np.all(np.isfinite(w)):
             raise BlowUpError(f"non-finite coefficients at t = {t}",
                               last_valid_time=t_prev)
@@ -588,17 +582,11 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
             resid = stepper.half_l2_sq(w) - e0 + acc
             if last:  # its tables and workspace would share the final state's peak
                 del stepper
-            # the record first, then the state, with h released before it
-            spent, h = w, _sampled_components(g, w, t)
-            rec = instantaneous(g, h, cfg.m, time=t, energy_residual=resid,
-                                work=None if last else stepper.work)
-            if not last:
-                # the stack is checked: _band would only repeat full |u| passes
-                w = _potentials(g, h, g.band_cols)
-            del h
-            snap = (_sampled_state(g, spent, t)
+            # the record first, its components released before the state
+            rec = instantaneous(g, _sampled_components(g, w, t), cfg.m, time=t,
+                                energy_residual=resid, work=None if last else stepper.work)
+            snap = (SpectralState(g, w, t)
                     if keep_states or (last and traj.keeps_states) else None)
-            del spent
             traj.append(t, rec, snap)
             del snap
     return traj

@@ -1,10 +1,10 @@
 """Periodic-grid spectral substrate.
 
-Grids and their wavenumbers with the 2/3 dealias mask, the state container
-and its checks, the one inverse transform, Sobolev norms, divergence-free
-random states, the stream-function/potential form of a state, and the
-binary snapshot format used by the experiment runner, all on the real-FFT
-half spectrum.
+Grids and their wavenumbers with the 2/3 dealias mask, the state container,
+which holds a state's stream function and magnetic potential, and its
+checks, the curl maps between potentials and components, the one inverse
+transform, Sobolev norms, random states, and the binary snapshot format
+used by the experiment runner, all on the real-FFT half spectrum.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -31,10 +31,10 @@ from .artifacts import atomic_open
 from .errors import ConfigError, SnapshotFormatError
 
 SNAPSHOT_MAGIC = b"MHD2"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
-# relative scale (against max |u|) of every defect ``_column_fault``, the one
-# state check, compares
+# relative scale (against max |u| or max |w|) of every defect
+# ``_column_fault``, the one state check, compares
 STATE_RTOL = 1e-12
 
 
@@ -169,43 +169,70 @@ class SpectralGrid:
 
 @dataclass
 class SpectralState:
-    """Fourier coefficients of (v1, v2, B1, B2) at one instant.
+    """Stream function and magnetic potential (psi, a) at one instant.
 
-    ``u`` has shape ``(4, n1, n2/2 + 1)`` complex, in that component
-    order: the half spectrum, whose negative k2 columns the fields being
-    real would only mirror. Fields of a physically meaningful state are
+    ``w`` has shape ``(2, n1, n2/2 + 1)`` complex: (psi_hat, a_hat) on the
+    half spectrum, whose negative k2 columns the fields being real would
+    only mirror. The state is (v, B) = (d2 psi, -d1 psi, d2 a, -d1 a), so
+    both pairs are divergence free by construction; the constructor takes
+    potentials on any leading kc <= n2/2 + 1 columns and zero-pads the
+    rest. ``from_components`` is the way in for the four components, which
+    it checks first. ``validate`` checks that the potentials are finite,
     Hermitian symmetric (which the half spectrum leaves open only in its
-    self-mirrored k2 = 0 and Nyquist columns), mean-free, and
-    divergence-free in both the velocity and magnetic pairs; ``validate``
-    checks all three.
+    self-mirrored k2 = 0 and Nyquist columns) and mean-free.
     """
 
     grid: SpectralGrid
-    u: np.ndarray
+    w: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.complex128)
-        shape = (4, self.grid.n1, self.grid.n2 // 2 + 1)
-        if self.u.shape != shape:
-            raise ConfigError(f"state array must have shape {shape}, got {self.u.shape}")
+        w = np.asarray(self.w, dtype=np.complex128)
+        n1, nh = self.grid.n1, self.grid.n2 // 2 + 1
+        if w.ndim != 3 or w.shape[:2] != (2, n1) or not 0 < w.shape[-1] <= nh:
+            raise ConfigError(f"potentials must have shape (2, {n1}, kc <= {nh}), got {w.shape}")
+        self.w = w if w.shape[-1] == nh else np.pad(w, [(0, 0), (0, 0), (0, nh - w.shape[-1])])
         if not 0.0 <= self.time < np.inf:
             raise ConfigError(f"time must be finite and nonnegative, got {self.time}")
 
     @classmethod
+    def from_components(cls, grid: SpectralGrid, u: np.ndarray,
+                        time: float = 0.0) -> "SpectralState":
+        """The state of the half-spectrum components (v1, v2, B1, B2), shape
+        ``(4, n1, n2/2 + 1)``; ``ConfigError`` unless ``_column_fault`` finds
+        them finite, Hermitian, mean-free, divergence free and empty on the
+        Nyquist row and column, which no potential holds."""
+        u = np.asarray(u, dtype=np.complex128)
+        shape = (4, grid.n1, grid.n2 // 2 + 1)
+        if u.shape != shape:
+            raise ConfigError(f"state array must have shape {shape}, got {u.shape}")
+        fault = _column_fault(grid, u)
+        if fault is not None:
+            raise ConfigError(fault)
+        return cls(grid, _potentials(grid, u, shape[-1]), time)
+
+    @property
+    def u(self) -> np.ndarray:
+        """The components (v1, v2, B1, B2), shape ``(4, n1, n2/2 + 1)``, made on
+        each access and read-only, as a write into them would not reach ``w``."""
+        u = _components(self.grid, self.w)
+        u.flags.writeable = False
+        return u
+
+    @classmethod
     def zeros(cls, grid: SpectralGrid) -> "SpectralState":
-        return cls(grid, np.zeros((4, grid.n1, grid.n2 // 2 + 1), dtype=np.complex128))
+        return cls(grid, np.zeros((2, grid.n1, grid.n2 // 2 + 1), dtype=np.complex128))
 
     def copy(self) -> "SpectralState":
-        return SpectralState(self.grid, self.u.copy(), self.time)
+        return SpectralState(self.grid, self.w.copy(), self.time)
 
     def validate(self) -> None:
-        """Assert finite values, Hermitian symmetry, zero mean, and zero divergence.
+        """Assert finite values, Hermitian symmetry and zero mean of ``w``.
 
-        Each defect is compared with ``STATE_RTOL`` max|u| in one pass of
+        Each defect is compared with ``STATE_RTOL`` max|w| in one pass of
         ``_column_fault``; raises ``ConfigError`` on the first violated property.
         """
-        fault = _column_fault(self.grid, self.u)
+        fault = _column_fault(self.grid, self.w)
         if fault is not None:
             raise ConfigError(fault)
 
@@ -254,22 +281,25 @@ def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
     With v = (d2 psi, -d1 psi) and B = (d2 a, -d1 a), psi_hat = i (xi1 v2_hat -
     xi2 v1_hat) / |xi|^2 and likewise a_hat. The gradient part of a field
     that is not divergence free is dropped; the mean mode and the Nyquist
-    row and column come out zero. The one inverse curl map: the same
-    elementwise operations on every width, so its columns equal those of
-    the half-width result bit for bit. The stepper takes its band stack
-    (kc = ``grid.band_cols``) from it without computing the columns it
-    would drop.
+    row and column come out zero, the k2 = 0 column mirrored, so the
+    result is exactly Hermitian. The one inverse curl map, the way in of
+    ``SpectralState.from_components`` alone.
     """
     half = u[:, :, :kc]
     curl = grid.xi1 * half[1::2] - grid.half_xi2[:, :kc] * half[0::2]
-    return 1j * (curl * grid.half_inv_xi_sq[:, :kc])
+    w = 1j * (curl * grid.half_inv_xi_sq[:, :kc])
+    w[:, grid.n1 // 2 + 1:, 0] = np.conj(w[:, grid.n1 // 2 - 1:0:-1, 0])
+    return w
 
 
-def _components(grid: SpectralGrid, w: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """(v1, v2, B1, B2) of ``from_potentials`` on w's kc columns, into ``out``
-    if given: Nyquist row and column zero, the k2 = 0 column mirrored."""
+def _components(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
+    """(v1, v2, B1, B2) = (d2 psi, -d1 psi, d2 a, -d1 a) of the potentials
+    on w's kc leading columns: Nyquist row and column zero, the k2 = 0
+    column mirrored, so the result is exactly Hermitian. The same
+    elementwise operations on every width, so the columns of a narrower
+    result equal those of a wider one bit for bit."""
     n1, kc = grid.n1, w.shape[-1]
-    out = np.empty((4, n1, kc), dtype=np.complex128) if out is None else out
+    out = np.empty((4, n1, kc), dtype=np.complex128)
     np.multiply(w, 1j, out=out[0::2])  # i w, scaled in place below
     np.multiply(out[0::2], -grid.xi1, out=out[1::2])
     out[0::2] *= grid.half_xi2[:, :kc]
@@ -279,23 +309,11 @@ def _components(grid: SpectralGrid, w: np.ndarray, out: np.ndarray = None) -> np
     return out
 
 
-def from_potentials(grid: SpectralGrid, w: np.ndarray, time: float = 0.0) -> SpectralState:
-    """The state (v, B) = (curl-perp psi, curl-perp a) of a half-spectrum stack.
-
-    The inverse of ``_potentials`` on divergence-free states. ``w`` may
-    hold only the leading kc <= n2//2 + 1 columns, as the band stack does:
-    those become its ``_components`` and the rest of the half spectrum
-    zero, so the result is exactly Hermitian. Every state the package
-    builds comes out of this curl map.
-    """
-    u = np.zeros((4, grid.n1, grid.n2 // 2 + 1), dtype=np.complex128)
-    _components(grid, w, u[:, :, :w.shape[-1]])
-    return SpectralState(grid, u, time)
-
-
 def l2_norm(grid: SpectralGrid, f: np.ndarray) -> float:
-    """L2 norm of one component from its half-spectrum coefficients."""
-    return float(np.sqrt(grid.area * np.sum(grid.half_mult * np.abs(f) ** 2)))
+    """L2 norm of one component from its coefficients on the leading kc
+    half-spectrum columns, zero past them."""
+    mult = grid.half_mult[:f.shape[-1]]
+    return float(np.sqrt(grid.area * np.sum(mult * np.abs(f) ** 2)))
 
 
 def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
@@ -308,23 +326,17 @@ def sobolev_norm(grid: SpectralGrid, f: np.ndarray, m: int) -> float:
     return float(np.sqrt(grid.area * np.sum(w * np.abs(f) ** 2)))
 
 
-def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """Max |a(k1) - conj(b(-k1))| over the rows k1 (mod n1) of two column
-    stacks, against one gathered copy of b's rows in mirror order."""
-    rows = -np.arange(b.shape[-2]) % b.shape[-2]
-    return float(np.abs(a - np.conj(b[..., rows, :])).max())
-
-
 def hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
-    """Max |u(-k) - conj(u(k))| over modes and components of a state, or of
-    a band stack, which holds fewer than n2/2 + 1 columns.
+    """Max |u(-k) - conj(u(k))| over the modes and planes of a half-spectrum
+    stack: a state's components or potentials, or a narrower band stack.
 
     The half spectrum holds one member of each pair (k, -k) of its interior
     columns, so only the k2 = 0 and Nyquist columns, each its own mirror,
-    can fail.
+    can fail; each is compared with a gathered copy of its mirrored rows.
     """
     selfs = u[..., 0:grid.n2 // 2 + 1:grid.n2 // 2]  # the columns k2 = 0 and n2/2
-    return _mirror_defect(selfs, selfs)
+    rows = -np.arange(grid.n1) % grid.n1
+    return float(np.abs(selfs - np.conj(selfs[..., rows, :])).max())
 
 
 def divergence_defect(grid: SpectralGrid, u: np.ndarray):
@@ -340,14 +352,17 @@ def divergence_defect(grid: SpectralGrid, u: np.ndarray):
     return out[0], out[1]
 
 
-# ``_column_fault``'s message for each fault of a state and of a band stack
+# ``_column_fault``'s message for each fault of a state, its components or
+# its potentials, and of a run's band stack
 _STATE_FAULTS = {
     "non-finite": "state has non-finite coefficients",
     "Hermitian": "state is not Hermitian symmetric: defect {0:.3e}",
     "mean": "state has nonzero mean mode: {0:.3e}",
     "divergence": "state is not divergence free: |div v|={0[0]:.3e} |div B|={0[1]:.3e}",
+    "Nyquist": ("state has {0:.3e} on the Nyquist row or column, which no potential "
+                "holds, against max |u| = {1:.3e}"),
     "band": ("state has coefficients outside the 2/3 dealias band: {0:.3e} "
-             "against max |u| = {1:.3e}"),
+             "against max |w| = {1:.3e}"),
 }
 _STACK_FAULTS = {
     "non-finite": "overflows the curl map: max |w| = {1:.3e}",
@@ -357,75 +372,85 @@ _STACK_FAULTS = {
 }
 
 
-def _column_fault(grid: SpectralGrid, u: np.ndarray, *, band: bool = False):
-    """The one state check: None, or the message, from ``_STATE_FAULTS`` or
-    ``_STACK_FAULTS``, of the first property a state's (4, n1, n2/2 + 1)
-    array or a (2, n1, kc < n2/2 + 1) band stack, told apart by their
-    width, fails. Each defect fails above ``STATE_RTOL`` max|u| (the
-    scale), in the order: ``non-finite`` (the scale, times
+def _column_fault(grid: SpectralGrid, a: np.ndarray, *, band: bool = False,
+                  stack: bool = False):
+    """The one state check: None, or the message, from ``_STACK_FAULTS``
+    for a run's band stack (``stack``) and ``_STATE_FAULTS`` otherwise, of
+    the first property ``a`` fails: a state's potentials, a band stack, or
+    the components ``SpectralState.from_components`` takes, told apart by
+    their planes (2 or 4). Each defect fails above ``STATE_RTOL`` max|a|
+    (the scale), in the order: ``non-finite`` (the scale, times
     ``grid.band_xi_max`` for a band stack, whose curl map multiplies by
-    it); ``Hermitian`` (``hermitian_defect``); ``mean``; a state's
-    ``divergence``; and with ``band``, max |u| outside the 2/3 band: the
-    rows it drops, then the columns it drops on the rows it keeps."""
-    state = u.shape[-1] == grid.n2 // 2 + 1
-    table = _STATE_FAULTS if state else _STACK_FAULTS
-    mag = np.abs(u)
-    peak, outside = float(mag.max()), 0.0
-    if band:  # taken now, so |u| is not held through the other checks
+    it); ``Hermitian`` (``hermitian_defect``); ``mean``; the components'
+    ``divergence`` and ``Nyquist`` (max |u| on the Nyquist row and column);
+    and with ``band``, max |a| outside the 2/3 band."""
+    table = _STACK_FAULTS if stack else _STATE_FAULTS
+    components = len(a) == 4
+    mag = np.abs(a)
+    peak, outside, nyquist = float(mag.max()), 0.0, 0.0
+    if components:
+        nyquist = float(max(mag[:, grid.n1 // 2].max(), mag[:, :, -1].max()))
+    if band:  # taken now, so |a| is not held through the other checks
         r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
         r1 = grid.n1 - r0 + 1  # first row kept again
         outside = float(np.max([mag[:, r0:r1].max(), mag[:, :r0, c0:].max(),
                                 mag[:, r1:, c0:].max()]))
     del mag
-    if not np.isfinite(peak * (1.0 if state else grid.band_xi_max)):
+    if not np.isfinite(peak * (grid.band_xi_max if stack else 1.0)):
         return table["non-finite"].format(peak, peak)
     scale = max(peak, 1e-300)
     tol = STATE_RTOL * scale
-    herm = hermitian_defect(grid, u)
+    herm = hermitian_defect(grid, a)
     if herm > tol:
         return table["Hermitian"].format(herm, scale)
-    mean = float(np.max(np.abs(u[:, 0, 0])))
+    mean = float(np.max(np.abs(a[:, 0, 0])))
     if mean > tol:
         return table["mean"].format(mean, scale)
-    if state:
-        div = divergence_defect(grid, u)
+    if components:
+        div = divergence_defect(grid, a)
         if max(div) > tol:
             return table["divergence"].format(div, scale)
+        if nyquist > tol:
+            return table["Nyquist"].format(nyquist, scale)
     if outside > tol:
         return table["band"].format(outside, scale)
     return None
 
 
 def random_div_free_state(grid: SpectralGrid, seed: int) -> SpectralState:
-    """Seeded, Hermitian-by-construction, divergence-free random state.
+    """Seeded, Hermitian, mean-free random state on the 2/3 band.
 
-    Both pairs come from stream functions: two planes of white noise go
-    through one ``rfft2``, are shaped by a Gaussian spectral envelope and
-    cut to the 2/3 band, and ``from_potentials`` turns them into curls, so
-    the state is exactly Hermitian, mean-free and divergence free. The
-    largest component L2 norm is then scaled to 1.
+    Two planes of white noise, psi and a, go through a row ``rfftn`` into
+    the state's own potentials and a column ``fftn`` over the band columns
+    only, a whole ``rfft2``'s values there bit for bit; a Gaussian envelope
+    cut to the band shapes them, the columns past it and the mean are zero,
+    and they are scaled so the largest component L2 norm is 1.
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     ximax = min(float(np.max(np.abs(grid.xi1))), float(np.max(np.abs(grid.half_xi2))))
     xic = max(ximax / 4.0, 1e-8)
-    envelope = np.exp(-grid.half_xi_sq / (2.0 * xic**2)) * grid.half_dealias_mask
-    noise = rng.standard_normal((2,) + grid.shape)
-    w = np.fft.rfft2(noise, axes=(-2, -1), norm="forward") * envelope
-    state = from_potentials(grid, w)
-    cur = max((l2_norm(grid, state.u[c]) for c in range(4)), default=0.0)
+    kc = grid.band_cols
+    w = np.fft.rfftn(rng.standard_normal((2,) + grid.shape), axes=(-1,), norm="forward")
+    band = w[..., :kc]
+    np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
+    band *= np.exp(-grid.half_xi_sq[:, :kc] / (2.0 * xic**2)) * grid.half_dealias_mask[:, :kc]
+    w[..., kc:] = 0.0
+    w[:, 0, 0] = 0.0  # no field has a mean potential
+    cur = max(l2_norm(grid, h) for h in _components(grid, band))
     if cur > 0.0:
-        state.u *= 1.0 / cur
-    return state
+        band *= 1.0 / cur
+    return SpectralState(grid, w)
 
 
 def save_state(state: SpectralState, path) -> None:
-    """Write the binary snapshot format, version 2.
+    """Write the binary snapshot format, version 3.
 
     Layout: magic ``MHD2``, version u32 (little endian), then n1, n2, l1,
-    l2, time as little-endian IEEE-754 doubles, then the four half-spectrum
-    coefficient arrays, (4, n1, n2/2 + 1) row-major with re/im interleaved.
-    The file appears whole or not at all (``artifacts.atomic_open``).
+    l2, time as little-endian IEEE-754 doubles, then the potentials (psi,
+    a) on the half spectrum, (2, n1, n2/2 + 1) row-major complex with re/im
+    interleaved. The file appears whole or not at all
+    (``artifacts.atomic_open``).
     """
     g = state.grid
     with atomic_open(path, "wb") as fh:
@@ -433,17 +458,16 @@ def save_state(state: SpectralState, path) -> None:
         fh.write(struct.pack("<I", SNAPSHOT_VERSION))
         fh.write(struct.pack("<5d", float(g.n1), float(g.n2), g.l1, g.l2, state.time))
         # one little-endian array, written from its own buffer
-        fh.write(np.ascontiguousarray(state.u, dtype="<c16"))
+        fh.write(np.ascontiguousarray(state.w, dtype="<c16"))
 
 
 def load_state(path) -> SpectralState:
     """Read a snapshot written by ``save_state``; ``SnapshotFormatError`` unless
     it is exactly one header and a payload that passes ``validate``.
 
-    A version 1 snapshot, the same header before a full-spectrum (4, n1, n2)
-    payload, is read too: it must be finite and its negative k2 columns must
-    mirror the half spectrum within ``STATE_RTOL`` max|u|, and the state
-    keeps a copy of the half.
+    A version 2 snapshot, the same header before the four components (4,
+    n1, n2/2 + 1), is read too, through ``SpectralState.from_components``
+    and its check.
     """
     header = 4 + struct.calcsize("<I5d")
     with open(path, "rb") as fh:
@@ -454,36 +478,28 @@ def load_state(path) -> SpectralState:
             raise SnapshotFormatError(
                 f"truncated snapshot header: {len(head)} of {header} bytes")
         version, n1f, n2f, l1, l2, time = struct.unpack_from("<I5d", head, 4)
-        if version not in (1, SNAPSHOT_VERSION):
+        if version not in (2, SNAPSHOT_VERSION):
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
         if not (n1f.is_integer() and n2f.is_integer() and n1f > 0 and n2f > 0):
             raise SnapshotFormatError(f"grid sizes must be positive integers, got {n1f}, {n2f}")
         n1, n2 = int(n1f), int(n2f)
-        nh = n2 // 2 + 1
-        shape = (4, n1, n2 if version == 1 else nh)
+        shape = (4 if version == 2 else 2, n1, n2 // 2 + 1)
         # sizes are checked against the file, in Python ints that cannot wrap,
         # before the payload is allocated
-        extra = os.fstat(fh.fileno()).st_size - header - 16 * 4 * n1 * shape[-1]
+        extra = os.fstat(fh.fileno()).st_size - header - 16 * shape[0] * n1 * shape[-1]
         if extra < 0:
             raise SnapshotFormatError("truncated snapshot payload")
         if extra > 0:
             raise SnapshotFormatError(f"{extra} trailing bytes after the snapshot payload")
-        # the payload is read once, into the array a version 2 state keeps
-        u = np.empty(shape, dtype="<c16")
-        if fh.readinto(u) != u.nbytes:
+        # the payload is read once, into the array a version 3 state keeps
+        payload = np.empty(shape, dtype="<c16")
+        if fh.readinto(payload) != payload.nbytes:
             raise SnapshotFormatError("truncated snapshot payload")
     try:
         grid = SpectralGrid(n1, n2, l1, l2)
-        if version == 1:
-            peak = float(np.max(np.abs(u)))
-            if not peak < np.inf:  # NaN fails too
-                raise ConfigError(_STATE_FAULTS["non-finite"])
-            defect = _mirror_defect(u[..., 1:nh - 1], u[..., :nh - 1:-1])
-            if defect > STATE_RTOL * peak:
-                raise ConfigError(f"the negative k2 columns of a version 1 payload do not mirror "
-                                  f"its half spectrum: defect {defect:.3e}, max |u| {peak:.3e}")
-            u = u[..., :nh].copy()
-        state = SpectralState(grid, u, time)
+        if version == 2:
+            return SpectralState.from_components(grid, payload, time)
+        state = SpectralState(grid, payload, time)
         state.validate()
     except ConfigError as exc:
         raise SnapshotFormatError(f"invalid snapshot: {exc}") from exc

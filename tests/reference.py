@@ -1,16 +1,19 @@
 """Four-component, full-spectrum reference operations for the tests.
 
 The package steps only the (psi, a) band stack; these helpers act on a
-whole ``SpectralState`` instead, with plain full-spectrum arithmetic, so
+whole state's components instead, with plain full-spectrum arithmetic, so
 the tests can build closed-form states and check the stepper's tendency
 and linear flow against an independent form of each. ``tendency`` is the
 stepper's own tendency, returned as four components for those checks, and
 ``stress_tendency`` the stress form of the same tendency on a band stack.
-``check_state``, ``check_band`` and ``check_band_stack`` are the state
-checks written one property and one full-spectrum pass at a time, the
-oracle of the package's one half-spectrum check; ``phi_fixed_series`` is
-phi_k with all 48 series terms on every entry, the oracle of the series in
-``modes._phi`` that stops early, and so of the step tables;
+``check_components``, ``check_state``, ``check_band`` and
+``check_band_stack`` are the state checks written one property and one
+full-spectrum pass at a time, the oracle of the package's one
+half-spectrum check; ``profile_vector`` samples a profile's four
+components, which the package, setting potentials, never forms;
+``phi_fixed_series`` is phi_k with all 48 series terms on every entry, the
+oracle of the series in ``modes._phi`` that stops early, and so of the
+step tables;
 ``pairwise_reconstruct`` is ``ModeSystem.reconstruct`` as a loop over the
 two (v_j, B_j) pairs, its oracle; ``traced_peak`` is the transient-memory
 probe the peak tests share, ``failing_instantaneous`` the record routine
@@ -21,12 +24,15 @@ package the tests import.
 every weighted sum taken as a product array summed by ``np.sum`` on each
 call, the oracle of the package's record.
 
-The package stores every coefficient array on the half spectrum; the
+A ``SpectralState`` holds the potentials (psi, a); the four-component
+helpers here take and return component arrays, and a test wraps those
+that are a state's in ``SpectralState.from_components``. The package
+stores every coefficient array on the half spectrum; the
 full-spectrum oracles read ``full_spectrum``, which fills the negative k2
 columns with the mirrors of a half-spectrum array by two slice copies, and
 ``full_xi``, the full layout's wavenumbers. ``gathered_from_potentials``
 fills them by a row gather instead, the oracle of ``full_spectrum``.
-``physical_fields`` is the whole-spectrum ``irfft2`` of a state, the oracle
+``physical_fields`` is the whole-spectrum ``irfft2`` of components, the oracle
 of the package's one inverse transform, and ``irfft2_dt_bound`` the
 advective bound taken from it.
 ``coordinates``, ``mode_numbers``, ``dealias_mask``, ``scaled_random_state``,
@@ -54,8 +60,6 @@ from mhd2d.spectral import (
     SpectralGrid,
     SpectralState,
     _components,
-    _potentials,
-    from_potentials,
     random_div_free_state,
 )
 
@@ -108,40 +112,39 @@ def scaled_random_state(grid: SpectralGrid, seed: int, amplitude: float) -> Spec
     """``random_div_free_state`` with its largest component L2 norm scaled
     from 1 to ``amplitude``."""
     state = random_div_free_state(grid, seed)
-    state.u *= amplitude
+    state.w *= amplitude
     return state
 
 
-def from_physical(grid: SpectralGrid, fields: np.ndarray, time: float = 0.0) -> SpectralState:
-    """Forward transform of physical fields, shape (4, n1, n2), onto the half
-    spectrum."""
+def from_physical(grid: SpectralGrid, fields: np.ndarray) -> np.ndarray:
+    """Forward transform of physical fields, shape (..., n1, n2), onto the
+    half spectrum: coefficient arrays, a state's components among them
+    (``SpectralState.from_components``)."""
     fields = np.asarray(fields, dtype=float)
-    return SpectralState(grid, np.fft.rfft2(fields, axes=(-2, -1), norm="forward"), time)
+    return np.fft.rfft2(fields, axes=(-2, -1), norm="forward")
 
 
-def physical_fields(state: SpectralState) -> np.ndarray:
-    """The four real fields, shape (4, n1, n2), of a state's whole half
-    spectrum through one ``irfft2``: the inverse of ``from_physical`` and the
-    oracle of the package's band-pruned ``spectral.to_physical``."""
-    return np.fft.irfft2(state.u, s=state.grid.shape, axes=(-2, -1), norm="forward")
+def physical_fields(grid: SpectralGrid, u: np.ndarray) -> np.ndarray:
+    """The real fields, shape (..., n1, n2), of whole half-spectrum
+    coefficients ``u`` through one ``irfft2``: the inverse of
+    ``from_physical`` and the oracle of the package's band-pruned
+    ``spectral.to_physical``."""
+    return np.fft.irfft2(u, s=grid.shape, axes=(-2, -1), norm="forward")
 
 
 def irfft2_dt_bound(state: SpectralState) -> float:
     """``solver.advective_dt_bound`` from ``physical_fields``, with a square
     root at every point before the maxima."""
-    fields = physical_fields(state)
+    fields = physical_fields(state.grid, state.u)
     vmax = float(np.max(np.sqrt(fields[0] ** 2 + fields[1] ** 2)))
     bmax = float(np.max(np.sqrt(fields[2] ** 2 + fields[3] ** 2)))
     return 0.5 * min(state.grid.dx) / (1.0 + vmax + bmax)
 
 
-def spectral_derivative(state: SpectralState, axis: int, order: int = 1) -> SpectralState:
-    """Differentiate all four components of a state along one axis."""
-    g = state.grid
-    out = np.empty_like(state.u)
-    for c in range(4):
-        out[c] = coeff_derivative(g, state.u[c], axis, order)
-    return SpectralState(g, out, state.time)
+def spectral_derivative(grid: SpectralGrid, u: np.ndarray, axis: int,
+                        order: int = 1) -> np.ndarray:
+    """Differentiate each half-spectrum coefficient plane of ``u`` along one axis."""
+    return np.stack([coeff_derivative(grid, f, axis, order) for f in u])
 
 
 def _project_pair(grid: SpectralGrid, f1: np.ndarray, f2: np.ndarray):
@@ -174,18 +177,19 @@ def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
     """Advance a state by the exact linear flow for time t >= 0.
 
     The exp(-t K) entries (kappa = 1, alpha = 0) are evaluated on every
-    full-spectrum mode, with the grid's coupling sign, real diagonals and an
-    imaginary off-diagonal, independently of the stepper's band tables.
+    half-spectrum mode, with the grid's coupling sign, real diagonals and an
+    imaginary off-diagonal, independently of the stepper's band tables, and
+    act on the (psi, a) pair as on each (v_j, B_j) pair.
     """
     if t < 0.0:
         raise ConfigError(f"t must be nonnegative, got {t}")
     if t == 0.0:
         return state.copy()
     g = state.grid
-    p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, state.u.shape[1:]), t,
+    p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, state.w.shape[1:]), t,
                                       coupling_sign=-1)
     entries = (np.real(p11), 1j * np.imag(p12), np.real(p22))
-    return SpectralState(g, apply_block_entries(state.u, entries), state.time + t)
+    return SpectralState(g, apply_block_entries(state.w, entries), state.time + t)
 
 
 def phi_fixed_series(k: int, z) -> np.ndarray:
@@ -231,6 +235,21 @@ def pairwise_reconstruct(ms, u) -> np.ndarray:
     return np.array([x1, x2, y1, y2], dtype=complex)
 
 
+def profile_vector(profile, xi1, xi2) -> np.ndarray:
+    """The four components (f_v(xi1) g(xi2), f_B(xi1) g(xi2)) of each pair j
+    of a profile's ``pairs``, sampled on a wavenumber grid; ``ConfigError``
+    for a profile without them."""
+    if profile.pairs is None:
+        raise ConfigError(f"profile kind {profile.kind!r} has no vector structure")
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    out = np.zeros((4,) + np.broadcast_shapes(xi1.shape, xi2.shape), dtype=complex)
+    for j in (1, 2):
+        fv, fB, g = profile.pairs[j]
+        out[j - 1] = fv(xi1) * g(xi2)
+        out[j + 1] = fB(xi1) * g(xi2)
+    return out
+
+
 def tendency_args(grid: SpectralGrid):
     """The tables and the workspace a stepper on ``grid`` hands to
     ``solver._nonlinear``."""
@@ -240,9 +259,10 @@ def tendency_args(grid: SpectralGrid):
 
 
 def tendency(state: SpectralState) -> np.ndarray:
-    """The stepper's quadratic tendency of a checked state, as four components."""
+    """The stepper's quadratic tendency of a checked state, as four components
+    on the whole half spectrum."""
     g = state.grid
-    return from_potentials(g, _nonlinear(g, _band(state, g), *tendency_args(g))).u
+    return SpectralState(g, _nonlinear(g, _band(state, g), *tendency_args(g))).u
 
 
 def stress_tendency(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
@@ -324,14 +344,14 @@ def gathered_hermitian_defect(grid: SpectralGrid, u: np.ndarray) -> float:
 
 
 def gathered_from_potentials(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
-    """The full spectrum of ``spectral.from_potentials(grid, w).u``, with
+    """The full spectrum of ``spectral.SpectralState(grid, w).u``, with
     the negative columns filled by one row gather, ``rev1`` = -k1 mod n1,
     the oracle of ``full_spectrum``'s two slice copies."""
     n1, n2 = grid.shape
     nh = n2 // 2 + 1
     kc = w.shape[-1]
     u = np.empty((4, n1, n2), dtype=np.complex128)
-    _components(grid, w, u[:, :, :kc])
+    u[:, :, :kc] = _components(grid, w)
     u[:, :, kc:nh] = 0.0
     rev1 = (-np.arange(n1)) % n1
     u[:, :, nh:] = np.conj(u[:, rev1, n2 // 2 - 1:0:-1])
@@ -344,50 +364,80 @@ def full_divergence_defect(grid: SpectralGrid, u: np.ndarray):
     return tuple(float(np.max(np.abs(xi1 * u[p] + xi2 * u[p + 1]))) for p in (0, 2))
 
 
-def check_state(state: SpectralState) -> None:
-    """``SpectralState.validate``, one property at a time on the full
-    spectrum: finite values, Hermitian symmetry, zero mean, zero divergence,
-    else ``ConfigError``."""
-    g = state.grid
-    u = full_spectrum(g, state.u)
-    scale = max(float(np.max(np.abs(u))), 1e-300)
+def _check_common(g: SpectralGrid, full: np.ndarray) -> float:
+    """The finite, Hermitian and mean checks of ``check_components`` and
+    ``check_state`` on a full spectrum; returns its max |entry|."""
+    scale = max(float(np.max(np.abs(full))), 1e-300)
     if not np.isfinite(scale):
         raise ConfigError("state has non-finite coefficients")
-    herm = gathered_hermitian_defect(g, u)
+    herm = gathered_hermitian_defect(g, full)
     if herm > STATE_RTOL * scale:
         raise ConfigError(f"state is not Hermitian symmetric: defect {herm:.3e}")
-    mean = float(np.max(np.abs(u[:, 0, 0])))
+    mean = float(np.max(np.abs(full[:, 0, 0])))
     if mean > STATE_RTOL * scale:
         raise ConfigError(f"state has nonzero mean mode: {mean:.3e}")
-    dv, dB = full_divergence_defect(g, u)
+    return scale
+
+
+def check_components(grid: SpectralGrid, u: np.ndarray) -> SpectralState:
+    """``SpectralState.from_components``, one property at a time on the full
+    spectrum: finite values, Hermitian symmetry, zero mean, zero
+    divergence and nothing on the Nyquist row or column, else
+    ``ConfigError``; then the state of the potentials psi_hat = i (xi1
+    v2_hat - xi2 v1_hat) / |xi|^2 and likewise a_hat, zero on the Nyquist
+    row and column, taken on the full spectrum and cut to its half, with the k2 = 0 column's rows k1 < 0
+    gathered as the mirrors of its rows k1 > 0."""
+    g = grid
+    full = full_spectrum(g, u)
+    scale = _check_common(g, full)
+    dv, dB = full_divergence_defect(g, full)
     if max(dv, dB) > STATE_RTOL * scale:
         raise ConfigError(
             f"state is not divergence free: |div v|={dv:.3e} |div B|={dB:.3e}"
         )
+    k1, k2 = mode_numbers(g)
+    ny = (k1 == -g.n1 // 2)[:, None] | (k2 == -g.n2 // 2)[None, :]
+    nyquist = float(np.max(np.abs(full[:, ny])))
+    if nyquist > STATE_RTOL * scale:
+        raise ConfigError(f"state has {nyquist:.3e} on the Nyquist row or column, "
+                          f"which no potential holds, against max |u| = {scale:.3e}")
+    xi1, xi2, xi_sq = full_xi(g)
+    inv = np.divide(1.0, xi_sq, out=np.zeros(xi_sq.shape), where=(xi_sq > 0.0) & ~ny)
+    w = (1j * (xi1 * full[1::2] - xi2 * full[0::2]) * inv)[..., :g.n2 // 2 + 1]
+    negative = k1 < 0
+    w[:, negative, 0] = np.conj(w[:, -k1[negative], 0])
+    return SpectralState(g, w)
+
+
+def check_state(state: SpectralState) -> None:
+    """``SpectralState.validate``, one property at a time on the full
+    spectrum of the potentials: finite values, Hermitian symmetry and zero
+    mean, else ``ConfigError``."""
+    _check_common(state.grid, full_spectrum(state.grid, state.w))
 
 
 def check_band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
     """``solver._band``: ``check_state``, then the 2/3 band over the full
-    spectrum's |u| gathered by the mask, then the band stack."""
+    spectrum's |w| gathered by the mask, then the band stack."""
     if state.grid != grid:
         raise ConfigError("state grid does not match the solver configuration")
     check_state(state)
-    mag = np.abs(full_spectrum(grid, state.u))
+    mag = np.abs(full_spectrum(grid, state.w))
     scale = max(float(np.max(mag)), 1e-300)
     outside = float(np.max(mag[:, ~dealias_mask(grid)]))
     if outside > STATE_RTOL * scale:
         raise ConfigError(
             f"state has coefficients outside the 2/3 dealias band: {outside:.3e} "
-            f"against max |u| = {scale:.3e}"
+            f"against max |w| = {scale:.3e}"
         )
-    return _potentials(grid, state.u, grid.band_cols)
+    return state.w[:, :, :grid.band_cols].copy()
 
 
 def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
-    """``solver._sampled_components`` and, for a kept sample,
-    ``solver._sampled_state``: the overflow, k2 = 0 column and mean checks of
-    a band stack, then ``check_state`` of a kept state, each failure a
-    ``DiagnosticIntegrityError``."""
+    """``solver._sampled_components`` and, for a kept sample, the state
+    ``run`` hands out: the overflow, k2 = 0 column and mean checks of a band
+    stack, each failure a ``DiagnosticIntegrityError``, then a kept state
+    that passes ``check_state``."""
     peak = float(np.max(np.abs(w)))
     if not np.isfinite(peak * grid.band_xi_max):
         raise DiagnosticIntegrityError(
@@ -409,11 +459,8 @@ def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool)
         )
     snap = None
     if kept:
-        snap = from_potentials(grid, w, time)
-        try:
-            check_state(snap)
-        except ConfigError as exc:
-            raise DiagnosticIntegrityError(f"sampled state at t = {time}: {exc}") from exc
+        snap = SpectralState(grid, w, time)
+        check_state(snap)
     return _components(grid, w), snap
 
 

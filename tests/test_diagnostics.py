@@ -84,8 +84,7 @@ def test_cross_term_closed_form():
     th = x1 + x2
     v1, v2 = np.sin(th) * np.ones(g.shape), -np.sin(th) * np.ones(g.shape)
     b1, b2 = -np.cos(th) * np.ones(g.shape), np.cos(th) * np.ones(g.shape)
-    st = from_physical(g, np.stack([v1, v2, b1, b2]))
-    rec = instantaneous(g, st.u, 1)
+    rec = instantaneous(g, from_physical(g, np.stack([v1, v2, b1, b2])), 1)
     assert rec.A == pytest.approx(-4.0 * np.pi**2, rel=1e-12)
     assert rec.E**2 == pytest.approx(24.0 * np.pi**2, rel=1e-12)
     assert abs(rec.A) <= 0.5 * rec.E**2

@@ -30,10 +30,7 @@ from mhd2d.spectral import (
     SpectralGrid,
     SpectralState,
     _components,
-    _mirror_defect,
-    _potentials,
     divergence_defect,
-    from_potentials,
     hermitian_defect,
     load_state,
     random_div_free_state,
@@ -122,7 +119,7 @@ def test_band_tendency_equals_half_spectrum_tendency(n1, n2):
     g = SpectralGrid(n1, n2, L1, L2)
     kc = g.band_cols
     assert kc == int(np.count_nonzero(g.half_dealias_mask.any(axis=0)))
-    w = _potentials(g, scaled_random_state(g, n1 + n2, 3.0).u, n2 // 2 + 1)
+    w = scaled_random_state(g, n1 + n2, 3.0).w
     assert np.all(w[..., kc:] == 0.0)
     got = _nonlinear(g, w[..., :kc].copy(), *tendency_args(g))
     assert got.shape == (2, n1, kc)
@@ -194,6 +191,24 @@ def test_blocks_of_rows_give_the_one_block_results(n1, n2, rows, monkeypatch):
         assert np.array(got).tobytes() == np.array(want).tobytes()
     assert np.float64(bound_b).tobytes() == np.float64(bound).tobytes()
     assert size_b < size
+
+
+def test_record_refuses_a_workspace_too_small(monkeypatch):
+    # a stepper's workspace holds a record on the band columns; a whole
+    # state's record does not fit in it on a grid that runs blocks of 5
+    # rows, and is refused with the size it needs, not by a bare reshape
+    cfg = SolverConfig(n1=50, n2=70, l1=L1, l2=L2, dt=0.02, t_end=0.04,
+                       data_kind="random", data_delta=0.5, seed=70)
+    g = cfg.grid()
+    st = initial_state(cfg, g)
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 4 * g.n2 * 5)
+    work = tendency_args(g)[1]
+    need = diagnostics._record_size(g, g.n2 // 2 + 1)
+    assert work.size == 6040 < need
+    with pytest.raises(ConfigError, match=f"needs a work buffer of {need} complex "
+                                          f"elements, got {work.size}"):
+        diagnostics.instantaneous(g, st.u, cfg.m, work=work)
+    diagnostics.instantaneous(g, _components(g, _band(st, g)), cfg.m, work=work)
 
 
 @pytest.mark.parametrize("n1,n2,nbytes", ((128, 128, 923_648), (256, 256, 2_329_600)))
@@ -353,14 +368,15 @@ def test_block_application_peaks_at_one_temporary(pairs):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_potential_roundtrip(n1, n2):
+    # components in through the inverse curl map, out through the curl map
     g = SpectralGrid(n1, n2, L1, L2)
     st = random_div_free_state(g, seed=n1 * n2)
-    w = _potentials(g, st.u, n2 // 2 + 1)
-    assert w.shape == (2, n1, n2 // 2 + 1)
-    back = from_potentials(g, w, st.time)
+    back = SpectralState.from_components(g, st.u, st.time)
+    assert back.w.shape == (2, n1, n2 // 2 + 1)
     scale = np.max(np.abs(st.u))
     assert np.max(np.abs(back.u - st.u)) <= 1e-14 * scale
-    assert hermitian_defect(g, back.u) == 0.0
+    assert np.max(np.abs(back.w - st.w)) <= 1e-14 * np.max(np.abs(st.w))
+    assert hermitian_defect(g, back.u) == 0.0 and hermitian_defect(g, back.w) == 0.0
     assert max(divergence_defect(g, back.u)) <= 1e-15 * scale * np.max(np.sqrt(g.half_xi_sq))
     assert np.all(back.u[:, 0, 0] == 0.0)
     back.validate()
@@ -370,10 +386,12 @@ def test_potential_roundtrip(n1, n2):
                          ids=("box", "box32pi"))
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
 def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
-    # every constructor goes through from_potentials, so each property holds
-    # exactly, not to roundoff; prop25 data needs the large box to be resolved.
-    # The band-width inverse curl of the stepper's entry and re-anchor gives
-    # the leading columns of the full-width one bit for bit.
+    # every state's components come out of the curl map, so each property
+    # holds exactly, not to roundoff, and its potentials are mean-free and
+    # band-limited; prop25 data needs the large box to be resolved. The
+    # stepper's entry takes the potentials' band columns as they are, and
+    # their curl map gives the leading columns of the full-width one bit for
+    # bit.
     g = SpectralGrid(n1, n2, l1, l2)
     base = dict(n1=n1, n2=n2, l1=l1, l2=l2, dt=0.1, t_end=0.2, seed=n1)
     states = [scaled_random_state(g, n2, 2.0),
@@ -388,10 +406,12 @@ def test_built_states_are_exact_by_construction(n1, n2, l1, l2):
         assert np.all(st.u[:, 0, 0] == 0.0)
         assert np.all(full_spectrum(g, st.u)[:, ~dealias_mask(g)] == 0.0)
         assert np.max(np.abs(st.u)) > 0.0
+        assert np.all(st.w[:, 0, 0] == 0.0)
+        assert np.all(full_spectrum(g, st.w)[:, ~dealias_mask(g)] == 0.0)
         st.validate()
-        band = _potentials(g, st.u, g.n2 // 2 + 1)[..., : g.band_cols]
-        assert np.array_equal(_potentials(g, st.u, g.band_cols), band)
+        band = st.w[..., :g.band_cols]
         assert np.array_equal(_band(st, g), band)
+        assert np.array_equal(_components(g, band), st.u[..., :g.band_cols])
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
@@ -403,9 +423,11 @@ def test_restart_through_snapshot_matches(n1, n2, tmp_path):
     path = tmp_path / "mid.bin"
     save_state(first.states[-1], path)
     second = run(SolverConfig(t_end=0.1, output_every=0.1, **base), initial=load_state(path))
-    assert second.times[-1] == pytest.approx(0.2)
+    assert second.times == whole.times[1:]
     want = whole.states[-1].u
     assert np.max(np.abs(second.states[-1].u - want)) <= 1e-13 * np.max(np.abs(want))
+    # the snapshot holds the run's band stack, so the restart repeats it exactly
+    assert second.states[-1].w.tobytes() == whole.states[-1].w.tobytes()
 
 
 class PlaneCounter:
@@ -430,6 +452,35 @@ class PlaneCounter:
             self.inputs.append((name, a.shape[-2:]))
             return fn(a, *args, **kwargs)
         return wrapper
+
+
+def test_random_data_transform_only_the_band_columns(monkeypatch):
+    # the noise's row pass writes the state's own potentials, the one (2, n1,
+    # n2/2 + 1) complex array the call makes, and the column pass runs on the
+    # band columns alone: whole rfft2 values there bit for bit, and +0.0 past
+    # them. Above the noise and the potentials the call holds band-sized
+    # arrays only, at most the four components of the band
+    g = SpectralGrid(256, 256, L1, L2)
+    kc, nh = g.band_cols, g.n2 // 2 + 1
+    random_div_free_state(g, 4)  # a first call also fills numpy's FFT caches
+    fft = PlaneCounter(monkeypatch, g.n1)
+    st, peak = traced_peak(random_div_free_state, g, 5)
+    assert fft.inputs == [("rfftn", (256, 256)), ("fftn", (256, kc))]
+    cfg = SolverConfig(n1=256, n2=256, l1=L1, l2=L2, dt=0.05, t_end=0.1, data_kind="random",
+                       seed=5)
+    fft.inputs.clear()
+    initial_state(cfg)
+    assert fft.inputs == [("rfftn", (256, 256)), ("fftn", (256, kc))]
+    monkeypatch.undo()
+    noise = np.random.default_rng(5).standard_normal((2, 256, 256))
+    assert peak < noise.nbytes + st.w.nbytes + 4 * 16 * g.n1 * kc, peak
+    xic = min(np.max(np.abs(g.xi1)), np.max(np.abs(g.half_xi2))) / 4.0
+    want = np.fft.rfft2(noise, axes=(-2, -1), norm="forward")[..., :kc]
+    want *= np.exp(-g.half_xi_sq[:, :kc] / (2.0 * xic**2)) * g.half_dealias_mask[:, :kc]
+    want[:, 0, 0] = 0.0
+    want *= 1.0 / max(spectral.l2_norm(g, h) for h in _components(g, want))
+    assert st.w[..., :kc].tobytes() == want.tobytes()
+    assert st.w[..., kc:].tobytes() == bytes(16 * 2 * 256 * (nh - kc))
 
 
 @pytest.mark.parametrize("scheme,tendencies", (("etdrk2", 2), ("ifrk4", 4)),
@@ -468,7 +519,7 @@ def test_advective_bound_matches_the_irfft2_bound(n1, n2, monkeypatch):
     states = [random_div_free_state(g, seed=n1), scaled_random_state(g, n2, 40.0),
               initial_state(prop)] + diagnostics.gaussian_divfree_family(g)
     for st in states:
-        before = st.u.copy()
+        before = st.w.copy()
         want = irfft2_dt_bound(st)
         fft = PlaneCounter(monkeypatch, n1)
         got = solver.advective_dt_bound(st)
@@ -477,7 +528,7 @@ def test_advective_bound_matches_the_irfft2_bound(n1, n2, monkeypatch):
         # one column pass, then a row pass per block: four at 256^2
         assert fft.inputs[0] == ("ifftn", (n1, g.band_cols))
         assert fft.inputs[1:] == [("irfftn", (rows, g.band_cols))] * (n1 // rows)
-        assert np.array_equal(st.u, before)  # the state is left as it was
+        assert np.array_equal(st.w, before)  # the state is left as it was
         monkeypatch.undo()
 
 
@@ -485,16 +536,16 @@ def test_advective_bound_matches_the_irfft2_bound(n1, n2, monkeypatch):
 def test_physical_l1_norm_matches_the_irfft2_sum(n1, n2):
     g = SpectralGrid(n1, n2, L1, L2)
     for st in [scaled_random_state(g, n1, 3.0)] + diagnostics.gaussian_divfree_family(g):
-        fields = physical_fields(st)
+        fields = physical_fields(g, st.u)
         want = float(np.sum(np.sqrt(np.sum(fields**2, axis=0))) * g.cell_area)
         assert diagnostics.physical_l1_norm(st) == want
 
 
 
-def full_spectrum_record(state, m):
-    """Every field of ``instantaneous`` as full-spectrum sums over all n1 n2 modes."""
-    g = state.grid
-    u = full_spectrum(g, state.u)
+def full_spectrum_record(g, u, m):
+    """Every field of ``instantaneous`` of the half-spectrum components ``u``
+    at t = 0 as full-spectrum sums over all n1 n2 modes."""
+    u = full_spectrum(g, u)
     cal = 4.0 * np.pi**2
     wm1 = multi_index_weight(g, m - 1)
     wm = multi_index_weight(g, m)
@@ -526,7 +577,7 @@ def full_spectrum_record(state, m):
     hm_v_sq = g.area * np.sum(wm * (absu2[0] + absu2[1]))
     hm_b_sq = g.area * np.sum(wm * (absu2[2] + absu2[3]))
     return dict(
-        t=state.time,
+        t=0.0,
         E=np.sqrt(hm_v_sq + hm_b_sq),
         A=g.area * np.sum(wm1 * g.xi1 * np.imag(u[2] * np.conj(u[0]) + u[3] * np.conj(u[1]))),
         sup_d1v=np.max(np.sqrt(fields[1] ** 2 + fields[2] ** 2)),
@@ -553,12 +604,12 @@ def full_spectrum_record(state, m):
     )
 
 
-def with_nyquist_content(state, seed):
-    """The state plus the real Nyquist entries a Hermitian, divergence-free
-    state may carry: v1 and B1 at (0, -n2/2), v2 and B2 at (-n1/2, 0), and
-    both pairs at the corner (-n1/2, -n2/2)."""
-    g = state.grid
-    u = state.u.copy()
+def with_nyquist_content(g, u, seed):
+    """Components ``u`` plus the real Nyquist entries Hermitian,
+    divergence-free components may carry, though no potential does: v1 and
+    B1 at (0, -n2/2), v2 and B2 at (-n1/2, 0), and both pairs at the corner
+    (-n1/2, -n2/2). A record must count them as the full spectrum does."""
+    u = u.copy()
     ny1, ny2 = g.n1 // 2, g.n2 // 2
     scale = np.max(np.abs(u))
     a, b, c, d, e, f = np.random.default_rng(seed).standard_normal(6) * scale
@@ -567,9 +618,9 @@ def with_nyquist_content(state, seed):
     for pair, amp in ((0, e), (2, f)):
         k = amp / np.sqrt(g.half_xi_sq[ny1, ny2])
         u[pair, ny1, ny2], u[pair + 1, ny1, ny2] = g.half_xi2[0, ny2] * k, -g.xi1[ny1, 0] * k
-    out = SpectralState(g, u, state.time)
-    out.validate()
-    return out
+    assert max(divergence_defect(g, u)) <= 1e-12 * scale
+    assert hermitian_defect(g, u) == 0.0
+    return u
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
@@ -577,11 +628,11 @@ def with_nyquist_content(state, seed):
 def test_sample_matches_full_spectrum_sums(n1, n2, m):
     g = SpectralGrid(n1, n2, L1, L2)
     for seed in range(3):
-        st = scaled_random_state(g, 100 * seed + m, 2.0)
+        u = scaled_random_state(g, 100 * seed + m, 2.0).u
         # the Nyquist column counts once, and the row sums must not fold it twice
-        st = with_nyquist_content(st, seed) if seed == 2 else st
-        got = diagnostics.instantaneous(g, st.u, m)
-        want = full_spectrum_record(st, m)
+        u = with_nyquist_content(g, u, seed) if seed == 2 else u
+        got = diagnostics.instantaneous(g, u, m)
+        want = full_spectrum_record(g, u, m)
         assert set(want) == set(got._fields)
         assert got.cancel_residual <= 1e-10 and want["cancel_residual"] <= 1e-10
         assert abs(got.A - want["A"]) <= 1e-13 * got.E**2
@@ -599,30 +650,25 @@ def full_gather_defect(grid, u):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_hermitian_defect_matches_full_gather(n1, n2):
-    # on a full spectrum, as a version 1 snapshot holds it, the reader's
-    # compare of the negative columns with the interior ones and a state's
-    # hermitian_defect of its self-mirrored columns give the full gather
+    # hermitian_defect of a half spectrum's self-mirrored columns gives the
+    # full gather over the full spectrum it stands for, of components and of
+    # potentials alike; a change to an interior column moves its mirror too
     g = SpectralGrid(n1, n2, L1, L2)
-    nh = n2 // 2 + 1
-
-    def defect(u):
-        return max(hermitian_defect(g, u[..., :nh]),
-                   _mirror_defect(u[..., 1:nh - 1], u[..., :nh - 1:-1]))
-
-    base = full_spectrum(g, random_div_free_state(g, seed=n1 + 2 * n2).u)
-    assert defect(base) == full_gather_defect(g, base)
+    st = random_div_free_state(g, seed=n1 + 2 * n2)
     rng = np.random.default_rng(n1 * n2)
     ny1, ny2 = n1 // 2, n2 // 2
-    entries = [(int(rng.integers(n1)), int(rng.integers(ny2 + 1, n2))) for _ in range(4)]
-    entries += [(int(rng.integers(n1)), 0) for _ in range(3)] + [(0, 0), (ny1, 0)]
-    entries += [(ny1, int(rng.integers(n2))) for _ in range(3)] + [(ny1, ny2)]
+    entries = [(int(rng.integers(n1)), 0) for _ in range(3)] + [(0, 0), (ny1, 0)]
+    entries += [(ny1, int(rng.integers(ny2 + 1))) for _ in range(3)] + [(ny1, ny2)]
     entries += [(int(rng.integers(n1)), ny2) for _ in range(3)]
-    for c, (k1, k2) in enumerate(entries):
-        u = base.copy()
-        u[c % 4, k1, k2] += complex(*rng.standard_normal(2))
-        got = defect(u)
-        assert got > 0.0
-        assert got == full_gather_defect(g, u), (k1, k2)
+    entries += [(int(rng.integers(n1)), int(rng.integers(1, ny2))) for _ in range(4)]
+    for base in (st.u.copy(), st.w.copy()):
+        assert hermitian_defect(g, base) == full_gather_defect(g, full_spectrum(g, base))
+        for c, (k1, k2) in enumerate(entries):
+            u = base.copy()
+            u[c % len(u), k1, k2] += complex(*rng.standard_normal(2))
+            got = hermitian_defect(g, u)
+            assert (got > 1e-3) == (k2 in (0, ny2)), (k1, k2)
+            assert got == full_gather_defect(g, full_spectrum(g, u)), (k1, k2)
 
 
 def test_run_transforms_only_half_planes(monkeypatch):
@@ -641,18 +687,19 @@ def test_run_transforms_only_half_planes(monkeypatch):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((256, 256),))
 def test_components_are_the_leading_columns_of_from_potentials(n1, n2):
-    # the sample's band columns are the built state's, bit for bit, also for a
-    # stack with an asymmetric k2 = 0 column, which both mirror the same way
+    # the sample's band columns are those of the state of the band stack,
+    # bit for bit, also for a stack with an asymmetric k2 = 0 column, which
+    # both mirror the same way
     g = SpectralGrid(n1, n2, L1, L2)
     rng = np.random.default_rng(n1 + n2)
     nh = n2 // 2 + 1
-    stacks = [_potentials(g, random_div_free_state(g, seed=n1).u, nh),
+    stacks = [random_div_free_state(g, seed=n1).w,
               rng.standard_normal((2, n1, nh)) + 1j * rng.standard_normal((2, n1, nh))]
     for w in stacks:
         for kc in (g.band_cols, nh):
             h = _components(g, w[..., :kc])
             assert h.shape == (4, n1, kc)
-            assert np.array_equal(h, from_potentials(g, w[..., :kc]).u[..., :kc])
+            assert np.array_equal(h, SpectralState(g, w[..., :kc]).u[..., :kc])
 
 
 @pytest.mark.parametrize("n1,n2", ((8, 8), (40, 64), (64, 38), (50, 70), (96, 128),
@@ -660,13 +707,13 @@ def test_components_are_the_leading_columns_of_from_potentials(n1, n2):
 def test_mirror_fill_matches_the_row_gather(n1, n2):
     # the tests' mirror fill, full_spectrum's two slice copies, gives the
     # gathered mirror bit for bit, also for a stack whose k2 = 0 column is
-    # not Hermitian; from_potentials gives its half spectrum
+    # not Hermitian; the state of a stack gives its half spectrum
     g = SpectralGrid(n1, n2, L1, L2)
     rng = np.random.default_rng(n1 * n2)
     nh = n2 // 2 + 1
     w = rng.standard_normal((2, n1, nh)) + 1j * rng.standard_normal((2, n1, nh))
     for kc in (3, g.band_cols, nh):
-        got = from_potentials(g, w[..., :kc], 0.5)
+        got = SpectralState(g, w[..., :kc], 0.5)
         want = gathered_from_potentials(g, w[..., :kc])
         assert got.time == 0.5 and np.array_equal(got.u, want[..., :nh]), kc
         assert np.array_equal(full_spectrum(g, got.u), want), kc
@@ -690,7 +737,8 @@ def test_band_record_matches_state_record(m):
     for st in record_states():
         g, kc = st.grid, st.grid.band_cols
         want = diagnostics.instantaneous(g, st.u, m, time=0.5)
-        for h in (st.u[:, :, :kc], _components(g, _potentials(g, st.u, kc))):
+        back = SpectralState.from_components(g, st.u)  # the inverse curl map's round trip
+        for h in (st.u[:, :, :kc], _components(g, back.w[:, :, :kc])):
             got = diagnostics.instantaneous(g, h, m, time=0.5)
             assert got.t == 0.5
             assert got.cancel_residual <= 1e-13 and want.cancel_residual <= 1e-13
@@ -702,12 +750,13 @@ def test_band_record_matches_state_record(m):
 
 
 def oracle_states(g, m):
-    """A random state, the same with Nyquist content, and prop25 data on a
-    32 pi box of the same sizes, as the benchmark's runs start from."""
+    """Pairs of a state and the components to record: a random state, the
+    same with Nyquist content, and prop25 data on a 32 pi box of the same
+    sizes, as the benchmark's runs start from."""
     st = scaled_random_state(g, g.n1 + m, 2.0)
-    prop = SolverConfig(n1=g.n1, n2=g.n2, l1=32.0 * np.pi, l2=32.0 * np.pi, dt=0.02,
-                        t_end=0.04, m=m, data_kind="prop25")
-    return [st, with_nyquist_content(st, m), initial_state(prop)]
+    prop = initial_state(SolverConfig(n1=g.n1, n2=g.n2, l1=32.0 * np.pi, l2=32.0 * np.pi,
+                                      dt=0.02, t_end=0.04, m=m, data_kind="prop25"))
+    return [(st, st.u), (st, with_nyquist_content(g, st.u, m)), (prop, prop.u)]
 
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((128, 128), (256, 256)))
@@ -716,9 +765,9 @@ def test_record_matches_the_oracle_within_roundoff(n1, n2, m):
     # one contraction per weighted total over tables built once, against the
     # product arrays and np.sum of the per-call tables: not bitwise, but a few
     # ulps on every field, from band columns and from whole states alike
-    for st in oracle_states(SpectralGrid(n1, n2, L1, L2), m):
+    for st, u in oracle_states(SpectralGrid(n1, n2, L1, L2), m):
         g = st.grid
-        for h in (st.u, _components(g, _potentials(g, st.u, g.band_cols))):
+        for h in (u, _components(g, st.w[:, :, :g.band_cols])):
             got = diagnostics.instantaneous(g, h, m, time=0.5, energy_residual=1e-9)
             want = oracle_record(g, h, m, time=0.5, energy_residual=1e-9)
             assert abs(got.A - want.A) <= 1e-15 * want.E**2
@@ -812,7 +861,7 @@ def test_record_in_a_workspace_equals_its_own_buffer(n1, n2):
 def test_record_rejects_components_of_another_shape():
     g = SpectralGrid(40, 64, L1, L2)
     st = random_div_free_state(g, seed=1)
-    w = _potentials(g, st.u, g.band_cols)
+    w = st.w[:, :, :g.band_cols]
     for bad in (w, st.u[0], st.u[:, :20], np.swapaxes(st.u, 1, 2), st.u[None], st.u[..., :0]):
         with pytest.raises(ConfigError, match="shape"):
             diagnostics.instantaneous(g, bad, 4)
@@ -848,7 +897,7 @@ def test_run_copies_only_a_callers_initial_state(monkeypatch):
     before = st.u.copy()
     traj = run(cfg, initial=st)
     # what the caller does with its state later does not reach the trajectory
-    st.u[...] = 0.0
+    st.w[...] = 0.0
     st.time = 3.0
     assert traj.states[0] is not st and traj.states[0].time == 0.0
     assert np.array_equal(traj.states[0].u, before)
@@ -871,7 +920,7 @@ def test_run_copies_only_a_callers_initial_state(monkeypatch):
     assert own.records[0] == want
 
 
-def test_run_validates_only_states_that_leave_it(monkeypatch):
+def test_run_checks_each_stack_once(monkeypatch):
     n = 3
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=n * 0.02,
                        data_kind="random", data_delta=0.5, seed=1)
@@ -893,27 +942,16 @@ def test_run_validates_only_states_that_leave_it(monkeypatch):
     monkeypatch.setattr(SpectralState, "validate", counted)
     monkeypatch.setattr(solver, "_column_fault", entry_counted)
     # the entry check (_band's pass, with the 2/3 band) covers the t = 0
-    # sample; later samples check the band stack, and only a kept or the last
-    # state passes validate() as well
-    assert len(run(cfg, initial=st).records) == n + 1
-    assert calls == [pytest.approx(n * 0.02)]
-    assert entries == [True] + [False] * n
-    calls.clear()
-    run(cfg, initial=st, keep_states=True)
-    assert len(calls) == n
-    # a kept state that fails validate() ends the run as an integrity failure,
-    # and the caller's trajectory holds the samples taken before it
-
-    def failing(self):
-        if self.time > 0.0:
-            raise ConfigError("injected validate failure")
-        return real(self)
-
-    monkeypatch.setattr(SpectralState, "validate", failing)
-    traj = Trajectory()
-    with pytest.raises(DiagnosticIntegrityError, match="injected"):
-        run(cfg, initial=st, trajectory=traj)
-    assert len(traj.records) == n
+    # sample; later samples check the band stack, which a state that leaves
+    # the run holds, so no state needs validate() on top
+    for keep in (False, True):
+        entries.clear()
+        traj = run(cfg, initial=st, keep_states=keep)
+        assert len(traj.records) == n + 1
+        assert calls == [] and entries == [True] + [False] * n
+    monkeypatch.undo()
+    for kept in traj.states:
+        kept.validate()
 
 
 @pytest.mark.parametrize("why", ("Hermitian", "mean"))
@@ -933,7 +971,8 @@ def test_sample_band_check_sees_what_validate_cannot(monkeypatch, why):
 
     w = _band(st, g)
     corrupt(w)
-    from_potentials(g, w).validate()
+    # the components hide both: the state of these components passes
+    SpectralState.from_components(g, SpectralState(g, w).u).validate()
     # the second step's stack goes bad, after the samples at t = 0 and dt
     real = _Stepper.advance
     steps = []
@@ -956,29 +995,37 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04,
                        data_kind="random", data_delta=0.5, seed=3)
     g = cfg.grid()
-    w = _potentials(g, initial_state(cfg, g).u, g.n2 // 2 + 1)
+    w = initial_state(cfg, g).w.copy()
     k2 = -(-g.n2 // 3)  # first half-spectrum column the 2/3 rule drops
     assert not g.half_dealias_mask[1, k2]
     w[0, 1, k2] = np.max(np.abs(w))
-    st = from_potentials(g, w)
+    st = SpectralState(g, w)
     st.validate()
     with pytest.raises(ConfigError, match="dealias band"):
         run(cfg, initial=st)
-    # in-band states that fail validate() are rejected at the same entry: a
-    # gradient part (its conjugate is the half spectrum's mirror), an
-    # unmirrored divergence-free mode of the k2 = 0 column and a mean; and
-    # the same array on another box
+    # in-band states that fail validate() are rejected at the same entry: an
+    # unmirrored mode of the k2 = 0 column and a mean; components with those
+    # faults or a gradient part (its conjugate is the half spectrum's
+    # mirror) are refused at their own door; and the same potentials on
+    # another box
     base = initial_state(cfg, g)
-    amp = 1e-2 * np.max(np.abs(base.u))
-    grad = 1j * amp * np.array([g.xi1[1, 0], g.half_xi2[0, 1]])
-    divergent, unmirrored, mean = base.copy(), base.copy(), base.copy()
-    divergent.u[0:2, 1, 1] += grad
-    unmirrored.u[0:2, 1, 0] += amp * np.array([g.half_xi2[0, 0], -g.xi1[1, 0]])
-    mean.u[0, 0, 0] += amp
-    for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
+    amp = 1e-2 * np.max(np.abs(base.w))
+    unmirrored, mean = base.copy(), base.copy()
+    unmirrored.w[0, 1, 0] += amp
+    mean.w[1, 0, 0] += amp
+    for bad, why in ((unmirrored, "Hermitian"), (mean, "mean")):
         with pytest.raises(ConfigError, match=why):
             run(cfg, initial=bad)
-    elsewhere = SpectralState(SpectralGrid(g.n1, g.n2, 2.0 * L1, L2), base.u)
+    amp = 1e-2 * np.max(np.abs(base.u))
+    grad = 1j * amp * np.array([g.xi1[1, 0], g.half_xi2[0, 1]])
+    divergent, unmirrored, mean = base.u.copy(), base.u.copy(), base.u.copy()
+    divergent[0:2, 1, 1] += grad
+    unmirrored[0:2, 1, 0] += amp * np.array([g.half_xi2[0, 0], -g.xi1[1, 0]])
+    mean[0, 0, 0] += amp
+    for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
+        with pytest.raises(ConfigError, match=why):
+            SpectralState.from_components(g, bad)
+    elsewhere = SpectralState(SpectralGrid(g.n1, g.n2, 2.0 * L1, L2), base.w)
     with pytest.raises(ConfigError, match="grid"):
         run(cfg, initial=elsewhere)
     # a snapshot of a run lies inside the band and runs on

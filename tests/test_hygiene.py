@@ -48,6 +48,13 @@ the band, then the row pass one block of rows at a time into the caller's
 block buffer (the whole planes in one block on every grid up to 128^2,
 and always for the L^1 norm, whose sum keeps its order). So ``src/`` names
 no inverse FFT anywhere else.
+
+A state is its (psi, a) potentials, and four components become potentials
+through the inverse curl map ``spectral._potentials`` in one place only,
+``SpectralState.from_components``, which checks them first and which the
+format 2 snapshot reader goes through too. So the package, the demos and
+the benchmark name ``_potentials`` nowhere else: no run path goes through
+the round trip that once made a run depend on its sample cadence.
 """
 
 import ast
@@ -350,6 +357,63 @@ def test_scan_reports_each_inverse_fft(tmp_path):
     tail = [(3, "ifft2"), (5, "irfft2"), (7, "ifft"), (7, "irfft2"), (10, "irfft")]
     assert _inverse_ffts(spectral) == tail
     assert _inverse_ffts(other) == sorted([(5, "ifftn"), (5, "irfftn")] + tail)
+
+
+# the one door through the inverse curl map: a state is its potentials, and
+# components come in through SpectralState.from_components alone, the way
+# the format 2 snapshot reader takes too
+THE_DOOR = ("spectral.py", "SpectralState", "from_components")
+
+
+def _curl_map_inversions(path):
+    """``(line, name)`` of each ``_potentials`` in ``path`` outside the
+    method ``THE_DOOR`` names: a name or attribute node, an imported name or
+    a string constant that is exactly the name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    allowed = {id(n) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and (path.name, cls.name, node.name) == THE_DOOR for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name == "_potentials" and id(node) not in allowed:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_components_come_in_through_one_door():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for top in ("src", "demos", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line, name in _curl_map_inversions(path)
+    ]
+    assert not found, "_potentials outside SpectralState.from_components:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_curl_map_inversion(tmp_path):
+    spectral, other = tmp_path / "spectral.py", tmp_path / "other.py"
+    body = ('"""Names _potentials in a docstring only."""\n'
+            "def _potentials(g, u):\n    return u\n"
+            "class SpectralState:\n    def from_components(g, u):\n"
+            "        return _potentials(g, u)\n"
+            "    def u(self):\n        return _potentials(self, 0)\n"
+            "from spectral import _potentials as p\n"
+            "def load(g):\n    return getattr(g, '_potentials')(g)\n")
+    spectral.write_text(body, encoding="utf-8")
+    other.write_text(body, encoding="utf-8")
+    tail = [(8, "_potentials"), (9, "_potentials"), (11, "_potentials")]
+    assert _curl_map_inversions(spectral) == tail
+    assert _curl_map_inversions(other) == sorted([(6, "_potentials")] + tail)
 
 
 def _callee(call):

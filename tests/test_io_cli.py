@@ -487,7 +487,7 @@ def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
     # the stepper is released before the final state is built
     refs, seen = {}, {"state": [], "stepper": []}
     real_initial, real_init = solver.initial_state, solver._Stepper.__init__
-    real_advance, real_build = solver._Stepper.advance, solver.from_potentials
+    real_advance, real_build = solver._Stepper.advance, solver.SpectralState
 
     def initial(cfg, grid=None):
         st = real_initial(cfg, grid)
@@ -509,7 +509,7 @@ def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "initial_state", initial)
     monkeypatch.setattr(solver._Stepper, "__init__", init)
     monkeypatch.setattr(solver._Stepper, "advance", advance)
-    monkeypatch.setattr(solver, "from_potentials", build)
+    monkeypatch.setattr(solver, "SpectralState", build)
     cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
     out = tmp_path / "out"
     assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
@@ -540,13 +540,13 @@ def test_audit_energy_integrity_failure_keeps_history(tmp_path, capsys, monkeypa
 
 def test_audit_energy_builds_no_state_past_zero(tmp_path, monkeypatch):
     # it reads records only; nonlinear-run still builds and checks its last state
-    real, built = solver.from_potentials, []
+    real, built = solver.SpectralState, []
 
     def counting(grid, w, time=0.0):
         built.append(time)
         return real(grid, w, time)
 
-    monkeypatch.setattr(solver, "from_potentials", counting)
+    monkeypatch.setattr(solver, "SpectralState", counting)
     box = repr(32.0 * np.pi)  # prop25's support needs a 32 pi box at 32^2
     cfg = write_cfg(tmp_path, "run.cfg",
                     dict(RUN_CFG, l1=box, l2=box, **{"data.kind": "prop25"}))
@@ -634,7 +634,7 @@ def test_artifact_writes_are_atomic(tmp_path):
     st = random_div_free_state(SpectralGrid(8, 8, 2.0 * np.pi, 2.0 * np.pi), seed=1)
     save_state(st, path)
     before = path.read_bytes()
-    broken = SimpleNamespace(grid=st.grid, time=1.0, u=Unreadable())
+    broken = SimpleNamespace(grid=st.grid, time=1.0, w=Unreadable())
     with pytest.raises(RuntimeError):
         save_state(broken, path)  # fails after the header is written
     assert _only_file(bin_dir) == path and path.read_bytes() == before

@@ -1,5 +1,7 @@
 """Exponential integrators, quadratic tendencies, energy balance, controls."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mhd2d.spectral import (
     l2_norm,
     random_div_free_state,
 )
+from mhd2d.propagator import build_profile
 from reference import (
     apply_semigroup,
     coordinates,
@@ -24,6 +27,7 @@ from reference import (
     full_spectrum,
     mode_numbers,
     physical_fields,
+    profile_vector,
     scaled_random_state,
     tendency,
 )
@@ -85,8 +89,8 @@ def test_quadratic_tendency_closed_form():
     zero = np.zeros(g.shape)
     b1 = np.cos(2.0 * x2) * np.ones(g.shape)
     b2 = np.cos(x1) * np.ones(g.shape)
-    st = from_physical(g, np.stack([zero, zero, b1, b2]))
-    out = physical_fields(SpectralState(g, tendency(st)))
+    st = SpectralState.from_components(g, from_physical(g, np.stack([zero, zero, b1, b2])))
+    out = physical_fields(g, tendency(st))
     sp = np.sin(x1 + 2.0 * x2)
     sm = np.sin(2.0 * x2 - x1)
     expect1 = -0.6 * sp - 0.6 * sm
@@ -97,13 +101,13 @@ def test_quadratic_tendency_closed_form():
     assert np.max(np.abs(out[3])) < 1e-13
 
     # same field placed in v flips the sign through -(v.grad)v
-    st_v = from_physical(g, np.stack([b1, b2, zero, zero]))
-    out_v = physical_fields(SpectralState(g, tendency(st_v)))
+    st_v = SpectralState.from_components(g, from_physical(g, np.stack([b1, b2, zero, zero])))
+    out_v = physical_fields(g, tendency(st_v))
     assert np.max(np.abs(out_v[0] + expect1)) < 1e-13
     assert np.max(np.abs(out_v[1] + expect2)) < 1e-13
 
     # v = B kills both quadratic forms identically
-    st_eq = from_physical(g, np.stack([b1, b2, b1, b2]))
+    st_eq = SpectralState.from_components(g, from_physical(g, np.stack([b1, b2, b1, b2])))
     assert np.max(np.abs(tendency(st_eq))) < 1e-14
 
 
@@ -127,7 +131,7 @@ def test_quadratic_tendency_alias_free():
             fj = int(np.where(fine_k2 == k2)[0][0])
             up[:, fi, fj] = st.u[:, i, j]
     out_c = tendency(st)
-    out_f = tendency(SpectralState(fine, up))
+    out_f = tendency(SpectralState.from_components(fine, up))
     scale = np.max(np.abs(out_c))
     for i, k1 in enumerate(coarse_k1):
         if 3 * abs(k1) >= coarse.n1:
@@ -156,7 +160,7 @@ def test_single_mode_has_no_self_advection():
     # one transverse mode: v = k-perp cos(k.x), k = (2, 1)
     f = np.cos(2.0 * x1 + x2)
     fields = np.stack([-1.0 * f, 2.0 * f, np.zeros(g.shape), np.zeros(g.shape)])
-    st = from_physical(g, fields)
+    st = SpectralState.from_components(g, from_physical(g, fields))
     assert np.max(np.abs(tendency(st))) < 1e-14
 
 
@@ -234,7 +238,7 @@ def test_decoupled_velocity_decays_exactly():
     cfg = small_cfg(coupling=False, t_end=1.0, dt=0.01, data_delta=1.0)
     g = cfg.grid()
     st0 = initial_state(cfg, g)
-    st0.u[2:] = 0.0
+    st0.w[1] = 0.0  # a = 0, so B = 0
     traj = run(cfg, initial=st0)
     final = traj.states[-1]
     assert np.max(np.abs(final.u[2:])) == 0.0
@@ -362,3 +366,56 @@ def test_advective_bound_scales_with_amplitude():
     b_small = advective_dt_bound(small)
     b_large = advective_dt_bound(large)
     assert 0.0 < b_large < b_small <= 0.5 * min(g.dx)
+
+
+def cadence_cfg(n, kind, **kw):
+    # prop25's support, |xi| < 1/4, needs a 32 pi box to hold modes
+    box = 32.0 * np.pi if kind == "prop25" else TWO_PI
+    return SolverConfig(n1=n, n2=n, l1=box, l2=box, dt=0.02, t_end=1.0, data_kind=kind,
+                        data_delta=0.5 if kind == "random" else 0.05, seed=3, **kw)
+
+
+@pytest.mark.parametrize("kind", ("random", "prop25"))
+@pytest.mark.parametrize("n", (64, 128))
+def test_final_state_does_not_depend_on_the_sample_cadence(n, kind):
+    # the stepper goes on from the stepped stack at every sample, so a run
+    # sampled every step and one sampled once end on the same bits
+    every = run(cadence_cfg(n, kind, output_every=0.02))
+    once = run(cadence_cfg(n, kind, output_every=1.0))
+    assert len(every.times) == 51 and len(once.times) == 2
+    assert every.states[-1].w.tobytes() == once.states[-1].w.tobytes()
+    assert every.states[-1].time == once.states[-1].time
+    assert every.records[-1] == once.records[-1]
+    assert every.records[0] == once.records[0]
+
+
+@pytest.mark.parametrize("kind", ("random", "prop25"))
+def test_restart_from_any_kept_state_repeats_the_run(kind):
+    # a kept state holds the run's band stack at its time, so a run from it
+    # repeats every later record and state bit for bit, its first record
+    # included; only e_residual counts from the restart
+    cfg = cadence_cfg(64, kind, output_every=0.1)
+    whole = run(cfg, keep_states=True)
+    assert all(st is not None for st in whole.states) and len(whole.states) == 11
+    for k, start in enumerate(whole.states[:-1]):
+        rest = run(dataclasses.replace(cfg, t_end=1.0 - start.time), initial=start,
+                   keep_states=True)
+        assert rest.times == whole.times[k:]
+        for got, want in zip(rest.records, whole.records[k:]):
+            assert got._replace(e_residual=0.0) == want._replace(e_residual=0.0), k
+        for got, want in zip(rest.states, whole.states[k:]):
+            assert got.time == want.time and got.w.tobytes() == want.w.tobytes(), k
+
+
+def test_prop25_data_are_the_profile():
+    # the potentials sigma(xi1) sigma(xi2) of both pairs have the curl i
+    # sigma sigma (xi2, -xi1, xi2, -xi1), the profile with the phase that
+    # makes the physical fields real, cut to the 2/3 band and scaled
+    cfg = SolverConfig(n1=64, n2=48, l1=32.0 * np.pi, l2=24.0 * np.pi, dt=0.02, t_end=0.04,
+                       data_kind="prop25")
+    g = cfg.grid()
+    u = initial_state(cfg, g).u
+    want = 1j * profile_vector(build_profile("prop25"), g.xi1, g.half_xi2) * g.half_dealias_mask
+    scale = np.vdot(want, u).real / np.vdot(want, want).real
+    assert scale > 0.0
+    assert np.max(np.abs(u - scale * want)) <= 1e-14 * np.max(np.abs(u))

@@ -11,7 +11,6 @@ from mhd2d.solver import SolverConfig
 from mhd2d.spectral import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    STATE_RTOL,
     SpectralGrid,
     SpectralState,
     _block_rows,
@@ -42,10 +41,11 @@ from reference import (
 TWO_PI = 2.0 * np.pi
 
 
-def random_state(grid, seed=0, scale=1.0):
+def random_coefficients(grid, seed=0):
+    """The half spectra of four planes of white noise: no state's components,
+    which are divergence free."""
     rng = np.random.default_rng(seed)
-    fields = scale * rng.standard_normal((4, grid.n1, grid.n2))
-    return from_physical(grid, fields)
+    return from_physical(grid, rng.standard_normal((4, grid.n1, grid.n2)))
 
 
 def test_grid_validation():
@@ -86,20 +86,20 @@ def test_to_physical_matches_full_spectrum_inverse(n1, n2):
     # against one irfft2 bit for bit, on the whole half spectrum and, for a
     # band-limited state, on its band columns alone
     g = SpectralGrid(n1, n2, TWO_PI, 3.0)
-    for st in (random_div_free_state(g, seed=n1), random_state(g, seed=n2)):
-        ref = np.real(np.fft.ifft2(full_spectrum(g, st.u), axes=(-2, -1))) * n1 * n2
-        want = physical_fields(st)
+    for u in (random_div_free_state(g, seed=n1).u, random_coefficients(g, seed=n2)):
+        ref = np.real(np.fft.ifft2(full_spectrum(g, u), axes=(-2, -1))) * n1 * n2
+        want = physical_fields(g, u)
         out = np.full((4, n1, n2), np.nan)
-        spec = st.u.copy()
+        spec = u.copy()
         # a buffer of n1 rows takes one block: the whole planes, in it
         (r0, block), = to_physical(g, spec, out)
         assert r0 == 0 and block is out
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert out.tobytes() == want.tobytes()
-        assert not np.array_equal(spec, st.u)  # the column pass ran in place
+        assert not np.array_equal(spec, u)  # the column pass ran in place
     st = random_div_free_state(g, seed=n1)
     (_, band), = to_physical(g, st.u[:, :, :g.band_cols].copy(), np.empty((4, n1, n2)))
-    assert band.tobytes() == physical_fields(st).tobytes()
+    assert band.tobytes() == physical_fields(g, st.u).tobytes()
 
 
 @pytest.mark.parametrize("n1, n2", [(40, 64), (64, 38), (50, 70), (256, 256)])
@@ -138,18 +138,18 @@ def test_block_rows_follow_one_byte_budget(monkeypatch):
 
 def test_roundtrip_identity():
     g = SpectralGrid(32, 24, TWO_PI, 4.0)
-    st = random_state(g, seed=1)
-    back = from_physical(g, physical_fields(st))
-    assert np.max(np.abs(back.u - st.u)) < 1e-14
+    u = random_coefficients(g, seed=1)
+    back = from_physical(g, physical_fields(g, u))
+    assert np.max(np.abs(back - u)) < 1e-14
 
 
 def test_derivative_closed_form():
     g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
     x1, x2 = coordinates(g)
     f = np.sin(3.0 * x1) * np.cos(2.0 * x2) * np.ones(g.shape)
-    st = from_physical(g, np.broadcast_to(f, (4,) + g.shape).copy())
-    d1 = physical_fields(spectral_derivative(st, 1))
-    d2 = physical_fields(spectral_derivative(st, 2))
+    u = from_physical(g, np.broadcast_to(f, (4,) + g.shape))
+    d1 = physical_fields(g, spectral_derivative(g, u, 1))
+    d2 = physical_fields(g, spectral_derivative(g, u, 2))
     assert np.max(np.abs(d1[0] - 3.0 * np.cos(3.0 * x1) * np.cos(2.0 * x2))) < 1e-12
     assert np.max(np.abs(d2[0] + 2.0 * np.sin(3.0 * x1) * np.sin(2.0 * x2))) < 1e-12
 
@@ -159,8 +159,8 @@ def test_derivative_respects_box_size():
     g = SpectralGrid(32, 32, 2.0 * TWO_PI, TWO_PI)
     x1, _ = coordinates(g)
     f = np.cos(0.5 * x1) * np.ones(g.shape)
-    st = from_physical(g, np.broadcast_to(f, (4,) + g.shape).copy())
-    d1 = physical_fields(spectral_derivative(st, 1))
+    u = from_physical(g, np.broadcast_to(f, (4,) + g.shape))
+    d1 = physical_fields(g, spectral_derivative(g, u, 1))
     assert np.max(np.abs(d1[0] + 0.5 * np.sin(0.5 * x1))) < 1e-13
 
 
@@ -176,10 +176,13 @@ def test_odd_derivative_kills_nyquist():
 
 def test_parseval_calibration():
     g = SpectralGrid(32, 32, 3.0, 5.0)
-    st = random_state(g, seed=2)
-    phys = physical_fields(st)
+    u = random_coefficients(g, seed=2)
+    phys = physical_fields(g, u)
     riemann = np.sqrt(np.sum(phys[0] ** 2) * g.cell_area)
-    assert l2_norm(g, st.u[0]) == pytest.approx(riemann, rel=1e-13)
+    assert l2_norm(g, u[0]) == pytest.approx(riemann, rel=1e-13)
+    # on a band's leading columns, the norm of the whole half spectrum
+    st = random_div_free_state(g, seed=2)
+    assert l2_norm(g, st.u[1, :, :g.band_cols]) == l2_norm(g, st.u[1])
 
 
 def test_dealias_two_thirds():
@@ -199,22 +202,21 @@ def test_dealias_two_thirds():
 
 def test_leray_projection():
     g = SpectralGrid(32, 32, TWO_PI, TWO_PI)
-    st = random_state(g, seed=4)
-    proj = leray_project(g, st.u)
+    u = random_coefficients(g, seed=4)
+    proj = leray_project(g, u)
     dv, dB = divergence_defect(g, proj)
     scale = np.max(np.abs(proj))
     assert max(dv, dB) < 1e-13 * scale
     twice = leray_project(g, proj)
     assert np.max(np.abs(twice - proj)) < 1e-14 * scale
     # the zero mode passes through untouched
-    st.u[:, 0, 0] = 7.0
-    assert np.all(leray_project(g, st.u)[:, 0, 0] == 7.0)
+    u[:, 0, 0] = 7.0
+    assert np.all(leray_project(g, u)[:, 0, 0] == 7.0)
 
 
 def test_sobolev_norm_conventions():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
-    st = random_state(g, seed=5)
-    f = st.u[0]
+    f = random_coefficients(g, seed=5)[0]
     assert sobolev_norm(g, f, 0) == pytest.approx(l2_norm(g, f), rel=1e-14)
     assert sobolev_norm(g, f, 2) >= sobolev_norm(g, f, 1) >= sobolev_norm(g, f, 0)
     for bad in (-1, 2.5, float("nan"), float("inf"), True):
@@ -236,10 +238,10 @@ def test_hermitian_defect_detects_asymmetry():
     # the half spectrum mirrors its interior columns by construction: only
     # the k2 = 0 and Nyquist columns can be asymmetric
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
-    st = random_state(g, seed=6)
-    assert hermitian_defect(g, st.u) < 1e-14
-    st.u[0, 2, 0] += 0.5
-    assert hermitian_defect(g, st.u) > 0.1
+    u = random_coefficients(g, seed=6)
+    assert hermitian_defect(g, u) < 1e-14
+    u[0, 2, 0] += 0.5
+    assert hermitian_defect(g, u) > 0.1
 
 
 def test_random_state_properties():
@@ -256,21 +258,52 @@ def test_random_state_properties():
 
 def test_state_validation_errors():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
-    # a state holds the half spectrum, 16 // 2 + 1 = 9 columns
-    for shape in ((3, 16, 9), (4, 16, 16)):
+    # a state holds the potentials on the half spectrum, 16 // 2 + 1 = 9
+    # columns, or on fewer leading ones, which it zero-pads; its components
+    # come in on all 9
+    for shape in ((3, 16, 9), (2, 16, 10), (2, 8, 9), (2, 16, 0), (4, 16, 9)):
         with pytest.raises(ConfigError, match="shape"):
             SpectralState(g, np.zeros(shape, dtype=complex))
+    for shape in ((3, 16, 9), (4, 16, 16), (2, 16, 9)):
+        with pytest.raises(ConfigError, match="shape"):
+            SpectralState.from_components(g, np.zeros(shape, dtype=complex))
+    band = random_div_free_state(g, seed=7).w[:, :, :g.band_cols]
+    padded = SpectralState(g, band)
+    assert padded.w.shape == (2, 16, 9) and np.all(padded.w[..., g.band_cols:] == 0.0)
+    assert np.array_equal(padded.w[..., :g.band_cols], band)
     for time in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="time"):
-            SpectralState(g, np.zeros((4, 16, 9), dtype=complex), time=time)
-    st = random_state(g, seed=7)
-    st.u[:, 0, 0] = 1.0
+            SpectralState(g, np.zeros((2, 16, 9), dtype=complex), time=time)
+        with pytest.raises(ConfigError, match="time"):
+            SpectralState.from_components(g, np.zeros((4, 16, 9), dtype=complex), time=time)
+    u = random_coefficients(g, seed=7)
+    u[:, 0, 0] = 1.0
     with pytest.raises(ConfigError):
-        st.validate()
+        SpectralState.from_components(g, u)
+    u = random_div_free_state(g, seed=7).u.copy()
+    u[0, 1, 2] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        SpectralState.from_components(g, u)
     st = random_div_free_state(g, seed=7)
-    st.u[0, 1, 2] = np.nan
+    st.w[0, 1, 2] = np.nan
     with pytest.raises(ConfigError, match="non-finite"):
         st.validate()
+
+
+def test_components_are_a_read_only_view():
+    # u is made from w on each access; a write into it would be lost, so it
+    # fails, and a state from its components has the same potentials
+    g = SpectralGrid(16, 24, 3.5, TWO_PI)
+    st = random_div_free_state(g, seed=8)
+    u = st.u
+    assert not u.flags.writeable and u.shape == (4, 16, 13)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 1, 2] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        st.u[:, 0, 0] *= 2.0
+    back = SpectralState.from_components(g, st.u, 0.5)
+    assert back.time == 0.5
+    assert np.max(np.abs(back.w - st.w)) <= 1e-15 * np.max(np.abs(st.w))
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -286,10 +319,10 @@ def test_snapshot_roundtrip(tmp_path):
 
 
 def test_snapshot_bytes_and_transient_memory(tmp_path):
-    # the layout is the header and the little-endian half-spectrum payload,
-    # byte for byte; the payload is written from the state's own buffer, and
-    # read into the one array the loaded state keeps
-    assert SNAPSHOT_VERSION == 2
+    # the layout is the header and the little-endian half-spectrum payload
+    # of the potentials, byte for byte; the payload is written from the
+    # state's own buffer, and read into the one array the loaded state keeps
+    assert SNAPSHOT_VERSION == 3
     g = SpectralGrid(128, 96, 3.5, TWO_PI)
     st = random_div_free_state(g, seed=21)
     st.time = 0.75
@@ -297,14 +330,21 @@ def test_snapshot_bytes_and_transient_memory(tmp_path):
     _, peak = traced_peak(save_state, st, path)
     header = SNAPSHOT_MAGIC + struct.pack("<I", SNAPSHOT_VERSION)
     header += struct.pack("<5d", 128.0, 96.0, 3.5, TWO_PI, 0.75)
-    assert path.read_bytes() == header + st.u.astype("<c16").tobytes()
-    assert len(path.read_bytes()) == 48 + 4 * 128 * 49 * 16
-    assert peak < st.u.nbytes / 8, peak / st.u.nbytes
+    assert path.read_bytes() == header + st.w.astype("<c16").tobytes()
+    assert len(path.read_bytes()) == 48 + 2 * 128 * 49 * 16
+    assert peak < st.w.nbytes / 8, peak / st.w.nbytes
     # the payload (1), the grid's tables and validate()'s transients, measured
     # 2.02 payloads in all; two payload copies would be 3 or more
     back, peak = traced_peak(load_state, path)
-    assert np.array_equal(back.u, st.u) and back.u.flags.writeable
-    assert peak < 2.5 * st.u.nbytes, peak / st.u.nbytes
+    assert np.array_equal(back.w, st.w) and back.w.flags.writeable
+    assert peak < 2.5 * st.w.nbytes, peak / st.w.nbytes
+
+
+def version_2_bytes(grid, u, time):
+    """A version 2 snapshot: the same header before the four components ``u``."""
+    head = SNAPSHOT_MAGIC + struct.pack("<I", 2)
+    head += struct.pack("<5d", float(grid.n1), float(grid.n2), grid.l1, grid.l2, time)
+    return head + np.asarray(u).astype("<c16").tobytes()
 
 
 def test_snapshot_format_errors(tmp_path):
@@ -318,25 +358,29 @@ def test_snapshot_format_errors(tmp_path):
     with pytest.raises(SnapshotFormatError):
         load_state(tmp_path / "magic.bin")
 
-    (tmp_path / "version.bin").write_bytes(data[:4] + b"\x63\x00\x00\x00" + data[8:])
-    with pytest.raises(SnapshotFormatError):
-        load_state(tmp_path / "version.bin")
-
-    (tmp_path / "short.bin").write_bytes(data[:-16])
-    with pytest.raises(SnapshotFormatError):
-        load_state(tmp_path / "short.bin")
+    # version 1, the full-spectrum components, is read no more
+    for i, version in enumerate((b"\x63", b"\x01")):
+        (tmp_path / f"version{i}.bin").write_bytes(data[:4] + version + data[5:])
+        with pytest.raises(SnapshotFormatError, match="unsupported snapshot version"):
+            load_state(tmp_path / f"version{i}.bin")
 
     (tmp_path / "header.bin").write_bytes(data[:6])
     with pytest.raises(SnapshotFormatError, match="header"):
         load_state(tmp_path / "header.bin")
 
-    (tmp_path / "trailing.bin").write_bytes(data + b"\x00")
-    with pytest.raises(SnapshotFormatError, match="trailing"):
-        load_state(tmp_path / "trailing.bin")
+    # either version's payload must fill the file exactly
+    v2 = version_2_bytes(g, st.u, 0.0)
+    for version, whole in ((3, data), (2, v2)):
+        (tmp_path / "short.bin").write_bytes(whole[:-16])
+        with pytest.raises(SnapshotFormatError, match="truncated"):
+            load_state(tmp_path / "short.bin")
+        (tmp_path / "trailing.bin").write_bytes(whole + b"\x00")
+        with pytest.raises(SnapshotFormatError, match="trailing"):
+            load_state(tmp_path / "trailing.bin")
 
     # a header whose payload size wraps in int64: 4 * 8 * (2^59 + 1) half
-    # columns are 32 elements mod 2^64, and version 1's 4 * 8 * 2^60 are none
-    for version, payload in ((2, 16 * 32), (1, 0)):
+    # columns are 32 elements mod 2^64, and version 3's 2 * 8 * (2^59 + 1) 16
+    for version, payload in ((2, 16 * 32), (3, 16 * 16)):
         path = tmp_path / f"wrap{version}.bin"
         head = data[:4] + struct.pack("<I5d", version, 8.0, 2.0**60, TWO_PI, TWO_PI, 0.0)
         path.write_bytes(head + bytes(payload))
@@ -350,68 +394,43 @@ def test_snapshot_format_errors(tmp_path):
         with pytest.raises(SnapshotFormatError, match="time"):
             load_state(path)
 
-    # payloads that fail validate(), and a non-finite one
+    # payloads that fail validate(), and a non-finite one: potentials of
+    # version 3, and the components of version 2, which from_components checks
     edits = (
-        ("Hermitian", [((0, 1, 0), st.u[0, 1, 0] + 1.0j)]),  # a self-mirrored column
-        ("divergence", [((0, 1, 0), 1.0), ((0, -1, 0), 1.0)]),
-        ("non-finite", [((0, 1, 2), np.nan)]),
+        (3, "Hermitian", [((0, 1, 0), st.w[0, 1, 0] + 1.0j)]),  # a self-mirrored column
+        (3, "mean", [((1, 0, 0), 1.0)]),
+        (3, "non-finite", [((0, 1, 2), np.nan)]),
+        (2, "Hermitian", [((0, 1, 0), st.u[0, 1, 0] + 1.0j)]),
+        (2, "divergence", [((0, 1, 0), 1.0), ((0, -1, 0), 1.0)]),
+        (2, "Nyquist", [((1, 8, 0), 1.0)]),  # a real v2 where xi2 = 0: no divergence
+        (2, "non-finite", [((0, 1, 2), np.nan)]),
     )
-    for i, (pattern, changes) in enumerate(edits):
-        bad = st.u.copy()
+    for i, (version, pattern, changes) in enumerate(edits):
+        bad = (st.w if version == 3 else st.u).copy()
         for index, value in changes:
             bad[index] = value
         path = tmp_path / f"bad{i}.bin"
-        save_state(SpectralState(g, bad), path)
+        if version == 3:
+            save_state(SpectralState(g, bad), path)
+        else:
+            path.write_bytes(version_2_bytes(g, bad, 0.0))
         with pytest.raises(SnapshotFormatError, match=pattern):
             load_state(path)
 
 
-def version_1_bytes(grid, u, time):
-    """A version 1 snapshot: the same header before the full spectrum of ``u``."""
-    head = SNAPSHOT_MAGIC + struct.pack("<I", 1)
-    head += struct.pack("<5d", float(grid.n1), float(grid.n2), grid.l1, grid.l2, time)
-    return head + full_spectrum(grid, u).astype("<c16").tobytes()
-
-
-def test_version_1_snapshot_loads_its_half(tmp_path):
+def test_version_2_snapshot_loads_through_from_components(tmp_path):
+    # the four components of version 2 come in through the one component
+    # check and curl map; written again, the state is a version 3 snapshot
     g = SpectralGrid(16, 24, 3.5, TWO_PI)
     st = random_div_free_state(g, seed=9)
-    path = tmp_path / "v1.bin"
-    data = version_1_bytes(g, st.u, 1.5)
-    assert len(data) == 48 + 4 * 16 * 24 * 16
-    path.write_bytes(data)
-    back = load_state(path)
+    data = version_2_bytes(g, st.u, 1.5)
+    assert len(data) == 48 + 4 * 16 * 13 * 16
+    (tmp_path / "v2.bin").write_bytes(data)
+    back = load_state(tmp_path / "v2.bin")
+    want = SpectralState.from_components(g, st.u, 1.5)
     assert back.grid == g and back.time == 1.5
-    assert np.array_equal(back.u, st.u)
-    assert back.u.flags.c_contiguous and back.u.flags.writeable
-    # written again, it is the version 2 snapshot of the same state
-    st.time = 1.5
-    save_state(back, tmp_path / "back.bin")
-    save_state(st, tmp_path / "v2.bin")
-    assert (tmp_path / "back.bin").read_bytes() == (tmp_path / "v2.bin").read_bytes()
-    for name, cut, pattern in (("short", data[:-16], "truncated"),
-                               ("trailing", data + b"\x00", "trailing")):
-        (tmp_path / name).write_bytes(cut)
-        with pytest.raises(SnapshotFormatError, match=pattern):
-            load_state(tmp_path / name)
-
-
-def test_version_1_snapshot_must_mirror_its_half(tmp_path):
-    # the negative k2 columns of a version 1 payload must mirror the half
-    # spectrum within STATE_RTOL max|u|, and be finite; the state keeps the half
-    g = SpectralGrid(16, 24, 3.5, TWO_PI)
-    st = random_div_free_state(g, seed=11)
-    full = full_spectrum(g, st.u)
-    level = STATE_RTOL * np.max(np.abs(full))
-    for i, (value, pattern) in enumerate(((0.5 * level, None), (2.0 * level, "mirror"),
-                                          (np.inf, "non-finite"), (np.nan, "non-finite"))):
-        bad = full.copy()
-        bad[1, 3, g.n2 - 2] += value
-        path = tmp_path / f"v1_{i}.bin"
-        path.write_bytes(version_1_bytes(g, bad[..., :g.n2 // 2 + 1], 0.0)[:48]
-                         + bad.astype("<c16").tobytes())
-        if pattern is None:
-            assert np.array_equal(load_state(path).u, st.u)
-        else:
-            with pytest.raises(SnapshotFormatError, match=pattern):
-                load_state(path)
+    assert np.array_equal(back.w, want.w) and back.w.flags.writeable
+    assert np.max(np.abs(back.w - st.w)) <= 1e-15 * np.max(np.abs(st.w))
+    save_state(back, tmp_path / "v3.bin")
+    assert (tmp_path / "v3.bin").stat().st_size == 48 + 2 * 16 * 13 * 16
+    assert np.array_equal(load_state(tmp_path / "v3.bin").w, back.w)
