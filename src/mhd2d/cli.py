@@ -374,11 +374,13 @@ def cmd_fit(args, raw) -> int:
     path = typed.get("input")
     if not path:
         raise ConfigError("fit requires input = <curve csv> in the config")
+    if not np.isfinite(typed.get("expected", 0.0)):
+        raise ConfigError(f"expected must be finite, got {typed['expected']!r}")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a BOM is dropped
             reader = csv.reader(fh)
             rows = [row for row in reader if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read curve {path!r}: {exc}") from exc
     if rows and rows[0][:2] == ["t", "value"]:
         rows = rows[1:]

@@ -33,7 +33,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is dropped
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 

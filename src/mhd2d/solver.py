@@ -35,8 +35,9 @@ products instead of eight. A tendency transforms 4 planes inverse, through
 as two 1-D passes, the one along axis 1 over the kc band columns only, in
 the workspace the stepper holds and its records share. The passes along
 axis 2 and the products between them run one block of rows at a time, so
-the workspace holds the band and one block of physical rows; every grid up
-to 128^2 takes one block, 256^2 four of 64 rows. The stepper
+the workspace holds the band, over whose spent rows each block's forward
+row pass returns its band columns, and one block of physical rows; every
+grid up to 128^2 takes one block, 256^2 four of 64 rows. The stepper
 builds the tendency's tables once, with the mask and 1/|xi|^2 folded in,
 and h is folded into its phi tables, (n1, 1) row tables with alpha = 0,
 whose saved memory pays for the workspace. A ``SpectralState`` holds the
@@ -241,18 +242,12 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
     (one that casts, broadcasts along rows or reads a strided plane would
     run through numpy's iterator buffers). The row pass runs a block at a
     time; the block's products and its forward row pass, whose three row
-    spectra and the float ``cross`` plane share 3 (n2/2 + 1) ``rows``
-    elements, follow at once.
-
-    With one block (``rows`` = n1, every grid up to 128^2) the row spectra
-    go over the spent spectra at the front and the forward column pass
-    reads their first kc columns, writing the third into the n1 kc
-    elements before the table's. With several, the row spectra follow the four
-    spectra, and each block's first kc columns go back over the band rows
-    it has just spent, which line up, so the forward column pass reads the
-    band and runs in place on its third plane. Either way it writes the
-    first two into the compact (2, n1, kc) result, all the call allocates,
-    which keeps no dead third plane alive.
+    spectra and the float ``cross`` plane share the 3 (n2/2 + 1) ``rows``
+    elements after the four spectra, follow at once, and the block's first
+    kc columns go back over the band rows it has just spent, which line up.
+    The forward column pass then reads the band, runs in place on its third
+    plane and writes the first two into the compact (2, n1, kc) result, all
+    the call allocates, which keeps no dead third plane alive.
     """
     n1, kc = w.shape[1:]
     n2, nh = grid.n2, grid.n2 // 2 + 1
@@ -266,9 +261,7 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
     np.multiply(spec[0:2], table, out=spec[2:4])
     table[...] = mult1
     spec[0:2] *= table
-    # one block: the row spectra go over the spent spectra; else after them
-    lead = 0 if rows == n1 else spec.size
-    spectra = work[lead:lead + 3 * rows * nh]
+    spectra = work[spec.size:spec.size + 3 * rows * nh]
     for r0, phys in to_physical(grid, spec, work[-2 * rows * n2:].view(np.float64)
                                 .reshape(4, rows, n2)):
         r = phys.shape[1]
@@ -281,16 +274,11 @@ def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> n
         np.add(cross, m1, out=p2)
         m1 -= cross
         # phys[0:3] now holds (T22 - T11) / 2, N_a and -T12
-        band = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward",
-                            out=spectra[:3 * r * nh].reshape(3, r, nh))[..., :kc]
-        if rows < n1:
-            spec[0:3, r0:r0 + r] = band
-    if rows < n1:
-        band, s = spec[0:3], spec[2]
-    else:
-        s = work[-2 * n1 * kc:-n1 * kc].reshape(n1, kc)
-    out = np.fft.fftn(band[0:2], axes=(-2,), norm="forward")
-    np.fft.fftn(band[2], axes=(-2,), norm="forward", out=s)
+        spec[0:3, r0:r0 + r] = np.fft.rfftn(phys[0:3], axes=(-1,), norm="forward",
+                                            out=spectra[:3 * r * nh].reshape(3, r, nh))[..., :kc]
+    s = spec[2]
+    out = np.fft.fftn(spec[0:2], axes=(-2,), norm="forward")
+    np.fft.fftn(s, axes=(-2,), norm="forward", out=s)
     table[...] = to_ab
     out[0] *= table
     table[...] = to_s
@@ -349,12 +337,11 @@ class _Stepper:
     the stepper lives (``instantaneous``, on the band columns) and the
     energy and dissipation sums run their passes and products; the row
     tables pay for it. With ``rows`` = ``spectral._block_rows(grid, 4)``,
-    the rows of four physical planes one block holds, it has (max(4 kc,
-    3 (n2/2 + 1)) + 2 n2) n1 elements where they are all n1 rows (0.92 MB
-    at 128^2), else 4 n1 kc + max(n1 kc, (3 (n2/2 + 1) + 2 n2) rows) (2.33
-    MB at 256^2, against 3.68 MB in one block). A step sums its stages in
-    place on arrays it made itself, releases each at its last use and
-    leaves its input as it is.
+    the rows of four physical planes one block holds (all n1 on every grid
+    up to 128^2, 64 at 256^2), it has 4 n1 kc + max(n1 kc, (3 (n2/2 + 1) +
+    2 n2) rows) elements (1.28 MB at 128^2, 2.33 MB at 256^2). A step sums
+    its stages in place on arrays it made itself, releases each at its last
+    use and leaves its input as it is.
     """
 
     def __init__(self, grid: SpectralGrid, cfg: SolverConfig):
@@ -378,9 +365,8 @@ class _Stepper:
                                 (1j / np.sqrt(2.0)) * xi2,
                                 (-1j / np.sqrt(2.0)) * xi1)
         n1, n2, nh, rows = grid.n1, grid.n2, grid.n2 // 2 + 1, _block_rows(grid, 4)
-        size = ((max(4 * kc, 3 * nh) + 2 * n2) * n1 if rows == n1
-                else 4 * n1 * kc + max(n1 * kc, (3 * nh + 2 * n2) * rows))
-        self.work = np.empty(size, dtype=np.complex128)
+        self.work = np.empty(4 * n1 * kc + max(n1 * kc, (3 * nh + 2 * n2) * rows),
+                             dtype=np.complex128)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         xi_sq = grid.half_xi_sq[:, :kc]
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq

@@ -211,11 +211,11 @@ def test_record_refuses_a_workspace_too_small(monkeypatch):
     diagnostics.instantaneous(g, _components(g, _band(st, g)), cfg.m, work=work)
 
 
-@pytest.mark.parametrize("n1,n2,nbytes", ((128, 128, 923_648), (256, 256, 2_329_600)))
+@pytest.mark.parametrize("n1,n2,nbytes", ((128, 128, 1_275_904), (256, 256, 2_329_600)))
 def test_stepper_workspace_size(n1, n2, nbytes):
-    # 128^2 takes one block in (max(4 kc, 3 (n2/2 + 1)) + 2 n2) n1 elements;
-    # 256^2, in blocks of 64 rows, 4 n1 kc + max(n1 kc, (3 (n2/2 + 1) + 2 n2) 64)
-    # (3.68 MB in one block). Either holds a record on the band columns
+    # 4 n1 kc + max(n1 kc, (3 (n2/2 + 1) + 2 n2) rows) elements, in blocks of
+    # rows = 128 rows at 128^2 and 64 at 256^2; it holds a record on the band
+    # columns
     g = SpectralGrid(n1, n2, L1, L2)
     work = tendency_args(g)[1]
     assert work.nbytes == nbytes and work.dtype == np.complex128

@@ -67,6 +67,16 @@ def test_load_config_drops_a_byte_order_mark(tmp_path, capsys):
     assert cli.main(["nonlinear-run", "--config", str(cfg), "--quiet"]) == 64
     err = capsys.readouterr().err
     assert "n1 must be an even integer" in err and "\ufeff" not in err, err
+    # a byte that is not UTF-8 is a config error naming the file, not a traceback
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"profile = \xff\n")
+    with pytest.raises(ConfigError, match="latin.cfg"):
+        load_config(latin)
+    out = tmp_path / "latin"
+    assert cli.main(["linear-decay", "--config", str(latin), "--out", str(out), "--quiet"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "latin.cfg" in err, err
+    assert not out.exists()
 
 
 def test_typed_config_coercion_and_schema():
@@ -789,6 +799,23 @@ def test_fit_input_errors(tmp_path, capsys):
     bad = write_cfg(tmp_path, "fit3.cfg", {"input": str(garbage)})
     assert cli.main(["fit", "--config", bad, "--quiet"]) == 64
     capsys.readouterr()
+    # a curve that is not UTF-8, or a non-finite expected slope (which JSON
+    # cannot hold), is refused with one line and writes no fit.json
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"t,value\n1.0,\xff\n")
+    good = tmp_path / "good.csv"
+    good.write_text("t,value\n" + "".join(f"{t},{1.0 / (1.0 + t)}\n" for t in range(1, 40)),
+                    encoding="utf-8")
+    for i, (keys, needle) in enumerate((({"input": str(latin)}, "latin.csv"),
+                                        ({"input": str(good), "expected": "nan"}, "nan"),
+                                        ({"input": str(good), "expected": "inf"}, "inf"),
+                                        ({"input": str(good), "expected": "-inf"}, "-inf"))):
+        cfg = write_cfg(tmp_path, f"refused{i}.cfg", keys)
+        out = tmp_path / f"refused{i}"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 64, i
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err, err
+        assert not (out / "fit.json").exists()
     # a non-finite value or time anywhere in the curve, the last time
     # included, is refused before the fit and writes no fit.json
     times = [f"{t:.17g}" for t in np.geomspace(1.0, 1e4, 40)]
