@@ -1,9 +1,10 @@
 """Experiment runner: decay studies, stability runs, audits, and fits.
 
 Exit codes: 0 success, 2 tolerance failure, 3 hard-invariant or numerical
-integrity failure, 4 blow-up, 64 usage or configuration error. With a
-fixed seed every command writes byte-identical CSV output (floats are
-serialized with repr-faithful %.17g formatting, newlines are always LF).
+integrity failure, 4 blow-up, 64 usage or configuration error, or a file
+that cannot be read or written (an ``OSError``). With a fixed seed every
+command writes byte-identical CSV output (floats are serialized with
+repr-faithful %.17g formatting, newlines are always LF).
 """
 
 import argparse
@@ -48,6 +49,7 @@ _USAGE_ERRORS = (
     AuditInapplicableError,
     FitDomainError,
     SingularBasisError,
+    OSError,  # a file that cannot be read or written; its message names the path
 )
 
 
@@ -143,10 +145,11 @@ def cmd_linear_decay(args, raw) -> int:
         raise ConfigError(f"profile {profile.kind!r} has no component curves, "
                           "so j must list at least one weight")
 
+    curves = linear_decay_curve(profile, weights, times)  # checks the weights first
     out = _out_dir(args, typed)
     fits = []
     ok = True
-    for weight, curve in zip(weights, linear_decay_curve(profile, weights, times)):
+    for weight, curve in zip(weights, curves):
         expected = (_EXPECTED_COMPONENT_SLOPES[weight] if isinstance(weight, str)
                     else -(0.5 * weight + 0.25))
         _write_csv(

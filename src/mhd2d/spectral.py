@@ -2,7 +2,7 @@
 
 Grids and their wavenumbers with the 2/3 dealias mask, the state container,
 which holds a state's stream function and magnetic potential, and its
-checks, the curl maps between potentials and components, the one inverse
+checks, the curl map from potentials to components, the one inverse
 transform, Sobolev norms, random states, and the binary snapshot format
 used by the experiment runner, all on the real-FFT half spectrum.
 
@@ -176,10 +176,9 @@ class SpectralState:
     only mirror. The state is (v, B) = (d2 psi, -d1 psi, d2 a, -d1 a), so
     both pairs are divergence free by construction; the constructor takes
     potentials on any leading kc <= n2/2 + 1 columns and zero-pads the
-    rest. ``from_components`` is the way in for the four components, which
-    it checks first. ``validate`` checks that the potentials are finite,
-    Hermitian symmetric (which the half spectrum leaves open only in its
-    self-mirrored k2 = 0 and Nyquist columns) and mean-free.
+    rest; potentials are the only way in. ``validate`` checks that they are
+    finite, Hermitian symmetric (which the half spectrum leaves open only in
+    its self-mirrored k2 = 0 and Nyquist columns) and mean-free.
     """
 
     grid: SpectralGrid
@@ -194,22 +193,6 @@ class SpectralState:
         self.w = w if w.shape[-1] == nh else np.pad(w, [(0, 0), (0, 0), (0, nh - w.shape[-1])])
         if not 0.0 <= self.time < np.inf:
             raise ConfigError(f"time must be finite and nonnegative, got {self.time}")
-
-    @classmethod
-    def from_components(cls, grid: SpectralGrid, u: np.ndarray,
-                        time: float = 0.0) -> "SpectralState":
-        """The state of the half-spectrum components (v1, v2, B1, B2), shape
-        ``(4, n1, n2/2 + 1)``; ``ConfigError`` unless ``_column_fault`` finds
-        them finite, Hermitian, mean-free, divergence free and empty on the
-        Nyquist row and column, which no potential holds."""
-        u = np.asarray(u, dtype=np.complex128)
-        shape = (4, grid.n1, grid.n2 // 2 + 1)
-        if u.shape != shape:
-            raise ConfigError(f"state array must have shape {shape}, got {u.shape}")
-        fault = _column_fault(grid, u)
-        if fault is not None:
-            raise ConfigError(fault)
-        return cls(grid, _potentials(grid, u, shape[-1]), time)
 
     @property
     def u(self) -> np.ndarray:
@@ -274,24 +257,6 @@ def to_physical(grid: SpectralGrid, spec: np.ndarray, out: np.ndarray):
                                 norm="forward", out=block)
 
 
-def _potentials(grid: SpectralGrid, u: np.ndarray, kc: int) -> np.ndarray:
-    """Stream function and magnetic potential of the components ``u`` on
-    the leading kc half-spectrum columns, shape (2, n1, kc).
-
-    With v = (d2 psi, -d1 psi) and B = (d2 a, -d1 a), psi_hat = i (xi1 v2_hat -
-    xi2 v1_hat) / |xi|^2 and likewise a_hat. The gradient part of a field
-    that is not divergence free is dropped; the mean mode and the Nyquist
-    row and column come out zero, the k2 = 0 column mirrored, so the
-    result is exactly Hermitian. The one inverse curl map, the way in of
-    ``SpectralState.from_components`` alone.
-    """
-    half = u[:, :, :kc]
-    curl = grid.xi1 * half[1::2] - grid.half_xi2[:, :kc] * half[0::2]
-    w = 1j * (curl * grid.half_inv_xi_sq[:, :kc])
-    w[:, grid.n1 // 2 + 1:, 0] = np.conj(w[:, grid.n1 // 2 - 1:0:-1, 0])
-    return w
-
-
 def _components(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     """(v1, v2, B1, B2) = (d2 psi, -d1 psi, d2 a, -d1 a) of the potentials
     on w's kc leading columns: Nyquist row and column zero, the k2 = 0
@@ -352,15 +317,12 @@ def divergence_defect(grid: SpectralGrid, u: np.ndarray):
     return out[0], out[1]
 
 
-# ``_column_fault``'s message for each fault of a state, its components or
-# its potentials, and of a run's band stack
+# ``_column_fault``'s message for each fault of a state's potentials and of
+# a run's band stack
 _STATE_FAULTS = {
     "non-finite": "state has non-finite coefficients",
     "Hermitian": "state is not Hermitian symmetric: defect {0:.3e}",
     "mean": "state has nonzero mean mode: {0:.3e}",
-    "divergence": "state is not divergence free: |div v|={0[0]:.3e} |div B|={0[1]:.3e}",
-    "Nyquist": ("state has {0:.3e} on the Nyquist row or column, which no potential "
-                "holds, against max |u| = {1:.3e}"),
     "band": ("state has coefficients outside the 2/3 dealias band: {0:.3e} "
              "against max |w| = {1:.3e}"),
 }
@@ -376,20 +338,15 @@ def _column_fault(grid: SpectralGrid, a: np.ndarray, *, band: bool = False,
                   stack: bool = False):
     """The one state check: None, or the message, from ``_STACK_FAULTS``
     for a run's band stack (``stack``) and ``_STATE_FAULTS`` otherwise, of
-    the first property ``a`` fails: a state's potentials, a band stack, or
-    the components ``SpectralState.from_components`` takes, told apart by
-    their planes (2 or 4). Each defect fails above ``STATE_RTOL`` max|a|
-    (the scale), in the order: ``non-finite`` (the scale, times
-    ``grid.band_xi_max`` for a band stack, whose curl map multiplies by
-    it); ``Hermitian`` (``hermitian_defect``); ``mean``; the components'
-    ``divergence`` and ``Nyquist`` (max |u| on the Nyquist row and column);
-    and with ``band``, max |a| outside the 2/3 band."""
+    the first property ``a`` fails: a state's potentials or a band stack.
+    Each defect fails above ``STATE_RTOL`` max|a| (the scale), in the
+    order: ``non-finite`` (the scale, times ``grid.band_xi_max`` for a band
+    stack, whose curl map multiplies by it); ``Hermitian``
+    (``hermitian_defect``); ``mean``; and with ``band``, max |a| outside
+    the 2/3 band."""
     table = _STACK_FAULTS if stack else _STATE_FAULTS
-    components = len(a) == 4
     mag = np.abs(a)
-    peak, outside, nyquist = float(mag.max()), 0.0, 0.0
-    if components:
-        nyquist = float(max(mag[:, grid.n1 // 2].max(), mag[:, :, -1].max()))
+    peak, outside = float(mag.max()), 0.0
     if band:  # taken now, so |a| is not held through the other checks
         r0, c0 = -(-grid.n1 // 3), grid.band_cols  # first row and column dropped
         r1 = grid.n1 - r0 + 1  # first row kept again
@@ -406,12 +363,6 @@ def _column_fault(grid: SpectralGrid, a: np.ndarray, *, band: bool = False,
     mean = float(np.max(np.abs(a[:, 0, 0])))
     if mean > tol:
         return table["mean"].format(mean, scale)
-    if components:
-        div = divergence_defect(grid, a)
-        if max(div) > tol:
-            return table["divergence"].format(div, scale)
-        if nyquist > tol:
-            return table["Nyquist"].format(nyquist, scale)
     if outside > tol:
         return table["band"].format(outside, scale)
     return None
@@ -463,12 +414,8 @@ def save_state(state: SpectralState, path) -> None:
 
 def load_state(path) -> SpectralState:
     """Read a snapshot written by ``save_state``; ``SnapshotFormatError`` unless
-    it is exactly one header and a payload that passes ``validate``.
-
-    A version 2 snapshot, the same header before the four components (4,
-    n1, n2/2 + 1), is read too, through ``SpectralState.from_components``
-    and its check.
-    """
+    it is exactly one version 3 header and a payload that passes
+    ``validate``. Versions 1 and 2, which held components, are refused."""
     header = 4 + struct.calcsize("<I5d")
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -478,12 +425,12 @@ def load_state(path) -> SpectralState:
             raise SnapshotFormatError(
                 f"truncated snapshot header: {len(head)} of {header} bytes")
         version, n1f, n2f, l1, l2, time = struct.unpack_from("<I5d", head, 4)
-        if version not in (2, SNAPSHOT_VERSION):
+        if version != SNAPSHOT_VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
         if not (n1f.is_integer() and n2f.is_integer() and n1f > 0 and n2f > 0):
             raise SnapshotFormatError(f"grid sizes must be positive integers, got {n1f}, {n2f}")
         n1, n2 = int(n1f), int(n2f)
-        shape = (4 if version == 2 else 2, n1, n2 // 2 + 1)
+        shape = (2, n1, n2 // 2 + 1)
         # sizes are checked against the file, in Python ints that cannot wrap,
         # before the payload is allocated
         extra = os.fstat(fh.fileno()).st_size - header - 16 * shape[0] * n1 * shape[-1]
@@ -491,15 +438,12 @@ def load_state(path) -> SpectralState:
             raise SnapshotFormatError("truncated snapshot payload")
         if extra > 0:
             raise SnapshotFormatError(f"{extra} trailing bytes after the snapshot payload")
-        # the payload is read once, into the array a version 3 state keeps
+        # the payload is read once, into the array the state keeps
         payload = np.empty(shape, dtype="<c16")
         if fh.readinto(payload) != payload.nbytes:
             raise SnapshotFormatError("truncated snapshot payload")
     try:
-        grid = SpectralGrid(n1, n2, l1, l2)
-        if version == 2:
-            return SpectralState.from_components(grid, payload, time)
-        state = SpectralState(grid, payload, time)
+        state = SpectralState(SpectralGrid(n1, n2, l1, l2), payload, time)
         state.validate()
     except ConfigError as exc:
         raise SnapshotFormatError(f"invalid snapshot: {exc}") from exc

@@ -6,10 +6,11 @@ the tests can build closed-form states and check the stepper's tendency
 and linear flow against an independent form of each. ``tendency`` is the
 stepper's own tendency, returned as four components for those checks, and
 ``stress_tendency`` the stress form of the same tendency on a band stack.
-``check_components``, ``check_state``, ``check_band`` and
-``check_band_stack`` are the state checks written one property and one
-full-spectrum pass at a time, the oracle of the package's one
-half-spectrum check; ``profile_vector`` samples a profile's four
+``check_state``, ``check_band`` and ``check_band_stack`` are the state
+checks written one property and one full-spectrum pass at a time, the
+oracle of the package's one half-spectrum check, and ``check_components``
+the same checks of four components with their zero divergence before it
+builds their state; ``profile_vector`` samples a profile's four
 components, which the package, setting potentials, never forms;
 ``phi_fixed_series`` is phi_k with all 48 series terms on every entry, the
 oracle of the series in ``modes._phi`` that stops early, and so of the
@@ -24,10 +25,11 @@ package the tests import.
 every weighted sum taken as a product array summed by ``np.sum`` on each
 call, the oracle of the package's record.
 
-A ``SpectralState`` holds the potentials (psi, a); the four-component
-helpers here take and return component arrays, and a test wraps those
-that are a state's in ``SpectralState.from_components``. The package
-stores every coefficient array on the half spectrum; the
+A ``SpectralState`` holds the potentials (psi, a), the only way into
+one; the four-component helpers here take and return component arrays,
+and a test turns those that are a state's into one with
+``check_components``, the tests' inverse curl map. The package stores
+every coefficient array on the half spectrum; the
 full-spectrum oracles read ``full_spectrum``, which fills the negative k2
 columns with the mirrors of a half-spectrum array by two slice copies, and
 ``full_xi``, the full layout's wavenumbers. ``gathered_from_potentials``
@@ -119,7 +121,7 @@ def scaled_random_state(grid: SpectralGrid, seed: int, amplitude: float) -> Spec
 def from_physical(grid: SpectralGrid, fields: np.ndarray) -> np.ndarray:
     """Forward transform of physical fields, shape (..., n1, n2), onto the
     half spectrum: coefficient arrays, a state's components among them
-    (``SpectralState.from_components``)."""
+    (``check_components``)."""
     fields = np.asarray(fields, dtype=float)
     return np.fft.rfft2(fields, axes=(-2, -1), norm="forward")
 
@@ -380,13 +382,15 @@ def _check_common(g: SpectralGrid, full: np.ndarray) -> float:
 
 
 def check_components(grid: SpectralGrid, u: np.ndarray) -> SpectralState:
-    """``SpectralState.from_components``, one property at a time on the full
-    spectrum: finite values, Hermitian symmetry, zero mean, zero
-    divergence and nothing on the Nyquist row or column, else
-    ``ConfigError``; then the state of the potentials psi_hat = i (xi1
-    v2_hat - xi2 v1_hat) / |xi|^2 and likewise a_hat, zero on the Nyquist
-    row and column, taken on the full spectrum and cut to its half, with the k2 = 0 column's rows k1 < 0
-    gathered as the mirrors of its rows k1 > 0."""
+    """The state of the components ``u``, the tests' one inverse curl map
+    (the package takes potentials only). It checks, one property at a time
+    on the full spectrum, finite values, Hermitian symmetry, zero mean,
+    zero divergence and nothing on the Nyquist row or column, else
+    ``ConfigError``; then it returns the state of the potentials psi_hat =
+    i (xi1 v2_hat - xi2 v1_hat) / |xi|^2 and likewise a_hat, zero on the
+    Nyquist row and column, taken on the full spectrum and cut to its half,
+    with the k2 = 0 column's rows k1 < 0 gathered as the mirrors of its
+    rows k1 > 0."""
     g = grid
     full = full_spectrum(g, u)
     scale = _check_common(g, full)

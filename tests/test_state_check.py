@@ -1,12 +1,12 @@
 """The one half-spectrum state check against a property-by-property oracle.
 
 Each case builds a band-limited, exactly Hermitian state (or band stack)
-and adds a single defect just under or just over ``STATE_RTOL`` max|u| of
-its components or max|w| of its potentials. ``from_components``,
-``validate``, ``_band`` and a run's sample (``sampled``) must then decide
-exactly as ``reference.check_components``, ``check_state``, ``check_band``
-and ``check_band_stack`` do, with the same exception type and message, so
-the set of accepted states is the same. The oracles read the full spectrum
+and adds a single defect just under or just over ``STATE_RTOL`` max|w| of
+its potentials, the only way into a state. ``validate``, ``_band`` and a
+run's sample (``sampled``) must then decide exactly as
+``reference.check_state``, ``check_band`` and ``check_band_stack`` do,
+with the same exception type and message, so the set of accepted states
+is the same. The oracles read the full spectrum
 that ``reference.full_spectrum`` mirrors from a half spectrum, whose one
 negative k2 column is the Nyquist column, wavenumber -n2/2.
 """
@@ -26,7 +26,6 @@ from mhd2d.spectral import (
 from reference import (
     check_band,
     check_band_stack,
-    check_components,
     check_state,
     gathered_hermitian_defect,
     scaled_random_state,
@@ -53,8 +52,6 @@ def same(got, want):
         return (np.array_equal(a[0], b[0])
                 and (a[1] is None) == (b[1] is None)
                 and (a[1] is None or np.array_equal(a[1].w, b[1].w)))
-    if isinstance(a, SpectralState):
-        return a.time == b.time and np.array_equal(a.w, b.w)
     return np.array_equal(a, b)
 
 
@@ -65,65 +62,47 @@ def sampled(g, w, time, kept):
     return h, (SpectralState(g, w, time) if kept else None)
 
 
-def divfree(g, k1, k2, amp):
-    """A (v1, v2) pair along (xi2, -xi1) at row k1, column k2, whose larger
-    component has modulus |amp|: it adds no divergence."""
-    x1, x2 = g.xi1[k1, 0], g.half_xi2[0, k2]
-    return amp * np.array([x2, -x1]) / max(abs(x1), abs(x2))
-
-
 def level(a, f):
     return f * STATE_RTOL * np.max(np.abs(a))
 
 
-# each defect acts on a state's components u, except those of ON_POTENTIALS,
-# which act on its potentials w, where the 2/3 band is checked
+# each defect acts on a state's potentials w
 
 
-def negative_column(g, u, f):
+def negative_column(g, w, f):
     # in the Nyquist column, the one negative k2 column a state holds,
-    # unmirrored and divergence free: only the Hermitian pair compare sees it
-    u[0:2, 3, g.n2 // 2] += divfree(g, 3, g.n2 // 2, level(u, f))
+    # unmirrored: only the Hermitian pair compare sees it
+    w[1, 3, g.n2 // 2] += level(w, f)
 
 
-def k2_zero_column(g, u, f):
-    # xi2 = 0 there, so a v2 entry adds no divergence
-    u[1, 2, 0] += 1j * level(u, f)
+def k2_zero_column(g, w, f):
+    w[1, 2, 0] += 1j * level(w, f)
 
 
-def nyquist_column(g, u, f):
-    u[0:2, 1, g.n2 // 2] += divfree(g, 1, g.n2 // 2, level(u, f))
+def nyquist_column(g, w, f):
+    w[0, 1, g.n2 // 2] += level(w, f)
 
 
-def nyquist_self(g, u, f):
+def nyquist_self(g, w, f):
     # the (0, n2/2) mode is its own mirror: only an imaginary part is a defect
-    u[0, 0, g.n2 // 2] += 0.5j * level(u, f)
+    w[0, 0, g.n2 // 2] += 0.5j * level(w, f)
 
 
-def mean(g, u, f):
-    u[0, 0, 0] = level(u, f)
+def mean(g, w, f):
+    w[0, 0, 0] = level(w, f)
 
 
-def divergence_negative_column(g, u, f):
-    # v1 alone at xi1 = 3: |div| = 3 |entry| against a Hermitian defect of
-    # |entry|, a third of it; only the negative (Nyquist) column holds either
-    assert g.xi1[3, 0] == 3.0
-    u[0, 3, g.n2 // 2] += level(u, f) / 3.0
+def band_negative_column(g, w, f):
+    # a mirrored pair in the negative (Nyquist) column, rows 1 and -1, outside
+    # the band: Hermitian, so only the 2/3 band check sees it
+    k2, amp = g.n2 // 2, level(w, f)
+    assert not g.half_dealias_mask[1, k2]
+    w[1, [1, g.n1 - 1], k2] += amp
 
 
-def band_negative_column(g, u, f):
-    # an out-of-band pair in the negative (Nyquist) column, rows -1 and 1,
-    # each divergence free, the row 1 member twice the other's size: with
-    # |xi2| >= 3 |xi1| there, the Hermitian defect holds half the excess, and
-    # the Nyquist column check, which no potential passes, sees all of it
-    k2 = g.n2 // 2
-    assert not g.half_dealias_mask[1, k2] and abs(g.half_xi2[0, k2]) >= 3.0 * g.xi1[1, 0]
-    u[0:2, g.n1 - 1, k2] += divfree(g, g.n1 - 1, k2, level(u, f) / 2.0)
-    u[0:2, 1, k2] += divfree(g, 1, k2, level(u, f))
-
-
-def band_unmirrored(g, u, f):
-    u[0:2, 2, g.n2 // 2] += divfree(g, 2, g.n2 // 2, level(u, f))
+def band_unmirrored(g, w, f):
+    # outside the band and unmirrored: the Hermitian compare comes first
+    w[0, 2, g.n2 // 2] += level(w, f)
 
 
 def band_row(g, w, f):
@@ -132,23 +111,20 @@ def band_row(g, w, f):
     w[0, g.n1 // 2 - 1, 2] += level(w, f)
 
 
-def nyquist_row(g, u, f):
-    # divergence free at (n1/2, 2), but not its mirror (n1/2, -2), whose xi1
-    # is the same -n1/2: only the divergence of the mirror sees it
-    x1, x2 = g.xi1[g.n1 // 2, 0], g.half_xi2[0, 2]
-    scale = max(abs(x1), abs(x2)) / (2.0 * abs(x1 * x2))
-    u[0:2, g.n1 // 2, 2] += divfree(g, g.n1 // 2, 2, level(u, f) * scale)
+def nyquist_row(g, w, f):
+    # the Nyquist row of the potentials, which the curl map drops, at an
+    # interior column, which the half spectrum mirrors: only the 2/3 band
+    # check sees it
+    w[0, g.n1 // 2, 2] += level(w, f)
 
 
-def nan(g, u, f):
-    u[2, 1, 2] = np.nan
+def nan(g, w, f):
+    w[1, 1, 2] = np.nan
 
 
-def inf(g, u, f):
-    u[3, 2, g.n2 // 2] = np.inf
+def inf(g, w, f):
+    w[1, 2, g.n2 // 2] = np.inf
 
-
-ON_POTENTIALS = {band_row}
 
 # each defect, and the property the first failed check names when it is over
 DEFECTS = {
@@ -157,11 +133,10 @@ DEFECTS = {
     nyquist_column: "Hermitian",
     nyquist_self: "Hermitian",
     mean: "mean",
-    divergence_negative_column: "divergence",
-    band_negative_column: "Nyquist",
+    band_negative_column: "dealias band",
     band_unmirrored: "Hermitian",
     band_row: "dealias band",
-    nyquist_row: "divergence",
+    nyquist_row: "dealias band",
     nan: "non-finite",
     inf: "non-finite",
 }
@@ -171,27 +146,19 @@ DEFECTS = {
 @pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("f", (UNDER, OVER), ids=("under", "over"))
 def test_state_checks_decide_as_the_oracle(grid, defect, f):
-    # a defect of the components meets from_components; one of the
-    # potentials, validate(); either state then meets the run's entry _band
+    # a defect of the potentials meets validate(); a state that passes it
+    # then meets the run's entry _band
     g = SpectralGrid(*grid)
     st = scaled_random_state(g, sum(grid[:2]), 2.0)
     check_band(st, g)  # the clean state passes every check
-    if defect in ON_POTENTIALS:
-        defect(g, st.w, f)
-        got_v, want_v = outcome(st.validate), outcome(check_state, st)
-        built = st
-    else:
-        u = st.u.copy()
-        defect(g, u, f)
-        got_v = outcome(SpectralState.from_components, g, u)
-        want_v = outcome(check_components, g, u)
-        built = got_v[1]
-        if np.all(np.isfinite(u)):
-            assert hermitian_defect(g, u) == gathered_hermitian_defect(g, u)
+    defect(g, st.w, f)
+    got_v, want_v = outcome(st.validate), outcome(check_state, st)
+    if np.all(np.isfinite(st.w)):
+        assert hermitian_defect(g, st.w) == gathered_hermitian_defect(g, st.w)
     assert same(got_v, want_v), (got_v, want_v)
     got_b = want_b = got_v
     if got_v[0] == "ok":
-        got_b, want_b = outcome(_band, built, g), outcome(check_band, built, g)
+        got_b, want_b = outcome(_band, st, g), outcome(check_band, st, g)
         assert same(got_b, want_b), (got_b, want_b)
     why = DEFECTS[defect]
     if f == OVER or why == "non-finite":
@@ -202,17 +169,12 @@ def test_state_checks_decide_as_the_oracle(grid, defect, f):
 
 
 def test_validate_at_256_holds_about_one_magnitude_array():
-    # one whole-array |u| (half the state's bytes, being float64) and, once it
-    # is freed, the divergence's complex temporaries: 0.56 of the
-    # half-spectrum state measured
+    # one whole-array |w|, half the state's bytes, being float64: 0.50 of
+    # the state measured
     g = SpectralGrid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
     st = random_div_free_state(g, seed=5)
     _, peak = traced_peak(st.validate)
     assert peak < 0.6 * st.w.nbytes, peak / st.w.nbytes
-    # the four components' check holds |u| and the divergence's temporaries
-    u = st.u.copy()
-    _, peak = traced_peak(SpectralState.from_components, g, u)
-    assert peak < 0.6 * u.nbytes + st.w.nbytes, (peak - st.w.nbytes) / u.nbytes
 
 
 def stack_k2_zero_column(w, f):
@@ -256,16 +218,3 @@ def test_band_stack_check_decides_as_the_oracle(grid, defect, f, kept):
         assert got[0] is DiagnosticIntegrityError and why in got[1]
     else:
         assert got[0] == "ok" and (got[1][1] is not None) == kept
-
-
-@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
-def test_divergence_is_read_on_the_negative_columns(grid):
-    # a Hermitian defect just under the tolerance, in the one negative column
-    # a state holds (Nyquist, k2 = -n2/2), with three times as much
-    # divergence: a divergence inferred from the mirror row would pass it
-    g = SpectralGrid(*grid)
-    u = scaled_random_state(g, grid[1], 2.0).u.copy()
-    u[0, 3, g.n2 // 2] += level(u, 0.99)
-    assert hermitian_defect(g, u) < STATE_RTOL * np.max(np.abs(u))
-    with pytest.raises(ConfigError, match="divergence"):
-        SpectralState.from_components(g, u)
