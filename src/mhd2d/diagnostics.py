@@ -8,13 +8,13 @@ dissipation terms and |A| <= E^2/2 holds with constant exactly 1/2. The
 anisotropic norm reported as ``xm`` uses the standard multiplier H^m for
 its Sobolev part.
 
-A run builds the tables a record multiplies by once: ``_record_weights``
-keeps the ``RecordWeights`` of the last (grid, m, kc) it was asked for
-while that grid lives, so ``initial_state``'s E(0) and every record of the
-run share one build. A record forms |h|^2 once and takes each weighted total as one ``np.einsum``
-contraction of two contiguous arrays: no product array, and no BLAS call,
-whose last bit depends on its thread count, so a record depends on the
-state alone.
+A run builds the tables a record multiplies by once: its stepper holds
+the ``RecordWeights`` it hands to each ``instantaneous`` call, and they go
+with it; nothing is kept at module level, and ``energy`` builds only its
+H^m table. A record forms |h|^2 once and takes each weighted total as one
+``np.einsum`` contraction of two contiguous arrays: no product array, and
+no BLAS call, whose last bit depends on its thread count, so a record
+depends on the state alone.
 
 Wavenumber sums are calibrated to continuum integrals: with the forward
 transform carrying 1/(n1 n2), the continuum Fourier transform of a box
@@ -25,7 +25,8 @@ the excluded-column content is reported nowhere else, so all such norms
 are lower bounds that converge as the box grows.
 """
 
-import weakref
+from __future__ import annotations
+
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -137,9 +138,20 @@ class InterpolationAudit(NamedTuple):
 _L1_CALIBRATION = 4.0 * np.pi**2
 
 
+def _derivative_weight(g: SpectralGrid, m: int, kc: int) -> np.ndarray:
+    """The derivative-sum weight sum_{|alpha| <= m} xi^(2 alpha) times
+    ``half_mult`` on kc leading half-spectrum columns, an (n1, kc) table."""
+    mult, x1, x2 = g.half_mult[:kc], g.xi1**2, g.half_xi2[0, :kc] ** 2
+    partial = [mult]  # partial[j] = mult * sum_{b <= j} xi2^(2b)
+    for j in range(1, m + 1):
+        partial.append(partial[-1] + partial[0] * x2**j)
+    return sum(x1**a * partial[m - a] for a in range(m + 1))
+
+
 class RecordWeights:
     """Every table a record on kc leading half-spectrum columns multiplies
-    by, for one (grid, m, kc); records take them from ``_record_weights``.
+    by, for one (grid, m, kc), as a run's stepper holds them for its records;
+    ``ConfigError`` unless m is a positive integer.
 
     (n1, kc) tables, each with the column multiplicity ``half_mult`` where
     its sum is a full-spectrum sum: ``hm``, the area times the derivative-sum
@@ -155,18 +167,12 @@ class RecordWeights:
                  "ixi", "absxi1", "col", "root_xi1", "regions", "rev1")
 
     def __init__(self, grid: SpectralGrid, m: int, kc: int):
-        g = grid
+        g, m = grid, _check_order(m, 1)
         mult = g.half_mult[:kc]
-        x1 = g.xi1**2
-        x2 = g.half_xi2[0, :kc] ** 2
-        # partial[j] = mult * sum_{b <= j} xi2^(2b)
-        partial = [mult]
-        for j in range(1, m + 1):
-            partial.append(partial[-1] + partial[0] * x2**j)
-        wm1 = sum(x1**a * partial[m - 1 - a] for a in range(m))
-        self.hm = g.area * sum(x1**a * partial[m - a] for a in range(m + 1))
+        wm1 = _derivative_weight(g, m - 1, kc)
+        self.hm = g.area * _derivative_weight(g, m, kc)
         self.cross = (g.area * g.odd_xi1) * wm1
-        self.d1b = (g.area * x1) * wm1
+        self.d1b = (g.area * g.xi1**2) * wm1
         xi_sq = g.half_xi_sq[:, :kc]
         absxi = np.sqrt(xi_sq)
         winv = np.divide(1.0, absxi, out=np.zeros(absxi.shape), where=absxi > 0.0)
@@ -180,23 +186,6 @@ class RecordWeights:
         self.root_xi1 = np.sqrt(self.absxi1[self.col])
         self.regions = region_masks(g.xi1[:, 0])
         self.rev1 = (-np.arange(g.n1)) % g.n1
-
-
-# the weights of the last (grid, m, kc) asked for, held while the grid they
-# were built for lives, as a run's does through its records; a module-level
-# cache would hold them past the grid, once per import of the package
-_WEIGHTS = weakref.WeakKeyDictionary()
-
-
-def _record_weights(grid: SpectralGrid, m: int, kc: int) -> RecordWeights:
-    """The weights for (grid, m, kc); ``ConfigError`` unless m is a positive
-    integer, which every order-m quantity needs."""
-    m = _check_order(m, 1)
-    held = _WEIGHTS.get(grid)  # an equal grid, by (n1, n2, l1, l2), finds them
-    if held is None or held[0] != (m, kc):
-        _WEIGHTS.clear()
-        held = _WEIGHTS[grid] = ((m, kc), RecordWeights(grid, m, kc))
-    return held[1]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,11 +202,16 @@ _TOTAL, _B, _B2, _V, _V2 = range(4, 9)
 
 def energy(grid: SpectralGrid, u: np.ndarray, m: int) -> float:
     """The order-m energy E of the components ``u`` on the leading kc
-    half-spectrum columns, summed as a record sums it."""
-    w = _record_weights(grid, m, u.shape[-1])
-    power = np.square(u.real) + np.square(u.imag)
-    vb = power[0::2] + power[1::2]  # |v|^2, |B|^2
-    return float(np.sqrt(_dot(w.hm, vb[0]) + _dot(w.hm, vb[1])))
+    half-spectrum columns, summed as a record sums it, over the one H^m
+    table ``RecordWeights.hm``; ``ConfigError`` unless m is a positive
+    integer. |v|^2 and |B|^2 are formed in place of the power of (v1, B1),
+    so at most three arrays of two components' size live at once."""
+    m = _check_order(m, 1)
+    vb = np.square(u[0::2].real)
+    vb += np.square(u[0::2].imag)
+    vb += np.square(u[1::2].real) + np.square(u[1::2].imag)
+    hm = grid.area * _derivative_weight(grid, m, u.shape[-1])
+    return float(np.sqrt(_dot(hm, vb[0]) + _dot(hm, vb[1])))
 
 
 def _spectral_terms(g: SpectralGrid, h: np.ndarray, w: RecordWeights, stack: np.ndarray):
@@ -277,7 +271,7 @@ def anisotropic_norm(state: SpectralState, m: int) -> float:
     the half spectrum, so the state must be Hermitian.
     """
     g, u = state.grid, state.u
-    return _spectral_terms(g, u, _record_weights(g, m, u.shape[-1]),
+    return _spectral_terms(g, u, RecordWeights(g, m, u.shape[-1]),
                            np.empty((9,) + u.shape[1:]))[3]
 
 
@@ -293,7 +287,7 @@ def _record_size(grid: SpectralGrid, kc: int) -> int:
 
 
 def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.0,
-                  energy_residual: float = 0.0, work=None) -> DiagnosticsRecord:
+                  energy_residual: float = 0.0, work=None, weights=None) -> DiagnosticsRecord:
     """Evaluate every per-instant functional of a Hermitian state at ``time``.
 
     ``u`` (shape (4, n1, kc), 0 < kc <= n2/2 + 1, else ``ConfigError``) holds
@@ -312,14 +306,15 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     physical planes one block of rows at a time, in the float view of the
     buffer's tail. The sups are the maxima of the blocks' maxima, so they
     do not depend on the blocks; every grid up to 128^2 takes one block,
-    256^2 four of up to 85 rows.
+    256^2 four of up to 85 rows. ``weights``, the ``RecordWeights`` of (grid,
+    m, kc), are a run's (``solver._Stepper.weights``), else built here.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or not 0 < u.shape[-1] <= g.n2 // 2 + 1:
         raise ConfigError(f"components must have shape (4, {g.n1}, kc), got {u.shape}")
     h = np.ascontiguousarray(u)
     n1, kc = h.shape[1:]
-    w = _record_weights(g, m, kc)
+    w = RecordWeights(g, m, kc) if weights is None else weights
     need = _record_size(g, kc)
     work = np.empty(need, dtype=np.complex128) if work is None else work
     if work.size < need:

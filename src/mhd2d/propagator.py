@@ -32,12 +32,15 @@ from .quadrature import refine_integral
 
 def phi_block_entries(k: int, xi1, h, a=1.0, coupling_sign: int = 1):
     """Vectorized entries (p11, p12, p22) of phi_k(-h K), K = [[a, c], [c, 0]]
-    with c = coupling_sign * i * xi1; k = 0 gives exp(-h K)."""
+    with c = coupling_sign * i * xi1; k = 0 gives exp(-h K). p11 and p12
+    are built in f_plus and dd, so at most four arrays live at once."""
     lam_m, lam_p, f_plus, dd = phi_split(k, xi1, h, a)
-    p11 = f_plus - lam_m * dd
-    p12 = -coupling_sign * 1j * np.asarray(xi1) * dd
-    p22 = f_plus + lam_p * dd
-    return p11, p12, p22
+    # 0-d arrays in place of numpy scalars, which take no out=
+    f_plus, dd, p22 = np.asarray(f_plus), np.asarray(dd), np.asarray(lam_p * dd)
+    np.add(f_plus, p22, out=p22)
+    np.subtract(f_plus, lam_m * dd, out=f_plus)
+    np.multiply(-coupling_sign * 1j * np.asarray(xi1), dd, out=dd)
+    return f_plus, dd, p22
 
 
 def exp_block_entries(xi1, t):

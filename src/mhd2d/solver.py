@@ -54,13 +54,15 @@ terms, for accuracy studies). The pseudo-spectral products use the 2/3
 dealias rule, after which retained-mode products equal true convolutions.
 """
 
+from __future__ import annotations
+
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, energy, instantaneous
+from .diagnostics import DiagnosticsRecord, RecordWeights, energy, instantaneous
 from .errors import BlowUpError, ConfigError, DiagnosticIntegrityError
 from .propagator import (
     apply_block_entries,
@@ -330,9 +332,10 @@ class _Stepper:
     The step tables come from ``grid_phi_entries`` in the shape of what
     they depend on, with h folded into phi1 and phi2: (n1, 1) row tables
     with alpha = 0, which broadcast over the band columns, and (n1,
-    ``grid.band_cols``) band arrays otherwise. The tendency's tables and
-    the energy weights are formed on the band columns, so each operation of
-    a step acts on the band stack only. ``work`` is the complex scratch in
+    ``grid.band_cols``) band arrays otherwise. The tendency's tables, the
+    energy weights and ``weights``, the run's ``RecordWeights``, are formed
+    on the band columns, so each operation of a step acts on the band stack
+    only, and they go with the stepper. ``work`` is the complex scratch in
     which every tendency (``_nonlinear``), every record ``run`` takes while
     the stepper lives (``instantaneous``, on the band columns) and the
     energy and dissipation sums run their passes and products; the row
@@ -357,9 +360,11 @@ class _Stepper:
         else:
             self.half = grid_semigroup_entries(grid, 0.5 * h, **kw)
         # _nonlinear's tables: N_psi from the transforms of (T22 - T11) / 2
-        # and -T12, and the spectral multipliers of the z+- components
-        xi1, xi2 = grid.xi1, grid.half_xi2[:, :kc]
-        finish = grid.half_dealias_mask[:, :kc] * grid.half_inv_xi_sq[:, :kc]
+        # and -T12 times mask / |xi|^2 (no band entry is on a Nyquist row or
+        # column), and the spectral multipliers of the z+- components
+        xi1, xi2, xi_sq = grid.xi1, grid.half_xi2[:, :kc], grid.half_xi_sq[:, :kc]
+        finish = np.divide(grid.half_dealias_mask[:, :kc], xi_sq, out=np.zeros(xi_sq.shape),
+                           where=xi_sq > 0.0)
         self.tendency_tables = (-2.0 * finish * (xi1 * xi2),
                                 -finish * (xi2 * xi2 - xi1 * xi1),
                                 (1j / np.sqrt(2.0)) * xi2,
@@ -367,8 +372,8 @@ class _Stepper:
         n1, n2, nh, rows = grid.n1, grid.n2, grid.n2 // 2 + 1, _block_rows(grid, 4)
         self.work = np.empty(4 * n1 * kc + max(n1 * kc, (3 * nh + 2 * n2) * rows),
                              dtype=np.complex128)
+        self.weights = RecordWeights(grid, cfg.m, kc)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
-        xi_sq = grid.half_xi_sq[:, :kc]
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
         self.energy_weight = 0.5 * l2_weight
         damping = xi_sq**cfg.alpha if cfg.alpha != 0.0 else 1.0
@@ -468,8 +473,7 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
     columns, cut to the 2/3 band, with the mean zeroed. Random data come
     from ``random_div_free_state``. The potentials are scaled so the
     order-m energy E(0) equals data_delta; E is ``diagnostics.energy`` of
-    the band's components, a record's H^m sums over the weights the run's
-    records go on to use.
+    the band's components, a record's H^m sums over the same H^m table.
     """
     g = grid if grid is not None else cfg.grid()
     if cfg.data_kind == "zero":
@@ -514,11 +518,12 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     Memory: ``run`` drops its reference to each state once it has appended
     it, the t = 0 state included, so a trajectory that does not keep its
     states leaves no full state alive through the steps. Every record but
-    the last works in the stepper's workspace. At the last sample the
-    stepper, with its tables and workspace, is released once the energy
-    residual is taken, the record makes its own buffer, and the final state
-    is built after the record, so it shares the peak with no table and no
-    temporary of the record.
+    the last works in the stepper's workspace, and each multiplies by its
+    ``weights``. At the last sample the stepper, with its tables and
+    workspace, is released once the energy residual is taken (its weights
+    live until ``run`` returns), the record makes its own buffer, and the
+    final state is built after the record, so it shares the peak with no
+    table and no temporary of the record.
 
     The stepper goes on from the stepped stack itself at every sample, and
     a state a run hands out holds that stack, zero-padded; so a run's
@@ -546,8 +551,9 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
-    traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base,
-                                    energy_residual=0.0, work=stepper.work),
+    weights = stepper.weights  # the last record's, after the stepper goes
+    traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base, energy_residual=0.0,
+                                    work=stepper.work, weights=weights),
                 state if initial is None else state.copy())
     del state
 
@@ -570,7 +576,8 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
                 del stepper
             # the record first, its components released before the state
             rec = instantaneous(g, _sampled_components(g, w, t), cfg.m, time=t,
-                                energy_residual=resid, work=None if last else stepper.work)
+                                energy_residual=resid, work=None if last else stepper.work,
+                                weights=weights)
             snap = (SpectralState(g, w, t)
                     if keep_states or (last and traj.keeps_states) else None)
             traj.append(t, rec, snap)

@@ -83,8 +83,6 @@ class SpectralGrid:
         on both axes, for the integer mode numbers ``k_i`` in fft order, so
         products of two retained modes never alias back into the retained
         set.
-    half_inv_xi_sq : ``1/|xi|^2`` on the half spectrum, zero on the mean
-        mode and on the Nyquist row and column, which carry no potential.
     half_mult : how often each half-spectrum column occurs in the full
         spectrum: once for ``k2 = 0`` and the Nyquist column, twice for the
         others (``k2`` and ``-k2``). A full-spectrum sum of a quantity even
@@ -93,6 +91,9 @@ class SpectralGrid:
         ``i``) of a first derivative along axis 1.
     band_xi_max : largest |xi| over the ``band_cols`` columns, all rows
         included.
+
+    A table only one caller multiplies by is built by that caller, as the
+    stepper builds its 1/|xi|^2 and the record weights.
     """
 
     n1: int
@@ -102,7 +103,6 @@ class SpectralGrid:
     xi1: np.ndarray = field(init=False, repr=False, compare=False)
     half_xi2: np.ndarray = field(init=False, repr=False, compare=False)
     half_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    half_inv_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     half_mult: np.ndarray = field(init=False, repr=False, compare=False)
     odd_xi1: np.ndarray = field(init=False, repr=False, compare=False)
@@ -120,16 +120,9 @@ class SpectralGrid:
         # (n/3, n/3) aliases exactly onto the retained mode -n/3
         keep1 = 3 * np.abs(k1) < self.n1
         keep2 = 3 * np.abs(k2) < self.n2
-        # odd derivatives drop the Nyquist modes, so no real field has a
-        # potential there
-        carries = ((k1 != -self.n1 // 2)[:, None] & (k2 != -self.n2 // 2)[None, :]
-                   & (half_sq > 0.0))
-        inv = np.zeros(half_sq.shape)
-        inv[carries] = 1.0 / half_sq[carries]
         object.__setattr__(self, "xi1", xi1)
         object.__setattr__(self, "half_xi2", xi2)
         object.__setattr__(self, "half_xi_sq", half_sq)
-        object.__setattr__(self, "half_inv_xi_sq", inv)
         object.__setattr__(self, "half_dealias_mask", keep1[:, None] & keep2[None, :])
         mult = np.full(nh, 2.0)
         mult[[0, -1]] = 1.0

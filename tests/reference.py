@@ -43,6 +43,7 @@ advective bound taken from it.
 derivative and the Leray projector act on either width.
 """
 
+import gc
 import math
 import os
 import pathlib
@@ -286,7 +287,8 @@ def stress_tendency(grid: SpectralGrid, w: np.ndarray) -> np.ndarray:
     t = np.fft.fftn(rows[..., :kc], axes=(-2,), norm="forward")
     out = np.stack([t[1] * (xi2 * xi2 - xi1 * xi1) - t[0] * (xi1 * xi2), t[2]])
     out *= grid.half_dealias_mask[:, :kc]
-    out[0] *= grid.half_inv_xi_sq[:, :kc]
+    xi_sq = grid.half_xi_sq[:, :kc]
+    out[0] *= np.divide(1.0, xi_sq, out=np.zeros(xi_sq.shape), where=xi_sq > 0.0)
     out[1, 0, 0] = 0.0
     return out
 
@@ -307,9 +309,19 @@ def failing_instantaneous(k):
     return failing
 
 
-def traced_peak(fn, *args):
+def traced_peak(fn, *args, warm=0):
     """``fn(*args)`` and the peak of the memory traced during the call above
-    what was held when it began."""
+    what was held when it began.
+
+    Garbage is collected first, which also empties CPython's free lists, so
+    that the reading does not depend on what ran before in the process:
+    tracemalloc sees an object taken from a free list only if the list was
+    empty. ``warm`` untraced calls of ``fn(*args)`` then refill the lists and
+    numpy's small caches as the call itself leaves them, and the trace
+    starts afresh unless one is already running."""
+    gc.collect()
+    for _ in range(warm):
+        fn(*args)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

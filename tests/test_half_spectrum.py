@@ -7,7 +7,9 @@ mirror or the dealias cutoff, cannot cancel out.
 
 import gc
 import itertools
+import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -97,8 +99,9 @@ def test_tendency_matches_projected_four_component_form(n1, n2):
 def half_spectrum_tendency(grid, w):
     """The Elsasser-form tendency through one 4-plane ``irfft2`` and one 3-plane
     ``rfft2`` over the whole half spectrum, with the solver's arithmetic."""
-    xi1, xi2 = grid.xi1, grid.half_xi2
-    finish = grid.half_dealias_mask * grid.half_inv_xi_sq
+    xi1, xi2, xi_sq = grid.xi1, grid.half_xi2, grid.half_xi_sq
+    finish = np.divide(grid.half_dealias_mask, xi_sq, out=np.zeros(xi_sq.shape),
+                       where=xi_sq > 0.0)
     sums = np.stack([w[0] + w[1], w[0] - w[1]])
     spec = np.concatenate([sums * ((1j / np.sqrt(2.0)) * xi2),
                            sums * ((-1j / np.sqrt(2.0)) * xi1)])
@@ -323,15 +326,17 @@ def test_advance_leaves_its_input_alone(scheme, nonlinear, coupling):
 
 
 # transient peak of one step in planes of n1 n2 float64, measured at 128^2
-# 5.394-5.412 (ETDRK2, with the tests run alone or together) and 8.093
-# (IFRK4): the stage tendencies and sums the step holds, each tendency a
-# compact 1.34 planes, and the block applications' temporaries, each stage
-# array released at its last use (6.74 and 13.46 when they lived until the
-# step returned). A tendency allocates only its result, as its scratch is
-# the stepper's workspace (9.76 and 15.14 when each call made its own 7.1
-# planes). At 256^2 they measure 4.957 and 8.070 (6.30 and 13.02 before
-# the releases). The margin is smaller than any band stack (1.3 planes) or
-# band table (0.3 planes) a step could add.
+# 5.392 (ETDRK2) and 8.092 (IFRK4) whatever ran before in the process
+# (5.394-5.412 with the tests run together or alone before ``traced_peak``
+# collected garbage and warmed five steps): the stage tendencies and sums
+# the step holds, each tendency a compact 1.34 planes, and the block
+# applications' temporaries, each stage array released at its last use
+# (6.74 and 13.46 when they lived until the step returned). A tendency
+# allocates only its result, as its scratch is the stepper's workspace
+# (9.76 and 15.14 when each call made its own 7.1 planes). At 256^2 they
+# measure 4.957 and 8.070 (6.30 and 13.02 before the releases). The
+# margin is smaller than any band stack (1.3 planes) or band table (0.3
+# planes) a step could add.
 STEP_PEAK_PLANES = {(128, "etdrk2"): 5.45, (128, "ifrk4"): 8.1,
                     (256, "etdrk2"): 5.0, (256, "ifrk4"): 8.1}
 
@@ -345,8 +350,9 @@ def test_step_transient_peak(scheme):
         st = initial_state(cfg)
         w = _band(st, st.grid)
         stepper = _Stepper(st.grid, cfg)
-        stepper.advance(w)
-        out, peak = traced_peak(stepper.advance, w)
+        # five steps bring the process's small-object caches to their steady
+        # state; fewer leave the 128^2 reading up to 0.05 planes higher
+        out, peak = traced_peak(stepper.advance, w, warm=5)
         assert out.shape == w.shape
         planes = peak / (8 * n * n)
         assert planes <= STEP_PEAK_PLANES[n, scheme], (n, planes)
@@ -453,6 +459,23 @@ class PlaneCounter:
             self.inputs.append((name, a.shape[-2:]))
             return fn(a, *args, **kwargs)
         return wrapper
+
+
+def test_initial_state_transient_peak():
+    # E(0) forms |v|^2 and |B|^2 in place of the power of (v1, B1) and sums
+    # them over the H^m table alone: 256^2 random data peak at 6.67 (n1,
+    # n2/2 + 1) complex planes, the state, the band's components and three
+    # two-component power arrays, against 7.34 when E(0) formed the power of
+    # all four components apart
+    cfg = SolverConfig(n1=256, n2=256, l1=L1, l2=L2, dt=0.05, t_end=0.1, data_kind="random",
+                       seed=5)
+    g = cfg.grid()
+    st, peak = traced_peak(initial_state, cfg, g, warm=1)  # warm numpy's FFT caches
+    planes = peak / (16 * g.n1 * (g.n2 // 2 + 1))
+    assert planes <= 6.75, planes
+    h = _components(g, st.w[:, :, :g.band_cols])
+    want = diagnostics.instantaneous(g, h, cfg.m).E
+    assert np.float64(diagnostics.energy(g, h, cfg.m)).tobytes() == np.float64(want).tobytes()
 
 
 def test_random_data_transform_only_the_band_columns(monkeypatch):
@@ -785,25 +808,27 @@ def test_record_matches_the_oracle_within_roundoff(n1, n2, m):
 
 
 def test_a_run_builds_its_record_weights_once(monkeypatch):
-    # initial_state's E(0) builds them; every record of the run reuses them,
-    # and they go with the run's grid
+    # the run's stepper builds them, every record of the run multiplies by
+    # them, and nothing holds them once the run's trajectory is dropped
     real = diagnostics.RecordWeights
     built = []
 
     def counted(grid, m, kc):
-        built.append((m, kc))
-        return real(grid, m, kc)
+        caller = sys._getframe(1)
+        assert caller.f_code is solver._Stepper.__init__.__code__
+        weights = real(grid, m, kc)
+        built.append(((m, kc), weakref.ref(weights.hm)))  # the slots take no weakref
+        return weights
 
-    monkeypatch.setattr(diagnostics, "RecordWeights", counted)
-    diagnostics._WEIGHTS.clear()
+    monkeypatch.setattr(solver, "RecordWeights", counted)
+    monkeypatch.setattr(diagnostics, "RecordWeights", counted)  # a record's own build
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.08, m=2,
                        data_kind="random", data_delta=0.5, seed=5)
     traj = run(cfg)
-    assert len(traj.records) == 5 and built == [(2, cfg.grid().band_cols)]
-    assert len(diagnostics._WEIGHTS) == 1
+    assert len(traj.records) == 5 and [key for key, _ in built] == [(2, cfg.grid().band_cols)]
     del traj
     gc.collect()
-    assert len(diagnostics._WEIGHTS) == 0
+    assert built[0][1]() is None
 
 
 def test_record_transient_peak_and_weights_size():
@@ -811,19 +836,18 @@ def test_record_transient_peak_and_weights_size():
     # on every call, and at 0.93 MB (1.24 MB building them) while its inverse
     # pass made a (3, n1, kc) complex intermediate. With the column pass in
     # place and every array cut from one buffer of the size of its (3, n1,
-    # kc) complex and (3, n1, n2) float planes, it peaks at 0.69 MB with the
-    # run's weights already built, and at 1.00 MB when it builds them itself.
+    # kc) complex and (3, n1, n2) float planes, it peaks at 0.69 MB handed
+    # the run's weights, and at 1.00 MB when it builds them itself.
     # A run's weights at 256^2 are seven (256, 86) tables, 1.25 MB.
     cfg = SolverConfig(n1=128, n2=128, l1=32.0 * np.pi, l2=32.0 * np.pi, dt=0.02,
                        t_end=0.04, data_kind="random", data_delta=0.5, seed=3)
     g = cfg.grid()
     h = _components(g, _band(initial_state(cfg, g), g))
-    for cleared in (False, True):
-        diagnostics.instantaneous(g, h, cfg.m)
-        if cleared:
-            diagnostics._WEIGHTS.clear()
-        _, peak = traced_peak(lambda: diagnostics.instantaneous(g, h, cfg.m))
-        assert peak <= (1.05e6 if cleared else 0.7e6), (cleared, peak)
+    weights = diagnostics.RecordWeights(g, cfg.m, g.band_cols)
+    for held, bound in ((weights, 0.7e6), (None, 1.05e6)):
+        _, peak = traced_peak(lambda: diagnostics.instantaneous(g, h, cfg.m, weights=held),
+                              warm=1)
+        assert peak <= bound, (bound, peak)
     big = SpectralGrid(256, 256, 32.0 * np.pi, 32.0 * np.pi)
     tracemalloc.start()
     try:
@@ -850,8 +874,9 @@ def test_record_in_a_workspace_equals_its_own_buffer(n1, n2):
     for h in (_components(g, _band(st, g)), st.u):
         want = diagnostics.instantaneous(g, h, cfg.m, time=0.5, energy_residual=1e-9)
         work[:] = np.nan
+        weights = diagnostics.RecordWeights(g, cfg.m, h.shape[-1])  # as a run hands them
         got, peak = traced_peak(lambda: diagnostics.instantaneous(
-            g, h, cfg.m, time=0.5, energy_residual=1e-9, work=work))
+            g, h, cfg.m, time=0.5, energy_residual=1e-9, work=work, weights=weights))
         for name in got._fields:
             assert np.float64(getattr(got, name)).tobytes() == \
                 np.float64(getattr(want, name)).tobytes(), name

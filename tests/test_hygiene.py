@@ -55,12 +55,22 @@ package, the demos and the benchmark name ``_potentials`` nowhere, so no
 run path goes through the round trip that once made a run depend on its
 sample cadence. The one inverse curl map is the tests' oracle
 ``reference.check_components``.
+
+Nothing outlives its caller at module level: ``src/`` makes no weak
+dictionary and no ``functools`` cache at module scope (a run's stepper
+builds every table it multiplies by), and a fresh import of the package,
+as the benchmark makes five times in one process, frees the previous
+import's classes and functions.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from reference import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -457,3 +467,88 @@ def test_scan_reports_each_plain_record(tmp_path):
                    "@dataclass(frozen=False)\nclass Thawed:\n    x: float\n"
                    "class Record(NamedTuple):\n    x: float\n", encoding="utf-8")
     assert _plain_records(mod) == [(5, "Plain"), (10, "Dotted")]
+
+
+# what makes a cache object at module scope: a weak dictionary, or functools'
+# memoizing decorators, named or called
+CACHE_NAMES = {"WeakKeyDictionary", "WeakValueDictionary", "lru_cache", "cache"}
+
+
+def _module_caches(path):
+    """``(line, name)`` of each name or attribute in ``CACHE_NAMES`` that
+    ``path`` reads at module scope: anywhere but inside a function body or
+    a lambda, so decorators and class bodies count."""
+    todo, found = [ast.parse(path.read_text(encoding="utf-8"), str(path))], []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            heads = node.decorator_list + node.args.defaults + node.args.kw_defaults
+            todo += [n for n in heads if n is not None]  # a keyword-only default may be absent
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(getattr(node, "ctx", None), ast.Load) and name in CACHE_NAMES:
+            found.append((node.lineno, name))
+        todo += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_src_holds_no_module_level_cache():
+    # a module-level cache keeps what it holds past its one caller, once per
+    # import of the package; the run's stepper builds every table it needs
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in _module_caches(path)
+    ]
+    assert not found, "module-level caches in src:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_module_level_cache(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import functools, weakref\nfrom functools import cache, lru_cache\n"
+                   "from weakref import WeakValueDictionary\n"
+                   "HELD = weakref.WeakKeyDictionary()\n"
+                   "@functools.lru_cache(maxsize=1)\ndef tables(n):\n"
+                   "    local = weakref.WeakKeyDictionary()\n    return local\n"
+                   "@cache\ndef weights(n, *, sizes, memo=WeakValueDictionary()):\n"
+                   "    return functools.cache(n)\n"
+                   "class Grid:\n    SEEN = weakref.WeakValueDictionary()\n"
+                   "    @lru_cache\n    def table(self):\n        return lambda: cache\n"
+                   "cache = {}\nmemo = lambda f: functools.lru_cache(f)\n", encoding="utf-8")
+    assert _module_caches(mod) == [
+        (4, "WeakKeyDictionary"), (5, "lru_cache"), (9, "cache"), (10, "WeakValueDictionary"),
+        (13, "WeakValueDictionary"), (14, "lru_cache"),
+    ]
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+import mhd2d.cli
+from mhd2d import diagnostics, solver, spectral
+traj = solver.run(solver.SolverConfig(n1=16, n2=16, dt=0.02, t_end=0.04, data_kind="random"))
+held = {name: weakref.ref(obj) for name, obj in (
+    ("Trajectory", solver.Trajectory), ("SolverConfig", solver.SolverConfig),
+    ("DiagnosticsRecord", diagnostics.DiagnosticsRecord),
+    ("SpectralState", spectral.SpectralState), ("SpectralGrid", spectral.SpectralGrid),
+    ("run", solver.run))}
+del traj, diagnostics, solver, spectral, mhd2d
+for name in [m for m in sys.modules if m == "mhd2d" or m.startswith("mhd2d.")]:
+    del sys.modules[name]
+importlib.import_module("mhd2d.cli")
+gc.collect()
+print(sorted(name for name, ref in held.items() if ref() is not None))
+"""
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # the benchmark imports the package afresh in one process; with postponed
+    # annotations typing's cache of Optional[SpectralState], List[...] and
+    # Sequence[...] holds none of the previous import's classes, whose module
+    # dicts would stay alive with them. A child process, so this suite's
+    # imports stay as they are
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
+                          env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout

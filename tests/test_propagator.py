@@ -9,7 +9,7 @@ import scipy.linalg
 
 from mhd2d import propagator, quadrature
 from mhd2d.errors import ConfigError, QuadratureError
-from mhd2d.modes import eigenvalues
+from mhd2d.modes import eigenvalues, phi_split
 from mhd2d.propagator import (
     apply_block_entries,
     build_profile,
@@ -23,7 +23,7 @@ from mhd2d.propagator import (
 )
 from mhd2d.quadrature import refine_integral
 from mhd2d.spectral import SpectralGrid, random_div_free_state
-from reference import apply_semigroup, profile_vector, spectral_derivative
+from reference import apply_semigroup, profile_vector, spectral_derivative, traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,6 +94,31 @@ def test_phi_entries_at_degenerate_point_are_smooth():
         right = phi_block_entries(k, 0.5 + 5e-6, 0.1)
         for a, b, c in zip(left, mid, right):
             assert abs(a - b) < 1e-6 and abs(c - b) < 1e-6
+
+
+def test_block_entries_are_built_in_place():
+    # p22 first, then p11 in f_plus and p12 in dd, each operation on the
+    # operands of p11 = f_plus - lam_m dd, p12 = -c i xi1 dd, p22 = f_plus +
+    # lam_p dd in that order: the same bits, for arrays and for scalars
+    times = np.geomspace(1.0, 1.0e4, 161)
+    panel = np.linspace(0.0, 3.0, 64)
+    x = np.concatenate([panel, SWITCH_BAND_XI1[:4]])
+    for k, xi1, h, a, sign in ((0, x, times[:, None], 1.0, 1), (2, x[:, None], 0.05,
+                               np.linspace(0.0, 2.0, 30), -1), (1, 0.5 + 1e-7, 0.1, 1.0, 1)):
+        lam_m, lam_p, f, dd = phi_split(k, xi1, h, a)
+        want = (f - lam_m * dd, -sign * 1j * np.asarray(xi1) * dd, f + lam_p * dd)
+        for got, ref in zip(phi_block_entries(k, xi1, h, a, coupling_sign=sign), want):
+            assert np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), k
+    # a decay curve's panel of 64 nodes off the confluent band, (161, 64)
+    # entries: 4.8 arrays of their size at the peak (6.0 when p11, p12 and a
+    # temporary were arrays of their own). One component curve at the
+    # command's 161 times peaks at 1.06 MB, where its rows hold the three
+    # entries, w, p B and a numpy cast buffer
+    entries, peak = traced_peak(exp_block_entries, panel, times[:, None], warm=1)
+    assert peak <= 5.0 * entries[0].nbytes, peak / entries[0].nbytes
+    _, peak = traced_peak(linear_decay_curve, build_profile("prop25"), "v1", times, warm=1)
+    assert peak <= 1.1e6, peak
 
 
 def band_oracle(grid, k, h, kappa=1.0, alpha=0.0, coupling=True):
