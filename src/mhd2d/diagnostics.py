@@ -9,8 +9,8 @@ anisotropic norm reported as ``xm`` uses the standard multiplier H^m for
 its Sobolev part.
 
 A run builds the tables a record multiplies by once: its stepper holds
-the ``RecordWeights`` it hands to each ``instantaneous`` call, and they go
-with it; nothing is kept at module level, and ``energy`` builds only its
+the ``RecordWeights`` it hands to each ``instantaneous`` call, held until
+``run`` returns; nothing is kept at module level; ``energy`` builds only its
 H^m table. A record forms |h|^2 once and takes each weighted total as one
 ``np.einsum`` contraction of two contiguous arrays: no product array, and
 no BLAS call, whose last bit depends on its thread count, so a record
@@ -262,17 +262,17 @@ def _spectral_terms(g: SpectralGrid, h: np.ndarray, w: RecordWeights, stack: np.
     return hm_v_sq, hm_b_sq, hm1_d1b_sq, xm, g.area * rows[:4], h_terms
 
 
-def anisotropic_norm(state: SpectralState, m: int) -> float:
+def anisotropic_norm(state: SpectralState, m: int, *, weights=None) -> float:
     """Weighted initial-data norm: H^m plus three anisotropic terms.
 
     Terms: || (sqrt|xi1|/|xi|) fhat ||_{L^2_{xi1} L^1_{xi2}} over all four
     components, and the L^1 norms of |(Bhat1, Bhat2)| against 1/|xi| and
     1/sqrt|xi1|. Modes where a weight is singular are excluded. Summed on
-    the half spectrum, so the state must be Hermitian.
-    """
+    the half spectrum, so the state must be Hermitian. ``weights``: the
+    ``RecordWeights`` of (grid, m, n2/2 + 1), else built here."""
     g, u = state.grid, state.u
-    return _spectral_terms(g, u, RecordWeights(g, m, u.shape[-1]),
-                           np.empty((9,) + u.shape[1:]))[3]
+    w = RecordWeights(g, m, u.shape[-1]) if weights is None else weights
+    return _spectral_terms(g, u, w, np.empty((9,) + u.shape[1:]))[3]
 
 
 def _record_size(grid: SpectralGrid, kc: int) -> int:
@@ -631,14 +631,15 @@ def xm_embedding_scan(states: Sequence[SpectralState], m: int):
 
     Returns (max ratio, per-state ratio list). The ratio's finiteness is
     the point of the scan; the denominator's L^1 part is a physical-grid
-    Riemann sum.
+    Riemann sum. States on the first one's grid share its ``RecordWeights``.
     """
     if not states:
         raise ConfigError("embedding scan needs at least one state")
-    ratios = []
+    ratios, g0 = [], states[0].grid
+    w0 = RecordWeights(g0, m, g0.n2 // 2 + 1)  # a state on another grid builds its own
     for st in states:
         g = st.grid
-        xm = anisotropic_norm(st, m)
+        xm = anisotropic_norm(st, m, weights=w0 if g is g0 else None)
         hm = np.sqrt(sum(sobolev_norm(g, f, m) ** 2 for f in st.u))
         denom = hm + physical_l1_norm(st)
         if denom <= 0.0:

@@ -332,10 +332,10 @@ class _Stepper:
     The step tables come from ``grid_phi_entries`` in the shape of what
     they depend on, with h folded into phi1 and phi2: (n1, 1) row tables
     with alpha = 0, which broadcast over the band columns, and (n1,
-    ``grid.band_cols``) band arrays otherwise. The tendency's tables, the
-    energy weights and ``weights``, the run's ``RecordWeights``, are formed
-    on the band columns, so each operation of a step acts on the band stack
-    only, and they go with the stepper. ``work`` is the complex scratch in
+    ``grid.band_cols``) band arrays otherwise. The tendency's tables and the
+    energy weights are formed on the band columns, so each operation of a
+    step acts on the band stack only. It carries ``weights`` (the run's
+    ``RecordWeights``) for ``run`` only. ``work`` is the complex scratch in
     which every tendency (``_nonlinear``), every record ``run`` takes while
     the stepper lives (``instantaneous``, on the band columns) and the
     energy and dissipation sums run their passes and products; the row

@@ -365,3 +365,24 @@ def test_embedding_scan_family():
     assert max_ratio < 1e3
     with pytest.raises(ConfigError):
         xm_embedding_scan([SpectralState.zeros(g)], 4)
+
+
+def test_embedding_scan_builds_its_weights_once_per_family(monkeypatch):
+    # the family's states share one set of tables; a state on another grid
+    # builds its own, and every ratio is the one the state's own norm gives
+    from mhd2d import diagnostics
+    g = SpectralGrid(32, 32, 16.0 * np.pi, 16.0 * np.pi)
+    other = SpectralGrid(32, 32, 16.0 * np.pi, 16.0 * np.pi)
+    states = gaussian_divfree_family(g) + [single_mode_state(g, 4, 4, pair="B"),
+                                           single_mode_state(other, 2, 0)]
+    alone = [xm_embedding_scan([st], 4)[1][0] for st in states]
+    real, built = diagnostics.RecordWeights, []
+
+    def counted(grid, m, kc):
+        built.append(grid)
+        return real(grid, m, kc)
+
+    monkeypatch.setattr(diagnostics, "RecordWeights", counted)
+    _, ratios = xm_embedding_scan(states, 4)
+    assert ratios == alone
+    assert len(built) == 2 and built[0] is g and built[1] is other
