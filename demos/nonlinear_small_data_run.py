@@ -12,14 +12,14 @@ discrete image of the global small-data bound.
 import numpy as np
 
 from mhd2d.diagnostics import cumulative
-from mhd2d.solver import SolverConfig, run
+from mhd2d.solver import SolverConfig, Trajectory, run
 from mhd2d.spectral import divergence_defect
 
 BOX = 32.0 * np.pi
 
 cfg = SolverConfig(n1=128, n2=128, l1=BOX, l2=BOX, dt=0.04, t_end=8.0,
                    output_every=1.0, data_kind="prop25", data_delta=1e-2, m=4)
-traj = run(cfg, keep_states=True)
+traj = run(cfg, trajectory=Trajectory(keep_all=True))
 
 print(f"{'t':>5} {'E':>12} {'A':>13} {'|A|/(E^2/2)':>12} {'e_resid':>11}")
 for rec in traj.records:

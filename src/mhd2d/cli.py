@@ -204,24 +204,19 @@ def _write_diagnostics_csv(path, records):
 
 
 class _Snapshots(sv.Trajectory):
-    """A run's trajectory that keeps no state: with ``out`` set it writes the
-    t = 0 state to initial.bin and the last to final.bin as ``solver.run``
-    hands them over, else the run builds no state past t = 0. So no full state
-    lives through the steps, and a failed run has already written initial.bin."""
+    """A run's trajectory that writes the first stack it is handed to
+    ``out``/initial.bin and does not keep it, so no full state lives through
+    the steps and a failed run has already written initial.bin."""
 
-    def __init__(self, out=None):
+    def __init__(self, out):
         super().__init__()
         self.out = out
 
-    @property
-    def keeps_states(self):
-        return self.out is not None
-
-    def append(self, time, record, state=None):
-        super().append(time, record)
-        if state is not None and self.out is not None:
-            name = "initial.bin" if len(self.times) == 1 else "final.bin"
-            save_state(state, os.path.join(self.out, name))
+    def append(self, time, record, grid=None, w=None):
+        first = not self.times
+        super().append(time, record, grid, None if first else w)
+        if first:
+            save_state(sv.SpectralState(grid, w, time), os.path.join(self.out, "initial.bin"))
 
 
 def _run(cfg, out, traj):
@@ -240,8 +235,8 @@ def cmd_nonlinear_run(args, raw) -> int:
     _tolerances(args.tolerance, {})  # it has no gate, so any key is an error
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    # initial.bin and final.bin are written as the run takes them
-    traj = _run(cfg, out, _Snapshots(out=out))
+    traj = _run(cfg, out, _Snapshots(out))
+    save_state(traj.states[-1], os.path.join(out, "final.bin"))
     _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
 
     cum = dx.cumulative(traj.records)
@@ -312,8 +307,7 @@ def cmd_audit_energy(args, raw) -> int:
     tol = _tolerances(args.tolerance, {"implied_c": float("inf"), "lhs": float("inf")})
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    # it reads records only
-    traj = _run(cfg, out, _Snapshots())
+    traj = _run(cfg, out, sv.Trajectory())
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
     except AuditResolutionError as exc:

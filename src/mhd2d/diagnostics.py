@@ -307,7 +307,7 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, *, time: float = 0.
     buffer's tail. The sups are the maxima of the blocks' maxima, so they
     do not depend on the blocks; every grid up to 128^2 takes one block,
     256^2 four of up to 85 rows. ``weights``, the ``RecordWeights`` of (grid,
-    m, kc), are a run's (``solver._Stepper.weights``), else built here.
+    m, kc), are a run's (``solver.run`` builds them once), else built here.
     """
     g = grid
     if u.ndim != 3 or u.shape[:2] != (4, g.n1) or not 0 < u.shape[-1] <= g.n2 // 2 + 1:

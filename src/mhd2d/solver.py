@@ -46,7 +46,8 @@ same potentials on the whole half spectrum, a zero-padded band stack:
 checks the grid, the potentials and the 2/3 band in one pass of the state
 check ``validate()`` uses and slices the band; it goes on from the stepped
 stack at every sample, records each from the stack's own columns, and
-builds a state only for one that leaves the run.
+hands the stack to its ``Trajectory``, which builds a state only from a
+stack it keeps, when the state is read.
 
 Steppers: ETDRK2 (default; second order, one exponential and two phi
 applications per step) and Lawson IFRK4 (fourth order in the quadratic
@@ -180,38 +181,43 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled history of one run: times, records, and state snapshots.
+    """Sampled history of one run: times, records, and the stacks it keeps.
 
-    ``run`` hands each sample to ``append`` as it is taken and keeps no
-    reference to a state it has appended, so the trajectory alone owns a
-    run's samples, those a failed run took before its failure included.
-    ``states`` aligns with ``times``, None where the run built no state: it
-    builds the t = 0 state, every state under ``run(keep_states=True)``, and
-    otherwise the last one only if ``keeps_states`` is true. Each state past
-    t = 0 holds the run's own band stack at its time, so the states do not
+    ``run`` hands every sample to ``append`` as it is taken, t = 0 included:
+    its time, its record, and the (2, n1, kc) band stack the run steps on,
+    by reference, with its grid. ``run`` builds no state and keeps no
+    sample, so the trajectory alone decides what of a run survives, the
+    samples a failed run took before its failure included. It keeps the
+    stacks of the first sample and the latest one, or with ``keep_all``
+    every sample's. ``states`` aligns with ``times``, None where no stack is
+    kept, and builds each state, its stack zero-padded, when it is read.
+    Each holds the run's own band stack at its time, so the states do not
     depend on the sample cadence, and a run from any of them repeats the
-    rest of this one. This trajectory keeps every state it is given; a
-    subclass may store None instead and write a state out as it arrives, as
-    the CLI's ``_Snapshots`` writes initial.bin and final.bin.
+    rest of this one. A subclass may keep less and write a state out as
+    its stack arrives, as the CLI's ``_Snapshots`` writes initial.bin.
     """
 
     times: List[float] = field(default_factory=list)
     records: List[DiagnosticsRecord] = field(default_factory=list)
-    states: List[Optional[SpectralState]] = field(default_factory=list)
+    keep_all: bool = False
+    _stacks: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def append(self, time: float, record: DiagnosticsRecord,
-               state: Optional[SpectralState] = None) -> None:
+               grid: Optional[SpectralGrid] = None, w: Optional[np.ndarray] = None) -> None:
         last = self.times[-1] if self.times else -np.inf
         if not (np.isfinite(time) and time > last):
             raise ConfigError(f"trajectory times must be finite and increase: {time} after {last}")
+        if not self.keep_all and len(self._stacks) > 1:
+            self._stacks[-1] = None  # the latest stack gives way; the first stays
         self.times.append(float(time))
         self.records.append(record)
-        self.states.append(state)
+        self._stacks.append(None if w is None else (grid, w))
 
     @property
-    def keeps_states(self) -> bool:
-        """Whether ``run`` builds the last sample's state for ``append``."""
-        return True
+    def states(self) -> List[Optional[SpectralState]]:
+        """A state per sample, built afresh from each kept stack, else None."""
+        return [None if kept is None else SpectralState(*kept, t)
+                for t, kept in zip(self.times, self._stacks)]
 
 
 def _nonlinear(grid: SpectralGrid, w: np.ndarray, tables, work: np.ndarray) -> np.ndarray:
@@ -334,8 +340,7 @@ class _Stepper:
     with alpha = 0, which broadcast over the band columns, and (n1,
     ``grid.band_cols``) band arrays otherwise. The tendency's tables and the
     energy weights are formed on the band columns, so each operation of a
-    step acts on the band stack only. It carries ``weights`` (the run's
-    ``RecordWeights``) for ``run`` only. ``work`` is the complex scratch in
+    step acts on the band stack only. ``work`` is the complex scratch in
     which every tendency (``_nonlinear``), every record ``run`` takes while
     the stepper lives (``instantaneous``, on the band columns) and the
     energy and dissipation sums run their passes and products; the row
@@ -372,7 +377,6 @@ class _Stepper:
         n1, n2, nh, rows = grid.n1, grid.n2, grid.n2 // 2 + 1, _block_rows(grid, 4)
         self.work = np.empty(4 * n1 * kc + max(n1 * kc, (3 * nh + 2 * n2) * rows),
                              dtype=np.complex128)
-        self.weights = RecordWeights(grid, cfg.m, kc)
         # |v_hat|^2 = |xi|^2 |psi_hat|^2 summed over the full spectrum
         l2_weight = grid.area * grid.half_mult[:kc] * xi_sq
         self.energy_weight = 0.5 * l2_weight
@@ -497,36 +501,35 @@ def initial_state(cfg: SolverConfig, grid: Optional[SpectralGrid] = None) -> Spe
 
 
 def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
-        keep_states: bool = False, trajectory: Optional[Trajectory] = None) -> Trajectory:
+        trajectory: Optional[Trajectory] = None) -> Trajectory:
     """Integrate to t_end, sampling diagnostics at the configured cadence.
 
     The energy-law residual carried by each record is the signed defect
     of the half-L2 balance with the dissipation integral accumulated by
     per-step trapezoid quadrature; it shrinks at second order in dt. Each
-    sample goes to ``trajectory`` (a new ``Trajectory`` if None) as it is
-    taken, and that trajectory is returned; it is the one record of a run
-    that stops on non-finite coefficients (``BlowUpError``) or a failed
-    diagnostic invariant (``DiagnosticIntegrityError``), holding every
-    sample taken before the failure. Each sample, t = 0 included, is
+    sample goes to ``trajectory.append`` (a new ``Trajectory`` if None) as
+    it is taken: its time, its record and the band stack, by reference,
+    with its grid. That trajectory is returned; it is the one record of a
+    run that stops on non-finite coefficients (``BlowUpError``) or a
+    failed diagnostic invariant (``DiagnosticIntegrityError``), holding
+    every sample taken before the failure. Each sample, t = 0 included, is
     recorded from the band columns, and each later one checks the band
-    stack itself, a failure being a ``DiagnosticIntegrityError``. A state
-    past t = 0 is built only where it leaves the run: at every sample with
-    ``keep_states``, else at the last one if ``trajectory.keeps_states``.
-    The t = 0 state is the one ``run`` built, or a copy of ``initial``,
-    which the caller may go on to change.
+    stack itself, a failure being a ``DiagnosticIntegrityError``; a stack
+    that passes is a valid state. ``run`` builds no state: the trajectory
+    builds those of the stacks it keeps when they are read.
 
-    Memory: ``run`` drops its reference to each state once it has appended
-    it, the t = 0 state included, so a trajectory that does not keep its
-    states leaves no full state alive through the steps. Every record but
-    the last works in the stepper's workspace, and each multiplies by its
-    ``weights``. At the last sample the stepper, with its tables and
-    workspace, is released once the energy residual is taken (its weights
-    live until ``run`` returns), the record makes its own buffer, and the
-    final state is built after the record, so it shares the peak with no
-    table and no temporary of the record.
+    Memory: the initial state is dropped once ``_band`` has copied its band
+    and ``advective_dt_bound`` has read it, before the stepper is built, and
+    a caller's later change to its state does not reach the run. ``advance``
+    never writes its input, so a stack handed to the trajectory needs no
+    copy. The run's ``RecordWeights`` are built before the stepper and live
+    until ``run`` returns. Every record but the last works in the stepper's
+    workspace; at the last sample the stepper, with its tables and
+    workspace, is released once the energy residual is taken, and the
+    record makes its own buffer.
 
-    The stepper goes on from the stepped stack itself at every sample, and
-    a state a run hands out holds that stack, zero-padded; so a run's
+    The stepper goes on from the stepped stack at every sample, and a state
+    built from a kept stack holds that stack, zero-padded; so a run's
     states do not depend on its sample cadence, and a run restarted from
     any of them repeats the uninterrupted run bit for bit, its times
     included. An initial state must lie on the configured grid, pass
@@ -536,26 +539,24 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     g = cfg.grid()
     state = initial if initial is not None else initial_state(cfg, g)
     w = _band(state, g)
-
+    base = state.time
     bound = advective_dt_bound(state)
+    del state
     if cfg.dt > bound:
         warnings.warn(f"dt = {cfg.dt} exceeds the advective bound {bound:.3e}; "
                       "accuracy may degrade", RuntimeWarning)
 
+    weights = RecordWeights(g, cfg.m, g.band_cols)
     stepper = _Stepper(g, cfg)
     traj = trajectory if trajectory is not None else Trajectory()
-    base = state.time
     # times lie on the dt grid through t = 0, offset as the initial state is,
     # so a run from a state on the grid, as its samples are, repeats them
     k0 = round(base / cfg.dt)
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
-    weights = stepper.weights  # the last record's, after the stepper goes
     traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base, energy_residual=0.0,
-                                    work=stepper.work, weights=weights),
-                state if initial is None else state.copy())
-    del state
+                                    work=stepper.work, weights=weights), g, w)
 
     t_prev = base
     for i in range(cfg.n_steps):
@@ -572,14 +573,10 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
         if (i + 1) % cfg.sample_stride == 0:
             last = (i + 1) == cfg.n_steps
             resid = stepper.half_l2_sq(w) - e0 + acc
-            if last:  # its tables and workspace would share the final state's peak
+            if last:  # its tables and workspace would share the record's peak
                 del stepper
-            # the record first, its components released before the state
             rec = instantaneous(g, _sampled_components(g, w, t), cfg.m, time=t,
                                 energy_residual=resid, work=None if last else stepper.work,
                                 weights=weights)
-            snap = (SpectralState(g, w, t)
-                    if keep_states or (last and traj.keeps_states) else None)
-            traj.append(t, rec, snap)
-            del snap
+            traj.append(t, rec, g, w)
     return traj

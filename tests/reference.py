@@ -450,8 +450,8 @@ def check_band(state: SpectralState, grid: SpectralGrid) -> np.ndarray:
 
 
 def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool):
-    """``solver._sampled_components`` and, for a kept sample, the state
-    ``run`` hands out: the overflow, k2 = 0 column and mean checks of a band
+    """``solver._sampled_components`` and, for a kept sample, the state a
+    trajectory builds from the stack: the overflow, k2 = 0 column and mean checks of a band
     stack, each failure a ``DiagnosticIntegrityError``, then a kept state
     that passes ``check_state``."""
     peak = float(np.max(np.abs(w)))

@@ -17,7 +17,7 @@ from mhd2d import cli
 from mhd2d.diagnostics import fit_decay
 from mhd2d.modes import mode_system, scan_lemma_bounds
 from mhd2d.propagator import build_profile, linear_decay_curve, propagator_block
-from mhd2d.solver import SolverConfig, run
+from mhd2d.solver import SolverConfig, Trajectory, run
 from mhd2d.spectral import divergence_defect
 
 
@@ -128,7 +128,7 @@ def test_6_nonlinear_integrity_suite():
                 data_delta=1e-2, m=4)
 
     t0 = time.perf_counter()
-    coarse = run(SolverConfig(dt=0.04, **base), keep_states=True)
+    coarse = run(SolverConfig(dt=0.04, **base), trajectory=Trajectory(keep_all=True))
     fine = run(SolverConfig(dt=0.02, **base))
     elapsed = time.perf_counter() - t0
 

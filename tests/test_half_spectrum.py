@@ -237,6 +237,51 @@ def test_elsasser_tendency_matches_stress_form(n1, n2):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _pairing(x, y, weight):
+    """sum weight Re(conj(x) y) over the product of the weighted norms of x
+    and y, so at most 1 in size (Cauchy-Schwarz)."""
+    dot = np.sum(weight * np.real(np.conj(x) * y))
+    return dot / np.sqrt(np.sum(weight * np.abs(x) ** 2) * np.sum(weight * np.abs(y) ** 2))
+
+
+# the largest pairing measured over these cases is 6.3e-16, on a prop25
+# stack (3.2e-17 on random ones): the bound is the next power of ten above
+# ten times it. A sign slip in the tendency makes a pairing of 5e-5 or
+# more, and one multiplier off by 0.1% one of 2e-10 or more
+PAIRING_BOUND = 1e-14
+
+
+@pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((64, 64), (256, 256)))
+@pytest.mark.parametrize("kind", ("random", "prop25"))
+@pytest.mark.parametrize("rows", (None, 5))
+def test_tendency_conserves_the_three_quadratic_invariants(n1, n2, kind, rows, monkeypatch):
+    # the truncated quadratic terms conserve the energy, the cross helicity
+    # int v.B and the mean-square potential int a^2: each pairing of a band
+    # stack with its tendency vanishes, over the full spectrum (the column
+    # multiplicities), with one block of rows or several (256^2 takes four)
+    square = n1 == n2
+    box = (2.0 * np.pi, 2.0 * np.pi) if square else (L1, L2)
+    if kind == "random":
+        g = SpectralGrid(n1, n2, *box)
+        w = _band(scaled_random_state(g, n1 + n2, 3.0), g)
+    else:
+        # v = B at t = 0 has no tendency; damping of v makes one. prop25's
+        # support, |xi| < 1/4, needs a box 16 times as large
+        cfg = SolverConfig(n1=n1, n2=n2, l1=16.0 * box[0], l2=16.0 * box[1], dt=0.02,
+                           t_end=0.2, data_kind="prop25", data_delta=0.5)
+        g = cfg.grid()
+        w = _band(run(cfg).states[-1], g)
+    if rows is not None:
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 8 * 4 * n2 * rows)
+    n = _nonlinear(g, w, *tendency_args(g))
+    kc = g.band_cols
+    mult = g.half_mult[:kc]
+    xi_sq = mult * g.half_xi_sq[:, :kc]
+    assert np.max(np.abs(n)) > 0.0
+    pairings = (_pairing(w, n, xi_sq), _pairing(w, n[::-1], xi_sq), _pairing(w[1], n[1], mult))
+    assert max(abs(p) for p in pairings) <= PAIRING_BOUND, pairings
+
+
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((40, 48),))
 def test_band_weights_match_full_spectrum_sums(n1, n2):
     # the stepper's energy and dissipation sums run over the band columns
@@ -808,14 +853,14 @@ def test_record_matches_the_oracle_within_roundoff(n1, n2, m):
 
 
 def test_a_run_builds_its_record_weights_once(monkeypatch):
-    # the run's stepper builds them, every record of the run multiplies by
-    # them, and nothing holds them once the run's trajectory is dropped
+    # the run builds them, every record of the run multiplies by them, and
+    # nothing holds them once the run's trajectory is dropped
     real = diagnostics.RecordWeights
     built = []
 
     def counted(grid, m, kc):
         caller = sys._getframe(1)
-        assert caller.f_code is solver._Stepper.__init__.__code__
+        assert caller.f_code is solver.run.__code__
         weights = real(grid, m, kc)
         built.append(((m, kc), weakref.ref(weights.hm)))  # the slots take no weakref
         return weights
@@ -906,28 +951,41 @@ def test_unkept_samples_build_no_state(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(SpectralState, "__post_init__", counted)
-    # the copy of the t = 0 state and the last sample, not one per sample
-    traj = run(cfg, initial=st)
-    assert len(traj.records) == n + 1
-    assert built == [0.0, traj.times[-1]]
-    assert [s is not None for s in traj.states] == [True] + [False] * (n - 1) + [True]
-    built.clear()
-    run(cfg, initial=st, keep_states=True)
-    assert len(built) == n + 1
+    # run builds no state; reading ``states`` builds the kept ones only: the
+    # first and the latest sample's, or with keep_all every sample's
+    for traj, kept in ((Trajectory(), [0, n]), (Trajectory(keep_all=True), range(n + 1))):
+        run(cfg, initial=st, trajectory=traj)
+        assert len(traj.records) == n + 1 and built == []
+        states = traj.states
+        assert [s is not None for s in states] == [k in kept for k in range(n + 1)]
+        assert built == [traj.times[k] for k in kept]
+        built.clear()
 
 
 def test_run_copies_only_a_callers_initial_state(monkeypatch):
     cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.04,
                        data_kind="random", data_delta=0.5, seed=2)
+    g = cfg.grid()
     st = initial_state(cfg)
     before = st.u.copy()
     traj = run(cfg, initial=st)
-    # what the caller does with its state later does not reach the trajectory
+    # the t = 0 state is the run's own band stack, padded, so what the
+    # caller does with its state later does not reach it
     st.w[...] = 0.0
     st.time = 3.0
     assert traj.states[0] is not st and traj.states[0].time == 0.0
     assert np.array_equal(traj.states[0].u, before)
-    # a state run built itself is stored as it is: no copy at t = 0
+    # a caller state with an entry outside the band below STATE_RTOL max|w|
+    # runs, and its t = 0 state is the band the run stepped
+    kc = g.band_cols
+    w = initial_state(cfg, g).w.copy()
+    w[0, 1, kc] = 0.5 * spectral.STATE_RTOL * np.max(np.abs(w))
+    off = run(cfg, initial=SpectralState(g, w))
+    band = run(cfg, initial=SpectralState(g, w[..., :kc]))
+    assert np.all(off.states[0].w[..., kc:] == 0.0)
+    assert off.states[0].w.tobytes() == band.states[0].w.tobytes()
+    assert off.states[-1].w.tobytes() == band.states[-1].w.tobytes()
+    # a run builds no state but its own initial one
     real = SpectralState.__post_init__
     built = []
 
@@ -937,7 +995,7 @@ def test_run_copies_only_a_callers_initial_state(monkeypatch):
 
     monkeypatch.setattr(SpectralState, "__post_init__", counted)
     own = run(cfg)
-    assert built == [0.0, own.times[-1]]
+    assert built == [0.0]
     assert np.array_equal(own.states[0].u, before)
     # t = 0 is recorded from the band columns, like every later sample
     w = _band(own.states[0], own.states[0].grid)
@@ -972,7 +1030,7 @@ def test_run_checks_each_stack_once(monkeypatch):
     # the run holds, so no state needs validate() on top
     for keep in (False, True):
         entries.clear()
-        traj = run(cfg, initial=st, keep_states=keep)
+        traj = run(cfg, initial=st, trajectory=Trajectory(keep_all=keep))
         assert len(traj.records) == n + 1
         assert calls == [] and entries == [True] + [False] * n
     monkeypatch.undo()

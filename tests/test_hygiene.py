@@ -49,12 +49,15 @@ block buffer (the whole planes in one block on every grid up to 128^2,
 and always for the L^1 norm, whose sum keeps its order). So ``src/`` names
 no inverse FFT anywhere else.
 
-A state is its (psi, a) potentials, and potentials are the only way in:
-the package has no inverse curl map from four components, and the
-package, the demos and the benchmark name ``_potentials`` nowhere, so no
-run path goes through the round trip that once made a run depend on its
-sample cadence. The one inverse curl map is the tests' oracle
-``reference.check_components``.
+Retired names stay retired: the package, the demos and the benchmark
+name none of ``RETIRED``. A state is its (psi, a) potentials, and
+potentials are the only way in: the package has no inverse curl map from
+four components (``_potentials``), so no run path goes through the round
+trip that once made a run depend on its sample cadence; the one inverse
+curl map is the tests' oracle ``reference.check_components``. And the
+trajectory alone decides which states of a run it keeps, so ``run`` has
+no switch for it (``keep_states``) and the trajectory no second one
+(``keeps_states``).
 
 Nothing outlives its caller at module level: ``src/`` makes no weak
 dictionary and no ``functools`` cache at module scope (a run's stepper
@@ -369,15 +372,21 @@ def test_scan_reports_each_inverse_fft(tmp_path):
     assert _inverse_ffts(other) == sorted([(5, "ifftn"), (5, "irfftn")] + tail)
 
 
-def _curl_map_inversions(path):
-    """``(line, name)`` of each ``_potentials`` in ``path``: a definition,
-    a name or attribute node, an imported name or a string constant that is
-    exactly the name."""
+# names of code that is gone and must not come back
+RETIRED = ("_potentials", "keep_states", "keeps_states")
+
+
+def _retired_names(path):
+    """``(line, name)`` of each name of ``RETIRED`` in ``path``: a
+    definition, a parameter or keyword argument, a name or attribute node,
+    an imported name or a string constant that is exactly the name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = node.name
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg
         elif isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -388,7 +397,7 @@ def _curl_map_inversions(path):
             name = node.value
         else:
             continue
-        if name == "_potentials":
+        if name in RETIRED:
             found.append((node.lineno, name))
     return sorted(found)
 
@@ -398,24 +407,31 @@ def test_components_come_in_through_one_door():
         f"{path.relative_to(ROOT)}:{line} {name}"
         for top in ("src", "demos", "bench")
         for path in sorted((ROOT / top).rglob("*.py"))
-        for line, name in _curl_map_inversions(path)
+        for line, name in _retired_names(path)
     ]
-    assert not found, "_potentials, an inverse curl map:\n" + "\n".join(found)
+    assert not found, "retired names:\n" + "\n".join(found)
 
 
 def test_scan_reports_each_curl_map_inversion(tmp_path):
     path = tmp_path / "spectral.py"
-    path.write_text('"""Names _potentials in a docstring only."""\n'
+    path.write_text('"""Names _potentials and keep_states in a docstring only."""\n'
                     "def _potentials(g, u):\n    return u\n"
                     "class SpectralState:\n    def from_components(g, u):\n"
                     "        return _potentials(g, u)\n"
                     "    def u(self):\n        return self._potentials(0)\n"
                     "from spectral import _potentials as p\n"
                     "def load(g):\n    return getattr(g, '_potentials')(g)\n"
-                    "class _potentials:\n    pass\n", encoding="utf-8")
-    assert _curl_map_inversions(path) == [(2, "_potentials"), (6, "_potentials"),
-                                          (8, "_potentials"), (9, "_potentials"),
-                                          (11, "_potentials"), (12, "_potentials")]
+                    "class _potentials:\n    pass\n"
+                    "def run(cfg, keep_states=False):\n    return cfg\n"
+                    "run(0, keep_states=True)\n"
+                    "class Trajectory:\n    @property\n    def keeps_states(self):\n"
+                    "        return self.keeps_states\n", encoding="utf-8")
+    assert _retired_names(path) == [(2, "_potentials"), (6, "_potentials"),
+                                    (8, "_potentials"), (9, "_potentials"),
+                                    (11, "_potentials"), (12, "_potentials"),
+                                    (14, "keep_states"), (16, "keep_states"),
+                                    (19, "keeps_states"), (20, "keeps_states")]
+
 
 
 def _callee(call):

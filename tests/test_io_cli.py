@@ -496,9 +496,10 @@ def test_failed_nonlinear_run_leaves_the_initial_snapshot(tmp_path, capsys, monk
 
 
 def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
-    # the t = 0 state is written and released before the first step, and
-    # the stepper is released before the final state is built
-    refs, seen = {}, {"state": [], "stepper": []}
+    # the initial state is released before the stepper is built, the t = 0
+    # state is written from the first stack and not kept, and the final
+    # state is built once the run has returned and released its stepper
+    refs, seen = {}, {"state": [], "stepper": [], "built": []}
     real_initial, real_init = solver.initial_state, solver._Stepper.__init__
     real_advance, real_build = solver._Stepper.advance, solver.SpectralState
 
@@ -508,6 +509,7 @@ def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
         return st
 
     def init(self, grid, cfg):
+        seen["built"].append(refs["state"]() is not None)
         real_init(self, grid, cfg)
         refs["stepper"] = weakref.ref(self)
 
@@ -526,8 +528,9 @@ def test_nonlinear_run_holds_no_state_through_the_steps(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "run.cfg", RUN_CFG)
     out = tmp_path / "out"
     assert cli.main(["nonlinear-run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert seen["built"] == [False]
     assert seen["state"] == [False] * 10
-    assert seen["stepper"] == [False]  # the final state, the one built past t = 0
+    assert seen["stepper"] == [True, False]  # initial.bin's state, then final.bin's
     assert load_state(str(out / "initial.bin")).time == 0.0
     assert load_state(str(out / "final.bin")).time == pytest.approx(0.5)
 
@@ -552,7 +555,9 @@ def test_audit_energy_integrity_failure_keeps_history(tmp_path, capsys, monkeypa
 
 
 def test_audit_energy_builds_no_state_past_zero(tmp_path, monkeypatch):
-    # it reads records only; nonlinear-run still builds and checks its last state
+    # past the initial data, audit-energy builds none, as it reads records
+    # only; nonlinear-run builds two, one for initial.bin at t = 0 and the
+    # final state once the run has returned
     real, built = solver.SpectralState, []
 
     def counting(grid, w, time=0.0):
@@ -563,7 +568,7 @@ def test_audit_energy_builds_no_state_past_zero(tmp_path, monkeypatch):
     box = repr(32.0 * np.pi)  # prop25's support needs a 32 pi box at 32^2
     cfg = write_cfg(tmp_path, "run.cfg",
                     dict(RUN_CFG, l1=box, l2=box, **{"data.kind": "prop25"}))
-    for cmd, want in (("audit-energy", [0.0]), ("nonlinear-run", [0.0, 0.5])):
+    for cmd, want in (("audit-energy", [0.0]), ("nonlinear-run", [0.0, 0.0, 0.5])):
         built.clear()
         argv = [cmd, "--config", cfg, "--out", str(tmp_path / cmd), "--quiet"]
         assert cli.main(argv) == 0, cmd

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mhd2d import solver
 from mhd2d.errors import BlowUpError, ConfigError
 from mhd2d.solver import (
     SolverConfig,
@@ -212,10 +213,18 @@ def test_energy_residual_is_second_order():
     assert 3.4 < ratio < 4.6, (resid, ratio)
 
 
+def cross_helicity(state):
+    """int v.B over the box: area sum |xi|^2 Re(conj(psi) a) over the full spectrum."""
+    g = state.grid
+    return g.area * np.sum(g.half_mult * g.half_xi_sq * np.real(np.conj(state.w[0]) * state.w[1]))
+
+
 def test_zero_dissipation_conserves_energy():
-    # without damping the quadratic terms conserve the half-L2 energy; the
-    # leftover drift is pure integrator error and shrinks at second order
-    drifts = []
+    # without damping the quadratic terms conserve the half-L2 energy and,
+    # with the coupling, the cross helicity int v.B; the leftover drifts are
+    # pure integrator error and shrink at second order. (prop25 data, v = B,
+    # keep a zero tendency and conserve int v.B to roundoff: no order shows)
+    drifts, helicity = [], []
     for dt in (0.02, 0.01):
         cfg = small_cfg(kappa=0.0, t_end=1.0, dt=dt, data_delta=0.5)
         g = cfg.grid()
@@ -229,7 +238,13 @@ def test_zero_dissipation_conserves_energy():
         # with no dissipation integral the residual is exactly the drift
         assert traj.records[-1].e_residual == pytest.approx(
             0.5 * (e_end - e_start), rel=1e-10)
+        # |int v.B| <= |v| |B|, the scale of its roundoff
+        vb = np.sqrt(sum(l2_norm(g, st0.u[c]) ** 2 for c in range(2))
+                     * sum(l2_norm(g, st0.u[c]) ** 2 for c in range(2, 4)))
+        helicity.append(abs(cross_helicity(final) - cross_helicity(st0)))
+        assert helicity[-1] < 1e-8 * vb
     assert 3.5 < drifts[0] / drifts[1] < 4.5
+    assert 3.5 < helicity[0] / helicity[1] < 4.5
 
 
 def test_decoupled_velocity_decays_exactly():
@@ -339,8 +354,40 @@ def test_sampling_cadence_and_snapshots():
     assert traj.times == pytest.approx([0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
     assert traj.states[0] is not None and traj.states[-1] is not None
     assert all(s is None for s in traj.states[1:-1])
-    kept = run(cfg, keep_states=True)
+    # the default keeps the first and the latest stack, keep_all every one
+    kept = run(cfg, trajectory=Trajectory(keep_all=True))
     assert all(s is not None for s in kept.states)
+    for k in (0, -1):
+        assert traj.states[k].w.tobytes() == kept.states[k].w.tobytes()
+        assert traj.states[k].time == kept.states[k].time == kept.times[k]
+
+
+def test_a_trajectory_is_handed_every_stack_the_run_steps_on(monkeypatch):
+    # every sample's time and band stack, t = 0 included, the very array the
+    # stepper took or returned, not a copy
+    cfg = small_cfg(t_end=0.1, dt=0.01, output_every=0.02)
+    stepped = []
+    real = solver._Stepper.advance
+
+    def advance(self, w):
+        stepped.append(w)
+        out = real(self, w)
+        stepped.append(out)
+        return out
+
+    class Seen(Trajectory):
+        def append(self, time, record, grid=None, w=None):
+            seen.append((time, grid, w))
+            super().append(time, record, grid, w)
+
+    seen = []
+    monkeypatch.setattr(solver._Stepper, "advance", advance)
+    traj = run(cfg, trajectory=Seen())
+    assert [t for t, _, _ in seen] == traj.times and len(seen) == 6
+    assert all(g == cfg.grid() for _, g, _ in seen)
+    assert seen[0][2] is stepped[0]
+    for k, (_, _, w) in enumerate(seen[1:], 1):
+        assert w is stepped[4 * k - 1], k  # the output of step 2 k
 
 
 def test_fractional_dissipation_run():
@@ -395,11 +442,11 @@ def test_restart_from_any_kept_state_repeats_the_run(kind):
     # repeats every later record and state bit for bit, its first record
     # included; only e_residual counts from the restart
     cfg = cadence_cfg(64, kind, output_every=0.1)
-    whole = run(cfg, keep_states=True)
+    whole = run(cfg, trajectory=Trajectory(keep_all=True))
     assert all(st is not None for st in whole.states) and len(whole.states) == 11
     for k, start in enumerate(whole.states[:-1]):
         rest = run(dataclasses.replace(cfg, t_end=1.0 - start.time), initial=start,
-                   keep_states=True)
+                   trajectory=Trajectory(keep_all=True))
         assert rest.times == whole.times[k:]
         for got, want in zip(rest.records, whole.records[k:]):
             assert got._replace(e_residual=0.0) == want._replace(e_residual=0.0), k

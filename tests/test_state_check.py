@@ -57,7 +57,8 @@ def same(got, want):
 
 def sampled(g, w, time, kept):
     """A run's sample of its band stack, as ``run`` takes it: the checked
-    components and, if ``kept``, the state it hands out, else None."""
+    components and, if ``kept``, the state a trajectory builds from the
+    stack, else None."""
     h = _sampled_components(g, w, time)
     return h, (SpectralState(g, w, time) if kept else None)
 
