@@ -219,6 +219,13 @@ class _Snapshots(sv.Trajectory):
             save_state(sv.SpectralState(grid, w, time), os.path.join(self.out, "initial.bin"))
 
 
+class _Records(sv.Trajectory):
+    """A run's trajectory that keeps its records and no stack."""
+
+    def append(self, time, record, grid=None, w=None):
+        super().append(time, record)
+
+
 def _run(cfg, out, traj):
     """``solver.run`` into ``traj``; a failed run first writes the history
     ``traj`` holds to diagnostics.csv, and main() maps the exit code."""
@@ -273,10 +280,9 @@ def cmd_audit_lemma(args, raw) -> int:
     times = _time_grid(typed, 0.1, 1.0e4, 25)
     if samples < 1 or seed < 0:
         raise ConfigError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
-    xi1 = np.unique(np.concatenate([
-        np.linspace(lo, hi, int(cnt)),
-        [1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6],
-    ]))
+    # the sorted set of the floats, np.unique's bytes; np.unique would import numpy.ma
+    xi1 = np.array(sorted({*np.linspace(lo, hi, int(cnt)).tolist(),
+                           1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6}))
     summary, rows = scan_lemma_bounds(xi1, times, n_samples=samples, seed=seed)
     out = _out_dir(args, typed)
     _write_csv(
@@ -307,7 +313,7 @@ def cmd_audit_energy(args, raw) -> int:
     tol = _tolerances(args.tolerance, {"implied_c": float("inf"), "lhs": float("inf")})
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
-    traj = _run(cfg, out, sv.Trajectory())
+    traj = _run(cfg, out, _Records())
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
     except AuditResolutionError as exc:

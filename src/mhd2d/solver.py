@@ -193,8 +193,8 @@ class Trajectory:
     kept, and builds each state, its stack zero-padded, when it is read.
     Each holds the run's own band stack at its time, so the states do not
     depend on the sample cadence, and a run from any of them repeats the
-    rest of this one. A subclass may keep less and write a state out as
-    its stack arrives, as the CLI's ``_Snapshots`` writes initial.bin.
+    rest of this one. A subclass may keep less, as the CLI's ``_Records``
+    keeps no stack, or write a state out as it arrives (``_Snapshots``).
     """
 
     times: List[float] = field(default_factory=list)
@@ -341,8 +341,8 @@ class _Stepper:
     ``grid.band_cols``) band arrays otherwise. The tendency's tables and the
     energy weights are formed on the band columns, so each operation of a
     step acts on the band stack only. ``work`` is the complex scratch in
-    which every tendency (``_nonlinear``), every record ``run`` takes while
-    the stepper lives (``instantaneous``, on the band columns) and the
+    which every tendency (``_nonlinear``), every record ``run`` takes, the
+    last one included (``instantaneous``, on the band columns), and the
     energy and dissipation sums run their passes and products; the row
     tables pay for it. With ``rows`` = ``spectral._block_rows(grid, 4)``,
     the rows of four physical planes one block holds (all n1 on every grid
@@ -513,7 +513,7 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     run that stops on non-finite coefficients (``BlowUpError``) or a
     failed diagnostic invariant (``DiagnosticIntegrityError``), holding
     every sample taken before the failure. Each sample, t = 0 included, is
-    recorded from the band columns, and each later one checks the band
+    recorded from the band columns through one call, which checks the band
     stack itself, a failure being a ``DiagnosticIntegrityError``; a stack
     that passes is a valid state. ``run`` builds no state: the trajectory
     builds those of the stacks it keeps when they are read.
@@ -522,11 +522,9 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     and ``advective_dt_bound`` has read it, before the stepper is built, and
     a caller's later change to its state does not reach the run. ``advance``
     never writes its input, so a stack handed to the trajectory needs no
-    copy. The run's ``RecordWeights`` are built before the stepper and live
-    until ``run`` returns. Every record but the last works in the stepper's
-    workspace; at the last sample the stepper, with its tables and
-    workspace, is released once the energy residual is taken, and the
-    record makes its own buffer.
+    copy. The run's ``RecordWeights`` are built before the stepper. Every
+    record, the last one included, works in the stepper's workspace, and
+    the stepper, its tables and the weights live until ``run`` returns.
 
     The stepper goes on from the stepped stack at every sample, and a state
     built from a kept stack holds that stack, zero-padded; so a run's
@@ -555,28 +553,22 @@ def run(cfg: SolverConfig, initial: Optional[SpectralState] = None,
     e0 = stepper.half_l2_sq(w)
     acc = 0.0
     d_prev = stepper.dissipation_rate(w)
-    traj.append(base, instantaneous(g, _components(g, w), cfg.m, time=base, energy_residual=0.0,
-                                    work=stepper.work, weights=weights), g, w)
-
-    t_prev = base
-    for i in range(cfg.n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            w = stepper.advance(w)
-        t = (k0 + i + 1) * cfg.dt + (base - k0 * cfg.dt)
-        if not np.all(np.isfinite(w)):
-            raise BlowUpError(f"non-finite coefficients at t = {t}",
-                              last_valid_time=t_prev)
-        d_next = stepper.dissipation_rate(w)
-        acc += 0.5 * cfg.dt * (d_prev + d_next)
-        d_prev = d_next
-        t_prev = t
-        if (i + 1) % cfg.sample_stride == 0:
-            last = (i + 1) == cfg.n_steps
-            resid = stepper.half_l2_sq(w) - e0 + acc
-            if last:  # its tables and workspace would share the record's peak
-                del stepper
+    t = base
+    for i in range(cfg.n_steps + 1):
+        if i > 0:
+            t_prev = t
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+                w = stepper.advance(w)
+            t = (k0 + i) * cfg.dt + (base - k0 * cfg.dt)
+            if not np.all(np.isfinite(w)):
+                raise BlowUpError(f"non-finite coefficients at t = {t}",
+                                  last_valid_time=t_prev)
+            d_next = stepper.dissipation_rate(w)
+            acc += 0.5 * cfg.dt * (d_prev + d_next)
+            d_prev = d_next
+        if i % cfg.sample_stride == 0:
             rec = instantaneous(g, _sampled_components(g, w, t), cfg.m, time=t,
-                                energy_residual=resid, work=None if last else stepper.work,
-                                weights=weights)
+                                energy_residual=stepper.half_l2_sq(w) - e0 + acc,
+                                work=stepper.work, weights=weights)
             traj.append(t, rec, g, w)
     return traj

@@ -876,6 +876,28 @@ def test_a_run_builds_its_record_weights_once(monkeypatch):
     assert built[0][1]() is None
 
 
+def test_every_record_of_a_run_works_in_the_stepper_workspace(monkeypatch):
+    # the t = 0 record, the last one and each between take their arrays from
+    # the workspace of the run's one stepper, which lives until run returns
+    real_init, real_record = solver._Stepper.__init__, solver.instantaneous
+    steppers, shared = [], []
+
+    def init(self, grid, cfg):
+        real_init(self, grid, cfg)
+        steppers.append(self)
+
+    def record(grid, h, m, **kw):
+        shared.append(kw.get("work") is steppers[-1].work)
+        return real_record(grid, h, m, **kw)
+
+    monkeypatch.setattr(solver._Stepper, "__init__", init)
+    monkeypatch.setattr(solver, "instantaneous", record)
+    cfg = SolverConfig(n1=40, n2=64, l1=L1, l2=L2, dt=0.02, t_end=0.08, output_every=0.04,
+                       data_kind="random", data_delta=0.5, seed=2)
+    traj = run(cfg)
+    assert len(steppers) == 1 and len(traj.times) == 3 and shared == [True] * 3
+
+
 def test_record_transient_peak_and_weights_size():
     # one 128^2 band-column record peaked at 1.67 MB when it built its tables
     # on every call, and at 0.93 MB (1.24 MB building them) while its inverse
@@ -907,10 +929,10 @@ def test_record_transient_peak_and_weights_size():
 
 @pytest.mark.parametrize("n1,n2", ODD_GRIDS + ((128, 128),))
 def test_record_in_a_workspace_equals_its_own_buffer(n1, n2):
-    # a run's records cut their arrays from the stepper's workspace, the last
-    # one from a buffer of its own; both give the same record, field for
-    # field, from band columns and from whole states, and read nothing the
-    # workspace held before
+    # a run's records cut their arrays from the stepper's workspace, and a
+    # whole state's record from a buffer of its own; both give the same
+    # record, field for field, from band columns and from whole states, and
+    # read nothing the workspace held before
     cfg = SolverConfig(n1=n1, n2=n2, l1=L1, l2=L2, dt=0.02, t_end=0.04,
                        data_kind="random", data_delta=0.5, seed=n1)
     g = cfg.grid()
@@ -1025,14 +1047,15 @@ def test_run_checks_each_stack_once(monkeypatch):
 
     monkeypatch.setattr(SpectralState, "validate", counted)
     monkeypatch.setattr(solver, "_column_fault", entry_counted)
-    # the entry check (_band's pass, with the 2/3 band) covers the t = 0
-    # sample; later samples check the band stack, which a state that leaves
-    # the run holds, so no state needs validate() on top
+    # the entry check (_band's pass, with the 2/3 band) checks the initial
+    # state; every sample, t = 0 included, checks its band stack once in the
+    # run's one record call, and a state that leaves the run holds that
+    # stack, so no state needs validate() on top
     for keep in (False, True):
         entries.clear()
         traj = run(cfg, initial=st, trajectory=Trajectory(keep_all=keep))
         assert len(traj.records) == n + 1
-        assert calls == [] and entries == [True] + [False] * n
+        assert calls == [] and entries == [True] + [False] * (n + 1)
     monkeypatch.undo()
     for kept in traj.states:
         kept.validate()

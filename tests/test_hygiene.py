@@ -64,15 +64,26 @@ dictionary and no ``functools`` cache at module scope (a run's stepper
 builds every table it multiplies by), and a fresh import of the package,
 as the benchmark makes five times in one process, frees the previous
 import's classes and functions.
+
+No command imports ``numpy.ma``, which adds about 2 MB to a fresh process:
+``np.median`` reaches it through its NaN check and ``np.unique`` through
+its 1-D path, so ``diagnostics._median`` and the lemma scan's xi1 grid take
+the same bytes from a sort. Six commands run in one child process, as other
+tests of this suite may have imported ``numpy.ma`` already.
 """
 
 import ast
+import json
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from mhd2d import cli, diagnostics
 from reference import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -568,3 +579,72 @@ def test_a_fresh_import_frees_the_previous_one():
                           env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+NO_MASKED_ARRAYS = """
+import json, os, sys
+from mhd2d import cli
+out = sys.argv[1]
+curve = os.path.join(out, "curve.csv")
+with open(curve, "w", encoding="utf-8") as fh:
+    fh.write("t,value\\n" + "".join(f"{t},{t ** -0.5!r}\\n" for t in range(1, 13)))
+run = "n1 = 32\\nn2 = 32\\ndt = 0.05\\nt_end = 0.25\\ndata.kind = random\\n"
+configs = {
+    "linear-decay": "t.count = 25\\nj = 0\\n",
+    "nonlinear-run": run,
+    "audit-lemma": "xi1.count = 4\\nt.count = 3\\nsamples = 2\\n",
+    "audit-energy": run,
+    "audit-embedding": "n1 = 32\\nn2 = 32\\nwidths = 1\\nmodes = 2\\n",
+    "fit": f"input = {curve}\\n",
+}
+seen = [["import", 0, "numpy.ma" in sys.modules]]
+for command, text in configs.items():
+    path = os.path.join(out, command + ".cfg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    rc = cli.main([command, "--config", path, "--out", os.path.join(out, command), "--quiet"])
+    seen.append([command, rc, "numpy.ma" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # each command exits 0 with numpy.ma still unloaded; the first command
+    # listed with True is the one that imported it
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == [[name, 0, False] for name in ["import", *cli._COMMANDS]], seen
+
+
+def test_median_and_lemma_grid_take_numpy_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(37)
+    for n in (0, 1, 2, 3, 4, 7, 10, 101, 1000):
+        for x in (rng.random(n), 1e3 * rng.standard_normal(n), 0.1 * rng.integers(0, 4, n)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no values
+                got, want = diagnostics._median(x), np.median(x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, got, want)
+
+    grids = []
+
+    def scan(xi1, times, **kw):  # the grid, then an empty summary: nothing to cap
+        grids.append(xi1)
+        return {}, []
+
+    monkeypatch.setattr(cli, "scan_lemma_bounds", scan)
+    # counts of 0, odd and even; grids that hit the fixed points and ones that miss
+    cases = [(0.005, 2.0, 100), (0.25, 0.5, 0), (0.25, 0.5, 3), (0.25, 0.5, 6), (1e-3, 0.5, 2)]
+    cases += [(lo, lo + float(rng.uniform(1e-6, 2.0)), int(rng.integers(0, 60)))
+              for lo in rng.uniform(1e-4, 0.6, 6).tolist()]
+    cfg = tmp_path / "lemma.cfg"
+    for lo, hi, count in cases:
+        cfg.write_text(f"xi1.min = {lo!r}\nxi1.max = {hi!r}\nxi1.count = {count}\n"
+                       "t.count = 2\n", encoding="utf-8")
+        argv = ["audit-lemma", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+        assert cli.main(argv) == 0
+        want = np.unique(np.concatenate([np.linspace(lo, hi, count),
+                                         [1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6]]))
+        got = grids[-1]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (lo, hi, count)

@@ -575,6 +575,25 @@ def test_audit_energy_builds_no_state_past_zero(tmp_path, monkeypatch):
         assert built == pytest.approx(want), cmd
 
 
+def test_audit_energy_keeps_no_stack(tmp_path, monkeypatch):
+    # audit-energy reads records only, so its trajectory keeps no band stack:
+    # the t = 0 one is freed once the first step has returned
+    real, first, freed = solver._Stepper.advance, [], []
+
+    def advance(self, w):
+        if first:
+            freed.append(first[0]() is None)
+        else:
+            first.append(weakref.ref(w))
+        return real(self, w)
+
+    monkeypatch.setattr(solver._Stepper, "advance", advance)
+    cfg = write_cfg(tmp_path, "audit.cfg", RUN_CFG)
+    argv = ["audit-energy", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    assert cli.main(argv) == 0
+    assert freed == [True] * 9
+
+
 def test_audit_energy_final_band_check_failure_keeps_history(tmp_path, capsys, monkeypatch):
     # with no final state built, the last sample's band check still runs:
     # exit 3 with the history sampled before it
