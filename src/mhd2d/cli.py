@@ -160,16 +160,8 @@ def cmd_linear_decay(args, raw) -> int:
         fit = dx.fit_decay(curve, window)
         within = abs(fit.slope - expected) <= tol["slope"]
         ok = ok and within
-        fits.append({
-            "label": curve.label,
-            "slope": fit.slope,
-            "expected": expected,
-            "tolerance": tol["slope"],
-            "within_tolerance": within,
-            "intercept": fit.intercept,
-            "rms_residual": fit.rms_residual,
-            "window": list(fit.window),
-        })
+        fits.append(dict(fit._asdict(), label=curve.label, expected=expected,
+                         tolerance=tol["slope"], within_tolerance=within))
         _say(args, f"{curve.label}: slope {fit.slope:+.4f} expected {expected:+.2f} "
                    f"{'ok' if within else 'FAIL'}")
     _write_json(os.path.join(out, "decay_fits.json"),
@@ -248,19 +240,9 @@ def cmd_nonlinear_run(args, raw) -> int:
 
     cum = dx.cumulative(traj.records)
     e0 = traj.records[0].E
-    payload = {
-        "T": cum.T,
-        "G": cum.G,
-        "H": cum.H,
-        "sup_E": cum.sup_E,
-        "dissipation_integral": cum.dissipation_integral,
-        "h_terms": list(cum.h_terms),
-        "E0": e0,
-        "G_sq": cum.G**2,
-        "four_E0_sq": 4.0 * e0**2,
-        "small_data_bound_holds": bool(cum.G**2 <= 4.0 * e0**2),
-    }
-    _write_json(os.path.join(out, "cumulative.json"), payload)
+    _write_json(os.path.join(out, "cumulative.json"), dict(
+        cum._asdict(), E0=e0, G_sq=cum.G**2, four_E0_sq=4.0 * e0**2,
+        small_data_bound_holds=bool(cum.G**2 <= 4.0 * e0**2)))
     _say(args, f"run complete: T = {cum.T}, G^2 = {cum.G**2:.6e}, "
                f"4 E(0)^2 = {4.0 * e0**2:.6e}")
     return EXIT_OK
@@ -399,13 +381,7 @@ def cmd_fit(args, raw) -> int:
     window = (typed.get("window.lo", float(data[0, 0])),
               typed.get("window.hi", float(data[-1, 0])))
     fit = dx.fit_decay(curve, window)
-    payload = {
-        "input": path,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "rms_residual": fit.rms_residual,
-        "window": list(fit.window),
-    }
+    payload = dict(fit._asdict(), input=path)
     rc = EXIT_OK
     if "expected" in typed:
         within = abs(fit.slope - typed["expected"]) <= tol["slope"]

@@ -8,9 +8,9 @@ dissipation terms and |A| <= E^2/2 holds with constant exactly 1/2. The
 anisotropic norm reported as ``xm`` uses the standard multiplier H^m for
 its Sobolev part.
 
-A run builds the tables a record multiplies by once: its stepper holds
-the ``RecordWeights`` it hands to each ``instantaneous`` call, held until
-``run`` returns; nothing is kept at module level; ``energy`` builds only its
+A run builds the tables a record multiplies by once: ``solver.run``
+builds the ``RecordWeights`` it hands to each ``instantaneous`` call, held
+until it returns; nothing is kept at module level; ``energy`` builds only its
 H^m table. A record forms |h|^2 once and takes each weighted total as one
 ``np.einsum`` contraction of two contiguous arrays: no product array, and
 no BLAS call, whose last bit depends on its thread count, so a record
@@ -150,14 +150,15 @@ def _derivative_weight(g: SpectralGrid, m: int, kc: int) -> np.ndarray:
 
 class RecordWeights:
     """Every table a record on kc leading half-spectrum columns multiplies
-    by, for one (grid, m, kc), as a run's stepper holds them for its records;
+    by, for one (grid, m, kc), as ``solver.run`` builds them for its records;
     ``ConfigError`` unless m is a positive integer.
 
     (n1, kc) tables, each with the column multiplicity ``half_mult`` where
     its sum is a full-spectrum sum: ``hm``, the area times the derivative-sum
     weight sum_{|alpha| <= m} xi^(2 alpha) (also the cancellation pairing's);
     ``cross`` and ``d1b``, the area times the order m - 1 weight and the row
-    factor ``odd_xi1`` (A) or xi1^2 (|d1 B|_{H^(m-1)}); (1 + |xi|^2)^m,
+    factor ``odd_xi1`` (A: xi1 with its Nyquist row zeroed; ``ixi``, i times
+    it, is d1's multiplier) or xi1^2 (|d1 B|_{H^(m-1)}); (1 + |xi|^2)^m,
     1/|xi| and |xi| of the X^m norm and the L1 terms, and sqrt|xi1|/|xi|,
     summed along full rows. Row tables: |xi1|, the rows off xi1 = 0 and
     their sqrt|xi1|, the region masks and the row mirror k1 -> -k1.
@@ -171,7 +172,8 @@ class RecordWeights:
         mult = g.half_mult[:kc]
         wm1 = _derivative_weight(g, m - 1, kc)
         self.hm = g.area * _derivative_weight(g, m, kc)
-        self.cross = (g.area * g.odd_xi1) * wm1
+        odd_xi1 = np.where(np.arange(g.n1)[:, None] == g.n1 // 2, 0.0, g.xi1)
+        self.cross = (g.area * odd_xi1) * wm1
         self.d1b = (g.area * g.xi1**2) * wm1
         xi_sq = g.half_xi_sq[:, :kc]
         absxi = np.sqrt(xi_sq)
@@ -181,7 +183,7 @@ class RecordWeights:
         self.grad = absxi * mult
         self.absxi1 = np.abs(g.xi1[:, 0])
         self.aniso = np.sqrt(self.absxi1)[:, None] * winv
-        self.ixi = 1j * g.odd_xi1
+        self.ixi = 1j * odd_xi1
         self.col = self.absxi1 > 0.0
         self.root_xi1 = np.sqrt(self.absxi1[self.col])
         self.regions = region_masks(g.xi1[:, 0])

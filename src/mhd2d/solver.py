@@ -326,7 +326,7 @@ def _sampled_components(grid: SpectralGrid, w: np.ndarray, time: float) -> np.nd
     k2 = 0 column Hermitian and the mean mode zero. A failure raises
     ``DiagnosticIntegrityError``. A stack that passes is a valid state.
     """
-    fault = _column_fault(grid, w, stack=True)
+    fault = _column_fault(grid, w)
     if fault is not None:
         raise DiagnosticIntegrityError(f"band stack at t = {time} {fault}")
     return _components(grid, w)

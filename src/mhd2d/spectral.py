@@ -87,13 +87,9 @@ class SpectralGrid:
         spectrum: once for ``k2 = 0`` and the Nyquist column, twice for the
         others (``k2`` and ``-k2``). A full-spectrum sum of a quantity even
         under ``k -> -k`` is the half-spectrum sum weighted by it.
-    odd_xi1 : ``xi1`` with the Nyquist row zeroed, the multiplier (after
-        ``i``) of a first derivative along axis 1.
-    band_xi_max : largest |xi| over the ``band_cols`` columns, all rows
-        included.
 
     A table only one caller multiplies by is built by that caller, as the
-    stepper builds its 1/|xi|^2 and the record weights.
+    stepper builds its 1/|xi|^2 and ``solver.run`` the record weights.
     """
 
     n1: int
@@ -105,8 +101,6 @@ class SpectralGrid:
     half_xi_sq: np.ndarray = field(init=False, repr=False, compare=False)
     half_dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     half_mult: np.ndarray = field(init=False, repr=False, compare=False)
-    odd_xi1: np.ndarray = field(init=False, repr=False, compare=False)
-    band_xi_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_grid(self.n1, self.n2, self.l1, self.l2)
@@ -115,21 +109,17 @@ class SpectralGrid:
         k2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2).astype(np.int64)[:nh]
         xi1 = ((2.0 * np.pi / self.l1) * k1.astype(float))[:, None]
         xi2 = ((2.0 * np.pi / self.l2) * k2.astype(float))[None, :]
-        half_sq = xi1**2 + xi2**2
         # strict cutoff: with 3|k| <= n and 3 | n, the extreme retained pair
         # (n/3, n/3) aliases exactly onto the retained mode -n/3
         keep1 = 3 * np.abs(k1) < self.n1
         keep2 = 3 * np.abs(k2) < self.n2
         object.__setattr__(self, "xi1", xi1)
         object.__setattr__(self, "half_xi2", xi2)
-        object.__setattr__(self, "half_xi_sq", half_sq)
+        object.__setattr__(self, "half_xi_sq", xi1**2 + xi2**2)
         object.__setattr__(self, "half_dealias_mask", keep1[:, None] & keep2[None, :])
         mult = np.full(nh, 2.0)
         mult[[0, -1]] = 1.0
         object.__setattr__(self, "half_mult", mult)
-        object.__setattr__(self, "odd_xi1", np.where(k1[:, None] == -self.n1 // 2, 0.0, self.xi1))
-        object.__setattr__(self, "band_xi_max",
-                           float(np.sqrt(np.max(half_sq[:, :self.band_cols]))))
 
     @property
     def shape(self):
@@ -198,9 +188,6 @@ class SpectralState:
     @classmethod
     def zeros(cls, grid: SpectralGrid) -> "SpectralState":
         return cls(grid, np.zeros((2, grid.n1, grid.n2 // 2 + 1), dtype=np.complex128))
-
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.grid, self.w.copy(), self.time)
 
     def validate(self) -> None:
         """Assert finite values, Hermitian symmetry and zero mean of ``w``.
@@ -327,16 +314,17 @@ _STACK_FAULTS = {
 }
 
 
-def _column_fault(grid: SpectralGrid, a: np.ndarray, *, band: bool = False,
-                  stack: bool = False):
-    """The one state check: None, or the message, from ``_STACK_FAULTS``
-    for a run's band stack (``stack``) and ``_STATE_FAULTS`` otherwise, of
-    the first property ``a`` fails: a state's potentials or a band stack.
-    Each defect fails above ``STATE_RTOL`` max|a| (the scale), in the
-    order: ``non-finite`` (the scale, times ``grid.band_xi_max`` for a band
-    stack, whose curl map multiplies by it); ``Hermitian``
-    (``hermitian_defect``); ``mean``; and with ``band``, max |a| outside
-    the 2/3 band."""
+def _column_fault(grid: SpectralGrid, a: np.ndarray, *, band: bool = False):
+    """The one state check: None, or the message of the first property
+    ``a`` fails, where ``a`` is a state's potentials or, narrower than the
+    n2/2 + 1 columns of a state, a run's band stack; the width alone sets
+    the messages, ``_STATE_FAULTS`` or ``_STACK_FAULTS``. Each defect fails
+    above ``STATE_RTOL`` max|a| (the scale), in the order: ``non-finite``
+    (the scale, times the largest |xi| of a band stack's columns, by which
+    its curl map multiplies); ``Hermitian`` (``hermitian_defect``);
+    ``mean``; and with ``band``, max |a| outside the 2/3 band."""
+    kc = a.shape[-1]
+    stack = kc < grid.n2 // 2 + 1
     table = _STACK_FAULTS if stack else _STATE_FAULTS
     mag = np.abs(a)
     peak, outside = float(mag.max()), 0.0
@@ -346,7 +334,8 @@ def _column_fault(grid: SpectralGrid, a: np.ndarray, *, band: bool = False,
         outside = float(np.max([mag[:, r0:r1].max(), mag[:, :r0, c0:].max(),
                                 mag[:, r1:, c0:].max()]))
     del mag
-    if not np.isfinite(peak * (grid.band_xi_max if stack else 1.0)):
+    xi_max = float(np.sqrt(np.max(grid.half_xi_sq[:, :kc]))) if stack else 1.0
+    if not np.isfinite(peak * xi_max):
         return table["non-finite"].format(peak, peak)
     scale = max(peak, 1e-300)
     tol = STATE_RTOL * scale

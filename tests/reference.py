@@ -187,7 +187,7 @@ def apply_semigroup(state: SpectralState, t: float) -> SpectralState:
     if t < 0.0:
         raise ConfigError(f"t must be nonnegative, got {t}")
     if t == 0.0:
-        return state.copy()
+        return SpectralState(state.grid, state.w.copy(), state.time)
     g = state.grid
     p11, p12, p22 = phi_block_entries(0, np.broadcast_to(g.xi1, state.w.shape[1:]), t,
                                       coupling_sign=-1)
@@ -455,7 +455,7 @@ def check_band_stack(grid: SpectralGrid, w: np.ndarray, time: float, kept: bool)
     stack, each failure a ``DiagnosticIntegrityError``, then a kept state
     that passes ``check_state``."""
     peak = float(np.max(np.abs(w)))
-    if not np.isfinite(peak * grid.band_xi_max):
+    if not np.isfinite(peak * float(np.sqrt(np.max(grid.half_xi_sq[:, :grid.band_cols])))):
         raise DiagnosticIntegrityError(
             f"band stack at t = {time} overflows the curl map: max |w| = {peak:.3e}"
         )
@@ -646,7 +646,8 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
     # the Nyquist row's xi1 has no mirror of opposite sign: its full-spectrum
     # sum vanishes, so odd_xi1 drops it here
     cross = h[2] * np.conj(h[0]) + h[3] * np.conj(h[1])
-    A = float(g.area * np.sum(wm1 * g.odd_xi1 * cross.imag))
+    odd_xi1 = np.where(np.arange(g.n1)[:, None] == g.n1 // 2, 0.0, g.xi1)
+    A = float(g.area * np.sum(wm1 * odd_xi1 * cross.imag))
 
     hm1_d1b_sq = float(g.area * np.sum(wm1 * g.xi1**2 * pb))
 
@@ -655,7 +656,7 @@ def instantaneous(grid: SpectralGrid, u: np.ndarray, m: int, time: float = 0.0,
             f"|A| = {abs(A):.6e} exceeds E^2/2 = {0.5 * e_sq:.6e}"
         )
 
-    d1 = (1j * g.odd_xi1) * h  # d1 v1, d1 v2, d1 B1, d1 B2
+    d1 = (1j * odd_xi1) * h  # d1 v1, d1 v2, d1 B1, d1 B2
     b2, d1v1_phys, d1v2_phys = np.fft.irfft2(np.stack([h[3], d1[0], d1[1]]), s=g.shape,
                                              axes=(-2, -1), norm="forward")
     # sqrt is monotone, so it is taken once, of the largest squared magnitude

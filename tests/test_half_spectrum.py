@@ -1116,7 +1116,7 @@ def test_run_and_step_reject_states_outside_the_dealias_band(tmp_path):
     # potentials on another box
     base = initial_state(cfg, g)
     amp = 1e-2 * np.max(np.abs(base.w))
-    unmirrored, mean = base.copy(), base.copy()
+    unmirrored, mean = (SpectralState(base.grid, base.w.copy(), base.time) for _ in range(2))
     unmirrored.w[0, 1, 0] += amp
     mean.w[1, 0, 0] += amp
     for bad, why in ((unmirrored, "Hermitian"), (mean, "mean")):

@@ -59,6 +59,12 @@ trajectory alone decides which states of a run it keeps, so ``run`` has
 no switch for it (``keep_states``) and the trajectory no second one
 (``keeps_states``).
 
+A derived field of ``SpectralGrid``, a ``field(init=False)``, is read as
+an attribute by at least two modules of ``src/mhd2d``, as the grid's own
+rule says: a table only one caller multiplies by is built by that caller.
+A read counts by the attribute's name alone, so an attribute of that name
+on another object counts too.
+
 Nothing outlives its caller at module level: ``src/`` makes no weak
 dictionary and no ``functools`` cache at module scope (a run's stepper
 builds every table it multiplies by), and a fresh import of the package,
@@ -494,6 +500,52 @@ def test_scan_reports_each_plain_record(tmp_path):
                    "@dataclass(frozen=False)\nclass Thawed:\n    x: float\n"
                    "class Record(NamedTuple):\n    x: float\n", encoding="utf-8")
     assert _plain_records(mod) == [(5, "Plain"), (10, "Dotted")]
+
+
+def _lonely_fields(cls, modules):
+    """``name: modules`` of each ``field(init=False)`` of the class ``cls``
+    in ``modules`` that fewer than two of ``modules`` read as an attribute."""
+    trees = _parse(modules)
+    fields = [s.target.id for tree in trees.values() for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == cls
+              for s in node.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.value, ast.Call)
+              and _callee(s.value) == "field"
+              and any(k.arg == "init" and getattr(k.value, "value", None) is False
+                      for k in s.value.keywords)]
+    found = []
+    for name in fields:
+        readers = [path.name for path, tree in trees.items()
+                   if any(isinstance(n, ast.Attribute) and n.attr == name
+                          and isinstance(n.ctx, ast.Load) for n in ast.walk(tree))]
+        if len(readers) < 2:
+            found.append(f"{name}: {', '.join(readers) or 'no module'}")
+    return found
+
+
+def test_every_grid_field_is_read_by_two_modules():
+    # a table only one module reads is built by that module
+    found = _lonely_fields("SpectralGrid", sorted((ROOT / "src" / "mhd2d").glob("*.py")))
+    assert not found, "SpectralGrid fields fewer than two modules read:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_lonely_field(tmp_path):
+    grid, user = tmp_path / "grid.py", tmp_path / "user.py"
+    grid.write_text("from dataclasses import dataclass, field\n"
+                    "@dataclass(frozen=True)\nclass Grid:\n    n: int\n"
+                    "    shared: float = field(init=False)\n"
+                    "    mine: float = field(init=False, repr=False)\n"
+                    "    theirs: float = field(init=False)\n"
+                    "    unread: float = field(init=False)\n"
+                    "    given: float = field(default=0.0)\n"
+                    "    def __post_init__(self):\n"
+                    "        object.__setattr__(self, 'mine', self.shared)\n"
+                    "def total(g):\n    return g.mine + g.given\n"
+                    "class Other:\n    alone: float = field(init=False)\n", encoding="utf-8")
+    user.write_text("def use(g, h):\n    h.unread = g.theirs + g.shared + g.given\n",
+                    encoding="utf-8")
+    assert _lonely_fields("Grid", [grid, user]) == [
+        "mine: grid.py", "theirs: user.py", "unread: no module"]
 
 
 # what makes a cache object at module scope: a weak dictionary, or functools'

@@ -16,6 +16,7 @@ from mhd2d.solver import (
 )
 from mhd2d.spectral import (
     SpectralGrid,
+    SpectralState,
     l2_norm,
     random_div_free_state,
 )
@@ -169,7 +170,7 @@ def test_linear_only_run_matches_exact_semigroup():
     cfg = small_cfg(nonlinear=False, t_end=1.0, dt=0.05)
     g = cfg.grid()
     st0 = initial_state(cfg, g)
-    traj = run(cfg, initial=st0.copy())
+    traj = run(cfg, initial=SpectralState(st0.grid, st0.w.copy(), st0.time))
     exact = apply_semigroup(st0, 1.0)
     final = traj.states[-1]
     scale = np.max(np.abs(st0.u))
