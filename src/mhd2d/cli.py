@@ -5,6 +5,11 @@ integrity failure, 4 blow-up, 64 usage or configuration error, or a file
 that cannot be read or written (an ``OSError``). With a fixed seed every
 command writes byte-identical CSV output (floats are serialized with
 repr-faithful %.17g formatting, newlines are always LF).
+
+``main`` resolves a command's inputs before the command runs: its config,
+typed by its schema in ``config.COMMAND_KEYS``, then its ``--tolerance``
+overrides of the defaults that ``_COMMANDS`` lists beside it. A command
+takes ``--seed`` when its schema has a ``seed`` key.
 """
 
 import argparse
@@ -19,9 +24,8 @@ import numpy as np
 from . import diagnostics as dx
 from . import solver as sv
 from .artifacts import atomic_open
-from .config import load_config, typed_config
+from .config import COMMAND_KEYS, load_config, typed_config
 from .errors import (
-    AuditInapplicableError,
     AuditResolutionError,
     BlowUpError,
     ConfigError,
@@ -29,7 +33,6 @@ from .errors import (
     FitDomainError,
     IncompleteHistoryError,
     QuadratureError,
-    SingularBasisError,
     SnapshotFormatError,
 )
 from .modes import scan_lemma_bounds
@@ -46,9 +49,7 @@ _USAGE_ERRORS = (
     ConfigError,
     SnapshotFormatError,
     IncompleteHistoryError,
-    AuditInapplicableError,
     FitDomainError,
-    SingularBasisError,
     OSError,  # a file that cannot be read or written; its message names the path
 )
 
@@ -128,9 +129,7 @@ def _say(args, message):
 _EXPECTED_COMPONENT_SLOPES = {"v1": -0.75, "v2": -1.25, "B1": -0.25, "B2": -0.75}
 
 
-def cmd_linear_decay(args, raw) -> int:
-    typed = typed_config("linear-decay", raw)
-    tol = _tolerances(args.tolerance, {"slope": 0.05})
+def cmd_linear_decay(args, typed, tol) -> int:
     times = _time_grid(typed, 1.0, 1.0e4, 161)
     window = (typed.get("window.lo", 1.0e2), typed.get("window.hi", float(times[-1])))
     dx.window_mask(times, window)  # every curve's fit reads it; refuse it before any file
@@ -146,10 +145,11 @@ def cmd_linear_decay(args, raw) -> int:
                           "so j must list at least one weight")
 
     curves = linear_decay_curve(profile, weights, times)  # checks the weights first
+    fits = [dx.fit_decay(curve, window) for curve in curves]  # refuse any before a file
     out = _out_dir(args, typed)
-    fits = []
+    entries = []
     ok = True
-    for weight, curve in zip(weights, curves):
+    for weight, curve, fit in zip(weights, curves, fits):
         expected = (_EXPECTED_COMPONENT_SLOPES[weight] if isinstance(weight, str)
                     else -(0.5 * weight + 0.25))
         _write_csv(
@@ -157,15 +157,14 @@ def cmd_linear_decay(args, raw) -> int:
             ("t", "value"),
             [[_fmt(t), _fmt(v)] for t, v in zip(curve.times, curve.values)],
         )
-        fit = dx.fit_decay(curve, window)
         within = abs(fit.slope - expected) <= tol["slope"]
         ok = ok and within
-        fits.append(dict(fit._asdict(), label=curve.label, expected=expected,
-                         tolerance=tol["slope"], within_tolerance=within))
+        entries.append(dict(fit._asdict(), label=curve.label, expected=expected,
+                            tolerance=tol["slope"], within_tolerance=within))
         _say(args, f"{curve.label}: slope {fit.slope:+.4f} expected {expected:+.2f} "
                    f"{'ok' if within else 'FAIL'}")
     _write_json(os.path.join(out, "decay_fits.json"),
-                {"fits": fits, "all_within_tolerance": ok})
+                {"fits": entries, "all_within_tolerance": ok})
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -229,9 +228,7 @@ def _run(cfg, out, traj):
         raise
 
 
-def cmd_nonlinear_run(args, raw) -> int:
-    typed = typed_config("nonlinear-run", raw)
-    _tolerances(args.tolerance, {})  # it has no gate, so any key is an error
+def cmd_nonlinear_run(args, typed, tol) -> int:
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
     traj = _run(cfg, out, _Snapshots(out))
@@ -248,9 +245,7 @@ def cmd_nonlinear_run(args, raw) -> int:
     return EXIT_OK
 
 
-def cmd_audit_lemma(args, raw) -> int:
-    typed = typed_config("audit-lemma", raw)
-    tol = _tolerances(args.tolerance, {"ratio": 1.0e3})
+def cmd_audit_lemma(args, typed, tol) -> int:
     lo = typed.get("xi1.min", 0.005)
     hi = typed.get("xi1.max", 2.0)
     cnt = typed.get("xi1.count", 100)
@@ -290,9 +285,7 @@ def cmd_audit_lemma(args, raw) -> int:
     return EXIT_OK
 
 
-def cmd_audit_energy(args, raw) -> int:
-    typed = typed_config("audit-energy", raw)
-    tol = _tolerances(args.tolerance, {"implied_c": float("inf"), "lhs": float("inf")})
+def cmd_audit_energy(args, typed, tol) -> int:
     cfg = _solver_config(args, typed)
     out = _out_dir(args, typed)
     traj = _run(cfg, out, _Records())
@@ -323,9 +316,7 @@ def cmd_audit_energy(args, raw) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_audit_embedding(args, raw) -> int:
-    typed = typed_config("audit-embedding", raw)
-    tol = _tolerances(args.tolerance, {"ratio": 1.0e3})
+def cmd_audit_embedding(args, typed, tol) -> int:
     grid = SpectralGrid(typed.get("n1", 128), typed.get("n2", 128),
                         typed.get("l1", 16.0 * np.pi), typed.get("l2", 16.0 * np.pi))
     m = typed.get("m", 4)
@@ -353,9 +344,7 @@ def cmd_audit_embedding(args, raw) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_fit(args, raw) -> int:
-    typed = typed_config("fit", raw)
-    tol = _tolerances(args.tolerance, {"slope": 0.05})
+def cmd_fit(args, typed, tol) -> int:
     path = typed.get("input")
     if not path:
         raise ConfigError("fit requires input = <curve csv> in the config")
@@ -395,12 +384,12 @@ def cmd_fit(args, raw) -> int:
 
 
 _COMMANDS = {
-    "linear-decay": cmd_linear_decay,
-    "nonlinear-run": cmd_nonlinear_run,
-    "audit-lemma": cmd_audit_lemma,
-    "audit-energy": cmd_audit_energy,
-    "audit-embedding": cmd_audit_embedding,
-    "fit": cmd_fit,
+    "linear-decay": (cmd_linear_decay, {"slope": 0.05}),
+    "nonlinear-run": (cmd_nonlinear_run, {}),  # no gate, so any tolerance key is an error
+    "audit-lemma": (cmd_audit_lemma, {"ratio": 1.0e3}),
+    "audit-energy": (cmd_audit_energy, {"implied_c": float("inf"), "lhs": float("inf")}),
+    "audit-embedding": (cmd_audit_embedding, {"ratio": 1.0e3}),
+    "fit": (cmd_fit, {"slope": 0.05}),
 }
 
 
@@ -413,7 +402,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory")
-        if name in ("nonlinear-run", "audit-energy", "audit-lemma"):
+        if "seed" in COMMAND_KEYS[name]:
             p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--tolerance", action="append", metavar="KEY=VAL",
                        help="tolerance override, repeatable")
@@ -433,9 +422,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    command, defaults = _COMMANDS[args.command]
     try:
-        raw = load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, raw)
+        typed = typed_config(args.command, load_config(args.config) if args.config else {})
+        return command(args, typed, _tolerances(args.tolerance, defaults))
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,9 @@
 """Flat ``key = value`` experiment configuration files.
 
 Blank lines and ``#`` comments are ignored; keys are dotted lowercase
-names; duplicate keys are rejected. Each command validates its keys
-against a fixed schema so typos fail loudly instead of silently using a
-default.
+names; duplicate keys are rejected. ``COMMAND_KEYS`` maps each command's
+keys to their parsers, so a typo fails loudly instead of silently using
+a default.
 """
 
 from .errors import ConfigError
@@ -54,44 +54,35 @@ def _parse_ints(raw: str):
     return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "bool": _parse_bool,
-    "str": str,
-    "floats": _parse_floats,
-    "ints": _parse_ints,
-}
-
 _RUN_KEYS = {
-    "n1": "int", "n2": "int", "l1": "float", "l2": "float",
-    "dt": "float", "t_end": "float", "scheme": "str",
-    "alpha": "float", "kappa": "float", "m": "int", "seed": "int",
-    "data.kind": "str", "data.delta": "float",
-    "output.every": "float", "output.dir": "str",
-    "nonlinear": "bool", "coupling": "bool",
+    "n1": int, "n2": int, "l1": float, "l2": float,
+    "dt": float, "t_end": float, "scheme": str,
+    "alpha": float, "kappa": float, "m": int, "seed": int,
+    "data.kind": str, "data.delta": float,
+    "output.every": float, "output.dir": str,
+    "nonlinear": _parse_bool, "coupling": _parse_bool,
 }
 
 COMMAND_KEYS = {
     "nonlinear-run": dict(_RUN_KEYS),
     "audit-energy": dict(_RUN_KEYS),
     "linear-decay": {
-        "profile": "str", "t.min": "float", "t.max": "float", "t.count": "int",
-        "window.lo": "float", "window.hi": "float", "j": "ints",
-        "output.dir": "str",
+        "profile": str, "t.min": float, "t.max": float, "t.count": int,
+        "window.lo": float, "window.hi": float, "j": _parse_ints,
+        "output.dir": str,
     },
     "audit-lemma": {
-        "xi1.min": "float", "xi1.max": "float", "xi1.count": "int",
-        "t.min": "float", "t.max": "float", "t.count": "int",
-        "samples": "int", "seed": "int", "output.dir": "str",
+        "xi1.min": float, "xi1.max": float, "xi1.count": int,
+        "t.min": float, "t.max": float, "t.count": int,
+        "samples": int, "seed": int, "output.dir": str,
     },
     "audit-embedding": {
-        "n1": "int", "n2": "int", "l1": "float", "l2": "float", "m": "int",
-        "widths": "floats", "modes": "ints", "output.dir": "str",
+        "n1": int, "n2": int, "l1": float, "l2": float, "m": int,
+        "widths": _parse_floats, "modes": _parse_ints, "output.dir": str,
     },
     "fit": {
-        "input": "str", "window.lo": "float", "window.hi": "float",
-        "expected": "float", "output.dir": "str",
+        "input": str, "window.lo": float, "window.hi": float,
+        "expected": float, "output.dir": str,
     },
 }
 
@@ -106,7 +97,7 @@ def typed_config(command: str, raw: dict) -> dict:
         if key not in schema:
             raise ConfigError(f"key {key!r} is not valid for command {command!r}")
         try:
-            out[key] = _PARSERS[schema[key]](value)
+            out[key] = schema[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     return out

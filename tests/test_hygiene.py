@@ -76,6 +76,13 @@ No command imports ``numpy.ma``, which adds about 2 MB to a fresh process:
 its 1-D path, so ``diagnostics._median`` and the lemma scan's xi1 grid take
 the same bytes from a sort. Six commands run in one child process, as other
 tests of this suite may have imported ``numpy.ma`` already.
+
+A command's inputs are resolved in one place: in ``src/mhd2d/cli.py`` only
+``main`` names ``typed_config`` and ``_tolerances``, so each command takes
+its typed config and tolerances as arguments, and a step that must see
+every command's resolved inputs, such as a run manifest, reads them in
+``main``. A name or attribute node counts, called or not; the definition
+and the import of a name do not.
 """
 
 import ast
@@ -600,6 +607,49 @@ def test_scan_reports_each_module_level_cache(tmp_path):
         (4, "WeakKeyDictionary"), (5, "lru_cache"), (9, "cache"), (10, "WeakValueDictionary"),
         (13, "WeakValueDictionary"), (14, "lru_cache"),
     ]
+
+
+# what resolves a command's inputs, and the one function that may name it
+RESOLVERS = {"typed_config", "_tolerances"}
+
+
+def _resolved_outside_main(path):
+    """``(line, where, name)`` of each name or attribute node of ``RESOLVERS``
+    in ``path`` outside its top-level function ``main``; ``where`` is the
+    enclosing top-level definition, or ``<module>``."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        where = getattr(top, "name", "<module>")
+        if where == "main" and isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in RESOLVERS:
+                found.append((node.lineno, where, name))
+    return sorted(found)
+
+
+def test_only_main_resolves_a_commands_inputs():
+    found = [f"cli.py:{line} {where} names {name}"
+             for line, where, name in _resolved_outside_main(ROOT / "src" / "mhd2d" / "cli.py")]
+    assert not found, "resolved outside main:\n" + "\n".join(found)
+
+
+def test_scan_reports_each_resolution_outside_main(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from config import typed_config\nimport config\n"
+                   "def _tolerances(pairs, defaults):\n    return dict(defaults)\n"
+                   "def cmd_fit(args, raw):\n    typed = typed_config('fit', raw)\n"
+                   "    return typed, _tolerances(args.tolerance, {})\n"
+                   "class Runner:\n    def run(self, raw):\n"
+                   "        return config.typed_config('fit', raw)\n"
+                   "RESOLVE = _tolerances\nNAME = 'typed_config'\n"
+                   "def main(argv):\n    def inner(raw):\n"
+                   "        return typed_config('fit', raw)\n"
+                   "    return inner({}), _tolerances(argv, {})\n", encoding="utf-8")
+    assert _resolved_outside_main(mod) == [
+        (6, "cmd_fit", "typed_config"), (7, "cmd_fit", "_tolerances"),
+        (10, "Runner", "typed_config"), (11, "<module>", "_tolerances")]
 
 
 REIMPORT = """

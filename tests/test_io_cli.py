@@ -151,6 +151,7 @@ def test_cli_usage_errors(tmp_path, capsys):
         {"xi1.count": -1}, {"samples": 0}, {"t.count": 0}, {"seed": -3})]
     cases += [("audit-lemma", {}, ("--seed", "-3")),
               ("linear-decay", {"t.max": "inf"}, ()), ("linear-decay", {"t.count": 0}, ()),
+              ("linear-decay", {"j": "0, 400"}, ()),  # j400's curve underflows to 0
               ("audit-embedding", {"widths": "", "modes": ""}, ())]
     cases += [("audit-embedding", {"n1": 16, "n2": 16, "modes": 2, **bad}, ())
               for bad in ({"m": 0}, {"m": -1}, {"widths": "1, inf"}, {"widths": "nan"})]
@@ -201,6 +202,15 @@ def test_a_command_parser_helps_and_fails_as_the_full_parser(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
             cli.main(argv)
     assert asked == [("fit",), (None,), (None,), (None,)]
+
+
+def test_seed_flag_follows_the_schema():
+    # every command has a schema, and takes --seed exactly when its schema
+    # has a seed key
+    assert set(cli._COMMANDS) == set(COMMAND_KEYS)
+    for name, schema in COMMAND_KEYS.items():
+        _, error = _parsed(cli.build_parser(name), [name, "--seed", "1"])
+        assert (error is None) == ("seed" in schema), (name, error)
 
 
 def test_tolerance_overrides():
