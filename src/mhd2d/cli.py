@@ -3,13 +3,15 @@
 Exit codes: 0 success, 2 tolerance failure, 3 hard-invariant or numerical
 integrity failure, 4 blow-up, 64 usage or configuration error, or a file
 that cannot be read or written (an ``OSError``). With a fixed seed every
-command writes byte-identical CSV output (floats are serialized with
-repr-faithful %.17g formatting, newlines are always LF).
+command writes byte-identical CSV output (``_write_csv`` serializes every
+number with repr-faithful %.17g formatting, newlines are always LF).
 
 ``main`` resolves a command's inputs before the command runs: its config,
-typed by its schema in ``config.COMMAND_KEYS``, then its ``--tolerance``
-overrides of the defaults that ``_COMMANDS`` lists beside it. A command
-takes ``--seed`` when its schema has a ``seed`` key.
+typed by its schema in ``config.COMMAND_KEYS``, its ``--tolerance``
+overrides of the defaults that ``_COMMANDS`` lists beside it, and its
+output directory. A command takes ``--seed`` when its schema has a
+``seed`` key. The first file a command writes makes the directory, so a
+command that stops before it leaves nothing behind.
 """
 
 import argparse
@@ -63,15 +65,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path, header, rows):
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([x if isinstance(x, str) else format(x, ".17g") for x in row]
+                    for row in rows)
 
 
 def _write_json(path, payload):
@@ -108,15 +107,6 @@ def _time_grid(typed, t_min, t_max, count):
     return np.geomspace(t_min, t_max, count)
 
 
-def _out_dir(args, typed) -> str:
-    out = args.out or typed.get("output.dir") or "mhd2d-out"
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out!r}: {exc}") from exc
-    return out
-
-
 def _say(args, message):
     if not args.quiet:
         print(message)
@@ -129,7 +119,7 @@ def _say(args, message):
 _EXPECTED_COMPONENT_SLOPES = {"v1": -0.75, "v2": -1.25, "B1": -0.25, "B2": -0.75}
 
 
-def cmd_linear_decay(args, typed, tol) -> int:
+def cmd_linear_decay(args, typed, tol, out) -> int:
     times = _time_grid(typed, 1.0, 1.0e4, 161)
     window = (typed.get("window.lo", 1.0e2), typed.get("window.hi", float(times[-1])))
     dx.window_mask(times, window)  # every curve's fit reads it; refuse it before any file
@@ -146,7 +136,6 @@ def cmd_linear_decay(args, typed, tol) -> int:
 
     curves = linear_decay_curve(profile, weights, times)  # checks the weights first
     fits = [dx.fit_decay(curve, window) for curve in curves]  # refuse any before a file
-    out = _out_dir(args, typed)
     entries = []
     ok = True
     for weight, curve, fit in zip(weights, curves, fits):
@@ -155,7 +144,7 @@ def cmd_linear_decay(args, typed, tol) -> int:
         _write_csv(
             os.path.join(out, f"decay_{curve.label}.csv"),
             ("t", "value"),
-            [[_fmt(t), _fmt(v)] for t, v in zip(curve.times, curve.values)],
+            zip(curve.times, curve.values),
         )
         within = abs(fit.slope - expected) <= tol["slope"]
         ok = ok and within
@@ -191,7 +180,7 @@ def _solver_config(args, typed) -> sv.SolverConfig:
 
 
 def _write_diagnostics_csv(path, records):
-    _write_csv(path, dx.CSV_COLUMNS, [r.csv_row() for r in records])
+    _write_csv(path, dx.CSV_COLUMNS, [[getattr(r, c) for c in dx.CSV_COLUMNS] for r in records])
 
 
 class _Snapshots(sv.Trajectory):
@@ -228,9 +217,8 @@ def _run(cfg, out, traj):
         raise
 
 
-def cmd_nonlinear_run(args, typed, tol) -> int:
+def cmd_nonlinear_run(args, typed, tol, out) -> int:
     cfg = _solver_config(args, typed)
-    out = _out_dir(args, typed)
     traj = _run(cfg, out, _Snapshots(out))
     save_state(traj.states[-1], os.path.join(out, "final.bin"))
     _write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj.records)
@@ -245,7 +233,7 @@ def cmd_nonlinear_run(args, typed, tol) -> int:
     return EXIT_OK
 
 
-def cmd_audit_lemma(args, typed, tol) -> int:
+def cmd_audit_lemma(args, typed, tol, out) -> int:
     lo = typed.get("xi1.min", 0.005)
     hi = typed.get("xi1.max", 2.0)
     cnt = typed.get("xi1.count", 100)
@@ -261,12 +249,10 @@ def cmd_audit_lemma(args, typed, tol) -> int:
     xi1 = np.array(sorted({*np.linspace(lo, hi, int(cnt)).tolist(),
                            1e-3, 0.25, 0.5 - 1e-6, 0.5, 0.5 + 1e-6}))
     summary, rows = scan_lemma_bounds(xi1, times, n_samples=samples, seed=seed)
-    out = _out_dir(args, typed)
     _write_csv(
         os.path.join(out, "lemma_rows.csv"),
         ("inequality", "t", "xi1", "lhs", "rhs", "ratio"),
-        [[r.inequality, _fmt(r.t), _fmt(r.xi1), _fmt(r.lhs), _fmt(r.rhs), _fmt(r.ratio)]
-         for r in rows],
+        [[r.inequality, r.t, r.xi1, r.lhs, r.rhs, r.ratio] for r in rows],
     )
     cap = tol["ratio"]
     ok = all(np.isfinite(s["max_ratio"]) and s["max_ratio"] <= cap
@@ -285,9 +271,8 @@ def cmd_audit_lemma(args, typed, tol) -> int:
     return EXIT_OK
 
 
-def cmd_audit_energy(args, typed, tol) -> int:
+def cmd_audit_energy(args, typed, tol, out) -> int:
     cfg = _solver_config(args, typed)
-    out = _out_dir(args, typed)
     traj = _run(cfg, out, _Records())
     try:
         audit = dx.em_inequality_audit(traj.records, cfg.m)
@@ -297,8 +282,7 @@ def cmd_audit_energy(args, typed, tol) -> int:
     _write_csv(
         os.path.join(out, "energy_audit.csv"),
         ("t", "lhs", "rhs"),
-        [[_fmt(t), _fmt(l), _fmt(r)]
-         for t, l, r in zip(audit.times, audit.lhs, audit.rhs)],
+        zip(audit.times, audit.lhs, audit.rhs),
     )
     max_lhs = float(np.max(audit.lhs))
     ok = (np.isfinite(audit.implied_C) and audit.implied_C <= tol["implied_c"]
@@ -316,7 +300,7 @@ def cmd_audit_energy(args, typed, tol) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_audit_embedding(args, typed, tol) -> int:
+def cmd_audit_embedding(args, typed, tol, out) -> int:
     grid = SpectralGrid(typed.get("n1", 128), typed.get("n2", 128),
                         typed.get("l1", 16.0 * np.pi), typed.get("l2", 16.0 * np.pi))
     m = typed.get("m", 4)
@@ -330,7 +314,6 @@ def cmd_audit_embedding(args, typed, tol) -> int:
     states += [dx.single_mode_state(grid, int(k), int(k), pair)
                for k in modes for pair in ("v", "B")]
     max_ratio, ratios = dx.xm_embedding_scan(states, m)
-    out = _out_dir(args, typed)
     cap = tol["ratio"]
     ok = np.isfinite(max_ratio) and max_ratio <= cap
     _write_json(os.path.join(out, "embedding_audit.json"), {
@@ -344,7 +327,7 @@ def cmd_audit_embedding(args, typed, tol) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_fit(args, typed, tol) -> int:
+def cmd_fit(args, typed, tol, out) -> int:
     path = typed.get("input")
     if not path:
         raise ConfigError("fit requires input = <curve csv> in the config")
@@ -377,7 +360,6 @@ def cmd_fit(args, typed, tol) -> int:
         payload.update(expected=typed["expected"], tolerance=tol["slope"],
                        within_tolerance=within)
         rc = EXIT_OK if within else EXIT_TOLERANCE
-    out = _out_dir(args, typed)
     _write_json(os.path.join(out, "fit.json"), payload)
     _say(args, f"slope {fit.slope:+.6f} (rms residual {fit.rms_residual:.3e})")
     return rc
@@ -425,7 +407,8 @@ def main(argv=None) -> int:
     command, defaults = _COMMANDS[args.command]
     try:
         typed = typed_config(args.command, load_config(args.config) if args.config else {})
-        return command(args, typed, _tolerances(args.tolerance, defaults))
+        out = args.out or typed.get("output.dir") or "mhd2d-out"
+        return command(args, typed, _tolerances(args.tolerance, defaults), out)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

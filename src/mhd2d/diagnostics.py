@@ -90,9 +90,6 @@ class DiagnosticsRecord(NamedTuple):
     h_v2_half_sq: float = 0.0
     h_v2_half_l1: float = 0.0
 
-    def csv_row(self) -> list:
-        return [format(getattr(self, c), ".17g") for c in CSV_COLUMNS]
-
 
 class CumulativeRecord(NamedTuple):
     """Time-integrated quantities over [0, T]."""

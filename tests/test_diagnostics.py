@@ -44,7 +44,6 @@ def test_zero_state_record():
     rec = instantaneous(g, SpectralState.zeros(g).u, 4)
     for c in CSV_COLUMNS:
         assert getattr(rec, c) == 0.0, c
-    assert len(rec.csv_row()) == len(CSV_COLUMNS)
 
 
 def test_instantaneous_m_validation():

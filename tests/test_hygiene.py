@@ -78,11 +78,18 @@ the same bytes from a sort. Six commands run in one child process, as other
 tests of this suite may have imported ``numpy.ma`` already.
 
 A command's inputs are resolved in one place: in ``src/mhd2d/cli.py`` only
-``main`` names ``typed_config`` and ``_tolerances``, so each command takes
-its typed config and tolerances as arguments, and a step that must see
-every command's resolved inputs, such as a run manifest, reads them in
-``main``. A name or attribute node counts, called or not; the definition
-and the import of a name do not.
+``main`` names ``typed_config`` and ``_tolerances`` or holds the string
+``"output.dir"``, so each command takes its typed config, tolerances and
+output directory as arguments, and a step that must see every command's
+resolved inputs, such as a run manifest, reads them in ``main``. A name or
+attribute node counts, called or not; the definition and the import of a
+name do not.
+
+The output has one layer. Only ``artifacts.atomic_open`` names
+``makedirs`` or ``mkdir``, so the first file a command writes makes its
+directory and a command that stops before it leaves none. And ``.17g``
+appears in one string of ``src/``, ``cli._write_csv``'s format, so every
+CSV number is written by one rule; a docstring does not count.
 """
 
 import ast
@@ -611,12 +618,14 @@ def test_scan_reports_each_module_level_cache(tmp_path):
 
 # what resolves a command's inputs, and the one function that may name it
 RESOLVERS = {"typed_config", "_tolerances"}
+RESOLVED_KEYS = {"output.dir"}
 
 
 def _resolved_outside_main(path):
     """``(line, where, name)`` of each name or attribute node of ``RESOLVERS``
-    in ``path`` outside its top-level function ``main``; ``where`` is the
-    enclosing top-level definition, or ``<module>``."""
+    and each string constant of ``RESOLVED_KEYS`` in ``path`` outside its
+    top-level function ``main``; ``where`` is the enclosing top-level
+    definition, or ``<module>``."""
     found = []
     for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
         where = getattr(top, "name", "<module>")
@@ -626,6 +635,8 @@ def _resolved_outside_main(path):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, (ast.Name, ast.Attribute)) and name in RESOLVERS:
                 found.append((node.lineno, where, name))
+            elif isinstance(node, ast.Constant) and node.value in RESOLVED_KEYS:
+                found.append((node.lineno, where, node.value))
     return sorted(found)
 
 
@@ -646,10 +657,65 @@ def test_scan_reports_each_resolution_outside_main(tmp_path):
                    "RESOLVE = _tolerances\nNAME = 'typed_config'\n"
                    "def main(argv):\n    def inner(raw):\n"
                    "        return typed_config('fit', raw)\n"
-                   "    return inner({}), _tolerances(argv, {})\n", encoding="utf-8")
+                   "    return inner({}), _tolerances(argv, {}), {}.get('output.dir')\n"
+                   "def cmd_run(args, typed):\n"
+                   "    return args.out or typed.get('output.dir', 'output.dir.bak')\n"
+                   "KEY = 'output.dir'\n", encoding="utf-8")
     assert _resolved_outside_main(mod) == [
         (6, "cmd_fit", "typed_config"), (7, "cmd_fit", "_tolerances"),
-        (10, "Runner", "typed_config"), (11, "<module>", "_tolerances")]
+        (10, "Runner", "typed_config"), (11, "<module>", "_tolerances"),
+        (18, "cmd_run", "output.dir"), (19, "<module>", "output.dir")]
+
+
+def _docstrings(tree):
+    """The string constants of ``tree`` that are docstrings."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, kinds) and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+DIRECTORY_MAKERS = {"makedirs", "mkdir"}
+
+
+def _output_rules(path):
+    """``(line, where, what)`` of each name or attribute node of
+    ``DIRECTORY_MAKERS`` and each string constant holding ``.17g`` outside
+    a docstring in ``path``; ``where`` is the enclosing top-level
+    definition, or ``<module>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    docs, found = _docstrings(tree), []
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in DIRECTORY_MAKERS:
+                found.append((node.lineno, where, name))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and ".17g" in node.value and id(node) not in docs):
+                found.append((node.lineno, where, ".17g"))
+    return sorted(found)
+
+
+def test_one_place_makes_the_directory_and_formats_a_float():
+    found = [(path.name, where, what) for path in sorted((ROOT / "src").rglob("*.py"))
+             for _, where, what in _output_rules(path)]
+    assert found == [("artifacts.py", "atomic_open", "makedirs"),
+                     ("cli.py", "_write_csv", ".17g")], found
+
+
+def test_scan_reports_each_directory_maker_and_float_format(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text('"""Rows as %.17g."""\nimport os\nfrom os import makedirs\n'
+                   'def fmt(x):\n    """x as .17g"""\n    return format(x, ".17g")\n'
+                   "def row(x, p):\n    os.makedirs('out')\n    p.mkdir()\n"
+                   "    return [f'{x:.17g}', '%.17g' % x, '{:.16g}'.format(x)]\n"
+                   'class Writer:\n    """Each float as .17g."""\n    SPEC = ".17g"\n'
+                   "MAKE = makedirs\n", encoding="utf-8")
+    assert _output_rules(mod) == [
+        (6, "fmt", ".17g"), (8, "row", "makedirs"), (9, "row", "mkdir"),
+        (10, "row", ".17g"), (10, "row", ".17g"), (13, "Writer", ".17g"),
+        (14, "<module>", "makedirs")]
 
 
 REIMPORT = """

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mhd2d import cli, solver
+from mhd2d.artifacts import atomic_open
 from mhd2d.config import COMMAND_KEYS, load_config, parse_config, typed_config
 from mhd2d.diagnostics import CSV_COLUMNS
 from mhd2d.errors import ConfigError
@@ -163,13 +164,16 @@ def test_cli_usage_errors(tmp_path, capsys):
               for tol in ("implied_C=1", "lhs=-inf")]
     cases += [("audit-lemma", {}, ("--tolerance", "slope=1")),
               ("nonlinear-run", small, ("--tolerance", "ratio=1"))]
+    # initial data that vanishes on the grid is refused when the run builds it
+    vanish = {"n1": 16, "n2": 16, "l1": 1, "l2": 1}
+    cases += [("nonlinear-run", vanish, ()), ("audit-energy", vanish, ())]
     for i, (cmd, mapping, flags) in enumerate(cases):
         path = write_cfg(tmp_path, f"case{i}.cfg", mapping)
         out = tmp_path / f"out{i}"
         argv = [cmd, "--config", path, "--out", str(out), "--quiet", *flags]
         assert cli.main(argv) == 64, (mapping, flags)
         assert capsys.readouterr().err.startswith("error:"), (mapping, flags)
-        assert not list(out.glob("*.csv")), (mapping, flags)
+        assert not out.exists(), (mapping, flags)  # the first file makes the directory
 
 
 def _parsed(parser, argv):
@@ -688,6 +692,35 @@ def test_artifact_writes_are_atomic(tmp_path):
     assert np.array_equal(load_state(path).u, st.u)
 
 
+def test_atomic_open_makes_the_parent_and_keeps_the_old_file(tmp_path):
+    """A missing parent is made, nested or not; a body that raises leaves
+    the earlier bytes and no temporary, while the parent it made stays."""
+    path = tmp_path / "a" / "b" / "curve.csv"
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,value\n")
+    assert path.read_bytes() == b"t,value\n"
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert _only_file(path.parent) == path and path.read_bytes() == b"t,value\n"
+
+    made = tmp_path / "made"
+    with pytest.raises(RuntimeError):
+        with atomic_open(made / "fit.json", "w", encoding="utf-8"):
+            raise RuntimeError("interrupted")
+    assert made.is_dir() and not os.listdir(made)
+
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for target in (taken / "fit.json", taken / "below" / "fit.json"):
+        with pytest.raises(OSError, match="cannot make output directory") as info:
+            with atomic_open(target, "w", encoding="utf-8"):
+                pass
+        assert repr(str(target.parent)) in str(info.value)
+    assert taken.read_text(encoding="utf-8") == ""
+
+
 # ---------------------------------------------------------------------------
 # audits
 
@@ -705,6 +738,18 @@ def test_audit_energy_exit_and_artifacts(tmp_path):
     lines = (out / "energy_audit.csv").read_text().strip().split("\n")
     assert lines[0] == "t,lhs,rhs"
     assert len(lines) == 22
+
+
+def test_audit_energy_too_coarse_a_cadence_writes_nothing(tmp_path, capsys):
+    # 3 samples, where the derivative audit needs 5: the gate fails, and as
+    # the run writes no file before the audit, no directory is made
+    cfg = write_cfg(tmp_path, "audit.cfg", dict(RUN_CFG, dt=0.02, t_end=0.08, **{
+        "output.every": 0.04}))
+    out = tmp_path / "out"
+    assert cli.main(["audit-energy", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("audit cadence too coarse")
+    assert not out.exists()
 
 
 def test_audit_lemma_deterministic_and_capped(tmp_path, capsys):
